@@ -231,38 +231,45 @@ def _cmd_construct_basis(config: RunConfig) -> int:
     return 0
 
 
-def _sequence_payload(config: RunConfig) -> tuple[dict[str, Any], coordseq.SequenceReport, list[str]]:
-    field = _field_from(config)
+def _sequence_payload(
+    config: RunConfig, field: NumberField
+) -> tuple[dict[str, Any], coordseq.SequenceReport, list[str] | None]:
+    """Report fields shared by the sequence commands, and CSV lines when CSV is asked for."""
     unit = _element(field, config.unit, "unit")
     beta = _element(field, config.beta or "1", "beta")
     basis, meta = _resolve_basis(config, field)
     report = coordseq.generate(beta, unit, basis, config.kmax)
+    terms = [[str(x) for x in row] for row in report.terms]
     payload: dict[str, Any] = {
         "field": format_polynomial(field.coeffs, "x"),
         "unit": format_element(unit),
         "beta": format_element(beta),
         "basis": _basis_coords(basis),
         "charpoly": [str(c) for c in report.charpoly],
-        "terms": [[str(x) for x in row] for row in report.terms],
+        "terms": terms,
         "recurrence_ok": coordseq.verify_recurrence(report),
     }
     payload.update(meta)
-    header = "k," + ",".join(f"x{i}" for i in range(1, report.ncols + 1))
-    csv_lines = [header] + [
-        f"{k}," + ",".join(str(x) for x in row) for k, row in enumerate(report.terms)
-    ]
+    csv_lines = None
+    if config.fmt == "csv":
+        header = "k," + ",".join(f"x{i}" for i in range(1, report.ncols + 1))
+        csv_lines = [header] + [f"{k}," + ",".join(row) for k, row in enumerate(terms)]
     return payload, report, csv_lines
 
 
 def _cmd_emit_sequence(config: RunConfig) -> int:
-    payload, _, csv_lines = _sequence_payload(config)
+    payload, _, csv_lines = _sequence_payload(config, _field_from(config))
     payload["command"] = "emit-sequence"
     _emit(config, payload, csv_lines)
     return 0
 
 
 def _cmd_verify_lds(config: RunConfig) -> int:
-    payload, report, csv_lines = _sequence_payload(config)
+    field = _field_from(config)
+    # a basis has one column per degree, so --column is checked before any generation
+    if not 1 <= config.column <= field.degree:
+        raise ValueError(f"--column {config.column} out of range")
+    payload, report, csv_lines = _sequence_payload(config, field)
     payload["command"] = "verify-lds"
     nmax = config.nmax or report.kmax
     if nmax > report.kmax:
@@ -280,10 +287,7 @@ def _cmd_verify_lds(config: RunConfig) -> int:
     payload["nmax"] = nmax
     payload["lds"] = verdicts
     _emit(config, payload, csv_lines)
-    selected = verdicts[config.column - 1] if 1 <= config.column <= len(verdicts) else None
-    if selected is None:
-        raise ValueError(f"--column {config.column} out of range")
-    return 0 if selected["ok"] else 2
+    return 0 if verdicts[config.column - 1]["ok"] else 2
 
 
 def _cmd_dk_scan(config: RunConfig) -> int:
@@ -299,13 +303,14 @@ def _cmd_dk_scan(config: RunConfig) -> int:
         rec_ok: bool | None = dkseq.dk_recurrence_check(seq, config.kmax)
     except dkseq.CheckRefused:
         rec_ok = None
-    level = dkseq.dk_level_scan(alpha, ring, config.kmax)
+    level = dkseq.dk_level_scan(seq)
+    terms = [str(x) for x in seq.terms]
     payload: dict[str, Any] = {
         "command": "dk-scan",
         "field": format_polynomial(field.coeffs, "x"),
         "alpha": format_element(alpha),
         "ring": [format_element(v) for v in ring.vectors],
-        "terms": [str(x) for x in seq.terms],
+        "terms": terms,
         "recurrence_ok": rec_ok,
         "conj9_hits": [str(k) for k in level.hits],
     }
@@ -323,7 +328,9 @@ def _cmd_dk_scan(config: RunConfig) -> int:
                 for r in scan.rows
             ],
         }
-    csv_lines = ["k,dk"] + [f"{k + 1},{x}" for k, x in enumerate(seq.terms)]
+    csv_lines = None
+    if config.fmt == "csv":
+        csv_lines = ["k,dk"] + [f"{k},{x}" for k, x in enumerate(terms, 1)]
     _emit(config, payload, csv_lines)
     return 0
 
@@ -494,7 +501,17 @@ def run(config: RunConfig) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     namespace = build_parser().parse_args(argv)
-    return run(config_from_args(namespace))
+    # terms grow past the interpreter's int-to-str digit limit; lift it for this
+    # call only, since main also runs inside other programs
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # interpreters older than the limit
+        return run(config_from_args(namespace))
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return run(config_from_args(namespace))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

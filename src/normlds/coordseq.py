@@ -1,16 +1,25 @@
 """Coordinate sequences of beta * eps^k over a module basis, and their checks.
 
-generate() produces the integer coordinate rows together with the recurrence
-inherited from the minimal polynomial of eps. The checks are deliberately
-independent of the generator: verify_lds is a brute-force divisor scan and
-minimal_order fits least-order recurrences by exact linear algebra.
+coordinate_rows() is the one sequence kernel of the package. It builds the
+matrix of y -> eps*y over the basis once, cleared to an integer matrix M with
+a common denominator D, and steps x(k+1) = M x(k) / D in integers, with an
+exact divisibility check on every entry. generate() and the d_k sequences of
+dkseq all run on it. generate() returns the rows together with the recurrence
+inherited from the minimal polynomial of eps.
+
+The checks are independent of the kernel: verify_recurrence tests the
+characteristic recurrence termwise, verify_lds finds the first failing divisor
+pair through prime steps, and minimal_order fits least-order recurrences by
+exact linear algebra.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .numberfield import FieldElement, ModuleBasis, min_poly, solve_linear
 
@@ -51,6 +60,44 @@ class LdsVerdict:
     witness: tuple[int, int] | None = None  # first (n, m) with n | m but b(n) does not divide b(m)
 
 
+def coordinate_rows(
+    beta: FieldElement, eps: FieldElement, w: ModuleBasis, error: Callable[[int], str]
+) -> Iterator[list[int]]:
+    """Integer coordinates of beta * eps^k over w for k = 0, 1, 2, ... without end.
+
+    The first row whose coordinates are not all integers raises
+    ValueError(error(k)) for its index k. Rows are yielded one at a time, so a
+    caller that keeps only a digest of each row holds one row in memory.
+    """
+    if beta.field != w.field or eps.field != w.field:
+        raise ValueError("element from a different field")
+    # column j of the step matrix holds the coordinates of eps * w_j
+    step = [w.coords(eps * v) for v in w.vectors]
+    denom = math.lcm(*(c.denominator for col in step for c in col))
+    n = len(step)
+    # per output coordinate i, the nonzero pairs (j, D * coords(eps * w_j)[i])
+    rows = [
+        [(j, int(step[j][i] * denom)) for j in range(n) if step[j][i]]
+        for i in range(n)
+    ]
+    start = w.coords(beta)
+    if any(c.denominator != 1 for c in start):
+        raise ValueError(error(0))
+    x = [int(c) for c in start]
+    k = 0
+    while True:
+        yield x
+        k += 1
+        nxt = [sum(m * x[j] for j, m in row) for row in rows]
+        if denom != 1:
+            for i, value in enumerate(nxt):
+                q, r = divmod(value, denom)
+                if r:
+                    raise ValueError(error(k))
+                nxt[i] = q
+        x = nxt
+
+
 def generate(beta: FieldElement, eps: FieldElement, w: ModuleBasis, kmax: int) -> SequenceReport:
     """Exact coordinates of beta * eps^k over w for k = 0..kmax.
 
@@ -67,19 +114,10 @@ def generate(beta: FieldElement, eps: FieldElement, w: ModuleBasis, kmax: int) -
         if c.denominator != 1:
             raise ValueError("eps must be an algebraic integer")
         charpoly.append(int(c))
-    rows = []
-    current = beta
-    for k in range(kmax + 1):
-        coords = w.coords(current)
-        row = []
-        for c in coords:
-            if c.denominator != 1:
-                raise ValueError(
-                    f"non-integral coordinate at k={k}: beta*eps^k is outside the module"
-                )
-            row.append(int(c))
-        rows.append(row)
-        current = current * eps
+    steps = coordinate_rows(
+        beta, eps, w, lambda k: f"non-integral coordinate at k={k}: beta*eps^k is outside the module"
+    )
+    rows = list(itertools.islice(steps, kmax + 1))
     return SequenceReport(terms=rows, charpoly=tuple(charpoly), beta=beta, eps=eps, basis=w)
 
 
@@ -135,19 +173,39 @@ def divides(a: int, b: int) -> bool:
     return b % a == 0
 
 
-def verify_lds(column: Sequence[int], nmax: int) -> LdsVerdict:
-    """Scan all pairs n | m with 1 <= n < m <= nmax; the index is the position.
+def _smallest_prime_factors(nmax: int) -> list[int]:
+    """spf[m] is the least prime factor of m for 2 <= m <= nmax."""
+    spf = list(range(nmax + 1))
+    for p in range(2, math.isqrt(nmax) + 1):
+        if spf[p] == p:
+            for q in range(p * p, nmax + 1, p):
+                if spf[q] == q:
+                    spf[q] = p
+    return spf
 
-    column[k] is b(k); entries through index nmax must be present. Returns the
-    first failing pair scanning m upward, or a clean verdict.
+
+def verify_lds(column: Sequence[int], nmax: int) -> LdsVerdict:
+    """First failing pair n | m with 1 <= n < m <= nmax; the index is the position.
+
+    column[k] is b(k); entries through index nmax must be present. The witness
+    is the pair met first when m runs upward and, for each m, n runs upward
+    over the divisors of m. Divisibility is transitive (0 divides only 0), so
+    while every pair below m holds, m has a failing divisor exactly when some
+    prime step (m/p, m) fails: only prime steps are tested until that m.
     """
     terms = list(column)
     if len(terms) <= nmax:
         raise ValueError(f"need terms through index {nmax}, got {len(terms)}")
+    spf = _smallest_prime_factors(max(nmax, 1))
     for m in range(2, nmax + 1):
-        for n in range(1, m):
-            if m % n == 0 and not divides(terms[n], terms[m]):
+        rest = m
+        while rest > 1:
+            p = spf[rest]
+            if not divides(terms[m // p], terms[m]):
+                n = next(n for n in range(1, m) if m % n == 0 and not divides(terms[n], terms[m]))
                 return LdsVerdict(False, (n, m))
+            while rest % p == 0:
+                rest //= p
     return LdsVerdict(True, None)
 
 

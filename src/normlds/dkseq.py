@@ -1,18 +1,25 @@
 """The congruence sequence d_k(alpha) = max{d : alpha^k = 1 + d*beta, beta integral}.
 
 Over a ring with basis {1, w2, ..., wn} the maximum is a gcd of shifted
-coordinates: d_k = gcd(x1(k) - 1, x2(k), ..., xn(k)). The module also hosts
-the order-4 recurrence check for quadratic norm-1 units, the change of basis
-matching d_k/d_1 with a first coordinate sequence, the vanishing scan for
-lacunary minimal polynomials, and power-basis discriminants.
+coordinates: d_k = gcd(x1(k) - 1, x2(k), ..., xn(k)). dk_sequence and
+sparse_minpoly_scan step those coordinates with the integer step-matrix kernel
+of coordseq, one small integer matrix-vector product per k; dk() computes one
+term from alpha**k in the field and serves as the independent check. The
+module also hosts the order-4 recurrence check for quadratic norm-1 units, the
+change of basis matching d_k/d_1 with a first coordinate sequence, the
+vanishing scan for lacunary minimal polynomials, and power-basis
+discriminants.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
+from .coordseq import coordinate_rows
 from .exactlinalg import IntMatrix, complete_primitive, det, inverse_unimodular
 from .numberfield import (
     FieldElement,
@@ -46,14 +53,8 @@ class DkSequence:
         return self.terms[k - 1]
 
 
-def _integral_coords(basis: ModuleBasis, a: FieldElement, what: str) -> list[int]:
-    coords = basis.coords(a)
-    out = []
-    for c in coords:
-        if c.denominator != 1:
-            raise ValueError(f"{what} has non-integral coordinates over the ring basis")
-        out.append(int(c))
-    return out
+def _non_integral(k: int) -> str:
+    return f"alpha^{k} has non-integral coordinates over the ring basis"
 
 
 def _check_ring_basis(ringbasis: ModuleBasis) -> None:
@@ -69,21 +70,24 @@ def dk(alpha: FieldElement, ringbasis: ModuleBasis, k: int) -> int:
     if k < 0:
         raise ValueError("index must be nonnegative")
     _check_ring_basis(ringbasis)
-    coords = _integral_coords(ringbasis, alpha**k, f"alpha^{k}")
-    return math.gcd(coords[0] - 1, *coords[1:])
+    coords = ringbasis.coords(alpha**k)
+    if any(c.denominator != 1 for c in coords):
+        raise ValueError(_non_integral(k))
+    return math.gcd(int(coords[0]) - 1, *map(int, coords[1:]))
+
+
+def _power_rows(alpha: FieldElement, basis: ModuleBasis, kmax: int) -> Iterator[list[int]]:
+    """Integer coordinates of alpha^k over basis for k = 1..kmax; basis must hold 1."""
+    rows = coordinate_rows(basis.field.one, alpha, basis, _non_integral)
+    return itertools.islice(rows, 1, max(kmax, 0) + 1)
 
 
 def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSequence:
-    """d_1 .. d_kmax with one multiplication per step."""
+    """d_1 .. d_kmax with one integer step-matrix product per step."""
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     _check_ring_basis(ringbasis)
-    terms = []
-    power = alpha
-    for k in range(1, kmax + 1):
-        coords = _integral_coords(ringbasis, power, f"alpha^{k}")
-        terms.append(math.gcd(coords[0] - 1, *coords[1:]))
-        power = power * alpha
+    terms = [math.gcd(x[0] - 1, *x[1:]) for x in _power_rows(alpha, ringbasis, kmax)]
     return DkSequence(alpha=alpha, ringbasis=ringbasis, terms=terms, t_trace=_quadratic_unit_trace(alpha))
 
 
@@ -252,13 +256,9 @@ def sparse_minpoly_scan(
             raise ValueError(
                 f"coefficient pattern violated: s_{i} = {-field.coeffs[deg - i]} is nonzero"
             )
-    alpha = field.generator
-    pb = field.power_basis()
     disc = discriminant_power_basis(field)
     rows = []
-    power = alpha
-    for n in range(1, nmax + 1):
-        coords = _integral_coords(pb, power, f"alpha^{n}")
+    for n, coords in enumerate(_power_rows(field.generator, field.power_basis(), nmax), 1):
         if n % t == 1 or t == 1:
             d_tilde = math.gcd(coords[0] - 1, *coords[1:])
             rows.append(
@@ -269,7 +269,6 @@ def sparse_minpoly_scan(
                     d=d_tilde if assert_monogenic else None,
                 )
             )
-        power = power * alpha
     return SparseScanReport(t=t, disc=disc, monogenic_asserted=assert_monogenic, rows=rows)
 
 
@@ -286,11 +285,11 @@ class LevelScan:
         return Fraction(len(self.hits), self.kmax)
 
 
-def dk_level_scan(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> LevelScan:
-    seq = dk_sequence(alpha, ringbasis, kmax)
+def dk_level_scan(seq: DkSequence) -> LevelScan:
+    """Level set of d_1 over every term of an already computed sequence."""
     d1 = seq.dk(1)
-    hits = [k for k in range(1, kmax + 1) if seq.dk(k) == d1]
-    return LevelScan(d1=d1, hits=hits, kmax=kmax)
+    hits = [k for k, d in enumerate(seq.terms, 1) if d == d1]
+    return LevelScan(d1=d1, hits=hits, kmax=len(seq.terms))
 
 
 def _sylvester_resultant(f: list[int], g: list[int]) -> int:

@@ -342,7 +342,8 @@ def complete_primitive(v: Sequence[int]) -> IntMatrix:
 
     Returns u with det(u) = 1 whose first column equals v. Deterministic:
     built from a fixed bottom-up sweep of extended-gcd row operations.
-    Raises ValueError unless gcd(v) = 1.
+    Raises ValueError unless gcd(v) = 1, and for v = (-1,), the one primitive
+    vector whose only 1x1 completion [-1] has determinant -1.
     """
     vec = [int(a) for a in v]
     n = len(vec)
@@ -363,6 +364,13 @@ def complete_primitive(v: Sequence[int]) -> IntMatrix:
         u[i - 1] = [s * p + t * q for p, q in zip(ri, rj)]
         u[i] = [(-b // g) * p + (a // g) * q for p, q in zip(ri, rj)]
         w[i - 1], w[i] = g, 0
+    if w[0] == -1:
+        # only v = (-1, 0, ..., 0) ends here; negating two rows keeps det(u) = 1
+        if n == 1:
+            raise ValueError("(-1,) has no completion with determinant 1")
+        u[0] = [-x for x in u[0]]
+        u[1] = [-x for x in u[1]]
+        w[0] = 1
     if w[0] != 1:
         # gcd sweep must terminate at 1 for a primitive vector
         raise AssertionError("primitive completion sweep failed")

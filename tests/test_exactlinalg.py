@@ -163,6 +163,16 @@ class TestCompletePrimitive:
         with pytest.raises(ValueError, match="primitive"):
             complete_primitive([2, 4])
 
+    @pytest.mark.parametrize("vec", [[-1, 0], [0, -1, 0], [-1, 0, 0, 0]])
+    def test_sweep_ending_at_minus_one(self, vec):
+        u = complete_primitive(vec)
+        assert u.column(0) == tuple(vec)
+        assert det(u) == 1
+
+    def test_minus_one_alone_has_no_completion(self):
+        with pytest.raises(ValueError, match="determinant 1"):
+            complete_primitive([-1])
+
     @given(st.lists(st.integers(-30, 30), min_size=2, max_size=4))
     @settings(max_examples=200, deadline=None)
     def test_random_primitive_vectors(self, vec):

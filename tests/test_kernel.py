@@ -1,0 +1,218 @@
+"""The integer step-matrix kernel and the prime-step LDS scan against their oracles.
+
+The oracles are the loops the kernel replaced: one Fraction field multiply and
+one Fraction coordinate solve per term, and the all-pairs divisor scan.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from normlds.coordseq import coordinate_rows, divides, generate, verify_lds
+from normlds.dkseq import dk, dk_sequence, sparse_minpoly_scan
+from normlds.numberfield import ModuleBasis, NumberField
+
+QUADRATICS = [(-2, 0, 1), (-3, 0, 1), (-5, 0, 1), (1, 0, 1), (-1, -1, 1), (-7, 0, 1)]
+QUARTICS = [(1, 0, -10, 0, 1), (1, 0, -4, 0, 1), (-2, 0, 0, 0, 1), (1, 0, 0, 0, 1), (1, 0, -5, 0, 1)]
+FIELDS = [NumberField(f) for f in QUADRATICS + QUARTICS]
+
+
+def fraction_rows(beta, eps, w, kmax):
+    """Coordinates of beta*eps^k for k = 0..kmax by field multiplication and solves."""
+    rows = []
+    current = beta
+    for k in range(kmax + 1):
+        coords = w.coords(current)
+        if any(c.denominator != 1 for c in coords):
+            raise ValueError(f"non-integral coordinate at k={k}: beta*eps^k is outside the module")
+        rows.append([int(c) for c in coords])
+        current = current * eps
+    return rows
+
+
+def pairwise_lds(column, nmax):
+    """Every pair n | m, m upward and then n upward: the scan verify_lds replaced."""
+    for m in range(2, nmax + 1):
+        for n in range(1, m):
+            if m % n == 0 and not divides(column[n], column[m]):
+                return False, (n, m)
+    return True, None
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@st.composite
+def integral_elements(draw, field, bound=3):
+    return field.element([draw(st.integers(-bound, bound)) for _ in range(field.degree)])
+
+
+@st.composite
+def rational_elements(draw, field):
+    den = draw(st.sampled_from([1, 1, 2, 3]))
+    return field.element([Fraction(draw(st.integers(-4, 4)), den) for _ in range(field.degree)])
+
+
+@st.composite
+def module_elements(draw, basis):
+    return basis.combine([draw(st.integers(-3, 3)) for _ in basis.vectors])
+
+
+@st.composite
+def bases(draw, field, ring=False):
+    """Random Q-bases; with ring=True the first vector is 1, as d_k requires."""
+    n = field.degree
+    vectors = [field.one] if ring else []
+    while len(vectors) < n:
+        den = draw(st.sampled_from([1, 1, 2, 3]))
+        coords = [Fraction(draw(st.integers(-3, 3)), den) for _ in range(n)]
+        vectors.append(field.element(coords))
+    try:
+        return ModuleBasis(field, tuple(vectors))
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def kernel_cases(draw):
+    field = draw(st.sampled_from(FIELDS))
+    basis = draw(st.one_of(st.just(field.power_basis()), bases(field)))
+    beta = draw(st.one_of(module_elements(basis), integral_elements(field), rational_elements(field)))
+    eps = draw(integral_elements(field))
+    return beta, eps, basis, draw(st.integers(0, 12))
+
+
+class TestCoordinateRows:
+    @given(kernel_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_and_errors_match_fraction_oracle(self, case):
+        beta, eps, basis, kmax = case
+        want = outcome(fraction_rows, beta, eps, basis, kmax)
+        got = outcome(lambda *a: generate(*a).terms, beta, eps, basis, kmax)
+        assert got == want
+
+    def test_error_after_integral_rows(self):
+        k4 = NumberField((1, 0, -10, 0, 1))
+        t = k4.generator
+        basis = ModuleBasis(k4, (k4.one, t, (t * t).scale(2), t * t * t))
+        with pytest.raises(ValueError, match=r"^non-integral coordinate at k=2: "):
+            generate(k4.one, t, basis, 6)
+        assert fraction_rows(k4.one, t, basis, 1) == generate(k4.one, t, basis, 1).terms
+
+    def test_no_row_past_kmax_is_computed(self):
+        # row 2 is not integral, so asking for rows 0..1 must not fail
+        k4 = NumberField((1, 0, -10, 0, 1))
+        t = k4.generator
+        basis = ModuleBasis(k4, (k4.one, t, (t * t).scale(2), t * t * t))
+        assert generate(k4.one, t, basis, 1).terms == [[1, 0, 0, 0], [0, 1, 0, 0]]
+
+    def test_field_mismatch(self):
+        other = NumberField((-3, 0, 1))
+        rows = coordinate_rows(other.one, other.generator, FIELDS[0].power_basis(), str)
+        with pytest.raises(ValueError, match="different field"):
+            next(rows)
+
+
+@st.composite
+def dk_cases(draw):
+    field = draw(st.sampled_from(FIELDS))
+    ring = draw(st.one_of(st.just(field.power_basis()), bases(field, ring=True)))
+    alpha = draw(st.one_of(module_elements(ring), integral_elements(field), rational_elements(field)))
+    return alpha, ring, draw(st.integers(1, 10))
+
+
+def dk_terms(alpha, ring, kmax):
+    return [dk(alpha, ring, k) for k in range(1, kmax + 1)]
+
+
+class TestDkSequence:
+    @given(dk_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_terms_and_errors_match_single_term_dk(self, case):
+        alpha, ring, kmax = case
+        want = outcome(dk_terms, alpha, ring, kmax)
+        got = outcome(lambda *a: dk_sequence(*a).terms, alpha, ring, kmax)
+        assert got == want
+
+    def test_error_index(self):
+        k4 = NumberField((1, 0, -10, 0, 1))
+        t = k4.generator
+        ring = ModuleBasis(k4, (k4.one, t, (t * t).scale(2), t * t * t))
+        with pytest.raises(ValueError, match=r"^alpha\^2 has non-integral coordinates"):
+            dk_sequence(t, ring, 6)
+
+
+def sparse_rows_oracle(field, t, nmax, assert_monogenic):
+    rows = []
+    pb = field.power_basis()
+    power = field.generator
+    for n in range(1, nmax + 1):
+        coords = [int(c) for c in pb.coords(power)]
+        if n % t == 1 or t == 1:
+            d_tilde = math.gcd(coords[0] - 1, *coords[1:])
+            rows.append((n, coords[0], d_tilde, d_tilde if assert_monogenic else None))
+        power = power * field.generator
+    return rows
+
+
+class TestSparseScan:
+    @given(
+        st.sampled_from([((1, 0, -10, 0, 1), 2), ((1, 0, -5, 0, 1), 2), ((-2, 0, 0, 0, 1), 4),
+                         ((-2, 0, 0, 0, 1), 2), ((-5, 0, 1), 2), ((1, 0, -4, 0, 1), 1)]),
+        st.integers(0, 40),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_oracle(self, spec, nmax, monogenic):
+        coeffs, t = spec
+        field = NumberField(coeffs)
+        scan = sparse_minpoly_scan(field, t, nmax, monogenic)
+        got = [(r.n, r.y1, r.d_tilde, r.d) for r in scan.rows]
+        assert got == sparse_rows_oracle(field, t, nmax, monogenic)
+
+
+@st.composite
+def lds_columns(draw):
+    """Columns that are divisibility sequences, some with zeros, some perturbed."""
+    size = draw(st.integers(2, 70))
+    kind = draw(st.sampled_from(["multiple", "lucas", "zeros", "random"]))
+    c = draw(st.integers(-3, 3))
+    if kind == "multiple":
+        col = [c * n for n in range(size)]
+    elif kind == "lucas":
+        p, q = draw(st.integers(-3, 3)), draw(st.integers(-2, 2))
+        col = [0, 1]
+        while len(col) < size:
+            col.append(p * col[-1] - q * col[-2])
+        col = col[:size]
+    elif kind == "zeros":
+        z = draw(st.integers(1, 7))
+        col = [0 if n % z == 0 else c for n in range(size)]
+    else:
+        col = draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size))
+    if draw(st.booleans()):
+        col[draw(st.integers(0, size - 1))] = draw(st.integers(-5, 5))
+    return col, draw(st.integers(-2, size - 1))
+
+
+class TestVerifyLdsOracle:
+    @given(lds_columns())
+    @settings(max_examples=500, deadline=None)
+    def test_verdict_and_witness_match_pairwise_scan(self, case):
+        col, nmax = case
+        verdict = verify_lds(col, nmax)
+        assert (verdict.ok, verdict.witness) == pairwise_lds(col, nmax)
+
+    def test_late_failure_on_composite_index(self):
+        # b(n) = n except b(12) = 18: 2, 3, 6, 9 divide 18 but 4 does not
+        col = list(range(40))
+        col[12] = 18
+        assert pairwise_lds(col, 39) == (False, (4, 12))
+        assert verify_lds(col, 39).witness == (4, 12)
