@@ -269,9 +269,11 @@ def _cmd_verify_lds(config: RunConfig) -> int:
     # a basis has one column per degree, so --column is checked before any generation
     if not 1 <= config.column <= field.degree:
         raise ValueError(f"--column {config.column} out of range")
+    if config.nmax is not None and config.nmax < 1:
+        raise ValueError(f"--nmax {config.nmax} must be at least 1")
     payload, report, csv_lines = _sequence_payload(config, field)
     payload["command"] = "verify-lds"
-    nmax = config.nmax or report.kmax
+    nmax = report.kmax if config.nmax is None else config.nmax
     if nmax > report.kmax:
         raise ValueError("--nmax cannot exceed --kmax")
     verdicts = []

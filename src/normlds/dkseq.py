@@ -161,7 +161,7 @@ def match_dk_basis(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int = 30) 
     if any(x % d1 != 0 for x in d_head):
         return DkMatchReport(
             quartic_poly=poly,
-            poly_irreducible=_poly_irreducible(poly),
+            poly_irreducible=_quartic_field(poly) is not None,
             d_head=d_head,
             normalized=None,
             applicable=False,
@@ -186,9 +186,8 @@ def match_dk_basis(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int = 30) 
     else:
         matched = kmax
     basis = None
-    irreducible = _poly_irreducible(poly)
-    if irreducible:
-        k4 = NumberField(poly)
+    k4 = _quartic_field(poly)
+    if k4 is not None:
         eta = k4.generator
         a_inv = inverse_unimodular(a)
         vectors = []
@@ -200,7 +199,7 @@ def match_dk_basis(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int = 30) 
         basis = ModuleBasis(k4, tuple(vectors))
     return DkMatchReport(
         quartic_poly=poly,
-        poly_irreducible=irreducible,
+        poly_irreducible=k4 is not None,
         d_head=d_head,
         normalized=normalized,
         applicable=True,
@@ -210,12 +209,12 @@ def match_dk_basis(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int = 30) 
     )
 
 
-def _poly_irreducible(coeffs: tuple[int, ...]) -> bool:
+def _quartic_field(coeffs: tuple[int, ...]) -> NumberField | None:
+    """Q[X]/(coeffs), or None when coeffs is reducible."""
     try:
-        NumberField(coeffs)
-        return True
+        return NumberField(coeffs)
     except ValueError:
-        return False
+        return None
 
 
 @dataclass

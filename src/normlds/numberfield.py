@@ -7,6 +7,7 @@ multiplication matrix, so no floating point or embeddings appear anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -23,19 +24,6 @@ class ParseError(ValueError):
         self.position = position
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def _poly_eval_int(coeffs: Sequence[int], x: int) -> int:
     acc = 0
     for c in reversed(coeffs):
@@ -43,48 +31,85 @@ def _poly_eval_int(coeffs: Sequence[int], x: int) -> int:
     return acc
 
 
+def _root_floors(coeffs: Sequence[int], bound: int) -> set[int]:
+    """Integers in [-bound, bound] that include floor(r) for each real root r there.
+
+    coeffs is an integer polynomial, ascending, with a nonzero leading
+    coefficient. The floors of the real roots of its derivative in
+    [-bound, bound], each with its successor, cut that range into integer
+    intervals. An interval longer than 1 holds no critical point, so the
+    polynomial is strictly monotone on it and holds at most one root, found by
+    bisection when the signs at its ends differ. A root inside a unit interval
+    around a critical point has that critical point's floor, which is kept.
+    """
+    if len(coeffs) < 2:
+        return set()
+    crit = _root_floors([i * c for i, c in enumerate(coeffs)][1:], bound)
+    points = sorted({-bound, bound} | {m + 1 for m in crit if m < bound} | crit)
+    floors = set(crit)
+    for a, b in zip(points, points[1:]):
+        fa, fb = _poly_eval_int(coeffs, a), _poly_eval_int(coeffs, b)
+        if fa == 0:
+            floors.add(a)
+        if fb == 0:
+            floors.add(b)
+        if fa == 0 or fb == 0 or (fa < 0) == (fb < 0):
+            continue
+        while b - a > 1:
+            mid = (a + b) // 2
+            fm = _poly_eval_int(coeffs, mid)
+            if fm == 0:
+                a = mid
+                break
+            if (fm < 0) == (fa < 0):
+                a = mid
+            else:
+                b = mid
+        floors.add(a)
+    return floors
+
+
+def _integer_roots(coeffs: Sequence[int]) -> list[int]:
+    """The integer roots of a monic integer polynomial of positive degree."""
+    # every root of a monic polynomial lies within its Cauchy bound
+    bound = 1 + max(abs(c) for c in coeffs[:-1])
+    return [m for m in _root_floors(coeffs, bound) if _poly_eval_int(coeffs, m) == 0]
+
+
 def _is_irreducible(coeffs: Sequence[int]) -> bool:
     """Irreducibility over Q for a monic integer polynomial of degree 2..4.
 
-    A monic integer polynomial has only integer rational roots, all dividing the
-    constant term. Degrees 2 and 3 are reducible exactly when a rational root
-    exists. Degree 4 additionally requires ruling out a product of two monic
-    integer quadratics, searched through factor pairs of the constant term.
+    A monic integer polynomial has only integer rational roots, and by Gauss's
+    lemma a factorization over Q into monic factors is one over Z. Degrees 2
+    and 3 are reducible exactly when an integer root exists; integer roots are
+    found by exact bisection inside the Cauchy bound (see _root_floors). A
+    quartic without one is reducible exactly when it is
+    (X^2+aX+b)(X^2+cX+d) over Z. Then y = b+d is an integer root of the
+    resolvent cubic, b and d are the roots of z^2 - yz + c0, a and c those of
+    z^2 - c3 z + (c2 - y), and ad + bc = c1. The number of integer operations
+    is polynomial in the digit length of the coefficients.
     """
-    n = len(coeffs) - 1
-    c0 = coeffs[0]
-    if c0 == 0:
+    if _integer_roots(coeffs):
         return False
-    for d in _divisors(c0):
-        if _poly_eval_int(coeffs, d) == 0 or _poly_eval_int(coeffs, -d) == 0:
-            return False
-    if n == 4:
-        _, c1, c2, c3, _ = coeffs
-        for b in _divisors(c0):
-            for bb in (b, -b):
-                d, rem = divmod(c0, bb)
-                if rem != 0:
-                    continue
-                # (X^2+aX+bb)(X^2+cX+d): a+c = c3, ac = c2-bb-d, ad+bbc = c1
-                s = c3
-                p = c2 - bb - d
-                disc = s * s - 4 * p
-                if disc < 0:
-                    continue
-                root = _isqrt(disc)
-                if root * root != disc or (s + root) % 2 != 0:
-                    continue
-                a = (s + root) // 2
-                c = s - a
-                if a * d + bb * c == c1:
+    if len(coeffs) == 5:
+        c0, c1, c2, c3, _ = coeffs
+        resolvent = (-(c1 * c1 + c0 * c3 * c3 - 4 * c0 * c2), c1 * c3 - 4 * c0, -c2, 1)
+        for y in _integer_roots(resolvent):
+            bd_disc, ac_disc = y * y - 4 * c0, c3 * c3 - 4 * (c2 - y)
+            if bd_disc < 0 or ac_disc < 0:
+                continue
+            s, r = math.isqrt(bd_disc), math.isqrt(ac_disc)
+            if s * s != bd_disc or r * r != ac_disc:
+                continue
+            # s = y and r = c3 mod 2, so the halves below are exact. A root y
+            # of the resolvent gives (c1 - ad - bc)(c1 - ab - cd) = 0, so one
+            # choice of a holds; testing it makes the verdict an exhibited
+            # factorization.
+            b, d = (y + s) // 2, (y - s) // 2
+            for a in ((c3 + r) // 2, (c3 - r) // 2):
+                if a * d + b * (c3 - a) == c1:
                     return False
     return True
-
-
-def _isqrt(n: int) -> int:
-    import math
-
-    return math.isqrt(n)
 
 
 @dataclass(frozen=True)

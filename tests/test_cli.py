@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from normlds import cli, dkseq
+from normlds.lucas import LucasParams, lucas_u
 from normlds.numberfield import NumberField
 
 
@@ -89,3 +90,49 @@ def test_terms_beyond_the_int_digit_limit(tmp_path):
         sys.set_int_max_str_digits(limit)
     for i in range(4):
         assert rows[4][i] == 110 * rows[2][i] - rows[0][i]
+
+
+@pytest.mark.parametrize("nmax", ["0", "-3"])
+def test_verify_lds_nmax_checked_before_any_output(nmax):
+    rc, out, err = run_cli(
+        ["verify-lds", "--field", "x^4-10x^2+1", "--unit", "t", "--kmax", "30", "--nmax", nmax]
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: --nmax {nmax} must be at least 1\n"
+
+
+def test_verify_lds_nmax_defaults_to_kmax():
+    rc, out, _ = run_cli(["verify-lds", "--field", "x^4-10x^2+1", "--unit", "t", "--kmax", "30"])
+    assert json.loads(out)["nmax"] == 30
+
+
+def test_quadratic_construction_on_a_pell_field_near_10_18(tmp_path):
+    n = 10**9
+    field = f"x^2-{n * n - 1}"
+    path = tmp_path / "basis.json"
+    rc, _, err = run_cli(
+        ["construct-basis", "--field", field, "--unit", f"{n}+t", "--beta", "3+t",
+         "--method", "quadratic", "--out", str(path)]
+    )
+    assert (rc, err) == (0, "")
+    cons = json.loads(path.read_text())
+    scale, trace = int(cons["scale"]), int(cons["t_trace"])
+    assert trace == 2 * n
+    rc, out, _ = run_cli(
+        ["emit-sequence", "--field", field, "--unit", f"{n}+t", "--beta", "3+t",
+         "--basis-file", str(path), "--kmax", "12"]
+    )
+    assert rc == 0
+    x1 = [int(row[0]) for row in json.loads(out)["terms"]]
+    params = LucasParams(trace, 1)
+    assert x1 == [scale * lucas_u(params, k) for k in range(13)]
+
+
+def test_reducible_field_is_rejected():
+    rc, out, err = run_cli(
+        ["construct-basis", "--field", f"x^2-{(10**9 + 7) ** 2}", "--unit", "t",
+         "--method", "quadratic"]
+    )
+    assert (rc, out) == (2, "")
+    assert err == "error: x^2 - 1000000014000000049 is reducible over Q\n"

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normlds.numberfield import (
     FieldElement,
@@ -17,6 +19,7 @@ from normlds.numberfield import (
     parse_polynomial,
     trace,
 )
+from normlds.numberfield import _is_irreducible, _poly_eval_int
 
 SQRT2 = NumberField((-2, 0, 1))          # X^2 - 2
 GOLDEN = NumberField((-1, -1, 1))        # X^2 - X - 1
@@ -58,6 +61,120 @@ class TestFieldValidation:
         NumberField((-1, 0, -2, 0, 1))  # X^4 - 2X^2 - 1
         NumberField((-2, 0, 0, 1))      # X^3 - 2
         NumberField((1, 0, -4, 0, 1))   # X^4 - 4X^2 + 1
+
+
+def divisors(n: int) -> list[int]:
+    n = abs(n)
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def trial_division_irreducible(coeffs) -> bool:
+    """The divisor search _is_irreducible replaced, kept as its oracle.
+
+    It tries every divisor of the constant term as a root, and for a quartic
+    every factor pair of it as the constant terms of two quadratic factors, so
+    it takes time exponential in the digit length.
+    """
+    n = len(coeffs) - 1
+    c0 = coeffs[0]
+    if c0 == 0:
+        return False
+    for d in divisors(c0):
+        if _poly_eval_int(coeffs, d) == 0 or _poly_eval_int(coeffs, -d) == 0:
+            return False
+    if n == 4:
+        _, c1, c2, c3, _ = coeffs
+        for b in divisors(c0):
+            for bb in (b, -b):
+                d, rem = divmod(c0, bb)
+                if rem != 0:
+                    continue
+                # (X^2+aX+bb)(X^2+cX+d): a+c = c3, ac = c2-bb-d, ad+bbc = c1
+                s = c3
+                p = c2 - bb - d
+                disc = s * s - 4 * p
+                if disc < 0:
+                    continue
+                root = _isqrt(disc)
+                if root * root != disc or (s + root) % 2 != 0:
+                    continue
+                a = (s + root) // 2
+                c = s - a
+                if a * d + bb * c == c1:
+                    return False
+    return True
+
+
+def _isqrt(n: int) -> int:
+    import math
+
+    return math.isqrt(n)
+
+
+def poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def monic(degree, coeff):
+    return st.tuples(*[coeff] * degree).map(lambda c: c + (1,))
+
+
+def monic_polys(coeff):
+    """Monic polynomials of degree 2..4 over `coeff`, and quartics and cubics
+    built to be reducible: linear x cubic, quadratic x quadratic, a repeated
+    root, and a zero constant term."""
+    small = st.integers(-14, 14)
+    return st.one_of(
+        monic(2, coeff),
+        monic(3, coeff),
+        monic(4, coeff),
+        st.builds(poly_mul, monic(1, coeff), monic(3, small)),
+        st.builds(poly_mul, monic(1, coeff), monic(2, coeff)),
+        st.builds(poly_mul, monic(2, coeff), monic(2, coeff)),
+        st.builds(lambda r, g: poly_mul(poly_mul((r, 1), (r, 1)), g),
+                  small, st.one_of(st.just((1,)), monic(1, small), monic(2, small))),
+        st.builds(lambda g: poly_mul((0, 1), g), st.one_of(monic(1, coeff), monic(2, coeff), monic(3, coeff))),
+    )
+
+
+class TestIrreducibility:
+    @given(monic_polys(st.integers(-200, 200)))
+    @settings(max_examples=1500, deadline=None)
+    def test_matches_trial_division(self, coeffs):
+        assert _is_irreducible(coeffs) == trial_division_irreducible(coeffs)
+
+    @given(monic_polys(st.integers(-10**12, 10**12)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sympy_on_large_coefficients(self, coeffs):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        expected = sympy.Poly(list(reversed(coeffs)), x).is_irreducible
+        assert _is_irreducible(coeffs) == expected
+
+    @pytest.mark.parametrize(
+        "coeffs, irreducible",
+        [
+            ((-(10**18 + 7), 0, 1), True),
+            ((10**16 + 1, 0, -10, 0, 1), True),
+            ((-(10**9 + 7) ** 2, 0, 1), False),
+            (poly_mul((999_983, -1_000_003, 1), (1_000_033, 999_979, 1)), False),
+            (poly_mul((10**6 + 3, 0, 1), (10**6 + 3, 0, 1)), False),
+        ],
+    )
+    def test_digit_length_cases(self, coeffs, irreducible):
+        assert _is_irreducible(coeffs) == irreducible
 
 
 class TestArithmetic:
