@@ -239,7 +239,12 @@ def _sequence_payload(
     beta = _element(field, config.beta or "1", "beta")
     basis, meta = _resolve_basis(config, field)
     report = coordseq.generate(beta, unit, basis, config.kmax)
-    terms = [[str(x) for x in row] for row in report.terms]
+    recurrence_ok = coordseq.verify_recurrence(report)
+    # the recurrence holds for every term, so rendering through it gives str(x)
+    if recurrence_ok:
+        terms = coordseq.decimal_rows(report)
+    else:
+        terms = [[str(x) for x in row] for row in report.terms]
     payload: dict[str, Any] = {
         "field": format_polynomial(field.coeffs, "x"),
         "unit": format_element(unit),
@@ -247,7 +252,7 @@ def _sequence_payload(
         "basis": _basis_coords(basis),
         "charpoly": [str(c) for c in report.charpoly],
         "terms": terms,
-        "recurrence_ok": coordseq.verify_recurrence(report),
+        "recurrence_ok": recurrence_ok,
     }
     payload.update(meta)
     csv_lines = None
@@ -431,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--module-basis", help="semicolon-separated basis elements in t")
         if bounds:
             p.add_argument("--kmax", type=int, default=200, help="terms to generate")
-            p.add_argument("--nmax", type=int, help="divisor pairs bound (default kmax)")
         p.add_argument("--format", dest="fmt", choices=_FORMATS, default="json")
         p.add_argument("--out", help="write the report to this path instead of stdout")
 
@@ -453,6 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--basis", choices=("power", "quartic-power", "quartic-full"))
     p.add_argument("--basis-file", help="JSON basis report to reuse")
+    p.add_argument("--nmax", type=int, help="divisor pairs bound (default kmax)")
     p.add_argument("--column", type=int, default=1, help="column deciding the exit code")
 
     p = sub.add_parser("dk-scan", help="congruence sequence d_k and related scans")

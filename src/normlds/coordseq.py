@@ -11,6 +11,10 @@ The checks are independent of the kernel: verify_recurrence tests the
 characteristic recurrence termwise, verify_lds finds the first failing divisor
 pair through prime steps, and minimal_order fits least-order recurrences by
 exact linear algebra.
+
+decimal_rows() renders the terms as decimal strings through the same
+recurrence, in exact decimal arithmetic: str() of a large int is quadratic in
+its digit count, while each recurrence step and str() of a Decimal are linear.
 """
 
 from __future__ import annotations
@@ -18,10 +22,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, Rounded
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .numberfield import FieldElement, ModuleBasis, min_poly, solve_linear
+
+# exact integer arithmetic in decimal: any rounding raises instead of happening;
+# a private context, so the caller's decimal.getcontext() is never touched
+_EXACT = Context(
+    prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded, InvalidOperation]
+)
 
 
 @dataclass
@@ -121,19 +132,57 @@ def generate(beta: FieldElement, eps: FieldElement, w: ModuleBasis, kmax: int) -
     return SequenceReport(terms=rows, charpoly=tuple(charpoly), beta=beta, eps=eps, basis=w)
 
 
+def _recurrence_steps(charpoly: Sequence[int]) -> list[tuple[int, int]]:
+    """Nonzero (j, s_j) of x(k+d) = sum_j s_j x(k+d-j) for a monic ascending charpoly."""
+    # f = X^d - s_1 X^(d-1) - ... - s_d, so s_j = -charpoly[d - j]
+    d = len(charpoly) - 1
+    return [(j, -charpoly[d - j]) for j in range(1, d + 1) if charpoly[d - j]]
+
+
 def verify_recurrence(report: SequenceReport) -> bool:
     """Whether every column satisfies the report's characteristic recurrence."""
     d = len(report.charpoly) - 1
     if report.kmax < d:
         raise ValueError("not enough terms to test the recurrence")
-    # f = X^d - s_1 X^(d-1) - ... - s_d, so s_j = -charpoly[d - j]
-    s = [-report.charpoly[d - j] for j in range(1, d + 1)]
-    for i in range(1, report.ncols + 1):
-        col = report.column(i)
-        for k in range(len(col) - d):
-            if col[k + d] != sum(s[j - 1] * col[k + d - j] for j in range(1, d + 1)):
-                return False
+    steps = _recurrence_steps(report.charpoly)
+    terms = report.terms
+    for k in range(d, len(terms)):
+        want = [0] * len(terms[k])
+        for j, s in steps:
+            want = [w + s * x for w, x in zip(want, terms[k - j])]
+        if want != terms[k]:
+            return False
     return True
+
+
+def decimal_rows(report: SequenceReport) -> list[list[str]]:
+    """The terms as decimal strings, rendered in time linear in their digit count.
+
+    Only the first d rows (d the degree of the charpoly) are converted with
+    str(); every later term is computed by the characteristic recurrence in
+    exact decimal arithmetic, holding a window of d values per column. The
+    strings equal str(x) for every term exactly when the report satisfies its
+    recurrence, which verify_recurrence decides.
+    """
+    d = len(report.charpoly) - 1
+    terms = report.terms
+    rows = [[str(x) for x in row] for row in terms[:d]]
+    steps = [(j, Decimal(s)) for j, s in _recurrence_steps(report.charpoly)]
+    windows = [[Decimal(x) for x in column] for column in zip(*terms[:d])]
+    # each value starts from +0, and an exact sum that cancels is +0, so no term
+    # prints as -0 (a bare product of 0 and a negative s_j would)
+    fma, zero = _EXACT.fma, Decimal(0)
+    for _ in range(d, len(terms)):
+        row = []
+        for window in windows:
+            value = zero
+            for j, s in steps:
+                value = fma(s, window[-j], value)
+            del window[0]
+            window.append(value)
+            row.append(str(value))
+        rows.append(row)
+    return rows
 
 
 def minimal_order(column: Sequence[int], max_order: int | None = None) -> MinimalRecurrence:

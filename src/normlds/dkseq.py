@@ -314,22 +314,3 @@ def discriminant_power_basis(field: NumberField) -> int:
     res = _sylvester_resultant(f, fprime)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return sign * res
-
-
-def dk_maximality_oracle(alpha: FieldElement, ringbasis: ModuleBasis, k: int) -> bool:
-    """Brute-force check that dk is the maximum of the defining congruence.
-
-    Confirms for every candidate d up to 2*d_k that (alpha^k - 1)/d has integral
-    coordinates iff d divides d_k. Intended for small k only.
-    """
-    _check_ring_basis(ringbasis)
-    value = dk(alpha, ringbasis, k)
-    if value == 0:
-        return True
-    diff = alpha**k - ringbasis.field.one
-    for d in range(1, 2 * value + 1):
-        coords = ringbasis.coords(diff.scale(Fraction(1, d)))
-        integral = all(c.denominator == 1 for c in coords)
-        if integral != (value % d == 0):
-            return False
-    return True

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from normlds import cli, dkseq
+from normlds import cli, coordseq, dkseq
 from normlds.lucas import LucasParams, lucas_u
 from normlds.numberfield import NumberField
 
@@ -136,3 +136,41 @@ def test_reducible_field_is_rejected():
     )
     assert (rc, out) == (2, "")
     assert err == "error: x^2 - 1000000014000000049 is reducible over Q\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["emit-sequence", "--field", "x^2-3", "--unit", "2+t", "--kmax", "5"],
+        ["construct-basis", "--field", "x^4-10x^2+1", "--unit", "t"],
+        ["dk-scan", "--field", "x^2-3", "--alpha", "2+t", "--kmax", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_nmax_is_rejected_where_nothing_reads_it(argv):
+    assert run_cli(argv)[0] == 0
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--nmax", "3"])
+    assert exc.value.code == 2
+    assert out.getvalue() == ""
+    assert "unrecognized arguments: --nmax 3" in err.getvalue()
+
+
+def test_terms_fall_back_to_str_without_a_verified_recurrence(monkeypatch):
+    argv = ["emit-sequence", "--field", "x^4-10x^2+1", "--unit", "t", "--beta", "2-t+t^3",
+            "--basis", "quartic-power", "--kmax", "30"]
+    _, out, _ = run_cli(argv)
+    rendered = json.loads(out)
+
+    def refuse(report):
+        raise AssertionError("rendered through an unverified recurrence")
+
+    monkeypatch.setattr(coordseq, "verify_recurrence", lambda report: False)
+    monkeypatch.setattr(coordseq, "decimal_rows", refuse)
+    rc, out, _ = run_cli(argv)
+    fallback = json.loads(out)
+    assert rc == 0
+    assert fallback["recurrence_ok"] is False
+    assert fallback["terms"] == rendered["terms"]

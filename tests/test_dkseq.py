@@ -1,7 +1,48 @@
+from fractions import Fraction
+
 import pytest
 
 from normlds import dkseq, numberfield
 from normlds.numberfield import NumberField
+
+
+def dk_maximality_oracle(alpha, ringbasis, k, value):
+    """Brute-force check that value is the maximum d_k of the defining congruence.
+
+    Confirms for every candidate d up to 2*value that (alpha^k - 1)/d has
+    integral coordinates iff d divides value. The loop runs 2*d_k times and d_k
+    grows exponentially in k, so it serves small k only.
+    """
+    if value == 0:
+        return alpha**k == ringbasis.field.one
+    diff = alpha**k - ringbasis.field.one
+    for d in range(1, 2 * value + 1):
+        coords = ringbasis.coords(diff.scale(Fraction(1, d)))
+        integral = all(c.denominator == 1 for c in coords)
+        if integral != (value % d == 0):
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "poly, alpha, kmax",
+    [
+        ((-3, 0, 1), (2, 1), 10),  # 2 + sqrt 3
+        ((-2, 0, 1), (1, 1), 12),  # 1 + sqrt 2, norm -1
+        ((1, 0, -10, 0, 1), (0, 1, 0, 0), 6),  # sqrt 2 + sqrt 3
+        ((-3, 0, 1), (-1, 0), 4),  # a root of unity: d_k = 0 at even k
+    ],
+)
+def test_dk_sequence_terms_are_maximal(poly, alpha, kmax):
+    field = NumberField(poly)
+    alpha = field.element(alpha)
+    ring = field.power_basis()
+    terms = dkseq.dk_sequence(alpha, ring, kmax).terms
+    assert len(terms) == kmax
+    for k, value in enumerate(terms, 1):
+        assert dk_maximality_oracle(alpha, ring, k, value)
+    # an off-by-a-factor term is caught
+    assert not dk_maximality_oracle(alpha, ring, kmax - 1, 2 * terms[-2])
 
 
 @pytest.mark.parametrize(

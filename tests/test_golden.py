@@ -1,0 +1,85 @@
+"""Golden reports of the sequence commands: stdout, stderr and exit code, byte for byte.
+
+The files under tests/golden/ hold the reports as the CLI printed them when
+they were made. A change to how terms are computed or rendered must leave them
+unchanged. To write them anew from the current code (only after checking that
+a difference is intended):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from normlds import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> arguments after the subcommand
+CASES = {
+    # power basis of Z[sqrt 3]: zero entries in the first rows
+    "pell-power": ["--field", "x^2-3", "--unit", "2+t", "--kmax", "20"],
+    # a negative unit and beta: terms of both signs
+    "pell-negative": ["--field", "x^2-3", "--unit=-2-t", "--beta", "1-t", "--kmax", "20"],
+    "quartic-power": ["--field", "x^4-10x^2+1", "--unit", "t", "--beta", "2-t+t^3",
+                      "--basis", "quartic-power", "--kmax", "30"],
+    "quartic-full": ["--field", "x^4-10x^2+1", "--unit", "t", "--beta", "2-t+t^3",
+                     "--basis", "quartic-full", "--kmax", "30"],
+    # t^2 has a minimal polynomial of degree 2 < 4 columns
+    "square-unit": ["--field", "x^4-10x^2+1", "--unit", "t^2", "--kmax", "30"],
+    # kmax equal to that degree and below the column count
+    "square-unit-short": ["--field", "x^4-10x^2+1", "--unit", "t^2", "--kmax", "2"],
+    # a characteristic polynomial with no zero coefficient
+    "dense-charpoly": ["--field", "x^4-10x^2+1", "--unit", "1+t", "--kmax", "25"],
+    "kmax-below-degree": ["--field", "x^4-10x^2+1", "--unit", "t", "--kmax", "3"],
+    "kmax-zero": ["--field", "x^2-3", "--unit", "2+t", "--kmax", "0"],
+}
+COMMANDS = ["emit-sequence", "verify-lds"]
+FORMATS = ["json", "csv", "text"]
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return {"exit": rc, "stderr": err.getvalue(), "stdout": out.getvalue()}
+
+
+def argv_of(command, case, fmt):
+    return [command, *CASES[case], "--format", fmt]
+
+
+def stem(command, case, fmt):
+    return f"{command}.{case}.{fmt}"
+
+
+PARAMS = [(c, name, f) for c in COMMANDS for name in CASES for f in FORMATS]
+
+
+@pytest.mark.parametrize("command, case, fmt", PARAMS, ids=[stem(*p) for p in PARAMS])
+def test_report_matches_golden(command, case, fmt):
+    got = run_cli(argv_of(command, case, fmt))
+    name = stem(command, case, fmt)
+    status = json.loads((GOLDEN / f"{name}.status.json").read_text(encoding="utf-8"))
+    assert (got["exit"], got["stderr"]) == (status["exit"], status["stderr"])
+    assert got["stdout"] == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+def write_golden():
+    GOLDEN.mkdir(exist_ok=True)
+    for params in PARAMS:
+        got = run_cli(argv_of(*params))
+        name = stem(*params)
+        (GOLDEN / f"{name}.out").write_text(got["stdout"], encoding="utf-8")
+        status = {"argv": argv_of(*params), "exit": got["exit"], "stderr": got["stderr"]}
+        (GOLDEN / f"{name}.status.json").write_text(
+            json.dumps(status, indent=2) + "\n", encoding="utf-8"
+        )
+
+
+if __name__ == "__main__":
+    write_golden()

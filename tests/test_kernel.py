@@ -1,17 +1,28 @@
-"""The integer step-matrix kernel and the prime-step LDS scan against their oracles.
+"""The integer step-matrix kernel, the checks and the decimal rendering against their oracles.
 
 The oracles are the loops the kernel replaced: one Fraction field multiply and
-one Fraction coordinate solve per term, and the all-pairs divisor scan.
+one Fraction coordinate solve per term, the all-pairs divisor scan, the
+termwise recurrence loop over every column, and str() of every term.
 """
 
+import decimal
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from normlds.coordseq import coordinate_rows, divides, generate, verify_lds
+from normlds.coordseq import (
+    SequenceReport,
+    coordinate_rows,
+    decimal_rows,
+    divides,
+    generate,
+    verify_lds,
+    verify_recurrence,
+)
 from normlds.dkseq import dk, dk_sequence, sparse_minpoly_scan
 from normlds.numberfield import ModuleBasis, NumberField
 
@@ -216,3 +227,95 @@ class TestVerifyLdsOracle:
         col[12] = 18
         assert pairwise_lds(col, 39) == (False, (4, 12))
         assert verify_lds(col, 39).witness == (4, 12)
+
+
+def termwise_recurrence(report):
+    """Every column against every s_j, zero or not: the loop verify_recurrence replaced."""
+    d = len(report.charpoly) - 1
+    if report.kmax < d:
+        raise ValueError("not enough terms to test the recurrence")
+    s = [-report.charpoly[d - j] for j in range(1, d + 1)]
+    for i in range(1, report.ncols + 1):
+        col = report.column(i)
+        for k in range(len(col) - d):
+            if col[k + d] != sum(s[j - 1] * col[k + d - j] for j in range(1, d + 1)):
+                return False
+    return True
+
+
+def str_rows(report):
+    return [[str(x) for x in row] for row in report.terms]
+
+
+@st.composite
+def power_reports(draw, min_kmax=0, max_kmax=30):
+    """Reports over the power basis of integral beta and eps, zero elements included."""
+    field = draw(st.sampled_from(FIELDS))
+    beta = draw(st.one_of(st.just(field.zero), integral_elements(field)))
+    eps = draw(st.one_of(
+        integral_elements(field),
+        st.integers(-3, 3).map(lambda c: field.element([c] + [0] * (field.degree - 1))),
+    ))
+    return generate(beta, eps, field.power_basis(), draw(st.integers(min_kmax, max_kmax)))
+
+
+class TestVerifyRecurrence:
+    @given(power_reports())
+    @settings(max_examples=300, deadline=None)
+    def test_verdict_matches_termwise_loop(self, report):
+        assert outcome(verify_recurrence, report) == outcome(termwise_recurrence, report)
+
+    @given(power_reports(min_kmax=4), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_mutated_term_fails(self, report, data):
+        d = len(report.charpoly) - 1
+        k = data.draw(st.integers(d, report.kmax))
+        i = data.draw(st.integers(0, report.ncols - 1))
+        delta = data.draw(st.integers(-3, 3).filter(bool))
+        terms = [list(row) for row in report.terms]
+        terms[k][i] += delta
+        mutated = SequenceReport(terms=terms, charpoly=report.charpoly)
+        assert verify_recurrence(report)
+        assert termwise_recurrence(mutated) is False
+        assert verify_recurrence(mutated) is False
+
+
+class TestDecimalRows:
+    @given(power_reports())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_str_of_every_term(self, report):
+        assert decimal_rows(report) == str_rows(report)
+
+    def test_zero_columns_and_negative_terms(self):
+        k4 = NumberField((1, 0, -10, 0, 1))
+        # eps = -t^2 has charpoly x^2 + 10x + 1: columns 2 and 4 stay zero, signs alternate
+        report = generate(k4.one, k4.element([0, 0, -1, 0]), k4.power_basis(), 12)
+        assert all(row[1] == row[3] == 0 for row in report.terms)
+        assert any(x < 0 for row in report.terms for x in row)
+        assert decimal_rows(report) == str_rows(report)
+        assert decimal_rows(generate(k4.zero, k4.generator, k4.power_basis(), 8)) == [["0"] * 4] * 9
+
+    def test_column_past_the_int_digit_limit(self):
+        k2 = NumberField((-3, 0, 1))
+        # (2 + t)^4 = 97 + 56t; its powers pass 4,300 digits near k = 1,880
+        report = generate(k2.one, k2.element([97, 56]), k2.power_basis(), 1900)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = str_rows(report)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        got = decimal_rows(report)
+        assert len(got[-1][0]) > 4300
+        assert got == want
+
+    def test_caller_context_is_left_alone(self):
+        report = generate(FIELDS[6].one, FIELDS[6].generator, FIELDS[6].power_basis(), 200)
+        want = str_rows(report)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5
+            ctx.traps[decimal.Inexact] = False
+            before = repr(ctx)
+            assert decimal_rows(report) == want
+            assert decimal.getcontext() is ctx
+            assert repr(ctx) == before
