@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 from . import basisforge, coordseq, dkseq
 from .basisforge import InvariantViolation, LdsConstruction, SnfCriterion
@@ -25,6 +25,7 @@ from .numberfield import (
     ParseError,
     format_element,
     format_polynomial,
+    min_poly,
     parse_element,
     parse_polynomial,
 )
@@ -238,6 +239,10 @@ def _sequence_payload(
     unit = _element(field, config.unit, "unit")
     beta = _element(field, config.beta or "1", "beta")
     basis, meta = _resolve_basis(config, field)
+    # the recurrence test needs kmax >= deg(min_poly(unit)), known before any term is
+    # generated; that degree is at most the field's, so min_poly runs only for a small kmax
+    if 0 <= config.kmax < field.degree and config.kmax < len(min_poly(unit)) - 1:
+        raise ValueError("not enough terms to test the recurrence")
     report = coordseq.generate(beta, unit, basis, config.kmax)
     recurrence_ok = coordseq.verify_recurrence(report)
     # the recurrence holds for every term, so rendering through it gives str(x)
@@ -311,7 +316,15 @@ def _cmd_dk_scan(config: RunConfig) -> int:
     except dkseq.CheckRefused:
         rec_ok = None
     level = dkseq.dk_level_scan(seq)
-    terms = [str(x) for x in seq.terms]
+    if rec_ok:
+        # every term satisfies d_{k+4} = T d_{k+2} - d_k, so rendering through that
+        # recurrence from str() of d_1..d_4 gives str(d_k) for each k, by induction
+        column = coordseq.SequenceReport(
+            terms=[[x] for x in seq.terms], charpoly=(1, 0, -seq.t_trace, 0, 1)
+        )
+        terms = [row[0] for row in coordseq.decimal_rows(column)]
+    else:
+        terms = [str(x) for x in seq.terms]
     payload: dict[str, Any] = {
         "command": "dk-scan",
         "field": format_polynomial(field.coeffs, "x"),
@@ -421,8 +434,22 @@ _COMMANDS = {
 }
 
 
+# options whose value is an element; a value that starts with '-' needs the '=' form
+_ELEMENT_OPTIONS = ("--unit", "--beta", "--alpha")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        for option in _ELEMENT_OPTIONS:
+            if message == f"argument {option}: expected one argument":
+                message += (
+                    f"\nhint: a value that starts with '-' needs the '=' form, as in {option}=-2-t"
+                )
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="normlds",
         description="Exact constructions and checks for divisibility-friendly "
         "coordinate sequences of norm-form solutions.",
@@ -431,8 +458,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, *, bounds: bool = True) -> None:
         p.add_argument("--field", help="defining polynomial in x, e.g. 'x^4-10x^2+1'")
-        p.add_argument("--unit", help="unit element in t, e.g. 't' or '3+2t'")
-        p.add_argument("--beta", help="module element in t (default 1)")
+        p.add_argument(
+            "--unit", help="unit element in t, e.g. 't' or '3+2t'; a negative one as --unit=-2-t"
+        )
+        p.add_argument(
+            "--beta", help="module element in t (default 1); a negative one as --beta=-2-t"
+        )
         p.add_argument("--module-basis", help="semicolon-separated basis elements in t")
         if bounds:
             p.add_argument("--kmax", type=int, default=200, help="terms to generate")
@@ -462,7 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dk-scan", help="congruence sequence d_k and related scans")
     common(p)
-    p.add_argument("--alpha", help="element whose powers are scanned (in t)")
+    p.add_argument(
+        "--alpha", help="element whose powers are scanned (in t); a negative one as --alpha=-2-t"
+    )
     p.add_argument("--vanishing-t", type=int, help="lacunary step for the vanishing scan")
     p.add_argument("--assert-monogenic", action="store_true")
 

@@ -1,11 +1,12 @@
 """Coordinate sequences of beta * eps^k over a module basis, and their checks.
 
 coordinate_rows() is the one sequence kernel of the package. It builds the
-matrix of y -> eps*y over the basis once, cleared to an integer matrix M with
-a common denominator D, and steps x(k+1) = M x(k) / D in integers, with an
-exact divisibility check on every entry. generate() and the d_k sequences of
-dkseq all run on it. generate() returns the rows together with the recurrence
-inherited from the minimal polynomial of eps.
+matrix of y -> eps*y over the basis once (step_matrix), cleared to an integer
+matrix M with a common denominator D, and steps x(k+1) = M x(k) / D in
+integers (step_rows), with an exact divisibility check on every entry.
+generate() and the d_k sequences of dkseq all run on it. generate() returns
+the rows together with the recurrence inherited from the minimal polynomial
+of eps.
 
 The checks are independent of the kernel: verify_recurrence tests the
 characteristic recurrence termwise, verify_lds finds the first failing divisor
@@ -71,30 +72,34 @@ class LdsVerdict:
     witness: tuple[int, int] | None = None  # first (n, m) with n | m but b(n) does not divide b(m)
 
 
-def coordinate_rows(
-    beta: FieldElement, eps: FieldElement, w: ModuleBasis, error: Callable[[int], str]
-) -> Iterator[list[int]]:
-    """Integer coordinates of beta * eps^k over w for k = 0, 1, 2, ... without end.
+class StepMatrix(NamedTuple):
+    """The matrix of y -> eps*y over a basis, cleared to integers: M = D * (that matrix)."""
 
-    The first row whose coordinates are not all integers raises
-    ValueError(error(k)) for its index k. Rows are yielded one at a time, so a
-    caller that keeps only a digest of each row holds one row in memory.
-    """
-    if beta.field != w.field or eps.field != w.field:
+    rows: list[list[tuple[int, int]]]  # per output coordinate i, the nonzero (j, M[i][j])
+    denom: int  # D, the least common denominator
+
+
+def step_matrix(eps: FieldElement, w: ModuleBasis) -> StepMatrix:
+    """The integer step matrix of eps over w and its common denominator."""
+    if eps.field != w.field:
         raise ValueError("element from a different field")
     # column j of the step matrix holds the coordinates of eps * w_j
     step = [w.coords(eps * v) for v in w.vectors]
     denom = math.lcm(*(c.denominator for col in step for c in col))
     n = len(step)
-    # per output coordinate i, the nonzero pairs (j, D * coords(eps * w_j)[i])
     rows = [
         [(j, int(step[j][i] * denom)) for j in range(n) if step[j][i]]
         for i in range(n)
     ]
-    start = w.coords(beta)
-    if any(c.denominator != 1 for c in start):
-        raise ValueError(error(0))
-    x = [int(c) for c in start]
+    return StepMatrix(rows, denom)
+
+
+def step_rows(x: list[int], step: StepMatrix, error: Callable[[int], str]) -> Iterator[list[int]]:
+    """x, M x / D, (M/D)^2 x, ... without end, each entry checked for exact division.
+
+    The first row k with a remainder raises ValueError(error(k)).
+    """
+    rows, denom = step
     k = 0
     while True:
         yield x
@@ -107,6 +112,24 @@ def coordinate_rows(
                     raise ValueError(error(k))
                 nxt[i] = q
         x = nxt
+
+
+def coordinate_rows(
+    beta: FieldElement, eps: FieldElement, w: ModuleBasis, error: Callable[[int], str]
+) -> Iterator[list[int]]:
+    """Integer coordinates of beta * eps^k over w for k = 0, 1, 2, ... without end.
+
+    The first row whose coordinates are not all integers raises
+    ValueError(error(k)) for its index k. Rows are yielded one at a time, so a
+    caller that keeps only a digest of each row holds one row in memory.
+    """
+    if beta.field != w.field:
+        raise ValueError("element from a different field")
+    step = step_matrix(eps, w)
+    start = w.coords(beta)
+    if any(c.denominator != 1 for c in start):
+        raise ValueError(error(0))
+    yield from step_rows([int(c) for c in start], step, error)
 
 
 def generate(beta: FieldElement, eps: FieldElement, w: ModuleBasis, kmax: int) -> SequenceReport:

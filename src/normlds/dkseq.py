@@ -1,13 +1,23 @@
 """The congruence sequence d_k(alpha) = max{d : alpha^k = 1 + d*beta, beta integral}.
 
 Over a ring with basis {1, w2, ..., wn} the maximum is a gcd of shifted
-coordinates: d_k = gcd(x1(k) - 1, x2(k), ..., xn(k)). dk_sequence and
-sparse_minpoly_scan step those coordinates with the integer step-matrix kernel
-of coordseq, one small integer matrix-vector product per k; dk() computes one
-term from alpha**k in the field and serves as the independent check. The
-module also hosts the order-4 recurrence check for quadratic norm-1 units, the
-change of basis matching d_k/d_1 with a first coordinate sequence, the
-vanishing scan for lacunary minimal polynomials, and power-basis
+coordinates: d_k = gcd(x1(k) - 1, x2(k), ..., xn(k)), the content of
+x(k) - e1 where x(k) = M^k e1 and M is the integer step matrix of alpha.
+dk_sequence and sparse_minpoly_scan step those coordinates with the integer
+step-matrix kernel of coordseq, one small integer matrix-vector product per k;
+dk() computes one term from alpha**k in the field and serves as the
+independent check.
+
+When M is unimodular (integral with N(alpha) = +-1, so M^-1 is integral too),
+x(k) - e1 = M^j (x(k - j) - y(j)) with y(j) = M^-j e1, the rows of alpha^-1.
+A matrix in GL_n(Z) keeps content: the content of v divides that of M^j v,
+and the content of M^j v divides that of M^-j M^j v = v. So
+d_k = content(x(k - j) - y(j)); dk_sequence takes j = k // 2 and works on rows
+of half the digits.
+
+The module also hosts the order-4 recurrence check for quadratic norm-1
+units, the change of basis matching d_k/d_1 with a first coordinate sequence,
+the vanishing scan for lacunary minimal polynomials, and power-basis
 discriminants.
 """
 
@@ -19,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .coordseq import coordinate_rows
+from .coordseq import coordinate_rows, step_matrix, step_rows
 from .exactlinalg import IntMatrix, complete_primitive, det, inverse_unimodular
 from .numberfield import (
     FieldElement,
@@ -83,17 +93,45 @@ def _power_rows(alpha: FieldElement, basis: ModuleBasis, kmax: int) -> Iterator[
 
 
 def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSequence:
-    """d_1 .. d_kmax with one integer step-matrix product per step."""
+    """d_1 .. d_kmax with one integer step-matrix product per step.
+
+    d_k = content(x(k) - e1) with x(k) = M^k e1, M the integer step matrix of
+    alpha over the ring basis. When M is unimodular, M^-j keeps content, so
+    d_k = content(x(k - j) - y(j)) with y(j) = M^-j e1, the rows of alpha^-1;
+    taking j = k // 2 runs both streams only to ceil(kmax/2), and every gcd
+    is on numbers of half the digits. Torsion still gives 0, since
+    x(k - j) = y(j) exactly when alpha^k = 1. Otherwise j = 0: y stays e1 and
+    the first non-integral x(k) raises ValueError for its k.
+    """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     _check_ring_basis(ringbasis)
-    terms = [math.gcd(x[0] - 1, *x[1:]) for x in _power_rows(alpha, ringbasis, kmax)]
-    return DkSequence(alpha=alpha, ringbasis=ringbasis, terms=terms, t_trace=_quadratic_unit_trace(alpha))
-
-
-def _quadratic_unit_trace(alpha: FieldElement) -> int | None:
-    """T with alpha^2 = T*alpha - 1 when alpha is a quadratic norm-1 unit, else None."""
+    forward = step_matrix(alpha, ringbasis)
     mp = min_poly(alpha)
+    # an integral M has det N(alpha) = +-mp[0]^(n/deg), so M is in GL_n(Z)
+    # exactly when mp[0] = +-1, and then M^-1 is the integral step matrix of alpha^-1
+    unimodular = forward.denom == 1 and abs(mp[0]) == 1
+    e1 = [1] + [0] * (len(ringbasis.vectors) - 1)
+    xs = step_rows(e1, forward, _non_integral)
+    x = y = next(xs)
+    if unimodular:
+        ys = step_rows(e1, step_matrix(alpha.inverse(), ringbasis), _non_integral)
+        next(ys)
+    terms = []
+    for k in range(1, kmax + 1):
+        # x(k - j) and y(j) with j = k // 2 when unimodular, else j = 0
+        if unimodular and k % 2 == 0:
+            y = next(ys)
+        else:
+            x = next(xs)
+        terms.append(math.gcd(*(a - b for a, b in zip(x, y))))
+    return DkSequence(
+        alpha=alpha, ringbasis=ringbasis, terms=terms, t_trace=_quadratic_unit_trace(mp)
+    )
+
+
+def _quadratic_unit_trace(mp: tuple[Fraction, ...]) -> int | None:
+    """T when mp, the minimal polynomial of alpha, is x^2 - T*x + 1 with T integral, else None."""
     if len(mp) - 1 != 2 or mp[0] != 1:
         return None
     t = -mp[1]
@@ -146,7 +184,7 @@ def match_dk_basis(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int = 30) 
     computed over ringbasis (the caller asserts this is the right congruence
     ring). Matching is verified termwise through kmax.
     """
-    t = _quadratic_unit_trace(alpha)
+    t = _quadratic_unit_trace(min_poly(alpha))
     if t is None:
         raise CheckRefused("alpha is not a quadratic unit of norm 1")
     _, c1, _ = alpha.field.coeffs

@@ -174,3 +174,69 @@ def test_terms_fall_back_to_str_without_a_verified_recurrence(monkeypatch):
     assert rc == 0
     assert fallback["recurrence_ok"] is False
     assert fallback["terms"] == rendered["terms"]
+
+
+def test_dk_terms_fall_back_to_str_without_a_verified_recurrence(monkeypatch):
+    argv = ["dk-scan", "--field", "x^2-3", "--alpha", "2+t", "--kmax", "40"]
+    _, out, _ = run_cli(argv)
+    rendered = json.loads(out)
+    assert rendered["recurrence_ok"] is True
+
+    def refuse(report):
+        raise AssertionError("rendered through an unverified recurrence")
+
+    monkeypatch.setattr(dkseq, "dk_recurrence_check", lambda seq, kmax: False)
+    monkeypatch.setattr(coordseq, "decimal_rows", refuse)
+    rc, out, _ = run_cli(argv)
+    fallback = json.loads(out)
+    assert rc == 0
+    assert fallback["recurrence_ok"] is False
+    assert fallback["terms"] == rendered["terms"]
+
+
+@pytest.mark.parametrize("command", ["emit-sequence", "verify-lds"])
+@pytest.mark.parametrize(
+    "field, unit, kmax",
+    [("x^2-3", "2+t", "0"), ("x^2-3", "2+t", "1"), ("x^4-10x^2+1", "t", "3"),
+     ("x^4-10x^2+1", "1+t", "3")],
+)
+def test_kmax_below_the_degree_exits_before_generation(monkeypatch, command, field, unit, kmax):
+    def refuse(*args):
+        raise AssertionError("terms generated although kmax is below the degree")
+
+    monkeypatch.setattr(coordseq, "generate", refuse)
+    rc, out, err = run_cli([command, "--field", field, "--unit", unit, "--kmax", kmax])
+    assert (rc, out) == (2, "")
+    assert err == "error: not enough terms to test the recurrence\n"
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("emit-sequence", "--unit"), ("verify-lds", "--beta"), ("dk-scan", "--alpha")],
+)
+def test_negative_element_read_as_an_option_gets_a_hint(command, option):
+    argv = [command, "--field", "x^2-3", "--unit", "2+t", "--kmax", "8", option, "-2-t"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+    assert exc.value.code == 2
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert lines[-2].endswith(f"error: argument {option}: expected one argument")
+    assert lines[-1] == (
+        f"hint: a value that starts with '-' needs the '=' form, as in {option}=-2-t"
+    )
+    # the '=' form the hint names is accepted
+    argv[-2:] = [f"{option}=-2-t"]
+    _, out, _ = run_cli(argv)
+    assert json.loads(out)[option[2:]] == "-2 - t"
+
+
+def test_other_argument_errors_get_no_hint():
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["emit-sequence", "--field", "x^2-3", "--kmax"])
+    assert exc.value.code == 2
+    assert err.getvalue().splitlines()[-1].endswith("error: argument --kmax: expected one argument")

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from normlds import dkseq, numberfield
+from normlds import coordseq, dkseq, numberfield
 from normlds.numberfield import NumberField
 
 
@@ -66,3 +68,37 @@ def test_match_dk_basis_tests_irreducibility_once(monkeypatch, alpha, quartic, i
     assert (report.basis is not None) is irreducible
     if irreducible:
         assert report.basis.field == NumberField(quartic)
+
+
+@pytest.mark.parametrize(
+    "poly, alpha",
+    [((-3, 0, 1), (2, 1)), ((-6, 0, 1), (5, 2)), ((-2, 0, 1), (3, 2)), ((-1088, 0, 1), (33, 1))],
+)
+def test_match_dk_basis_through_k_60(poly, alpha):
+    field = NumberField(poly)
+    alpha = field.element(alpha)
+    report = dkseq.match_dk_basis(alpha, field.power_basis(), kmax=60)
+    assert report.applicable
+    assert report.matched_through == 60
+    terms = dkseq.dk_sequence(alpha, field.power_basis(), 60).terms
+    d1 = terms[0]
+    assert report.d_head == (0, *terms[:3])
+    if report.basis is not None:
+        # x1 of eta^k over the returned basis is d_k / d_1, computed by the sequence kernel
+        k4 = report.basis.field
+        x1 = coordseq.generate(k4.one, k4.generator, report.basis, 60).column(1)
+        assert x1 == [0] + [d // d1 for d in terms]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.lists(st.integers(-30, 30), min_size=n, max_size=n)))
+def test_discriminant_matches_sympy(low):
+    sympy = pytest.importorskip("sympy")
+    coeffs = tuple(low) + (1,)
+    try:
+        field = NumberField(coeffs)
+    except ValueError:
+        assume(False)
+    x = sympy.Symbol("x")
+    poly = sum(c * x**i for i, c in enumerate(coeffs))
+    assert dkseq.discriminant_power_basis(field) == sympy.discriminant(poly, x)

@@ -1,4 +1,4 @@
-"""Golden reports of the sequence commands: stdout, stderr and exit code, byte for byte.
+"""Golden reports of the CLI: stdout, stderr and exit code, byte for byte.
 
 The files under tests/golden/ hold the reports as the CLI printed them when
 they were made. A change to how terms are computed or rendered must leave them
@@ -20,7 +20,7 @@ from normlds import cli
 GOLDEN = Path(__file__).parent / "golden"
 
 # name -> arguments after the subcommand
-CASES = {
+SEQUENCE_CASES = {
     # power basis of Z[sqrt 3]: zero entries in the first rows
     "pell-power": ["--field", "x^2-3", "--unit", "2+t", "--kmax", "20"],
     # a negative unit and beta: terms of both signs
@@ -38,7 +38,31 @@ CASES = {
     "kmax-below-degree": ["--field", "x^4-10x^2+1", "--unit", "t", "--kmax", "3"],
     "kmax-zero": ["--field", "x^2-3", "--unit", "2+t", "--kmax", "0"],
 }
-COMMANDS = ["emit-sequence", "verify-lds"]
+DK_CASES = {
+    # the Pell unit 2 + sqrt 3: d_{k+4} = 4 d_{k+2} - d_k holds
+    "pell": ["--field", "x^2-3", "--alpha", "2+t", "--kmax", "40"],
+    # n + 2t in x^2 - (n^2 - 1)/4 for n = 5
+    "half-trace": ["--field", "x^2-6", "--alpha", "5+2t", "--kmax", "40"],
+    # a unit of norm -1: the recurrence check is refused
+    "norm-minus-one": ["--field", "x^2-2", "--alpha", "1+t", "--kmax", "30"],
+    # the golden ratio over the ring basis {1, (1+t)/2}
+    "module-basis": ["--field", "x^2-5", "--module-basis", "1;1/2+1/2t",
+                     "--alpha", "1/2+1/2t", "--kmax", "30"],
+    # the lacunary x^4 - 10x^2 + 1 with its vanishing scan
+    "lacunary": ["--field", "x^4-10x^2+1", "--alpha", "t", "--kmax", "30",
+                 "--vanishing-t", "2", "--assert-monogenic"],
+    # norm -2: alpha is not a unit
+    "non-unit": ["--field", "x^2-3", "--alpha", "1+t", "--kmax", "30"],
+    # alpha^2 = 1: d_k = 0 at every even k
+    "torsion": ["--field", "x^2-3", "--alpha=-1", "--kmax", "12"],
+    "kmax-zero": ["--field", "x^2-3", "--alpha", "2+t", "--kmax", "0"],
+}
+# subcommand -> its case table
+CASES = {
+    "emit-sequence": SEQUENCE_CASES,
+    "verify-lds": SEQUENCE_CASES,
+    "dk-scan": DK_CASES,
+}
 FORMATS = ["json", "csv", "text"]
 
 
@@ -50,14 +74,14 @@ def run_cli(argv):
 
 
 def argv_of(command, case, fmt):
-    return [command, *CASES[case], "--format", fmt]
+    return [command, *CASES[command][case], "--format", fmt]
 
 
 def stem(command, case, fmt):
     return f"{command}.{case}.{fmt}"
 
 
-PARAMS = [(c, name, f) for c in COMMANDS for name in CASES for f in FORMATS]
+PARAMS = [(c, name, f) for c, cases in CASES.items() for name in cases for f in FORMATS]
 
 
 @pytest.mark.parametrize("command, case, fmt", PARAMS, ids=[stem(*p) for p in PARAMS])

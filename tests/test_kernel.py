@@ -6,6 +6,7 @@ termwise recurrence loop over every column, and str() of every term.
 """
 
 import decimal
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -23,7 +24,7 @@ from normlds.coordseq import (
     verify_lds,
     verify_recurrence,
 )
-from normlds.dkseq import dk, dk_sequence, sparse_minpoly_scan
+from normlds.dkseq import dk, dk_recurrence_check, dk_sequence, sparse_minpoly_scan
 from normlds.numberfield import ModuleBasis, NumberField
 
 QUADRATICS = [(-2, 0, 1), (-3, 0, 1), (-5, 0, 1), (1, 0, 1), (-1, -1, 1), (-7, 0, 1)]
@@ -143,6 +144,60 @@ def dk_terms(alpha, ring, kmax):
     return [dk(alpha, ring, k) for k in range(1, kmax + 1)]
 
 
+def full_length_dk(alpha, ring, kmax):
+    """gcd(x(k) - e1) on the full rows x(k) = M^k e1: the loop the half-power kernel replaced."""
+    if kmax < 1:
+        raise ValueError("kmax must be at least 1")
+    rows = coordinate_rows(
+        ring.field.one, alpha, ring,
+        lambda k: f"alpha^{k} has non-integral coordinates over the ring basis",
+    )
+    return [math.gcd(x[0] - 1, *x[1:]) for x in itertools.islice(rows, 1, kmax + 1)]
+
+
+def _ring(field, *vectors):
+    return ModuleBasis(field, tuple(field.element(v) for v in vectors))
+
+
+K2_3, K2_2, K2_5, K2_6 = (NumberField(f) for f in [(-3, 0, 1), (-2, 0, 1), (-5, 0, 1), (-6, 0, 1)])
+K4_10, K4_2 = NumberField((1, 0, -10, 0, 1)), NumberField((-2, 0, 0, 0, 1))
+K2_i = NumberField((1, 0, 1))
+HALF = Fraction(1, 2)
+# (alpha, ring basis) pairs for the half-power kernel and beside it
+DK_SPECIAL = [
+    (K2_3.element([2, 1]), K2_3.power_basis()),  # 2 + sqrt 3, norm 1
+    (K2_6.element([5, 2]), K2_6.power_basis()),  # n + 2t in x^2 - (n^2 - 1)/4, norm 1
+    (K2_2.element([1, 1]), K2_2.power_basis()),  # 1 + sqrt 2, norm -1
+    (K4_10.generator, K4_10.power_basis()),  # sqrt 2 + sqrt 3, norm 1
+    (K4_2.element([1, 1, 0, 0]), K4_2.power_basis()),  # 1 + 2^(1/4), norm -1
+    # the golden ratio over its ring {1, (1 + t)/2}: norm -1
+    (K2_5.element([HALF, HALF]), _ring(K2_5, [1, 0], [HALF, HALF])),
+    (K2_5.element([HALF, HALF]), K2_5.power_basis()),  # not integral over Z[sqrt 5]: fails at k = 1
+    (K2_3.element([7, 4]), _ring(K2_3, [1, 0], [0, 2])),  # (2 + t)^2 over Z[2 sqrt 3]: unimodular
+    # a unit whose step matrix has a denominator
+    (K2_3.element([2, 1]), _ring(K2_3, [1, 0], [0, 2])),
+    # a unit whose powers are integral up to k = 1 and not at k = 2
+    (K4_10.generator, _ring(K4_10, [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1])),
+    (K2_3.element([1, 1]), K2_3.power_basis()),  # norm -2: not a unit
+    (K4_10.element([1, 1, 0, 0]), K4_10.power_basis()),  # norm -8
+    (K2_3.element([-1, 0]), K2_3.power_basis()),  # torsion of order 2
+    (K2_i.generator, K2_i.power_basis()),  # i: torsion of order 4
+    (K2_3.one, K2_3.power_basis()),  # d_k = 0 for every k
+    (K2_3.zero, K2_3.power_basis()),
+]
+
+
+@st.composite
+def dk_special_cases(draw):
+    """Powers and negatives of DK_SPECIAL: units of both norm signs, non-units, torsion, errors."""
+    alpha, ring = draw(st.sampled_from(DK_SPECIAL))
+    e = draw(st.integers(1, 3))
+    power = alpha**e
+    if draw(st.booleans()):
+        power = -power
+    return power, ring, draw(st.integers(1, 40))
+
+
 class TestDkSequence:
     @given(dk_cases())
     @settings(max_examples=300, deadline=None)
@@ -151,6 +206,21 @@ class TestDkSequence:
         want = outcome(dk_terms, alpha, ring, kmax)
         got = outcome(lambda *a: dk_sequence(*a).terms, alpha, ring, kmax)
         assert got == want
+
+    @given(st.one_of(dk_special_cases(), dk_cases()))
+    @settings(max_examples=400, deadline=None)
+    def test_terms_and_errors_match_full_length_gcd(self, case):
+        alpha, ring, kmax = case
+        want = outcome(full_length_dk, alpha, ring, kmax)
+        got = outcome(lambda *a: dk_sequence(*a).terms, alpha, ring, kmax)
+        assert got == want
+
+    @pytest.mark.parametrize("alpha, ring", DK_SPECIAL)
+    def test_special_cases_at_every_short_kmax(self, alpha, ring):
+        # a short kmax is where an error past the half-way row must still be raised
+        for kmax in [*range(1, 13), 60]:
+            got = outcome(lambda *a: dk_sequence(*a).terms, alpha, ring, kmax)
+            assert got == outcome(full_length_dk, alpha, ring, kmax)
 
     def test_error_index(self):
         k4 = NumberField((1, 0, -10, 0, 1))
@@ -306,6 +376,23 @@ class TestDecimalRows:
         finally:
             sys.set_int_max_str_digits(limit)
         got = decimal_rows(report)
+        assert len(got[-1][0]) > 4300
+        assert got == want
+
+    def test_verified_dk_column_past_the_int_digit_limit(self):
+        # d_k of the Pell unit 33 + t satisfies d_{k+4} = 66 d_{k+2} - d_k and passes
+        # 4,300 digits near k = 4,730
+        k2 = NumberField((-1088, 0, 1))
+        seq = dk_sequence(k2.element([33, 1]), k2.power_basis(), 4800)
+        assert dk_recurrence_check(seq, 4800)
+        column = SequenceReport(terms=[[x] for x in seq.terms], charpoly=(1, 0, -66, 0, 1))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = str_rows(column)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        got = decimal_rows(column)
         assert len(got[-1][0]) > 4300
         assert got == want
 
