@@ -8,7 +8,8 @@ a norm-1 quadratic unit, an explicit unimodular matrix produces initial
 conditions (0, 1, 1, T+1), the sufficient pattern for the order-4 recurrence
 x(k+4) = T x(k+2) - x(k). For an arbitrary full rank-4 module the same pattern
 is reachable exactly when the minimal integral lift of the Smith-transformed
-condition vector is primitive; the criterion and the construction both live in
+condition vector is primitive, which it is for every full module (see
+SnfCriterion); the criterion and the construction both live in
 snf_criterion / quartic_full_construct.
 """
 
@@ -57,17 +58,21 @@ class LdsConstruction:
 
 @dataclass(frozen=True)
 class SnfCriterion:
-    """Diagnostics of the full-module test.
+    """The full-module test: Smith form, condition vector and its minimal lift.
 
-    chi is the Smith-transformed condition vector X . (0, 1, 1, T+1); the
-    construction exists iff lift_column (the minimal integral scaling of
-    diag(deltas)^-1 . chi) is primitive. When that holds and the witness could
-    be canonicalized, gcd(chi[3], deltas[3]/deltas[0]) = 1 as well.
+    chi is the Smith-transformed condition vector X . (0, 1, 1, T+1), and
+    lift_column = scale . diag(deltas)^-1 . chi is its minimal integral scaling.
+    The construction exists iff lift_column is primitive, and it always is: with
+    w = B^-1 . (0, 1, 1, T+1), lift_column = Y^-1 . (scale . w), scale is the lcm
+    of the denominators of w, and a prime dividing every entry of scale . w would
+    either make scale/p a smaller scale or divide the primitive (0, 1, 1, T+1).
+    snf_criterion_matrix checks this. The witness X, Y is the Smith witness with
+    row 4 of X shifted by the closed form of _canonicalize_witness, which makes
+    gcd(chi[3], deltas[3]/deltas[0]) = 1 whenever any such shift does.
     """
 
     chi: tuple[int, int, int, int]
     deltas: tuple[int, int, int, int]
-    satisfied: bool
     t_trace: int
     scale: int
     lift_column: tuple[int, int, int, int]
@@ -185,39 +190,68 @@ def quartic_module_construct(beta: FieldElement, eta: FieldElement) -> LdsConstr
     return LdsConstruction(basis=basis, scale=1, t_trace=t, source="quartic-power")
 
 
+def _least_coprime_step(c: int, a: int, g: int) -> int:
+    """Least t >= 0 with gcd(c + t*a, g) = 1; the caller ensures gcd(c, a, g) = 1."""
+    t = 0
+    while math.gcd(c + t * a, g) != 1:
+        t += 1
+    return t
+
+
 def _canonicalize_witness(
     x: IntMatrix, y: IntMatrix, deltas: tuple[int, ...], v: tuple[int, ...]
 ) -> tuple[IntMatrix, IntMatrix]:
     """Adjust the Smith witness so gcd((X v)[3], deltas[3]/deltas[0]) = 1 if possible.
 
-    Adds multiples t_j * (d4/dj) of rows 1..3 to row 4; the paired column
-    operation keeps X B Y = diag(deltas). Bounded deterministic search.
+    Adds t_j * a_j to chi_4 = (X v)[3] by adding t_j * (d4/dj) times row j of X to
+    row 4, j = 1..3; the paired column operation on Y keeps X B Y = diag(deltas).
+    With a_j = (d4/dj) * chi_j, R = d4/d1, g1 = gcd(a1, R) and g12 = gcd(a2, g1),
+    the lexicographically first (t3, t2, t1) in [0, R)^3 is found in closed form:
+
+    - A witness exists iff gcd(chi_4, a3, g12) = 1; if not, X and Y are returned
+      unchanged. By the Chinese remainder theorem over the primes of g, some t
+      makes gcd(c + t*a, g) = 1 iff gcd(c, a, g) = 1.
+    - t3 is the least t with gcd(chi_4 + t*a3, g12) = 1, t2 the least t with
+      gcd(chi_4 + t3*a3 + t*a2, g1) = 1, and t1 the least t with
+      gcd(chi_4 + t3*a3 + t2*a2 + t*a1, R) = 1.
+
+    Each scan avoids one residue class modulo each prime p of g with p not
+    dividing a, so it stops below the Jacobsthal function j(m) of the product m of
+    those primes, a divisor of R. j(m) = O(log^2 m) (H. Iwaniec, "On the problem
+    of Jacobsthal", 1978), so the scans are polynomial in the digit length of R,
+    and each least t is below R, hence the first hit of the search over [0, R)^3.
     """
     ratio = deltas[3] // deltas[0]
     if ratio == 1:
         return x, y
     chi = x.apply(v)
-    if math.gcd(chi[3], ratio) == 1:
+    c = chi[3]
+    if math.gcd(c, ratio) == 1:
         return x, y
     steps = [deltas[3] // deltas[j] for j in range(3)]
-    for t3 in range(ratio):
-        for t2 in range(ratio):
-            for t1 in range(ratio):
-                cand = chi[3] + t1 * steps[0] * chi[0] + t2 * steps[1] * chi[1] + t3 * steps[2] * chi[2]
-                if math.gcd(cand, ratio) == 1:
-                    u = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [t1 * steps[0], t2 * steps[1], t3 * steps[2], 1]]
-                    vmat = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [-t1, -t2, -t3, 1]]
-                    return IntMatrix.from_rows(u) @ x, y @ IntMatrix.from_rows(vmat)
-    return x, y
+    a1, a2, a3 = (steps[j] * chi[j] for j in range(3))
+    g1 = math.gcd(a1, ratio)
+    g12 = math.gcd(a2, g1)
+    if math.gcd(c, a3, g12) != 1:
+        return x, y
+    t3 = _least_coprime_step(c, a3, g12)
+    c += t3 * a3
+    t2 = _least_coprime_step(c, a2, g1)
+    c += t2 * a2
+    t1 = _least_coprime_step(c, a1, ratio)
+    u = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [t1 * steps[0], t2 * steps[1], t3 * steps[2], 1]]
+    vmat = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [-t1, -t2, -t3, 1]]
+    return IntMatrix.from_rows(u) @ x, y @ IntMatrix.from_rows(vmat)
 
 
 def snf_criterion_matrix(b: IntMatrix, t_trace: int) -> SnfCriterion:
     """Full-module test on the coordinate matrix of (beta, beta*eta, ..., beta*eta^3).
 
     Computes the Smith form X B Y = diag(deltas), the condition vector
-    chi = X . (0, 1, 1, T+1), the minimal integral lift of diag^-1 . chi, and
-    the primitivity verdict. The witness is canonicalized toward
-    gcd(chi4, delta4/delta1) = 1 whenever that form is reachable.
+    chi = X . (0, 1, 1, T+1) and the minimal integral lift of diag^-1 . chi, and
+    checks that the lift is primitive, as it is for every nonsingular B. The
+    witness is canonicalized toward gcd(chi4, delta4/delta1) = 1 whenever that
+    form is reachable.
     """
     if b.rows != 4 or b.cols != 4:
         raise ValueError("criterion needs a 4x4 coordinate matrix")
@@ -234,11 +268,11 @@ def snf_criterion_matrix(b: IntMatrix, t_trace: int) -> SnfCriterion:
         need = d_i // math.gcd(d_i, c_i)
         scale = scale * need // math.gcd(scale, need)
     lift = tuple(scale * c_i // d_i for d_i, c_i in zip(deltas, chi))
-    satisfied = math.gcd(*lift) == 1
+    if math.gcd(*lift) != 1:
+        raise InvariantViolation(f"lift {lift} of a primitive vector is not primitive")
     return SnfCriterion(
         chi=tuple(chi),
         deltas=deltas,
-        satisfied=satisfied,
         t_trace=t_trace,
         scale=scale,
         lift_column=lift,
@@ -258,15 +292,9 @@ def snf_criterion(tbasis: ModuleBasis, beta: FieldElement, eta: FieldElement) ->
 
 def quartic_full_construct(
     tbasis: ModuleBasis, beta: FieldElement, eta: FieldElement
-) -> LdsConstruction | SnfCriterion:
-    """Basis of the full module with x1 initial conditions (0, a, a, a(T+1)).
-
-    When the criterion fails the diagnostic SnfCriterion is returned instead of
-    raising, since failure is an informative verdict about the module.
-    """
+) -> LdsConstruction:
+    """Basis of the full module with x1 initial conditions (0, a, a, a(T+1))."""
     crit = snf_criterion(tbasis, beta, eta)
-    if not crit.satisfied:
-        return crit
     c = complete_primitive(crit.lift_column)
     d = IntMatrix.diagonal(list(crit.deltas))
     a = inverse_unimodular(crit.x) @ d @ c
@@ -315,8 +343,6 @@ def family_basis(m: int) -> LdsConstruction:
     """LDS basis for Z[sqrt(m), sqrt(m+1)] via the full-module construction."""
     tb = family_surd_basis(m)
     result = quartic_full_construct(tb, tb.field.one, tb.field.generator)
-    if not isinstance(result, LdsConstruction):
-        raise InvariantViolation(f"family criterion unexpectedly failed for m = {m}")
     return LdsConstruction(
         basis=result.basis, scale=result.scale, t_trace=result.t_trace, source="family"
     )

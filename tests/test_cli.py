@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,3 +243,65 @@ def test_other_argument_errors_get_no_hint():
             cli.main(["emit-sequence", "--field", "x^2-3", "--kmax"])
     assert exc.value.code == 2
     assert err.getvalue().splitlines()[-1].endswith("error: argument --kmax: expected one argument")
+
+
+def test_dk_scan_rejects_beta():
+    argv = ["dk-scan", "--field", "x^2-3", "--alpha", "2+t", "--kmax", "5"]
+    assert run_cli(argv)[0] == 0
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--beta", "7"])
+    assert exc.value.code == 2
+    assert out.getvalue() == ""
+    assert "unrecognized arguments: --beta 7" in err.getvalue()
+
+
+# different subcommands in turn, with an argument error between them
+CALL_SEQUENCE = [
+    ["construct-basis", "--method", "quartic-full", "--field", "x^4-10x^2+1", "--unit", "t",
+     "--beta", "2-t+t^3"],
+    ["emit-sequence", "--field", "x^2-3", "--unit", "-2-t"],
+    ["dk-scan", "--field", "x^2-3", "--alpha", "2+t", "--kmax", "8", "--format", "csv"],
+    ["snf-check", "--field", "x^4-10x^2+1", "--unit", "t", "--beta=-3+t^2", "--format", "text"],
+    ["verify-lds", "--field", "x^4-10x^2+1", "--unit", "t", "--kmax", "12", "--column", "2"],
+    ["family-scan", "--m-range", "2..4", "--kmax", "20"],
+]
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch):
+    calls = []
+    original = cli.build_parser
+
+    def counting():
+        calls.append(None)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    for argv in CALL_SEQUENCE:
+        run_main(argv)
+    assert len(calls) == 1
+
+
+def test_in_process_calls_match_fresh_processes(monkeypatch):
+    # the usage lines wrap at the terminal width, so both sides get the same one
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "_parser", None)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for argv in CALL_SEQUENCE:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "normlds.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120, check=False,
+        )
+        assert run_main(argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

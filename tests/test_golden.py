@@ -57,11 +57,34 @@ DK_CASES = {
     "torsion": ["--field", "x^2-3", "--alpha=-1", "--kmax", "12"],
     "kmax-zero": ["--field", "x^2-3", "--alpha", "2+t", "--kmax", "0"],
 }
+QUARTIC = ["--field", "x^4-10x^2+1", "--unit", "t", "--beta", "2-t+t^3"]
+CONSTRUCT_CASES = {
+    # the Pell unit 2 + sqrt 3 with beta 3 + sqrt 3
+    "quadratic": ["--method", "quadratic", "--field", "x^2-3", "--unit", "2+t", "--beta", "3+t"],
+    "quartic-power": ["--method", "quartic-power", *QUARTIC],
+    "quartic-full": ["--method", "quartic-full", *QUARTIC],
+    "family": ["--method", "family", "--m", "5"],
+    # the maximal order {1, sqrt 2, sqrt 3, (sqrt 2 + sqrt 6)/2} of Q(sqrt 2, sqrt 3)
+    "module-basis": ["--method", "quartic-full", *QUARTIC, "--module-basis",
+                     "1;-9/2t+1/2t^3;11/2t-1/2t^3;-5/4-9/4t+1/4t^2+1/4t^3"],
+}
+SNF_CASES = {
+    # beta = 1: the coordinate matrix is the identity, Smith ratio 1
+    "ratio-one": ["--field", "x^4-10x^2+1", "--unit", "t"],
+    # deltas (1, 1, 20, 20): the first witness has (t3, t2, t1) = (3, 0, 0)
+    "witness-t3": ["--field", "x^4-10x^2+1", "--unit", "t", "--beta=-3+t^2"],
+    # deltas (1, 8, 8, 8): the first witness has (t3, t2, t1) = (0, 1, 0)
+    "witness-t2": ["--field", "x^4-10x^2+1", "--unit", "t", "--beta=-3-t+3t^2+t^3"],
+    # deltas (1, 1, 4, 16028): the old search over ratio^3 candidates took about 100 s
+    "ratio-16028": ["--field", "x^4-26x^2+1", "--unit", "t", "--beta", "2-t+t^3"],
+}
 # subcommand -> its case table
 CASES = {
     "emit-sequence": SEQUENCE_CASES,
     "verify-lds": SEQUENCE_CASES,
     "dk-scan": DK_CASES,
+    "construct-basis": CONSTRUCT_CASES,
+    "snf-check": SNF_CASES,
 }
 FORMATS = ["json", "csv", "text"]
 
