@@ -11,6 +11,8 @@ a difference is intended):
 import contextlib
 import io
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -37,6 +39,13 @@ SEQUENCE_CASES = {
     "dense-charpoly": ["--field", "x^4-10x^2+1", "--unit", "1+t", "--kmax", "25"],
     "kmax-below-degree": ["--field", "x^4-10x^2+1", "--unit", "t", "--kmax", "3"],
     "kmax-zero": ["--field", "x^2-3", "--unit", "2+t", "--kmax", "0"],
+    # a malformed element: exit 3
+    "parse-error": ["--field", "x^2-3", "--unit", "2+*t", "--kmax", "20"],
+    # bases read back from construct-basis reports (see BASIS_FILE_SOURCES)
+    "basis-file": ["--field", "x^4-10x^2+1", "--unit", "t", "--beta", "2-t+t^3",
+                   "--basis-file", "{basis_file}", "--kmax", "30"],
+    "basis-file-module": ["--field", "x^4-10x^2+1", "--unit", "t", "--beta", "2-t+t^3",
+                          "--basis-file", "{basis_file}", "--kmax", "30"],
 }
 DK_CASES = {
     # the Pell unit 2 + sqrt 3: d_{k+4} = 4 d_{k+2} - d_k holds
@@ -78,6 +87,12 @@ SNF_CASES = {
     # deltas (1, 1, 4, 16028): the old search over ratio^3 candidates took about 100 s
     "ratio-16028": ["--field", "x^4-26x^2+1", "--unit", "t", "--beta", "2-t+t^3"],
 }
+FAMILY_CASES = {
+    # m = 3 and m = 4 are rejected: 4 and 4 = 3 + 1 are squares
+    "rejected-m": ["--m-range", "2..5", "--kmax", "40"],
+    # a range without '..': exit 3
+    "bad-range": ["--m-range", "2-5"],
+}
 # subcommand -> its case table
 CASES = {
     "emit-sequence": SEQUENCE_CASES,
@@ -85,7 +100,12 @@ CASES = {
     "dk-scan": DK_CASES,
     "construct-basis": CONSTRUCT_CASES,
     "snf-check": SNF_CASES,
+    "family-scan": FAMILY_CASES,
 }
+# sequence case -> the construct-basis case whose JSON report, written to a file,
+# is read back by --basis-file; "{basis_file}" in the case's argv stands for its path.
+# The module-basis report has the denominators 2 and 4.
+BASIS_FILE_SOURCES = {"basis-file": "quartic-full", "basis-file-module": "module-basis"}
 FORMATS = ["json", "csv", "text"]
 
 
@@ -104,12 +124,24 @@ def stem(command, case, fmt):
     return f"{command}.{case}.{fmt}"
 
 
+def run_case(command, case, fmt):
+    argv = argv_of(command, case, fmt)
+    source = BASIS_FILE_SOURCES.get(case)
+    if source is None:
+        return run_cli(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "basis.json")
+        written = run_cli(argv_of("construct-basis", source, "json") + ["--out", path])
+        assert written["exit"] == 0, written["stderr"]
+        return run_cli([path if a == "{basis_file}" else a for a in argv])
+
+
 PARAMS = [(c, name, f) for c, cases in CASES.items() for name in cases for f in FORMATS]
 
 
 @pytest.mark.parametrize("command, case, fmt", PARAMS, ids=[stem(*p) for p in PARAMS])
 def test_report_matches_golden(command, case, fmt):
-    got = run_cli(argv_of(command, case, fmt))
+    got = run_case(command, case, fmt)
     name = stem(command, case, fmt)
     status = json.loads((GOLDEN / f"{name}.status.json").read_text(encoding="utf-8"))
     assert (got["exit"], got["stderr"]) == (status["exit"], status["stderr"])
@@ -119,7 +151,7 @@ def test_report_matches_golden(command, case, fmt):
 def write_golden():
     GOLDEN.mkdir(exist_ok=True)
     for params in PARAMS:
-        got = run_cli(argv_of(*params))
+        got = run_case(*params)
         name = stem(*params)
         (GOLDEN / f"{name}.out").write_text(got["stdout"], encoding="utf-8")
         status = {"argv": argv_of(*params), "exit": got["exit"], "stderr": got["stderr"]}
