@@ -109,10 +109,26 @@ def _criterion_doc(crit: SnfCriterion) -> dict[str, Any]:
     }
 
 
+def _refuse_given(config: RunConfig, options: Sequence[str], reason: str) -> None:
+    """Refuse, naming it, the first of these options that the command line gave."""
+    for option in options:
+        if getattr(config, option[2:].replace("-", "_")) is not None:
+            raise ValueError(f"{option} {reason}")
+
+
+def _refuse_csv(config: RunConfig) -> None:
+    # refused before any work, since the report has no csv form
+    if config.fmt == "csv":
+        raise ValueError("csv output is not defined for this command")
+
+
 def _resolve_basis(config: RunConfig, field: NumberField) -> tuple[ModuleBasis, dict[str, Any]]:
     """Basis for sequence commands, from a named construction, a file, or expressions."""
+    if config.basis is not None:
+        _refuse_given(config, ("--module-basis", "--basis-file"), "cannot be combined with --basis")
     meta: dict[str, Any] = {}
     if config.basis_file:
+        _refuse_given(config, ("--module-basis",), "cannot be combined with --basis-file")
         bfield, basis = _basis_from_file(config.basis_file)
         if bfield != field:
             raise ValueError("basis file was produced for a different field")
@@ -143,8 +159,7 @@ def _emit(config: RunConfig, payload: dict[str, Any], csv_lines: list[str] | Non
     if config.fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif config.fmt == "csv":
-        if csv_lines is None:
-            raise ValueError("csv output is not defined for this command")
+        assert csv_lines is not None, "commands without a csv form refuse it first"
         text = "\n".join(csv_lines) + "\n"
     else:
         text = _render_text(payload) + "\n"
@@ -171,8 +186,11 @@ def _render_text(payload: dict[str, Any], indent: int = 0) -> str:
 
 
 def _cmd_construct_basis(config: RunConfig) -> int:
+    _refuse_csv(config)
     method = config.method or "quartic-power"
     if method == "family":
+        family_unread = ("--field", "--unit", "--beta", "--module-basis")
+        _refuse_given(config, family_unread, "is not read by --method family")
         if config.m is None:
             raise ValueError("--m is required for the family method")
         cons = basisforge.family_basis(config.m)
@@ -184,6 +202,9 @@ def _cmd_construct_basis(config: RunConfig) -> int:
             "field": format_polynomial(field.coeffs, "x"),
         }
     else:
+        _refuse_given(config, ("--m",), "is read by --method family only")
+        if method == "quartic-power":
+            _refuse_given(config, ("--module-basis",), "is not read by --method quartic-power")
         field = _field_from(config)
         unit = _element(field, config.unit, "unit")
         beta = _element(field, config.beta or "1", "beta")
@@ -392,6 +413,7 @@ def _cmd_family_scan(config: RunConfig) -> int:
 
 
 def _cmd_snf_check(config: RunConfig) -> int:
+    _refuse_csv(config)
     field = _field_from(config)
     unit = _element(field, config.unit, "unit")
     beta = _element(field, config.beta or "1", "beta")
@@ -460,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the report to this path instead of stdout")
 
     p = sub.add_parser("construct-basis", help="build an LDS-friendly basis")
-    common(p)
+    common(p, bounds=False)
     p.add_argument(
         "--method",
         choices=("quadratic", "quartic-power", "quartic-full", "family"),

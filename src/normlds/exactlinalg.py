@@ -3,8 +3,9 @@
 Everything here is fraction-free: determinants via Bareiss elimination,
 column-style Hermite normal form, Smith normal form with unimodular
 transformation witnesses, completion of a primitive vector to a basis of Z^n,
-and exact inversion of unimodular matrices. Intended for n <= 4 but written
-for general n.
+and exact inversion by one fraction-free Gauss-Jordan pass, which serves both
+the unimodular inverses here and the rational basis inverses of numberfield.
+Intended for n <= 4 but written for general n.
 """
 
 from __future__ import annotations
@@ -148,30 +149,57 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _minor(m: IntMatrix, drop_row: int, drop_col: int) -> IntMatrix:
-    return IntMatrix(
-        tuple(
-            tuple(x for j, x in enumerate(row) if j != drop_col)
-            for i, row in enumerate(m.entries)
-            if i != drop_row
-        )
-    )
+def fraction_free_inverse(
+    rows: Sequence[Sequence[int]],
+) -> tuple[list[list[int]], int] | None:
+    """Inverse of a square integer matrix as (N, q) with A^-1 = N/q, q = |det A| > 0.
+
+    One fraction-free Gauss-Jordan pass (Bareiss) over [A | I]; None when A is
+    singular. After step k every entry is a (k+1)x(k+1) minor of the row-swapped
+    [A | I], so each division by the previous pivot is exact, for the rows
+    above the pivot as for those below. The last pivot d is the determinant of
+    the row-swapped A, the left block ends as d*I and the right block as d*A^-1.
+    Columns left of the pivot are settled (d*I so far, or zero) and are skipped.
+    """
+    n = len(rows)
+    a = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    break
+            else:
+                return None
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row = a[i]
+            factor = row[k]
+            if factor:
+                for j in range(k + 1, 2 * n):
+                    row[j] = (row[j] * pivot - factor * pivot_row[j]) // prev
+                row[k] = 0
+            else:
+                for j in range(k + 1, 2 * n):
+                    row[j] = row[j] * pivot // prev
+        prev = pivot
+    sign = 1 if prev > 0 else -1
+    return [[sign * x for x in row[n:]] for row in a], abs(prev)
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact integer inverse of a matrix with determinant +-1 (adjugate method)."""
-    d = det(m)
-    if d not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det = {d})")
-    n = m.rows
-    if n == 1:
-        return IntMatrix.from_rows([[d]])
-    adj = [
-        [((-1) ** (i + j)) * det(_minor(m, j, i)) for j in range(n)]
-        for i in range(n)
-    ]
-    inv = IntMatrix.from_rows([[x * d for x in row] for row in adj])
-    if (inv @ m) != IntMatrix.identity(n):
+    """Exact integer inverse of a matrix with determinant +-1 (fraction_free_inverse)."""
+    if m.rows != m.cols:
+        raise ValueError("inverse requires a square matrix")
+    result = fraction_free_inverse(m.entries)
+    if result is None or result[1] != 1:
+        raise ValueError(f"matrix is not unimodular (det = {det(m)})")
+    inv = IntMatrix.from_rows(result[0])
+    if (inv @ m) != IntMatrix.identity(m.rows):
         raise AssertionError("inverse verification failed")
     return inv
 

@@ -2,7 +2,14 @@
 
 Elements are rational coordinate vectors over the power basis {1, t, ..., t^(n-1)}
 where t is the residue class of X. Norm and trace are computed from the
-multiplication matrix, so no floating point or embeddings appear anywhere.
+multiplication matrix, so no floating point or embeddings appear anywhere; the
+norm is the Bareiss determinant of that matrix cleared of its denominators.
+
+A ModuleBasis clears its matrix of denominators once, A = D*B, and caches the
+integer inverse of A from one fraction-free Gauss-Jordan pass
+(exactlinalg.fraction_free_inverse) as (D*N, q), so that B^-1 = D*N/q.
+Coordinates over the basis then take n integer dot products and one Fraction
+each.
 """
 
 from __future__ import annotations
@@ -12,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence, Union
+
+from .exactlinalg import IntMatrix, det, fraction_free_inverse
 
 Rational = Union[int, Fraction]
 
@@ -390,30 +399,18 @@ def trace(a: FieldElement) -> Fraction:
     return sum((m[i][i] for i in range(len(m))), Fraction(0))
 
 
+def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(D*values, D) for the least D > 0 that makes every value an integer."""
+    d = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
 def norm(a: FieldElement) -> Fraction:
     m = multiplication_matrix(a)
     n = len(m)
-    # Gaussian determinant over Fraction
-    mat = [row[:] for row in m]
-    detval = Fraction(1)
-    for k in range(n):
-        sel = None
-        for i in range(k, n):
-            if mat[i][k] != 0:
-                sel = i
-                break
-        if sel is None:
-            return Fraction(0)
-        if sel != k:
-            mat[k], mat[sel] = mat[sel], mat[k]
-            detval = -detval
-        detval *= mat[k][k]
-        inv = 1 / mat[k][k]
-        for i in range(k + 1, n):
-            if mat[i][k] != 0:
-                factor = mat[i][k] * inv
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[k])]
-    return detval
+    entries, d = _clear_denominators([x for row in m for x in row])
+    cleared = IntMatrix.from_rows(entries[i * n : (i + 1) * n] for i in range(n))
+    return Fraction(det(cleared), d**n)
 
 
 def min_poly(a: FieldElement) -> tuple[Fraction, ...]:
@@ -447,34 +444,33 @@ class ModuleBasis:
         for v in self.vectors:
             if v.field != self.field:
                 raise ValueError("basis vector from a different field")
-        if self._inverse_columns is None:
+        if self._inverse is None:
             raise ValueError("basis vectors are linearly dependent")
 
     @cached_property
-    def _inverse_columns(self) -> tuple[tuple[Fraction, ...], ...] | None:
-        # inverse of the matrix whose columns are the basis vectors' coordinates,
-        # stored column-wise; None when singular
+    def _inverse(self) -> tuple[tuple[tuple[int, ...], ...], int] | None:
+        # (D*N, q) with N/q the inverse of A = D*B, where B has the basis vectors'
+        # coordinates as its columns, so B^-1 = D*N/q; None when B is singular
         n = self.field.degree
-        cols = [v.coords for v in self.vectors]
-        inv_cols = []
-        for k in range(n):
-            rhs = [Fraction(1) if i == k else Fraction(0) for i in range(n)]
-            sol = solve_linear(cols, rhs)
-            if sol is None:
-                return None
-            inv_cols.append(sol)
-        return tuple(inv_cols)
+        entries, d = _clear_denominators([c for v in self.vectors for c in v.coords])
+        # the rows of A are the columns of the vector-per-row list
+        result = fraction_free_inverse([entries[i::n] for i in range(n)])
+        if result is None:
+            return None
+        inv, q = result
+        return tuple(tuple(d * x for x in row) for row in inv), q
 
     def coords(self, a: FieldElement) -> tuple[Fraction, ...]:
         """Exact coordinates of a over this basis."""
         if a.field != self.field:
             raise ValueError("element from a different field")
-        inv = self._inverse_columns
-        assert inv is not None
-        n = self.field.degree
+        inverse = self._inverse
+        assert inverse is not None
+        inv, q = inverse
+        values, e = _clear_denominators(a.coords)
+        q *= e
         return tuple(
-            sum((inv[j][i] * a.coords[j] for j in range(n)), Fraction(0))
-            for i in range(n)
+            Fraction(sum(x * y for x, y in zip(row, values)), q) for row in inv
         )
 
     def combine(self, weights: Sequence[Rational]) -> FieldElement:
@@ -483,10 +479,6 @@ class ModuleBasis:
         for w, v in zip(weights, self.vectors):
             acc = acc + v.scale(w)
         return acc
-
-
-def coords_in_basis(a: FieldElement, basis: ModuleBasis) -> tuple[Fraction, ...]:
-    return basis.coords(a)
 
 
 def is_positive_unit(a: FieldElement, ringbasis: ModuleBasis) -> bool:

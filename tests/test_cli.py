@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from normlds import cli, coordseq, dkseq
+from normlds import basisforge, cli, coordseq, dkseq
 from normlds.lucas import LucasParams, lucas_u
 from normlds.numberfield import NumberField
 
@@ -305,3 +305,66 @@ def test_in_process_calls_match_fresh_processes(monkeypatch):
             capture_output=True, text=True, env=env, timeout=120, check=False,
         )
         assert run_main(argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+QUARTIC = ["--field", "x^4-10x^2+1", "--unit", "t", "--beta", "2-t+t^3"]
+# construct-basis and snf-check reports have no csv form
+NO_CSV = [
+    ["construct-basis", "--method", "quadratic", "--field", "x^2-3", "--unit", "2+t"],
+    ["construct-basis", "--method", "quartic-power", *QUARTIC],
+    ["construct-basis", "--method", "quartic-full", *QUARTIC],
+    ["construct-basis", "--method", "family", "--m", "5"],
+    ["snf-check", *QUARTIC],
+]
+CONSTRUCTIONS = ["quad_construct", "quartic_module_construct", "quartic_full_construct",
+                 "family_basis", "snf_criterion"]
+
+
+@pytest.mark.parametrize("argv", NO_CSV, ids=lambda argv: " ".join(argv[:3]))
+def test_csv_is_refused_before_any_construction(monkeypatch, argv):
+    calls = []
+    for name in CONSTRUCTIONS:
+        original = getattr(basisforge, name)
+
+        def counting(*args, _original=original):
+            calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(basisforge, name, counting)
+    assert run_cli(argv)[0] == 0
+    assert calls  # the counters see the construction when it runs
+    calls.clear()
+    rc, out, err = run_cli(argv + ["--format", "csv"])
+    assert (rc, out, err) == (2, "", "error: csv output is not defined for this command\n")
+    assert calls == []
+
+
+def test_construct_basis_rejects_kmax():
+    rc, out, err = run_main(["construct-basis", "--method", "family", "--m", "5", "--kmax", "9"])
+    assert (rc, out) == (2, "")
+    assert "unrecognized arguments: --kmax 9" in err
+
+
+FAMILY = ["construct-basis", "--method", "family", "--m", "5"]
+UNREAD_OPTIONS = [
+    # argv, the option named in the error, the error
+    ([*FAMILY, "--field", "x^2-3"], "--field is not read by --method family"),
+    ([*FAMILY, "--unit", "t"], "--unit is not read by --method family"),
+    ([*FAMILY, "--beta", "2"], "--beta is not read by --method family"),
+    ([*FAMILY, "--module-basis", "1;t"], "--module-basis is not read by --method family"),
+    (["construct-basis", "--method", "quartic-power", *QUARTIC, "--module-basis",
+      "1;t;t^2;t^3"], "--module-basis is not read by --method quartic-power"),
+    (["construct-basis", "--method", "quartic-full", *QUARTIC, "--m", "5"],
+     "--m is read by --method family only"),
+    (["emit-sequence", *QUARTIC, "--kmax", "8", "--basis", "power", "--module-basis",
+      "1;t;t^2;t^3"], "--module-basis cannot be combined with --basis"),
+    (["verify-lds", *QUARTIC, "--kmax", "8", "--basis", "quartic-full", "--basis-file",
+      "basis.json"], "--basis-file cannot be combined with --basis"),
+    (["emit-sequence", *QUARTIC, "--kmax", "8", "--module-basis", "1;t;t^2;t^3",
+      "--basis-file", "basis.json"], "--module-basis cannot be combined with --basis-file"),
+]
+
+
+@pytest.mark.parametrize("argv, error", UNREAD_OPTIONS, ids=[e for _, e in UNREAD_OPTIONS])
+def test_options_that_would_go_unread_are_refused(argv, error):
+    assert run_main(argv) == (2, "", f"error: {error}\n")

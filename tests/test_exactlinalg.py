@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,13 @@ from normlds.exactlinalg import (
     IntMatrix,
     complete_primitive,
     det,
+    fraction_free_inverse,
     hnf_column,
     inverse_unimodular,
     snf,
     xgcd,
 )
+from normlds.numberfield import solve_linear
 
 
 def test_xgcd_bezout():
@@ -202,6 +205,13 @@ class TestInverseUnimodular:
         with pytest.raises(ValueError, match="unimodular"):
             inverse_unimodular(IntMatrix.from_rows([[2, 0], [0, 1]]))
 
+    @pytest.mark.parametrize(
+        "rows, d", [([[1, 2], [3, 4]], -2), ([[0, 3], [1, 0]], -3), ([[1, 2], [2, 4]], 0)]
+    )
+    def test_non_unimodular_reports_its_det(self, rows, d):
+        with pytest.raises(ValueError, match=rf"not unimodular \(det = {d}\)"):
+            inverse_unimodular(IntMatrix.from_rows(rows))
+
     def test_two_sided(self):
         rng = random.Random(5)
         count = 0
@@ -212,3 +222,92 @@ class TestInverseUnimodular:
                 assert m @ inv == IntMatrix.identity(3)
                 assert inv @ m == IntMatrix.identity(3)
                 count += 1
+
+
+def inverse_columns_oracle(cols):
+    """The inverse of the matrix with the given columns, one Fraction solve per unit
+    vector, as the columns of the inverse; None when singular.
+
+    This is how ModuleBasis inverted its matrix before fraction_free_inverse.
+    """
+    n = len(cols)
+    inv_cols = []
+    for k in range(n):
+        sol = solve_linear(cols, [Fraction(int(i == k)) for i in range(n)])
+        if sol is None:
+            return None
+        inv_cols.append(sol)
+    return inv_cols
+
+
+def rational_inverse(rows):
+    """rows^-1 from fraction_free_inverse, cleared of denominators first; None if singular."""
+    d = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+    cleared = [[int(Fraction(x) * d) for x in row] for row in rows]
+    result = fraction_free_inverse(cleared)
+    if result is None:
+        return None
+    inv, q = result
+    assert q == abs(det(IntMatrix.from_rows(cleared))) > 0
+    return [[Fraction(d * x, q) for x in row] for row in inv]
+
+
+def oracle_inverse(rows):
+    # rows of a matrix are the columns of its transpose, and inverting commutes
+    # with transposing, so the oracle's columns of (rows^T)^-1 are the rows of rows^-1
+    return inverse_columns_oracle([[Fraction(x) for x in row] for row in rows])
+
+
+RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def rational_matrices(draw):
+    n = draw(st.integers(2, 4))
+    return [[draw(RATIONALS) for _ in range(n)] for _ in range(n)]
+
+
+class TestFractionFreeInverse:
+    @settings(max_examples=150, deadline=None)
+    @given(rational_matrices())
+    def test_matches_the_fraction_solves(self, rows):
+        want = oracle_inverse(rows)
+        got = rational_inverse(rows)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got == [list(r) for r in want]
+
+    def test_zero_leading_pivot_needs_a_row_swap(self):
+        rows = [[0, 2, 1], [1, 0, 0], [0, 1, 1]]
+        inv, q = fraction_free_inverse(rows)
+        assert q == 1
+        assert IntMatrix.from_rows(inv) @ IntMatrix.from_rows(rows) == IntMatrix.identity(3)
+
+    def test_zero_pivot_after_the_first_step(self):
+        # column 1 is zero below the first pivot until rows 1 and 2 are swapped
+        rows = [[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 0, 0], [0, 0, 0, 2]]
+        assert fraction_free_inverse(rows)[1] == 2
+        assert rational_inverse(rows) == [list(r) for r in oracle_inverse(rows)]
+
+    def test_negative_determinant(self):
+        rows = [[1, 2], [3, 4]]  # det -2
+        inv, q = fraction_free_inverse(rows)
+        assert q == 2
+        assert inv == [[-4, 2], [3, -1]]  # 2 * [[-2, 1], [3/2, -1/2]]
+
+    def test_one_by_one(self):
+        assert fraction_free_inverse([[-3]]) == ([[-1]], 3)
+        assert fraction_free_inverse([[0]]) is None
+
+    def test_halves_and_quarters(self):
+        # the maximal order {1, sqrt 2, sqrt 3, (sqrt 2 + sqrt 6)/2} of Q(sqrt 2, sqrt 3)
+        # over the power basis of x^4 - 10x^2 + 1, one basis vector per row
+        h, q = Fraction(1, 2), Fraction(1, 4)
+        rows = [[1, 0, 0, 0], [0, -9 * h, 0, h], [0, 11 * h, 0, -h], [-5 * q, -9 * q, q, q]]
+        inverse = rational_inverse(rows)
+        assert inverse is not None
+        assert inverse == [list(r) for r in oracle_inverse(rows)]
+
+    def test_singular_rows(self):
+        assert fraction_free_inverse([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) is None
+        assert fraction_free_inverse([[0, 1], [0, 2]]) is None

@@ -17,6 +17,7 @@ from normlds.numberfield import (
     norm,
     parse_element,
     parse_polynomial,
+    solve_linear,
     trace,
 )
 from normlds.numberfield import _is_irreducible, _poly_eval_int
@@ -24,6 +25,7 @@ from normlds.numberfield import _is_irreducible, _poly_eval_int
 SQRT2 = NumberField((-2, 0, 1))          # X^2 - 2
 GOLDEN = NumberField((-1, -1, 1))        # X^2 - X - 1
 BIQUAD = NumberField((1, 0, -10, 0, 1))  # min poly of sqrt2 + sqrt3
+CUBIC = NumberField((-2, 0, 0, 1))       # X^3 - 2
 
 
 def surd_basis_m2():
@@ -233,6 +235,15 @@ class TestNormTrace:
     def test_norm_of_family_unit(self):
         assert norm(BIQUAD.generator) == 1
 
+    def test_norm_of_a_fraction(self):
+        # N(3/2 + sqrt 2) = 9/4 - 2, and N(a/4) = N(a)/4^4 in degree 4
+        assert norm(SQRT2.element([Fraction(3, 2), 1])) == Fraction(1, 4)
+        a = BIQUAD.element([1, -1, 0, 1])
+        assert norm(a.scale(Fraction(1, 4))) == norm(a) / 256
+        assert norm(BIQUAD.element([Fraction(1, 3), 0, Fraction(1, 2), 0])) == norm(
+            BIQUAD.element([2, 0, 3, 0])
+        ) / 6**4
+
     def test_quartic_trace_of_eps(self):
         eta = BIQUAD.generator
         assert trace(eta * eta) == 20  # twice the quadratic-subfield trace
@@ -325,6 +336,48 @@ class TestCoords:
     def test_singular_basis_rejected(self):
         with pytest.raises(ValueError, match="dependent"):
             ModuleBasis(SQRT2, (SQRT2.one, SQRT2.from_int(3)))
+
+    def test_singular_rational_basis_rejected(self):
+        half = Fraction(1, 2)
+        v = BIQUAD.element([half, 0, Fraction(1, 4), -half])
+        with pytest.raises(ValueError, match="dependent"):
+            ModuleBasis(BIQUAD, (v, BIQUAD.generator, v.scale(Fraction(-2, 3)), BIQUAD.one))
+
+    def test_maximal_order_coords(self):
+        # the module-basis golden's ring: denominators 2 and 4
+        ring = ModuleBasis(BIQUAD, tuple(
+            parse_element(BIQUAD, text)
+            for text in ("1", "-9/2t+1/2t^3", "11/2t-1/2t^3", "-5/4-9/4t+1/4t^2+1/4t^3")
+        ))
+        eta = BIQUAD.generator
+        # eta = sqrt 2 + sqrt 3 and eta^2 = 5 + 2 sqrt 6 = 5 - 2 sqrt 2 + 4 (sqrt 2 + sqrt 6)/2
+        assert ring.coords(eta) == (0, 1, 1, 0)
+        assert ring.coords(eta * eta) == (5, -2, 0, 4)
+        assert ring.coords(BIQUAD.element([0, Fraction(1, 3), 0, 0])) == tuple(
+            Fraction(1, 3) * c for c in ring.coords(eta)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(lambda n: st.lists(
+            st.lists(st.fractions(-6, 6, max_denominator=4), min_size=n, max_size=n),
+            min_size=n + 1, max_size=n + 1,
+        ))
+    )
+    def test_coords_match_the_fraction_solves(self, rows):
+        *vectors, target = rows
+        field = {2: SQRT2, 3: CUBIC, 4: BIQUAD}[len(target)]
+        # the coordinates of target solve sum_j x_j * vectors[j] = target
+        want = solve_linear(vectors, target)
+        try:
+            basis = ModuleBasis(field, tuple(field.element(v) for v in vectors))
+        except ValueError:
+            # singular: some unit vector is outside the span
+            n = len(target)
+            assert any(solve_linear(vectors, [int(i == k) for i in range(n)]) is None
+                       for k in range(n))
+            return
+        assert basis.coords(field.element(target)) == want
 
 
 class TestParsing:
