@@ -346,22 +346,3 @@ def family_basis(m: int) -> LdsConstruction:
     return LdsConstruction(
         basis=result.basis, scale=result.scale, t_trace=result.t_trace, source="family"
     )
-
-
-def family_closed_form_vectors(m: int) -> ModuleBasis:
-    """The explicit classical vectors {sqrt(mn), sqrt m + 2(m-1) sqrt(mn), 1, ...}.
-
-    They span the same module as family_basis(m) (the mutual change of basis is
-    unimodular), but their first coordinate sequence starts (0, 2, 2, 2(2m+3)),
-    which is incompatible with the recurrence x(k+4) = (4m+2) x(k+2) - x(k)
-    forced by the unit's minimal polynomial, so x1 over these vectors is not a
-    divisibility sequence (x1(3) already fails to divide x1(6) for m = 2).
-    Retained for cross-validation of module equality.
-    """
-    surds = family_surd_basis(m)
-    one, sqrt_m, sqrt_n, sqrt_mn = surds.vectors
-    w1 = sqrt_mn
-    w2 = sqrt_m + sqrt_mn.scale(2 * (m - 1))
-    w3 = one
-    w4 = sqrt_m + sqrt_n - sqrt_mn.scale(2)
-    return ModuleBasis(surds.field, (w1, w2, w3, w4))

@@ -5,6 +5,10 @@ snf-check. Reports are deterministic (byte-identical for identical inputs);
 integers are serialized as decimal strings so arbitrary precision survives
 JSON consumers. Exit codes: 0 success, 1 internal invariant violation,
 2 precondition failure or a failed LDS check, 3 expression parse error.
+
+Each handler reads the argparse namespace of its subcommand directly. The
+constructions from a unit and a beta are reached through _construct alone, and
+the ring an option names (--module-basis, else the power basis) through _ring.
 """
 
 from __future__ import annotations
@@ -12,12 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from argparse import Namespace
 from fractions import Fraction
 from typing import Any, NoReturn, Sequence
 
 from . import basisforge, coordseq, dkseq
-from .basisforge import InvariantViolation, SnfCriterion
+from .basisforge import InvariantViolation, LdsConstruction, SnfCriterion
 from .numberfield import (
     FieldElement,
     ModuleBasis,
@@ -33,42 +37,11 @@ from .numberfield import (
 _FORMATS = ("json", "csv", "text")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    field: str | None = None
-    unit: str | None = None
-    beta: str | None = None
-    alpha: str | None = None
-    module_basis: str | None = None
-    basis: str | None = None
-    basis_file: str | None = None
-    method: str | None = None
-    m: int | None = None
-    m_range: str | None = None
-    kmax: int = 200
-    nmax: int | None = None
-    column: int = 1
-    vanishing_t: int | None = None
-    assert_monogenic: bool = False
-    fmt: str = "json"
-    out: str | None = None
-
-
-def _rat_str(x: Fraction | int) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def _basis_coords(basis: ModuleBasis) -> list[list[str]]:
-    return [[_rat_str(c) for c in v.coords] for v in basis.vectors]
+    return [[str(c) for c in v.coords] for v in basis.vectors]
 
 
-def _parse_rat(text: str) -> Fraction:
-    return Fraction(text)
-
-
-def _field_from(config: RunConfig) -> NumberField:
+def _field_from(config: Namespace) -> NumberField:
     if not config.field:
         raise ValueError("--field is required for this command")
     return NumberField(parse_polynomial(config.field, "x"))
@@ -80,20 +53,56 @@ def _element(field: NumberField, text: str, what: str) -> FieldElement:
     return parse_element(field, text, "t")
 
 
-def _module_basis(field: NumberField, spec: str) -> ModuleBasis:
-    parts = [p for p in spec.split(";") if p.strip()]
-    vectors = tuple(parse_element(field, p, "t") for p in parts)
-    return ModuleBasis(field, vectors)
+def _unit_beta(config: Namespace, field: NumberField) -> tuple[FieldElement, FieldElement]:
+    """The --unit and the --beta (default 1) of a report, parsed once."""
+    return _element(field, config.unit, "unit"), _element(field, config.beta or "1", "beta")
 
 
-def _basis_from_file(path: str) -> tuple[NumberField, ModuleBasis]:
+def _head(field: NumberField, unit: FieldElement, beta: FieldElement) -> dict[str, Any]:
+    return {
+        "field": format_polynomial(field.coeffs, "x"),
+        "unit": format_element(unit),
+        "beta": format_element(beta),
+    }
+
+
+def _ring(config: Namespace, field: NumberField) -> ModuleBasis:
+    """The --module-basis basis when one is given, else the power basis."""
+    if not config.module_basis:
+        return field.power_basis()
+    parts = [p for p in config.module_basis.split(";") if p.strip()]
+    return ModuleBasis(field, tuple(parse_element(field, p, "t") for p in parts))
+
+
+def _construct(
+    config: Namespace, method: str, field: NumberField, unit: FieldElement, beta: FieldElement
+) -> LdsConstruction:
+    """The one dispatch over the constructions from a unit and a beta."""
+    if method == "quadratic":
+        return basisforge.quad_construct(_ring(config, field), beta, unit)
+    if method == "quartic-power":
+        return basisforge.quartic_module_construct(beta, unit)
+    if method == "quartic-full":
+        return basisforge.quartic_full_construct(_ring(config, field), beta, unit)
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _basis_from_file(
+    path: str, field: NumberField, unit: FieldElement, beta: FieldElement
+) -> ModuleBasis:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    field = NumberField(parse_polynomial(doc["field"], "x"))
-    vectors = tuple(
-        field.element([_parse_rat(c) for c in row]) for row in doc["basis"]
-    )
-    return field, ModuleBasis(field, vectors)
+    if NumberField(parse_polynomial(doc["field"], "x")) != field:
+        raise ValueError("basis file was produced for a different field")
+    # a construct-basis report names the unit and beta its basis was built for;
+    # a family report names neither
+    for key, given in (("unit", unit), ("beta", beta)):
+        if key in doc and parse_element(field, doc[key], "t") != given:
+            raise ValueError(
+                f"basis file was built for {key} {doc[key]}, not {format_element(given)}"
+            )
+    vectors = tuple(field.element([Fraction(c) for c in row]) for row in doc["basis"])
+    return ModuleBasis(field, vectors)
 
 
 def _criterion_doc(crit: SnfCriterion) -> dict[str, Any]:
@@ -109,53 +118,38 @@ def _criterion_doc(crit: SnfCriterion) -> dict[str, Any]:
     }
 
 
-def _refuse_given(config: RunConfig, options: Sequence[str], reason: str) -> None:
+def _refuse_given(config: Namespace, options: Sequence[str], reason: str) -> None:
     """Refuse, naming it, the first of these options that the command line gave."""
     for option in options:
         if getattr(config, option[2:].replace("-", "_")) is not None:
             raise ValueError(f"{option} {reason}")
 
 
-def _refuse_csv(config: RunConfig) -> None:
+def _refuse_csv(config: Namespace) -> None:
     # refused before any work, since the report has no csv form
     if config.fmt == "csv":
         raise ValueError("csv output is not defined for this command")
 
 
-def _resolve_basis(config: RunConfig, field: NumberField) -> tuple[ModuleBasis, dict[str, Any]]:
+def _resolve_basis(
+    config: Namespace, field: NumberField, unit: FieldElement, beta: FieldElement
+) -> tuple[ModuleBasis, dict[str, Any]]:
     """Basis for sequence commands, from a named construction, a file, or expressions."""
     if config.basis is not None:
         _refuse_given(config, ("--module-basis", "--basis-file"), "cannot be combined with --basis")
-    meta: dict[str, Any] = {}
     if config.basis_file:
         _refuse_given(config, ("--module-basis",), "cannot be combined with --basis-file")
-        bfield, basis = _basis_from_file(config.basis_file)
-        if bfield != field:
-            raise ValueError("basis file was produced for a different field")
-        meta["basis_source"] = "file"
-        return basis, meta
+        return _basis_from_file(config.basis_file, field, unit, beta), {"basis_source": "file"}
     if config.module_basis:
-        meta["basis_source"] = "explicit"
-        return _module_basis(field, config.module_basis), meta
-    name = config.basis or "power"
-    if name == "power":
-        meta["basis_source"] = "power"
-        return field.power_basis(), meta
-    unit = _element(field, config.unit, "unit")
-    beta = _element(field, config.beta or "1", "beta")
-    if name == "quartic-power":
-        cons = basisforge.quartic_module_construct(beta, unit)
-    elif name == "quartic-full":
-        cons = basisforge.quartic_full_construct(field.power_basis(), beta, unit)
-    else:
-        raise ValueError(f"unknown basis kind {name!r}")
-    meta["basis_source"] = name
-    meta["scale"] = str(cons.scale)
-    meta["t_trace"] = str(cons.t_trace)
+        return _ring(config, field), {"basis_source": "explicit"}
+    if config.basis in (None, "power"):
+        return field.power_basis(), {"basis_source": "power"}
+    cons = _construct(config, config.basis, field, unit, beta)
+    meta = {"basis_source": config.basis, "scale": str(cons.scale), "t_trace": str(cons.t_trace)}
     return cons.basis, meta
 
 
-def _emit(config: RunConfig, payload: dict[str, Any], csv_lines: list[str] | None = None) -> None:
+def _emit(config: Namespace, payload: dict[str, Any], csv_lines: list[str] | None = None) -> None:
     if config.fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif config.fmt == "csv":
@@ -185,54 +179,25 @@ def _render_text(payload: dict[str, Any], indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def _cmd_construct_basis(config: RunConfig) -> int:
+def _cmd_construct_basis(config: Namespace) -> int:
     _refuse_csv(config)
-    method = config.method or "quartic-power"
-    if method == "family":
+    payload: dict[str, Any] = {"command": "construct-basis", "method": config.method}
+    if config.method == "family":
         family_unread = ("--field", "--unit", "--beta", "--module-basis")
         _refuse_given(config, family_unread, "is not read by --method family")
         if config.m is None:
             raise ValueError("--m is required for the family method")
         cons = basisforge.family_basis(config.m)
-        field = cons.basis.field
-        payload = {
-            "command": "construct-basis",
-            "method": method,
-            "m": config.m,
-            "field": format_polynomial(field.coeffs, "x"),
-        }
+        payload["m"] = config.m
+        payload["field"] = format_polynomial(cons.basis.field.coeffs, "x")
     else:
         _refuse_given(config, ("--m",), "is read by --method family only")
-        if method == "quartic-power":
+        if config.method == "quartic-power":
             _refuse_given(config, ("--module-basis",), "is not read by --method quartic-power")
         field = _field_from(config)
-        unit = _element(field, config.unit, "unit")
-        beta = _element(field, config.beta or "1", "beta")
-        payload = {
-            "command": "construct-basis",
-            "method": method,
-            "field": format_polynomial(field.coeffs, "x"),
-            "unit": format_element(unit),
-            "beta": format_element(beta),
-        }
-        if method == "quadratic":
-            tbasis = (
-                _module_basis(field, config.module_basis)
-                if config.module_basis
-                else field.power_basis()
-            )
-            cons = basisforge.quad_construct(tbasis, beta, unit)
-        elif method == "quartic-power":
-            cons = basisforge.quartic_module_construct(beta, unit)
-        elif method == "quartic-full":
-            tbasis = (
-                _module_basis(field, config.module_basis)
-                if config.module_basis
-                else field.power_basis()
-            )
-            cons = basisforge.quartic_full_construct(tbasis, beta, unit)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        unit, beta = _unit_beta(config, field)
+        payload.update(_head(field, unit, beta))
+        cons = _construct(config, config.method, field, unit, beta)
     payload["source"] = cons.source
     payload["scale"] = str(cons.scale)
     payload["t_trace"] = str(cons.t_trace)
@@ -242,12 +207,11 @@ def _cmd_construct_basis(config: RunConfig) -> int:
 
 
 def _sequence_payload(
-    config: RunConfig, field: NumberField
+    config: Namespace, field: NumberField
 ) -> tuple[dict[str, Any], coordseq.SequenceReport, list[str] | None]:
     """Report fields shared by the sequence commands, and CSV lines when CSV is asked for."""
-    unit = _element(field, config.unit, "unit")
-    beta = _element(field, config.beta or "1", "beta")
-    basis, meta = _resolve_basis(config, field)
+    unit, beta = _unit_beta(config, field)
+    basis, meta = _resolve_basis(config, field, unit, beta)
     # the recurrence test needs kmax >= deg(min_poly(unit)), known before any term is
     # generated; that degree is at most the field's, so min_poly runs only for a small kmax
     if 0 <= config.kmax < field.degree and config.kmax < len(min_poly(unit)) - 1:
@@ -259,16 +223,12 @@ def _sequence_payload(
         terms = coordseq.decimal_rows(report)
     else:
         terms = [[str(x) for x in row] for row in report.terms]
-    payload: dict[str, Any] = {
-        "field": format_polynomial(field.coeffs, "x"),
-        "unit": format_element(unit),
-        "beta": format_element(beta),
-        "basis": _basis_coords(basis),
-        "charpoly": [str(c) for c in report.charpoly],
-        "terms": terms,
-        "recurrence_ok": recurrence_ok,
-    }
+    payload = _head(field, unit, beta)
     payload.update(meta)
+    payload["basis"] = _basis_coords(basis)
+    payload["charpoly"] = [str(c) for c in report.charpoly]
+    payload["terms"] = terms
+    payload["recurrence_ok"] = recurrence_ok
     csv_lines = None
     if config.fmt == "csv":
         header = "k," + ",".join(f"x{i}" for i in range(1, report.ncols + 1))
@@ -276,14 +236,14 @@ def _sequence_payload(
     return payload, report, csv_lines
 
 
-def _cmd_emit_sequence(config: RunConfig) -> int:
+def _cmd_emit_sequence(config: Namespace) -> int:
     payload, _, csv_lines = _sequence_payload(config, _field_from(config))
     payload["command"] = "emit-sequence"
     _emit(config, payload, csv_lines)
     return 0
 
 
-def _cmd_verify_lds(config: RunConfig) -> int:
+def _cmd_verify_lds(config: Namespace) -> int:
     field = _field_from(config)
     # a basis has one column per degree, so --column is checked before any generation
     if not 1 <= config.column <= field.degree:
@@ -311,14 +271,10 @@ def _cmd_verify_lds(config: RunConfig) -> int:
     return 0 if verdicts[config.column - 1]["ok"] else 2
 
 
-def _cmd_dk_scan(config: RunConfig) -> int:
+def _cmd_dk_scan(config: Namespace) -> int:
     field = _field_from(config)
     alpha = _element(field, config.alpha or config.unit, "alpha")
-    ring = (
-        _module_basis(field, config.module_basis)
-        if config.module_basis
-        else field.power_basis()
-    )
+    ring = _ring(config, field)
     seq = dkseq.dk_sequence(alpha, ring, config.kmax)
     try:
         rec_ok: bool | None = dkseq.dk_recurrence_check(seq, config.kmax)
@@ -364,7 +320,7 @@ def _cmd_dk_scan(config: RunConfig) -> int:
     return 0
 
 
-def _parse_m_range(spec: str) -> list[int]:
+def _parse_m_range(spec: str) -> range:
     if ".." not in spec:
         raise ParseError("m range must look like 2..10", 0)
     lo_text, hi_text = spec.split("..", 1)
@@ -372,16 +328,17 @@ def _parse_m_range(spec: str) -> list[int]:
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
         raise ParseError(f"bad m range {spec!r}", 0) from None
-    return list(range(lo, hi + 1))
+    if lo > hi:
+        raise ValueError(f"m range {spec} is empty")
+    if lo < 2:
+        raise ValueError(f"m range {spec} starts below 2, where the family begins")
+    return range(lo, hi + 1)
 
 
-def _cmd_family_scan(config: RunConfig) -> int:
-    if not config.m_range:
-        raise ValueError("--m-range is required")
-    ms = _parse_m_range(config.m_range)
+def _cmd_family_scan(config: Namespace) -> int:
     rows = []
     any_fail = False
-    for m in sorted(ms):
+    for m in _parse_m_range(config.m_range):
         try:
             cons = basisforge.family_basis(m)
         except ValueError as exc:
@@ -412,24 +369,13 @@ def _cmd_family_scan(config: RunConfig) -> int:
     return 2 if any_fail else 0
 
 
-def _cmd_snf_check(config: RunConfig) -> int:
+def _cmd_snf_check(config: Namespace) -> int:
     _refuse_csv(config)
     field = _field_from(config)
-    unit = _element(field, config.unit, "unit")
-    beta = _element(field, config.beta or "1", "beta")
-    tbasis = (
-        _module_basis(field, config.module_basis)
-        if config.module_basis
-        else field.power_basis()
-    )
-    crit = basisforge.snf_criterion(tbasis, beta, unit)
-    payload = {
-        "command": "snf-check",
-        "field": format_polynomial(field.coeffs, "x"),
-        "unit": format_element(unit),
-        "beta": format_element(beta),
-        "criterion": _criterion_doc(crit),
-    }
+    unit, beta = _unit_beta(config, field)
+    crit = basisforge.snf_criterion(_ring(config, field), beta, unit)
+    payload = {"command": "snf-check", **_head(field, unit, beta)}
+    payload["criterion"] = _criterion_doc(crit)
     _emit(config, payload)
     return 0
 
@@ -490,17 +436,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--m", type=int, help="family parameter (method=family)")
 
-    p = sub.add_parser("emit-sequence", help="generate coordinate sequences")
-    common(p)
-    p.add_argument("--basis", choices=("power", "quartic-power", "quartic-full"))
-    p.add_argument("--basis-file", help="JSON basis report to reuse")
-
-    p = sub.add_parser("verify-lds", help="divisor-pair scan of the coordinate columns")
-    common(p)
-    p.add_argument("--basis", choices=("power", "quartic-power", "quartic-full"))
-    p.add_argument("--basis-file", help="JSON basis report to reuse")
-    p.add_argument("--nmax", type=int, help="divisor pairs bound (default kmax)")
-    p.add_argument("--column", type=int, default=1, help="column deciding the exit code")
+    for name, text in (
+        ("emit-sequence", "generate coordinate sequences"),
+        ("verify-lds", "divisor-pair scan of the coordinate columns"),
+    ):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("--basis", choices=("power", "quartic-power", "quartic-full"))
+        p.add_argument("--basis-file", help="JSON basis report to reuse")
+        if name == "verify-lds":
+            p.add_argument("--nmax", type=int, help="divisor pairs bound (default kmax)")
+            p.add_argument("--column", type=int, default=1, help="column deciding the exit code")
 
     p = sub.add_parser("dk-scan", help="congruence sequence d_k and related scans")
     common(p, beta=False)
@@ -522,19 +468,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(namespace: argparse.Namespace) -> RunConfig:
-    fields = {k: v for k, v in vars(namespace).items() if v is not None}
-    fields["module_basis"] = fields.pop("module_basis", None)
-    return RunConfig(**{k: v for k, v in fields.items() if k in RunConfig.__dataclass_fields__})
-
-
-def run(config: RunConfig) -> int:
-    """Execute one command; deterministic output, documented exit codes."""
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        raise ValueError(f"unknown command {config.command!r}")
+def run(config: Namespace) -> int:
+    """Execute one command parsed by build_parser; deterministic output, documented exit codes."""
     try:
-        return handler(config)
+        return _COMMANDS[config.command](config)
     except ParseError as exc:
         sys.stderr.write(f"parse error {exc}\n")
         return 3
@@ -561,11 +498,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     # call only, since main also runs inside other programs
     get_limit = getattr(sys, "get_int_max_str_digits", None)
     if get_limit is None:  # interpreters older than the limit
-        return run(config_from_args(namespace))
+        return run(namespace)
     limit = get_limit()
     sys.set_int_max_str_digits(0)
     try:
-        return run(config_from_args(namespace))
+        return run(namespace)
     finally:
         sys.set_int_max_str_digits(limit)
 

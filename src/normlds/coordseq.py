@@ -42,11 +42,6 @@ class SequenceReport:
 
     terms: list[list[int]]
     charpoly: tuple[int, ...]  # ascending, monic; the recurrence all columns satisfy
-    beta: FieldElement | None = None
-    eps: FieldElement | None = None
-    basis: ModuleBasis | None = None
-    minimality: list["MinimalRecurrence"] | None = None
-    lds_verdicts: list["LdsVerdict"] | None = None
 
     @property
     def kmax(self) -> int:
@@ -152,7 +147,7 @@ def generate(beta: FieldElement, eps: FieldElement, w: ModuleBasis, kmax: int) -
         beta, eps, w, lambda k: f"non-integral coordinate at k={k}: beta*eps^k is outside the module"
     )
     rows = list(itertools.islice(steps, kmax + 1))
-    return SequenceReport(terms=rows, charpoly=tuple(charpoly), beta=beta, eps=eps, basis=w)
+    return SequenceReport(terms=rows, charpoly=tuple(charpoly))
 
 
 def _recurrence_steps(charpoly: Sequence[int]) -> list[tuple[int, int]]:
@@ -280,13 +275,3 @@ def verify_lds(column: Sequence[int], nmax: int) -> LdsVerdict:
                 rest //= p
     return LdsVerdict(True, None)
 
-
-def analyze(report: SequenceReport, nmax: int | None = None) -> SequenceReport:
-    """Fill per-column minimality and divisibility verdicts in place."""
-    if nmax is None:
-        nmax = report.kmax
-    report.minimality = [minimal_order(report.column(i)) for i in range(1, report.ncols + 1)]
-    report.lds_verdicts = [
-        verify_lds(report.column(i), min(nmax, report.kmax)) for i in range(1, report.ncols + 1)
-    ]
-    return report

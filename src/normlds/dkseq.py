@@ -311,15 +311,11 @@ def sparse_minpoly_scan(
 
 @dataclass
 class LevelScan:
-    """Indices k <= kmax with d_k = d_1, and their density. Exploratory only."""
+    """Indices k <= kmax with d_k = d_1. Exploratory only."""
 
     d1: int
     hits: list[int]
     kmax: int
-
-    @property
-    def density(self) -> Fraction:
-        return Fraction(len(self.hits), self.kmax)
 
 
 def dk_level_scan(seq: DkSequence) -> LevelScan:

@@ -25,12 +25,6 @@ class LucasParams:
             raise ValueError(f"parameters {self.p}, {self.q} must be coprime")
 
 
-@dataclass(frozen=True)
-class LucasSequence:
-    params: LucasParams
-    terms: tuple[int, ...]
-
-
 def _pair(params: LucasParams, k: int) -> tuple[int, int]:
     """(u_k, u_{k+1}) by binary doubling."""
     if k == 0:
@@ -54,44 +48,6 @@ def lucas_u(params: LucasParams, k: int) -> int:
             a, b = b, params.p * b - params.q * a
         return a
     return _pair(params, k)[0]
-
-
-def generate(params: LucasParams, count: int) -> LucasSequence:
-    """First `count` terms u_0 .. u_{count-1} as an immutable snapshot."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    terms = []
-    a, b = 0, 1
-    for _ in range(count):
-        terms.append(a)
-        a, b = b, params.p * b - params.q * a
-    return LucasSequence(params, tuple(terms))
-
-
-def companion_power(params: LucasParams, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """k-th power of [[P, -Q], [1, 0]], valid for k >= 1.
-
-    Equals [[u_{k+1}, -Q u_k], [u_k, -Q u_{k-1}]], which is the identity the
-    divisibility property rests on.
-    """
-    if k < 1:
-        raise ValueError("power identity needs k >= 1")
-    m = ((params.p, -params.q), (1, 0))
-    result = ((1, 0), (0, 1))
-
-    def mul(a, b):
-        return (
-            (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-            (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-        )
-
-    e = k
-    while e:
-        if e & 1:
-            result = mul(result, m)
-        m = mul(m, m)
-        e >>= 1
-    return result
 
 
 def odd_even_closed_form(params: LucasParams, a: int, k: int) -> int:

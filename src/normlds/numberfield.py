@@ -287,9 +287,6 @@ class FieldElement:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coords[1:])
 
-    def is_integral_vector(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
-
     def __repr__(self) -> str:
         return f"<{format_element(self)}>"
 
@@ -611,32 +608,10 @@ def parse_element(field: NumberField, text: str, var: str = "t") -> FieldElement
     return field.element(coords)
 
 
-def _format_coeff(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def format_element(a: FieldElement, var: str = "t") -> str:
+def _format_terms(terms: Iterable[tuple[int, Rational]], var: str) -> str:
+    """Render (power, coefficient) pairs in the given order, as in '-1/2 + 3*t^2'."""
     parts = []
-    for p, c in enumerate(a.coords):
-        if c == 0:
-            continue
-        mag = _format_coeff(abs(c))
-        if p == 0:
-            body = mag
-        else:
-            tpow = var if p == 1 else f"{var}^{p}"
-            body = tpow if mag == "1" else f"{mag}*{tpow}"
-        parts.append(("- " if c < 0 else "+ ") + body)
-    if not parts:
-        return "0"
-    head = parts[0].replace("+ ", "", 1).replace("- ", "-", 1)
-    return " ".join([head] + parts[1:])
-
-
-def format_polynomial(coeffs: Sequence[int], var: str = "x") -> str:
-    parts = []
-    for p in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[p]
+    for p, c in terms:
         if c == 0:
             continue
         mag = str(abs(c))
@@ -650,3 +625,11 @@ def format_polynomial(coeffs: Sequence[int], var: str = "x") -> str:
         return "0"
     head = parts[0].replace("+ ", "", 1).replace("- ", "-", 1)
     return " ".join([head] + parts[1:])
+
+
+def format_element(a: FieldElement, var: str = "t") -> str:
+    return _format_terms(enumerate(a.coords), var)
+
+
+def format_polynomial(coeffs: Sequence[int], var: str = "x") -> str:
+    return _format_terms(reversed(list(enumerate(coeffs))), var)

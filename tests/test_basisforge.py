@@ -3,12 +3,20 @@ import math
 import operator
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normlds.basisforge import _as_int_rows, _canonicalize_witness, snf_criterion_matrix
+from normlds import coordseq
+from normlds.basisforge import (
+    _as_int_rows,
+    _canonicalize_witness,
+    family_basis,
+    family_surd_basis,
+    snf_criterion_matrix,
+)
 from normlds.exactlinalg import IntMatrix, det, snf
-from normlds.numberfield import NumberField, parse_element
+from normlds.numberfield import ModuleBasis, NumberField, parse_element
 
 
 def canonicalize_witness_search(
@@ -115,3 +123,41 @@ def test_lift_is_primitive(entries, t_trace):
     crit = snf_criterion_matrix(b, t_trace)
     assert crit.scale == scale
     assert crit.y.apply(crit.lift_column) == z
+
+
+def family_closed_form_vectors(m: int) -> ModuleBasis:
+    """The explicit classical vectors {sqrt(mn), sqrt m + 2(m-1) sqrt(mn), 1, ...}.
+
+    They span the same module as family_basis(m) (the mutual change of basis is
+    unimodular), but their first coordinate sequence starts (0, 2, 2, 2(2m+3)),
+    which is incompatible with the recurrence x(k+4) = (4m+2) x(k+2) - x(k)
+    forced by the unit's minimal polynomial, so x1 over these vectors is not a
+    divisibility sequence (x1(3) already fails to divide x1(6) for m = 2).
+    Kept as an independent description of the module family_basis(m) spans.
+    """
+    surds = family_surd_basis(m)
+    one, sqrt_m, sqrt_n, sqrt_mn = surds.vectors
+    w1 = sqrt_mn
+    w2 = sqrt_m + sqrt_mn.scale(2 * (m - 1))
+    w3 = one
+    w4 = sqrt_m + sqrt_n - sqrt_mn.scale(2)
+    return ModuleBasis(surds.field, (w1, w2, w3, w4))
+
+
+# m and m + 1 both nonsquare
+VALID_M = [m for m in range(2, 60) if math.isqrt(m) ** 2 != m and math.isqrt(m + 1) ** 2 != m + 1]
+
+
+@pytest.mark.parametrize("m", VALID_M)
+def test_family_basis_is_an_lds_basis_of_the_closed_form_module(m):
+    cons = family_basis(m)
+    field = cons.basis.field
+    x1 = coordseq.generate(field.one, field.generator, cons.basis, 120).column(1)
+    a = cons.scale
+    assert x1[:4] == [0, a, a, a * (4 * m + 3)]
+    assert coordseq.verify_lds(x1, 120).ok
+    # the closed-form vectors have integral coordinates over the construction's
+    # basis and the change of basis has det +-1, so both span one module
+    rows = [cons.basis.coords(v) for v in family_closed_form_vectors(m).vectors]
+    assert all(c.denominator == 1 for row in rows for c in row)
+    assert det(IntMatrix.from_rows([[int(c) for c in row] for row in rows])) in (1, -1)

@@ -368,3 +368,58 @@ UNREAD_OPTIONS = [
 @pytest.mark.parametrize("argv, error", UNREAD_OPTIONS, ids=[e for _, e in UNREAD_OPTIONS])
 def test_options_that_would_go_unread_are_refused(argv, error):
     assert run_main(argv) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("method", ["quartic-power", "quartic-full"])
+def test_construct_basis_and_emit_sequence_build_one_basis(method):
+    _, built, _ = run_cli(["construct-basis", "--method", method, *QUARTIC])
+    _, emitted, _ = run_cli(["emit-sequence", *QUARTIC, "--basis", method, "--kmax", "8"])
+    assert json.loads(built)["basis"] == json.loads(emitted)["basis"]
+
+
+@pytest.mark.parametrize(
+    "spec, error",
+    [("5..2", "m range 5..2 is empty"),
+     ("-2..1", "m range -2..1 starts below 2, where the family begins")],
+)
+def test_family_scan_refuses_a_range_outside_the_family(monkeypatch, spec, error):
+    def refuse(m):
+        raise AssertionError("constructed although the range is refused")
+
+    monkeypatch.setattr(basisforge, "family_basis", refuse)
+    rc, out, err = run_cli(["family-scan", f"--m-range={spec}", "--kmax", "20"])
+    assert (rc, out, err) == (2, "", f"error: {error}\n")
+
+
+QUADRATIC_FILE = Path(__file__).parent / "golden" / "construct-basis.quadratic.json.out"
+
+
+@pytest.mark.parametrize(
+    "elements, error",
+    [(["--unit", "2+t"], "beta 3 + t, not 1"),
+     (["--unit", "2+t", "--beta", "1+t"], "beta 3 + t, not 1 + t"),
+     (["--unit", "7+4t", "--beta", "3+t"], "unit 2 + t, not 7 + 4*t")],
+)
+def test_basis_file_refuses_another_unit_or_beta(elements, error):
+    argv = ["emit-sequence", "--field", "x^2-3", *elements, "--basis-file", str(QUADRATIC_FILE),
+            "--kmax", "5"]
+    assert run_cli(argv) == (2, "", f"error: basis file was built for {error}\n")
+
+
+def test_basis_file_compares_elements_not_their_text():
+    argv = ["emit-sequence", "--field", "x^2-3", "--unit", "t+2", "--beta", "6/2+t",
+            "--basis-file", str(QUADRATIC_FILE), "--kmax", "5"]
+    rc, out, err = run_cli(argv)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["beta"] == "3 + t"
+
+
+def test_basis_file_of_a_family_report_takes_any_unit_and_beta(tmp_path):
+    path = tmp_path / "family.json"
+    rc, _, _ = run_cli(["construct-basis", "--method", "family", "--m", "5", "--out", str(path)])
+    assert rc == 0
+    field = json.loads(path.read_text())["field"].replace(" ", "")
+    rc, out, err = run_cli(["emit-sequence", "--field", field, "--unit", "t", "--beta", "2",
+                            "--basis-file", str(path), "--kmax", "8"])
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["basis_source"] == "file"

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from normlds.coordseq import (
-    analyze,
+    LdsVerdict,
     divides,
     generate,
     minimal_order,
@@ -183,11 +183,11 @@ def test_degenerate_trace_sequence_is_zero():
     assert minimal_order(seq).order == 0
 
 
-def test_analyze_fills_verdicts():
+def test_minimality_and_verdicts_of_each_column():
     eps = SQRT2.element([3, 2])
-    rep = analyze(generate(SQRT2.one, eps, SQRT2.power_basis(), 30))
-    assert rep.minimality is not None and rep.lds_verdicts is not None
-    assert all(m.order == 2 for m in rep.minimality)
+    rep = generate(SQRT2.one, eps, SQRT2.power_basis(), 30)
+    columns = [rep.column(i) for i in range(1, rep.ncols + 1)]
+    assert all(minimal_order(c).order == 2 for c in columns)
     # x1 = 1, 3, 17, ... fails immediately; x2 = 0, 2, 12, 70, ... is 2*u_k
-    assert rep.lds_verdicts[0] == rep.lds_verdicts[0].__class__(False, (1, 2))
-    assert rep.lds_verdicts[1].ok
+    assert verify_lds(columns[0], 30) == LdsVerdict(False, (1, 2))
+    assert verify_lds(columns[1], 30).ok

@@ -3,23 +3,54 @@ import random
 
 import pytest
 
-from normlds.lucas import (
-    LucasParams,
-    companion_power,
-    generate,
-    lucas_u,
-    odd_even_closed_form,
-    odd_index_square_identity,
-)
+from normlds.lucas import LucasParams, lucas_u, odd_even_closed_form, odd_index_square_identity
 from normlds.numberfield import NumberField
 
 
+def iterate(params, count):
+    """u_0 .. u_{count-1} by the recurrence, the oracle for the doubling in lucas_u."""
+    terms = []
+    a, b = 0, 1
+    for _ in range(count):
+        terms.append(a)
+        a, b = b, params.p * b - params.q * a
+    return tuple(terms)
+
+
+def companion_power(params: LucasParams, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """k-th power of [[P, -Q], [1, 0]], valid for k >= 1.
+
+    Equals [[u_{k+1}, -Q u_k], [u_k, -Q u_{k-1}]], which is the identity the
+    divisibility property rests on.
+    """
+    if k < 1:
+        raise ValueError("power identity needs k >= 1")
+    m = ((params.p, -params.q), (1, 0))
+    result = ((1, 0), (0, 1))
+
+    def mul(a, b):
+        return (
+            (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
+            (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
+        )
+
+    e = k
+    while e:
+        if e & 1:
+            result = mul(result, m)
+        m = mul(m, m)
+        e >>= 1
+    return result
+
+
 def test_fibonacci_prefix():
-    assert generate(LucasParams(1, -1), 10).terms == (0, 1, 1, 2, 3, 5, 8, 13, 21, 34)
+    params = LucasParams(1, -1)
+    assert [lucas_u(params, k) for k in range(10)] == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
 
 
 def test_p10_prefix():
-    assert generate(LucasParams(10, 1), 5).terms == (0, 1, 10, 99, 980)
+    params = LucasParams(10, 1)
+    assert [lucas_u(params, k) for k in range(5)] == [0, 1, 10, 99, 980]
 
 
 def test_u0_is_zero():
@@ -29,7 +60,7 @@ def test_u0_is_zero():
 
 def test_doubling_agrees_with_iteration():
     params = LucasParams(4, -7)
-    terms = generate(params, 260).terms
+    terms = iterate(params, 260)
     for k in (65, 100, 200, 259):
         assert lucas_u(params, k) == terms[k]
 
@@ -44,7 +75,7 @@ def test_parameter_validation():
 def test_matrix_identity():
     for p, q in [(10, 1), (1, -1), (5, -3), (3, 2)]:
         params = LucasParams(p, q)
-        terms = generate(params, 52).terms
+        terms = iterate(params, 52)
         for k in range(1, 51):
             assert companion_power(params, k) == (
                 (terms[k + 1], -q * terms[k]),
@@ -60,7 +91,7 @@ def test_divisibility_up_to_200():
         if p == 0 or q == 0 or math.gcd(p, q) != 1:
             continue
         tried += 1
-        terms = generate(LucasParams(p, q), 201).terms
+        terms = iterate(LucasParams(p, q), 201)
         for m in range(1, 201):
             for mn in range(m, 201, m):
                 assert terms[m] == 0 and terms[mn] == 0 or terms[mn] % terms[m] == 0
