@@ -18,6 +18,7 @@ import json
 import sys
 from argparse import Namespace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, NoReturn, Sequence
 
 from . import basisforge, coordseq, dkseq
@@ -92,6 +93,12 @@ def _basis_from_file(
 ) -> ModuleBasis:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    for key in ("field", "basis"):
+        if not isinstance(doc, dict) or key not in doc:
+            raise ValueError(
+                f"basis file {path} is not a construct-basis or family report:"
+                f" it has no {key!r} key"
+            )
     if NumberField(parse_polynomial(doc["field"], "x")) != field:
         raise ValueError("basis file was produced for a different field")
     # a construct-basis report names the unit and beta its basis was built for;
@@ -149,9 +156,75 @@ def _resolve_basis(
     return cons.basis, meta
 
 
+# a JSON scalar other than a string, as json.dumps writes it
+_SCALAR_JSON = json.JSONEncoder().encode
+_DECIMAL_CHARS = b"-0123456789"
+
+
+def _is_decimal_text(item: Any) -> bool:
+    """Whether item is a string of '-' and digits only, which is its own JSON body."""
+    return (
+        isinstance(item, str)
+        and item.isascii()
+        and not item.encode().translate(None, _DECIMAL_CHARS)
+    )
+
+
+def _json_fragments(value: Any, out: list[str], newline: str) -> None:
+    """Append the fragments of json.dumps(value, indent=2, sort_keys=True) to out.
+
+    newline is the line break and indent of value's own line. Dict keys must be
+    strings. A list whose items are all decimal strings, such as a column of
+    terms, is written without escaping each of them.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(map(_is_decimal_text, value)):
+            sep, quoted_sep = "[" + inner + '"', '",' + inner + '"'
+            for item in value:
+                out.append(sep)
+                out.append(item)
+                sep = quoted_sep
+            out.append('"' + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _json_fragments(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _json_fragments(value[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(_SCALAR_JSON(value))
+
+
+def _json_text(payload: Any) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True), byte for byte, joined once."""
+    out: list[str] = []
+    _json_fragments(payload, out, "\n")
+    return "".join(out)
+
+
 def _emit(config: Namespace, payload: dict[str, Any], csv_lines: list[str] | None = None) -> None:
     if config.fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json_text(payload) + "\n"
     elif config.fmt == "csv":
         assert csv_lines is not None, "commands without a csv form refuse it first"
         text = "\n".join(csv_lines) + "\n"
@@ -336,9 +409,13 @@ def _parse_m_range(spec: str) -> range:
 
 
 def _cmd_family_scan(config: Namespace) -> int:
+    m_range = _parse_m_range(config.m_range)
+    # each row reports the initial conditions x1(0..3)
+    if config.kmax < 3:
+        raise ValueError(f"--kmax {config.kmax} must be at least 3")
     rows = []
     any_fail = False
-    for m in _parse_m_range(config.m_range):
+    for m in m_range:
         try:
             cons = basisforge.family_basis(m)
         except ValueError as exc:

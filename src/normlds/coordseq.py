@@ -2,26 +2,30 @@
 
 coordinate_rows() is the one sequence kernel of the package. It builds the
 matrix of y -> eps*y over the basis once (step_matrix), cleared to an integer
-matrix M with a common denominator D, and steps x(k+1) = M x(k) / D in
-integers (step_rows), with an exact divisibility check on every entry.
+matrix M with a common denominator D and stored by columns, and steps
+x(k+1) = M x(k) / D in integers (step_rows): each nonzero x_j(k) adds its
+multiple of column j of M, and every entry is checked for exact division by D.
 generate() and the d_k sequences of dkseq all run on it. generate() returns
 the rows together with the recurrence inherited from the minimal polynomial
 of eps.
 
-The checks are independent of the kernel: verify_recurrence tests the
-characteristic recurrence termwise, verify_lds finds the first failing divisor
-pair through prime steps, and minimal_order fits least-order recurrences by
-exact linear algebra.
+The checks are independent of the kernel. verify_recurrence tests the
+characteristic recurrence column by column, one list pass per nonzero
+coefficient; verify_lds finds the first failing divisor pair through prime
+steps; minimal_order fits least-order recurrences by exact linear algebra.
 
 decimal_rows() renders the terms as decimal strings through the same
-recurrence, in exact decimal arithmetic: str() of a large int is quadratic in
-its digit count, while each recurrence step and str() of a Decimal are linear.
+recurrence, column by column in exact decimal arithmetic: str() of a large int
+is quadratic in its digit count, while each recurrence step and str() of a
+Decimal are linear.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections import deque
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, Rounded
 from fractions import Fraction
@@ -70,23 +74,19 @@ class LdsVerdict:
 class StepMatrix(NamedTuple):
     """The matrix of y -> eps*y over a basis, cleared to integers: M = D * (that matrix)."""
 
-    rows: list[list[tuple[int, int]]]  # per output coordinate i, the nonzero (j, M[i][j])
+    columns: list[list[tuple[int, int]]]  # per input coordinate j, the nonzero (i, M[i][j])
     denom: int  # D, the least common denominator
 
 
 def step_matrix(eps: FieldElement, w: ModuleBasis) -> StepMatrix:
-    """The integer step matrix of eps over w and its common denominator."""
+    """The integer step matrix of eps over w, by columns, and its common denominator."""
     if eps.field != w.field:
         raise ValueError("element from a different field")
     # column j of the step matrix holds the coordinates of eps * w_j
     step = [w.coords(eps * v) for v in w.vectors]
     denom = math.lcm(*(c.denominator for col in step for c in col))
-    n = len(step)
-    rows = [
-        [(j, int(step[j][i] * denom)) for j in range(n) if step[j][i]]
-        for i in range(n)
-    ]
-    return StepMatrix(rows, denom)
+    columns = [[(i, int(c * denom)) for i, c in enumerate(col) if c] for col in step]
+    return StepMatrix(columns, denom)
 
 
 def step_rows(x: list[int], step: StepMatrix, error: Callable[[int], str]) -> Iterator[list[int]]:
@@ -94,12 +94,17 @@ def step_rows(x: list[int], step: StepMatrix, error: Callable[[int], str]) -> It
 
     The first row k with a remainder raises ValueError(error(k)).
     """
-    rows, denom = step
+    columns, denom = step
+    n = len(columns)
     k = 0
     while True:
         yield x
         k += 1
-        nxt = [sum(m * x[j] for j, m in row) for row in rows]
+        nxt = [0] * n
+        for xj, column in zip(x, columns):
+            if xj:
+                for i, m in column:
+                    nxt[i] += m * xj
         if denom != 1:
             for i, value in enumerate(nxt):
                 q, r = divmod(value, denom)
@@ -163,12 +168,13 @@ def verify_recurrence(report: SequenceReport) -> bool:
     if report.kmax < d:
         raise ValueError("not enough terms to test the recurrence")
     steps = _recurrence_steps(report.charpoly)
-    terms = report.terms
-    for k in range(d, len(terms)):
-        want = [0] * len(terms[k])
+    n = len(report.terms)
+    for column in zip(*report.terms):
+        # want[k - d] = sum_j s_j x(k - j) for k = d..n-1, one pass per nonzero s_j
+        want = [0] * (n - d)
         for j, s in steps:
-            want = [w + s * x for w, x in zip(want, terms[k - j])]
-        if want != terms[k]:
+            want = list(map(operator.add, want, map(s.__mul__, column[d - j : n - j])))
+        if want != list(column[d:]):
             return False
     return True
 
@@ -176,31 +182,31 @@ def verify_recurrence(report: SequenceReport) -> bool:
 def decimal_rows(report: SequenceReport) -> list[list[str]]:
     """The terms as decimal strings, rendered in time linear in their digit count.
 
-    Only the first d rows (d the degree of the charpoly) are converted with
-    str(); every later term is computed by the characteristic recurrence in
-    exact decimal arithmetic, holding a window of d values per column. The
-    strings equal str(x) for every term exactly when the report satisfies its
-    recurrence, which verify_recurrence decides.
+    Only the first d terms of each column (d the degree of the charpoly) are
+    converted with str(); every later term is computed by the characteristic
+    recurrence in exact decimal arithmetic, holding a window of d values of
+    one column at a time. The strings equal str(x) for every term exactly when
+    the report satisfies its recurrence, which verify_recurrence decides.
     """
     d = len(report.charpoly) - 1
-    terms = report.terms
-    rows = [[str(x) for x in row] for row in terms[:d]]
+    n = len(report.terms)
     steps = [(j, Decimal(s)) for j, s in _recurrence_steps(report.charpoly)]
-    windows = [[Decimal(x) for x in column] for column in zip(*terms[:d])]
     # each value starts from +0, and an exact sum that cancels is +0, so no term
     # prints as -0 (a bare product of 0 and a negative s_j would)
     fma, zero = _EXACT.fma, Decimal(0)
-    for _ in range(d, len(terms)):
-        row = []
-        for window in windows:
+    columns = []
+    for column in zip(*report.terms):
+        head = column[:d]
+        text = list(map(str, head))
+        window = deque(map(Decimal, head), maxlen=d)
+        for _ in range(d, n):
             value = zero
             for j, s in steps:
                 value = fma(s, window[-j], value)
-            del window[0]
             window.append(value)
-            row.append(str(value))
-        rows.append(row)
-    return rows
+            text.append(str(value))
+        columns.append(text)
+    return list(map(list, zip(*columns)))
 
 
 def minimal_order(column: Sequence[int], max_order: int | None = None) -> MinimalRecurrence:
@@ -268,7 +274,9 @@ def verify_lds(column: Sequence[int], nmax: int) -> LdsVerdict:
         rest = m
         while rest > 1:
             p = spf[rest]
-            if not divides(terms[m // p], terms[m]):
+            # divides(terms[m // p], terms[m]), inline
+            a = terms[m // p]
+            if terms[m] % a if a else terms[m]:
                 n = next(n for n in range(1, m) if m % n == 0 and not divides(terms[n], terms[m]))
                 return LdsVerdict(False, (n, m))
             while rest % p == 0:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -124,7 +125,7 @@ def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSeq
             y = next(ys)
         else:
             x = next(xs)
-        terms.append(math.gcd(*(a - b for a, b in zip(x, y))))
+        terms.append(math.gcd(*map(operator.sub, x, y)))
     return DkSequence(
         alpha=alpha, ringbasis=ringbasis, terms=terms, t_trace=_quadratic_unit_trace(mp)
     )
@@ -151,10 +152,9 @@ def dk_recurrence_check(seq: DkSequence, kmax: int) -> bool:
     if kmax > len(seq.terms):
         raise ValueError(f"sequence holds only {len(seq.terms)} terms")
     t = seq.t_trace
-    for k in range(1, kmax - 3):
-        if seq.dk(k + 4) != t * seq.dk(k + 2) - seq.dk(k):
-            return False
-    return True
+    terms = seq.terms[:kmax]
+    # (d_k, d_{k+2}, d_{k+4}) for k = 1..kmax-4
+    return all(e == t * c - a for a, c, e in zip(terms, terms[2:], terms[4:]))
 
 
 @dataclass

@@ -13,9 +13,11 @@ from normlds.basisforge import (
     _canonicalize_witness,
     family_basis,
     family_surd_basis,
+    quad_construct,
     snf_criterion_matrix,
 )
 from normlds.exactlinalg import IntMatrix, det, snf
+from normlds.lucas import LucasParams, lucas_u
 from normlds.numberfield import ModuleBasis, NumberField, parse_element
 
 
@@ -161,3 +163,20 @@ def test_family_basis_is_an_lds_basis_of_the_closed_form_module(m):
     rows = [cons.basis.coords(v) for v in family_closed_form_vectors(m).vectors]
     assert all(c.denominator == 1 for row in rows for c in row)
     assert det(IntMatrix.from_rows([[int(c) for c in row] for row in rows])) in (1, -1)
+
+
+@given(
+    st.integers(2, 200),
+    st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(any),
+)
+@settings(max_examples=60, deadline=None)
+def test_quad_construct_x1_is_a_scaled_lucas_sequence(n, beta_coords):
+    # the Pell field x^2 - (n^2 - 1) with the norm-1 unit n + t of trace T = 2n
+    field = NumberField((1 - n * n, 0, 1))
+    unit, beta = field.element([n, 1]), field.element(list(beta_coords))
+    cons = quad_construct(field.power_basis(), beta, unit)
+    assert cons.t_trace == 2 * n
+    x1 = coordseq.generate(beta, unit, cons.basis, 60).column(1)
+    lucas = LucasParams(cons.t_trace, 1)
+    assert x1 == [cons.scale * lucas_u(lucas, k) for k in range(61)]
+    assert coordseq.verify_lds(x1, 60).ok

@@ -423,3 +423,38 @@ def test_basis_file_of_a_family_report_takes_any_unit_and_beta(tmp_path):
                             "--basis-file", str(path), "--kmax", "8"])
     assert (rc, err) == (0, "")
     assert json.loads(out)["basis_source"] == "file"
+
+
+@pytest.mark.parametrize(
+    "content, key",
+    [(None, "basis"), ("[1, 2]", "field"), ("7", "field"),
+     ('{"basis": [["1", "0"], ["0", "1"]]}', "field")],
+)
+def test_basis_file_that_is_not_a_basis_report(tmp_path, content, key):
+    path = tmp_path / "report.json"
+    if content is None:  # a dk-scan report: it names the field but has no basis
+        rc, _, _ = run_cli(["dk-scan", "--field", "x^2-3", "--alpha", "2+t", "--kmax", "5",
+                            "--out", str(path)])
+        assert rc == 0
+    else:
+        path.write_text(content)
+    argv = ["emit-sequence", "--field", "x^2-3", "--unit", "2+t", "--basis-file", str(path),
+            "--kmax", "5"]
+    error = f"basis file {path} is not a construct-basis or family report: it has no {key!r} key"
+    assert run_cli(argv) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("kmax", [-1, 0, 1, 2])
+def test_family_scan_refuses_kmax_below_3(monkeypatch, kmax):
+    def refuse(m):
+        raise AssertionError("constructed although kmax is refused")
+
+    monkeypatch.setattr(basisforge, "family_basis", refuse)
+    rc, out, err = run_cli(["family-scan", "--m-range", "2..3", f"--kmax={kmax}"])
+    assert (rc, out, err) == (2, "", f"error: --kmax {kmax} must be at least 3\n")
+
+
+def test_family_scan_reports_four_initial_conditions_at_kmax_3():
+    rc, out, err = run_cli(["family-scan", "--m-range", "2..2", "--kmax", "3"])
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["rows"][0]["ics"] == ["0", "2", "2", "22"]

@@ -1,0 +1,65 @@
+"""The report writer of the CLI against json.dumps(indent=2, sort_keys=True)."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from normlds import cli
+
+# strings of '-' and digits only: the writer copies these without escaping
+DECIMAL_TEXT = st.one_of(
+    st.from_regex(r"-?[0-9]{0,40}", fullmatch=True),
+    st.sampled_from(["", "-", "-0", "--", "0-1", "-12345678901234567890"]),
+)
+# quotes, backslashes, control characters, non-ASCII and a lone surrogate,
+# alone and beside digits
+SPECIAL = ['"', "\\", '12"3', "1\\2", "\n\t\x00\x1f\x7f", "1\n", "é", "-1é", " ",
+           "\U0001f600", "\ud800", "1/2", "1 2", "+3", "١٢"]
+STRINGS = st.one_of(st.text(max_size=12), DECIMAL_TEXT, st.sampled_from(SPECIAL))
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), STRINGS)
+
+
+def containers(inner):
+    return st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=5),
+        st.lists(DECIMAL_TEXT, max_size=6),
+        st.lists(st.one_of(DECIMAL_TEXT, st.integers()), max_size=6),
+    )
+
+
+PAYLOADS = st.recursive(SCALARS, containers, max_leaves=40)
+
+
+@given(PAYLOADS)
+@settings(max_examples=500, deadline=None)
+def test_writer_matches_json_dumps(payload):
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("text", SPECIAL)
+def test_a_special_string_among_decimal_ones(text):
+    for payload in ([text], ["12", text], [text, "-3"], {"k": ["0", text, "-"]}):
+        assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_empty_and_nested_containers():
+    payload = {"b": [], "a": {}, "c": [[], {}, [["-1", "2"], ["", "-"]]], "d": {"e": {"f": []}}}
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_decimal_columns_skip_the_string_escaper(monkeypatch):
+    escaped = []
+
+    def escape(text):
+        escaped.append(text)
+        return json.encoder.encode_basestring_ascii(text)
+
+    monkeypatch.setattr(cli, "encode_basestring_ascii", escape)
+    payload = {"terms": [["1", "-20"], ["300", "0"]], "dk": ["7", "-8"], "name": "x^2 - 3"}
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    # the keys and the one non-decimal string, not the terms
+    assert sorted(escaped) == ["dk", "name", "terms", "x^2 - 3"]

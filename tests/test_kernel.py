@@ -24,7 +24,7 @@ from normlds.coordseq import (
     verify_lds,
     verify_recurrence,
 )
-from normlds.dkseq import dk, dk_recurrence_check, dk_sequence, sparse_minpoly_scan
+from normlds.dkseq import CheckRefused, dk, dk_recurrence_check, dk_sequence, sparse_minpoly_scan
 from normlds.numberfield import ModuleBasis, NumberField
 
 QUADRATICS = [(-2, 0, 1), (-3, 0, 1), (-5, 0, 1), (1, 0, 1), (-1, -1, 1), (-7, 0, 1)]
@@ -241,6 +241,57 @@ def sparse_rows_oracle(field, t, nmax, assert_monogenic):
             rows.append((n, coords[0], d_tilde, d_tilde if assert_monogenic else None))
         power = power * field.generator
     return rows
+
+
+def termwise_dk_recurrence(seq, kmax):
+    """d_{k+4} = T d_{k+2} - d_k through seq.dk(): the loop dk_recurrence_check replaced."""
+    for k in range(1, kmax - 3):
+        if seq.dk(k + 4) != seq.t_trace * seq.dk(k + 2) - seq.dk(k):
+            return False
+    return True
+
+
+# nontorsion quadratic units of norm 1, so that the recurrence check applies
+DK_NORM_ONE = [(alpha, ring) for alpha, ring in DK_SPECIAL[:2] + DK_SPECIAL[7:8]]
+
+
+class TestDkRecurrenceCheck:
+    @given(st.sampled_from(DK_NORM_ONE), st.integers(1, 3), st.booleans(), st.integers(1, 40),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_verdict_matches_termwise_loop(self, case, e, negate, kmax, data):
+        alpha, ring = case
+        power = -(alpha**e) if negate else alpha**e
+        seq = dk_sequence(power, ring, 40)
+        holds = termwise_dk_recurrence(seq, kmax)
+        assert dk_recurrence_check(seq, kmax) is holds
+        # one term raised (a gcd stays positive, so no term becomes 0 and reads as
+        # torsion): from kmax = 6 on, every term through d_kmax is read
+        i = data.draw(st.integers(0, 39))
+        seq.terms[i] += data.draw(st.integers(1, 3))
+        want = termwise_dk_recurrence(seq, kmax)
+        if holds and i >= kmax:
+            assert want is True
+        elif holds and kmax >= 6:
+            assert want is False
+        assert dk_recurrence_check(seq, kmax) is want
+
+    @pytest.mark.parametrize("kmax", [6, 7, 40])
+    def test_every_raised_term_through_kmax_fails(self, kmax):
+        alpha, ring = DK_SPECIAL[0]
+        for i in range(40):
+            seq = dk_sequence(alpha, ring, 40)
+            seq.terms[i] += 1
+            assert dk_recurrence_check(seq, kmax) is termwise_dk_recurrence(seq, kmax) is (i >= kmax)
+
+    def test_refusals_and_short_sequences(self):
+        alpha, ring = DK_SPECIAL[0]
+        seq = dk_sequence(alpha, ring, 6)
+        with pytest.raises(ValueError, match="holds only 6 terms"):
+            dk_recurrence_check(seq, 7)
+        for bad in [DK_SPECIAL[2], DK_SPECIAL[12]]:  # norm -1, torsion
+            with pytest.raises(CheckRefused):
+                dk_recurrence_check(dk_sequence(*bad, 6), 6)
 
 
 class TestSparseScan:
