@@ -175,7 +175,9 @@ def _json_fragments(value: Any, out: list[str], newline: str) -> None:
 
     newline is the line break and indent of value's own line. Dict keys must be
     strings. A list whose items are all decimal strings, such as a column of
-    terms, is written without escaping each of them.
+    terms, is written without escaping each of them: escaping thousand-digit
+    terms is most of what json.dumps spends on a report, and testing an item
+    for '-' and digits costs about half of escaping it.
     """
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))

@@ -274,9 +274,7 @@ def verify_lds(column: Sequence[int], nmax: int) -> LdsVerdict:
         rest = m
         while rest > 1:
             p = spf[rest]
-            # divides(terms[m // p], terms[m]), inline
-            a = terms[m // p]
-            if terms[m] % a if a else terms[m]:
+            if not divides(terms[m // p], terms[m]):
                 n = next(n for n in range(1, m) if m % n == 0 and not divides(terms[n], terms[m]))
                 return LdsVerdict(False, (n, m))
             while rest % p == 0:
