@@ -12,7 +12,7 @@ of eps.
 The checks are independent of the kernel. verify_recurrence tests the
 characteristic recurrence column by column, one list pass per nonzero
 coefficient; verify_lds finds the first failing divisor pair through prime
-steps; minimal_order fits least-order recurrences by exact linear algebra.
+steps.
 
 decimal_rows() renders the terms as decimal strings through the same
 recurrence, column by column in exact decimal arithmetic: str() of a large int
@@ -28,10 +28,9 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, Rounded
-from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .numberfield import FieldElement, ModuleBasis, min_poly, solve_linear
+from .numberfield import FieldElement, ModuleBasis, min_poly
 
 # exact integer arithmetic in decimal: any rounding raises instead of happening;
 # a private context, so the caller's decimal.getcontext() is never touched
@@ -58,11 +57,6 @@ class SequenceReport:
     def column(self, i: int) -> list[int]:
         """Column i, 1-indexed to match the x_i naming."""
         return [row[i - 1] for row in self.terms]
-
-
-class MinimalRecurrence(NamedTuple):
-    order: int
-    coeffs: tuple[Fraction, ...]  # x(k+d) = sum coeffs[j] * x(k+d-1-j)
 
 
 @dataclass(frozen=True)
@@ -207,36 +201,6 @@ def decimal_rows(report: SequenceReport) -> list[list[str]]:
             text.append(str(value))
         columns.append(text)
     return list(map(list, zip(*columns)))
-
-
-def minimal_order(column: Sequence[int], max_order: int | None = None) -> MinimalRecurrence:
-    """Least-order homogeneous linear recurrence fitting all given terms.
-
-    Searches rational-coefficient recurrences by exact consistency of the shifted
-    linear system, so minimality does not depend on integrality. The certifiable
-    orders are bounded by (len(column) - 2) // 2; asking beyond that raises.
-    """
-    terms = [int(x) for x in column]
-    certifiable = (len(terms) - 2) // 2
-    if max_order is None:
-        max_order = certifiable
-    if max_order > certifiable:
-        raise ValueError(
-            f"{len(terms)} terms certify order at most {certifiable}, not {max_order}"
-        )
-    if all(x == 0 for x in terms):
-        return MinimalRecurrence(0, ())
-    for d in range(1, max_order + 1):
-        # unknowns c_1..c_d with x(k+d) = sum_j c_j x(k+d-j) for every window
-        cols = [
-            [Fraction(terms[k + d - j]) for k in range(len(terms) - d)]
-            for j in range(1, d + 1)
-        ]
-        rhs = [Fraction(terms[k + d]) for k in range(len(terms) - d)]
-        sol = solve_linear(cols, rhs)
-        if sol is not None:
-            return MinimalRecurrence(d, tuple(sol))
-    raise ValueError(f"no recurrence of order <= {max_order} fits the terms")
 
 
 def divides(a: int, b: int) -> bool:

@@ -4,7 +4,8 @@ Over a ring with basis {1, w2, ..., wn} the maximum is a gcd of shifted
 coordinates: d_k = gcd(x1(k) - 1, x2(k), ..., xn(k)), the content of
 x(k) - e1 where x(k) = M^k e1 and M is the integer step matrix of alpha.
 dk_sequence and sparse_minpoly_scan step those coordinates with the integer
-step-matrix kernel of coordseq, one small integer matrix-vector product per k;
+step-matrix kernel of coordseq, one small integer matrix-vector product per
+row they use;
 dk() computes one term from alpha**k in the field and serves as the
 independent check.
 
@@ -23,12 +24,10 @@ discriminants.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .coordseq import coordinate_rows, step_matrix, step_rows
 from .exactlinalg import IntMatrix, complete_primitive, det, inverse_unimodular
@@ -85,12 +84,6 @@ def dk(alpha: FieldElement, ringbasis: ModuleBasis, k: int) -> int:
     if any(c.denominator != 1 for c in coords):
         raise ValueError(_non_integral(k))
     return math.gcd(int(coords[0]) - 1, *map(int, coords[1:]))
-
-
-def _power_rows(alpha: FieldElement, basis: ModuleBasis, kmax: int) -> Iterator[list[int]]:
-    """Integer coordinates of alpha^k over basis for k = 1..kmax; basis must hold 1."""
-    rows = coordinate_rows(basis.field.one, alpha, basis, _non_integral)
-    return itertools.islice(rows, 1, max(kmax, 0) + 1)
 
 
 def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSequence:
@@ -282,7 +275,8 @@ def sparse_minpoly_scan(
     Requires f = X^deg - s_1 X^(deg-1) - ... with s_i = 0 for every i outside tZ.
     For such f the power coordinate y1(n) of alpha^n vanishes on 1 + tZ, which
     forces the relative d~_n = gcd(y1-1, y2, ...) to 1; under the monogenic
-    assertion d_n itself is 1.
+    assertion d_n itself is 1. The rows are alpha * (alpha^t)^i, stepped by the
+    integer step matrix of alpha^t.
     """
     deg = field.degree
     if t <= 0 or deg % t != 0:
@@ -294,18 +288,20 @@ def sparse_minpoly_scan(
                 f"coefficient pattern violated: s_{i} = {-field.coeffs[deg - i]} is nonzero"
             )
     disc = discriminant_power_basis(field)
+    alpha = field.generator
+    # row i is alpha * (alpha^t)^i = alpha^n for n = 1 + t*i <= nmax
+    steps = coordinate_rows(alpha, alpha**t, field.power_basis(), _non_integral)
     rows = []
-    for n, coords in enumerate(_power_rows(field.generator, field.power_basis(), nmax), 1):
-        if n % t == 1 or t == 1:
-            d_tilde = math.gcd(coords[0] - 1, *coords[1:])
-            rows.append(
-                SparseScanRow(
-                    n=n,
-                    y1=coords[0],
-                    d_tilde=d_tilde,
-                    d=d_tilde if assert_monogenic else None,
-                )
+    for n, coords in zip(range(1, nmax + 1, t), steps):
+        d_tilde = math.gcd(coords[0] - 1, *coords[1:])
+        rows.append(
+            SparseScanRow(
+                n=n,
+                y1=coords[0],
+                d_tilde=d_tilde,
+                d=d_tilde if assert_monogenic else None,
             )
+        )
     return SparseScanReport(t=t, disc=disc, monogenic_asserted=assert_monogenic, rows=rows)
 
 

@@ -1,20 +1,29 @@
 """Exact arithmetic in K = Q[X]/(f) for monic irreducible integer f, deg 2..4.
 
-Elements are rational coordinate vectors over the power basis {1, t, ..., t^(n-1)}
-where t is the residue class of X. Norm and trace are computed from the
-multiplication matrix, so no floating point or embeddings appear anywhere; the
-norm is the Bareiss determinant of that matrix cleared of its denominators.
+An element is a vector of integer numerators over one positive denominator,
+num/den, on the power basis {1, t, ..., t^(n-1)} where t is the residue class
+of X, kept in lowest terms: gcd(den, *num) = 1. Sums, products and scalings
+work on the numerators and multiply or combine the denominators, so no
+Fraction is built until a caller reads coordinates. Products reduce by the
+integer rows of t^n, ..., t^(2n-2).
+
+Norm, trace, minimal polynomial and inverse come from the integer matrix of
+y -> num*y, so no floating point or embeddings appear anywhere: the norm is its
+Bareiss determinant, and one Faddeev-LeVerrier pass gives its characteristic
+polynomial, whose squarefree part is the minimal polynomial, and its adjugate,
+which gives the inverse (Cohen, GTM 138, sections 2.2 and 4.2).
 
 A ModuleBasis clears its matrix of denominators once, A = D*B, and caches the
 integer inverse of A from one fraction-free Gauss-Jordan pass
 (exactlinalg.fraction_free_inverse) as (D*N, q), so that B^-1 = D*N/q.
-Coordinates over the basis then take n integer dot products and one Fraction
-each.
+Coordinates over the basis then take n integer dot products with the
+numerators and one Fraction each.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -148,10 +157,13 @@ class NumberField:
         return len(self.coeffs) - 1
 
     def element(self, coords: Iterable[Rational]) -> "FieldElement":
-        vec = tuple(Fraction(c) for c in coords)
+        # ints and Fractions carry their lowest-terms numerator and denominator
+        vec = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coords]
         if len(vec) != self.degree:
             raise ValueError(f"expected {self.degree} coordinates, got {len(vec)}")
-        return FieldElement(self, vec)
+        # over the least common denominator, numerators and denominator are coprime
+        den = math.lcm(*(c.denominator for c in vec))
+        return FieldElement(self, tuple(c.numerator * (den // c.denominator) for c in vec), den)
 
     def from_int(self, value: Rational) -> "FieldElement":
         return self.element([value] + [0] * (self.degree - 1))
@@ -169,14 +181,14 @@ class NumberField:
         return self.element([0, 1] + [0] * (self.degree - 2))
 
     @cached_property
-    def _reduction_rows(self) -> tuple[tuple[Fraction, ...], ...]:
+    def _reduction_rows(self) -> tuple[tuple[int, ...], ...]:
         # t^(n+i) over the power basis, for i = 0..n-2, used to reduce products
         n = self.degree
         rows = []
-        current = [Fraction(-c) for c in self.coeffs[:-1]]  # t^n
+        current = [-c for c in self.coeffs[:-1]]  # t^n
         rows.append(tuple(current))
         for _ in range(n - 2):
-            shifted = [Fraction(0)] + current[:-1]
+            shifted = [0] + current[:-1]
             overflow = current[-1]
             current = [s + overflow * r for s, r in zip(shifted, rows[0])]
             rows.append(tuple(current))
@@ -194,49 +206,64 @@ class NumberField:
 
 @dataclass(frozen=True)
 class FieldElement:
-    """An element of a NumberField as exact rational coordinates over 1, t, ..."""
+    """An element of a NumberField as integer numerators over one denominator.
+
+    The value is (num[0] + num[1] t + ... + num[n-1] t^(n-1)) / den with
+    den > 0 and gcd(den, *num) = 1, so two elements compare == and hash alike
+    exactly when their values are equal. NumberField.element and the
+    arithmetic below keep that form; coords reads the value back as rational
+    coordinates over 1, t, ..., t^(n-1).
+    """
 
     field: NumberField
-    coords: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int = 1
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     def _check(self, other: "FieldElement") -> None:
         if self.field != other.field:
             raise ValueError("elements belong to different fields")
 
-    def __add__(self, other: "FieldElement") -> "FieldElement":
+    def _combine(self, other: "FieldElement", sign: int) -> "FieldElement":
+        # self + sign * other over the least common denominator
         self._check(other)
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        den = math.lcm(self.den, other.den)
+        p, q = den // self.den, sign * (den // other.den)
+        return _reduced(self.field, [p * a + q * b for a, b in zip(self.num, other.num)], den)
+
+    def __add__(self, other: "FieldElement") -> "FieldElement":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, tuple(-a for a in self.coords))
+        return FieldElement(self.field, tuple(-a for a in self.num), self.den)
 
     def scale(self, c: Rational) -> "FieldElement":
-        c = Fraction(c)
-        return FieldElement(self.field, tuple(c * a for a in self.coords))
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        return _reduced(self.field, [c.numerator * a for a in self.num], c.denominator * self.den)
 
     def __mul__(self, other: Union["FieldElement", Rational]) -> "FieldElement":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
         n = self.field.degree
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coords):
+        prod = [0] * (2 * n - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(other.coords):
-                    if b:
-                        prod[i + j] += a * b
-        out = list(prod[:n])
-        reduction = self.field._reduction_rows
-        for i in range(n, 2 * n - 1):
-            c = prod[i]
+                for j, b in enumerate(other.num):
+                    prod[i + j] += a * b
+        out = prod[:n]
+        # t^(n+i) reduces to row i of the field's integer reduction rows
+        for c, row in zip(prod[n:], self.field._reduction_rows):
             if c:
-                row = reduction[i - n]
                 out = [o + c * r for o, r in zip(out, row)]
-        return FieldElement(self.field, tuple(out))
+        return _reduced(self.field, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -253,24 +280,20 @@ class FieldElement:
         return result
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse via the extended Euclidean algorithm mod f."""
+        """Multiplicative inverse from the adjugate of the integer multiplication matrix.
+
+        With M the matrix of num and c_0 = charpoly(M)(0) = (-1)^n det M, the
+        inverse of num has coordinates adj(M) e1 / det M = -m_n e1 / c_0 (see
+        _charpoly), and the inverse of num/den is den times that.
+        """
         if self.is_zero():
             raise ZeroDivisionError("zero has no inverse")
-        f = [Fraction(c) for c in self.field.coeffs]
-        g = list(self.coords)
-        # extended Euclid: track s with s*g = gcd mod f
-        r0, r1 = f, _poly_trim(g)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while _poly_deg(r1) > 0:
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if _poly_deg(r1) != 0:
+        coeffs, m_n = _charpoly(_matrix(self))
+        c0 = coeffs[0]
+        if c0 == 0:
             raise ArithmeticError("element is a zero divisor; field invariant broken")
-        inv_lead = 1 / r1[0]
-        out = [c * inv_lead for c in s1]
-        out = out[: self.field.degree] + [Fraction(0)] * (self.field.degree - len(out))
-        result = FieldElement(self.field, tuple(out[: self.field.degree]))
+        sign = -1 if c0 > 0 else 1
+        result = _reduced(self.field, [sign * self.den * row[0] for row in m_n], abs(c0))
         if not (result * self).is_one():
             raise AssertionError("inverse verification failed")
         return result
@@ -279,152 +302,102 @@ class FieldElement:
         return self * other.inverse()
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coords[0] == 1 and all(c == 0 for c in self.coords[1:])
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def __repr__(self) -> str:
         return f"<{format_element(self)}>"
 
 
-# polynomial helpers over Fraction, ascending coefficients
+def _reduced(field: NumberField, num: Sequence[int], den: int) -> FieldElement:
+    """The element num/den, for den > 0, with the common factor of den and num removed."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+    return FieldElement(field, tuple(num), den)
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
+def _matrix(a: FieldElement) -> list[list[int]]:
+    """Rows of the integer matrix of y -> num*y on the power basis, for a = num/den.
 
-
-def _poly_deg(p: list[Fraction]) -> int:
-    p = _poly_trim(list(p))
-    if len(p) == 1 and p[0] == 0:
-        return -1
-    return len(p) - 1
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return _poly_trim([x - y for x, y in zip(a, b)])
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    if _poly_deg(b) < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    r = list(a)
-    while _poly_deg(r) >= _poly_deg(b):
-        shift = _poly_deg(r) - _poly_deg(b)
-        c = r[-1] / b[-1]
-        q[shift] += c
-        for i, y in enumerate(b):
-            r[i + shift] -= c * y
-        r = _poly_trim(r)
-    return _poly_trim(q), r
-
-
-def solve_linear(columns: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
-    """Solve sum_j x_j * columns[j] = rhs exactly; None if inconsistent.
-
-    Underdetermined free variables are set to zero, which keeps the result
-    deterministic. All arithmetic is in Fraction.
+    Column j holds the coordinates of num * t^j; the matrix of a is this one
+    divided by den.
     """
-    nrows = len(rhs)
-    ncols = len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(rhs[i])] for i in range(nrows)]
-    pivots: list[tuple[int, int]] = []
-    prow = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(prow, nrows):
-            if aug[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[prow], aug[sel] = aug[sel], aug[prow]
-        pv = aug[prow][col]
-        aug[prow] = [x / pv for x in aug[prow]]
-        for i in range(nrows):
-            if i != prow and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[prow])]
-        pivots.append((prow, col))
-        prow += 1
-        if prow == nrows:
+    f = a.field.coeffs
+    col = list(a.num)
+    cols = [col]
+    for _ in range(len(col) - 1):
+        top = col[-1]
+        col = [0] + col[:-1]
+        if top:
+            # top * t^n = -top * (f_0 + f_1 t + ... + f_(n-1) t^(n-1))
+            col = [x - top * c for x, c in zip(col, f)]
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
+
+
+def _charpoly(m: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """(det(X*I - m) ascending and monic, m_n) for an integer matrix m, by Faddeev-LeVerrier.
+
+    With m_1 = I, step k takes c_(n-k) = -tr(m m_k) / k and then
+    m_(k+1) = m m_k + c_(n-k) I. Every c_i is an integer, so each division by k
+    is exact (Newton's identities; Cohen, GTM 138, section 2.2). By
+    Cayley-Hamilton m m_n = -c_0 I, so m_n = (-1)^(n+1) adj(m).
+    """
+    n = len(m)
+    coeffs = [0] * n + [1]
+    m_k = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        cols = list(zip(*m_k))
+        prod = [[sum(map(operator.mul, row, col)) for col in cols] for row in m]
+        c = -sum(prod[i][i] for i in range(n)) // k
+        coeffs[n - k] = c
+        if k == n:
             break
-    for i in range(prow, nrows):
-        if aug[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for row, col in pivots:
-        x[col] = aug[row][ncols]
-    return tuple(x)
-
-
-def multiplication_matrix(a: FieldElement) -> list[list[Fraction]]:
-    """Matrix of y -> a*y on the power basis; column j holds a * t^j."""
-    n = a.field.degree
-    cols = []
-    current = a
-    gen = a.field.generator
-    for _ in range(n):
-        cols.append(current.coords)
-        current = current * gen
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+        for i in range(n):
+            prod[i][i] += c
+        m_k = prod
+    return coeffs, m_k
 
 
 def trace(a: FieldElement) -> Fraction:
-    m = multiplication_matrix(a)
-    return sum((m[i][i] for i in range(len(m))), Fraction(0))
-
-
-def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(D*values, D) for the least D > 0 that makes every value an integer."""
-    d = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (d // x.denominator) for x in values], d
+    m = _matrix(a)
+    return Fraction(sum(m[i][i] for i in range(len(m))), a.den)
 
 
 def norm(a: FieldElement) -> Fraction:
-    m = multiplication_matrix(a)
-    n = len(m)
-    entries, d = _clear_denominators([x for row in m for x in row])
-    cleared = IntMatrix.from_rows(entries[i * n : (i + 1) * n] for i in range(n))
-    return Fraction(det(cleared), d**n)
+    return Fraction(det(IntMatrix.from_rows(_matrix(a))), a.den ** a.field.degree)
 
 
 def min_poly(a: FieldElement) -> tuple[Fraction, ...]:
     """Monic minimal polynomial of a, ascending coefficients with leading 1.
 
-    Found as the least d with an exact linear dependency among 1, a, ..., a^d.
+    For a = num/den, f irreducible makes the integer charpoly of num equal to
+    minpoly(num)^(n/d), d = [Q(num) : Q], and d divides n. So d = 1 exactly when
+    num[1:] vanishes; for n = 4, d = 2 exactly when the charpoly is the square
+    of X^2 + hX + b, where h and b are read off its two top coefficients; and
+    otherwise the minpoly is the charpoly. The coefficient of X^i is then
+    divided by den^(d-i).
     """
-    n = a.field.degree
-    powers = [a.field.one]
-    for _ in range(n):
-        powers.append(powers[-1] * a)
-    for d in range(1, n + 1):
-        cols = [powers[i].coords for i in range(d)]
-        sol = solve_linear(cols, powers[d].coords)
-        if sol is not None:
-            return tuple(-c for c in sol) + (Fraction(1),)
-    raise AssertionError("no dependency up to the field degree; invariant broken")
+    num, den = a.num, a.den
+    if not any(num[1:]):
+        return (Fraction(-num[0], den), Fraction(1))
+    c = _charpoly(_matrix(a))[0]
+    if len(c) == 5:
+        # (X^2 + hX + b)^2 = X^4 + 2h X^3 + (h^2 + 2b) X^2 + 2hb X + b^2
+        h, odd = divmod(c[3], 2)
+        b, odd2 = divmod(c[2] - h * h, 2)
+        if not odd and not odd2 and c[1] == 2 * h * b and c[0] == b * b:
+            c = [b, h, 1]
+    d = len(c) - 1
+    return tuple(Fraction(x, den ** (d - i)) for i, x in enumerate(c))
 
 
 @dataclass(frozen=True)
@@ -448,10 +421,11 @@ class ModuleBasis:
     def _inverse(self) -> tuple[tuple[tuple[int, ...], ...], int] | None:
         # (D*N, q) with N/q the inverse of A = D*B, where B has the basis vectors'
         # coordinates as its columns, so B^-1 = D*N/q; None when B is singular
-        n = self.field.degree
-        entries, d = _clear_denominators([c for v in self.vectors for c in v.coords])
-        # the rows of A are the columns of the vector-per-row list
-        result = fraction_free_inverse([entries[i::n] for i in range(n)])
+        d = math.lcm(*(v.den for v in self.vectors))
+        # row i of A holds coordinate i of every basis vector
+        result = fraction_free_inverse(
+            [[v.num[i] * (d // v.den) for v in self.vectors] for i in range(self.field.degree)]
+        )
         if result is None:
             return None
         inv, q = result
@@ -464,11 +438,8 @@ class ModuleBasis:
         inverse = self._inverse
         assert inverse is not None
         inv, q = inverse
-        values, e = _clear_denominators(a.coords)
-        q *= e
-        return tuple(
-            Fraction(sum(x * y for x, y in zip(row, values)), q) for row in inv
-        )
+        q *= a.den
+        return tuple(Fraction(sum(map(operator.mul, row, a.num)), q) for row in inv)
 
     def combine(self, weights: Sequence[Rational]) -> FieldElement:
         """Linear combination sum_i weights[i] * vectors[i]."""

@@ -1,0 +1,88 @@
+"""Exact Fraction solvers that serve the tests as independent oracles.
+
+solve_linear is plain Gauss-Jordan elimination over Fraction, and
+minimal_order fits the least-order recurrence of a sequence with it. The
+library needs neither: every unit it emits has an irreducible minimal
+polynomial, so a nonzero coordinate sequence has the unit's degree as its
+minimal order. The tests check that fact and the library's fraction-free
+routines against these.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import NamedTuple, Sequence
+
+
+def solve_linear(columns: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
+    """Solve sum_j x_j * columns[j] = rhs exactly; None if inconsistent.
+
+    Underdetermined free variables are set to zero, which keeps the result
+    deterministic. All arithmetic is in Fraction.
+    """
+    nrows = len(rhs)
+    ncols = len(columns)
+    aug = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(rhs[i])] for i in range(nrows)]
+    pivots: list[tuple[int, int]] = []
+    prow = 0
+    for col in range(ncols):
+        sel = None
+        for i in range(prow, nrows):
+            if aug[i][col] != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        aug[prow], aug[sel] = aug[sel], aug[prow]
+        pv = aug[prow][col]
+        aug[prow] = [x / pv for x in aug[prow]]
+        for i in range(nrows):
+            if i != prow and aug[i][col] != 0:
+                factor = aug[i][col]
+                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[prow])]
+        pivots.append((prow, col))
+        prow += 1
+        if prow == nrows:
+            break
+    for i in range(prow, nrows):
+        if aug[i][ncols] != 0:
+            return None
+    x = [Fraction(0)] * ncols
+    for row, col in pivots:
+        x[col] = aug[row][ncols]
+    return tuple(x)
+
+
+class MinimalRecurrence(NamedTuple):
+    order: int
+    coeffs: tuple[Fraction, ...]  # x(k+d) = sum coeffs[j] * x(k+d-1-j)
+
+
+def minimal_order(column: Sequence[int], max_order: int | None = None) -> MinimalRecurrence:
+    """Least-order homogeneous linear recurrence fitting all given terms.
+
+    Searches rational-coefficient recurrences by exact consistency of the shifted
+    linear system, so minimality does not depend on integrality. The certifiable
+    orders are bounded by (len(column) - 2) // 2; asking beyond that raises.
+    """
+    terms = [int(x) for x in column]
+    certifiable = (len(terms) - 2) // 2
+    if max_order is None:
+        max_order = certifiable
+    if max_order > certifiable:
+        raise ValueError(
+            f"{len(terms)} terms certify order at most {certifiable}, not {max_order}"
+        )
+    if all(x == 0 for x in terms):
+        return MinimalRecurrence(0, ())
+    for d in range(1, max_order + 1):
+        # unknowns c_1..c_d with x(k+d) = sum_j c_j x(k+d-j) for every window
+        cols = [
+            [Fraction(terms[k + d - j]) for k in range(len(terms) - d)]
+            for j in range(1, d + 1)
+        ]
+        rhs = [Fraction(terms[k + d]) for k in range(len(terms) - d)]
+        sol = solve_linear(cols, rhs)
+        if sol is not None:
+            return MinimalRecurrence(d, tuple(sol))
+    raise ValueError(f"no recurrence of order <= {max_order} fits the terms")

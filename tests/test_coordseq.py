@@ -7,12 +7,12 @@ from normlds.coordseq import (
     LdsVerdict,
     divides,
     generate,
-    minimal_order,
     verify_lds,
     verify_recurrence,
 )
 from normlds.lucas import LucasParams, lucas_u, odd_even_closed_form
 from normlds.numberfield import ModuleBasis, NumberField, trace
+from oracles import minimal_order
 
 SQRT2 = NumberField((-2, 0, 1))
 BIQUAD = NumberField((1, 0, -10, 0, 1))

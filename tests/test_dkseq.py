@@ -102,3 +102,33 @@ def test_discriminant_matches_sympy(low):
     x = sympy.Symbol("x")
     poly = sum(c * x**i for i, c in enumerate(coeffs))
     assert dkseq.discriminant_power_basis(field) == sympy.discriminant(poly, x)
+
+
+def recurrence_holds(terms, t):
+    """d_{k+4} = T d_{k+2} - d_k for every k with k + 4 <= len(terms), terms[i] = d_{i+1}."""
+    return all(terms[i + 4] == t * terms[i + 2] - terms[i] for i in range(len(terms) - 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 10**6), st.integers(5, 40), st.data())
+def test_dk_recurrence_check_matches_sympy_dk(n, kmax, data):
+    sympy = pytest.importorskip("sympy")
+    # the Pell unit alpha = n + t of x^2 - (n^2 - 1): norm 1 and trace T = 2n
+    X = sympy.Symbol("X")
+    field = NumberField((1 - n * n, 0, 1))
+    modulus = sympy.Poly(X**2 - (n * n - 1), X)
+    power, base = sympy.Poly(1, X), sympy.Poly(X + n, X)
+    want = []
+    for _ in range(kmax):
+        # alpha^k = a + b t, reduced mod X^2 - (n^2 - 1) by sympy over Z
+        power = (power * base).rem(modulus)
+        a, b = power.coeff_monomial(1), power.coeff_monomial(X)
+        want.append(int(sympy.igcd(a - 1, b)))
+    seq = dkseq.dk_sequence(field.element([n, 1]), field.power_basis(), kmax)
+    assert seq.terms == want
+    assert dkseq.dk_recurrence_check(seq, kmax) is recurrence_holds(want, 2 * n) is True
+    # one raised term: the verdict still follows sympy's terms through kmax
+    i = data.draw(st.integers(0, kmax - 1))
+    seq.terms[i] += 1
+    want[i] += 1
+    assert dkseq.dk_recurrence_check(seq, kmax) is recurrence_holds(want, 2 * n)

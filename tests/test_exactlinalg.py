@@ -16,7 +16,7 @@ from normlds.exactlinalg import (
     snf,
     xgcd,
 )
-from normlds.numberfield import solve_linear
+from oracles import solve_linear
 
 
 def test_xgcd_bezout():

@@ -309,6 +309,17 @@ class TestSparseScan:
         got = [(r.n, r.y1, r.d_tilde, r.d) for r in scan.rows]
         assert got == sparse_rows_oracle(field, t, nmax, monogenic)
 
+    @pytest.mark.parametrize("coeffs, t", [
+        ((1, 0, -10, 0, 1), 1), ((1, 0, -10, 0, 1), 2), ((1, 0, -110, 0, 1), 2),
+        ((-2, 0, 0, 0, 1), 1), ((-2, 0, 0, 0, 1), 2), ((-2, 0, 0, 0, 1), 4),
+    ])
+    def test_rows_match_oracle_at_each_t(self, coeffs, t):
+        # the scan steps by alpha^t; the oracle steps by alpha and keeps n = 1 mod t
+        field = NumberField(coeffs)
+        for nmax in [-1, 0, 1, 2, 3, 4, 5, 199, 200, 201]:
+            got = [(r.n, r.y1, r.d_tilde, r.d) for r in sparse_minpoly_scan(field, t, nmax).rows]
+            assert got == sparse_rows_oracle(field, t, nmax, False)
+
 
 @st.composite
 def lds_columns(draw):

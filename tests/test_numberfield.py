@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from normlds.numberfield import (
@@ -17,10 +18,10 @@ from normlds.numberfield import (
     norm,
     parse_element,
     parse_polynomial,
-    solve_linear,
     trace,
 )
-from normlds.numberfield import _is_irreducible, _poly_eval_int
+from normlds.numberfield import _charpoly, _is_irreducible, _matrix, _poly_eval_int
+from oracles import solve_linear
 
 SQRT2 = NumberField((-2, 0, 1))          # X^2 - 2
 GOLDEN = NumberField((-1, -1, 1))        # X^2 - X - 1
@@ -289,6 +290,212 @@ class TestMinPoly:
         t = -mp_eps[1]
         n = mp_eps[0]
         assert min_poly(eta) == (n, Fraction(0), -t, Fraction(0), Fraction(1))
+
+
+# fields of degree 2, 3 and 4, with every coefficient of f in use in some of them
+REPRESENTATION_FIELDS = [
+    SQRT2, GOLDEN, CUBIC, NumberField((-1, -1, 0, 1)), BIQUAD,
+    NumberField((1, -1, -3, -1, 1)), NumberField((1, 2, -7, 2, 1)),
+]
+
+
+def reference_mul(field, a, b):
+    """The product of two Fraction coordinate vectors, reduced by f from the top down."""
+    f, n = field.coeffs, field.degree
+    prod = [Fraction(0)] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(2 * n - 2, n - 1, -1):
+        # t^k = t^(k-n) * t^n and t^n = -(f_0 + ... + f_(n-1) t^(n-1))
+        c, prod[k] = prod[k], Fraction(0)
+        for i in range(n):
+            prod[k - n + i] -= c * f[i]
+    return tuple(prod[:n])
+
+
+def reference_inverse(field, a):
+    """The coordinates x with a * x = 1, from a Fraction solve on the products a * t^j."""
+    n = field.degree
+    columns = [reference_mul(field, a, [Fraction(int(i == j)) for i in range(n)]) for j in range(n)]
+    return solve_linear(columns, [Fraction(int(i == 0)) for i in range(n)])
+
+
+def reference_pow(field, a, k):
+    if k < 0:
+        a, k = reference_inverse(field, a), -k
+    out = tuple(Fraction(int(i == 0)) for i in range(field.degree))
+    for _ in range(k):
+        out = reference_mul(field, out, a)
+    return out
+
+
+def rational_coords(n):
+    """n rational coordinates; most share a denominator above 1, and some are large."""
+    num = st.one_of(st.integers(-9, 9), st.integers(-10**30, 10**30))
+    return st.lists(st.builds(Fraction, num, st.integers(1, 12)), min_size=n, max_size=n)
+
+
+@st.composite
+def field_and_coords(draw, count):
+    field = draw(st.sampled_from(REPRESENTATION_FIELDS))
+    return field, [draw(rational_coords(field.degree)) for _ in range(count)]
+
+
+def assert_lowest_terms(a):
+    assert a.den > 0 and math.gcd(a.den, *a.num) == 1
+    assert a.coords == tuple(Fraction(x, a.den) for x in a.num)
+
+
+class TestIntegerForm:
+    @settings(max_examples=200, deadline=None)
+    @given(field_and_coords(2), st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)))
+    def test_arithmetic_matches_fraction_reference(self, case, c):
+        field, (x, y) = case
+        a, b = field.element(x), field.element(y)
+        results = {
+            a * b: reference_mul(field, x, y),
+            a + b: tuple(p + q for p, q in zip(x, y)),
+            a - b: tuple(p - q for p, q in zip(x, y)),
+            a.scale(c): tuple(c * p for p in x),
+            a * c: tuple(c * p for p in x),
+            -a: tuple(-p for p in x),
+        }
+        for got, want in results.items():
+            assert got.coords == want
+            assert got == field.element(want)
+            assert_lowest_terms(got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(field_and_coords(1), st.integers(-3, -1))
+    def test_inverse_and_negative_powers(self, case, k):
+        field, (x,) = case
+        a = field.element(x)
+        if a.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+            return
+        assert a.inverse().coords == reference_inverse(field, x)
+        assert (a**k).coords == reference_pow(field, x, k)
+        assert_lowest_terms(a**k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(field_and_coords(1), st.integers(2, 30))
+    def test_equal_values_compare_and_hash_alike(self, case, m):
+        field, (x,) = case
+        a = field.element(x)
+        # the same value written over the denominator m * den, and reached by arithmetic
+        over_m = field.element([Fraction(p * m, m) for p in x])
+        via_sum = (a + field.one) - field.one
+        via_scale = a.scale(m).scale(Fraction(1, m))
+        for b in (over_m, via_sum, via_scale):
+            assert b == a and hash(b) == hash(a)
+            assert (b.num, b.den) == (a.num, a.den)
+
+    def test_examples(self):
+        half = SQRT2.element([Fraction(2, 4), 0])
+        assert half == SQRT2.element([Fraction(1, 2), 0])
+        assert hash(half) == hash(SQRT2.element([Fraction(1, 2), 0]))
+        assert (half.num, half.den) == ((1, 0), 2)
+        assert SQRT2.zero.den == 1 and SQRT2.zero == SQRT2.element([Fraction(0, 7), 0])
+        a = BIQUAD.element([Fraction(1, 6), Fraction(1, 4), 0, Fraction(-3, 2)])
+        assert (a.num, a.den) == ((2, 3, 0, -18), 12)
+        # (1/6 + 1/4 t) - (1/6 + 1/4 t) is zero over the denominator 1
+        assert (a - a) == BIQUAD.zero and (a - a).den == 1
+
+
+def sympy_minimal_polynomial(sympy, a):
+    """min_poly(a) from sympy.minimal_polynomial at a root of f, as monic Fractions."""
+    x = sympy.Symbol("x")
+    root = sympy.CRootOf(sympy.Poly(list(reversed(a.field.coeffs)), x), 0)
+    value = sum(sympy.Rational(c.numerator, c.denominator) * root**i for i, c in enumerate(a.coords))
+    mp = sympy.Poly(sympy.minimal_polynomial(value, x), x).monic()
+    return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(mp.all_coeffs()))
+
+
+# for each quartic field, elements s whose Q(s) is a quadratic subfield
+QUADRATIC_SUBFIELDS = [
+    (BIQUAD, [[-5, 0, 1, 0], [0, -9, 0, 1], [0, 11, 0, -1]]),  # 2 sqrt6, 2 sqrt2, 2 sqrt3
+    (NumberField((-2, 0, 0, 0, 1)), [[0, 0, 1, 0]]),  # sqrt2 in Q(2^(1/4))
+    (NumberField((1, 0, -5, 0, 1)), [[0, 0, 1, 0]]),  # t^2 is a unit of Q(sqrt21)
+]
+
+
+class TestMinPolyAgainstSympy:
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(QUADRATIC_SUBFIELDS).flatmap(
+        lambda spec: st.tuples(st.just(spec[0]), st.sampled_from(spec[1]),
+                               rational_coords(2).filter(lambda c: c[1] != 0))))
+    def test_quadratic_subfield_elements(self, case):
+        sympy = pytest.importorskip("sympy")
+        field, s, (p, q) = case
+        a = field.from_int(p) + field.element(s).scale(q)
+        mp = min_poly(a)
+        assert len(mp) == 3
+        assert mp == sympy_minimal_polynomial(sympy, a)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(REPRESENTATION_FIELDS), rational_coords(1))
+    def test_rational_elements(self, field, coords):
+        sympy = pytest.importorskip("sympy")
+        a = field.from_int(coords[0])
+        assert min_poly(a) == (-coords[0], 1) == sympy_minimal_polynomial(sympy, a)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(REPRESENTATION_FIELDS), st.integers(2, 12),
+           st.lists(st.integers(-9, 9), min_size=4, max_size=4))
+    def test_elements_with_a_denominator(self, field, den, nums):
+        sympy = pytest.importorskip("sympy")
+        # small numerators over one denominator, so that sympy's algebra stays quick
+        a = field.element([Fraction(x, den) for x in nums[: field.degree]])
+        assume(a.den > 1 and not a.is_rational())
+        assert min_poly(a) == sympy_minimal_polynomial(sympy, a)
+
+
+class TestCharpolyDivisions:
+    """The two exact divisions the integer charpoly relies on."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_faddeev_leverrier_divides_each_trace_by_k(self, m):
+        sympy = pytest.importorskip("sympy")
+        n = len(m)
+        sm = sympy.Matrix(m)
+        want = [int(c) for c in reversed(sm.charpoly().all_coeffs())]
+        # with m_1 = I and m_(k+1) = m m_k + c_(n-k) I, tr(m m_k) = -k c_(n-k) exactly
+        m_k = sympy.eye(n)
+        for k in range(1, n + 1):
+            tr = (sm * m_k).trace()
+            assert tr % k == 0 and tr == -k * want[n - k]
+            m_k = sm * m_k + want[n - k] * sympy.eye(n)
+        coeffs, m_n = _charpoly(m)
+        assert coeffs == want
+        # m_n = (-1)^(n+1) adj(m)
+        assert sympy.Matrix(m_n) * (-1) ** (n + 1) == sm.adjugate()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(QUADRATIC_SUBFIELDS).flatmap(
+        lambda spec: st.tuples(st.just(spec[0]), st.sampled_from(spec[1]),
+                               st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))))
+    def test_squared_charpoly_halves_exactly(self, case):
+        field, s, p, q = case
+        assume(q != 0)
+        a = field.from_int(p) + field.element(s).scale(q)
+        c = _charpoly(_matrix(a))[0]
+        # (X^2 + hX + b)^2 = X^4 + 2h X^3 + (h^2 + 2b) X^2 + 2hb X + b^2
+        h, b = c[3] // 2, (c[2] - (c[3] // 2) ** 2) // 2
+        assert c[3] == 2 * h and c[2] - h * h == 2 * b
+        assert tuple(c) == poly_mul((b, h, 1), (b, h, 1))
+        assert min_poly(a) == (b, h, 1)
+
+    @pytest.mark.parametrize("coeffs", [
+        (1, 0, -10, 0, 1),  # both halvings exact (h = 0, b = -5), but c_0 = 1 != b^2
+        (1, -1, -3, -1, 1),  # c_3 = -1 is odd
+        (1, 0, -5, 0, 1),  # c_2 - h^2 = -5 is odd
+    ])
+    def test_charpoly_that_is_no_square_is_kept_whole(self, coeffs):
+        assert min_poly(NumberField(coeffs).generator) == coeffs
 
 
 class TestPositiveUnit:
