@@ -331,7 +331,7 @@ def reference_pow(field, a, k):
 
 
 def rational_coords(n):
-    """n rational coordinates; most share a denominator above 1, and some are large."""
+    """n rational coordinates with denominators up to 12; some numerators have 30 digits."""
     num = st.one_of(st.integers(-9, 9), st.integers(-10**30, 10**30))
     return st.lists(st.builds(Fraction, num, st.integers(1, 12)), min_size=n, max_size=n)
 
@@ -400,7 +400,7 @@ class TestIntegerForm:
         assert SQRT2.zero.den == 1 and SQRT2.zero == SQRT2.element([Fraction(0, 7), 0])
         a = BIQUAD.element([Fraction(1, 6), Fraction(1, 4), 0, Fraction(-3, 2)])
         assert (a.num, a.den) == ((2, 3, 0, -18), 12)
-        # (1/6 + 1/4 t) - (1/6 + 1/4 t) is zero over the denominator 1
+        # a - a is zero, over the denominator 1
         assert (a - a) == BIQUAD.zero and (a - a).den == 1
 
 
