@@ -106,10 +106,10 @@ def quartic_unit_trace(eta: FieldElement) -> int:
 def _as_int_rows(basis: ModuleBasis, elements: list[FieldElement], what: str) -> IntMatrix:
     rows = []
     for e in elements:
-        coords = basis.coords(e)
-        if any(c.denominator != 1 for c in coords):
+        coords, den = basis.int_coords(e)
+        if den != 1:
             raise ValueError(f"{what} does not lie in the module (fractional coordinates)")
-        rows.append([int(c) for c in coords])
+        rows.append(coords)
     return IntMatrix.from_rows(rows)
 
 
@@ -124,10 +124,10 @@ def _change_basis(tbasis: ModuleBasis, matrix: IntMatrix) -> ModuleBasis:
 def _assert_spans_same_module(tbasis: ModuleBasis, newbasis: ModuleBasis) -> None:
     m = []
     for v in newbasis.vectors:
-        coords = tbasis.coords(v)
-        if any(c.denominator != 1 for c in coords):
+        coords, den = tbasis.int_coords(v)
+        if den != 1:
             raise InvariantViolation("constructed basis left the module")
-        m.append([int(c) for c in coords])
+        m.append(coords)
     if det(IntMatrix.from_rows(m)) not in (1, -1):
         raise InvariantViolation("constructed basis does not span the module")
 

@@ -9,11 +9,19 @@ JSON consumers. Exit codes: 0 success, 1 internal invariant violation,
 Each handler reads the argparse namespace of its subcommand directly. The
 constructions from a unit and a beta are reached through _construct alone, and
 the ring an option names (--module-basis, else the power basis) through _ring.
+
+_json_text writes json.dumps(indent=2, sort_keys=True) byte for byte. The term
+rows of emit-sequence and verify-lds and the d_k column of dk-scan are
+coordseq.DecimalList, vouched for as '-' and digits (rendered through a
+verified recurrence, else by str()): each is copied with one join, with no test
+or escape per item. A report and its final newline are written apart, so no
+step copies a whole report.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from argparse import Namespace
@@ -156,8 +164,8 @@ def _resolve_basis(
     return cons.basis, meta
 
 
-# a JSON scalar other than a string, as json.dumps writes it
-_SCALAR_JSON = json.JSONEncoder().encode
+# a float as json.dumps writes it
+_FLOAT_JSON = json.JSONEncoder().encode
 _DECIMAL_CHARS = b"-0123456789"
 
 
@@ -175,9 +183,10 @@ def _json_fragments(value: Any, out: list[str], newline: str) -> None:
 
     newline is the line break and indent of value's own line. Dict keys must be
     strings. A list whose items are all decimal strings, such as a column of
-    terms, is written without escaping each of them: escaping thousand-digit
-    terms is most of what json.dumps spends on a report, and testing an item
-    for '-' and digits costs about half of escaping it.
+    terms, is written with one join and without escaping each item: escaping
+    thousand-digit terms is most of what json.dumps spends on a report, and
+    testing an item for '-' and digits costs about half of escaping it, so a
+    DecimalList, whose items are decimal by construction, is not tested.
     """
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
@@ -186,12 +195,9 @@ def _json_fragments(value: Any, out: list[str], newline: str) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        if all(map(_is_decimal_text, value)):
-            sep, quoted_sep = "[" + inner + '"', '",' + inner + '"'
-            for item in value:
-                out.append(sep)
-                out.append(item)
-                sep = quoted_sep
+        if isinstance(value, coordseq.DecimalList) or all(map(_is_decimal_text, value)):
+            out.append("[" + inner + '"')
+            out.append(('",' + inner + '"').join(value))
             out.append('"' + newline + "]")
             return
         sep = "[" + inner
@@ -213,8 +219,17 @@ def _json_fragments(value: Any, out: list[str], newline: str) -> None:
             _json_fragments(value[key], out, inner)
             sep = "," + inner
         out.append(newline + "}")
+    elif value is None:
+        out.append("null")
+    # bool before int: int.__repr__(True) is '1'
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
     else:
-        out.append(_SCALAR_JSON(value))
+        out.append(_FLOAT_JSON(value))
 
 
 def _json_text(payload: Any) -> str:
@@ -226,17 +241,16 @@ def _json_text(payload: Any) -> str:
 
 def _emit(config: Namespace, payload: dict[str, Any], csv_lines: list[str] | None = None) -> None:
     if config.fmt == "json":
-        text = _json_text(payload) + "\n"
+        text = _json_text(payload)
     elif config.fmt == "csv":
         assert csv_lines is not None, "commands without a csv form refuse it first"
-        text = "\n".join(csv_lines) + "\n"
+        text = "\n".join(csv_lines)
     else:
-        text = _render_text(payload) + "\n"
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        text = _render_text(payload)
+    sink = contextlib.nullcontext(sys.stdout)
+    with open(config.out, "w", encoding="utf-8") if config.out else sink as fh:
+        fh.write(text)
+        fh.write("\n")
 
 
 def _render_text(payload: dict[str, Any], indent: int = 0) -> str:
@@ -297,7 +311,7 @@ def _sequence_payload(
     if recurrence_ok:
         terms = coordseq.decimal_rows(report)
     else:
-        terms = [[str(x) for x in row] for row in report.terms]
+        terms = [coordseq.DecimalList(map(str, row)) for row in report.terms]
     payload = _head(field, unit, beta)
     payload.update(meta)
     payload["basis"] = _basis_coords(basis)
@@ -307,7 +321,7 @@ def _sequence_payload(
     csv_lines = None
     if config.fmt == "csv":
         header = "k," + ",".join(f"x{i}" for i in range(1, report.ncols + 1))
-        csv_lines = [header] + [f"{k}," + ",".join(row) for k, row in enumerate(terms)]
+        csv_lines = [header] + [",".join((str(k), *row)) for k, row in enumerate(terms)]
     return payload, report, csv_lines
 
 
@@ -331,8 +345,9 @@ def _cmd_verify_lds(config: Namespace) -> int:
     if nmax > report.kmax:
         raise ValueError("--nmax cannot exceed --kmax")
     verdicts = []
+    spf = coordseq.smallest_prime_factors(nmax)
     for i in range(1, report.ncols + 1):
-        verdict = coordseq.verify_lds(report.column(i), nmax)
+        verdict = coordseq.verify_lds(report.column(i), nmax, spf)
         verdicts.append(
             {
                 "column": i,
@@ -362,9 +377,9 @@ def _cmd_dk_scan(config: Namespace) -> int:
         column = coordseq.SequenceReport(
             terms=[[x] for x in seq.terms], charpoly=(1, 0, -seq.t_trace, 0, 1)
         )
-        terms = [row[0] for row in coordseq.decimal_rows(column)]
+        terms = coordseq.decimal_columns(column)[0]
     else:
-        terms = [str(x) for x in seq.terms]
+        terms = coordseq.DecimalList(map(str, seq.terms))
     payload: dict[str, Any] = {
         "command": "dk-scan",
         "field": format_polynomial(field.coeffs, "x"),
@@ -417,6 +432,7 @@ def _cmd_family_scan(config: Namespace) -> int:
         raise ValueError(f"--kmax {config.kmax} must be at least 3")
     rows = []
     any_fail = False
+    spf = coordseq.smallest_prime_factors(config.kmax)
     for m in m_range:
         try:
             cons = basisforge.family_basis(m)
@@ -426,7 +442,7 @@ def _cmd_family_scan(config: Namespace) -> int:
         field = cons.basis.field
         report = coordseq.generate(field.one, field.generator, cons.basis, config.kmax)
         x1 = report.column(1)
-        verdict = coordseq.verify_lds(x1, config.kmax)
+        verdict = coordseq.verify_lds(x1, config.kmax, spf)
         if not verdict.ok:
             any_fail = True
         rows.append(

@@ -2,22 +2,29 @@
 
 coordinate_rows() is the one sequence kernel of the package. It builds the
 matrix of y -> eps*y over the basis once (step_matrix), cleared to an integer
-matrix M with a common denominator D and stored by columns, and steps
-x(k+1) = M x(k) / D in integers (step_rows): each nonzero x_j(k) adds its
-multiple of column j of M, and every entry is checked for exact division by D.
+matrix M with a common denominator D and stored by rows, and steps
+x(k+1) = M x(k) / D in integers (step_rows): entry i sums M[i][j] x_j(k) over
+the nonzero M[i][j], and every entry is checked for exact division by D.
 generate() and the d_k sequences of dkseq all run on it. generate() returns
 the rows together with the recurrence inherited from the minimal polynomial
 of eps.
 
 The checks are independent of the kernel. verify_recurrence tests the
-characteristic recurrence column by column, one list pass per nonzero
-coefficient; verify_lds finds the first failing divisor pair through prime
-steps.
+characteristic recurrence column by column in one lazy pass; verify_lds finds
+the first failing divisor pair through prime steps.
 
-decimal_rows() renders the terms as decimal strings through the same
-recurrence, column by column in exact decimal arithmetic: str() of a large int
-is quadratic in its digit count, while each recurrence step and str() of a
-Decimal are linear.
+decimal_columns() and decimal_rows() render the terms as decimal strings
+through the same recurrence, column by column in exact decimal arithmetic:
+str() of a large int is quadratic in its digit count, while each recurrence
+step and str() of a Decimal are linear. They return DecimalList rows and
+columns, whose items are vouched for as '-' and digits by how they were made,
+so a writer may copy them without testing or escaping each one.
+
+An entry +1 or -1 of M, and a recurrence coefficient +1 or -1, is an add or a
+subtract in the per-term loops, not a multiply (save the first term of a
+recurrence whose nonzero coefficients are all -1). In X^4 - T X^2 + 1 the
+coefficient s_4 is -1, and 5 of the 9 nonzero entries of a quartic-power step
+matrix are +-1.
 """
 
 from __future__ import annotations
@@ -25,15 +32,17 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, Rounded
-from typing import Callable, Iterator, NamedTuple, Sequence
+from decimal import (
+    MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, Rounded, localcontext
+)
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .numberfield import FieldElement, ModuleBasis, min_poly
 
 # exact integer arithmetic in decimal: any rounding raises instead of happening;
-# a private context, so the caller's decimal.getcontext() is never touched
+# decimal_columns enters a copy of it with localcontext, which gives the caller's
+# context back on exit
 _EXACT = Context(
     prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded, InvalidOperation]
 )
@@ -65,22 +74,42 @@ class LdsVerdict:
     witness: tuple[int, int] | None = None  # first (n, m) with n | m but b(n) does not divide b(m)
 
 
+class StepRow(NamedTuple):
+    """The nonzero entries of row i of M, the +-1 entries apart from the others."""
+
+    start: int | None  # the first j with M[i][j] = 1, whose x_j starts the sum as it is
+    entries: list[tuple[int, int]]  # (j, M[i][j]) with M[i][j] neither 0 nor +-1
+    plus: list[int]  # the other j with M[i][j] = 1
+    minus: list[int]  # the j with M[i][j] = -1
+
+
 class StepMatrix(NamedTuple):
     """The matrix of y -> eps*y over a basis, cleared to integers: M = D * (that matrix)."""
 
-    columns: list[list[tuple[int, int]]]  # per input coordinate j, the nonzero (i, M[i][j])
+    rows: list[StepRow]  # per output coordinate i
     denom: int  # D, the least common denominator
 
 
 def step_matrix(eps: FieldElement, w: ModuleBasis) -> StepMatrix:
-    """The integer step matrix of eps over w, by columns, and its common denominator."""
+    """The integer step matrix of eps over w, by rows, and its common denominator."""
     if eps.field != w.field:
         raise ValueError("element from a different field")
     # column j of the step matrix holds the coordinates of eps * w_j
-    step = [w.coords(eps * v) for v in w.vectors]
-    denom = math.lcm(*(c.denominator for col in step for c in col))
-    columns = [[(i, int(c * denom)) for i, c in enumerate(col) if c] for col in step]
-    return StepMatrix(columns, denom)
+    step = [w.int_coords(eps * v) for v in w.vectors]
+    denom = math.lcm(*(den for _, den in step))
+    columns = [[x * (denom // den) for x in num] for num, den in step]
+    rows = []
+    for row in zip(*columns):
+        plus = [j for j, m in enumerate(row) if m == 1]
+        rows.append(
+            StepRow(
+                plus.pop(0) if plus else None,
+                [(j, m) for j, m in enumerate(row) if m not in (0, 1, -1)],
+                plus,
+                [j for j, m in enumerate(row) if m == -1],
+            )
+        )
+    return StepMatrix(rows, denom)
 
 
 def step_rows(x: list[int], step: StepMatrix, error: Callable[[int], str]) -> Iterator[list[int]]:
@@ -88,17 +117,25 @@ def step_rows(x: list[int], step: StepMatrix, error: Callable[[int], str]) -> It
 
     The first row k with a remainder raises ValueError(error(k)).
     """
-    columns, denom = step
-    n = len(columns)
+    rows, denom = step
     k = 0
     while True:
         yield x
         k += 1
-        nxt = [0] * n
-        for xj, column in zip(x, columns):
-            if xj:
-                for i, m in column:
-                    nxt[i] += m * xj
+        nxt = []
+        for start, entries, plus, minus in rows:
+            # the empty loops are skipped: their set-up costs about as much as an add
+            value = 0 if start is None else x[start]
+            if entries:
+                for j, m in entries:
+                    value += m * x[j]
+            if plus:
+                for j in plus:
+                    value += x[j]
+            if minus:
+                for j in minus:
+                    value -= x[j]
+            nxt.append(value)
         if denom != 1:
             for i, value in enumerate(nxt):
                 q, r = divmod(value, denom)
@@ -120,10 +157,10 @@ def coordinate_rows(
     if beta.field != w.field:
         raise ValueError("element from a different field")
     step = step_matrix(eps, w)
-    start = w.coords(beta)
-    if any(c.denominator != 1 for c in start):
+    start, den = w.int_coords(beta)
+    if den != 1:
         raise ValueError(error(0))
-    yield from step_rows([int(c) for c in start], step, error)
+    yield from step_rows(list(start), step, error)
 
 
 def generate(beta: FieldElement, eps: FieldElement, w: ModuleBasis, kmax: int) -> SequenceReport:
@@ -150,10 +187,15 @@ def generate(beta: FieldElement, eps: FieldElement, w: ModuleBasis, kmax: int) -
 
 
 def _recurrence_steps(charpoly: Sequence[int]) -> list[tuple[int, int]]:
-    """Nonzero (j, s_j) of x(k+d) = sum_j s_j x(k+d-j) for a monic ascending charpoly."""
+    """Nonzero (j, s_j) of x(k+d) = sum_j s_j x(k+d-j) for a monic ascending charpoly.
+
+    The steps come in the order s_j not +-1, s_j = 1, s_j = -1, so that a sum
+    over them starts with a multiply, or with x(k+d-j) itself, whenever it can.
+    """
     # f = X^d - s_1 X^(d-1) - ... - s_d, so s_j = -charpoly[d - j]
     d = len(charpoly) - 1
-    return [(j, -charpoly[d - j]) for j in range(1, d + 1) if charpoly[d - j]]
+    steps = [(j, -charpoly[d - j]) for j in range(1, d + 1) if charpoly[d - j]]
+    return sorted(steps, key=lambda step: {1: 1, -1: 2}.get(step[1], 0))
 
 
 def verify_recurrence(report: SequenceReport) -> bool:
@@ -164,43 +206,77 @@ def verify_recurrence(report: SequenceReport) -> bool:
     steps = _recurrence_steps(report.charpoly)
     n = len(report.terms)
     for column in zip(*report.terms):
-        # want[k - d] = sum_j s_j x(k - j) for k = d..n-1, one pass per nonzero s_j
-        want = [0] * (n - d)
-        for j, s in steps:
-            want = list(map(operator.add, want, map(s.__mul__, column[d - j : n - j])))
-        if want != list(column[d:]):
+        # sum_j s_j x(k - j) for k = d..n-1, lazily: one pass over the column;
+        # every later term is 0 when no s_j is nonzero
+        want: Iterable[int] = itertools.repeat(0)
+        for i, (j, s) in enumerate(steps):
+            part = column[d - j : n - j]
+            if i == 0:
+                want = part if s == 1 else map(s.__mul__, part)
+            elif s == 1:
+                want = map(operator.add, want, part)
+            elif s == -1:
+                want = map(operator.sub, want, part)
+            else:
+                want = map(operator.add, want, map(s.__mul__, part))
+        if not all(map(operator.eq, want, column[d:])):
             return False
     return True
 
 
-def decimal_rows(report: SequenceReport) -> list[list[str]]:
-    """The terms as decimal strings, rendered in time linear in their digit count.
+class DecimalList(list):
+    """A list of str() of ints: every item is '-' and digits, by how it was made."""
+
+
+def decimal_columns(report: SequenceReport) -> list[DecimalList]:
+    """The columns of terms as decimal strings, in time linear in their digit count.
 
     Only the first d terms of each column (d the degree of the charpoly) are
     converted with str(); every later term is computed by the characteristic
-    recurrence in exact decimal arithmetic, holding a window of d values of
-    one column at a time. The strings equal str(x) for every term exactly when
-    the report satisfies its recurrence, which verify_recurrence decides.
+    recurrence in exact decimal arithmetic. The strings equal str(x) for every
+    term exactly when the report satisfies its recurrence, which
+    verify_recurrence decides.
     """
     d = len(report.charpoly) - 1
     n = len(report.terms)
-    steps = [(j, Decimal(s)) for j, s in _recurrence_steps(report.charpoly)]
-    # each value starts from +0, and an exact sum that cancels is +0, so no term
-    # prints as -0 (a bare product of 0 and a negative s_j would)
-    fma, zero = _EXACT.fma, Decimal(0)
+    # with no nonzero s_j (charpoly X^d) every later term is 0 * x(k - d)
+    (j0, s0), *rest = _recurrence_steps(report.charpoly) or [(d, 0)]
+    # the first step multiplies, unless s_j = 1; it multiplies by -1 only when
+    # every nonzero s_j is -1
+    first = None if s0 == 1 else Decimal(s0)
+    scaled = [(j, Decimal(s)) for j, s in rest if s not in (1, -1)]
+    plus = [j for j, s in rest if s == 1]
+    minus = [j for j, s in rest if s == -1]
     columns = []
-    for column in zip(*report.terms):
-        head = column[:d]
-        text = list(map(str, head))
-        window = deque(map(Decimal, head), maxlen=d)
-        for _ in range(d, n):
-            value = zero
-            for j, s in steps:
-                value = fma(s, window[-j], value)
-            window.append(value)
-            text.append(str(value))
-        columns.append(text)
-    return list(map(list, zip(*columns)))
+    with localcontext(_EXACT):
+        for column in zip(*report.terms):
+            values = list(map(Decimal, column[:d]))
+            append = values.append
+            for k in range(d, n):
+                value = values[k - j0] if first is None else first * values[k - j0]
+                # an empty loop costs about as much as an add, so each is skipped
+                if scaled:
+                    for j, s in scaled:
+                        value += s * values[k - j]
+                if plus:
+                    for j in plus:
+                        value += values[k - j]
+                if minus:
+                    for j in minus:
+                        value -= values[k - j]
+                append(value)
+            text = DecimalList(map(str, values))
+            # the product of 0 and a negative s_j is -0, the one decimal value
+            # whose text is not str() of its int
+            if "-0" in text:
+                text = DecimalList("0" if x == "-0" else x for x in text)
+            columns.append(text)
+    return columns
+
+
+def decimal_rows(report: SequenceReport) -> list[DecimalList]:
+    """The rows of terms as decimal strings; see decimal_columns."""
+    return list(map(DecimalList, zip(*decimal_columns(report))))
 
 
 def divides(a: int, b: int) -> bool:
@@ -210,18 +286,22 @@ def divides(a: int, b: int) -> bool:
     return b % a == 0
 
 
-def _smallest_prime_factors(nmax: int) -> list[int]:
-    """spf[m] is the least prime factor of m for 2 <= m <= nmax."""
+def smallest_prime_factors(nmax: int) -> tuple[int, ...]:
+    """spf[m] is the least prime factor of m for 2 <= m <= nmax.
+
+    The sieve of verify_lds: a caller that checks several columns to one bound
+    builds it once and passes it to each call.
+    """
     spf = list(range(nmax + 1))
     for p in range(2, math.isqrt(nmax) + 1):
         if spf[p] == p:
             for q in range(p * p, nmax + 1, p):
                 if spf[q] == q:
                     spf[q] = p
-    return spf
+    return tuple(spf)
 
 
-def verify_lds(column: Sequence[int], nmax: int) -> LdsVerdict:
+def verify_lds(column: Sequence[int], nmax: int, spf: Sequence[int] | None = None) -> LdsVerdict:
     """First failing pair n | m with 1 <= n < m <= nmax; the index is the position.
 
     column[k] is b(k); entries through index nmax must be present. The witness
@@ -229,11 +309,15 @@ def verify_lds(column: Sequence[int], nmax: int) -> LdsVerdict:
     over the divisors of m. Divisibility is transitive (0 divides only 0), so
     while every pair below m holds, m has a failing divisor exactly when some
     prime step (m/p, m) fails: only prime steps are tested until that m.
+    spf is smallest_prime_factors of nmax or more, built here when not given.
     """
     terms = list(column)
     if len(terms) <= nmax:
         raise ValueError(f"need terms through index {nmax}, got {len(terms)}")
-    spf = _smallest_prime_factors(max(nmax, 1))
+    if spf is None:
+        spf = smallest_prime_factors(max(nmax, 1))
+    elif len(spf) <= nmax:
+        raise ValueError(f"the prime sieve ends below {nmax}")
     for m in range(2, nmax + 1):
         rest = m
         while rest > 1:
@@ -244,4 +328,3 @@ def verify_lds(column: Sequence[int], nmax: int) -> LdsVerdict:
             while rest % p == 0:
                 rest //= p
     return LdsVerdict(True, None)
-

@@ -431,15 +431,25 @@ class ModuleBasis:
         inv, q = result
         return tuple(tuple(d * x for x in row) for row in inv), q
 
-    def coords(self, a: FieldElement) -> tuple[Fraction, ...]:
-        """Exact coordinates of a over this basis."""
+    def int_coords(self, a: FieldElement) -> tuple[tuple[int, ...], int]:
+        """Exact coordinates of a over this basis as (numerators, least common denominator).
+
+        The denominator is positive, and 1 exactly when a lies in the module.
+        """
         if a.field != self.field:
             raise ValueError("element from a different field")
         inverse = self._inverse
         assert inverse is not None
         inv, q = inverse
-        q *= a.den
-        return tuple(Fraction(sum(map(operator.mul, row, a.num)), q) for row in inv)
+        den = q * a.den  # positive: q and a.den are
+        num = [sum(map(operator.mul, row, a.num)) for row in inv]
+        g = math.gcd(den, *num)
+        return tuple(x // g for x in num), den // g
+
+    def coords(self, a: FieldElement) -> tuple[Fraction, ...]:
+        """Exact coordinates of a over this basis."""
+        num, den = self.int_coords(a)
+        return tuple(Fraction(x, den) for x in num)
 
     def combine(self, weights: Sequence[Rational]) -> FieldElement:
         """Linear combination sum_i weights[i] * vectors[i]."""

@@ -132,3 +132,37 @@ def test_dk_recurrence_check_matches_sympy_dk(n, kmax, data):
     seq.terms[i] += 1
     want[i] += 1
     assert dkseq.dk_recurrence_check(seq, kmax) is recurrence_holds(want, 2 * n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.integers(3, 500).map(lambda t: ((1, 0, -t, 0, 1), 2)),  # x^4 - T x^2 + 1
+        st.integers(2, 50).map(lambda c: ((-c, 0, 0, 0, 1), 4)),  # x^4 - c
+        st.integers(2, 50).map(lambda c: ((-c, 0, 0, 0, 1), 2)),
+        st.integers(2, 10**6).map(lambda c: ((-c, 0, 1), 2)),  # x^2 - c
+    ),
+    st.integers(0, 60),
+    st.booleans(),
+)
+def test_sparse_minpoly_scan_matches_sympy(spec, nmax, monogenic):
+    sympy = pytest.importorskip("sympy")
+    coeffs, t = spec
+    try:
+        field = NumberField(coeffs)
+    except ValueError:
+        assume(False)
+    X = sympy.Symbol("X")
+    modulus = sympy.Poly(sum(c * X**i for i, c in enumerate(coeffs)), X)
+    want = []
+    for n in range(1, nmax + 1, t):
+        # alpha^n = y1 + y2 t + ..., reduced mod f by sympy over Z
+        power = sympy.Poly(X**n, X).rem(modulus)
+        y = [int(power.coeff_monomial(X**i)) for i in range(len(coeffs) - 1)]
+        d_tilde = int(sympy.igcd(y[0] - 1, *y[1:]))
+        want.append((n, y[0], d_tilde, d_tilde if monogenic else None))
+    scan = dkseq.sparse_minpoly_scan(field, t, nmax, monogenic)
+    assert [(r.n, r.y1, r.d_tilde, r.d) for r in scan.rows] == want
+    assert scan.disc == sympy.discriminant(modulus.as_expr(), X)
+    # the lacunary theorem: y1 vanishes on 1 + tZ
+    assert scan.all_vanish() is all(y1 == 0 for _, y1, _, _ in want) is True

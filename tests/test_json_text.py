@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normlds import cli
+from normlds.coordseq import DecimalList
 
 # strings of '-' and digits only: the writer copies these without escaping
 DECIMAL_TEXT = st.one_of(
@@ -63,3 +64,49 @@ def test_decimal_columns_skip_the_string_escaper(monkeypatch):
     assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
     # the keys and the one non-decimal string, not the terms
     assert sorted(escaped) == ["dk", "name", "terms", "x^2 - 3"]
+
+
+# rows that coordseq vouches for as decimal text: the writer does not test their items
+TYPED_ROWS = st.lists(DECIMAL_TEXT, max_size=6).map(DecimalList)
+
+
+def containers_with_typed_rows(inner):
+    return st.one_of(containers(inner), st.lists(TYPED_ROWS, max_size=4))
+
+
+# typed rows as leaves, so they appear at every nesting depth, and lists of them
+TYPED_PAYLOADS = st.recursive(st.one_of(SCALARS, TYPED_ROWS), containers_with_typed_rows, max_leaves=40)
+
+
+@given(TYPED_PAYLOADS)
+@settings(max_examples=500, deadline=None)
+def test_writer_with_typed_rows_matches_json_dumps(payload):
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_typed_rows_are_not_tested_or_escaped(monkeypatch):
+    tested, escaped = [], []
+    is_decimal_text = cli._is_decimal_text
+
+    def test(item):
+        tested.append(item)
+        return is_decimal_text(item)
+
+    def escape(text):
+        escaped.append(text)
+        return json.encoder.encode_basestring_ascii(text)
+
+    monkeypatch.setattr(cli, "_is_decimal_text", test)
+    monkeypatch.setattr(cli, "encode_basestring_ascii", escape)
+    payload = {"terms": [DecimalList(["1", "-20"]), DecimalList(["300", "0"])], "dk": DecimalList(["7"])}
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    # only the items of the untyped list around the rows, which are not strings
+    assert tested == payload["terms"][:1]
+    assert sorted(escaped) == ["dk", "terms"]
+
+
+@pytest.mark.parametrize("scalar", [None, True, False, 0, 1, -1, 10**40, -(10**40), 2.5, float("nan")])
+def test_scalars_in_lists_and_dicts(scalar):
+    # bool is tested before int: int.__repr__(True) is '1', json writes 'true'
+    for payload in (scalar, [scalar], {"k": scalar}, [scalar, "1", DecimalList(["2"])]):
+        assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)

@@ -16,11 +16,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from normlds.coordseq import (
+    DecimalList,
     SequenceReport,
+    StepMatrix,
+    StepRow,
     coordinate_rows,
+    decimal_columns,
     decimal_rows,
     divides,
     generate,
+    smallest_prime_factors,
+    step_matrix,
     verify_lds,
     verify_recurrence,
 )
@@ -468,3 +474,140 @@ class TestDecimalRows:
             assert decimal_rows(report) == want
             assert decimal.getcontext() is ctx
             assert repr(ctx) == before
+
+
+def recurrence_column(charpoly, head, kmax):
+    """head, then each term by sum_j s_j x(k - j) with every s_j multiplied out."""
+    d = len(charpoly) - 1
+    column = list(head)
+    for k in range(d, kmax + 1):
+        column.append(sum(-charpoly[d - j] * column[k - j] for j in range(1, d + 1)))
+    return column
+
+
+def recurrence_report(charpoly, heads, kmax):
+    columns = [recurrence_column(charpoly, head, kmax) for head in heads]
+    return SequenceReport(terms=[list(row) for row in zip(*columns)], charpoly=tuple(charpoly))
+
+
+@st.composite
+def plus_minus_reports(draw):
+    """Columns of a charpoly's own recurrence, with +-1 likely in every position.
+
+    Heads are small, zero, or long; zero columns and columns that reach zero
+    again (a cancelling sum) test that no term prints as -0.
+    """
+    d = draw(st.integers(1, 5))
+    coefficient = st.one_of(st.sampled_from([-1, 1]), st.sampled_from([-1, 0, 1]), st.integers(-40, 40))
+    charpoly = [draw(coefficient) for _ in range(d)] + [1]
+    term = st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30))
+    heads = draw(st.lists(
+        st.one_of(st.just([0] * d), st.lists(term, min_size=d, max_size=d)), min_size=1, max_size=4
+    ))
+    return recurrence_report(charpoly, heads, draw(st.integers(d, 80)))
+
+
+# +-1 in every position, negative traces, and zero columns beside nonzero ones
+PLUS_MINUS_CASES = [
+    ((-1, -1, 1), [[0, 1], [2, -1], [0, 0]]),  # x^2 - x - 1
+    ((1, 1, 1), [[1, 0], [0, -1]]),  # x^2 + x + 1: period 3, zeros in every column
+    ((-1, 1, -1, 1, 1), [[0, 1, 1, 2], [0, 0, 0, 0], [-1, 0, 1, 0]]),  # x^4 + x^3 - x^2 + x - 1
+    ((1, -1, 1, -1, 1), [[1, 0, 0, 0], [0, 0, 0, 0]]),  # x^4 - x^3 + x^2 - x + 1
+    ((1, 0, 7, 0, 1), [[0, 1, 1, -6], [0, 0, 0, 0], [0, 0, 3, 0], [5, 0, 0, 0]]),  # T = -7
+    ((1, 0, -1057, 0, 1), [[0, 1, 1, 1058], [0, 0, 0, 0], [-2, 0, 0, 0]]),  # T = 1057
+    ((1, 0, 2, 0, 1), [[0, 1, 0, -2], [0, 0, 0, 0]]),  # T = -2, s_2 = -2 and s_4 = -1
+    ((-1, 1), [[5], [0]]),  # x - 1: s_1 = 1 alone
+    ((1, 1), [[-5], [0]]),  # x + 1: s_1 = -1 alone
+    ((0, 1), [[3], [0]]),  # x: no nonzero s_j, every later term 0
+]
+
+
+class TestPlusMinusOneSteps:
+    @given(plus_minus_reports())
+    @settings(max_examples=300, deadline=None)
+    def test_decimal_rows_match_str_and_never_print_minus_zero(self, report):
+        rows = decimal_rows(report)
+        assert rows == str_rows(report)
+        assert all(type(row) is DecimalList for row in rows)
+        assert all(x != "-0" for row in rows for x in row)
+        columns = decimal_columns(report)
+        assert all(type(column) is DecimalList for column in columns)
+        assert [list(row) for row in zip(*columns)] == rows
+
+    @pytest.mark.parametrize("charpoly, heads", PLUS_MINUS_CASES)
+    def test_named_charpolys(self, charpoly, heads):
+        report = recurrence_report(charpoly, heads, 60)
+        rows = decimal_rows(report)
+        assert rows == str_rows(report)
+        assert all(x != "-0" for row in rows for x in row)
+        assert verify_recurrence(report) is termwise_recurrence(report) is True
+
+    @given(plus_minus_reports(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_recurrence_verdict_matches_termwise_loop(self, report, data):
+        assert verify_recurrence(report) is termwise_recurrence(report) is True
+        d = len(report.charpoly) - 1
+        k = data.draw(st.integers(d, report.kmax))
+        i = data.draw(st.integers(0, report.ncols - 1))
+        terms = [list(row) for row in report.terms]
+        terms[k][i] += data.draw(st.integers(-3, 3).filter(bool))
+        mutated = SequenceReport(terms=terms, charpoly=report.charpoly)
+        assert verify_recurrence(mutated) is termwise_recurrence(mutated) is False
+
+
+class TestSharedSieve:
+    @given(lds_columns(), st.integers(0, 20))
+    @settings(max_examples=300, deadline=None)
+    def test_a_sieve_built_once_gives_the_same_verdict(self, case, extra):
+        col, nmax = case
+        spf = smallest_prime_factors(max(nmax, 1) + extra)
+        assert verify_lds(col, nmax, spf) == verify_lds(col, nmax)
+        assert (verify_lds(col, nmax, spf).ok, verify_lds(col, nmax, spf).witness) == pairwise_lds(col, nmax)
+
+    def test_sieve(self):
+        spf = smallest_prime_factors(30)
+        assert isinstance(spf, tuple)
+        assert [spf[m] for m in range(2, 31)] == [
+            min(p for p in range(2, m + 1) if m % p == 0) for m in range(2, 31)
+        ]
+
+    def test_a_short_sieve_is_refused(self):
+        col = list(range(41))
+        with pytest.raises(ValueError, match="sieve ends below 40"):
+            verify_lds(col, 40, smallest_prime_factors(39))
+        assert verify_lds(col, 40, smallest_prime_factors(40)).ok
+
+
+class TestStepMatrix:
+    def test_power_basis_of_a_lacunary_quartic(self):
+        # multiplication by t on 1, t, t^2, t^3 with t^4 = 10 t^2 - 1: four of the
+        # five nonzero entries are +-1
+        k4 = NumberField((1, 0, -10, 0, 1))
+        assert step_matrix(k4.generator, k4.power_basis()) == StepMatrix(
+            [StepRow(None, [], [], [3]), StepRow(0, [], [], []), StepRow(1, [(3, 10)], [], []),
+             StepRow(2, [], [], [])],
+            1,
+        )
+
+    def test_least_common_denominator(self):
+        # over 1, t, 2t^2, t^3 the step of t has the entries 1/2 and 5: D = 2
+        k4 = NumberField((1, 0, -10, 0, 1))
+        t = k4.generator
+        basis = ModuleBasis(k4, (k4.one, t, (t * t).scale(2), t * t * t))
+        assert step_matrix(t, basis) == StepMatrix(
+            [StepRow(None, [(3, -2)], [], []), StepRow(None, [(0, 2)], [], []),
+             StepRow(1, [(3, 10)], [], []), StepRow(None, [(2, 4)], [], [])],
+            2,
+        )
+
+    def test_several_plus_and_minus_entries_in_a_row(self):
+        # eps = 1 + t - t^2 + t^3 over the power basis of x^4 - 2: M has the rows
+        # (1, 2, -2, 2), (1, 1, 2, -2), (-1, 1, 1, 2) and (1, -1, 1, 1)
+        k4 = NumberField((-2, 0, 0, 0, 1))
+        eps = k4.element([1, 1, -1, 1])
+        assert step_matrix(eps, k4.power_basis()).rows == [
+            StepRow(0, [(1, 2), (2, -2), (3, 2)], [], []), StepRow(0, [(2, 2), (3, -2)], [1], []),
+            StepRow(1, [(3, 2)], [2], [0]), StepRow(0, [], [2, 3], [1]),
+        ]
+        rows = list(itertools.islice(coordinate_rows(k4.one, eps, k4.power_basis(), str), 12))
+        assert rows == fraction_rows(k4.one, eps, k4.power_basis(), 11)

@@ -586,6 +586,26 @@ class TestCoords:
             return
         assert basis.coords(field.element(target)) == want
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(lambda n: st.lists(
+            st.lists(st.fractions(-6, 6, max_denominator=4), min_size=n, max_size=n),
+            min_size=n + 1, max_size=n + 1,
+        ))
+    )
+    def test_int_coords_are_the_solve_over_its_least_denominator(self, rows):
+        *vectors, target = rows
+        field = {2: SQRT2, 3: CUBIC, 4: BIQUAD}[len(target)]
+        try:
+            basis = ModuleBasis(field, tuple(field.element(v) for v in vectors))
+        except ValueError:
+            assume(False)
+        num, den = basis.int_coords(field.element(target))
+        assert den > 0 and math.gcd(den, *num) == 1
+        assert tuple(Fraction(x, den) for x in num) == solve_linear(vectors, target)
+        # den is 1 exactly when every coordinate is an integer
+        assert (den == 1) is all(c.denominator == 1 for c in solve_linear(vectors, target))
+
 
 class TestParsing:
     def test_polynomial_round_trip(self):
