@@ -149,7 +149,7 @@ def quad_construct(tbasis: ModuleBasis, beta: FieldElement, eps: FieldElement) -
     if eps.is_rational():
         raise ValueError("eps is torsion (rational)")
     for v in tbasis.vectors:
-        if any(c.denominator != 1 for c in tbasis.coords(eps * v)):
+        if tbasis.int_coords(eps * v)[1] != 1:
             raise ValueError("eps does not multiply the module into itself")
     if beta.is_zero():
         raise ValueError("beta must be nonzero")

@@ -166,27 +166,16 @@ def _resolve_basis(
 
 # a float as json.dumps writes it
 _FLOAT_JSON = json.JSONEncoder().encode
-_DECIMAL_CHARS = b"-0123456789"
-
-
-def _is_decimal_text(item: Any) -> bool:
-    """Whether item is a string of '-' and digits only, which is its own JSON body."""
-    return (
-        isinstance(item, str)
-        and item.isascii()
-        and not item.encode().translate(None, _DECIMAL_CHARS)
-    )
 
 
 def _json_fragments(value: Any, out: list[str], newline: str) -> None:
     """Append the fragments of json.dumps(value, indent=2, sort_keys=True) to out.
 
     newline is the line break and indent of value's own line. Dict keys must be
-    strings. A list whose items are all decimal strings, such as a column of
-    terms, is written with one join and without escaping each item: escaping
-    thousand-digit terms is most of what json.dumps spends on a report, and
-    testing an item for '-' and digits costs about half of escaping it, so a
-    DecimalList, whose items are decimal by construction, is not tested.
+    strings. A DecimalList, such as a column of terms, is written with one join
+    and without escaping or testing each item, since its items are decimal by
+    construction: escaping thousand-digit terms is most of what json.dumps
+    spends on a report. Every other list is written item by item.
     """
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
@@ -195,7 +184,7 @@ def _json_fragments(value: Any, out: list[str], newline: str) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        if isinstance(value, coordseq.DecimalList) or all(map(_is_decimal_text, value)):
+        if isinstance(value, coordseq.DecimalList):
             out.append("[" + inner + '"')
             out.append(('",' + inner + '"').join(value))
             out.append('"' + newline + "]")
@@ -339,11 +328,11 @@ def _cmd_verify_lds(config: Namespace) -> int:
         raise ValueError(f"--column {config.column} out of range")
     if config.nmax is not None and config.nmax < 1:
         raise ValueError(f"--nmax {config.nmax} must be at least 1")
+    if config.nmax is not None and config.nmax > config.kmax:
+        raise ValueError("--nmax cannot exceed --kmax")
     payload, report, csv_lines = _sequence_payload(config, field)
     payload["command"] = "verify-lds"
     nmax = report.kmax if config.nmax is None else config.nmax
-    if nmax > report.kmax:
-        raise ValueError("--nmax cannot exceed --kmax")
     verdicts = []
     spf = coordseq.smallest_prime_factors(nmax)
     for i in range(1, report.ncols + 1):
@@ -374,10 +363,7 @@ def _cmd_dk_scan(config: Namespace) -> int:
     if rec_ok:
         # every term satisfies d_{k+4} = T d_{k+2} - d_k, so rendering through that
         # recurrence from str() of d_1..d_4 gives str(d_k) for each k, by induction
-        column = coordseq.SequenceReport(
-            terms=[[x] for x in seq.terms], charpoly=(1, 0, -seq.t_trace, 0, 1)
-        )
-        terms = coordseq.decimal_columns(column)[0]
+        terms = coordseq.decimal_columns(dkseq.recurrence_report(seq, config.kmax))[0]
     else:
         terms = coordseq.DecimalList(map(str, seq.terms))
     payload: dict[str, Any] = {
@@ -387,7 +373,7 @@ def _cmd_dk_scan(config: Namespace) -> int:
         "ring": [format_element(v) for v in ring.vectors],
         "terms": terms,
         "recurrence_ok": rec_ok,
-        "conj9_hits": [str(k) for k in level.hits],
+        "conj9_hits": coordseq.DecimalList(map(str, level.hits)),
     }
     if config.vanishing_t is not None:
         scan = dkseq.sparse_minpoly_scan(

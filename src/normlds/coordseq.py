@@ -1,34 +1,33 @@
 """Coordinate sequences of beta * eps^k over a module basis, and their checks.
 
-coordinate_rows() is the one sequence kernel of the package. It builds the
-matrix of y -> eps*y over the basis once (step_matrix), cleared to an integer
-matrix M with a common denominator D and stored by rows, and steps
-x(k+1) = M x(k) / D in integers (step_rows): entry i sums M[i][j] x_j(k) over
-the nonzero M[i][j], and every entry is checked for exact division by D.
-generate() and the d_k sequences of dkseq all run on it. generate() returns
-the rows together with the recurrence inherited from the minimal polynomial
-of eps.
+The package has two numeric kernels, both here. The integer step matrix:
+coordinate_rows() builds the matrix of y -> eps*y over the basis once
+(step_matrix), cleared to an integer matrix M with a common denominator D and
+stored by rows, and steps x(k+1) = M x(k) / D in integers (step_rows), every
+entry checked for exact division by D. generate() and the d_k sequences of
+dkseq run on it; generate() returns the rows with the recurrence inherited
+from the minimal polynomial of eps. The recurrence evaluator:
+recurrence_values() yields sum_j s_j x(k - j) for k = d, d+1, ..., one lazy
+map per nonzero s_j over iterators into x. verify_recurrence compares it with
+each column. decimal_columns() and dkseq.match_dk_basis hand it a list of the
+first d terms and append each value it yields, so it reads its own output and
+computes every later term.
 
-The checks are independent of the kernel. verify_recurrence tests the
-characteristic recurrence column by column in one lazy pass; verify_lds finds
-the first failing divisor pair through prime steps.
-
-decimal_columns() and decimal_rows() render the terms as decimal strings
-through the same recurrence, column by column in exact decimal arithmetic:
-str() of a large int is quadratic in its digit count, while each recurrence
-step and str() of a Decimal are linear. They return DecimalList rows and
-columns, whose items are vouched for as '-' and digits by how they were made,
-so a writer may copy them without testing or escaping each one.
+decimal_columns() and decimal_rows() render terms in exact decimal
+arithmetic: str() of a large int is quadratic in its digit count, while each
+recurrence step and str() of a Decimal are linear. They return DecimalList
+rows and columns, whose items are vouched for as '-' and digits by how they
+were made, so a writer may copy them without testing or escaping each one.
 
 An entry +1 or -1 of M, and a recurrence coefficient +1 or -1, is an add or a
-subtract in the per-term loops, not a multiply (save the first term of a
-recurrence whose nonzero coefficients are all -1). In X^4 - T X^2 + 1 the
-coefficient s_4 is -1, and 5 of the 9 nonzero entries of a quartic-power step
-matrix are +-1.
+subtract, not a multiply (save the first term of a recurrence whose nonzero
+coefficients are all -1). In X^4 - T X^2 + 1 the coefficient s_4 is -1, and
+5 of the 9 nonzero entries of a quartic-power step matrix are +-1.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 from decimal import (
     MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, Rounded, localcontext
 )
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .numberfield import FieldElement, ModuleBasis, min_poly
 
@@ -186,16 +185,32 @@ def generate(beta: FieldElement, eps: FieldElement, w: ModuleBasis, kmax: int) -
     return SequenceReport(terms=rows, charpoly=tuple(charpoly))
 
 
-def _recurrence_steps(charpoly: Sequence[int]) -> list[tuple[int, int]]:
-    """Nonzero (j, s_j) of x(k+d) = sum_j s_j x(k+d-j) for a monic ascending charpoly.
+def recurrence_values(charpoly: Sequence[int], x: Sequence) -> Iterator:
+    """sum_j s_j x(k - j) for k = d, d+1, ..., of f = X^d - s_1 X^(d-1) - ... - s_d.
 
-    The steps come in the order s_j not +-1, s_j = 1, s_j = -1, so that a sum
-    over them starts with a multiply, or with x(k+d-j) itself, whenever it can.
+    charpoly is f, monic and ascending. x is read through one iterator per
+    nonzero s_j, from x(d - j) on, so a list to which the caller appends each
+    value before it asks for the next feeds itself. The values stop where the
+    first of those iterators ends; all are 0 when no s_j is nonzero.
     """
-    # f = X^d - s_1 X^(d-1) - ... - s_d, so s_j = -charpoly[d - j]
     d = len(charpoly) - 1
     steps = [(j, -charpoly[d - j]) for j in range(1, d + 1) if charpoly[d - j]]
-    return sorted(steps, key=lambda step: {1: 1, -1: 2}.get(step[1], 0))
+    # s_j not +-1 first, then s_j = 1, then s_j = -1: the sum starts with a
+    # multiply, or with x(k - j) itself, whenever it can
+    steps.sort(key=lambda step: {1: 1, -1: 2}.get(step[1], 0))
+    values: Iterator = itertools.repeat(0)
+    for i, (j, s) in enumerate(steps):
+        part = itertools.islice(x, d - j, None)
+        # int.__mul__(Decimal) is NotImplemented, so s multiplies through operator.mul
+        if i == 0:
+            values = part if s == 1 else map(functools.partial(operator.mul, s), part)
+        elif s == 1:
+            values = map(operator.add, values, part)
+        elif s == -1:
+            values = map(operator.sub, values, part)
+        else:
+            values = map(operator.add, values, map(functools.partial(operator.mul, s), part))
+    return values
 
 
 def verify_recurrence(report: SequenceReport) -> bool:
@@ -203,23 +218,8 @@ def verify_recurrence(report: SequenceReport) -> bool:
     d = len(report.charpoly) - 1
     if report.kmax < d:
         raise ValueError("not enough terms to test the recurrence")
-    steps = _recurrence_steps(report.charpoly)
-    n = len(report.terms)
     for column in zip(*report.terms):
-        # sum_j s_j x(k - j) for k = d..n-1, lazily: one pass over the column;
-        # every later term is 0 when no s_j is nonzero
-        want: Iterable[int] = itertools.repeat(0)
-        for i, (j, s) in enumerate(steps):
-            part = column[d - j : n - j]
-            if i == 0:
-                want = part if s == 1 else map(s.__mul__, part)
-            elif s == 1:
-                want = map(operator.add, want, part)
-            elif s == -1:
-                want = map(operator.sub, want, part)
-            else:
-                want = map(operator.add, want, map(s.__mul__, part))
-        if not all(map(operator.eq, want, column[d:])):
+        if not all(map(operator.eq, recurrence_values(report.charpoly, column), column[d:])):
             return False
     return True
 
@@ -238,32 +238,14 @@ def decimal_columns(report: SequenceReport) -> list[DecimalList]:
     verify_recurrence decides.
     """
     d = len(report.charpoly) - 1
-    n = len(report.terms)
-    # with no nonzero s_j (charpoly X^d) every later term is 0 * x(k - d)
-    (j0, s0), *rest = _recurrence_steps(report.charpoly) or [(d, 0)]
-    # the first step multiplies, unless s_j = 1; it multiplies by -1 only when
-    # every nonzero s_j is -1
-    first = None if s0 == 1 else Decimal(s0)
-    scaled = [(j, Decimal(s)) for j, s in rest if s not in (1, -1)]
-    plus = [j for j, s in rest if s == 1]
-    minus = [j for j, s in rest if s == -1]
+    # a column may hold fewer than d terms
+    count = max(len(report.terms) - d, 0)
     columns = []
     with localcontext(_EXACT):
         for column in zip(*report.terms):
             values = list(map(Decimal, column[:d]))
             append = values.append
-            for k in range(d, n):
-                value = values[k - j0] if first is None else first * values[k - j0]
-                # an empty loop costs about as much as an add, so each is skipped
-                if scaled:
-                    for j, s in scaled:
-                        value += s * values[k - j]
-                if plus:
-                    for j in plus:
-                        value += values[k - j]
-                if minus:
-                    for j in minus:
-                        value -= values[k - j]
+            for value in itertools.islice(recurrence_values(report.charpoly, values), count):
                 append(value)
             text = DecimalList(map(str, values))
             # the product of 0 and a negative s_j is -0, the one decimal value

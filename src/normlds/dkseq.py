@@ -17,20 +17,24 @@ d_k = content(x(k - j) - y(j)); dk_sequence takes j = k // 2 and works on rows
 of half the digits.
 
 The module also hosts the order-4 recurrence check for quadratic norm-1
-units, the change of basis matching d_k/d_1 with a first coordinate sequence,
-the vanishing scan for lacunary minimal polynomials, and power-basis
-discriminants.
+units and the change of basis matching d_k/d_1 with a first coordinate
+sequence, both through the recurrence evaluator of coordseq; the vanishing
+scan for lacunary minimal polynomials; and power-basis discriminants, as
++-N(f'(alpha)) for the defining polynomial f.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coordseq import coordinate_rows, step_matrix, step_rows
-from .exactlinalg import IntMatrix, complete_primitive, det, inverse_unimodular
+from .coordseq import (
+    SequenceReport, coordinate_rows, recurrence_values, step_matrix, step_rows, verify_recurrence
+)
+from .exactlinalg import IntMatrix, complete_primitive, inverse_unimodular
 from .numberfield import (
     FieldElement,
     ModuleBasis,
@@ -80,10 +84,10 @@ def dk(alpha: FieldElement, ringbasis: ModuleBasis, k: int) -> int:
     if k < 0:
         raise ValueError("index must be nonnegative")
     _check_ring_basis(ringbasis)
-    coords = ringbasis.coords(alpha**k)
-    if any(c.denominator != 1 for c in coords):
+    num, den = ringbasis.int_coords(alpha**k)
+    if den != 1:
         raise ValueError(_non_integral(k))
-    return math.gcd(int(coords[0]) - 1, *map(int, coords[1:]))
+    return math.gcd(num[0] - 1, *num[1:])
 
 
 def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSequence:
@@ -144,10 +148,19 @@ def dk_recurrence_check(seq: DkSequence, kmax: int) -> bool:
         raise CheckRefused("alpha is torsion")
     if kmax > len(seq.terms):
         raise ValueError(f"sequence holds only {len(seq.terms)} terms")
+    # no k with k + 4 <= kmax
+    if kmax <= 4:
+        return True
+    return verify_recurrence(recurrence_report(seq, kmax))
+
+
+def recurrence_report(seq: DkSequence, kmax: int) -> SequenceReport:
+    """d_1..d_kmax as one column under X^4 - T X^2 + 1: d_{k+4} = T d_{k+2} - d_k.
+
+    Only a quadratic unit of norm 1 (t_trace not None) has this recurrence.
+    """
     t = seq.t_trace
-    terms = seq.terms[:kmax]
-    # (d_k, d_{k+2}, d_{k+4}) for k = 1..kmax-4
-    return all(e == t * c - a for a, c, e in zip(terms, terms[2:], terms[4:]))
+    return SequenceReport(terms=[[d] for d in seq.terms[:kmax]], charpoly=(1, 0, -t, 0, 1))
 
 
 @dataclass
@@ -203,31 +216,20 @@ def match_dk_basis(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int = 30) 
     normalized = tuple(x // d1 for x in d_head)
     # normalized[1] = 1, so the vector is primitive and the completion exists
     a = complete_primitive(normalized)
-    # x(k) = A^T y(k) where y(k) are power coordinates of eta^k mod X^4 - T X^2 + 1
-    col = a.column(0)
-    y = (1, 0, 0, 0)
-    matched = None
-    for k in range(kmax + 1):
-        x1 = sum(ci * yi for ci, yi in zip(col, y))
-        d_k = 0 if k == 0 else seq.dk(k)
-        if x1 * d1 != d_k:
-            matched = k - 1
-            break
-        y = (-y[3], y[0], y[1] + t * y[3], y[2])
-    else:
-        matched = kmax
+    # x(k) = A^T y(k) where y(k) are power coordinates of eta^k mod X^4 - T X^2 + 1;
+    # y(k) = e_(k+1) for k <= 3, so x1(0..3) is column 0 of A, and x1 follows the recurrence
+    x1 = list(a.column(0))
+    append = x1.append
+    for value in itertools.islice(recurrence_values(poly, x1), max(kmax - 3, 0)):
+        append(value)
+    matched = next(
+        (k - 1 for k in range(kmax + 1) if x1[k] * d1 != (seq.dk(k) if k else 0)), kmax
+    )
     basis = None
     k4 = _quartic_field(poly)
     if k4 is not None:
-        eta = k4.generator
-        a_inv = inverse_unimodular(a)
-        vectors = []
-        for row in a_inv.entries:
-            acc = k4.zero
-            for c, i in zip(row, range(4)):
-                acc = acc + (eta**i).scale(c)
-            vectors.append(acc)
-        basis = ModuleBasis(k4, tuple(vectors))
+        # row i of A^-1 holds the power coordinates of basis vector i
+        basis = ModuleBasis(k4, tuple(map(k4.power_basis().combine, inverse_unimodular(a).entries)))
     return DkMatchReport(
         quartic_poly=poly,
         poly_irreducible=k4 is not None,
@@ -321,26 +323,14 @@ def dk_level_scan(seq: DkSequence) -> LevelScan:
     return LevelScan(d1=d1, hits=hits, kmax=len(seq.terms))
 
 
-def _sylvester_resultant(f: list[int], g: list[int]) -> int:
-    """Resultant of two integer polynomials (ascending coefficients)."""
-    df = len(f) - 1
-    dg = len(g) - 1
-    size = df + dg
-    rows = []
-    frev = f[::-1]
-    grev = g[::-1]
-    for i in range(dg):
-        rows.append([0] * i + frev + [0] * (size - df - 1 - i))
-    for i in range(df):
-        rows.append([0] * i + grev + [0] * (size - dg - 1 - i))
-    return det(IntMatrix.from_rows(rows))
-
-
 def discriminant_power_basis(field: NumberField) -> int:
-    """disc(1, alpha, ..., alpha^(n-1)) = (-1)^(n(n-1)/2) Res(f, f') for monic f."""
-    f = list(field.coeffs)
+    """disc(1, alpha, ..., alpha^(n-1)) = (-1)^(n(n-1)/2) N(f'(alpha)) for monic f.
+
+    For monic f, Res(f, g) = N(g(alpha)) (Cohen, GTM 138), so the
+    discriminant is a norm, and the norm is the one Bareiss determinant.
+    """
+    f = field.coeffs
     n = field.degree
-    fprime = [i * f[i] for i in range(1, n + 1)]
-    res = _sylvester_resultant(f, fprime)
+    fprime = field.element([i * f[i] for i in range(1, n + 1)])
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * res
+    return sign * int(norm(fprime))

@@ -1,10 +1,11 @@
 """Exact integer linear algebra on small dense matrices.
 
-Everything here is fraction-free: determinants via Bareiss elimination,
+Everything here is fraction-free. One Bareiss pass (_bareiss) serves every
+determinant and inverse: det, and through it the norms of numberfield and the
+discriminants of dkseq; and fraction_free_inverse, behind the unimodular
+inverses here and the rational basis inverses of numberfield. Besides it:
 column-style Hermite normal form, Smith normal form with unimodular
-transformation witnesses, completion of a primitive vector to a basis of Z^n,
-and exact inversion by one fraction-free Gauss-Jordan pass, which serves both
-the unimodular inverses here and the rational basis inverses of numberfield.
+transformation witnesses, and completion of a primitive vector to a basis of Z^n.
 Intended for n <= 4 but written for general n.
 """
 
@@ -123,15 +124,21 @@ class SnfDecomposition:
     y: IntMatrix
 
 
-def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant requires a square matrix")
-    n = m.rows
-    a = [list(row) for row in m.entries]
+def _bareiss(a: list[list[int]]) -> int:
+    """det of the leading n x n block of a: one fraction-free Gauss-Jordan pass, in place.
+
+    After step k every entry is a (k+1)x(k+1) minor of the row-swapped a, so
+    each division by the previous pivot is exact, above the pivot as below it.
+    The last pivot a[n-1][n-1] is the determinant of the row-swapped block, and
+    the columns right of the block end as that pivot times the block's inverse
+    times them. Columns left of each pivot are settled and skipped. Returns 0
+    when the block is singular, else the determinant with the sign of the swaps.
+    """
+    n = len(a)
+    width = len(a[0])
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
@@ -140,38 +147,6 @@ def det(m: IntMatrix) -> int:
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss: the division by the previous pivot is exact
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def fraction_free_inverse(
-    rows: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], int] | None:
-    """Inverse of a square integer matrix as (N, q) with A^-1 = N/q, q = |det A| > 0.
-
-    One fraction-free Gauss-Jordan pass (Bareiss) over [A | I]; None when A is
-    singular. After step k every entry is a (k+1)x(k+1) minor of the row-swapped
-    [A | I], so each division by the previous pivot is exact, for the rows
-    above the pivot as for those below. The last pivot d is the determinant of
-    the row-swapped A, the left block ends as d*I and the right block as d*A^-1.
-    Columns left of the pivot are settled (d*I so far, or zero) and are skipped.
-    """
-    n = len(rows)
-    a = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    break
-            else:
-                return None
         pivot_row = a[k]
         pivot = pivot_row[k]
         for i in range(n):
@@ -180,15 +155,38 @@ def fraction_free_inverse(
             row = a[i]
             factor = row[k]
             if factor:
-                for j in range(k + 1, 2 * n):
+                for j in range(k + 1, width):
                     row[j] = (row[j] * pivot - factor * pivot_row[j]) // prev
                 row[k] = 0
             else:
-                for j in range(k + 1, 2 * n):
+                for j in range(k + 1, width):
                     row[j] = row[j] * pivot // prev
         prev = pivot
-    sign = 1 if prev > 0 else -1
-    return [[sign * x for x in row[n:]] for row in a], abs(prev)
+    return sign * prev
+
+
+def det(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free Bareiss elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant requires a square matrix")
+    return _bareiss([list(row) for row in m.entries])
+
+
+def fraction_free_inverse(
+    rows: Sequence[Sequence[int]],
+) -> tuple[list[list[int]], int] | None:
+    """Inverse of a square integer matrix as (N, q) with A^-1 = N/q, q = |det A| > 0.
+
+    The Bareiss pass over [A | I]; None when A is singular. The right block
+    ends as d*A^-1, d the last pivot: the determinant of the row-swapped A.
+    """
+    n = len(rows)
+    a = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    if not _bareiss(a):
+        return None
+    d = a[n - 1][n - 1]
+    sign = 1 if d > 0 else -1
+    return [[sign * x for x in row[n:]] for row in a], abs(d)
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:

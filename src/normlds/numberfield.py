@@ -465,15 +465,14 @@ def is_positive_unit(a: FieldElement, ringbasis: ModuleBasis) -> bool:
     ringbasis must span a ring containing 1 (checked); the verdict then requires
     integral coordinates for a and for a times every basis vector.
     """
-    one_coords = ringbasis.coords(ringbasis.field.one)
-    if any(c.denominator != 1 for c in one_coords):
+    if ringbasis.int_coords(ringbasis.field.one)[1] != 1:
         raise ValueError("ring basis does not contain 1")
     if norm(a) != 1:
         return False
-    if any(c.denominator != 1 for c in ringbasis.coords(a)):
+    if ringbasis.int_coords(a)[1] != 1:
         return False
     for v in ringbasis.vectors:
-        if any(c.denominator != 1 for c in ringbasis.coords(a * v)):
+        if ringbasis.int_coords(a * v)[1] != 1:
             return False
     return True
 

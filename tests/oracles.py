@@ -86,3 +86,17 @@ def minimal_order(column: Sequence[int], max_order: int | None = None) -> Minima
         if sol is not None:
             return MinimalRecurrence(d, tuple(sol))
     raise ValueError(f"no recurrence of order <= {max_order} fits the terms")
+
+
+def companion_first_coordinates(column: Sequence[int], t: int, kmax: int) -> list[int]:
+    """x1(0..kmax) = column . y(k), y(k) the power coordinates of eta^k mod X^4 - T X^2 + 1.
+
+    y(k) is stepped by the companion matrix of X^4 - T X^2 + 1, one
+    multiplication by X per k, and each x1(k) is a dot product with column.
+    """
+    y = (1, 0, 0, 0)
+    x1 = []
+    for _ in range(kmax + 1):
+        x1.append(sum(c * v for c, v in zip(column, y)))
+        y = (-y[3], y[0], y[1] + t * y[3], y[2])
+    return x1

@@ -105,6 +105,19 @@ def test_verify_lds_nmax_checked_before_any_output(nmax):
     assert err == f"error: --nmax {nmax} must be at least 1\n"
 
 
+def test_verify_lds_nmax_above_kmax_is_refused_before_any_work(monkeypatch):
+    def generate(*args):
+        raise AssertionError("coordseq.generate was called")
+
+    monkeypatch.setattr(coordseq, "generate", generate)
+    rc, out, err = run_cli(
+        ["verify-lds", "--field", "x^4-1060x^2+1", "--unit", "t", "--kmax", "20000", "--nmax", "20001"]
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == "error: --nmax cannot exceed --kmax\n"
+
+
 def test_verify_lds_nmax_defaults_to_kmax():
     rc, out, _ = run_cli(["verify-lds", "--field", "x^4-10x^2+1", "--unit", "t", "--kmax", "30"])
     assert json.loads(out)["nmax"] == 30

@@ -1,0 +1,104 @@
+"""No dead code in the library: every definition is used, every import is read.
+
+The modules of src/normlds are read with ast, not imported. A module-level
+function or class must be referenced by some module of the package (its own
+included) or be listed in normlds.__all__; a name a module imports must be
+used in that module, where a string annotation and __all__ count as uses.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import normlds
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "normlds"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def annotation_names(tree):
+    """Names in string annotations, such as -> "IntMatrix"."""
+    names = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
+                if arg is not None:
+                    annotations.append(arg.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in filter(None, annotations):
+        for part in ast.walk(annotation):
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                names |= used_names(ast.parse(part.value, mode="eval"))
+    return names
+
+
+def used_names(tree):
+    """Every name read in tree, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def exported(tree):
+    """The strings of a module-level __all__ list."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return {item.value for item in node.value.elts}
+    return set()
+
+
+TREES = {path.stem: parse(path) for path in MODULES}
+USED = set().union(*(used_names(tree) | annotation_names(tree) for tree in TREES.values()))
+
+
+def definitions():
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield f"{module}.{node.name}"
+
+
+def imports():
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    yield f"{module}.{(alias.asname or alias.name).split('.')[0]}"
+
+
+@pytest.mark.parametrize("place", list(definitions()))
+def test_definition_is_referenced_or_exported(place):
+    name = place.split(".")[1]
+    assert name in USED or name in normlds.__all__, f"{place} is never referenced"
+
+
+@pytest.mark.parametrize("place", list(imports()))
+def test_import_is_used(place):
+    module, name = place.split(".")
+    tree = TREES[module]
+    assert name in used_names(tree) | annotation_names(tree) | exported(tree), (
+        f"{place} is imported but never used"
+    )
+
+
+def test_the_guard_sees_dead_code():
+    tree = ast.parse("import os\nfrom math import gcd\n\ndef orphan():\n    return gcd(4, 6)\n")
+    used = used_names(tree)
+    assert "gcd" in used and "os" not in used and "orphan" not in used

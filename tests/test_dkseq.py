@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from normlds import coordseq, dkseq, numberfield
 from normlds.numberfield import NumberField
+from oracles import companion_first_coordinates
 
 
 def dk_maximality_oracle(alpha, ringbasis, k, value):
@@ -166,3 +167,51 @@ def test_sparse_minpoly_scan_matches_sympy(spec, nmax, monogenic):
     assert scan.disc == sympy.discriminant(modulus.as_expr(), X)
     # the lacunary theorem: y1 vanishes on 1 + tZ
     assert scan.all_vanish() is all(y1 == 0 for _, y1, _, _ in want) is True
+
+
+@pytest.mark.parametrize("kmax", [0, 1, 2, 3, 4, 5, 60])
+@pytest.mark.parametrize("poly, alpha", [((-3, 0, 1), (2, 1)), ((-6, 0, 1), (5, 2)), ((-2, 0, 1), (3, 2))])
+def test_match_dk_basis_against_the_companion_step(poly, alpha, kmax):
+    # x1(0..3) is column 0 of the completion, and the later terms come from the
+    # recurrence: kmax below 4 takes none of them, and kmax 4 and 5 the first ones
+    field = NumberField(poly)
+    alpha = field.element(alpha)
+    report = dkseq.match_dk_basis(alpha, field.power_basis(), kmax=kmax)
+    t = -report.quartic_poly[2]
+    x1 = companion_first_coordinates(report.completion.column(0), t, kmax)
+    d = [0] + dkseq.dk_sequence(alpha, field.power_basis(), max(kmax, 4)).terms
+    d1 = report.d_head[1]
+    want = next((k - 1 for k in range(kmax + 1) if x1[k] * d1 != d[k]), kmax)
+    assert report.matched_through == want == kmax
+
+
+def test_match_dk_basis_reports_the_first_mismatch(monkeypatch):
+    # a d_k sequence that leaves x1 at k = 7 is matched through 6, as by the companion step
+    field = NumberField((-3, 0, 1))
+    alpha = field.element((2, 1))
+    original = dkseq.dk_sequence
+
+    def broken(*args):
+        seq = original(*args)
+        seq.terms[6] += seq.terms[0]
+        return seq
+
+    monkeypatch.setattr(dkseq, "dk_sequence", broken)
+    report = dkseq.match_dk_basis(alpha, field.power_basis(), kmax=20)
+    x1 = companion_first_coordinates(report.completion.column(0), 4, 20)
+    d = [0] + broken(alpha, field.power_basis(), 20).terms
+    d1 = report.d_head[1]
+    assert report.matched_through == next(k - 1 for k in range(21) if x1[k] * d1 != d[k]) == 6
+
+
+@pytest.mark.parametrize(
+    "poly, disc",
+    [
+        ((-3, 0, 1), 12),
+        ((-2, 0, 0, 1), -108),
+        ((1, 0, -10, 0, 1), 147456),
+        ((1, -1, -3, -1, 1), -1323),
+    ],
+)
+def test_discriminant_pinned(poly, disc):
+    assert dkseq.discriminant_power_basis(NumberField(poly)) == disc

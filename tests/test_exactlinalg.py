@@ -311,3 +311,15 @@ class TestFractionFreeInverse:
     def test_singular_rows(self):
         assert fraction_free_inverse([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) is None
         assert fraction_free_inverse([[0, 1], [0, 2]]) is None
+
+
+def test_det_and_inverse_with_one_swap_at_the_last_pivot_that_can_swap():
+    # Bareiss meets a zero pivot only at step 1 of 0..2 (no row is left below
+    # step 2 to swap with); the first pivot is -1, the last pivot +4, and det -4
+    rows = [[-1, 2, -2], [0, 0, -1], [3, -2, 2]]
+    a = IntMatrix.from_rows(rows)
+    assert det(a) == -4
+    inv, q = fraction_free_inverse(rows)
+    assert q == 4
+    assert IntMatrix.from_rows(inv) @ a == IntMatrix.diagonal([4, 4, 4])
+    assert inv == [[2, 0, 2], [3, -4, 1], [0, -4, 0]]

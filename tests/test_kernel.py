@@ -25,6 +25,7 @@ from normlds.coordseq import (
     decimal_rows,
     divides,
     generate,
+    recurrence_values,
     smallest_prime_factors,
     step_matrix,
     verify_lds,
@@ -611,3 +612,23 @@ class TestStepMatrix:
         ]
         rows = list(itertools.islice(coordinate_rows(k4.one, eps, k4.power_basis(), str), 12))
         assert rows == fraction_rows(k4.one, eps, k4.power_basis(), 11)
+
+
+class TestRecurrenceValues:
+    @pytest.mark.parametrize("charpoly, heads", PLUS_MINUS_CASES)
+    def test_a_list_that_takes_each_value_feeds_itself(self, charpoly, heads):
+        d = len(charpoly) - 1
+        for head in heads:
+            x = list(head)
+            for value in itertools.islice(recurrence_values(charpoly, x), 60 - d):
+                x.append(value)
+            assert x == recurrence_column(charpoly, head, 59)
+
+    @pytest.mark.parametrize("charpoly, heads", PLUS_MINUS_CASES)
+    def test_on_a_given_column_it_predicts_each_later_term(self, charpoly, heads):
+        # the values may run one or more terms past the column; a comparison stops there
+        d = len(charpoly) - 1
+        for head in heads:
+            column = recurrence_column(charpoly, head, 30)
+            values = list(itertools.islice(recurrence_values(charpoly, column), 31 - d))
+            assert values == column[d:]
