@@ -86,18 +86,20 @@ def quartic_unit_trace(eta: FieldElement) -> int:
 
     eta must be quartic, eps = eta^2 must generate a quadratic subfield, and
     eps must have relative norm 1 there (so eta's minimal polynomial is
-    X^4 - T X^2 + 1).
+    X^4 - T X^2 + 1). All three are read off mp = X^4 + c3 X^3 + ... + c0, the
+    minimal polynomial of eta: eps of degree 2 with minimal polynomial g makes
+    mp = g(X^2), and c3 = c1 = 0 makes eps a root of X^2 + c2 X + c0, of
+    degree 2 since eta has degree 4.
     """
-    mp_eta = min_poly(eta)
-    if len(mp_eta) - 1 != 4:
+    mp = min_poly(eta)
+    if len(mp) - 1 != 4:
         raise ValueError("unit must have degree 4")
-    eps = eta * eta
-    mp_eps = min_poly(eps)
-    if len(mp_eps) - 1 != 2:
+    c0, c1, c2, c3, _ = mp
+    if c1 or c3:
         raise ValueError("square of the unit must generate a quadratic subfield")
-    if mp_eps[0] != 1:
-        raise ValueError(f"square of the unit must have relative norm 1, got {mp_eps[0]}")
-    t = -mp_eps[1]
+    if c0 != 1:
+        raise ValueError(f"square of the unit must have relative norm 1, got {c0}")
+    t = -c2
     if t.denominator != 1:
         raise ValueError("unit is not an algebraic integer")
     return int(t)

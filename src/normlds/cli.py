@@ -352,18 +352,19 @@ def _cmd_verify_lds(config: Namespace) -> int:
 
 def _cmd_dk_scan(config: Namespace) -> int:
     field = _field_from(config)
-    alpha = _element(field, config.alpha or config.unit, "alpha")
+    alpha = _element(field, config.alpha, "alpha")
     ring = _ring(config, field)
     seq = dkseq.dk_sequence(alpha, ring, config.kmax)
     try:
-        rec_ok: bool | None = dkseq.dk_recurrence_check(seq, config.kmax)
+        report = dkseq.recurrence_report(seq)
+        rec_ok: bool | None = dkseq.dk_recurrence_check(report)
     except dkseq.CheckRefused:
         rec_ok = None
     level = dkseq.dk_level_scan(seq)
     if rec_ok:
         # every term satisfies d_{k+4} = T d_{k+2} - d_k, so rendering through that
         # recurrence from str() of d_1..d_4 gives str(d_k) for each k, by induction
-        terms = coordseq.decimal_columns(dkseq.recurrence_report(seq, config.kmax))[0]
+        terms = coordseq.decimal_columns(report)[0]
     else:
         terms = coordseq.DecimalList(map(str, seq.terms))
     payload: dict[str, Any] = {
@@ -493,12 +494,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, bounds: bool = True, beta: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, *, bounds: bool = True, unit_beta: bool = True) -> None:
         p.add_argument("--field", help="defining polynomial in x, e.g. 'x^4-10x^2+1'")
-        p.add_argument(
-            "--unit", help="unit element in t, e.g. 't' or '3+2t'; a negative one as --unit=-2-t"
-        )
-        if beta:
+        if unit_beta:
+            p.add_argument(
+                "--unit",
+                help="unit element in t, e.g. 't' or '3+2t'; a negative one as --unit=-2-t",
+            )
             p.add_argument(
                 "--beta", help="module element in t (default 1); a negative one as --beta=-2-t"
             )
@@ -530,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--column", type=int, default=1, help="column deciding the exit code")
 
     p = sub.add_parser("dk-scan", help="congruence sequence d_k and related scans")
-    common(p, beta=False)
+    common(p, unit_beta=False)
     p.add_argument(
         "--alpha", help="element whose powers are scanned (in t); a negative one as --alpha=-2-t"
     )

@@ -136,31 +136,26 @@ def _quadratic_unit_trace(mp: tuple[Fraction, ...]) -> int | None:
     return int(t) if t.denominator == 1 else None
 
 
-def dk_recurrence_check(seq: DkSequence, kmax: int) -> bool:
-    """Whether d_{k+4} = T d_{k+2} - d_k holds for 1 <= k <= kmax-4.
+def recurrence_report(seq: DkSequence) -> SequenceReport:
+    """d_1, d_2, ... as one column under X^4 - T X^2 + 1: d_{k+4} = T d_{k+2} - d_k.
 
-    Only meaningful for a nontorsion quadratic unit of norm 1; anything else is
-    refused rather than failed.
-    """
-    if seq.t_trace is None:
-        raise CheckRefused("alpha is not a quadratic unit of norm 1")
-    if any(t == 0 for t in seq.terms):
-        raise CheckRefused("alpha is torsion")
-    if kmax > len(seq.terms):
-        raise ValueError(f"sequence holds only {len(seq.terms)} terms")
-    # no k with k + 4 <= kmax
-    if kmax <= 4:
-        return True
-    return verify_recurrence(recurrence_report(seq, kmax))
-
-
-def recurrence_report(seq: DkSequence, kmax: int) -> SequenceReport:
-    """d_1..d_kmax as one column under X^4 - T X^2 + 1: d_{k+4} = T d_{k+2} - d_k.
-
-    Only a quadratic unit of norm 1 (t_trace not None) has this recurrence.
+    Only a nontorsion quadratic unit of norm 1 has this recurrence; anything
+    else is refused rather than failed.
     """
     t = seq.t_trace
-    return SequenceReport(terms=[[d] for d in seq.terms[:kmax]], charpoly=(1, 0, -t, 0, 1))
+    if t is None:
+        raise CheckRefused("alpha is not a quadratic unit of norm 1")
+    if any(d == 0 for d in seq.terms):
+        raise CheckRefused("alpha is torsion")
+    return SequenceReport(terms=[[d] for d in seq.terms], charpoly=(1, 0, -t, 0, 1))
+
+
+def dk_recurrence_check(report: SequenceReport) -> bool:
+    """Whether every d_{k+4} of a recurrence_report is T d_{k+2} - d_k."""
+    # with kmax <= 4 terms there is no k with k + 4 <= kmax
+    if len(report.terms) <= 4:
+        return True
+    return verify_recurrence(report)
 
 
 @dataclass

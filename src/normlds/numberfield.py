@@ -459,24 +459,6 @@ class ModuleBasis:
         return acc
 
 
-def is_positive_unit(a: FieldElement, ringbasis: ModuleBasis) -> bool:
-    """Whether a has norm exactly 1 and multiplies the given ring into itself.
-
-    ringbasis must span a ring containing 1 (checked); the verdict then requires
-    integral coordinates for a and for a times every basis vector.
-    """
-    if ringbasis.int_coords(ringbasis.field.one)[1] != 1:
-        raise ValueError("ring basis does not contain 1")
-    if norm(a) != 1:
-        return False
-    if ringbasis.int_coords(a)[1] != 1:
-        return False
-    for v in ringbasis.vectors:
-        if ringbasis.int_coords(a * v)[1] != 1:
-            return False
-    return True
-
-
 # text form: polynomial expressions in one generator symbol, integer or
 # rational coefficients, whitespace-insensitive, exact round-trip
 

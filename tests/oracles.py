@@ -1,11 +1,13 @@
-"""Exact Fraction solvers that serve the tests as independent oracles.
+"""Exact solvers and sequences that serve the tests as independent oracles.
 
 solve_linear is plain Gauss-Jordan elimination over Fraction, and
 minimal_order fits the least-order recurrence of a sequence with it. The
 library needs neither: every unit it emits has an irreducible minimal
 polynomial, so a nonzero coordinate sequence has the unit's degree as its
 minimal order. The tests check that fact and the library's fraction-free
-routines against these.
+routines against these. lucas_terms is the Lucas sequence u_k(P, Q) by its
+recurrence: in the quadratic case x1 is a scaled Lucas sequence, and the
+quartic-power x1 is built from one.
 """
 
 from __future__ import annotations
@@ -100,3 +102,13 @@ def companion_first_coordinates(column: Sequence[int], t: int, kmax: int) -> lis
         x1.append(sum(c * v for c, v in zip(column, y)))
         y = (-y[3], y[0], y[1] + t * y[3], y[2])
     return x1
+
+
+def lucas_terms(p: int, q: int, count: int) -> list[int]:
+    """u_0 .. u_{count-1} of u_0 = 0, u_1 = 1, u_{k+2} = P u_{k+1} - Q u_k."""
+    terms = []
+    a, b = 0, 1
+    for _ in range(count):
+        terms.append(a)
+        a, b = b, p * b - q * a
+    return terms

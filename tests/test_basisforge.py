@@ -14,11 +14,12 @@ from normlds.basisforge import (
     family_basis,
     family_surd_basis,
     quad_construct,
+    quartic_unit_trace,
     snf_criterion_matrix,
 )
 from normlds.exactlinalg import IntMatrix, det, snf
-from normlds.lucas import LucasParams, lucas_u
-from normlds.numberfield import ModuleBasis, NumberField, parse_element
+from normlds.numberfield import ModuleBasis, NumberField, min_poly, parse_element
+from oracles import lucas_terms
 
 
 def canonicalize_witness_search(
@@ -177,6 +178,85 @@ def test_quad_construct_x1_is_a_scaled_lucas_sequence(n, beta_coords):
     cons = quad_construct(field.power_basis(), beta, unit)
     assert cons.t_trace == 2 * n
     x1 = coordseq.generate(beta, unit, cons.basis, 60).column(1)
-    lucas = LucasParams(cons.t_trace, 1)
-    assert x1 == [cons.scale * lucas_u(lucas, k) for k in range(61)]
+    assert x1 == [cons.scale * u for u in lucas_terms(cons.t_trace, 1, 61)]
     assert coordseq.verify_lds(x1, 60).ok
+
+
+def quartic_unit_trace_reference(eta):
+    """quartic_unit_trace read off the minimal polynomials of eta and of eta^2."""
+    if len(min_poly(eta)) - 1 != 4:
+        raise ValueError("unit must have degree 4")
+    mp_eps = min_poly(eta * eta)
+    if len(mp_eps) - 1 != 2:
+        raise ValueError("square of the unit must generate a quadratic subfield")
+    if mp_eps[0] != 1:
+        raise ValueError(f"square of the unit must have relative norm 1, got {mp_eps[0]}")
+    t = -mp_eps[1]
+    if t.denominator != 1:
+        raise ValueError("unit is not an algebraic integer")
+    return int(t)
+
+
+def outcome(fn, eta):
+    try:
+        return fn(eta)
+    except ValueError as exc:
+        return str(exc)
+
+
+# Q(sqrt 2, sqrt 3) = Q(t) with t = sqrt 2 + sqrt 3
+BIQUAD = NumberField((1, 0, -10, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "field, eta, message",
+    [
+        # rational: the first check wins over the second
+        (BIQUAD, "2", "unit must have degree 4"),
+        # 5 + 2 sqrt 6
+        (BIQUAD, "t^2", "unit must have degree 4"),
+        # X^4 - 4X^3 - 4X^2 + 16X - 8
+        (BIQUAD, "1+t", "square of the unit must generate a quadratic subfield"),
+        # X^4 - 72X^3 + 336X^2 - 1152: only the X^3 coefficient is odd-degree
+        (BIQUAD, "3+t+3t^2+t^3", "square of the unit must generate a quadratic subfield"),
+        # eps = (5 + 2 sqrt 6)/4 has norm 1/16 and trace 5/2: the norm check wins
+        (BIQUAD, "1/2t", "square of the unit must have relative norm 1, got 1/16"),
+        # eps = 1 + sqrt 2, a unit of norm -1
+        (NumberField((-1, 0, -2, 0, 1)), "t", "square of the unit must have relative norm 1, got -1"),
+        # -13/5 sqrt 2 - 11/5 sqrt 3: eps has norm 1 and trace 1402/25
+        (BIQUAD, "-2/5t-1/5t^3", "unit is not an algebraic integer"),
+    ],
+)
+def test_quartic_unit_trace_refusals(field, eta, message):
+    with pytest.raises(ValueError) as exc:
+        quartic_unit_trace(parse_element(field, eta, "t"))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("eta, t_trace", [("t", 10), ("-t", 10), ("t^3", 970), ("t^3-10t", 10)])
+def test_quartic_unit_trace_of_units(eta, t_trace):
+    assert quartic_unit_trace(parse_element(BIQUAD, eta, "t")) == t_trace
+
+
+QUARTIC_FIELDS = [
+    BIQUAD,
+    NumberField((1, 0, -4, 0, 1)),
+    NumberField((-2, 0, 0, 0, 1)),
+    NumberField((1, -1, -3, -1, 1)),
+    NumberField((5, 0, -5, 0, 1)),
+]
+
+
+@given(
+    st.sampled_from(QUARTIC_FIELDS),
+    st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+    st.sampled_from([1, 2, 3, 5]),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_quartic_unit_trace_matches_the_two_minpoly_reading(field, coords, den, odd):
+    # odd elements of the lacunary fields square into Q(t^2), the case that passes
+    if odd:
+        coords[0] = coords[2] = 0
+    eta = field.element([Fraction(c, den) for c in coords])
+    assert outcome(quartic_unit_trace, eta) == outcome(quartic_unit_trace_reference, eta)

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from normlds import basisforge, cli, coordseq, dkseq
-from normlds.lucas import LucasParams, lucas_u
 from normlds.numberfield import NumberField
+from oracles import lucas_terms
 
 
 def run_cli(argv):
@@ -35,6 +35,31 @@ def test_dk_scan_computes_the_sequence_once(monkeypatch):
     doc = json.loads(out)
     d1 = doc["terms"][0]
     assert doc["conj9_hits"] == [str(k) for k, d in enumerate(doc["terms"], 1) if d == d1]
+
+
+def test_dk_scan_builds_the_recurrence_report_once(monkeypatch):
+    reports = []
+    original = dkseq.recurrence_report
+
+    def counting(seq):
+        reports.append(original(seq))
+        return reports[-1]
+
+    checked = []
+    check = dkseq.dk_recurrence_check
+
+    def recording(report):
+        checked.append(report)
+        return check(report)
+
+    monkeypatch.setattr(dkseq, "recurrence_report", counting)
+    monkeypatch.setattr(dkseq, "dk_recurrence_check", recording)
+    rc, out, _ = run_cli(["dk-scan", "--field", "x^2-3", "--alpha", "2+t", "--kmax", "40"])
+    assert rc == 0
+    # the report that was checked is the one rendered: built once, never rebuilt
+    assert len(reports) == 1 and len(checked) == 1 and checked[0] is reports[0]
+    assert len(reports[0].terms) == 40
+    assert json.loads(out)["recurrence_ok"] is True
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
@@ -141,8 +166,7 @@ def test_quadratic_construction_on_a_pell_field_near_10_18(tmp_path):
     )
     assert rc == 0
     x1 = [int(row[0]) for row in json.loads(out)["terms"]]
-    params = LucasParams(trace, 1)
-    assert x1 == [scale * lucas_u(params, k) for k in range(13)]
+    assert x1 == [scale * u for u in lucas_terms(trace, 1, 13)]
 
 
 def test_reducible_field_is_rejected():
@@ -201,8 +225,8 @@ def test_dk_terms_fall_back_to_str_without_a_verified_recurrence(monkeypatch):
     def refuse(report):
         raise AssertionError("rendered through an unverified recurrence")
 
-    monkeypatch.setattr(dkseq, "dk_recurrence_check", lambda seq, kmax: False)
-    monkeypatch.setattr(coordseq, "decimal_rows", refuse)
+    monkeypatch.setattr(dkseq, "dk_recurrence_check", lambda report: False)
+    monkeypatch.setattr(coordseq, "decimal_columns", refuse)
     rc, out, _ = run_cli(argv)
     fallback = json.loads(out)
     assert rc == 0
@@ -231,7 +255,9 @@ def test_kmax_below_the_degree_exits_before_generation(monkeypatch, command, fie
     [("emit-sequence", "--unit"), ("verify-lds", "--beta"), ("dk-scan", "--alpha")],
 )
 def test_negative_element_read_as_an_option_gets_a_hint(command, option):
-    argv = [command, "--field", "x^2-3", "--unit", "2+t", "--kmax", "8", option, "-2-t"]
+    # dk-scan reads --alpha and refuses --unit
+    unit = [] if command == "dk-scan" else ["--unit", "2+t"]
+    argv = [command, "--field", "x^2-3", *unit, "--kmax", "8", option, "-2-t"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with pytest.raises(SystemExit) as exc:
@@ -258,16 +284,25 @@ def test_other_argument_errors_get_no_hint():
     assert err.getvalue().splitlines()[-1].endswith("error: argument --kmax: expected one argument")
 
 
-def test_dk_scan_rejects_beta():
+def dk_scan_refusal(extra):
     argv = ["dk-scan", "--field", "x^2-3", "--alpha", "2+t", "--kmax", "5"]
     assert run_cli(argv)[0] == 0
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with pytest.raises(SystemExit) as exc:
-            cli.main(argv + ["--beta", "7"])
+            cli.main(argv + extra)
     assert exc.value.code == 2
     assert out.getvalue() == ""
-    assert "unrecognized arguments: --beta 7" in err.getvalue()
+    return err.getvalue()
+
+
+def test_dk_scan_rejects_beta():
+    assert "unrecognized arguments: --beta 7" in dk_scan_refusal(["--beta", "7"])
+
+
+def test_dk_scan_rejects_unit():
+    # dk-scan reads its element from --alpha only
+    assert "unrecognized arguments: --unit 3+t" in dk_scan_refusal(["--unit", "3+t"])
 
 
 # different subcommands in turn, with an argument error between them

@@ -10,9 +10,8 @@ from normlds.coordseq import (
     verify_lds,
     verify_recurrence,
 )
-from normlds.lucas import LucasParams, lucas_u, odd_even_closed_form
 from normlds.numberfield import ModuleBasis, NumberField, trace
-from oracles import minimal_order
+from oracles import lucas_terms, minimal_order
 
 SQRT2 = NumberField((-2, 0, 1))
 BIQUAD = NumberField((1, 0, -10, 0, 1))
@@ -160,15 +159,15 @@ class TestQuarticOracle:
             t = rng.randint(3, 50)
             seq = quartic_power_sequence(a, t, 201)
             assert verify_lds(seq, 200).ok
-            params = LucasParams(t, 1)
+            u = lucas_terms(t, 1, 101)
+            # a*u_n at k = 2n and a*(u_{n+1} + u_n) at k = 2n+1, for Q = 1
             for k in range(201):
-                assert seq[k] == odd_even_closed_form(params, a, k)
+                n, odd = divmod(k, 2)
+                assert seq[k] == a * (u[n + 1] + u[n] if odd else u[n])
 
     def test_even_terms_are_scaled_lucas(self):
         seq = quartic_power_sequence(3, 7, 60)
-        params = LucasParams(7, 1)
-        for n in range(30):
-            assert seq[2 * n] == 3 * lucas_u(params, n)
+        assert seq[::2] == [3 * u for u in lucas_terms(7, 1, 30)]
 
 
 def test_degenerate_trace_sequence_is_zero():

@@ -3,7 +3,9 @@
 The modules of src/normlds are read with ast, not imported. A module-level
 function or class must be referenced by some module of the package (its own
 included) or be listed in normlds.__all__; a name a module imports must be
-used in that module, where a string annotation and __all__ count as uses.
+used in that module, where a string annotation and __all__ count as uses. A
+method or property of a class, dunders aside, must be read as an attribute
+(obj.name) somewhere in the package: __all__ exports no methods.
 """
 
 import ast
@@ -83,6 +85,32 @@ def imports():
                     yield f"{module}.{(alias.asname or alias.name).split('.')[0]}"
 
 
+def attribute_reads(trees):
+    """Every name read as obj.name in trees."""
+    return {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def methods(trees):
+    """module.Class.name of every method and property that is not a dunder."""
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    node.name.startswith("__") and node.name.endswith("__")
+                ):
+                    yield f"{module}.{cls.name}.{node.name}"
+
+
+READ_ATTRIBUTES = attribute_reads(TREES)
+
+
 @pytest.mark.parametrize("place", list(definitions()))
 def test_definition_is_referenced_or_exported(place):
     name = place.split(".")[1]
@@ -98,7 +126,29 @@ def test_import_is_used(place):
     )
 
 
+@pytest.mark.parametrize("place", list(methods(TREES)))
+def test_method_is_read_as_an_attribute(place):
+    assert place.rsplit(".", 1)[1] in READ_ATTRIBUTES, f"{place} is never read as an attribute"
+
+
 def test_the_guard_sees_dead_code():
     tree = ast.parse("import os\nfrom math import gcd\n\ndef orphan():\n    return gcd(4, 6)\n")
     used = used_names(tree)
     assert "gcd" in used and "os" not in used and "orphan" not in used
+
+
+def test_the_guard_sees_an_orphan_method():
+    source = (
+        "class A:\n"
+        "    def used(self):\n"
+        "        return 1\n\n"
+        "    @property\n"
+        "    def orphan(self):\n"
+        "        return self.used()\n\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+    )
+    trees = {"m": ast.parse(source)}
+    assert list(methods(trees)) == ["m.A.used", "m.A.orphan"]
+    reads = attribute_reads(trees)
+    assert "used" in reads and "orphan" not in reads

@@ -127,12 +127,13 @@ def test_dk_recurrence_check_matches_sympy_dk(n, kmax, data):
         want.append(int(sympy.igcd(a - 1, b)))
     seq = dkseq.dk_sequence(field.element([n, 1]), field.power_basis(), kmax)
     assert seq.terms == want
-    assert dkseq.dk_recurrence_check(seq, kmax) is recurrence_holds(want, 2 * n) is True
+    check = dkseq.dk_recurrence_check(dkseq.recurrence_report(seq))
+    assert check is recurrence_holds(want, 2 * n) is True
     # one raised term: the verdict still follows sympy's terms through kmax
     i = data.draw(st.integers(0, kmax - 1))
     seq.terms[i] += 1
     want[i] += 1
-    assert dkseq.dk_recurrence_check(seq, kmax) is recurrence_holds(want, 2 * n)
+    assert dkseq.dk_recurrence_check(dkseq.recurrence_report(seq)) is recurrence_holds(want, 2 * n)
 
 
 @settings(max_examples=40, deadline=None)

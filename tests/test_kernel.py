@@ -32,6 +32,7 @@ from normlds.coordseq import (
     verify_recurrence,
 )
 from normlds.dkseq import CheckRefused, dk, dk_recurrence_check, dk_sequence, sparse_minpoly_scan
+from normlds.dkseq import recurrence_report as dk_report
 from normlds.numberfield import ModuleBasis, NumberField
 
 QUADRATICS = [(-2, 0, 1), (-3, 0, 1), (-5, 0, 1), (1, 0, 1), (-1, -1, 1), (-7, 0, 1)]
@@ -250,9 +251,9 @@ def sparse_rows_oracle(field, t, nmax, assert_monogenic):
     return rows
 
 
-def termwise_dk_recurrence(seq, kmax):
+def termwise_dk_recurrence(seq):
     """d_{k+4} = T d_{k+2} - d_k through seq.dk(): the loop dk_recurrence_check replaced."""
-    for k in range(1, kmax - 3):
+    for k in range(1, len(seq.terms) - 3):
         if seq.dk(k + 4) != seq.t_trace * seq.dk(k + 2) - seq.dk(k):
             return False
     return True
@@ -269,36 +270,40 @@ class TestDkRecurrenceCheck:
     def test_verdict_matches_termwise_loop(self, case, e, negate, kmax, data):
         alpha, ring = case
         power = -(alpha**e) if negate else alpha**e
-        seq = dk_sequence(power, ring, 40)
-        holds = termwise_dk_recurrence(seq, kmax)
-        assert dk_recurrence_check(seq, kmax) is holds
+        seq = dk_sequence(power, ring, kmax)
+        holds = termwise_dk_recurrence(seq)
+        assert dk_recurrence_check(dk_report(seq)) is holds
         # one term raised (a gcd stays positive, so no term becomes 0 and reads as
-        # torsion): from kmax = 6 on, every term through d_kmax is read
-        i = data.draw(st.integers(0, 39))
+        # torsion): from kmax = 6 on, every term is read
+        i = data.draw(st.integers(0, kmax - 1))
         seq.terms[i] += data.draw(st.integers(1, 3))
-        want = termwise_dk_recurrence(seq, kmax)
-        if holds and i >= kmax:
-            assert want is True
-        elif holds and kmax >= 6:
+        want = termwise_dk_recurrence(seq)
+        if holds and kmax >= 6:
             assert want is False
-        assert dk_recurrence_check(seq, kmax) is want
+        assert dk_recurrence_check(dk_report(seq)) is want
 
     @pytest.mark.parametrize("kmax", [6, 7, 40])
     def test_every_raised_term_through_kmax_fails(self, kmax):
         alpha, ring = DK_SPECIAL[0]
-        for i in range(40):
-            seq = dk_sequence(alpha, ring, 40)
+        for i in range(kmax):
+            seq = dk_sequence(alpha, ring, kmax)
             seq.terms[i] += 1
-            assert dk_recurrence_check(seq, kmax) is termwise_dk_recurrence(seq, kmax) is (i >= kmax)
+            assert dk_recurrence_check(dk_report(seq)) is termwise_dk_recurrence(seq) is False
 
     def test_refusals_and_short_sequences(self):
         alpha, ring = DK_SPECIAL[0]
-        seq = dk_sequence(alpha, ring, 6)
-        with pytest.raises(ValueError, match="holds only 6 terms"):
-            dk_recurrence_check(seq, 7)
-        for bad in [DK_SPECIAL[2], DK_SPECIAL[12]]:  # norm -1, torsion
-            with pytest.raises(CheckRefused):
-                dk_recurrence_check(dk_sequence(*bad, 6), 6)
+        report = dk_report(dk_sequence(alpha, ring, 40))
+        assert len(report.terms) == 40 and dk_recurrence_check(report)
+        # no k with k + 4 <= 4: up to four terms pass whatever they are
+        for kmax in range(1, 5):
+            seq = dk_sequence(alpha, ring, kmax)
+            seq.terms[0] += 1
+            assert dk_recurrence_check(dk_report(seq))
+        # norm -1, and i: X^2 + 1 has T = 0 and d_4 = 0
+        for bad, reason in [(DK_SPECIAL[2], "not a quadratic unit of norm 1"),
+                            (DK_SPECIAL[13], "torsion")]:
+            with pytest.raises(CheckRefused, match=reason):
+                dk_report(dk_sequence(*bad, 6))
 
 
 class TestSparseScan:
@@ -453,8 +458,8 @@ class TestDecimalRows:
         # 4,300 digits near k = 4,730
         k2 = NumberField((-1088, 0, 1))
         seq = dk_sequence(k2.element([33, 1]), k2.power_basis(), 4800)
-        assert dk_recurrence_check(seq, 4800)
-        column = SequenceReport(terms=[[x] for x in seq.terms], charpoly=(1, 0, -66, 0, 1))
+        column = dk_report(seq)
+        assert column.charpoly == (1, 0, -66, 0, 1) and dk_recurrence_check(column)
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:

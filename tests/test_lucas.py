@@ -1,31 +1,25 @@
+"""The Lucas oracle of tests/oracles.py against known terms and identities.
+
+Three test files take lucas_terms as the truth for x1 of the quadratic and
+quartic-power constructions; these tests pin it independently: prefixes,
+the companion-matrix power, divisibility, and the explicit formula inside
+the field Q[X]/(X^2 - PX + Q).
+"""
+
 import math
 import random
 
-import pytest
-
-from normlds.lucas import LucasParams, lucas_u, odd_even_closed_form, odd_index_square_identity
 from normlds.numberfield import NumberField
+from oracles import lucas_terms
 
 
-def iterate(params, count):
-    """u_0 .. u_{count-1} by the recurrence, the oracle for the doubling in lucas_u."""
-    terms = []
-    a, b = 0, 1
-    for _ in range(count):
-        terms.append(a)
-        a, b = b, params.p * b - params.q * a
-    return tuple(terms)
-
-
-def companion_power(params: LucasParams, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
+def companion_power(p: int, q: int, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """k-th power of [[P, -Q], [1, 0]], valid for k >= 1.
 
     Equals [[u_{k+1}, -Q u_k], [u_k, -Q u_{k-1}]], which is the identity the
     divisibility property rests on.
     """
-    if k < 1:
-        raise ValueError("power identity needs k >= 1")
-    m = ((params.p, -params.q), (1, 0))
+    m = ((p, -q), (1, 0))
     result = ((1, 0), (0, 1))
 
     def mul(a, b):
@@ -44,40 +38,23 @@ def companion_power(params: LucasParams, k: int) -> tuple[tuple[int, int], tuple
 
 
 def test_fibonacci_prefix():
-    params = LucasParams(1, -1)
-    assert [lucas_u(params, k) for k in range(10)] == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
+    assert lucas_terms(1, -1, 10) == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
 
 
 def test_p10_prefix():
-    params = LucasParams(10, 1)
-    assert [lucas_u(params, k) for k in range(5)] == [0, 1, 10, 99, 980]
+    assert lucas_terms(10, 1, 5) == [0, 1, 10, 99, 980]
 
 
 def test_u0_is_zero():
     for p, q in [(3, 2), (10, 1), (-7, 4)]:
-        assert lucas_u(LucasParams(p, q), 0) == 0
-
-
-def test_doubling_agrees_with_iteration():
-    params = LucasParams(4, -7)
-    terms = iterate(params, 260)
-    for k in (65, 100, 200, 259):
-        assert lucas_u(params, k) == terms[k]
-
-
-def test_parameter_validation():
-    with pytest.raises(ValueError, match="coprime"):
-        LucasParams(4, 2)
-    with pytest.raises(ValueError, match="nonzero"):
-        LucasParams(0, 1)
+        assert lucas_terms(p, q, 1) == [0]
 
 
 def test_matrix_identity():
     for p, q in [(10, 1), (1, -1), (5, -3), (3, 2)]:
-        params = LucasParams(p, q)
-        terms = iterate(params, 52)
+        terms = lucas_terms(p, q, 52)
         for k in range(1, 51):
-            assert companion_power(params, k) == (
+            assert companion_power(p, q, k) == (
                 (terms[k + 1], -q * terms[k]),
                 (terms[k], -q * terms[k - 1]),
             )
@@ -91,42 +68,33 @@ def test_divisibility_up_to_200():
         if p == 0 or q == 0 or math.gcd(p, q) != 1:
             continue
         tried += 1
-        terms = iterate(LucasParams(p, q), 201)
+        terms = lucas_terms(p, q, 201)
         for m in range(1, 201):
             for mn in range(m, 201, m):
                 assert terms[m] == 0 and terms[mn] == 0 or terms[mn] % terms[m] == 0
 
 
-class TestClosedForm:
-    def test_k0(self):
-        assert odd_even_closed_form(LucasParams(7, 1), 1, 0) == 0
-
-    def test_k3_is_t_plus_one(self):
-        assert odd_even_closed_form(LucasParams(10, 1), 1, 3) == 11
-
-    def test_k7_scaled(self):
-        assert odd_even_closed_form(LucasParams(10, 1), 2, 7) == 2 * (980 + 99)
-
-    def test_requires_q_one(self):
-        with pytest.raises(ValueError, match="Q = 1"):
-            odd_even_closed_form(LucasParams(1, -1), 1, 4)
+def square_identity(p: int, n: int) -> bool:
+    """u_{2n+1} = u_{n+1}^2 - u_n^2, an identity of the Q = 1 case."""
+    u = lucas_terms(p, 1, 2 * n + 2)
+    return u[2 * n + 1] == u[n + 1] ** 2 - u[n] ** 2
 
 
 class TestSquareIdentity:
     def test_base_case(self):
-        assert odd_index_square_identity(LucasParams(10, 1), 0)
+        assert square_identity(10, 0)
 
     def test_p10_n1(self):
         # u_3 = 99 = 10^2 - 1^2
-        assert odd_index_square_identity(LucasParams(10, 1), 1)
+        assert square_identity(10, 1)
 
     def test_p6_n2(self):
         # u_5 = 1189 = 35^2 - 6^2
-        assert odd_index_square_identity(LucasParams(6, 1), 2)
+        assert square_identity(6, 2)
 
     def test_range(self):
-        for params in (LucasParams(3, 1), LucasParams(12, 1)):
-            assert all(odd_index_square_identity(params, n) for n in range(51))
+        for p in (3, 12):
+            assert all(square_identity(p, n) for n in range(51))
 
 
 def test_explicit_formula_symbolically():
@@ -136,6 +104,5 @@ def test_explicit_formula_symbolically():
         th = field.generator
         thbar = field.from_int(p) - th
         diff = th - thbar
-        params = LucasParams(p, q)
-        for k in range(25):
-            assert diff.scale(lucas_u(params, k)) == th**k - thbar**k
+        for k, u in enumerate(lucas_terms(p, q, 25)):
+            assert diff.scale(u) == th**k - thbar**k

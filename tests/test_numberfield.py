@@ -13,7 +13,6 @@ from normlds.numberfield import (
     ParseError,
     format_element,
     format_polynomial,
-    is_positive_unit,
     min_poly,
     norm,
     parse_element,
@@ -496,28 +495,6 @@ class TestCharpolyDivisions:
     ])
     def test_charpoly_that_is_no_square_is_kept_whole(self, coeffs):
         assert min_poly(NumberField(coeffs).generator) == coeffs
-
-
-class TestPositiveUnit:
-    def test_family_unit_in_surd_ring(self):
-        assert is_positive_unit(BIQUAD.generator, surd_basis_m2())
-
-    def test_rational_two_is_not(self):
-        assert not is_positive_unit(BIQUAD.from_int(2), surd_basis_m2())
-
-    def test_pell_unit(self):
-        assert is_positive_unit(SQRT2.element([3, 2]), SQRT2.power_basis())
-
-    def test_ring_without_one_rejected(self):
-        doubled = ModuleBasis(SQRT2, (SQRT2.from_int(2), SQRT2.generator))
-        with pytest.raises(ValueError, match="contain 1"):
-            is_positive_unit(SQRT2.element([3, 2]), doubled)
-
-    def test_norm_one_but_unstable(self):
-        # over Z + Z*(sqrt2/3) the unit 3+2sqrt2 has integral coordinates (3, 6)
-        # but (3+2sqrt2)*(sqrt2/3) = 4/3 + sqrt2 leaves the module
-        module = ModuleBasis(SQRT2, (SQRT2.one, SQRT2.element([0, Fraction(1, 3)])))
-        assert not is_positive_unit(SQRT2.element([3, 2]), module)
 
 
 class TestCoords:
