@@ -107,6 +107,10 @@ def _basis_from_file(
                 f"basis file {path} is not a construct-basis or family report:"
                 f" it has no {key!r} key"
             )
+    # a report writes these as strings; the file comes from outside the program
+    for key in ("field", "unit", "beta"):
+        if key in doc and not isinstance(doc[key], str):
+            raise ValueError(f"basis file {path} has a {key!r} that is not a string")
     if NumberField(parse_polynomial(doc["field"], "x")) != field:
         raise ValueError("basis file was produced for a different field")
     # a construct-basis report names the unit and beta its basis was built for;
@@ -116,7 +120,13 @@ def _basis_from_file(
             raise ValueError(
                 f"basis file was built for {key} {doc[key]}, not {format_element(given)}"
             )
-    vectors = tuple(field.element([Fraction(c) for c in row]) for row in doc["basis"])
+    rows = doc["basis"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError(f"basis file {path} has a 'basis' that is not a list of coordinate lists")
+    try:
+        vectors = tuple(field.element([Fraction(c) for c in row]) for row in rows)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"basis file {path} has a bad 'basis': {exc}") from None
     return ModuleBasis(field, vectors)
 
 
@@ -360,7 +370,7 @@ def _cmd_dk_scan(config: Namespace) -> int:
         rec_ok: bool | None = dkseq.dk_recurrence_check(report)
     except dkseq.CheckRefused:
         rec_ok = None
-    level = dkseq.dk_level_scan(seq)
+    hits = dkseq.dk_level_scan(seq)
     if rec_ok:
         # every term satisfies d_{k+4} = T d_{k+2} - d_k, so rendering through that
         # recurrence from str() of d_1..d_4 gives str(d_k) for each k, by induction
@@ -374,7 +384,7 @@ def _cmd_dk_scan(config: Namespace) -> int:
         "ring": [format_element(v) for v in ring.vectors],
         "terms": terms,
         "recurrence_ok": rec_ok,
-        "conj9_hits": coordseq.DecimalList(map(str, level.hits)),
+        "conj9_hits": coordseq.DecimalList(map(str, hits)),
     }
     if config.vanishing_t is not None:
         scan = dkseq.sparse_minpoly_scan(

@@ -1,17 +1,18 @@
 """Coordinate sequences of beta * eps^k over a module basis, and their checks.
 
-The package has two numeric kernels, both here. The integer step matrix:
+The package has one integer sequence kernel, here: linear_values(), the lazy
+sum of s * v over (s, iterator) pairs, in which s = +1 or -1 is an add or a
+subtract, not a multiply. Two drivers run on it. The step matrix:
 coordinate_rows() builds the matrix of y -> eps*y over the basis once
 (step_matrix), cleared to an integer matrix M with a common denominator D and
-stored by rows, and steps x(k+1) = M x(k) / D in integers (step_rows), every
+stored as the nonzero (j, M[i][j]) of each row, and steps x(k+1) = M x(k) / D
+in integers (step_rows), one linear_values() per output coordinate, every
 entry checked for exact division by D. generate() and the d_k sequences of
-dkseq run on it; generate() returns the rows with the recurrence inherited
-from the minimal polynomial of eps. The recurrence evaluator:
-recurrence_values() yields sum_j s_j x(k - j) for k = d, d+1, ..., one lazy
-map per nonzero s_j over iterators into x. verify_recurrence compares it with
-each column. decimal_columns() and dkseq.match_dk_basis hand it a list of the
-first d terms and append each value it yields, so it reads its own output and
-computes every later term.
+dkseq run on it. The recurrence: recurrence_values() yields sum_j s_j x(k - j)
+for k = d, d+1, ..., linear_values() over iterators into x. verify_recurrence
+compares it with each column. decimal_columns() and dkseq.match_dk_basis hand
+it a list of the first d terms and append each value it yields, so it reads
+its own output and computes every later term.
 
 decimal_columns() and decimal_rows() render terms in exact decimal
 arithmetic: str() of a large int is quadratic in its digit count, while each
@@ -19,10 +20,8 @@ recurrence step and str() of a Decimal are linear. They return DecimalList
 rows and columns, whose items are vouched for as '-' and digits by how they
 were made, so a writer may copy them without testing or escaping each one.
 
-An entry +1 or -1 of M, and a recurrence coefficient +1 or -1, is an add or a
-subtract, not a multiply (save the first term of a recurrence whose nonzero
-coefficients are all -1). In X^4 - T X^2 + 1 the coefficient s_4 is -1, and
-5 of the 9 nonzero entries of a quartic-power step matrix are +-1.
+In X^4 - T X^2 + 1 the coefficient s_4 is -1, and 5 of the 9 nonzero entries
+of a quartic-power step matrix are +-1.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 from decimal import (
     MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, Rounded, localcontext
 )
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .numberfield import FieldElement, ModuleBasis, min_poly
 
@@ -73,20 +72,33 @@ class LdsVerdict:
     witness: tuple[int, int] | None = None  # first (n, m) with n | m but b(n) does not divide b(m)
 
 
-class StepRow(NamedTuple):
-    """The nonzero entries of row i of M, the +-1 entries apart from the others."""
-
-    start: int | None  # the first j with M[i][j] = 1, whose x_j starts the sum as it is
-    entries: list[tuple[int, int]]  # (j, M[i][j]) with M[i][j] neither 0 nor +-1
-    plus: list[int]  # the other j with M[i][j] = 1
-    minus: list[int]  # the j with M[i][j] = -1
-
-
 class StepMatrix(NamedTuple):
     """The matrix of y -> eps*y over a basis, cleared to integers: M = D * (that matrix)."""
 
-    rows: list[StepRow]  # per output coordinate i
+    rows: list[list[tuple[int, int]]]  # per output coordinate i, the (j, M[i][j]) with M[i][j] != 0
     denom: int  # D, the least common denominator
+
+
+def linear_values(terms: Iterable[tuple[int, Iterator]]) -> Iterator:
+    """The lazy termwise sum of s * v over the (s, values v) pairs of terms, each s a nonzero int.
+
+    The s not +-1 come first, then s = 1, then s = -1, each group in its given
+    order, so every +-1 after the first term is an add or a subtract. The
+    values stop where the first iterator ends; all are 0 when terms is empty.
+    """
+    terms = sorted(terms, key=lambda term: {1: 1, -1: 2}.get(term[0], 0))
+    values: Iterator = itertools.repeat(0)
+    for i, (s, part) in enumerate(terms):
+        # int.__mul__(Decimal) is NotImplemented, so s multiplies through operator.mul
+        if i == 0:
+            values = part if s == 1 else map(functools.partial(operator.mul, s), part)
+        elif s == 1:
+            values = map(operator.add, values, part)
+        elif s == -1:
+            values = map(operator.sub, values, part)
+        else:
+            values = map(operator.add, values, map(functools.partial(operator.mul, s), part))
+    return values
 
 
 def step_matrix(eps: FieldElement, w: ModuleBasis) -> StepMatrix:
@@ -97,51 +109,34 @@ def step_matrix(eps: FieldElement, w: ModuleBasis) -> StepMatrix:
     step = [w.int_coords(eps * v) for v in w.vectors]
     denom = math.lcm(*(den for _, den in step))
     columns = [[x * (denom // den) for x in num] for num, den in step]
-    rows = []
-    for row in zip(*columns):
-        plus = [j for j, m in enumerate(row) if m == 1]
-        rows.append(
-            StepRow(
-                plus.pop(0) if plus else None,
-                [(j, m) for j, m in enumerate(row) if m not in (0, 1, -1)],
-                plus,
-                [j for j, m in enumerate(row) if m == -1],
-            )
-        )
+    rows = [[(j, m) for j, m in enumerate(row) if m] for row in zip(*columns)]
     return StepMatrix(rows, denom)
 
 
 def step_rows(x: list[int], step: StepMatrix, error: Callable[[int], str]) -> Iterator[list[int]]:
     """x, M x / D, (M/D)^2 x, ... without end, each entry checked for exact division.
 
-    The first row k with a remainder raises ValueError(error(k)).
+    The first row k with a remainder raises ValueError(error(k)). Every row
+    yielded is a new list, x included, and none is read again.
     """
     rows, denom = step
-    k = 0
-    while True:
-        yield x
-        k += 1
-        nxt = []
-        for start, entries, plus, minus in rows:
-            # the empty loops are skipped: their set-up costs about as much as an add
-            value = 0 if start is None else x[start]
-            if entries:
-                for j, m in entries:
-                    value += m * x[j]
-            if plus:
-                for j in plus:
-                    value += x[j]
-            if minus:
-                for j in minus:
-                    value -= x[j]
-            nxt.append(value)
+    current = list(x)
+    # entry i of the next row, one lazy sum per output coordinate over current
+    forms = [
+        linear_values((m, map(operator.itemgetter(j), itertools.repeat(current))) for j, m in row)
+        for row in rows
+    ]
+    nxt = list(current)
+    for k in itertools.count(1):
+        yield nxt
+        nxt = list(map(next, forms))
         if denom != 1:
             for i, value in enumerate(nxt):
                 q, r = divmod(value, denom)
                 if r:
                     raise ValueError(error(k))
                 nxt[i] = q
-        x = nxt
+        current[:] = nxt
 
 
 def coordinate_rows(
@@ -194,23 +189,11 @@ def recurrence_values(charpoly: Sequence[int], x: Sequence) -> Iterator:
     first of those iterators ends; all are 0 when no s_j is nonzero.
     """
     d = len(charpoly) - 1
-    steps = [(j, -charpoly[d - j]) for j in range(1, d + 1) if charpoly[d - j]]
-    # s_j not +-1 first, then s_j = 1, then s_j = -1: the sum starts with a
-    # multiply, or with x(k - j) itself, whenever it can
-    steps.sort(key=lambda step: {1: 1, -1: 2}.get(step[1], 0))
-    values: Iterator = itertools.repeat(0)
-    for i, (j, s) in enumerate(steps):
-        part = itertools.islice(x, d - j, None)
-        # int.__mul__(Decimal) is NotImplemented, so s multiplies through operator.mul
-        if i == 0:
-            values = part if s == 1 else map(functools.partial(operator.mul, s), part)
-        elif s == 1:
-            values = map(operator.add, values, part)
-        elif s == -1:
-            values = map(operator.sub, values, part)
-        else:
-            values = map(operator.add, values, map(functools.partial(operator.mul, s), part))
-    return values
+    return linear_values(
+        (-charpoly[d - j], itertools.islice(x, d - j, None))
+        for j in range(1, d + 1)
+        if charpoly[d - j]
+    )
 
 
 def verify_recurrence(report: SequenceReport) -> bool:

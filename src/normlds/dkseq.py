@@ -3,11 +3,10 @@
 Over a ring with basis {1, w2, ..., wn} the maximum is a gcd of shifted
 coordinates: d_k = gcd(x1(k) - 1, x2(k), ..., xn(k)), the content of
 x(k) - e1 where x(k) = M^k e1 and M is the integer step matrix of alpha.
-dk_sequence and sparse_minpoly_scan step those coordinates with the integer
-step-matrix kernel of coordseq, one small integer matrix-vector product per
-row they use;
-dk() computes one term from alpha**k in the field and serves as the
-independent check.
+dk_sequence and sparse_minpoly_scan step those coordinates with
+coordseq.step_rows, one of the two drivers of the one integer sequence
+kernel, coordseq.linear_values; dk() computes one term from alpha**k in the
+field and serves as the independent check.
 
 When M is unimodular (integral with N(alpha) = +-1, so M^-1 is integral too),
 x(k) - e1 = M^j (x(k - j) - y(j)) with y(j) = M^-j e1, the rows of alpha^-1.
@@ -18,9 +17,9 @@ of half the digits.
 
 The module also hosts the order-4 recurrence check for quadratic norm-1
 units and the change of basis matching d_k/d_1 with a first coordinate
-sequence, both through the recurrence evaluator of coordseq; the vanishing
-scan for lacunary minimal polynomials; and power-basis discriminants, as
-+-N(f'(alpha)) for the defining polynomial f.
+sequence, both through coordseq.recurrence_values, the other driver of that
+kernel; the vanishing scan for lacunary minimal polynomials; and power-basis
+discriminants, as +-N(f'(alpha)) for the defining polynomial f.
 """
 
 from __future__ import annotations
@@ -56,8 +55,6 @@ class DkSequence:
     d_k satisfies d_{k+4} = T d_{k+2} - d_k.
     """
 
-    alpha: FieldElement
-    ringbasis: ModuleBasis
     terms: list[int]  # terms[i] = d_{i+1}
     t_trace: int | None
 
@@ -123,9 +120,7 @@ def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSeq
         else:
             x = next(xs)
         terms.append(math.gcd(*map(operator.sub, x, y)))
-    return DkSequence(
-        alpha=alpha, ringbasis=ringbasis, terms=terms, t_trace=_quadratic_unit_trace(mp)
-    )
+    return DkSequence(terms=terms, t_trace=_quadratic_unit_trace(mp))
 
 
 def _quadratic_unit_trace(mp: tuple[Fraction, ...]) -> int | None:
@@ -302,20 +297,10 @@ def sparse_minpoly_scan(
     return SparseScanReport(t=t, disc=disc, monogenic_asserted=assert_monogenic, rows=rows)
 
 
-@dataclass
-class LevelScan:
-    """Indices k <= kmax with d_k = d_1. Exploratory only."""
-
-    d1: int
-    hits: list[int]
-    kmax: int
-
-
-def dk_level_scan(seq: DkSequence) -> LevelScan:
-    """Level set of d_1 over every term of an already computed sequence."""
+def dk_level_scan(seq: DkSequence) -> list[int]:
+    """The k with d_k = d_1 over every term of an already computed sequence. Exploratory only."""
     d1 = seq.dk(1)
-    hits = [k for k, d in enumerate(seq.terms, 1) if d == d1]
-    return LevelScan(d1=d1, hits=hits, kmax=len(seq.terms))
+    return [k for k, d in enumerate(seq.terms, 1) if d == d1]
 
 
 def discriminant_power_basis(field: NumberField) -> int:

@@ -550,14 +550,13 @@ def _parse_terms(text: str, var: str) -> dict[int, Fraction]:
 def parse_polynomial(text: str, var: str = "x") -> tuple[int, ...]:
     """Parse a monic integer polynomial like 'x^4-10*x^2+1' (the '*' is optional)."""
     powers = _parse_terms(text, var)
+    if any(c.denominator != 1 for c in powers.values()):
+        raise ParseError("polynomial coefficients must be integers", 0)
     deg = max(powers)
-    coeffs = []
-    for p in range(deg + 1):
-        c = powers.get(p, Fraction(0))
-        if c.denominator != 1:
-            raise ParseError("polynomial coefficients must be integers", 0)
-        coeffs.append(int(c))
-    return tuple(coeffs)
+    # NumberField takes no other degree; refused here, x^1000000 builds no list
+    if deg > 4:
+        raise ValueError("defining polynomial must have degree 2, 3 or 4")
+    return tuple(int(powers.get(p, 0)) for p in range(deg + 1))
 
 
 def parse_element(field: NumberField, text: str, var: str = "t") -> FieldElement:

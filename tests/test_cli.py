@@ -492,6 +492,30 @@ def test_basis_file_that_is_not_a_basis_report(tmp_path, content, key):
     assert run_cli(argv) == (2, "", f"error: {error}\n")
 
 
+@pytest.mark.parametrize(
+    "entry, error",
+    [('"basis": [["1/0", 0], [0, 1]]', "a bad 'basis': "),
+     ('"basis": 7', "a 'basis' that is not a list of coordinate lists\n"),
+     ('"basis": [[1, [2]], [0, 1]]', "a bad 'basis': "),
+     ('"field": 5', "a 'field' that is not a string\n"),
+     ('"unit": 3', "a 'unit' that is not a string\n")],
+)
+def test_basis_file_with_a_malformed_value(tmp_path, entry, error):
+    doc = {"field": "x^2 - 3", "basis": [["2", "1"], ["3", "1"]], **json.loads("{" + entry + "}")}
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(doc))
+    argv = ["emit-sequence", "--field", "x^2-3", "--unit", "2+t", "--kmax", "3", "--basis-file",
+            str(path)]
+    rc, out, err = run_cli(argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: basis file {path} has {error}")
+
+
+def test_a_field_of_large_degree_is_refused():
+    argv = ["construct-basis", "--method", "quadratic", "--field", "x^1000000-3", "--unit", "t"]
+    assert run_cli(argv) == (2, "", "error: defining polynomial must have degree 2, 3 or 4\n")
+
+
 @pytest.mark.parametrize("kmax", [-1, 0, 1, 2])
 def test_family_scan_refuses_kmax_below_3(monkeypatch, kmax):
     def refuse(m):

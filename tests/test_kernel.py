@@ -19,15 +19,16 @@ from normlds.coordseq import (
     DecimalList,
     SequenceReport,
     StepMatrix,
-    StepRow,
     coordinate_rows,
     decimal_columns,
     decimal_rows,
     divides,
     generate,
+    linear_values,
     recurrence_values,
     smallest_prime_factors,
     step_matrix,
+    step_rows,
     verify_lds,
     verify_recurrence,
 )
@@ -590,8 +591,7 @@ class TestStepMatrix:
         # five nonzero entries are +-1
         k4 = NumberField((1, 0, -10, 0, 1))
         assert step_matrix(k4.generator, k4.power_basis()) == StepMatrix(
-            [StepRow(None, [], [], [3]), StepRow(0, [], [], []), StepRow(1, [(3, 10)], [], []),
-             StepRow(2, [], [], [])],
+            [[(3, -1)], [(0, 1)], [(1, 1), (3, 10)], [(2, 1)]],
             1,
         )
 
@@ -601,8 +601,7 @@ class TestStepMatrix:
         t = k4.generator
         basis = ModuleBasis(k4, (k4.one, t, (t * t).scale(2), t * t * t))
         assert step_matrix(t, basis) == StepMatrix(
-            [StepRow(None, [(3, -2)], [], []), StepRow(None, [(0, 2)], [], []),
-             StepRow(1, [(3, 10)], [], []), StepRow(None, [(2, 4)], [], [])],
+            [[(3, -2)], [(0, 2)], [(1, 1), (3, 10)], [(2, 4)]],
             2,
         )
 
@@ -612,8 +611,8 @@ class TestStepMatrix:
         k4 = NumberField((-2, 0, 0, 0, 1))
         eps = k4.element([1, 1, -1, 1])
         assert step_matrix(eps, k4.power_basis()).rows == [
-            StepRow(0, [(1, 2), (2, -2), (3, 2)], [], []), StepRow(0, [(2, 2), (3, -2)], [1], []),
-            StepRow(1, [(3, 2)], [2], [0]), StepRow(0, [], [2, 3], [1]),
+            [(0, 1), (1, 2), (2, -2), (3, 2)], [(0, 1), (1, 1), (2, 2), (3, -2)],
+            [(0, -1), (1, 1), (2, 1), (3, 2)], [(0, 1), (1, -1), (2, 1), (3, 1)],
         ]
         rows = list(itertools.islice(coordinate_rows(k4.one, eps, k4.power_basis(), str), 12))
         assert rows == fraction_rows(k4.one, eps, k4.power_basis(), 11)
@@ -637,3 +636,84 @@ class TestRecurrenceValues:
             column = recurrence_column(charpoly, head, 30)
             values = list(itertools.islice(recurrence_values(charpoly, column), 31 - d))
             assert values == column[d:]
+
+
+# every (s, v) pair multiplied out and summed, in exact decimal arithmetic for Decimals
+EXACT_DECIMAL = decimal.Context(prec=decimal.MAX_PREC, traps=[decimal.Inexact, decimal.Rounded])
+
+
+def termwise_sum(terms, n):
+    return [sum(s * values[k] for s, values in terms) for k in range(n)]
+
+
+@st.composite
+def linear_terms(draw):
+    """Coefficient lists rich in +-1, empty and one-term lists included, over columns of n values."""
+    coefficient = st.one_of(st.sampled_from([1, -1]), st.integers(-10**20, 10**20).filter(bool))
+    coefficients = draw(st.one_of(
+        st.just([]), st.lists(coefficient, min_size=1, max_size=1), st.lists(coefficient, max_size=7)
+    ))
+    n = draw(st.integers(0, 6))
+    value = st.one_of(st.integers(-2, 2), st.integers(-10**40, 10**40))
+    return [(s, draw(st.lists(value, min_size=n, max_size=n))) for s in coefficients], n
+
+
+class TestLinearValues:
+    @given(linear_terms(), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_it_is_the_termwise_sum(self, case, as_decimal):
+        terms, n = case
+        if as_decimal:
+            terms = [(s, list(map(decimal.Decimal, values))) for s, values in terms]
+        with decimal.localcontext(EXACT_DECIMAL):
+            values = linear_values([(s, iter(values)) for s, values in terms])
+            expected = termwise_sum(terms, n)
+            if terms:
+                # the values stop with the iterators
+                got = list(values)
+            else:
+                got = list(itertools.islice(values, n))
+                assert next(values) == 0
+        assert got == expected
+        assert all(type(v) is (decimal.Decimal if as_decimal and terms else int) for v in got)
+
+    def test_empty_and_one_term_lists(self):
+        assert list(itertools.islice(linear_values([]), 3)) == [0, 0, 0]
+        assert list(linear_values([(1, iter([4, -5]))])) == [4, -5]
+        assert list(linear_values([(-1, iter([4, -5]))])) == [-4, 5]
+        assert list(linear_values([(7, iter([4, -5]))])) == [28, -35]
+
+    def test_the_values_stop_with_the_shortest_iterator(self):
+        terms = [(1, iter([1, 2, 3])), (-1, iter([1])), (2, iter([5, 5]))]
+        assert list(linear_values(terms)) == [10]
+
+
+class TestStepRowsOwnership:
+    @pytest.mark.parametrize("case", ["unimodular", "denominator 2"])
+    def test_it_writes_neither_x_nor_a_row_it_yielded(self, case):
+        k4 = NumberField((-2, 0, 0, 0, 1) if case == "unimodular" else (1, 0, -10, 0, 1))
+        t = k4.generator
+        if case == "unimodular":
+            beta, eps, basis = k4.one, k4.element([1, 1, -1, 1]), k4.power_basis()
+        else:
+            beta, eps = k4.from_int(2), t
+            basis = ModuleBasis(k4, (k4.one, t, (t * t).scale(2), t * t * t))
+        step = step_matrix(eps, basis)
+        x = [int(c) for c in basis.coords(beta)]
+        start = list(x)
+        rows, copies = [], []
+        for row in itertools.islice(step_rows(x, step, str), 12):
+            rows.append(row)
+            copies.append(list(row))
+        assert x == start
+        assert rows == copies == fraction_rows(beta, eps, basis, 11)
+        assert len({id(row) for row in [x] + rows}) == 13
+
+    def test_a_caller_may_overwrite_each_row_it_is_given(self):
+        k4 = NumberField((-2, 0, 0, 0, 1))
+        eps = k4.element([1, 1, -1, 1])
+        expected = fraction_rows(k4.one, eps, k4.power_basis(), 11)
+        step = step_matrix(eps, k4.power_basis())
+        for k, row in enumerate(itertools.islice(step_rows([1, 0, 0, 0], step, str), 12)):
+            assert row == expected[k]
+            row[:] = [7, 7, 7, 7]

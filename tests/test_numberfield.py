@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -615,3 +616,14 @@ class TestParsing:
     def test_fractional_polynomial_rejected(self):
         with pytest.raises(ParseError):
             parse_polynomial("x^2 - 1/2")
+
+    def test_a_large_degree_is_refused_before_any_coefficient_list(self):
+        # the degree is refused in memory and time independent of the exponent's value
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^defining polynomial must have degree 2, 3 or 4$"):
+                parse_polynomial("x^1000000 - 3")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
