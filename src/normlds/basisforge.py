@@ -1,16 +1,21 @@
 """Basis constructions that turn the first coordinate sequence into an LDS.
 
-Three constructions are exposed. For a real quadratic module, a column Hermite
-step followed by the fixed change of basis [[1,1],[1,0]] forces x1(0) = 0, and
-an order-2 sequence with a zero leading term is a scaled Lucas sequence. For
-the rank-4 module beta*Z[eta] generated by a quartic unit eta whose square is
-a norm-1 quadratic unit, an explicit unimodular matrix produces initial
-conditions (0, 1, 1, T+1), the sufficient pattern for the order-4 recurrence
-x(k+4) = T x(k+2) - x(k). For an arbitrary full rank-4 module the same pattern
-is reachable exactly when the minimal integral lift of the Smith-transformed
-condition vector is primitive, which it is for every full module (see
-SnfCriterion); the criterion and the construction both live in
-snf_criterion / quartic_full_construct.
+One construction serves every module: lds_basis. The coordinates of
+beta*eps^k over a basis W of the module are x(k) = x(0) M^k for the step
+matrix M of eps, so x1 is fixed by its first n terms, the first column of
+B.C, where B holds beta*eps^i over the given basis, i < n, and C is the
+unimodular change of basis to W. A target v that starts an LDS of the
+recurrence of eps becomes x1 = scale*v when C's first column is
+z = scale*B^-1.v, which is integral and primitive for the least scale, and
+any unimodular completion of z is a valid C (complete_primitive). The
+quadratic construction takes v = (0, 1), the Lucas sequence of a norm-1 unit;
+the full quartic construction takes v = (0, 1, 1, T+1) for a unit eta with
+minimal polynomial X^4 - T X^2 + 1, Lehmer's sequence of eta. The rank-4
+module beta*Z[eta] also has a closed form, quartic_module_construct, an
+explicit unimodular matrix with scale 1.
+
+snf_criterion states the full-module case through the Smith form of B, with a
+canonical witness X, Y; it serves the snf-check report and no construction.
 """
 
 from __future__ import annotations
@@ -18,13 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .exactlinalg import (
     IntMatrix,
-    complete_primitive,
     det,
-    hnf_column,
+    fraction_free_inverse,
     inverse_unimodular,
+    primitive_reducer,
     snf,
 )
 from .numberfield import (
@@ -48,6 +54,8 @@ class LdsConstruction:
     In the quartic constructions x1 has initial conditions
     (0, scale, scale, scale*(t_trace+1)); in the quadratic one they start
     (0, scale) and x1(k) = scale * u_k for the Lucas sequence of the unit.
+    Except for quartic-power, basis comes from lds_basis, and scale is the
+    least positive integer that makes scale * B^-1 v integral.
     """
 
     basis: ModuleBasis
@@ -58,7 +66,7 @@ class LdsConstruction:
 
 @dataclass(frozen=True)
 class SnfCriterion:
-    """The full-module test: Smith form, condition vector and its minimal lift.
+    """The full-module criterion in Smith form, as the snf-check report states it.
 
     chi is the Smith-transformed condition vector X . (0, 1, 1, T+1), and
     lift_column = scale . diag(deltas)^-1 . chi is its minimal integral scaling.
@@ -66,9 +74,10 @@ class SnfCriterion:
     w = B^-1 . (0, 1, 1, T+1), lift_column = Y^-1 . (scale . w), scale is the lcm
     of the denominators of w, and a prime dividing every entry of scale . w would
     either make scale/p a smaller scale or divide the primitive (0, 1, 1, T+1).
-    snf_criterion_matrix checks this. The witness X, Y is the Smith witness with
-    row 4 of X shifted by the closed form of _canonicalize_witness, which makes
-    gcd(chi[3], deltas[3]/deltas[0]) = 1 whenever any such shift does.
+    snf_criterion_matrix checks this. lds_basis builds the basis from z = scale . w
+    directly, so the Smith witness serves this report only. X, Y is the Smith
+    witness with row 4 of X shifted by the closed form of _canonicalize_witness,
+    which makes gcd(chi[3], deltas[3]/deltas[0]) = 1 whenever any such shift does.
     """
 
     chi: tuple[int, int, int, int]
@@ -115,6 +124,16 @@ def _as_int_rows(basis: ModuleBasis, elements: list[FieldElement], what: str) ->
     return IntMatrix.from_rows(rows)
 
 
+def _power_rows(tbasis: ModuleBasis, beta: FieldElement, eps: FieldElement) -> IntMatrix:
+    """The integer coordinates of beta*eps^i over tbasis, i < n, as rows."""
+    powers = [beta]
+    for _ in range(tbasis.field.degree - 1):
+        powers.append(powers[-1] * eps)
+    # worded for the quartic unit eta; quad_construct tests beta first, and its
+    # eps keeps the module, so only the quartic reports can print this message
+    return _as_int_rows(tbasis, powers, "a power beta*eta^i")
+
+
 def _change_basis(tbasis: ModuleBasis, matrix: IntMatrix) -> ModuleBasis:
     """New basis with vectors matrix . (old vectors)."""
     vecs = []
@@ -134,11 +153,57 @@ def _assert_spans_same_module(tbasis: ModuleBasis, newbasis: ModuleBasis) -> Non
         raise InvariantViolation("constructed basis does not span the module")
 
 
-def quad_construct(tbasis: ModuleBasis, beta: FieldElement, eps: FieldElement) -> LdsConstruction:
-    """Quadratic-module construction: basis with x1(0) = 0, x1(k) = a22 * u_k.
+def lds_basis(
+    tbasis: ModuleBasis, beta: FieldElement, eps: FieldElement, v: Sequence[int]
+) -> tuple[ModuleBasis, int]:
+    """A basis of the module of tbasis under which beta*eps^i has x1 = scale*v[i], i < n.
 
-    Requires a real quadratic field, a nontorsion norm-1 unit eps that
-    multiplies the module into itself, and beta a nonzero module element.
+    B holds the integer coordinates of beta*eps^i over tbasis, i < n, as rows.
+    The new basis is C^-1 applied to tbasis for a unimodular C, so B.C holds
+    the new coordinates, and its first column is B.z for z the first column of
+    C. One fraction-free inverse gives B^-1 = N/q; with g = gcd(q, N.v),
+    z = N.v/g is integral and scale = q/g is the lcm of the denominators of
+    B^-1.v. z is primitive when v is: a prime dividing every entry of z would
+    either divide scale, and then scale/p would clear the denominators, or
+    divide B.z = scale*v, hence v. C is complete_primitive(z), whose inverse
+    primitive_reducer(z) gives the new basis without an inversion. Returns
+    the new basis and scale > 0. Raises ValueError when a beta*eps^i leaves
+    the module or B is singular.
+    """
+    b = _power_rows(tbasis, beta, eps)
+    inverse = fraction_free_inverse(b.entries)
+    if inverse is None:
+        raise ValueError("coordinate matrix is singular")
+    nmat, q = inverse
+    nv = [sum(a * x for a, x in zip(row, v)) for row in nmat]
+    g = math.gcd(q, *nv)
+    scale = q // g
+    z = [x // g for x in nv]
+    if math.gcd(*z) != 1:
+        raise InvariantViolation(f"first column {tuple(z)} of the change of basis is not primitive")
+    # C^-1 = primitive_reducer(z), so C is complete_primitive(z) and its
+    # first column is z exactly when C^-1 . z = e1
+    c_inv = primitive_reducer(z)
+    if det(c_inv) not in (1, -1):
+        raise InvariantViolation("change-of-basis matrix is not unimodular")
+    if c_inv.apply(z) != tuple(int(i == 0) for i in range(len(z))):
+        raise InvariantViolation(f"change of basis does not have the first column {tuple(z)}")
+    first, expected = b.apply(z), tuple(scale * x for x in v)
+    if first != expected:
+        raise InvariantViolation(f"initial conditions {first} != {expected}")
+    w = _change_basis(tbasis, c_inv)
+    _assert_spans_same_module(tbasis, w)
+    return w, scale
+
+
+def quad_construct(tbasis: ModuleBasis, beta: FieldElement, eps: FieldElement) -> LdsConstruction:
+    """Quadratic-module construction: lds_basis with v = (0, 1), so x1(k) = scale * u_k.
+
+    u_k is the Lucas sequence of eps, which starts (0, 1) and satisfies
+    u_(k+2) = T u_(k+1) - u_k for the trace T of eps. scale is |det B| over
+    the content of beta's coordinates, the Hermite pivot of B. Requires a real
+    quadratic field, a nontorsion norm-1 unit eps that multiplies the module
+    into itself, and beta a nonzero module element.
     """
     field = tbasis.field
     if field.degree != 2:
@@ -155,21 +220,15 @@ def quad_construct(tbasis: ModuleBasis, beta: FieldElement, eps: FieldElement) -
             raise ValueError("eps does not multiply the module into itself")
     if beta.is_zero():
         raise ValueError("beta must be nonzero")
-    b = _as_int_rows(tbasis, [beta, beta * eps], "beta")
-    if det(b) == 0:
-        raise ValueError("beta and beta*eps are linearly dependent")
-    dec = hnf_column(b)
-    # v = C^-1 t, then w1 = v1 + v2, w2 = v1
-    v_basis = _change_basis(tbasis, inverse_unimodular(dec.c))
-    w = ModuleBasis(field, (v_basis.vectors[0] + v_basis.vectors[1], v_basis.vectors[0]))
-    a22 = dec.h.entries[1][1]
-    if a22 <= 0:
-        raise InvariantViolation("Hermite pivot should be positive")
+    # eps keeps the module, so beta*eps lies in it with beta; and since eps is
+    # irrational, a nonzero beta makes beta and beta*eps independent
+    if tbasis.int_coords(beta)[1] != 1:
+        raise ValueError("beta does not lie in the module (fractional coordinates)")
+    w, scale = lds_basis(tbasis, beta, eps, (0, 1))
     t = trace(eps)
     if t.denominator != 1:
         raise ValueError("eps is not an algebraic integer")
-    _assert_spans_same_module(tbasis, w)
-    return LdsConstruction(basis=w, scale=a22, t_trace=int(t), source="quadratic")
+    return LdsConstruction(basis=w, scale=scale, t_trace=int(t), source="quadratic")
 
 
 def quartic_module_construct(beta: FieldElement, eta: FieldElement) -> LdsConstruction:
@@ -287,30 +346,20 @@ def snf_criterion_matrix(b: IntMatrix, t_trace: int) -> SnfCriterion:
 def snf_criterion(tbasis: ModuleBasis, beta: FieldElement, eta: FieldElement) -> SnfCriterion:
     """Full-module test for the module spanned by tbasis; see snf_criterion_matrix."""
     t = quartic_unit_trace(eta)
-    powers = [beta, beta * eta, beta * eta * eta, beta * eta * eta * eta]
-    b = _as_int_rows(tbasis, powers, "a power beta*eta^i")
-    return snf_criterion_matrix(b, t)
+    return snf_criterion_matrix(_power_rows(tbasis, beta, eta), t)
 
 
 def quartic_full_construct(
     tbasis: ModuleBasis, beta: FieldElement, eta: FieldElement
 ) -> LdsConstruction:
-    """Basis of the full module with x1 initial conditions (0, a, a, a(T+1))."""
-    crit = snf_criterion(tbasis, beta, eta)
-    c = complete_primitive(crit.lift_column)
-    d = IntMatrix.diagonal(list(crit.deltas))
-    a = inverse_unimodular(crit.x) @ d @ c
-    z = crit.y @ c
-    if (crit.b @ z) != a:
-        raise InvariantViolation("change-of-basis matrix fails B Z = A")
-    if det(z) not in (1, -1):
-        raise InvariantViolation("change-of-basis matrix is not unimodular")
-    expected = (0, crit.scale, crit.scale, crit.scale * (crit.t_trace + 1))
-    if a.column(0) != expected:
-        raise InvariantViolation(f"initial conditions {a.column(0)} != {expected}")
-    w = _change_basis(tbasis, inverse_unimodular(z))
-    _assert_spans_same_module(tbasis, w)
-    return LdsConstruction(basis=w, scale=crit.scale, t_trace=crit.t_trace, source="quartic-full")
+    """lds_basis with v = (0, 1, 1, T+1): x1 starts (0, a, a, a(T+1)) for a = scale.
+
+    T is quartic_unit_trace(eta), and x1(k) = a times Lehmer's sequence of eta,
+    the LDS with x(k+4) = T x(k+2) - x(k) and these initial conditions.
+    """
+    t = quartic_unit_trace(eta)
+    w, scale = lds_basis(tbasis, beta, eta, (0, 1, 1, t + 1))
+    return LdsConstruction(basis=w, scale=scale, t_trace=t, source="quartic-full")
 
 
 def _is_square(n: int) -> bool:

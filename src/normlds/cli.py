@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 from argparse import Namespace
 from fractions import Fraction
@@ -96,6 +97,10 @@ def _construct(
     raise ValueError(f"unknown method {method!r}")
 
 
+# a basis coordinate as a report writes it
+_COORDINATE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _basis_from_file(
     path: str, field: NumberField, unit: FieldElement, beta: FieldElement
 ) -> ModuleBasis:
@@ -123,9 +128,18 @@ def _basis_from_file(
     rows = doc["basis"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError(f"basis file {path} has a 'basis' that is not a list of coordinate lists")
+    # only the forms a report writes: Fraction would also take exponent notation,
+    # and build 10^e in full, in time exponential in the exponent's digits
+    for row in rows:
+        for c in row:
+            if not (type(c) is int or isinstance(c, str) and _COORDINATE.fullmatch(c)):
+                raise ValueError(
+                    f"basis file {path} has a bad 'basis': coordinate {c!r} is not"
+                    " an integer or a fraction p/q"
+                )
     try:
         vectors = tuple(field.element([Fraction(c) for c in row]) for row in rows)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"basis file {path} has a bad 'basis': {exc}") from None
     return ModuleBasis(field, vectors)
 

@@ -16,9 +16,11 @@ its own output and computes every later term.
 
 decimal_columns() and decimal_rows() render terms in exact decimal
 arithmetic: str() of a large int is quadratic in its digit count, while each
-recurrence step and str() of a Decimal are linear. They return DecimalList
-rows and columns, whose items are vouched for as '-' and digits by how they
-were made, so a writer may copy them without testing or escaping each one.
+recurrence step and str() of a Decimal are linear. A column that is +- an
+earlier one shifted down a row copies that column's strings instead. They
+return DecimalList rows and columns, whose items are vouched for as '-' and
+digits by how they were made, so a writer may copy them without testing or
+escaping each one.
 
 In X^4 - T X^2 + 1 the coefficient s_4 is -1, and 5 of the 9 nonzero entries
 of a quartic-power step matrix are +-1.
@@ -211,21 +213,55 @@ class DecimalList(list):
     """A list of str() of ints: every item is '-' and digits, by how it was made."""
 
 
+def _shift_source(
+    column: Sequence[int], earlier: Sequence[Sequence[int]]
+) -> tuple[int, int] | None:
+    """(j, s) for the first earlier[j] with column[k] = s * earlier[j][k - 1], k >= 1, s = +-1."""
+    tail = column[1:]
+    for j, source in enumerate(earlier):
+        head = source[:-1]
+        if tail == head:
+            return j, 1
+        if all(map(operator.eq, tail, map(operator.neg, head))):
+            return j, -1
+    return None
+
+
+def _negated(text: str) -> str:
+    """The decimal text of -x from that of x."""
+    if text[0] == "-":
+        return text[1:]
+    return text if text == "0" else "-" + text
+
+
 def decimal_columns(report: SequenceReport) -> list[DecimalList]:
     """The columns of terms as decimal strings, in time linear in their digit count.
 
-    Only the first d terms of each column (d the degree of the charpoly) are
-    converted with str(); every later term is computed by the characteristic
-    recurrence in exact decimal arithmetic. The strings equal str(x) for every
-    term exactly when the report satisfies its recurrence, which
-    verify_recurrence decides.
+    A column equal to +- an earlier column shifted down one row takes every
+    term after its first from that column's strings, negated by a string edit
+    where the sign is -1; x3(k) = -x2(k-1) and x4(k) = x3(k-1) over a
+    quartic-power basis. In every other column only the first d terms (d the
+    degree of the charpoly) are converted with str(), and every later term is
+    computed by the characteristic recurrence in exact decimal arithmetic. The
+    strings equal str(x) for every term when the report satisfies its
+    recurrence, which verify_recurrence decides.
     """
     d = len(report.charpoly) - 1
     # a column may hold fewer than d terms
     count = max(len(report.terms) - d, 0)
-    columns = []
+    ints: list[tuple[int, ...]] = []
+    columns: list[DecimalList] = []
     with localcontext(_EXACT):
         for column in zip(*report.terms):
+            shift = _shift_source(column, ints)
+            ints.append(column)
+            if shift is not None:
+                j, sign = shift
+                text = DecimalList([str(column[0])])
+                rest = columns[j][:-1]
+                text.extend(rest if sign == 1 else map(_negated, rest))
+                columns.append(text)
+                continue
             values = list(map(Decimal, column[:d]))
             append = values.append
             for value in itertools.islice(recurrence_values(report.charpoly, values), count):

@@ -5,7 +5,8 @@ determinant and inverse: det, and through it the norms of numberfield and the
 discriminants of dkseq; and fraction_free_inverse, behind the unimodular
 inverses here and the rational basis inverses of numberfield. Besides it:
 column-style Hermite normal form, Smith normal form with unimodular
-transformation witnesses, and completion of a primitive vector to a basis of Z^n.
+transformation witnesses, and completion of a primitive vector to a basis of Z^n
+(complete_primitive), whose inverse primitive_reducer builds without an inversion.
 Intended for n <= 4 but written for general n.
 """
 
@@ -349,13 +350,13 @@ def snf(b: IntMatrix) -> SnfDecomposition:
     return SnfDecomposition(xm, diag, ym)
 
 
-def complete_primitive(v: Sequence[int]) -> IntMatrix:
-    """Complete a primitive integer vector to a unimodular matrix.
+def primitive_reducer(v: Sequence[int]) -> IntMatrix:
+    """A matrix u with det(u) = 1 and u . v = e1, for a primitive integer vector v.
 
-    Returns u with det(u) = 1 whose first column equals v. Deterministic:
-    built from a fixed bottom-up sweep of extended-gcd row operations.
-    Raises ValueError unless gcd(v) = 1, and for v = (-1,), the one primitive
-    vector whose only 1x1 completion [-1] has determinant -1.
+    u is the inverse of complete_primitive(v). Deterministic: built from a
+    fixed bottom-up sweep of extended-gcd row operations. Raises ValueError
+    unless gcd(v) = 1, and for v = (-1,), the one primitive vector whose only
+    1x1 completion [-1] has determinant -1.
     """
     vec = [int(a) for a in v]
     n = len(vec)
@@ -386,7 +387,16 @@ def complete_primitive(v: Sequence[int]) -> IntMatrix:
     if w[0] != 1:
         # gcd sweep must terminate at 1 for a primitive vector
         raise AssertionError("primitive completion sweep failed")
-    result = inverse_unimodular(IntMatrix.from_rows(u))
-    if result.column(0) != tuple(vec):
+    return IntMatrix.from_rows(u)
+
+
+def complete_primitive(v: Sequence[int]) -> IntMatrix:
+    """Complete a primitive integer vector to a unimodular matrix.
+
+    Returns the inverse of primitive_reducer(v): det = 1 and first column v.
+    Raises ValueError as primitive_reducer does.
+    """
+    result = inverse_unimodular(primitive_reducer(v))
+    if result.column(0) != tuple(int(a) for a in v):
         raise AssertionError("completion does not start with the input vector")
     return result

@@ -452,11 +452,18 @@ class ModuleBasis:
         return tuple(Fraction(x, den) for x in num)
 
     def combine(self, weights: Sequence[Rational]) -> FieldElement:
-        """Linear combination sum_i weights[i] * vectors[i]."""
-        acc = self.field.zero
-        for w, v in zip(weights, self.vectors):
-            acc = acc + v.scale(w)
-        return acc
+        """Linear combination sum_i weights[i] * vectors[i], in one pass over integers."""
+        terms = [
+            (w if isinstance(w, (int, Fraction)) else Fraction(w), v)
+            for w, v in zip(weights, self.vectors)
+        ]
+        den = math.lcm(*(w.denominator * v.den for w, v in terms))
+        num = [0] * self.field.degree
+        for w, v in terms:
+            factor = w.numerator * (den // (w.denominator * v.den))
+            if factor:
+                num = [a + factor * b for a, b in zip(num, v.num)]
+        return _reduced(self.field, num, den)
 
 
 # text form: polynomial expressions in one generator symbol, integer or

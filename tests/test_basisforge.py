@@ -4,7 +4,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from normlds import coordseq
@@ -13,13 +13,14 @@ from normlds.basisforge import (
     _canonicalize_witness,
     family_basis,
     family_surd_basis,
+    lds_basis,
     quad_construct,
     quartic_unit_trace,
     snf_criterion_matrix,
 )
-from normlds.exactlinalg import IntMatrix, det, snf
+from normlds.exactlinalg import IntMatrix, det, hnf_column, snf
 from normlds.numberfield import ModuleBasis, NumberField, min_poly, parse_element
-from oracles import lucas_terms
+from oracles import lucas_terms, solve_linear
 
 
 def canonicalize_witness_search(
@@ -177,6 +178,9 @@ def test_quad_construct_x1_is_a_scaled_lucas_sequence(n, beta_coords):
     unit, beta = field.element([n, 1]), field.element(list(beta_coords))
     cons = quad_construct(field.power_basis(), beta, unit)
     assert cons.t_trace == 2 * n
+    # the scale is the pivot a22 of the column Hermite form of B
+    b = IntMatrix.from_rows([beta.coords, (beta * unit).coords])
+    assert cons.scale == hnf_column(b).h.entries[1][1]
     x1 = coordseq.generate(beta, unit, cons.basis, 60).column(1)
     assert x1 == [cons.scale * u for u in lucas_terms(cons.t_trace, 1, 61)]
     assert coordseq.verify_lds(x1, 60).ok
@@ -260,3 +264,44 @@ def test_quartic_unit_trace_matches_the_two_minpoly_reading(field, coords, den, 
         coords[0] = coords[2] = 0
     eta = field.element([Fraction(c, den) for c in coords])
     assert outcome(quartic_unit_trace, eta) == outcome(quartic_unit_trace_reference, eta)
+
+
+# x^2 - d and x^4 - T x^2 + 1, each irreducible
+LDS_FIELDS = [NumberField((-d, 0, 1)) for d in (2, 3, 5, 13)] + [
+    NumberField((1, 0, -t, 0, 1)) for t in (4, 5, 10, 12)
+]
+
+
+@st.composite
+def lds_cases(draw):
+    """A field, a nonzero integral beta, an eps of full degree and a primitive v."""
+    field = draw(st.sampled_from(LDS_FIELDS))
+    n = field.degree
+    coords = st.lists(st.integers(-30, 30), min_size=n, max_size=n)
+    beta = field.element(draw(coords.filter(any)))
+    eps = field.element(draw(coords))
+    assume(len(min_poly(eps)) - 1 == n)
+    primitive = st.lists(st.integers(-20, 20), min_size=n, max_size=n).filter(lambda v: math.gcd(*v) == 1)
+    v = draw(primitive)
+    return field, beta, eps, tuple(v)
+
+
+@given(lds_cases())
+@settings(max_examples=200, deadline=None)
+def test_lds_basis_starts_x1_at_scale_times_v(case):
+    field, beta, eps, v = case
+    n = field.degree
+    basis, scale = lds_basis(field.power_basis(), beta, eps, v)
+    powers = [beta]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * eps)
+    # coordinates over the new basis, solved over Fraction
+    columns = [w.coords for w in basis.vectors]
+    first = [solve_linear(columns, p.coords)[0] for p in powers]
+    assert first == [scale * x for x in v]
+    # the new vectors are an integral unimodular change of the power basis
+    assert all(c.denominator == 1 for w in basis.vectors for c in w.coords)
+    assert det(IntMatrix.from_rows([[int(c) for c in w.coords] for w in basis.vectors])) in (1, -1)
+    # scale is the least that clears B^-1 v
+    b_columns = list(zip(*(p.coords for p in powers)))
+    assert scale == math.lcm(*(x.denominator for x in solve_linear(b_columns, v)))

@@ -13,6 +13,7 @@ from normlds.exactlinalg import (
     fraction_free_inverse,
     hnf_column,
     inverse_unimodular,
+    primitive_reducer,
     snf,
     xgcd,
 )
@@ -184,6 +185,10 @@ class TestCompletePrimitive:
         u = complete_primitive(vec)
         assert u.column(0) == tuple(vec)
         assert det(u) in (1, -1)
+        # primitive_reducer is its inverse, built without an inversion
+        r = primitive_reducer(vec)
+        assert r.apply(vec) == tuple(int(i == 0) for i in range(len(vec)))
+        assert r @ u == IntMatrix.identity(len(vec))
 
 
 class TestInverseUnimodular:

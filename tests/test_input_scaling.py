@@ -1,0 +1,52 @@
+"""Inputs whose running time could grow faster than a polynomial in their digits.
+
+Each case runs the CLI in process at growing input lengths and bounds both the
+wall time and the growth of the report per doubling of the input.
+"""
+
+import contextlib
+import io
+import json
+import time
+
+from normlds import cli
+
+
+def timed_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return time.perf_counter() - start, rc, out.getvalue(), err.getvalue()
+
+
+def test_exponent_notation_in_a_basis_file_is_refused_at_once(tmp_path):
+    # Fraction("2e3000000") builds 10^3000000 in full, which took seconds
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps({"field": "x^2 - 3", "basis": [["2e3000000", "0"], ["0", "1"]]}))
+    seconds, rc, out, err = timed_cli(
+        ["emit-sequence", "--field", "x^2-3", "--unit", "2+t", "--kmax", "3",
+         "--basis-file", str(path)]
+    )
+    assert (rc, out) == (2, "")
+    assert err == (
+        f"error: basis file {path} has a bad 'basis': coordinate '2e3000000' is not"
+        " an integer or a fraction p/q\n"
+    )
+    assert seconds < 0.1
+
+
+def test_quartic_full_basis_grows_linearly_with_beta():
+    # beta = 3^e + 5^e t - t^3 over Q(sqrt 2, sqrt 3): the Smith witness path took
+    # 0.035, 0.64 and 8.0 s here, about 16x per doubling of the input
+    digits = []
+    for e in (100, 200, 400):
+        seconds, rc, out, err = timed_cli(
+            ["construct-basis", "--method", "quartic-full", "--field", "x^4-10x^2+1",
+             "--unit", "t", f"--beta={3**e}+{5**e}t-t^3"]
+        )
+        assert (rc, err) == (0, "")
+        assert seconds < 0.1, f"e = {e} took {seconds:.3f} s"
+        basis = json.loads(out)["basis"]
+        digits.append(max(len(c.lstrip("-").replace("/", "")) for row in basis for c in row))
+    assert all(later <= 3 * earlier for earlier, later in zip(digits, digits[1:])), digits

@@ -34,6 +34,7 @@ from normlds.coordseq import (
 )
 from normlds.dkseq import CheckRefused, dk, dk_recurrence_check, dk_sequence, sparse_minpoly_scan
 from normlds.dkseq import recurrence_report as dk_report
+from normlds.basisforge import quartic_module_construct
 from normlds.numberfield import ModuleBasis, NumberField
 
 QUADRATICS = [(-2, 0, 1), (-3, 0, 1), (-5, 0, 1), (1, 0, 1), (-1, -1, 1), (-7, 0, 1)]
@@ -560,6 +561,50 @@ class TestPlusMinusOneSteps:
         terms[k][i] += data.draw(st.integers(-3, 3).filter(bool))
         mutated = SequenceReport(terms=terms, charpoly=report.charpoly)
         assert verify_recurrence(mutated) is termwise_recurrence(mutated) is False
+
+
+@st.composite
+def shifted_reports(draw):
+    """Columns sign * y(k + 3 - s) of recurrence sequences y, for shifts s in 0..3.
+
+    A column with shift s + 1 is +- the column of the same y with shift s moved
+    down one row, in either order of the two, so chains of shifts, negated
+    shifts and all-zero columns (a zero head) occur; kmax = 0 gives one row.
+    """
+    d = draw(st.integers(1, 4))
+    charpoly = [draw(st.integers(-5, 5)) for _ in range(d)] + [1]
+    term = st.one_of(st.integers(-3, 3), st.integers(-10**20, 10**20))
+    kmax = draw(st.integers(0, 40))
+    heads = draw(st.lists(
+        st.one_of(st.just([0] * d), st.lists(term, min_size=d, max_size=d)), min_size=1, max_size=2
+    ))
+    bases = [recurrence_column(charpoly, head, kmax + 3 + d)[: kmax + 4] for head in heads]
+    specs = draw(st.lists(
+        st.tuples(st.integers(0, len(bases) - 1), st.integers(0, 3), st.sampled_from([-1, 1])),
+        min_size=1, max_size=5,
+    ))
+    columns = [[sign * bases[b][k + 3 - s] for k in range(kmax + 1)] for b, s, sign in specs]
+    return SequenceReport(terms=[list(row) for row in zip(*columns)], charpoly=tuple(charpoly))
+
+
+class TestShiftedColumns:
+    @given(shifted_reports())
+    @settings(max_examples=300, deadline=None)
+    def test_decimal_columns_match_str(self, report):
+        if report.kmax >= len(report.charpoly) - 1:
+            assert verify_recurrence(report)
+        columns = decimal_columns(report)
+        assert columns == [[str(x) for x in column] for column in zip(*report.terms)]
+        assert all(type(column) is DecimalList for column in columns)
+
+    def test_quartic_power_columns(self):
+        # x3(k) = -x2(k-1) and x4(k) = x3(k-1) over the quartic-power basis
+        k4 = NumberField((1, 0, -10, 0, 1))
+        cons = quartic_module_construct(k4.element([2, -1, 0, 1]), k4.generator)
+        report = generate(k4.element([2, -1, 0, 1]), k4.generator, cons.basis, 60)
+        x2, x3, x4 = report.column(2), report.column(3), report.column(4)
+        assert x3[1:] == [-x for x in x2[:-1]] and x4[1:] == x3[:-1]
+        assert decimal_rows(report) == str_rows(report)
 
 
 class TestSharedSieve:

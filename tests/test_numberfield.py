@@ -518,6 +518,21 @@ class TestCoords:
             elem = basis.combine(weights)
             assert basis.coords(elem) == tuple(weights)
 
+    @given(
+        st.lists(
+            st.one_of(st.integers(-50, 50), st.fractions(-50, 50, max_denominator=12)),
+            min_size=4,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_combine_is_the_sum_of_scaled_vectors(self, weights):
+        basis = surd_basis_m2()
+        want = BIQUAD.zero
+        for w, v in zip(weights, basis.vectors):
+            want = want + v.scale(w)
+        assert basis.combine(weights) == want
+
     def test_singular_basis_rejected(self):
         with pytest.raises(ValueError, match="dependent"):
             ModuleBasis(SQRT2, (SQRT2.one, SQRT2.from_int(3)))
