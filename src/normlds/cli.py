@@ -13,9 +13,9 @@ the ring an option names (--module-basis, else the power basis) through _ring.
 _json_text writes json.dumps(indent=2, sort_keys=True) byte for byte. The term
 rows of emit-sequence and verify-lds and the d_k column of dk-scan are
 coordseq.DecimalList, vouched for as '-' and digits (rendered through a
-verified recurrence, else by str()): each is copied with one join, with no test
-or escape per item. A report and its final newline are written apart, so no
-step copies a whole report.
+certified or verified recurrence, else by str()): each is copied with one
+join, with no test or escape per item. A report and its final newline are
+written apart, so no step copies a whole report.
 """
 
 from __future__ import annotations
@@ -311,31 +311,30 @@ def _cmd_construct_basis(config: Namespace) -> int:
 def _sequence_payload(
     config: Namespace, field: NumberField
 ) -> tuple[dict[str, Any], coordseq.SequenceReport, list[str] | None]:
-    """Report fields shared by the sequence commands, and CSV lines when CSV is asked for."""
+    """Report fields shared by the sequence commands, the certified head, and CSV lines if asked."""
     unit, beta = _unit_beta(config, field)
     basis, meta = _resolve_basis(config, field, unit, beta)
-    # the recurrence test needs kmax >= deg(min_poly(unit)), known before any term is
+    # the report needs kmax >= deg(min_poly(unit)), known before any term is
     # generated; that degree is at most the field's, so min_poly runs only for a small kmax
     if 0 <= config.kmax < field.degree and config.kmax < len(min_poly(unit)) - 1:
         raise ValueError("not enough terms to test the recurrence")
-    report = coordseq.generate(beta, unit, basis, config.kmax)
-    recurrence_ok = coordseq.verify_recurrence(report)
-    # the recurrence holds for every term, so rendering through it gives str(x)
-    if recurrence_ok:
-        terms = coordseq.decimal_rows(report)
-    else:
-        terms = [coordseq.DecimalList(map(str, row)) for row in report.terms]
+    head = coordseq.sequence_head(beta, unit, basis, config.kmax)
+    # sequence_head has certified the recurrence for every term, so rendering
+    # through it from the head gives str(x) for each
+    terms = coordseq.decimal_rows(head, config.kmax)
     payload = _head(field, unit, beta)
     payload.update(meta)
     payload["basis"] = _basis_coords(basis)
-    payload["charpoly"] = [str(c) for c in report.charpoly]
+    payload["charpoly"] = [str(c) for c in head.charpoly]
     payload["terms"] = terms
-    payload["recurrence_ok"] = recurrence_ok
+    # a head whose recurrence fails raises InvariantViolation; the key stays for
+    # readers of the reports
+    payload["recurrence_ok"] = True
     csv_lines = None
     if config.fmt == "csv":
-        header = "k," + ",".join(f"x{i}" for i in range(1, report.ncols + 1))
+        header = "k," + ",".join(f"x{i}" for i in range(1, head.ncols + 1))
         csv_lines = [header] + [",".join((str(k), *row)) for k, row in enumerate(terms)]
-    return payload, report, csv_lines
+    return payload, head, csv_lines
 
 
 def _cmd_emit_sequence(config: Namespace) -> int:
@@ -354,13 +353,14 @@ def _cmd_verify_lds(config: Namespace) -> int:
         raise ValueError(f"--nmax {config.nmax} must be at least 1")
     if config.nmax is not None and config.nmax > config.kmax:
         raise ValueError("--nmax cannot exceed --kmax")
-    payload, report, csv_lines = _sequence_payload(config, field)
+    payload, head, csv_lines = _sequence_payload(config, field)
     payload["command"] = "verify-lds"
-    nmax = report.kmax if config.nmax is None else config.nmax
+    nmax = config.kmax if config.nmax is None else config.nmax
     verdicts = []
     spf = coordseq.smallest_prime_factors(nmax)
-    for i in range(1, report.ncols + 1):
-        verdict = coordseq.verify_lds(report.column(i), nmax, spf)
+    # one int column through nmax at a time, dropped before the next is built
+    for i in range(1, head.ncols + 1):
+        verdict = coordseq.verify_lds(coordseq.int_column(head, i, nmax), nmax, spf)
         verdicts.append(
             {
                 "column": i,
@@ -388,7 +388,7 @@ def _cmd_dk_scan(config: Namespace) -> int:
     if rec_ok:
         # every term satisfies d_{k+4} = T d_{k+2} - d_k, so rendering through that
         # recurrence from str() of d_1..d_4 gives str(d_k) for each k, by induction
-        terms = coordseq.decimal_columns(report)[0]
+        terms = coordseq.decimal_columns(report, report.kmax)[0]
     else:
         terms = coordseq.DecimalList(map(str, seq.terms))
     payload: dict[str, Any] = {
@@ -451,8 +451,8 @@ def _cmd_family_scan(config: Namespace) -> int:
             rows.append({"m": m, "status": "rejected", "reason": str(exc)})
             continue
         field = cons.basis.field
-        report = coordseq.generate(field.one, field.generator, cons.basis, config.kmax)
-        x1 = report.column(1)
+        head = coordseq.sequence_head(field.one, field.generator, cons.basis, config.kmax)
+        x1 = coordseq.int_column(head, 1, config.kmax)
         verdict = coordseq.verify_lds(x1, config.kmax, spf)
         if not verdict.ok:
             any_fail = True

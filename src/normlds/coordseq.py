@@ -7,12 +7,20 @@ coordinate_rows() builds the matrix of y -> eps*y over the basis once
 (step_matrix), cleared to an integer matrix M with a common denominator D and
 stored as the nonzero (j, M[i][j]) of each row, and steps x(k+1) = M x(k) / D
 in integers (step_rows), one linear_values() per output coordinate, every
-entry checked for exact division by D. generate() and the d_k sequences of
-dkseq run on it. The recurrence: recurrence_values() yields sum_j s_j x(k - j)
-for k = d, d+1, ..., linear_values() over iterators into x. verify_recurrence
-compares it with each column. decimal_columns() and dkseq.match_dk_basis hand
-it a list of the first d terms and append each value it yields, so it reads
-its own output and computes every later term.
+entry checked for exact division by D. The recurrence: recurrence_values()
+yields sum_j s_j x(k - j) for k = d, d+1, ..., linear_values() over iterators
+into x; a caller that hands it a list of the first d terms and appends each
+value it yields has it read its own output and compute every later term.
+
+The two drivers split a sequence between them. sequence_head() steps the
+step matrix for rows 0..d only, d the degree of min_poly(eps), and checks row
+d against the recurrence; that one check certifies the recurrence, and the
+integrality, of every later row (the proof is in its docstring). The
+recurrence gives the rest, only as far as a caller reads it: int_column()
+extends one integer column, decimal_columns() renders every column from the
+head, and generate() is the head with each column extended, as rows. The d_k
+sequences of dkseq step their own rows with step_rows, since d_k is not a
+linear image of the rows; verify_recurrence checks such a column term by term.
 
 decimal_columns() and decimal_rows() render terms in exact decimal
 arithmetic: str() of a large int is quadratic in its digit count, while each
@@ -38,6 +46,7 @@ from decimal import (
 )
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from .basisforge import InvariantViolation
 from .numberfield import FieldElement, ModuleBasis, min_poly
 
 # exact integer arithmetic in decimal: any rounding raises instead of happening;
@@ -50,7 +59,11 @@ _EXACT = Context(
 
 @dataclass
 class SequenceReport:
-    """Integer coordinate rows x_i(k) (row k, column i) plus their recurrence."""
+    """Integer coordinate rows x_i(k) (row k, column i) plus their recurrence.
+
+    The rows are all of a sequence's, as generate() gives them, or its first
+    ones, as sequence_head() does.
+    """
 
     terms: list[list[int]]
     charpoly: tuple[int, ...]  # ascending, monic; the recurrence all columns satisfy
@@ -159,27 +172,72 @@ def coordinate_rows(
     yield from step_rows(list(start), step, error)
 
 
-def generate(beta: FieldElement, eps: FieldElement, w: ModuleBasis, kmax: int) -> SequenceReport:
-    """Exact coordinates of beta * eps^k over w for k = 0..kmax.
+def sequence_head(
+    beta: FieldElement, eps: FieldElement, w: ModuleBasis, kmax: int
+) -> SequenceReport:
+    """Rows 0..min(kmax, d) of the coordinates of beta * eps^k over w, d = deg min_poly(eps).
 
-    Every row must come out integral; a fractional coordinate means beta is not
-    in the module or eps does not stabilize it, and raises ValueError.
+    The rows come from the step matrix, and every one must come out integral:
+    a fractional coordinate means beta is not in the module or eps does not
+    stabilize it, and raises ValueError for the first such k. Row d, when
+    reached, is checked against the recurrence of c = min_poly(eps) =
+    X^d - s_1 X^(d-1) - ... - s_d, row d = sum_j s_j row(d - j), and that one
+    check certifies every later row. With A the step matrix over D,
+    x(k) = A^k x(0), so the residual x(k) - sum_j s_j x(k - j) is
+    A^(k-d) c(A) x(0), the residual of row d moved on by A^(k-d): it is 0 for
+    every k >= d when it is 0 at d. Each later row is then an integral
+    combination of earlier ones, since c is monic and integral, so it is
+    integral too. A failed check raises InvariantViolation: it means min_poly
+    or step_matrix is wrong, not the input.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     if beta.field != w.field or eps.field != w.field:
         raise ValueError("beta, eps and basis must share one field")
-    mp = min_poly(eps)
     charpoly = []
-    for c in mp:
+    for c in min_poly(eps):
         if c.denominator != 1:
             raise ValueError("eps must be an algebraic integer")
         charpoly.append(int(c))
+    d = len(charpoly) - 1
     steps = coordinate_rows(
         beta, eps, w, lambda k: f"non-integral coordinate at k={k}: beta*eps^k is outside the module"
     )
-    rows = list(itertools.islice(steps, kmax + 1))
+    rows = list(itertools.islice(steps, min(kmax, d) + 1))
+    if len(rows) > d:
+        predicted = [next(recurrence_values(charpoly, column)) for column in zip(*rows)]
+        if predicted != rows[d]:
+            raise InvariantViolation(
+                f"row {d} of the step matrix is {rows[d]}, not {predicted} by the recurrence"
+            )
     return SequenceReport(terms=rows, charpoly=tuple(charpoly))
+
+
+def int_column(head: SequenceReport, i: int, kmax: int) -> list[int]:
+    """Terms 0..kmax of column i (1-indexed) from sequence_head(..., kmax) or a longer head.
+
+    The head's own terms while they last, else its first d terms and the
+    recurrence, which the head's row d has certified for every later term.
+    """
+    d = len(head.charpoly) - 1
+    if kmax <= d:
+        return head.column(i)[: kmax + 1]
+    column = head.column(i)[:d]
+    append = column.append
+    for value in itertools.islice(recurrence_values(head.charpoly, column), kmax + 1 - d):
+        append(value)
+    return column
+
+
+def generate(beta: FieldElement, eps: FieldElement, w: ModuleBasis, kmax: int) -> SequenceReport:
+    """Exact coordinates of beta * eps^k over w for k = 0..kmax, by rows.
+
+    The certified head of sequence_head, each column extended by int_column;
+    the errors are those of sequence_head.
+    """
+    head = sequence_head(beta, eps, w, kmax)
+    columns = [int_column(head, i, kmax) for i in range(1, head.ncols + 1)]
+    return SequenceReport(terms=list(map(list, zip(*columns))), charpoly=head.charpoly)
 
 
 def recurrence_values(charpoly: Sequence[int], x: Sequence) -> Iterator:
@@ -216,7 +274,12 @@ class DecimalList(list):
 def _shift_source(
     column: Sequence[int], earlier: Sequence[Sequence[int]]
 ) -> tuple[int, int] | None:
-    """(j, s) for the first earlier[j] with column[k] = s * earlier[j][k - 1], k >= 1, s = +-1."""
+    """(j, s) for the first earlier[j] with column[k] = s * earlier[j][k - 1], k >= 1, s = +-1.
+
+    On the rows 0..d of a certified head this decides the whole columns: both
+    column(k + 1) and s * earlier[j](k) satisfy the recurrence of order d, so
+    when they agree for k = 0..d - 1 they agree for every k.
+    """
     tail = column[1:]
     for j, source in enumerate(earlier):
         head = source[:-1]
@@ -234,25 +297,26 @@ def _negated(text: str) -> str:
     return text if text == "0" else "-" + text
 
 
-def decimal_columns(report: SequenceReport) -> list[DecimalList]:
-    """The columns of terms as decimal strings, in time linear in their digit count.
+def decimal_columns(head: SequenceReport, kmax: int) -> list[DecimalList]:
+    """Terms 0..kmax of each column as decimal strings, in time linear in their digit count.
 
-    A column equal to +- an earlier column shifted down one row takes every
-    term after its first from that column's strings, negated by a string edit
-    where the sign is -1; x3(k) = -x2(k-1) and x4(k) = x3(k-1) over a
-    quartic-power basis. In every other column only the first d terms (d the
-    degree of the charpoly) are converted with str(), and every later term is
-    computed by the characteristic recurrence in exact decimal arithmetic. The
-    strings equal str(x) for every term when the report satisfies its
-    recurrence, which verify_recurrence decides.
+    head holds rows 0..min(kmax, d) at least, d the degree of its charpoly,
+    of a sequence whose every column satisfies that recurrence for k >= d:
+    the head of sequence_head, whose checked row d proves it, or a report
+    checked in full by verify_recurrence. Only those rows are read. A column
+    equal to +- an earlier column shifted down one row (see _shift_source)
+    takes every term after its first from that column's strings, negated by
+    a string edit where the sign is -1; x3(k) = -x2(k-1) and x4(k) = x3(k-1)
+    over a quartic-power basis. In every other column the first d terms are
+    converted with str(), and every later term is computed by the recurrence
+    in exact decimal arithmetic. Each string is therefore str() of its term,
+    by induction on k: the recurrence fixes a column from its first d terms.
     """
-    d = len(report.charpoly) - 1
-    # a column may hold fewer than d terms
-    count = max(len(report.terms) - d, 0)
+    d = len(head.charpoly) - 1
     ints: list[tuple[int, ...]] = []
     columns: list[DecimalList] = []
     with localcontext(_EXACT):
-        for column in zip(*report.terms):
+        for column in zip(*head.terms[: min(kmax, d) + 1]):
             shift = _shift_source(column, ints)
             ints.append(column)
             if shift is not None:
@@ -264,7 +328,8 @@ def decimal_columns(report: SequenceReport) -> list[DecimalList]:
                 continue
             values = list(map(Decimal, column[:d]))
             append = values.append
-            for value in itertools.islice(recurrence_values(report.charpoly, values), count):
+            later = recurrence_values(head.charpoly, values)
+            for value in itertools.islice(later, max(kmax + 1 - d, 0)):
                 append(value)
             text = DecimalList(map(str, values))
             # the product of 0 and a negative s_j is -0, the one decimal value
@@ -275,9 +340,9 @@ def decimal_columns(report: SequenceReport) -> list[DecimalList]:
     return columns
 
 
-def decimal_rows(report: SequenceReport) -> list[DecimalList]:
-    """The rows of terms as decimal strings; see decimal_columns."""
-    return list(map(DecimalList, zip(*decimal_columns(report))))
+def decimal_rows(head: SequenceReport, kmax: int) -> list[DecimalList]:
+    """Rows 0..kmax as decimal strings; see decimal_columns."""
+    return list(map(DecimalList, zip(*decimal_columns(head, kmax))))
 
 
 def divides(a: int, b: int) -> bool:

@@ -1,0 +1,306 @@
+"""The certified head: rows 0..d from the step matrix, every later term from the recurrence.
+
+coordseq.sequence_head steps the step matrix for rows 0..d, d the degree of
+min_poly(eps), and checks row d against the recurrence; generate, int_column
+and decimal_columns build every later term from those rows. These tests hold
+them to the step matrix stepped all the way, count the work each sequence
+command does, and bound the memory that verify-lds holds.
+"""
+
+import contextlib
+import gc
+import io
+import itertools
+import json
+import math
+import re
+import sys
+import tracemalloc
+from collections import Counter
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from normlds import cli, coordseq
+from normlds.basisforge import quartic_full_construct, quartic_module_construct
+from normlds.coordseq import (
+    coordinate_rows,
+    decimal_columns,
+    generate,
+    int_column,
+    sequence_head,
+    verify_recurrence,
+)
+from normlds.numberfield import ModuleBasis, NumberField, min_poly
+
+
+def non_integral(k):
+    return f"non-integral coordinate at k={k}: beta*eps^k is outside the module"
+
+
+def outcome(fn):
+    try:
+        return "ok", fn()
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def is_square(n):
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
+# x^2 - m for a nonsquare m, and x^4 - T x^2 + 1 with neither T - 2 nor T + 2 a square
+QUADRATICS = [NumberField((-m, 0, 1)) for m in range(2, 61) if not is_square(m)]
+QUARTICS = [
+    NumberField((1, 0, -t, 0, 1))
+    for t in range(3, 201)
+    if not is_square(t - 2) and not is_square(t + 2)
+]
+
+
+@st.composite
+def integral_elements(draw, field):
+    return field.element([draw(st.integers(-3, 3)) for _ in range(field.degree)])
+
+
+@st.composite
+def cases(draw):
+    """(beta, eps, basis) over the bases the sequence commands read.
+
+    Over the power basis and the scaled basis (a, t, ..., t^(n-1)) eps is t,
+    a random integral element, +-1 (d = 1), or t^2 in a quartic field
+    (d = 2 < 4), and beta may be 0. The scaled basis has a step matrix with
+    D = a whenever eps involves t; beta is a multiple of a, whose rows stay
+    integral, or any element, whose rows may not. The quartic-power and
+    quartic-full bases are built for eps = t and a nonzero beta.
+    """
+    kind = draw(st.sampled_from(["power", "scaled", "quartic-power", "quartic-full"]))
+    if kind.startswith("quartic"):
+        field = draw(st.sampled_from(QUARTICS))
+        eps = field.generator
+        beta = draw(integral_elements(field).filter(lambda beta: not beta.is_zero()))
+        if kind == "quartic-power":
+            return beta, eps, quartic_module_construct(beta, eps).basis
+        try:
+            return beta, eps, quartic_full_construct(field.power_basis(), beta, eps).basis
+        except ValueError:
+            assume(False)
+    field = draw(st.sampled_from(QUADRATICS + QUARTICS))
+    t = field.generator
+    eps_choices = [st.just(t), integral_elements(field), st.sampled_from([field.one, -field.one])]
+    if field.degree == 4:
+        eps_choices.append(st.just(t * t))
+    eps = draw(st.one_of(*eps_choices))
+    beta = draw(st.one_of(st.just(field.zero), integral_elements(field)))
+    if kind == "power":
+        return beta, eps, field.power_basis()
+    a = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        beta = beta * field.from_int(a)
+    return beta, eps, ModuleBasis(field, (field.from_int(a),) + field.power_basis().vectors[1:])
+
+
+class TestCertifiedPathEqualsTheStepMatrix:
+    @given(cases(), st.integers(0, 60))
+    @settings(max_examples=300, deadline=None)
+    def test_every_term_and_every_error(self, case, kmax):
+        beta, eps, basis = case
+        stepped = coordinate_rows(beta, eps, basis, non_integral)
+        want = outcome(lambda: list(itertools.islice(stepped, kmax + 1)))
+        assert outcome(lambda: generate(beta, eps, basis, kmax).terms) == want
+        head = outcome(lambda: sequence_head(beta, eps, basis, kmax))
+        d = len(min_poly(eps)) - 1
+        if want[0] == "error":
+            assert head == want
+            # rows 0..d integral certify every later row integral
+            assert int(re.search(r"k=(\d+)", want[1]).group(1)) <= d
+            return
+        rows, head = want[1], head[1]
+        assert len(head.terms) == min(kmax, d) + 1
+        columns = [list(column) for column in zip(*rows)]
+        for i, column in enumerate(columns, 1):
+            assert int_column(head, i, kmax) == column
+        assert decimal_columns(head, kmax) == [[str(x) for x in column] for column in columns]
+
+    def test_eps_in_a_subfield(self):
+        # t^2 over x^4 - 10x^2 + 1 has degree 2, so the head is rows 0..2 of 4 columns
+        k4 = NumberField((1, 0, -10, 0, 1))
+        beta, eps = k4.element([2, -1, 0, 1]), k4.generator ** 2
+        head = sequence_head(beta, eps, k4.power_basis(), 40)
+        assert head.charpoly == (1, -10, 1) and len(head.terms) == 3
+        stepped = coordinate_rows(beta, eps, k4.power_basis(), non_integral)
+        want = list(itertools.islice(stepped, 41))
+        assert generate(beta, eps, k4.power_basis(), 40).terms == want
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_eps_plus_minus_one(self, sign):
+        k2 = NumberField((-3, 0, 1))
+        beta = k2.element([5, -2])
+        head = sequence_head(beta, k2.from_int(sign), k2.power_basis(), 9)
+        assert head.charpoly == (-sign, 1) and len(head.terms) == 2
+        want = [[5 * sign**k, -2 * sign**k] for k in range(10)]
+        assert generate(beta, k2.from_int(sign), k2.power_basis(), 9).terms == want
+        assert decimal_columns(head, 9) == [[str(x) for x in c] for c in zip(*want)]
+
+    def test_beta_zero(self):
+        k4 = NumberField((1, 0, -10, 0, 1))
+        head = sequence_head(k4.zero, k4.generator, k4.power_basis(), 30)
+        assert generate(k4.zero, k4.generator, k4.power_basis(), 30).terms == [[0] * 4] * 31
+        assert decimal_columns(head, 30) == [["0"] * 31] * 4
+
+    def test_a_non_integral_row_fails_at_the_same_k(self):
+        k2 = NumberField((-3, 0, 1))
+        shrunk = ModuleBasis(k2, (k2.from_int(2), k2.generator))
+        # t * (2 + t) = 3 + 2t is 3/2 * 2 + 2 * t
+        with pytest.raises(ValueError) as exc:
+            generate(k2.generator, k2.element([2, 1]), shrunk, 50)
+        assert str(exc.value) == non_integral(1)
+        with pytest.raises(ValueError) as exc:
+            generate(k2.one, k2.element([2, 1]), shrunk, 50)
+        assert str(exc.value) == non_integral(0)
+
+    def test_a_basis_file_with_a_denominator(self, tmp_path):
+        # the basis (3, t, t^2, t^3): t * t^3 = -1/3 * 3 + 10 t^2, so D = 3, and
+        # beta = 3 * (2 - t + t^3) keeps every row integral
+        k4 = NumberField((1, 0, -10, 0, 1))
+        basis = ModuleBasis(k4, (k4.from_int(3),) + k4.power_basis().vectors[1:])
+        beta = k4.element([6, -3, 0, 3])
+        path = tmp_path / "basis.json"
+        rows = [["3", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],
+                ["0", "0", "0", "1"]]
+        path.write_text(json.dumps({"field": "x^4 - 10*x^2 + 1", "basis": rows}))
+        rc, out, _ = run_cli(["emit-sequence", "--field", "x^4-10x^2+1", "--unit", "t",
+                              "--beta", "6-3t+3t^3", "--basis-file", str(path), "--kmax", "60"])
+        assert rc == 0
+        want = itertools.islice(coordinate_rows(beta, k4.generator, basis, non_integral), 61)
+        assert json.loads(out)["terms"] == [[str(x) for x in row] for row in want]
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+QUARTIC = ["--field", "x^4-10x^2+1", "--unit", "t", "--beta", "2-t+t^3"]
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of step-matrix rows and of int terms of the recurrence; verify_recurrence refused."""
+    counts = Counter()
+    step_rows, recurrence_values = coordseq.step_rows, coordseq.recurrence_values
+
+    def counted_step_rows(*args):
+        for row in step_rows(*args):
+            counts["rows"] += 1
+            yield row
+
+    def counted_recurrence_values(charpoly, x):
+        for value in recurrence_values(charpoly, x):
+            counts["ints"] += type(value) is int
+            yield value
+
+    def refuse(report):
+        raise AssertionError("verify_recurrence scanned the terms")
+
+    monkeypatch.setattr(coordseq, "step_rows", counted_step_rows)
+    monkeypatch.setattr(coordseq, "recurrence_values", counted_recurrence_values)
+    monkeypatch.setattr(coordseq, "verify_recurrence", refuse)
+    return counts
+
+
+class TestWorkCount:
+    @pytest.mark.parametrize("basis, fmt", [("quartic-power", "json"), ("quartic-full", "csv")])
+    def test_emit_sequence_builds_no_int_term_past_the_head(self, work, basis, fmt):
+        rc, out, _ = run_cli(["emit-sequence", *QUARTIC, "--basis", basis, "--kmax", "500",
+                              "--format", fmt])
+        assert rc == 0 and len(out.splitlines()) > 500
+        # d + 1 = 5 rows, and the certificate's one value per column at row 4
+        assert work == {"rows": 5, "ints": 4}
+
+    def test_emit_sequence_of_a_unit_in_a_subfield(self, work):
+        rc, _, _ = run_cli(["emit-sequence", "--field", "x^4-10x^2+1", "--unit", "t^2",
+                            "--kmax", "500"])
+        assert rc == 0
+        assert work == {"rows": 3, "ints": 4}
+
+    def test_verify_lds_builds_int_columns_through_nmax(self, work):
+        rc, out, _ = run_cli(["verify-lds", *QUARTIC, "--basis", "quartic-power", "--kmax", "500",
+                              "--nmax", "50"])
+        assert rc == 0 and len(json.loads(out)["terms"]) == 501
+        # the certificate, then terms 4..50 of each of the 4 columns
+        assert work == {"rows": 5, "ints": 4 + 4 * 47}
+
+    def test_family_scan_builds_x1_alone(self, work):
+        rc, out, _ = run_cli(["family-scan", "--m-range", "2..6", "--kmax", "200"])
+        checked = sum(row["status"] == "ok" for row in json.loads(out)["rows"])
+        assert rc == 0 and checked >= 2
+        # per checked m: 5 rows, the certificate, and terms 4..200 of x1
+        assert work == {"rows": 5 * checked, "ints": checked * (4 + 197)}
+
+
+def traced_peak(argv):
+    """The tracemalloc peak, in bytes, of one CLI report written to memory.
+
+    The report runs once untraced first, so that the parser, which main builds
+    once per process, is not counted.
+    """
+    run_cli(argv)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rc, _, _ = run_cli(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    return peak
+
+
+def int_bytes(values):
+    return sum(map(sys.getsizeof, values))
+
+
+class TestVerifyLdsMemory:
+    ARGS = [*QUARTIC, "--basis", "quartic-power", "--kmax", "600"]
+
+    def parent_layout_peak(self):
+        """The peak of the pipeline that verify-lds replaced.
+
+        It kept the int rows of the whole report, scanned them with
+        verify_recurrence, and still held them while the report was rendered
+        and written. Its own decimal rendering also kept a tuple per column,
+        so this peak is at most the one it had.
+        """
+        k4 = NumberField((1, 0, -10, 0, 1))
+        beta, unit = k4.element([2, -1, 0, 1]), k4.generator
+        basis = quartic_module_construct(beta, unit).basis
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = generate(beta, unit, basis, 600)
+            assert verify_recurrence(report)
+            terms = coordseq.decimal_rows(report, 600)
+            spf = coordseq.smallest_prime_factors(600)
+            lds = [coordseq.verify_lds(report.column(i), 600, spf).ok for i in range(1, 5)]
+            coords = [list(map(str, v.coords)) for v in basis.vectors]
+            payload = {"terms": terms, "lds": lds, "basis": coords}
+            out = io.StringIO()
+            out.write(cli._json_text(payload))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, report
+
+    def test_peak_is_not_above_the_parent_layout(self):
+        ours = traced_peak(["verify-lds", *self.ARGS])
+        parent, report = self.parent_layout_peak()
+        assert ours <= parent
+        # one layout: beside what emit-sequence holds, at most one int column at a time
+        emit = traced_peak(["emit-sequence", *self.ARGS])
+        column = max(int_bytes(report.column(i)) for i in range(1, 5))
+        sieve = int_bytes(range(601))
+        assert ours <= emit + column + sieve < emit + int_bytes(itertools.chain(*report.terms))

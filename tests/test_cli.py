@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -198,22 +199,18 @@ def test_nmax_is_rejected_where_nothing_reads_it(argv):
     assert "unrecognized arguments: --nmax 3" in err.getvalue()
 
 
-def test_terms_fall_back_to_str_without_a_verified_recurrence(monkeypatch):
+def test_a_recurrence_that_fails_its_certificate_is_an_invariant_violation(monkeypatch):
     argv = ["emit-sequence", "--field", "x^4-10x^2+1", "--unit", "t", "--beta", "2-t+t^3",
             "--basis", "quartic-power", "--kmax", "30"]
-    _, out, _ = run_cli(argv)
-    rendered = json.loads(out)
-
-    def refuse(report):
-        raise AssertionError("rendered through an unverified recurrence")
-
-    monkeypatch.setattr(coordseq, "verify_recurrence", lambda report: False)
-    monkeypatch.setattr(coordseq, "decimal_rows", refuse)
-    rc, out, _ = run_cli(argv)
-    fallback = json.loads(out)
-    assert rc == 0
-    assert fallback["recurrence_ok"] is False
-    assert fallback["terms"] == rendered["terms"]
+    assert run_cli(argv)[0] == 0
+    # x^4 - 11x^2 + 1 does not annihilate t, so row 4 of the step matrix is not
+    # the recurrence's value and no term past the head can be trusted
+    wrong = tuple(map(Fraction, (1, 0, -11, 0, 1)))
+    monkeypatch.setattr(coordseq, "min_poly", lambda eps: wrong)
+    rc, out, err = run_cli(argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("internal invariant violation: row 4 of the step matrix is ")
 
 
 def test_dk_terms_fall_back_to_str_without_a_verified_recurrence(monkeypatch):

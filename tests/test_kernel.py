@@ -430,7 +430,7 @@ class TestDecimalRows:
     @given(power_reports())
     @settings(max_examples=300, deadline=None)
     def test_matches_str_of_every_term(self, report):
-        assert decimal_rows(report) == str_rows(report)
+        assert decimal_rows(report, report.kmax) == str_rows(report)
 
     def test_zero_columns_and_negative_terms(self):
         k4 = NumberField((1, 0, -10, 0, 1))
@@ -438,8 +438,9 @@ class TestDecimalRows:
         report = generate(k4.one, k4.element([0, 0, -1, 0]), k4.power_basis(), 12)
         assert all(row[1] == row[3] == 0 for row in report.terms)
         assert any(x < 0 for row in report.terms for x in row)
-        assert decimal_rows(report) == str_rows(report)
-        assert decimal_rows(generate(k4.zero, k4.generator, k4.power_basis(), 8)) == [["0"] * 4] * 9
+        assert decimal_rows(report, report.kmax) == str_rows(report)
+        zero = generate(k4.zero, k4.generator, k4.power_basis(), 8)
+        assert decimal_rows(zero, zero.kmax) == [["0"] * 4] * 9
 
     def test_column_past_the_int_digit_limit(self):
         k2 = NumberField((-3, 0, 1))
@@ -451,7 +452,7 @@ class TestDecimalRows:
             want = str_rows(report)
         finally:
             sys.set_int_max_str_digits(limit)
-        got = decimal_rows(report)
+        got = decimal_rows(report, report.kmax)
         assert len(got[-1][0]) > 4300
         assert got == want
 
@@ -468,7 +469,7 @@ class TestDecimalRows:
             want = str_rows(column)
         finally:
             sys.set_int_max_str_digits(limit)
-        got = decimal_rows(column)
+        got = decimal_rows(column, column.kmax)
         assert len(got[-1][0]) > 4300
         assert got == want
 
@@ -479,7 +480,7 @@ class TestDecimalRows:
             ctx.prec = 5
             ctx.traps[decimal.Inexact] = False
             before = repr(ctx)
-            assert decimal_rows(report) == want
+            assert decimal_rows(report, report.kmax) == want
             assert decimal.getcontext() is ctx
             assert repr(ctx) == before
 
@@ -534,18 +535,18 @@ class TestPlusMinusOneSteps:
     @given(plus_minus_reports())
     @settings(max_examples=300, deadline=None)
     def test_decimal_rows_match_str_and_never_print_minus_zero(self, report):
-        rows = decimal_rows(report)
+        rows = decimal_rows(report, report.kmax)
         assert rows == str_rows(report)
         assert all(type(row) is DecimalList for row in rows)
         assert all(x != "-0" for row in rows for x in row)
-        columns = decimal_columns(report)
+        columns = decimal_columns(report, report.kmax)
         assert all(type(column) is DecimalList for column in columns)
         assert [list(row) for row in zip(*columns)] == rows
 
     @pytest.mark.parametrize("charpoly, heads", PLUS_MINUS_CASES)
     def test_named_charpolys(self, charpoly, heads):
         report = recurrence_report(charpoly, heads, 60)
-        rows = decimal_rows(report)
+        rows = decimal_rows(report, report.kmax)
         assert rows == str_rows(report)
         assert all(x != "-0" for row in rows for x in row)
         assert verify_recurrence(report) is termwise_recurrence(report) is True
@@ -593,7 +594,7 @@ class TestShiftedColumns:
     def test_decimal_columns_match_str(self, report):
         if report.kmax >= len(report.charpoly) - 1:
             assert verify_recurrence(report)
-        columns = decimal_columns(report)
+        columns = decimal_columns(report, report.kmax)
         assert columns == [[str(x) for x in column] for column in zip(*report.terms)]
         assert all(type(column) is DecimalList for column in columns)
 
@@ -604,7 +605,7 @@ class TestShiftedColumns:
         report = generate(k4.element([2, -1, 0, 1]), k4.generator, cons.basis, 60)
         x2, x3, x4 = report.column(2), report.column(3), report.column(4)
         assert x3[1:] == [-x for x in x2[:-1]] and x4[1:] == x3[:-1]
-        assert decimal_rows(report) == str_rows(report)
+        assert decimal_rows(report, report.kmax) == str_rows(report)
 
 
 class TestSharedSieve:
