@@ -1,10 +1,11 @@
 """Basis constructions that turn the first coordinate sequence into an LDS.
 
-One construction serves every module: lds_basis. The coordinates of
-beta*eps^k over a basis W of the module are x(k) = x(0) M^k for the step
-matrix M of eps, so x1 is fixed by its first n terms, the first column of
-B.C, where B holds beta*eps^i over the given basis, i < n, and C is the
-unimodular change of basis to W. A target v that starts an LDS of the
+One construction serves every module: lds_basis. Every coordinate of
+beta*eps^k over a basis W of the module satisfies the recurrence of eps, so
+x1 is fixed by its first n terms, the first column of B.C, where B holds the
+coordinates of beta*eps^i over the given basis, i < n, from
+ModuleBasis.power_rows, the routine behind every coordinate sequence, and C
+is the unimodular change of basis to W. A target v that starts an LDS of the
 recurrence of eps becomes x1 = scale*v when C's first column is
 z = scale*B^-1.v, which is integral and primitive for the least scale, and
 any unimodular completion of z is a valid C (complete_primitive). The
@@ -114,24 +115,10 @@ def quartic_unit_trace(eta: FieldElement) -> int:
     return int(t)
 
 
-def _as_int_rows(basis: ModuleBasis, elements: list[FieldElement], what: str) -> IntMatrix:
-    rows = []
-    for e in elements:
-        coords, den = basis.int_coords(e)
-        if den != 1:
-            raise ValueError(f"{what} does not lie in the module (fractional coordinates)")
-        rows.append(coords)
-    return IntMatrix.from_rows(rows)
-
-
-def _power_rows(tbasis: ModuleBasis, beta: FieldElement, eps: FieldElement) -> IntMatrix:
-    """The integer coordinates of beta*eps^i over tbasis, i < n, as rows."""
-    powers = [beta]
-    for _ in range(tbasis.field.degree - 1):
-        powers.append(powers[-1] * eps)
+def _power_outside(k: int) -> str:
     # worded for the quartic unit eta; quad_construct tests beta first, and its
     # eps keeps the module, so only the quartic reports can print this message
-    return _as_int_rows(tbasis, powers, "a power beta*eta^i")
+    return "a power beta*eta^i does not lie in the module (fractional coordinates)"
 
 
 def _change_basis(tbasis: ModuleBasis, matrix: IntMatrix) -> ModuleBasis:
@@ -170,7 +157,7 @@ def lds_basis(
     the new basis and scale > 0. Raises ValueError when a beta*eps^i leaves
     the module or B is singular.
     """
-    b = _power_rows(tbasis, beta, eps)
+    b = IntMatrix.from_rows(tbasis.power_rows(beta, eps, tbasis.field.degree, _power_outside))
     inverse = fraction_free_inverse(b.entries)
     if inverse is None:
         raise ValueError("coordinate matrix is singular")
@@ -239,15 +226,11 @@ def quartic_module_construct(beta: FieldElement, eta: FieldElement) -> LdsConstr
     a = IntMatrix.from_rows(
         [[0, 0, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [t + 1, 1, 0, 0]]
     )
-    a_inv = inverse_unimodular(a)
-    powers = [beta, beta * eta, beta * eta * eta, beta * eta * eta * eta]
-    vectors = []
-    for row in a_inv.entries:
-        acc = beta.field.zero
-        for c, p in zip(row, powers):
-            acc = acc + p.scale(c)
-        vectors.append(acc)
-    basis = ModuleBasis(beta.field, tuple(vectors))
+    powers = [beta]
+    for _ in range(3):
+        powers.append(powers[-1] * eta)
+    # the powers are a basis of beta*Z[eta]; vector i is row i of A^-1 over them
+    basis = _change_basis(ModuleBasis(beta.field, tuple(powers)), inverse_unimodular(a))
     return LdsConstruction(basis=basis, scale=1, t_trace=t, source="quartic-power")
 
 
@@ -346,7 +329,8 @@ def snf_criterion_matrix(b: IntMatrix, t_trace: int) -> SnfCriterion:
 def snf_criterion(tbasis: ModuleBasis, beta: FieldElement, eta: FieldElement) -> SnfCriterion:
     """Full-module test for the module spanned by tbasis; see snf_criterion_matrix."""
     t = quartic_unit_trace(eta)
-    return snf_criterion_matrix(_power_rows(tbasis, beta, eta), t)
+    b = IntMatrix.from_rows(tbasis.power_rows(beta, eta, tbasis.field.degree, _power_outside))
+    return snf_criterion_matrix(b, t)
 
 
 def quartic_full_construct(

@@ -1,26 +1,20 @@
 """Coordinate sequences of beta * eps^k over a module basis, and their checks.
 
-The package has one integer sequence kernel, here: linear_values(), the lazy
-sum of s * v over (s, iterator) pairs, in which s = +1 or -1 is an add or a
-subtract, not a multiply. Two drivers run on it. The step matrix:
-coordinate_rows() builds the matrix of y -> eps*y over the basis once
-(step_matrix), cleared to an integer matrix M with a common denominator D and
-stored as the nonzero (j, M[i][j]) of each row, and steps x(k+1) = M x(k) / D
-in integers (step_rows), one linear_values() per output coordinate, every
-entry checked for exact division by D. The recurrence: recurrence_values()
-yields sum_j s_j x(k - j) for k = d, d+1, ..., linear_values() over iterators
-into x; a caller that hands it a list of the first d terms and appends each
-value it yields has it read its own output and compute every later term.
-
-The two drivers split a sequence between them. sequence_head() steps the
-step matrix for rows 0..d only, d the degree of min_poly(eps), and checks row
-d against the recurrence; that one check certifies the recurrence, and the
+Every sequence is split in two. sequence_head() takes rows 0..d, d the degree
+of min_poly(eps), from field products (ModuleBasis.power_rows, the one routine
+for the coordinates of beta * eps^k), and checks row d against the recurrence
+of min_poly(eps); that one check certifies the recurrence, and the
 integrality, of every later row (the proof is in its docstring). The
-recurrence gives the rest, only as far as a caller reads it: int_column()
-extends one integer column, decimal_columns() renders every column from the
+recurrence gives the rest, only as far as a caller reads it.
+recurrence_values() is the one integer sequence kernel: it yields
+sum_j s_j x(k - j) for k = d, d+1, ... as a lazy sum over iterators into x, in
+which s_j = +1 or -1 is an add or a subtract, not a multiply, and a caller
+that hands it a list of the first d terms and appends each value it yields has
+it read its own output and compute every later term. int_column() extends one
+integer column that way, decimal_columns() renders every column from the
 head, and generate() is the head with each column extended, as rows. The d_k
-sequences of dkseq step their own rows with step_rows, since d_k is not a
-linear image of the rows; verify_recurrence checks such a column term by term.
+sequences of dkseq are gcds of such columns; verify_recurrence checks a column
+that is not one, such as d_k, term by term.
 
 decimal_columns() and decimal_rows() render terms in exact decimal
 arithmetic: str() of a large int is quadratic in its digit count, while each
@@ -29,9 +23,6 @@ earlier one shifted down a row copies that column's strings instead. They
 return DecimalList rows and columns, whose items are vouched for as '-' and
 digits by how they were made, so a writer may copy them without testing or
 escaping each one.
-
-In X^4 - T X^2 + 1 the coefficient s_4 is -1, and 5 of the 9 nonzero entries
-of a quartic-power step matrix are +-1.
 """
 
 from __future__ import annotations
@@ -44,7 +35,7 @@ from dataclasses import dataclass
 from decimal import (
     MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, Rounded, localcontext
 )
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .basisforge import InvariantViolation
 from .numberfield import FieldElement, ModuleBasis, min_poly
@@ -87,108 +78,32 @@ class LdsVerdict:
     witness: tuple[int, int] | None = None  # first (n, m) with n | m but b(n) does not divide b(m)
 
 
-class StepMatrix(NamedTuple):
-    """The matrix of y -> eps*y over a basis, cleared to integers: M = D * (that matrix)."""
-
-    rows: list[list[tuple[int, int]]]  # per output coordinate i, the (j, M[i][j]) with M[i][j] != 0
-    denom: int  # D, the least common denominator
-
-
-def linear_values(terms: Iterable[tuple[int, Iterator]]) -> Iterator:
-    """The lazy termwise sum of s * v over the (s, values v) pairs of terms, each s a nonzero int.
-
-    The s not +-1 come first, then s = 1, then s = -1, each group in its given
-    order, so every +-1 after the first term is an add or a subtract. The
-    values stop where the first iterator ends; all are 0 when terms is empty.
-    """
-    terms = sorted(terms, key=lambda term: {1: 1, -1: 2}.get(term[0], 0))
-    values: Iterator = itertools.repeat(0)
-    for i, (s, part) in enumerate(terms):
-        # int.__mul__(Decimal) is NotImplemented, so s multiplies through operator.mul
-        if i == 0:
-            values = part if s == 1 else map(functools.partial(operator.mul, s), part)
-        elif s == 1:
-            values = map(operator.add, values, part)
-        elif s == -1:
-            values = map(operator.sub, values, part)
-        else:
-            values = map(operator.add, values, map(functools.partial(operator.mul, s), part))
-    return values
-
-
-def step_matrix(eps: FieldElement, w: ModuleBasis) -> StepMatrix:
-    """The integer step matrix of eps over w, by rows, and its common denominator."""
-    if eps.field != w.field:
-        raise ValueError("element from a different field")
-    # column j of the step matrix holds the coordinates of eps * w_j
-    step = [w.int_coords(eps * v) for v in w.vectors]
-    denom = math.lcm(*(den for _, den in step))
-    columns = [[x * (denom // den) for x in num] for num, den in step]
-    rows = [[(j, m) for j, m in enumerate(row) if m] for row in zip(*columns)]
-    return StepMatrix(rows, denom)
-
-
-def step_rows(x: list[int], step: StepMatrix, error: Callable[[int], str]) -> Iterator[list[int]]:
-    """x, M x / D, (M/D)^2 x, ... without end, each entry checked for exact division.
-
-    The first row k with a remainder raises ValueError(error(k)). Every row
-    yielded is a new list, x included, and none is read again.
-    """
-    rows, denom = step
-    current = list(x)
-    # entry i of the next row, one lazy sum per output coordinate over current
-    forms = [
-        linear_values((m, map(operator.itemgetter(j), itertools.repeat(current))) for j, m in row)
-        for row in rows
-    ]
-    nxt = list(current)
-    for k in itertools.count(1):
-        yield nxt
-        nxt = list(map(next, forms))
-        if denom != 1:
-            for i, value in enumerate(nxt):
-                q, r = divmod(value, denom)
-                if r:
-                    raise ValueError(error(k))
-                nxt[i] = q
-        current[:] = nxt
-
-
-def coordinate_rows(
-    beta: FieldElement, eps: FieldElement, w: ModuleBasis, error: Callable[[int], str]
-) -> Iterator[list[int]]:
-    """Integer coordinates of beta * eps^k over w for k = 0, 1, 2, ... without end.
-
-    The first row whose coordinates are not all integers raises
-    ValueError(error(k)) for its index k. Rows are yielded one at a time, so a
-    caller that keeps only a digest of each row holds one row in memory.
-    """
-    if beta.field != w.field:
-        raise ValueError("element from a different field")
-    step = step_matrix(eps, w)
-    start, den = w.int_coords(beta)
-    if den != 1:
-        raise ValueError(error(0))
-    yield from step_rows(list(start), step, error)
+def _outside_module(k: int) -> str:
+    return f"non-integral coordinate at k={k}: beta*eps^k is outside the module"
 
 
 def sequence_head(
-    beta: FieldElement, eps: FieldElement, w: ModuleBasis, kmax: int
+    beta: FieldElement,
+    eps: FieldElement,
+    w: ModuleBasis,
+    kmax: int,
+    error: Callable[[int], str] = _outside_module,
 ) -> SequenceReport:
     """Rows 0..min(kmax, d) of the coordinates of beta * eps^k over w, d = deg min_poly(eps).
 
-    The rows come from the step matrix, and every one must come out integral:
-    a fractional coordinate means beta is not in the module or eps does not
-    stabilize it, and raises ValueError for the first such k. Row d, when
-    reached, is checked against the recurrence of c = min_poly(eps) =
-    X^d - s_1 X^(d-1) - ... - s_d, row d = sum_j s_j row(d - j), and that one
-    check certifies every later row. With A the step matrix over D,
-    x(k) = A^k x(0), so the residual x(k) - sum_j s_j x(k - j) is
-    A^(k-d) c(A) x(0), the residual of row d moved on by A^(k-d): it is 0 for
-    every k >= d when it is 0 at d. Each later row is then an integral
-    combination of earlier ones, since c is monic and integral, so it is
-    integral too. A failed check raises InvariantViolation: it means min_poly
-    or step_matrix is wrong, not the input.
+    The rows come from field products (w.power_rows), and every one must come
+    out integral: a fractional coordinate means beta is not in the module or
+    eps does not stabilize it, and raises ValueError(error(k)) for the first
+    such k. Row d, when reached, is checked against the recurrence of
+    c = min_poly(eps) = X^d - s_1 X^(d-1) - ... - s_d,
+    row d = sum_j s_j row(d - j), and that one check certifies every later
+    row. The residual x(k) - sum_j s_j x(k - j) is the coordinate vector of
+    beta * eps^(k-d) * c(eps); at k = d it is that of beta * c(eps), so for
+    beta != 0 the check passes exactly when c(eps) = 0, and then the residual
+    is 0 for every k >= d (for beta = 0 every row is 0). Each later row is then
+    an integral combination of earlier ones, since c is monic and integral, so
+    it is integral too. A failed check raises InvariantViolation: it means
+    min_poly or the field product is wrong, not the input.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
@@ -200,10 +115,7 @@ def sequence_head(
             raise ValueError("eps must be an algebraic integer")
         charpoly.append(int(c))
     d = len(charpoly) - 1
-    steps = coordinate_rows(
-        beta, eps, w, lambda k: f"non-integral coordinate at k={k}: beta*eps^k is outside the module"
-    )
-    rows = list(itertools.islice(steps, min(kmax, d) + 1))
+    rows = list(map(list, w.power_rows(beta, eps, min(kmax, d) + 1, error)))
     if len(rows) > d:
         predicted = [next(recurrence_values(charpoly, column)) for column in zip(*rows)]
         if predicted != rows[d]:
@@ -245,15 +157,33 @@ def recurrence_values(charpoly: Sequence[int], x: Sequence) -> Iterator:
 
     charpoly is f, monic and ascending. x is read through one iterator per
     nonzero s_j, from x(d - j) on, so a list to which the caller appends each
-    value before it asks for the next feeds itself. The values stop where the
-    first of those iterators ends; all are 0 when no s_j is nonzero.
+    value before it asks for the next feeds itself. The s_j not +-1 come
+    first, then s_j = 1, then s_j = -1, each group in order of j, so every +-1
+    after the first term is an add or a subtract; in X^4 - T X^2 + 1, s_4 is
+    -1. The values stop where the first of those iterators ends; all are 0
+    when no s_j is nonzero.
     """
     d = len(charpoly) - 1
-    return linear_values(
-        (-charpoly[d - j], itertools.islice(x, d - j, None))
-        for j in range(1, d + 1)
-        if charpoly[d - j]
+    terms = sorted(
+        (
+            (-charpoly[d - j], itertools.islice(x, d - j, None))
+            for j in range(1, d + 1)
+            if charpoly[d - j]
+        ),
+        key=lambda term: {1: 1, -1: 2}.get(term[0], 0),
     )
+    values: Iterator = itertools.repeat(0)
+    for i, (s, part) in enumerate(terms):
+        # int.__mul__(Decimal) is NotImplemented, so s multiplies through operator.mul
+        if i == 0:
+            values = part if s == 1 else map(functools.partial(operator.mul, s), part)
+        elif s == 1:
+            values = map(operator.add, values, part)
+        elif s == -1:
+            values = map(operator.sub, values, part)
+        else:
+            values = map(operator.add, values, map(functools.partial(operator.mul, s), part))
+    return values
 
 
 def verify_recurrence(report: SequenceReport) -> bool:

@@ -2,38 +2,37 @@
 
 Over a ring with basis {1, w2, ..., wn} the maximum is a gcd of shifted
 coordinates: d_k = gcd(x1(k) - 1, x2(k), ..., xn(k)), the content of
-x(k) - e1 where x(k) = M^k e1 and M is the integer step matrix of alpha.
-dk_sequence and sparse_minpoly_scan step those coordinates with
-coordseq.step_rows, one of the two drivers of the one integer sequence
-kernel, coordseq.linear_values; dk() computes one term from alpha**k in the
-field and serves as the independent check.
+x(k) - e1 where x(k) are the coordinates of alpha^k. dk_sequence and
+sparse_minpoly_scan take those coordinates as every sequence of the package
+does: rows 0..d from field products and the certified recurrence after them
+(coordseq.sequence_head and int_column); dk() computes one term from
+alpha**k in the field and serves as the independent check.
 
-When M is unimodular (integral with N(alpha) = +-1, so M^-1 is integral too),
-x(k) - e1 = M^j (x(k - j) - y(j)) with y(j) = M^-j e1, the rows of alpha^-1.
-A matrix in GL_n(Z) keeps content: the content of v divides that of M^j v,
-and the content of M^j v divides that of M^-j M^j v = v. So
-d_k = content(x(k - j) - y(j)); dk_sequence takes j = k // 2 and works on rows
-of half the digits.
+When M, the matrix of y -> alpha*y over the ring, is in GL_n(Z) (alpha keeps
+the ring and N(alpha) = +-1), x(k) - e1 = M^j (x(k - j) - y(j)) with
+y(j) = M^-j e1, the coordinates of alpha^-j. A matrix in GL_n(Z) keeps
+content: the content of v divides that of M^j v, and the content of M^j v
+divides that of M^-j M^j v = v. So d_k = content(x(k - j) - y(j));
+dk_sequence takes j = k // 2 and works on coordinates of half the digits.
 
 The module also hosts the order-4 recurrence check for quadratic norm-1
 units and the change of basis matching d_k/d_1 with a first coordinate
-sequence, both through coordseq.recurrence_values, the other driver of that
-kernel; the vanishing scan for lacunary minimal polynomials; and power-basis
-discriminants, as +-N(f'(alpha)) for the defining polynomial f.
+sequence, both through coordseq.recurrence_values; the vanishing scan for
+lacunary minimal polynomials; and power-basis discriminants, as
++-N(f'(alpha)) for the defining polynomial f.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .coordseq import (
-    SequenceReport, coordinate_rows, recurrence_values, step_matrix, step_rows, verify_recurrence
+    SequenceReport, int_column, recurrence_values, sequence_head, verify_recurrence
 )
-from .exactlinalg import IntMatrix, complete_primitive, inverse_unimodular
+from .exactlinalg import IntMatrix, complete_primitive, primitive_reducer
 from .numberfield import (
     FieldElement,
     ModuleBasis,
@@ -87,39 +86,53 @@ def dk(alpha: FieldElement, ringbasis: ModuleBasis, k: int) -> int:
     return math.gcd(num[0] - 1, *num[1:])
 
 
-def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSequence:
-    """d_1 .. d_kmax with one integer step-matrix product per step.
+def _certified_columns(alpha: FieldElement, ringbasis: ModuleBasis, last: int) -> list[list[int]]:
+    """Columns of the coordinates of an integral alpha^k over the ring basis, k = 0..last.
 
-    d_k = content(x(k) - e1) with x(k) = M^k e1, M the integer step matrix of
-    alpha over the ring basis. When M is unimodular, M^-j keeps content, so
-    d_k = content(x(k - j) - y(j)) with y(j) = M^-j e1, the rows of alpha^-1;
-    taking j = k // 2 runs both streams only to ceil(kmax/2), and every gcd
-    is on numbers of half the digits. Torsion still gives 0, since
+    The certified head of sequence_head, each column extended by int_column;
+    the first non-integral k, at most deg min_poly(alpha), raises ValueError.
+    """
+    head = sequence_head(ringbasis.field.one, alpha, ringbasis, last, _non_integral)
+    return [int_column(head, i, last) for i in range(1, head.ncols + 1)]
+
+
+def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSequence:
+    """d_1 .. d_kmax as gcds of coordinate columns.
+
+    d_k = content(x(k) - e1) for x(k) the coordinates of alpha^k over the
+    ring basis. When the matrix M of alpha is in GL_n(Z), M^-j keeps content,
+    so d_k = content(x(k - j) - y(j)) with y(j) the coordinates of alpha^-j;
+    taking j = k // 2 runs both columns only to ceil(kmax/2), and every gcd is
+    on numbers of half the digits. Torsion still gives 0, since
     x(k - j) = y(j) exactly when alpha^k = 1. Otherwise j = 0: y stays e1 and
     the first non-integral x(k) raises ValueError for its k.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     _check_ring_basis(ringbasis)
-    forward = step_matrix(alpha, ringbasis)
     mp = min_poly(alpha)
     # an integral M has det N(alpha) = +-mp[0]^(n/deg), so M is in GL_n(Z)
-    # exactly when mp[0] = +-1, and then M^-1 is the integral step matrix of alpha^-1
-    unimodular = forward.denom == 1 and abs(mp[0]) == 1
-    e1 = [1] + [0] * (len(ringbasis.vectors) - 1)
-    xs = step_rows(e1, forward, _non_integral)
-    x = y = next(xs)
+    # exactly when alpha keeps the ring and mp[0] = +-1
+    unimodular = abs(mp[0]) == 1 and all(
+        ringbasis.int_coords(alpha * v)[1] == 1 for v in ringbasis.vectors
+    )
+    half = kmax // 2 if unimodular else 0
+    if all(c.denominator == 1 for c in mp):
+        xs = _certified_columns(alpha, ringbasis, kmax - half)
+    else:
+        # no integer recurrence: every row comes from field products, so a
+        # non-integral row past the degree of mp is still found
+        rows = ringbasis.power_rows(ringbasis.field.one, alpha, kmax + 1, _non_integral)
+        xs = list(zip(*rows))
     if unimodular:
-        ys = step_rows(e1, step_matrix(alpha.inverse(), ringbasis), _non_integral)
-        next(ys)
+        ys = _certified_columns(alpha.inverse(), ringbasis, half)
+    else:
+        ys = [[int(i == 0)] for i in range(len(ringbasis.vectors))]
     terms = []
     for k in range(1, kmax + 1):
         # x(k - j) and y(j) with j = k // 2 when unimodular, else j = 0
-        if unimodular and k % 2 == 0:
-            y = next(ys)
-        else:
-            x = next(xs)
-        terms.append(math.gcd(*map(operator.sub, x, y)))
+        j = k // 2 if unimodular else 0
+        terms.append(math.gcd(*[x[k - j] - y[j] for x, y in zip(xs, ys)]))
     return DkSequence(terms=terms, t_trace=_quadratic_unit_trace(mp))
 
 
@@ -207,8 +220,9 @@ def match_dk_basis(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int = 30) 
     # normalized[1] = 1, so the vector is primitive and the completion exists
     a = complete_primitive(normalized)
     # x(k) = A^T y(k) where y(k) are power coordinates of eta^k mod X^4 - T X^2 + 1;
-    # y(k) = e_(k+1) for k <= 3, so x1(0..3) is column 0 of A, and x1 follows the recurrence
-    x1 = list(a.column(0))
+    # y(k) = e_(k+1) for k <= 3, so x1(0..3) is column 0 of A, which complete_primitive
+    # asserts is normalized, and x1 follows the recurrence
+    x1 = list(normalized)
     append = x1.append
     for value in itertools.islice(recurrence_values(poly, x1), max(kmax - 3, 0)):
         append(value)
@@ -218,8 +232,10 @@ def match_dk_basis(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int = 30) 
     basis = None
     k4 = _quartic_field(poly)
     if k4 is not None:
-        # row i of A^-1 holds the power coordinates of basis vector i
-        basis = ModuleBasis(k4, tuple(map(k4.power_basis().combine, inverse_unimodular(a).entries)))
+        # row i of A^-1 = primitive_reducer(normalized) holds the power coordinates
+        # of basis vector i
+        rows = primitive_reducer(normalized).entries
+        basis = ModuleBasis(k4, tuple(map(k4.power_basis().combine, rows)))
     return DkMatchReport(
         quartic_poly=poly,
         poly_irreducible=k4 is not None,
@@ -267,8 +283,9 @@ def sparse_minpoly_scan(
     Requires f = X^deg - s_1 X^(deg-1) - ... with s_i = 0 for every i outside tZ.
     For such f the power coordinate y1(n) of alpha^n vanishes on 1 + tZ, which
     forces the relative d~_n = gcd(y1-1, y2, ...) to 1; under the monogenic
-    assertion d_n itself is 1. The rows are alpha * (alpha^t)^i, stepped by the
-    integer step matrix of alpha^t.
+    assertion d_n itself is 1. The rows are the coordinates of
+    alpha * (alpha^t)^i: the certified head of sequence_head, then the
+    recurrence of alpha^t.
     """
     deg = field.degree
     if t <= 0 or deg % t != 0:
@@ -282,9 +299,12 @@ def sparse_minpoly_scan(
     disc = discriminant_power_basis(field)
     alpha = field.generator
     # row i is alpha * (alpha^t)^i = alpha^n for n = 1 + t*i <= nmax
-    steps = coordinate_rows(alpha, alpha**t, field.power_basis(), _non_integral)
+    ns = range(1, nmax + 1, t)
+    last = max(len(ns) - 1, 0)
+    head = sequence_head(alpha, alpha**t, field.power_basis(), last, _non_integral)
+    columns = [int_column(head, i, last) for i in range(1, deg + 1)]
     rows = []
-    for n, coords in zip(range(1, nmax + 1, t), steps):
+    for n, coords in zip(ns, zip(*columns)):
         d_tilde = math.gcd(coords[0] - 1, *coords[1:])
         rows.append(
             SparseScanRow(

@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .exactlinalg import IntMatrix, det, fraction_free_inverse
 
@@ -167,10 +167,6 @@ class NumberField:
 
     def from_int(self, value: Rational) -> "FieldElement":
         return self.element([value] + [0] * (self.degree - 1))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return self.from_int(0)
 
     @property
     def one(self) -> "FieldElement":
@@ -450,6 +446,25 @@ class ModuleBasis:
         """Exact coordinates of a over this basis."""
         num, den = self.int_coords(a)
         return tuple(Fraction(x, den) for x in num)
+
+    def power_rows(
+        self, beta: FieldElement, eps: FieldElement, count: int, error: Callable[[int], str]
+    ) -> list[tuple[int, ...]]:
+        """Integer coordinates of beta * eps^k over this basis for k < count, by field products.
+
+        The first k whose coordinates are not all integers raises
+        ValueError(error(k)); no power past it is computed.
+        """
+        rows = []
+        power = beta
+        for k in range(count):
+            if k:
+                power = power * eps
+            num, den = self.int_coords(power)
+            if den != 1:
+                raise ValueError(error(k))
+            rows.append(num)
+        return rows
 
     def combine(self, weights: Sequence[Rational]) -> FieldElement:
         """Linear combination sum_i weights[i] * vectors[i], in one pass over integers."""

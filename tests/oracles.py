@@ -7,13 +7,15 @@ polynomial, so a nonzero coordinate sequence has the unit's degree as its
 minimal order. The tests check that fact and the library's fraction-free
 routines against these. lucas_terms is the Lucas sequence u_k(P, Q) by its
 recurrence: in the quadratic case x1 is a scaled Lucas sequence, and the
-quartic-power x1 is built from one.
+quartic-power x1 is built from one. fraction_rows is the coordinate sequence
+of beta * eps^k by one field product and one Fraction coordinate solve per
+term, the reference for every integer sequence the library builds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 
 def solve_linear(columns: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
@@ -112,3 +114,23 @@ def lucas_terms(p: int, q: int, count: int) -> list[int]:
         terms.append(a)
         a, b = b, p * b - q * a
     return terms
+
+
+def outside_module(k: int) -> str:
+    return f"non-integral coordinate at k={k}: beta*eps^k is outside the module"
+
+
+def fraction_rows(beta, eps, w, kmax: int, error: Callable[[int], str] = outside_module) -> list[list[int]]:
+    """Coordinates of beta*eps^k over w for k = 0..kmax by field multiplication and solves.
+
+    The first k whose coordinates are not all integers raises ValueError(error(k)).
+    """
+    rows = []
+    current = beta
+    for k in range(kmax + 1):
+        coords = w.coords(current)
+        if any(c.denominator != 1 for c in coords):
+            raise ValueError(error(k))
+        rows.append([int(c) for c in coords])
+        current = current * eps
+    return rows

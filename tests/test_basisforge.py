@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from normlds import coordseq
 from normlds.basisforge import (
-    _as_int_rows,
     _canonicalize_witness,
     family_basis,
     family_surd_basis,
@@ -89,7 +88,7 @@ def test_witness_of_the_ratio_16028_case():
     field = NumberField((1, 0, -26, 0, 1))
     eta = field.generator
     beta = parse_element(field, "2-t+t^3", "t")
-    b = _as_int_rows(field.power_basis(), [beta, beta * eta, beta * eta**2, beta * eta**3], "")
+    b = IntMatrix.from_rows(field.power_basis().power_rows(beta, eta, 4, str))
     dec = snf(b)
     assert dec.d == (1, 1, 4, 16028)
     x, y = _canonicalize_witness(dec.x, dec.y, dec.d, (0, 1, 1, 27))

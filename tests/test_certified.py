@@ -1,10 +1,11 @@
-"""The certified head: rows 0..d from the step matrix, every later term from the recurrence.
+"""The certified head: rows 0..d from field products, every later term from the recurrence.
 
-coordseq.sequence_head steps the step matrix for rows 0..d, d the degree of
-min_poly(eps), and checks row d against the recurrence; generate, int_column
-and decimal_columns build every later term from those rows. These tests hold
-them to the step matrix stepped all the way, count the work each sequence
-command does, and bound the memory that verify-lds holds.
+coordseq.sequence_head takes rows 0..d, d the degree of min_poly(eps), from
+ModuleBasis.power_rows and checks row d against the recurrence; generate,
+int_column and decimal_columns build every later term from those rows. These
+tests hold them to the Fraction field-product oracle taken all the way, count
+the work each sequence command does, and bound the memory that verify-lds
+holds.
 """
 
 import contextlib
@@ -22,10 +23,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from normlds import cli, coordseq
+from normlds import cli, coordseq, dkseq
 from normlds.basisforge import quartic_full_construct, quartic_module_construct
 from normlds.coordseq import (
-    coordinate_rows,
     decimal_columns,
     generate,
     int_column,
@@ -33,10 +33,8 @@ from normlds.coordseq import (
     verify_recurrence,
 )
 from normlds.numberfield import ModuleBasis, NumberField, min_poly
-
-
-def non_integral(k):
-    return f"non-integral coordinate at k={k}: beta*eps^k is outside the module"
+from oracles import fraction_rows
+from oracles import outside_module as non_integral
 
 
 def outcome(fn):
@@ -70,8 +68,8 @@ def cases(draw):
 
     Over the power basis and the scaled basis (a, t, ..., t^(n-1)) eps is t,
     a random integral element, +-1 (d = 1), or t^2 in a quartic field
-    (d = 2 < 4), and beta may be 0. The scaled basis has a step matrix with
-    D = a whenever eps involves t; beta is a multiple of a, whose rows stay
+    (d = 2 < 4), and beta may be 0. Over the scaled basis the matrix of eps has
+    denominator D = a whenever eps involves t; beta is a multiple of a, whose rows stay
     integral, or any element, whose rows may not. The quartic-power and
     quartic-full bases are built for eps = t and a nonzero beta.
     """
@@ -92,7 +90,7 @@ def cases(draw):
     if field.degree == 4:
         eps_choices.append(st.just(t * t))
     eps = draw(st.one_of(*eps_choices))
-    beta = draw(st.one_of(st.just(field.zero), integral_elements(field)))
+    beta = draw(st.one_of(st.just(field.from_int(0)), integral_elements(field)))
     if kind == "power":
         return beta, eps, field.power_basis()
     a = draw(st.integers(2, 5))
@@ -102,12 +100,13 @@ def cases(draw):
 
 
 class TestCertifiedPathEqualsTheStepMatrix:
+    """The certified path against fraction_rows, multiplication by eps taken all the way."""
+
     @given(cases(), st.integers(0, 60))
     @settings(max_examples=300, deadline=None)
     def test_every_term_and_every_error(self, case, kmax):
         beta, eps, basis = case
-        stepped = coordinate_rows(beta, eps, basis, non_integral)
-        want = outcome(lambda: list(itertools.islice(stepped, kmax + 1)))
+        want = outcome(lambda: fraction_rows(beta, eps, basis, kmax))
         assert outcome(lambda: generate(beta, eps, basis, kmax).terms) == want
         head = outcome(lambda: sequence_head(beta, eps, basis, kmax))
         d = len(min_poly(eps)) - 1
@@ -129,8 +128,7 @@ class TestCertifiedPathEqualsTheStepMatrix:
         beta, eps = k4.element([2, -1, 0, 1]), k4.generator ** 2
         head = sequence_head(beta, eps, k4.power_basis(), 40)
         assert head.charpoly == (1, -10, 1) and len(head.terms) == 3
-        stepped = coordinate_rows(beta, eps, k4.power_basis(), non_integral)
-        want = list(itertools.islice(stepped, 41))
+        want = fraction_rows(beta, eps, k4.power_basis(), 40)
         assert generate(beta, eps, k4.power_basis(), 40).terms == want
 
     @pytest.mark.parametrize("sign", [1, -1])
@@ -145,8 +143,8 @@ class TestCertifiedPathEqualsTheStepMatrix:
 
     def test_beta_zero(self):
         k4 = NumberField((1, 0, -10, 0, 1))
-        head = sequence_head(k4.zero, k4.generator, k4.power_basis(), 30)
-        assert generate(k4.zero, k4.generator, k4.power_basis(), 30).terms == [[0] * 4] * 31
+        head = sequence_head(k4.from_int(0), k4.generator, k4.power_basis(), 30)
+        assert generate(k4.from_int(0), k4.generator, k4.power_basis(), 30).terms == [[0] * 4] * 31
         assert decimal_columns(head, 30) == [["0"] * 31] * 4
 
     def test_a_non_integral_row_fails_at_the_same_k(self):
@@ -173,7 +171,7 @@ class TestCertifiedPathEqualsTheStepMatrix:
         rc, out, _ = run_cli(["emit-sequence", "--field", "x^4-10x^2+1", "--unit", "t",
                               "--beta", "6-3t+3t^3", "--basis-file", str(path), "--kmax", "60"])
         assert rc == 0
-        want = itertools.islice(coordinate_rows(beta, k4.generator, basis, non_integral), 61)
+        want = fraction_rows(beta, k4.generator, basis, 60)
         assert json.loads(out)["terms"] == [[str(x) for x in row] for row in want]
 
 
@@ -189,14 +187,19 @@ QUARTIC = ["--field", "x^4-10x^2+1", "--unit", "t", "--beta", "2-t+t^3"]
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts of step-matrix rows and of int terms of the recurrence; verify_recurrence refused."""
-    counts = Counter()
-    step_rows, recurrence_values = coordseq.step_rows, coordseq.recurrence_values
+    """Counts of power rows and of int terms of the recurrence; verify_recurrence refused.
 
-    def counted_step_rows(*args):
-        for row in step_rows(*args):
-            counts["rows"] += 1
-            yield row
+    Rows that basisforge takes for a construction's B matrix count as "basis
+    rows", every other power row as "rows".
+    """
+    counts = Counter()
+    power_rows, recurrence_values = ModuleBasis.power_rows, coordseq.recurrence_values
+
+    def counted_power_rows(self, *args):
+        rows = power_rows(self, *args)
+        caller = sys._getframe(1).f_globals["__name__"]
+        counts["basis rows" if caller == "normlds.basisforge" else "rows"] += len(rows)
+        return rows
 
     def counted_recurrence_values(charpoly, x):
         for value in recurrence_values(charpoly, x):
@@ -206,20 +209,22 @@ def work(monkeypatch):
     def refuse(report):
         raise AssertionError("verify_recurrence scanned the terms")
 
-    monkeypatch.setattr(coordseq, "step_rows", counted_step_rows)
+    monkeypatch.setattr(ModuleBasis, "power_rows", counted_power_rows)
     monkeypatch.setattr(coordseq, "recurrence_values", counted_recurrence_values)
     monkeypatch.setattr(coordseq, "verify_recurrence", refuse)
     return counts
 
 
 class TestWorkCount:
-    @pytest.mark.parametrize("basis, fmt", [("quartic-power", "json"), ("quartic-full", "csv")])
-    def test_emit_sequence_builds_no_int_term_past_the_head(self, work, basis, fmt):
+    @pytest.mark.parametrize("basis, fmt, b_rows", [("quartic-power", "json", 0),
+                                                    ("quartic-full", "csv", 4)])
+    def test_emit_sequence_builds_no_int_term_past_the_head(self, work, basis, fmt, b_rows):
         rc, out, _ = run_cli(["emit-sequence", *QUARTIC, "--basis", basis, "--kmax", "500",
                               "--format", fmt])
         assert rc == 0 and len(out.splitlines()) > 500
-        # d + 1 = 5 rows, and the certificate's one value per column at row 4
-        assert work == {"rows": 5, "ints": 4}
+        # d + 1 = 5 rows, and the certificate's one value per column at row 4;
+        # quartic-full also takes the 4 rows of B
+        assert work == Counter({"rows": 5, "ints": 4, "basis rows": b_rows})
 
     def test_emit_sequence_of_a_unit_in_a_subfield(self, work):
         rc, _, _ = run_cli(["emit-sequence", "--field", "x^4-10x^2+1", "--unit", "t^2",
@@ -234,12 +239,33 @@ class TestWorkCount:
         # the certificate, then terms 4..50 of each of the 4 columns
         assert work == {"rows": 5, "ints": 4 + 4 * 47}
 
+    @pytest.mark.parametrize("kmax", [1, 2, 5, 40, 41])
+    def test_dk_scan_runs_each_stream_to_half_of_kmax(self, work, monkeypatch, kmax):
+        # 2 + t is a unit of Z[t], so the x and alpha^-1 streams run to ceil(kmax/2)
+        # and floor(kmax/2)
+        lasts = []
+        monkeypatch.setattr(
+            dkseq, "int_column", lambda head, i, last: lasts.append(last) or int_column(head, i, last)
+        )
+        rc, out, _ = run_cli(["dk-scan", "--field", "x^2-3", "--alpha", "2+t", "--kmax", str(kmax)])
+        assert rc == 0 and len(json.loads(out)["terms"]) == kmax
+        half = -(-kmax // 2)
+        assert lasts == [half, half, kmax // 2, kmax // 2]
+        # d = 2: per stream, rows 0..min(last, 2), the certificate when row 2 is
+        # taken, and terms 2..last of both columns when last > 2; then the check
+        # of d_k, which predicts d_5..d_kmax and one value past them
+        rows = ints = 0
+        for last in (half, kmax // 2):
+            rows += min(last, 2) + 1
+            ints += 2 * (last >= 2) + 2 * (last - 1) * (last > 2)
+        assert work == Counter({"rows": rows, "ints": ints + (kmax - 3) * (kmax > 4)})
+
     def test_family_scan_builds_x1_alone(self, work):
         rc, out, _ = run_cli(["family-scan", "--m-range", "2..6", "--kmax", "200"])
         checked = sum(row["status"] == "ok" for row in json.loads(out)["rows"])
         assert rc == 0 and checked >= 2
-        # per checked m: 5 rows, the certificate, and terms 4..200 of x1
-        assert work == {"rows": 5 * checked, "ints": checked * (4 + 197)}
+        # per checked m: 4 rows of B, 5 rows, the certificate, and terms 4..200 of x1
+        assert work == {"basis rows": 4 * checked, "rows": 5 * checked, "ints": checked * (4 + 197)}
 
 
 def traced_peak(argv):

@@ -213,6 +213,20 @@ def test_a_recurrence_that_fails_its_certificate_is_an_invariant_violation(monke
     assert err.startswith("internal invariant violation: row 4 of the step matrix is ")
 
 
+@pytest.mark.parametrize("kmax", [2, 3, 6])
+def test_dk_scan_of_an_alpha_that_is_not_integral(kmax):
+    # (1 + t)/4 over {1, w = (1 + t)/8}: alpha = 2w and alpha^2 = 1 + w are
+    # integral, and alpha^3 is not, past the degree 2 of its minimal polynomial
+    rc, out, err = run_cli(["dk-scan", "--field", "x^2-17", "--alpha=1/4+1/4*t",
+                            "--module-basis", "1;1/8+1/8*t", "--kmax", str(kmax)])
+    if kmax == 2:
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["terms"] == ["1", "1"]
+    else:
+        assert (rc, out) == (2, "")
+        assert err == "error: alpha^3 has non-integral coordinates over the ring basis\n"
+
+
 def test_dk_terms_fall_back_to_str_without_a_verified_recurrence(monkeypatch):
     argv = ["dk-scan", "--field", "x^2-3", "--alpha", "2+t", "--kmax", "40"]
     _, out, _ = run_cli(argv)

@@ -67,7 +67,7 @@ class TestVerifyRecurrence:
         assert verify_recurrence(rep)
 
     def test_constant_zero_column_is_vacuous(self):
-        rep = generate(SQRT2.zero, SQRT2.element([3, 2]), SQRT2.power_basis(), 10)
+        rep = generate(SQRT2.from_int(0), SQRT2.element([3, 2]), SQRT2.power_basis(), 10)
         assert verify_recurrence(rep)
 
     def test_corrupted_entry_detected(self):

@@ -1,13 +1,18 @@
 """Inputs whose running time could grow faster than a polynomial in their digits.
 
 Each case runs the CLI in process at growing input lengths and bounds both the
-wall time and the growth of the report per doubling of the input.
+wall time and the growth of the report per doubling of the input; the d_k
+cases bound the growth of the tracemalloc peak as well.
 """
 
 import contextlib
+import gc
 import io
 import json
 import time
+import tracemalloc
+
+import pytest
 
 from normlds import cli
 
@@ -50,3 +55,36 @@ def test_quartic_full_basis_grows_linearly_with_beta():
         basis = json.loads(out)["basis"]
         digits.append(max(len(c.lstrip("-").replace("/", "")) for row in basis for c in row))
     assert all(later <= 3 * earlier for earlier, later in zip(digits, digits[1:])), digits
+
+
+def traced_cli(argv):
+    """timed_cli with the tracemalloc peak of the run, after one untraced run builds the parser."""
+    timed_cli(argv)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        seconds, rc, out, err = timed_cli(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return seconds, rc, out, err, peak
+
+
+@pytest.mark.parametrize("case", ["pell unit", "vanishing scan"])
+def test_dk_scan_grows_linearly_with_the_field(case):
+    # n = 3^e: alpha = n + t over x^2 - (n^2 - 1), and alpha = t over x^4 - n x^2 + 1
+    # with the vanishing scan; e = 100, 200, 400 is 48, 96 and 191 digits
+    sizes, peaks = [], []
+    for e in (100, 200, 400):
+        n = 3**e
+        if case == "pell unit":
+            argv = ["dk-scan", "--field", f"x^2-{n * n - 1}", f"--alpha={n}+t"]
+        else:
+            argv = ["dk-scan", "--field", f"x^4-{n}x^2+1", "--alpha", "t", "--vanishing-t", "2"]
+        seconds, rc, out, err, peak = traced_cli(argv + ["--kmax", "40"])
+        assert (rc, err) == (0, "")
+        assert seconds < 0.5, f"e = {e} took {seconds:.3f} s"
+        sizes.append(len(out))
+        peaks.append(peak)
+    for growth in (sizes, peaks):
+        assert all(later <= 2.5 * earlier for earlier, later in zip(growth, growth[1:])), growth

@@ -1,4 +1,4 @@
-"""The integer step-matrix kernel, the checks and the decimal rendering against their oracles.
+"""The integer sequence kernel, the checks and the decimal rendering against their oracles.
 
 The oracles are the loops the kernel replaced: one Fraction field multiply and
 one Fraction coordinate solve per term, the all-pairs divisor scan, the
@@ -18,17 +18,14 @@ from hypothesis import strategies as st
 from normlds.coordseq import (
     DecimalList,
     SequenceReport,
-    StepMatrix,
-    coordinate_rows,
     decimal_columns,
     decimal_rows,
     divides,
     generate,
-    linear_values,
+    int_column,
     recurrence_values,
+    sequence_head,
     smallest_prime_factors,
-    step_matrix,
-    step_rows,
     verify_lds,
     verify_recurrence,
 )
@@ -36,23 +33,11 @@ from normlds.dkseq import CheckRefused, dk, dk_recurrence_check, dk_sequence, sp
 from normlds.dkseq import recurrence_report as dk_report
 from normlds.basisforge import quartic_module_construct
 from normlds.numberfield import ModuleBasis, NumberField
+from oracles import fraction_rows, outside_module
 
 QUADRATICS = [(-2, 0, 1), (-3, 0, 1), (-5, 0, 1), (1, 0, 1), (-1, -1, 1), (-7, 0, 1)]
 QUARTICS = [(1, 0, -10, 0, 1), (1, 0, -4, 0, 1), (-2, 0, 0, 0, 1), (1, 0, 0, 0, 1), (1, 0, -5, 0, 1)]
 FIELDS = [NumberField(f) for f in QUADRATICS + QUARTICS]
-
-
-def fraction_rows(beta, eps, w, kmax):
-    """Coordinates of beta*eps^k for k = 0..kmax by field multiplication and solves."""
-    rows = []
-    current = beta
-    for k in range(kmax + 1):
-        coords = w.coords(current)
-        if any(c.denominator != 1 for c in coords):
-            raise ValueError(f"non-integral coordinate at k={k}: beta*eps^k is outside the module")
-        rows.append([int(c) for c in coords])
-        current = current * eps
-    return rows
 
 
 def pairwise_lds(column, nmax):
@@ -137,9 +122,33 @@ class TestCoordinateRows:
 
     def test_field_mismatch(self):
         other = NumberField((-3, 0, 1))
-        rows = coordinate_rows(other.one, other.generator, FIELDS[0].power_basis(), str)
         with pytest.raises(ValueError, match="different field"):
-            next(rows)
+            FIELDS[0].power_basis().power_rows(other.one, other.generator, 3, str)
+
+    @given(kernel_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_power_rows_match_fraction_oracle(self, case):
+        beta, eps, basis, kmax = case
+        want = outcome(fraction_rows, beta, eps, basis, kmax)
+        got = outcome(lambda *a: list(map(list, basis.power_rows(*a))), beta, eps, kmax + 1,
+                      outside_module)
+        assert got == want
+
+    def test_no_row_or_column_is_shared(self):
+        # a caller may overwrite any row or column it is given
+        k4 = NumberField((-2, 0, 0, 0, 1))
+        beta, eps = k4.one, k4.element([1, 1, -1, 1])
+        expected = fraction_rows(beta, eps, k4.power_basis(), 11)
+        rows = generate(beta, eps, k4.power_basis(), 11).terms
+        assert rows == expected and len({id(row) for row in rows}) == 12
+        for row in rows:
+            row[:] = [7, 7, 7, 7]
+        head = sequence_head(beta, eps, k4.power_basis(), 11)
+        for kmax in (2, 11):
+            column = int_column(head, 1, kmax)
+            column[:] = [7] * len(column)
+            assert int_column(head, 1, kmax) == [row[0] for row in expected[: kmax + 1]]
+        assert head.terms == expected[:5]
 
 
 @st.composite
@@ -155,14 +164,14 @@ def dk_terms(alpha, ring, kmax):
 
 
 def full_length_dk(alpha, ring, kmax):
-    """gcd(x(k) - e1) on the full rows x(k) = M^k e1: the loop the half-power kernel replaced."""
+    """gcd(x(k) - e1) on the full rows x(k) of alpha^k: the loop the half-power kernel replaced."""
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    rows = coordinate_rows(
-        ring.field.one, alpha, ring,
+    rows = fraction_rows(
+        ring.field.one, alpha, ring, kmax,
         lambda k: f"alpha^{k} has non-integral coordinates over the ring basis",
     )
-    return [math.gcd(x[0] - 1, *x[1:]) for x in itertools.islice(rows, 1, kmax + 1)]
+    return [math.gcd(x[0] - 1, *x[1:]) for x in rows[1:]]
 
 
 def _ring(field, *vectors):
@@ -171,7 +180,7 @@ def _ring(field, *vectors):
 
 K2_3, K2_2, K2_5, K2_6 = (NumberField(f) for f in [(-3, 0, 1), (-2, 0, 1), (-5, 0, 1), (-6, 0, 1)])
 K4_10, K4_2 = NumberField((1, 0, -10, 0, 1)), NumberField((-2, 0, 0, 0, 1))
-K2_i = NumberField((1, 0, 1))
+K2_i, K2_17 = NumberField((1, 0, 1)), NumberField((-17, 0, 1))
 HALF = Fraction(1, 2)
 # (alpha, ring basis) pairs for the half-power kernel and beside it
 DK_SPECIAL = [
@@ -193,7 +202,11 @@ DK_SPECIAL = [
     (K2_3.element([-1, 0]), K2_3.power_basis()),  # torsion of order 2
     (K2_i.generator, K2_i.power_basis()),  # i: torsion of order 4
     (K2_3.one, K2_3.power_basis()),  # d_k = 0 for every k
-    (K2_3.zero, K2_3.power_basis()),
+    (K2_3.from_int(0), K2_3.power_basis()),
+    # a unit whose powers are all integral although alpha * t/2 is not: M is not in GL_n(Z)
+    (K2_3.element([2, 1]), _ring(K2_3, [1, 0], [0, HALF])),
+    # not integral: its rows are integral through k = 2 = d and not at k = 3
+    (K2_17.element([Fraction(1, 4), Fraction(1, 4)]), _ring(K2_17, [1, 0], [Fraction(1, 8)] * 2)),
 ]
 
 
@@ -397,7 +410,7 @@ def str_rows(report):
 def power_reports(draw, min_kmax=0, max_kmax=30):
     """Reports over the power basis of integral beta and eps, zero elements included."""
     field = draw(st.sampled_from(FIELDS))
-    beta = draw(st.one_of(st.just(field.zero), integral_elements(field)))
+    beta = draw(st.one_of(st.just(field.from_int(0)), integral_elements(field)))
     eps = draw(st.one_of(
         integral_elements(field),
         st.integers(-3, 3).map(lambda c: field.element([c] + [0] * (field.degree - 1))),
@@ -439,7 +452,7 @@ class TestDecimalRows:
         assert all(row[1] == row[3] == 0 for row in report.terms)
         assert any(x < 0 for row in report.terms for x in row)
         assert decimal_rows(report, report.kmax) == str_rows(report)
-        zero = generate(k4.zero, k4.generator, k4.power_basis(), 8)
+        zero = generate(k4.from_int(0), k4.generator, k4.power_basis(), 8)
         assert decimal_rows(zero, zero.kmax) == [["0"] * 4] * 9
 
     def test_column_past_the_int_digit_limit(self):
@@ -631,39 +644,6 @@ class TestSharedSieve:
         assert verify_lds(col, 40, smallest_prime_factors(40)).ok
 
 
-class TestStepMatrix:
-    def test_power_basis_of_a_lacunary_quartic(self):
-        # multiplication by t on 1, t, t^2, t^3 with t^4 = 10 t^2 - 1: four of the
-        # five nonzero entries are +-1
-        k4 = NumberField((1, 0, -10, 0, 1))
-        assert step_matrix(k4.generator, k4.power_basis()) == StepMatrix(
-            [[(3, -1)], [(0, 1)], [(1, 1), (3, 10)], [(2, 1)]],
-            1,
-        )
-
-    def test_least_common_denominator(self):
-        # over 1, t, 2t^2, t^3 the step of t has the entries 1/2 and 5: D = 2
-        k4 = NumberField((1, 0, -10, 0, 1))
-        t = k4.generator
-        basis = ModuleBasis(k4, (k4.one, t, (t * t).scale(2), t * t * t))
-        assert step_matrix(t, basis) == StepMatrix(
-            [[(3, -2)], [(0, 2)], [(1, 1), (3, 10)], [(2, 4)]],
-            2,
-        )
-
-    def test_several_plus_and_minus_entries_in_a_row(self):
-        # eps = 1 + t - t^2 + t^3 over the power basis of x^4 - 2: M has the rows
-        # (1, 2, -2, 2), (1, 1, 2, -2), (-1, 1, 1, 2) and (1, -1, 1, 1)
-        k4 = NumberField((-2, 0, 0, 0, 1))
-        eps = k4.element([1, 1, -1, 1])
-        assert step_matrix(eps, k4.power_basis()).rows == [
-            [(0, 1), (1, 2), (2, -2), (3, 2)], [(0, 1), (1, 1), (2, 2), (3, -2)],
-            [(0, -1), (1, 1), (2, 1), (3, 2)], [(0, 1), (1, -1), (2, 1), (3, 1)],
-        ]
-        rows = list(itertools.islice(coordinate_rows(k4.one, eps, k4.power_basis(), str), 12))
-        assert rows == fraction_rows(k4.one, eps, k4.power_basis(), 11)
-
-
 class TestRecurrenceValues:
     @pytest.mark.parametrize("charpoly, heads", PLUS_MINUS_CASES)
     def test_a_list_that_takes_each_value_feeds_itself(self, charpoly, heads):
@@ -683,83 +663,54 @@ class TestRecurrenceValues:
             values = list(itertools.islice(recurrence_values(charpoly, column), 31 - d))
             assert values == column[d:]
 
-
-# every (s, v) pair multiplied out and summed, in exact decimal arithmetic for Decimals
-EXACT_DECIMAL = decimal.Context(prec=decimal.MAX_PREC, traps=[decimal.Inexact, decimal.Rounded])
-
-
-def termwise_sum(terms, n):
-    return [sum(s * values[k] for s, values in terms) for k in range(n)]
-
-
-@st.composite
-def linear_terms(draw):
-    """Coefficient lists rich in +-1, empty and one-term lists included, over columns of n values."""
-    coefficient = st.one_of(st.sampled_from([1, -1]), st.integers(-10**20, 10**20).filter(bool))
-    coefficients = draw(st.one_of(
-        st.just([]), st.lists(coefficient, min_size=1, max_size=1), st.lists(coefficient, max_size=7)
-    ))
-    n = draw(st.integers(0, 6))
-    value = st.one_of(st.integers(-2, 2), st.integers(-10**40, 10**40))
-    return [(s, draw(st.lists(value, min_size=n, max_size=n))) for s in coefficients], n
-
-
-class TestLinearValues:
-    @given(linear_terms(), st.booleans())
+    @given(st.data(), st.booleans())
     @settings(max_examples=400, deadline=None)
-    def test_it_is_the_termwise_sum(self, case, as_decimal):
-        terms, n = case
+    def test_on_any_column_it_is_the_termwise_sum(self, data, as_decimal):
+        # coefficients rich in +-1 and 0, and huge; int or Decimal terms
+        d = data.draw(st.integers(1, 6))
+        coefficient = st.one_of(st.sampled_from([1, -1, 0]), st.integers(-10**20, 10**20))
+        charpoly = [data.draw(coefficient) for _ in range(d)] + [1]
+        value = st.one_of(st.integers(-2, 2), st.integers(-10**40, 10**40))
+        column = data.draw(st.lists(value, min_size=d, max_size=d + 6))
         if as_decimal:
-            terms = [(s, list(map(decimal.Decimal, values))) for s, values in terms]
+            column = list(map(decimal.Decimal, column))
         with decimal.localcontext(EXACT_DECIMAL):
-            values = linear_values([(s, iter(values)) for s, values in terms])
-            expected = termwise_sum(terms, n)
-            if terms:
-                # the values stop with the iterators
+            values = recurrence_values(charpoly, column)
+            nonzero = [j for j in range(1, d + 1) if charpoly[d - j]]
+            # the values stop where x(k - j) leaves the column for the least such j
+            end = len(column) + min(nonzero, default=0)
+            expected = [
+                sum(-charpoly[d - j] * column[k - j] for j in nonzero) for k in range(d, end)
+            ]
+            if nonzero:
                 got = list(values)
+                assert all(type(v) is (decimal.Decimal if as_decimal else int) for v in got)
             else:
-                got = list(itertools.islice(values, n))
+                got = list(itertools.islice(values, len(expected)))
                 assert next(values) == 0
         assert got == expected
-        assert all(type(v) is (decimal.Decimal if as_decimal and terms else int) for v in got)
 
-    def test_empty_and_one_term_lists(self):
-        assert list(itertools.islice(linear_values([]), 3)) == [0, 0, 0]
-        assert list(linear_values([(1, iter([4, -5]))])) == [4, -5]
-        assert list(linear_values([(-1, iter([4, -5]))])) == [-4, 5]
-        assert list(linear_values([(7, iter([4, -5]))])) == [28, -35]
+    @pytest.mark.parametrize("charpoly", [(-1, 1), (1, -1, 1), (-1, 1, -1, 1, 1), (1, 1, -1, -1, 1)])
+    def test_plus_minus_one_after_a_plus_one_is_an_add_or_a_subtract(self, charpoly):
+        # terms that can be added, subtracted and negated but not multiplied
+        class Additive(int):
+            def __add__(self, other):
+                return Additive(int(self) + int(other))
 
-    def test_the_values_stop_with_the_shortest_iterator(self):
-        terms = [(1, iter([1, 2, 3])), (-1, iter([1])), (2, iter([5, 5]))]
-        assert list(linear_values(terms)) == [10]
+            def __sub__(self, other):
+                return Additive(int(self) - int(other))
+
+            def __mul__(self, other):
+                raise AssertionError("multiplied")
+
+            __rmul__ = __mul__
+
+        d = len(charpoly) - 1
+        x = [Additive(v) for v in range(1, d + 1)]
+        for value in itertools.islice(recurrence_values(charpoly, x), 20):
+            x.append(value)
+        assert x == recurrence_column(charpoly, list(range(1, d + 1)), d + 19)
 
 
-class TestStepRowsOwnership:
-    @pytest.mark.parametrize("case", ["unimodular", "denominator 2"])
-    def test_it_writes_neither_x_nor_a_row_it_yielded(self, case):
-        k4 = NumberField((-2, 0, 0, 0, 1) if case == "unimodular" else (1, 0, -10, 0, 1))
-        t = k4.generator
-        if case == "unimodular":
-            beta, eps, basis = k4.one, k4.element([1, 1, -1, 1]), k4.power_basis()
-        else:
-            beta, eps = k4.from_int(2), t
-            basis = ModuleBasis(k4, (k4.one, t, (t * t).scale(2), t * t * t))
-        step = step_matrix(eps, basis)
-        x = [int(c) for c in basis.coords(beta)]
-        start = list(x)
-        rows, copies = [], []
-        for row in itertools.islice(step_rows(x, step, str), 12):
-            rows.append(row)
-            copies.append(list(row))
-        assert x == start
-        assert rows == copies == fraction_rows(beta, eps, basis, 11)
-        assert len({id(row) for row in [x] + rows}) == 13
-
-    def test_a_caller_may_overwrite_each_row_it_is_given(self):
-        k4 = NumberField((-2, 0, 0, 0, 1))
-        eps = k4.element([1, 1, -1, 1])
-        expected = fraction_rows(k4.one, eps, k4.power_basis(), 11)
-        step = step_matrix(eps, k4.power_basis())
-        for k, row in enumerate(itertools.islice(step_rows([1, 0, 0, 0], step, str), 12)):
-            assert row == expected[k]
-            row[:] = [7, 7, 7, 7]
+# exact decimal arithmetic, so that every sum of Decimals is the sum of their ints
+EXACT_DECIMAL = decimal.Context(prec=decimal.MAX_PREC, traps=[decimal.Inexact, decimal.Rounded])

@@ -207,7 +207,7 @@ class TestArithmetic:
 
     def test_zero_inverse_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            BIQUAD.zero.inverse()
+            BIQUAD.from_int(0).inverse()
 
     def test_field_mismatch(self):
         with pytest.raises(ValueError, match="different fields"):
@@ -277,7 +277,7 @@ class TestMinPoly:
         for _ in range(25):
             a = BIQUAD.element([rng.randint(-4, 4) for _ in range(4)])
             mp = min_poly(a)
-            acc = BIQUAD.zero
+            acc = BIQUAD.from_int(0)
             for i, c in enumerate(mp):
                 acc = acc + (a**i).scale(c)
             assert acc.is_zero()
@@ -397,11 +397,11 @@ class TestIntegerForm:
         assert half == SQRT2.element([Fraction(1, 2), 0])
         assert hash(half) == hash(SQRT2.element([Fraction(1, 2), 0]))
         assert (half.num, half.den) == ((1, 0), 2)
-        assert SQRT2.zero.den == 1 and SQRT2.zero == SQRT2.element([Fraction(0, 7), 0])
+        assert SQRT2.from_int(0).den == 1 and SQRT2.from_int(0) == SQRT2.element([Fraction(0, 7), 0])
         a = BIQUAD.element([Fraction(1, 6), Fraction(1, 4), 0, Fraction(-3, 2)])
         assert (a.num, a.den) == ((2, 3, 0, -18), 12)
         # a - a is zero, over the denominator 1
-        assert (a - a) == BIQUAD.zero and (a - a).den == 1
+        assert (a - a) == BIQUAD.from_int(0) and (a - a).den == 1
 
 
 def sympy_minimal_polynomial(sympy, a):
@@ -528,7 +528,7 @@ class TestCoords:
     @settings(max_examples=200, deadline=None)
     def test_combine_is_the_sum_of_scaled_vectors(self, weights):
         basis = surd_basis_m2()
-        want = BIQUAD.zero
+        want = BIQUAD.from_int(0)
         for w, v in zip(weights, basis.vectors):
             want = want + v.scale(w)
         assert basis.combine(weights) == want
