@@ -17,14 +17,14 @@ explicit unimodular matrix with scale 1.
 
 snf_criterion states the full-module case through the Smith form of B, with a
 canonical witness X, Y; it serves the snf-check report and no construction.
+Both results, LdsConstruction and SnfCriterion, are typing.NamedTuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactlinalg import (
     IntMatrix,
@@ -48,8 +48,7 @@ class InvariantViolation(RuntimeError):
     """An internal consistency check failed; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class LdsConstruction:
+class LdsConstruction(NamedTuple):
     """A basis under which x1 is an LDS, with its scale and trace parameter.
 
     In the quartic constructions x1 has initial conditions
@@ -65,8 +64,7 @@ class LdsConstruction:
     source: str
 
 
-@dataclass(frozen=True)
-class SnfCriterion:
+class SnfCriterion(NamedTuple):
     """The full-module criterion in Smith form, as the snf-check report states it.
 
     chi is the Smith-transformed condition vector X . (0, 1, 1, T+1), and

@@ -23,6 +23,9 @@ earlier one shifted down a row copies that column's strings instead. They
 return DecimalList rows and columns, whose items are vouched for as '-' and
 digits by how they were made, so a writer may copy them without testing or
 escaping each one.
+
+SequenceReport and LdsVerdict are typing.NamedTuples: immutable records
+compared field by field.
 """
 
 from __future__ import annotations
@@ -31,11 +34,10 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from decimal import (
     MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, Rounded, localcontext
 )
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .basisforge import InvariantViolation
 from .numberfield import FieldElement, ModuleBasis, min_poly
@@ -48,8 +50,7 @@ _EXACT = Context(
 )
 
 
-@dataclass
-class SequenceReport:
+class SequenceReport(NamedTuple):
     """Integer coordinate rows x_i(k) (row k, column i) plus their recurrence.
 
     The rows are all of a sequence's, as generate() gives them, or its first
@@ -72,8 +73,7 @@ class SequenceReport:
         return [row[i - 1] for row in self.terms]
 
 
-@dataclass(frozen=True)
-class LdsVerdict:
+class LdsVerdict(NamedTuple):
     ok: bool
     witness: tuple[int, int] | None = None  # first (n, m) with n | m but b(n) does not divide b(m)
 
@@ -128,17 +128,20 @@ def sequence_head(
 def int_column(head: SequenceReport, i: int, kmax: int) -> list[int]:
     """Terms 0..kmax of column i (1-indexed) from sequence_head(..., kmax) or a longer head.
 
-    The head's own terms while they last, else its first d terms and the
+    The head's own terms while they last, else its terms 0..d and the
     recurrence, which the head's row d has certified for every later term.
+    The recurrence runs over terms 1, 2, ..., so its first value is term d + 1.
     """
     d = len(head.charpoly) - 1
+    column = head.column(i)
     if kmax <= d:
-        return head.column(i)[: kmax + 1]
-    column = head.column(i)[:d]
-    append = column.append
-    for value in itertools.islice(recurrence_values(head.charpoly, column), kmax + 1 - d):
+        return column[: kmax + 1]
+    tail = column[1 : d + 1]
+    append = tail.append
+    for value in itertools.islice(recurrence_values(head.charpoly, tail), kmax - d):
         append(value)
-    return column
+    tail.insert(0, column[0])
+    return tail
 
 
 def generate(beta: FieldElement, eps: FieldElement, w: ModuleBasis, kmax: int) -> SequenceReport:
@@ -192,7 +195,8 @@ def verify_recurrence(report: SequenceReport) -> bool:
     if report.kmax < d:
         raise ValueError("not enough terms to test the recurrence")
     for column in zip(*report.terms):
-        if not all(map(operator.eq, recurrence_values(report.charpoly, column), column[d:])):
+        # the column first: map stops at its end before asking for another value
+        if not all(map(operator.eq, column[d:], recurrence_values(report.charpoly, column))):
             return False
     return True
 

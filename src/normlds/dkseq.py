@@ -19,15 +19,16 @@ The module also hosts the order-4 recurrence check for quadratic norm-1
 units and the change of basis matching d_k/d_1 with a first coordinate
 sequence, both through coordseq.recurrence_values; the vanishing scan for
 lacunary minimal polynomials; and power-basis discriminants, as
-+-N(f'(alpha)) for the defining polynomial f.
++-N(f'(alpha)) for the defining polynomial f. Their results, DkSequence,
+DkMatchReport and the sparse scan's rows and report, are typing.NamedTuples.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coordseq import (
     SequenceReport, int_column, recurrence_values, sequence_head, verify_recurrence
@@ -46,8 +47,7 @@ class CheckRefused(Exception):
     """The requested check does not apply to this input (refused, not failed)."""
 
 
-@dataclass
-class DkSequence:
+class DkSequence(NamedTuple):
     """d_1, d_2, ... for a fixed alpha over a fixed ring basis.
 
     t_trace is filled when alpha is a quadratic unit of norm 1, the case whose
@@ -166,8 +166,7 @@ def dk_recurrence_check(report: SequenceReport) -> bool:
     return verify_recurrence(report)
 
 
-@dataclass
-class DkMatchReport:
+class DkMatchReport(NamedTuple):
     """Outcome of matching d_k/d_1 with a first coordinate sequence.
 
     The construction completes (0, d1, d2, d3)/d1 to a unimodular matrix and
@@ -256,16 +255,14 @@ def _quartic_field(coeffs: tuple[int, ...]) -> NumberField | None:
         return None
 
 
-@dataclass
-class SparseScanRow:
+class SparseScanRow(NamedTuple):
     n: int
     y1: int
     d_tilde: int
     d: int | None  # equals d_tilde under the monogenic assertion, else unknown
 
 
-@dataclass
-class SparseScanReport:
+class SparseScanReport(NamedTuple):
     t: int
     disc: int
     monogenic_asserted: bool

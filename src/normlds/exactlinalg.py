@@ -8,13 +8,19 @@ column-style Hermite normal form, Smith normal form with unimodular
 transformation witnesses, and completion of a primitive vector to a basis of Z^n
 (complete_primitive), whose inverse primitive_reducer builds without an inversion.
 Intended for n <= 4 but written for general n.
+
+IntMatrix, like the value classes of numberfield, sets its fields once in
+__init__, compares and hashes by them, and on the Frozen base raises
+AttributeError on assignment. The decompositions are typing.NamedTuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+# the one way to set a field of a Frozen value, from its __init__
+_set = object.__setattr__
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -32,22 +38,50 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class Frozen:
+    """Base of the package's immutable values: __init__ sets each field once.
+
+    Assigning to or deleting an attribute afterwards raises AttributeError.
+    A subclass that lists its fields in __slots__ has no instance __dict__;
+    one that caches a property keeps it.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IntMatrix(Frozen):
     """Immutable integer matrix, stored as a tuple of row tuples."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        if not self.entries or not self.entries[0]:
+    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+        if not entries or not entries[0]:
             raise ValueError("matrix must have at least one row and column")
-        width = len(self.entries[0])
-        for row in self.entries:
+        width = len(entries[0])
+        for row in entries:
             if len(row) != width:
                 raise ValueError("rows must all have the same length")
             for x in row:
                 if not isinstance(x, int):
                     raise ValueError(f"entries must be exact integers, got {x!r}")
+        _set(self, "entries", entries)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"IntMatrix(entries={self.entries!r})"
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
@@ -94,16 +128,14 @@ class IntMatrix:
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
 
 
-@dataclass(frozen=True)
-class HnfDecomposition:
+class HnfDecomposition(NamedTuple):
     """Column-style Hermite form: b @ c = h with h lower triangular, c unimodular."""
 
     h: IntMatrix
     c: IntMatrix
 
 
-@dataclass(frozen=True)
-class SnfDecomposition:
+class SnfDecomposition(NamedTuple):
     """Smith form witnesses: x @ b @ y = diag(d), x and y unimodular, d[0] | d[1] | ..."""
 
     x: IntMatrix

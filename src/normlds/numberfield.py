@@ -18,20 +18,26 @@ integer inverse of A from one fraction-free Gauss-Jordan pass
 (exactlinalg.fraction_free_inverse) as (D*N, q), so that B^-1 = D*N/q.
 Coordinates over the basis then take n integer dot products with the
 numerators and one Fraction each.
+
+NumberField, FieldElement and ModuleBasis are immutable values on
+exactlinalg.Frozen: their fields are set in __init__, which also validates
+them, and == and hash compare those fields.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence, Union
 
-from .exactlinalg import IntMatrix, det, fraction_free_inverse
+from .exactlinalg import Frozen, IntMatrix, det, fraction_free_inverse
 
 Rational = Union[int, Fraction]
+
+# the one way to set a field of a Frozen value, from its __init__
+_set = object.__setattr__
 
 
 class ParseError(ValueError):
@@ -130,27 +136,34 @@ def _is_irreducible(coeffs: Sequence[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class NumberField:
+class NumberField(Frozen):
     """The field Q[X]/(f) for a monic irreducible integer polynomial f.
 
     coeffs holds f in ascending order including the leading 1, so
-    f = coeffs[0] + coeffs[1] X + ... + X^n.
+    f = coeffs[0] + coeffs[1] X + ... + X^n. Two fields are == exactly when
+    their coeffs are.
     """
 
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coeffs) < 3 or len(self.coeffs) > 5:
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        if len(coeffs) < 3 or len(coeffs) > 5:
             raise ValueError("defining polynomial must have degree 2, 3 or 4")
-        if any(not isinstance(c, int) for c in self.coeffs):
+        if any(not isinstance(c, int) for c in coeffs):
             raise ValueError("defining polynomial must have integer coefficients")
-        if self.coeffs[-1] != 1:
+        if coeffs[-1] != 1:
             raise ValueError("defining polynomial must be monic")
-        if not _is_irreducible(self.coeffs):
+        if not _is_irreducible(coeffs):
             raise ValueError(
-                f"{format_polynomial(self.coeffs, 'x')} is reducible over Q"
+                f"{format_polynomial(coeffs, 'x')} is reducible over Q"
             )
+        _set(self, "coeffs", coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     @property
     def degree(self) -> int:
@@ -200,8 +213,7 @@ class NumberField:
         return f"NumberField({format_polynomial(self.coeffs, 'x')})"
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(Frozen):
     """An element of a NumberField as integer numerators over one denominator.
 
     The value is (num[0] + num[1] t + ... + num[n-1] t^(n-1)) / den with
@@ -211,9 +223,20 @@ class FieldElement:
     coordinates over 1, t, ..., t^(n-1).
     """
 
-    field: NumberField
-    num: tuple[int, ...]
-    den: int = 1
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: NumberField, num: tuple[int, ...], den: int = 1) -> None:
+        _set(self, "field", field)
+        _set(self, "num", num)
+        _set(self, "den", den)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.num, self.den) == (other.field, other.num, other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.num, self.den))
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -396,22 +419,31 @@ def min_poly(a: FieldElement) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, den ** (d - i)) for i, x in enumerate(c))
 
 
-@dataclass(frozen=True)
-class ModuleBasis:
+class ModuleBasis(Frozen):
     """A Q-basis of K given as n field elements (rows of a nonsingular matrix)."""
 
-    field: NumberField
-    vectors: tuple[FieldElement, ...]
-
-    def __post_init__(self) -> None:
-        n = self.field.degree
-        if len(self.vectors) != n:
-            raise ValueError(f"basis needs {n} vectors, got {len(self.vectors)}")
-        for v in self.vectors:
-            if v.field != self.field:
+    def __init__(self, field: NumberField, vectors: tuple[FieldElement, ...]) -> None:
+        n = field.degree
+        if len(vectors) != n:
+            raise ValueError(f"basis needs {n} vectors, got {len(vectors)}")
+        for v in vectors:
+            if v.field != field:
                 raise ValueError("basis vector from a different field")
+        _set(self, "field", field)
+        _set(self, "vectors", vectors)
         if self._inverse is None:
             raise ValueError("basis vectors are linearly dependent")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.vectors) == (other.field, other.vectors)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.vectors))
+
+    def __repr__(self) -> str:
+        return f"ModuleBasis(field={self.field!r}, vectors={self.vectors!r})"
 
     @cached_property
     def _inverse(self) -> tuple[tuple[tuple[int, ...], ...], int] | None:

@@ -236,8 +236,8 @@ class TestWorkCount:
         rc, out, _ = run_cli(["verify-lds", *QUARTIC, "--basis", "quartic-power", "--kmax", "500",
                               "--nmax", "50"])
         assert rc == 0 and len(json.loads(out)["terms"]) == 501
-        # the certificate, then terms 4..50 of each of the 4 columns
-        assert work == {"rows": 5, "ints": 4 + 4 * 47}
+        # the certificate, then terms 5..50 of each of the 4 columns
+        assert work == {"rows": 5, "ints": 4 + 4 * 46}
 
     @pytest.mark.parametrize("kmax", [1, 2, 5, 40, 41])
     def test_dk_scan_runs_each_stream_to_half_of_kmax(self, work, monkeypatch, kmax):
@@ -252,20 +252,20 @@ class TestWorkCount:
         half = -(-kmax // 2)
         assert lasts == [half, half, kmax // 2, kmax // 2]
         # d = 2: per stream, rows 0..min(last, 2), the certificate when row 2 is
-        # taken, and terms 2..last of both columns when last > 2; then the check
-        # of d_k, which predicts d_5..d_kmax and one value past them
+        # taken, and terms 3..last of both columns when last > 2; then the check
+        # of d_k, which predicts d_5..d_kmax
         rows = ints = 0
         for last in (half, kmax // 2):
             rows += min(last, 2) + 1
-            ints += 2 * (last >= 2) + 2 * (last - 1) * (last > 2)
-        assert work == Counter({"rows": rows, "ints": ints + (kmax - 3) * (kmax > 4)})
+            ints += 2 * (last >= 2) + 2 * (last - 2) * (last > 2)
+        assert work == Counter({"rows": rows, "ints": ints + (kmax - 4) * (kmax > 4)})
 
     def test_family_scan_builds_x1_alone(self, work):
         rc, out, _ = run_cli(["family-scan", "--m-range", "2..6", "--kmax", "200"])
         checked = sum(row["status"] == "ok" for row in json.loads(out)["rows"])
         assert rc == 0 and checked >= 2
-        # per checked m: 4 rows of B, 5 rows, the certificate, and terms 4..200 of x1
-        assert work == {"basis rows": 4 * checked, "rows": 5 * checked, "ints": checked * (4 + 197)}
+        # per checked m: 4 rows of B, 5 rows, the certificate, and terms 5..200 of x1
+        assert work == {"basis rows": 4 * checked, "rows": 5 * checked, "ints": checked * (4 + 196)}
 
 
 def traced_peak(argv):

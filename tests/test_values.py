@@ -1,0 +1,203 @@
+"""The value semantics of the package's types, and what importing it loads.
+
+NumberField, FieldElement, ModuleBasis and IntMatrix are immutable values:
+equal fields mean == and equal hashes, assignment raises AttributeError, and
+their constructors refuse bad input with fixed messages. Result records
+compare equal exactly when every field does. Importing the CLI loads neither
+dataclasses nor inspect: the first generates and compiles code for every
+class it decorates, and pulls in the second, which loads ast, dis and
+tokenize.
+"""
+
+import os
+import re
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import normlds
+from normlds.basisforge import LdsConstruction, SnfCriterion
+from normlds.coordseq import LdsVerdict, SequenceReport
+from normlds.dkseq import DkMatchReport, DkSequence, SparseScanReport, SparseScanRow
+from normlds.exactlinalg import HnfDecomposition, IntMatrix, SnfDecomposition
+from normlds.numberfield import FieldElement, ModuleBasis, NumberField
+
+
+def sqrt2():
+    return NumberField((-2, 0, 1))
+
+
+def quartic():
+    return NumberField((1, 0, -10, 0, 1))
+
+
+def basis(field, *vectors):
+    return ModuleBasis(field, tuple(field.element(v) for v in vectors))
+
+
+# each factory builds a new object on every call; equal calls give equal values
+VALUES = {
+    "NumberField": lambda: NumberField((1, 0, -10, 0, 1)),
+    "FieldElement": lambda: sqrt2().element([Fraction(3, 4), Fraction(-1, 2)]),
+    "ModuleBasis": lambda: basis(sqrt2(), [1, 0], [Fraction(1, 2), Fraction(1, 2)]),
+    "IntMatrix": lambda: IntMatrix(((1, 2), (3, 4))),
+}
+OTHERS = {
+    "NumberField": lambda: NumberField((-2, 0, 1)),
+    "FieldElement": lambda: sqrt2().element([Fraction(3, 4), Fraction(1, 2)]),
+    "ModuleBasis": lambda: basis(sqrt2(), [1, 0], [0, 1]),
+    "IntMatrix": lambda: IntMatrix(((1, 2), (3, 5))),
+}
+FIELDS = {
+    "NumberField": ["coeffs"],
+    "FieldElement": ["field", "num", "den"],
+    "ModuleBasis": ["field", "vectors"],
+    "IntMatrix": ["entries"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_equal_values_are_equal_and_hash_alike(name):
+    a, b = VALUES[name](), VALUES[name]()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    other = OTHERS[name]()
+    assert a != other and not a == other
+    assert a != "x" and a is not None
+
+
+def test_a_field_element_equals_the_same_value_however_built():
+    field = sqrt2()
+    a = field.element([Fraction(1, 2), 1])
+    b = field.element([1, 2]).scale(Fraction(1, 2))
+    c = field.from_int(1).scale(Fraction(1, 2)) + field.generator
+    assert a == b == c
+    assert hash(a) == hash(b) == hash(c)
+    assert (a.num, a.den) == ((1, 2), 2)
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_assignment_raises_attribute_error(name):
+    value = VALUES[name]()
+    for field in FIELDS[name]:
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, before)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert getattr(value, field) is before
+    assert value == VALUES[name]()
+
+
+def test_cached_properties_still_cache():
+    field = quartic()
+    assert field._reduction_rows is field._reduction_rows
+    w = basis(sqrt2(), [1, 0], [Fraction(1, 2), Fraction(1, 2)])
+    assert w._inverse is w._inverse
+    assert w.int_coords(sqrt2().element([0, 1])) == ((-1, 2), 1)
+
+
+def test_reprs():
+    assert repr(sqrt2()) == "NumberField(x^2 - 2)"
+    assert repr(sqrt2().element([Fraction(3, 4), -1])) == "<3/4 - t>"
+    assert repr(sqrt2().power_basis()) == "ModuleBasis(field=NumberField(x^2 - 2), vectors=(<1>, <t>))"
+    assert repr(IntMatrix(((1, 2), (3, 4)))) == "IntMatrix(entries=((1, 2), (3, 4)))"
+    assert repr(LdsVerdict(False, (2, 4))) == "LdsVerdict(ok=False, witness=(2, 4))"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: IntMatrix(((1, 2), (3,))), "rows must all have the same length"),
+        (lambda: IntMatrix(((1, 2), (3, 4.0))), "entries must be exact integers, got 4.0"),
+        (lambda: IntMatrix(()), "matrix must have at least one row and column"),
+        (lambda: IntMatrix(((),)), "matrix must have at least one row and column"),
+        (lambda: NumberField((-4, 0, 1)), "x^2 - 4 is reducible over Q"),
+        (lambda: NumberField((1, 0, -6, 0, 1)), "x^4 - 6*x^2 + 1 is reducible over Q"),
+        (lambda: NumberField((-2, 0, 2)), "defining polynomial must be monic"),
+        (lambda: NumberField((-2, 1)), "defining polynomial must have degree 2, 3 or 4"),
+        (lambda: NumberField((Fraction(1, 2), 0, 1)),
+         "defining polynomial must have integer coefficients"),
+        (lambda: basis(sqrt2(), [1, 2], [2, 4]), "basis vectors are linearly dependent"),
+        (lambda: basis(sqrt2(), [1, 0]), "basis needs 2 vectors, got 1"),
+        (lambda: ModuleBasis(sqrt2(), (sqrt2().one, quartic().generator)),
+         "basis vector from a different field"),
+    ],
+)
+def test_refusals_keep_their_messages(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+M = IntMatrix(((2, 0), (0, 3)))
+I2 = IntMatrix(((1, 0), (0, 1)))
+
+# (record, factory of its fields, a different value for each field)
+RECORDS = [
+    (LdsConstruction,
+     lambda: dict(basis=sqrt2().power_basis(), scale=2, t_trace=6, source="quadratic"),
+     dict(basis=basis(sqrt2(), [1, 0], [1, 1]), scale=3, t_trace=7, source="family")),
+    (SnfCriterion,
+     lambda: dict(chi=(0, 1, 1, 7), deltas=(1, 1, 2, 6), t_trace=6, scale=3,
+                  lift_column=(0, 3, 1, 4), b=IntMatrix(((2, 0), (0, 3))), x=I2, y=I2),
+     dict(chi=(0, 1, 1, 8), deltas=(1, 1, 1, 6), t_trace=5, scale=4,
+          lift_column=(1, 3, 1, 4), b=I2, x=M, y=M)),
+    (SequenceReport,
+     lambda: dict(terms=[[1, 0], [2, 1]], charpoly=(1, -4, 1)),
+     dict(terms=[[1, 0], [2, 2]], charpoly=(1, -6, 1))),
+    (LdsVerdict,
+     lambda: dict(ok=False, witness=(2, 4)),
+     dict(ok=True, witness=(2, 6))),
+    (DkSequence,
+     lambda: dict(terms=[1, 2, 3], t_trace=4),
+     dict(terms=[1, 2, 4], t_trace=None)),
+    (DkMatchReport,
+     lambda: dict(quartic_poly=(1, 0, -4, 0, 1), poly_irreducible=False, d_head=(0, 1, 2, 3),
+                  normalized=(0, 1, 2, 3), applicable=True, completion=I2,
+                  matched_through=30, basis=None),
+     dict(quartic_poly=(1, 0, -6, 0, 1), poly_irreducible=True, d_head=(0, 2, 4, 6),
+          normalized=None, applicable=False, completion=None, matched_through=None,
+          basis=quartic().power_basis())),
+    (SparseScanRow,
+     lambda: dict(n=3, y1=0, d_tilde=1, d=None),
+     dict(n=5, y1=1, d_tilde=2, d=1)),
+    (SparseScanReport,
+     lambda: dict(t=2, disc=2304, monogenic_asserted=False,
+                  rows=[SparseScanRow(n=1, y1=0, d_tilde=1, d=None)]),
+     dict(t=3, disc=-23, monogenic_asserted=True, rows=[])),
+    (HnfDecomposition,
+     lambda: dict(h=IntMatrix(((2, 0), (0, 3))), c=I2),
+     dict(h=I2, c=M)),
+    (SnfDecomposition,
+     lambda: dict(x=I2, d=(1, 6), y=IntMatrix(((1, 0), (0, 1)))),
+     dict(x=M, d=(2, 3), y=M)),
+]
+
+
+@pytest.mark.parametrize("record, fields, changed", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_records_compare_field_by_field(record, fields, changed):
+    a, b = record(**fields()), record(**fields())
+    assert a is not b and a == b
+    for name, value in fields().items():
+        assert getattr(a, name) == value
+    for name in fields():
+        assert record(**{**fields(), name: changed[name]}) != a, name
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    src = Path(normlds.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = (
+        "import sys, normlds.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60,
+        check=True,
+    )
+    assert result.stdout.split() == []
