@@ -21,6 +21,9 @@ from normlds import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
+QUARTIC = ["--field", "x^4-10x^2+1", "--unit", "t", "--beta", "2-t+t^3"]
+# the maximal order {1, sqrt 2, sqrt 3, (sqrt 2 + sqrt 6)/2} of Q(sqrt 2, sqrt 3)
+MAXIMAL_ORDER = "1;-9/2t+1/2t^3;11/2t-1/2t^3;-5/4-9/4t+1/4t^2+1/4t^3"
 # name -> arguments after the subcommand
 SEQUENCE_CASES = {
     # power basis of Z[sqrt 3]: zero entries in the first rows
@@ -46,6 +49,8 @@ SEQUENCE_CASES = {
                    "--basis-file", "{basis_file}", "--kmax", "30"],
     "basis-file-module": ["--field", "x^4-10x^2+1", "--unit", "t", "--beta", "2-t+t^3",
                           "--basis-file", "{basis_file}", "--kmax", "30"],
+    # the basis given as expressions: x1 is not an LDS, so verify-lds exits 2
+    "module-basis": [*QUARTIC, "--module-basis", MAXIMAL_ORDER, "--kmax", "30"],
 }
 DK_CASES = {
     # the Pell unit 2 + sqrt 3: d_{k+4} = 4 d_{k+2} - d_k holds
@@ -66,16 +71,13 @@ DK_CASES = {
     "torsion": ["--field", "x^2-3", "--alpha=-1", "--kmax", "12"],
     "kmax-zero": ["--field", "x^2-3", "--alpha", "2+t", "--kmax", "0"],
 }
-QUARTIC = ["--field", "x^4-10x^2+1", "--unit", "t", "--beta", "2-t+t^3"]
 CONSTRUCT_CASES = {
     # the Pell unit 2 + sqrt 3 with beta 3 + sqrt 3
     "quadratic": ["--method", "quadratic", "--field", "x^2-3", "--unit", "2+t", "--beta", "3+t"],
     "quartic-power": ["--method", "quartic-power", *QUARTIC],
     "quartic-full": ["--method", "quartic-full", *QUARTIC],
     "family": ["--method", "family", "--m", "5"],
-    # the maximal order {1, sqrt 2, sqrt 3, (sqrt 2 + sqrt 6)/2} of Q(sqrt 2, sqrt 3)
-    "module-basis": ["--method", "quartic-full", *QUARTIC, "--module-basis",
-                     "1;-9/2t+1/2t^3;11/2t-1/2t^3;-5/4-9/4t+1/4t^2+1/4t^3"],
+    "module-basis": ["--method", "quartic-full", *QUARTIC, "--module-basis", MAXIMAL_ORDER],
 }
 SNF_CASES = {
     # beta = 1: the coordinate matrix is the identity, Smith ratio 1

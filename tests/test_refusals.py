@@ -1,0 +1,87 @@
+"""Every refusal the CLI can reach, with its exit code, its exact message and no report.
+
+Each row runs one command in process. A refusal prints nothing on stdout and
+one line on stderr: exit 2 for a precondition ("error: ...") and exit 3 for a
+malformed expression ("parse error at position ...").
+"""
+
+import contextlib
+import io
+
+import pytest
+
+from normlds import cli
+
+QUADRATIC = ["construct-basis", "--method", "quadratic"]
+PELL = ["--field", "x^2-3", "--unit", "2+t"]
+QUARTIC = ["--field", "x^4-10x^2+1", "--unit", "t"]
+EMIT = ["emit-sequence", "--field", "x^2-3", "--unit"]
+
+# argv, exit code, stderr
+REFUSALS = [
+    # quad_construct, in the order it tests its input
+    ([*QUADRATIC, *QUARTIC], 2, "error: construction requires a quadratic field\n"),
+    ([*QUADRATIC, "--field", "x^2+3", "--unit", "t"], 2,
+     "error: construction requires a real quadratic field\n"),
+    ([*QUADRATIC, "--field", "x^2-3", "--unit", "1+t"], 2, "error: eps must have norm 1\n"),
+    # a rational unit has the norm of its square
+    ([*QUADRATIC, "--field", "x^2-3", "--unit", "2"], 2, "error: eps must have norm 1\n"),
+    ([*QUADRATIC, "--field", "x^2-3", "--unit", "1"], 2, "error: eps is torsion (rational)\n"),
+    ([*QUADRATIC, "--field", "x^2-3", "--unit=-1"], 2, "error: eps is torsion (rational)\n"),
+    ([*QUADRATIC, *PELL, "--beta", "0"], 2, "error: beta must be nonzero\n"),
+    ([*QUADRATIC, *PELL, "--beta", "1/2"], 2,
+     "error: beta does not lie in the module (fractional coordinates)\n"),
+    ([*QUADRATIC, *PELL, "--module-basis", "1;2t"], 2,
+     "error: eps does not multiply the module into itself\n"),
+    # the quartic constructions and the Smith check
+    (["construct-basis", "--method", "quartic-full", *QUARTIC, "--beta", "0"], 2,
+     "error: coordinate matrix is singular\n"),
+    (["construct-basis", "--method", "quartic-power", *QUARTIC, "--beta", "0"], 2,
+     "error: beta must be nonzero\n"),
+    (["snf-check", *QUARTIC, "--beta", "0"], 2, "error: coordinate matrix is singular\n"),
+    (["construct-basis", "--method", "quartic-full", *QUARTIC, "--module-basis", "1;2t;t^2;t^3"],
+     2, "error: a power beta*eta^i does not lie in the module (fractional coordinates)\n"),
+    # the sequence commands
+    ([*EMIT, "1/2+t"], 2, "error: eps must be an algebraic integer\n"),
+    ([*EMIT, "2+t", "--kmax", "-1"], 2, "error: kmax must be nonnegative\n"),
+    # dk-scan
+    (["dk-scan", "--field", "x^4-10x^2+1", "--alpha", "t", "--vanishing-t", "3"], 2,
+     "error: t must be a positive divisor of the degree\n"),
+    (["dk-scan", "--field", "x^4-10x^2+1", "--alpha", "t", "--vanishing-t", "4"], 2,
+     "error: coefficient pattern violated: s_2 = 10 is nonzero\n"),
+    (["dk-scan", "--field", "x^2-3", "--alpha", "2+t", "--module-basis", "t;1"], 2,
+     "error: ring basis must start with 1\n"),
+    # the family
+    (["construct-basis", "--method", "family"], 2,
+     "error: --m is required for the family method\n"),
+    (["family-scan", "--m-range", "2..x"], 3, "parse error at position 0: bad m range '2..x'\n"),
+    # the expression parser, one row per message
+    ([*EMIT, "2++t"], 3, "parse error at position 2: consecutive signs\n"),
+    ([*EMIT, "2+"], 3, "parse error at position 1: dangling sign\n"),
+    ([*EMIT, "2/0"], 3, "parse error at position 1: expected nonzero integer denominator\n"),
+    ([*EMIT, "2*3"], 3, "parse error at position 1: expected 't' after '*'\n"),
+    ([*EMIT, "2+t^"], 3, "parse error at position 3: expected integer exponent\n"),
+    ([*EMIT, ""], 3, "parse error at position 0: empty expression\n"),
+    ([*EMIT, "2+y"], 3, "parse error at position 2: unexpected character 'y'\n"),
+    ([*EMIT, "2+t t"], 3, "parse error at position 4: expected '+' or '-', got 't'\n"),
+]
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, code, error", REFUSALS, ids=[" ".join(a) for a, _, _ in REFUSALS])
+def test_refusal(argv, code, error):
+    assert run_cli(argv) == (code, "", error)
+
+
+def test_basis_file_of_another_field_is_refused(tmp_path):
+    path = tmp_path / "basis.json"
+    written = run_cli([*QUADRATIC, "--field", "x^2-5", "--unit", "9+4t", "--out", str(path)])
+    assert written == (0, "", "")
+    argv = [*EMIT, "2+t", "--basis-file", str(path)]
+    assert run_cli(argv) == (2, "", "error: basis file was produced for a different field\n")
