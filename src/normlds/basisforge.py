@@ -1,6 +1,6 @@
 """Basis constructions that turn the first coordinate sequence into an LDS.
 
-One construction serves every module: lds_basis. Every coordinate of
+lds_basis builds every basis but one. Every coordinate of
 beta*eps^k over a basis W of the module satisfies the recurrence of eps, so
 x1 is fixed by its first n terms, the first column of B.C, where B holds the
 coordinates of beta*eps^i over the given basis, i < n, from
@@ -11,9 +11,15 @@ z = scale*B^-1.v, which is integral and primitive for the least scale, and
 any unimodular completion of z is a valid C (complete_primitive). The
 quadratic construction takes v = (0, 1), the Lucas sequence of a norm-1 unit;
 the full quartic construction takes v = (0, 1, 1, T+1) for a unit eta with
-minimal polynomial X^4 - T X^2 + 1, Lehmer's sequence of eta. The rank-4
-module beta*Z[eta] also has a closed form, quartic_module_construct, an
-explicit unimodular matrix with scale 1.
+minimal polynomial X^4 - T X^2 + 1, Lehmer's sequence of eta; dkseq's match
+of d_k/d_1 takes the power basis of its quartic, so B = I. The one other
+basis is written out: quartic_module_construct's basis of the rank-4 module
+beta*Z[eta], A^-1 applied to the powers of eta for a fixed unimodular A, with
+scale 1.
+
+This is the one module that reads a unit: every reading comes from its
+minimal polynomial. quartic_unit_trace and _quadratic_unit_trace give T, and
+quad_construct takes the norm, the torsion test and T from one min_poly.
 
 snf_criterion states the full-module case through the Smith form of B, with a
 canonical witness X, Y; it serves the snf-check report and no construction.
@@ -26,22 +32,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exactlinalg import (
-    IntMatrix,
-    det,
-    fraction_free_inverse,
-    inverse_unimodular,
-    primitive_reducer,
-    snf,
-)
-from .numberfield import (
-    FieldElement,
-    ModuleBasis,
-    NumberField,
-    min_poly,
-    norm,
-    trace,
-)
+from .exactlinalg import IntMatrix, det, fraction_free_inverse, primitive_reducer, snf
+from .numberfield import FieldElement, ModuleBasis, NumberField, min_poly
 
 
 class InvariantViolation(RuntimeError):
@@ -113,18 +105,18 @@ def quartic_unit_trace(eta: FieldElement) -> int:
     return int(t)
 
 
+def _quadratic_unit_trace(mp: tuple[Fraction, ...]) -> int | None:
+    """T when mp, a minimal polynomial, is x^2 - T*x + 1 with T integral, else None."""
+    if len(mp) - 1 != 2 or mp[0] != 1:
+        return None
+    t = -mp[1]
+    return int(t) if t.denominator == 1 else None
+
+
 def _power_outside(k: int) -> str:
     # worded for the quartic unit eta; quad_construct tests beta first, and its
     # eps keeps the module, so only the quartic reports can print this message
     return "a power beta*eta^i does not lie in the module (fractional coordinates)"
-
-
-def _change_basis(tbasis: ModuleBasis, matrix: IntMatrix) -> ModuleBasis:
-    """New basis with vectors matrix . (old vectors)."""
-    vecs = []
-    for row in matrix.entries:
-        vecs.append(tbasis.combine(row))
-    return ModuleBasis(tbasis.field, tuple(vecs))
 
 
 def _assert_spans_same_module(tbasis: ModuleBasis, newbasis: ModuleBasis) -> None:
@@ -176,7 +168,8 @@ def lds_basis(
     first, expected = b.apply(z), tuple(scale * x for x in v)
     if first != expected:
         raise InvariantViolation(f"initial conditions {first} != {expected}")
-    w = _change_basis(tbasis, c_inv)
+    # vector i of the new basis is row i of C^-1 applied to tbasis
+    w = ModuleBasis(tbasis.field, tuple(map(tbasis.combine, c_inv.entries)))
     _assert_spans_same_module(tbasis, w)
     return w, scale
 
@@ -196,9 +189,12 @@ def quad_construct(tbasis: ModuleBasis, beta: FieldElement, eps: FieldElement) -
     _, c1, _ = field.coeffs
     if c1 * c1 - 4 * field.coeffs[0] < 0:
         raise ValueError("construction requires a real quadratic field")
-    if norm(eps) != 1:
+    # in a quadratic field N(eps) = mp[0]^(2/deg mp), and deg mp = 1 exactly
+    # when eps is rational
+    mp = min_poly(eps)
+    if mp[0] ** (2 // (len(mp) - 1)) != 1:
         raise ValueError("eps must have norm 1")
-    if eps.is_rational():
+    if len(mp) == 2:
         raise ValueError("eps is torsion (rational)")
     for v in tbasis.vectors:
         if tbasis.int_coords(eps * v)[1] != 1:
@@ -210,25 +206,29 @@ def quad_construct(tbasis: ModuleBasis, beta: FieldElement, eps: FieldElement) -
     if tbasis.int_coords(beta)[1] != 1:
         raise ValueError("beta does not lie in the module (fractional coordinates)")
     w, scale = lds_basis(tbasis, beta, eps, (0, 1))
-    t = trace(eps)
+    t = -mp[1]
     if t.denominator != 1:
         raise ValueError("eps is not an algebraic integer")
     return LdsConstruction(basis=w, scale=scale, t_trace=int(t), source="quadratic")
 
 
 def quartic_module_construct(beta: FieldElement, eta: FieldElement) -> LdsConstruction:
-    """Basis of beta*Z[eta] with x1 initial conditions (0, 1, 1, T+1)."""
+    """Basis of beta*Z[eta] with x1 initial conditions (0, 1, 1, T+1), written out.
+
+    The powers p = (beta, beta*eta, beta*eta^2, beta*eta^3) are a basis of
+    beta*Z[eta]. The basis is A^-1 p for the unimodular
+    A = [[0, 0, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [T+1, 1, 0, 0]]:
+    (beta*eta^2, beta*eta^3 - (T+1)*beta*eta^2, beta, beta*eta - beta*eta^2).
+    Row k of A holds the coordinates of beta*eta^k over it, so x1(0..3) is
+    the first column of A, (0, 1, 1, T+1), and scale is 1.
+    """
     if beta.is_zero():
         raise ValueError("beta must be nonzero")
     t = quartic_unit_trace(eta)
-    a = IntMatrix.from_rows(
-        [[0, 0, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [t + 1, 1, 0, 0]]
-    )
-    powers = [beta]
-    for _ in range(3):
-        powers.append(powers[-1] * eta)
-    # the powers are a basis of beta*Z[eta]; vector i is row i of A^-1 over them
-    basis = _change_basis(ModuleBasis(beta.field, tuple(powers)), inverse_unimodular(a))
+    b1 = beta * eta
+    b2 = b1 * eta
+    b3 = b2 * eta
+    basis = ModuleBasis(beta.field, (b2, b3 - b2 * (t + 1), beta, b1 - b2))
     return LdsConstruction(basis=basis, scale=1, t_trace=t, source="quartic-power")
 
 
@@ -375,7 +375,4 @@ def family_surd_basis(m: int) -> ModuleBasis:
 def family_basis(m: int) -> LdsConstruction:
     """LDS basis for Z[sqrt(m), sqrt(m+1)] via the full-module construction."""
     tb = family_surd_basis(m)
-    result = quartic_full_construct(tb, tb.field.one, tb.field.generator)
-    return LdsConstruction(
-        basis=result.basis, scale=result.scale, t_trace=result.t_trace, source="family"
-    )
+    return quartic_full_construct(tb, tb.field.one, tb.field.generator)._replace(source="family")

@@ -54,13 +54,13 @@ def _basis_coords(basis: ModuleBasis) -> list[list[str]]:
 def _field_from(config: Namespace) -> NumberField:
     if not config.field:
         raise ValueError("--field is required for this command")
-    return NumberField(parse_polynomial(config.field, "x"))
+    return NumberField(parse_polynomial(config.field))
 
 
 def _element(field: NumberField, text: str, what: str) -> FieldElement:
     if text is None:
         raise ValueError(f"--{what} is required for this command")
-    return parse_element(field, text, "t")
+    return parse_element(field, text)
 
 
 def _unit_beta(config: Namespace, field: NumberField) -> tuple[FieldElement, FieldElement]:
@@ -70,7 +70,7 @@ def _unit_beta(config: Namespace, field: NumberField) -> tuple[FieldElement, Fie
 
 def _head(field: NumberField, unit: FieldElement, beta: FieldElement) -> dict[str, Any]:
     return {
-        "field": format_polynomial(field.coeffs, "x"),
+        "field": format_polynomial(field.coeffs),
         "unit": format_element(unit),
         "beta": format_element(beta),
     }
@@ -81,7 +81,7 @@ def _ring(config: Namespace, field: NumberField) -> ModuleBasis:
     if not config.module_basis:
         return field.power_basis()
     parts = [p for p in config.module_basis.split(";") if p.strip()]
-    return ModuleBasis(field, tuple(parse_element(field, p, "t") for p in parts))
+    return ModuleBasis(field, tuple(parse_element(field, p) for p in parts))
 
 
 def _construct(
@@ -116,12 +116,12 @@ def _basis_from_file(
     for key in ("field", "unit", "beta"):
         if key in doc and not isinstance(doc[key], str):
             raise ValueError(f"basis file {path} has a {key!r} that is not a string")
-    if NumberField(parse_polynomial(doc["field"], "x")) != field:
+    if NumberField(parse_polynomial(doc["field"])) != field:
         raise ValueError("basis file was produced for a different field")
     # a construct-basis report names the unit and beta its basis was built for;
     # a family report names neither
     for key, given in (("unit", unit), ("beta", beta)):
-        if key in doc and parse_element(field, doc[key], "t") != given:
+        if key in doc and parse_element(field, doc[key]) != given:
             raise ValueError(
                 f"basis file was built for {key} {doc[key]}, not {format_element(given)}"
             )
@@ -291,7 +291,7 @@ def _cmd_construct_basis(config: Namespace) -> int:
             raise ValueError("--m is required for the family method")
         cons = basisforge.family_basis(config.m)
         payload["m"] = config.m
-        payload["field"] = format_polynomial(cons.basis.field.coeffs, "x")
+        payload["field"] = format_polynomial(cons.basis.field.coeffs)
     else:
         _refuse_given(config, ("--m",), "is read by --method family only")
         if config.method == "quartic-power":
@@ -393,7 +393,7 @@ def _cmd_dk_scan(config: Namespace) -> int:
         terms = coordseq.DecimalList(map(str, seq.terms))
     payload: dict[str, Any] = {
         "command": "dk-scan",
-        "field": format_polynomial(field.coeffs, "x"),
+        "field": format_polynomial(field.coeffs),
         "alpha": format_element(alpha),
         "ring": [format_element(v) for v in ring.vectors],
         "terms": terms,

@@ -120,7 +120,7 @@ def sequence_head(
         predicted = [next(recurrence_values(charpoly, column)) for column in zip(*rows)]
         if predicted != rows[d]:
             raise InvariantViolation(
-                f"row {d} of the step matrix is {rows[d]}, not {predicted} by the recurrence"
+                f"coordinates of beta*eps^{d} are {rows[d]}, not {predicted} by the recurrence"
             )
     return SequenceReport(terms=rows, charpoly=tuple(charpoly))
 

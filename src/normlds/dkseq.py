@@ -17,23 +17,25 @@ dk_sequence takes j = k // 2 and works on coordinates of half the digits.
 
 The module also hosts the order-4 recurrence check for quadratic norm-1
 units and the change of basis matching d_k/d_1 with a first coordinate
-sequence, both through coordseq.recurrence_values; the vanishing scan for
-lacunary minimal polynomials; and power-basis discriminants, as
-+-N(f'(alpha)) for the defining polynomial f. Their results, DkSequence,
-DkMatchReport and the sparse scan's rows and report, are typing.NamedTuples.
+sequence: T comes from basisforge._quadratic_unit_trace, the basis from
+basisforge.lds_basis, and the terms through coordseq.recurrence_values. It
+hosts the vanishing scan for lacunary minimal polynomials too, and
+power-basis discriminants, as +-N(f'(alpha)) for the defining polynomial f.
+Their results, DkSequence, DkMatchReport and the sparse scan's rows and
+report, are typing.NamedTuples.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
+from .basisforge import _quadratic_unit_trace, lds_basis
 from .coordseq import (
     SequenceReport, int_column, recurrence_values, sequence_head, verify_recurrence
 )
-from .exactlinalg import IntMatrix, complete_primitive, primitive_reducer
+from .exactlinalg import IntMatrix, complete_primitive
 from .numberfield import (
     FieldElement,
     ModuleBasis,
@@ -136,14 +138,6 @@ def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSeq
     return DkSequence(terms=terms, t_trace=_quadratic_unit_trace(mp))
 
 
-def _quadratic_unit_trace(mp: tuple[Fraction, ...]) -> int | None:
-    """T when mp, the minimal polynomial of alpha, is x^2 - T*x + 1 with T integral, else None."""
-    if len(mp) - 1 != 2 or mp[0] != 1:
-        return None
-    t = -mp[1]
-    return int(t) if t.denominator == 1 else None
-
-
 def recurrence_report(seq: DkSequence) -> SequenceReport:
     """d_1, d_2, ... as one column under X^4 - T X^2 + 1: d_{k+4} = T d_{k+2} - d_k.
 
@@ -231,10 +225,9 @@ def match_dk_basis(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int = 30) 
     basis = None
     k4 = _quartic_field(poly)
     if k4 is not None:
-        # row i of A^-1 = primitive_reducer(normalized) holds the power coordinates
-        # of basis vector i
-        rows = primitive_reducer(normalized).entries
-        basis = ModuleBasis(k4, tuple(map(k4.power_basis().combine, rows)))
+        # the powers of eta over the power basis are B = I, so scale is 1 and
+        # the basis is A^-1 applied to the power basis
+        basis, _ = lds_basis(k4.power_basis(), k4.one, k4.generator, normalized)
     return DkMatchReport(
         quartic_poly=poly,
         poly_irreducible=k4 is not None,

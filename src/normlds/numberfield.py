@@ -153,7 +153,7 @@ class NumberField(Frozen):
             raise ValueError("defining polynomial must be monic")
         if not _is_irreducible(coeffs):
             raise ValueError(
-                f"{format_polynomial(coeffs, 'x')} is reducible over Q"
+                f"{format_polynomial(coeffs)} is reducible over Q"
             )
         _set(self, "coeffs", coeffs)
 
@@ -210,7 +210,7 @@ class NumberField(Frozen):
         return ModuleBasis(self, tuple(vecs))
 
     def __repr__(self) -> str:
-        return f"NumberField({format_polynomial(self.coeffs, 'x')})"
+        return f"NumberField({format_polynomial(self.coeffs)})"
 
 
 class FieldElement(Frozen):
@@ -325,9 +325,6 @@ class FieldElement(Frozen):
 
     def is_one(self) -> bool:
         return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
-
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
 
     def __repr__(self) -> str:
         return f"<{format_element(self)}>"
@@ -601,9 +598,9 @@ def _parse_terms(text: str, var: str) -> dict[int, Fraction]:
     return powers
 
 
-def parse_polynomial(text: str, var: str = "x") -> tuple[int, ...]:
+def parse_polynomial(text: str) -> tuple[int, ...]:
     """Parse a monic integer polynomial like 'x^4-10*x^2+1' (the '*' is optional)."""
-    powers = _parse_terms(text, var)
+    powers = _parse_terms(text, "x")
     if any(c.denominator != 1 for c in powers.values()):
         raise ParseError("polynomial coefficients must be integers", 0)
     deg = max(powers)
@@ -613,9 +610,9 @@ def parse_polynomial(text: str, var: str = "x") -> tuple[int, ...]:
     return tuple(int(powers.get(p, 0)) for p in range(deg + 1))
 
 
-def parse_element(field: NumberField, text: str, var: str = "t") -> FieldElement:
+def parse_element(field: NumberField, text: str) -> FieldElement:
     """Parse an element expression like '2 + 3*t - t^3' or '1/2*t^2'."""
-    powers = _parse_terms(text, var)
+    powers = _parse_terms(text, "t")
     n = field.degree
     if powers and max(powers) >= n:
         raise ParseError(f"power {max(powers)} exceeds field degree {n - 1}", 0)
@@ -642,9 +639,9 @@ def _format_terms(terms: Iterable[tuple[int, Rational]], var: str) -> str:
     return " ".join([head] + parts[1:])
 
 
-def format_element(a: FieldElement, var: str = "t") -> str:
-    return _format_terms(enumerate(a.coords), var)
+def format_element(a: FieldElement) -> str:
+    return _format_terms(enumerate(a.coords), "t")
 
 
-def format_polynomial(coeffs: Sequence[int], var: str = "x") -> str:
-    return _format_terms(reversed(list(enumerate(coeffs))), var)
+def format_polynomial(coeffs: Sequence[int]) -> str:
+    return _format_terms(reversed(list(enumerate(coeffs))), "x")

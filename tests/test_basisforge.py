@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import io
 import math
 import operator
 from fractions import Fraction
@@ -7,17 +9,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from normlds import coordseq
+from normlds import basisforge, cli, coordseq, dkseq, exactlinalg, numberfield
 from normlds.basisforge import (
     _canonicalize_witness,
     family_basis,
     family_surd_basis,
     lds_basis,
     quad_construct,
+    quartic_module_construct,
     quartic_unit_trace,
     snf_criterion_matrix,
 )
-from normlds.exactlinalg import IntMatrix, det, hnf_column, snf
+from normlds.exactlinalg import IntMatrix, det, hnf_column, inverse_unimodular, snf
 from normlds.numberfield import ModuleBasis, NumberField, min_poly, parse_element
 from oracles import lucas_terms, solve_linear
 
@@ -87,7 +90,7 @@ def test_closed_form_witness_matches_the_search(deltas, p, q, t_trace):
 def test_witness_of_the_ratio_16028_case():
     field = NumberField((1, 0, -26, 0, 1))
     eta = field.generator
-    beta = parse_element(field, "2-t+t^3", "t")
+    beta = parse_element(field, "2-t+t^3")
     b = IntMatrix.from_rows(field.power_basis().power_rows(beta, eta, 4, str))
     dec = snf(b)
     assert dec.d == (1, 1, 4, 16028)
@@ -232,13 +235,13 @@ BIQUAD = NumberField((1, 0, -10, 0, 1))
 )
 def test_quartic_unit_trace_refusals(field, eta, message):
     with pytest.raises(ValueError) as exc:
-        quartic_unit_trace(parse_element(field, eta, "t"))
+        quartic_unit_trace(parse_element(field, eta))
     assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("eta, t_trace", [("t", 10), ("-t", 10), ("t^3", 970), ("t^3-10t", 10)])
 def test_quartic_unit_trace_of_units(eta, t_trace):
-    assert quartic_unit_trace(parse_element(BIQUAD, eta, "t")) == t_trace
+    assert quartic_unit_trace(parse_element(BIQUAD, eta)) == t_trace
 
 
 QUARTIC_FIELDS = [
@@ -304,3 +307,60 @@ def test_lds_basis_starts_x1_at_scale_times_v(case):
     # scale is the least that clears B^-1 v
     b_columns = list(zip(*(p.coords for p in powers)))
     assert scale == math.lcm(*(x.denominator for x in solve_linear(b_columns, v)))
+
+
+def quartic_power_fields():
+    """The irreducible x^4 - T x^2 + 1 for |T| <= 40, in each of which t has that charpoly."""
+    for t_trace in range(-40, 41):
+        try:
+            yield NumberField((1, 0, -t_trace, 0, 1))
+        except ValueError:
+            pass
+
+
+@given(
+    st.sampled_from(list(quartic_power_fields())),
+    st.lists(st.integers(-30, 30), min_size=4, max_size=4).filter(any),
+    st.sampled_from([1, 2, 7]),
+)
+@settings(max_examples=200, deadline=None)
+def test_quartic_power_basis_is_the_inverse_of_a_applied_to_the_powers(field, coords, den):
+    beta = field.element([Fraction(c, den) for c in coords])
+    eta = field.generator
+    cons = quartic_module_construct(beta, eta)
+    t_trace = -field.coeffs[2]
+    assert (cons.scale, cons.t_trace) == (1, t_trace)
+    a = IntMatrix.from_rows([[0, 0, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [t_trace + 1, 1, 0, 0]])
+    powers = [beta, beta * eta, beta * eta * eta, beta * eta * eta * eta]
+    expected = tuple(
+        functools.reduce(operator.add, (p.scale(c) for c, p in zip(row, powers)))
+        for row in inverse_unimodular(a).entries
+    )
+    assert cons.basis.vectors == expected
+
+
+def count_calls(monkeypatch, name):
+    """Calls of exactlinalg.<name> from every normlds module that holds it."""
+    calls = []
+    original = getattr(exactlinalg, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (exactlinalg, numberfield, basisforge, coordseq, dkseq, cli):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_quartic_power_inverts_one_matrix(monkeypatch):
+    inverses = count_calls(monkeypatch, "fraction_free_inverse")
+    unimodular = count_calls(monkeypatch, "inverse_unimodular")
+    argv = ["construct-basis", "--method", "quartic-power", "--field", "x^4-10x^2+1",
+            "--unit", "t", "--beta", "2-t+t^3"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    # one: the ModuleBasis of the written-out vectors, which checks their independence
+    assert len(inverses) == 1
+    assert unimodular == []

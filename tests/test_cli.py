@@ -203,14 +203,14 @@ def test_a_recurrence_that_fails_its_certificate_is_an_invariant_violation(monke
     argv = ["emit-sequence", "--field", "x^4-10x^2+1", "--unit", "t", "--beta", "2-t+t^3",
             "--basis", "quartic-power", "--kmax", "30"]
     assert run_cli(argv)[0] == 0
-    # x^4 - 11x^2 + 1 does not annihilate t, so row 4 of the step matrix is not
-    # the recurrence's value and no term past the head can be trusted
+    # x^4 - 11x^2 + 1 does not annihilate t, so the coordinates of beta*t^4 are
+    # not the recurrence's value and no term past the head can be trusted
     wrong = tuple(map(Fraction, (1, 0, -11, 0, 1)))
     monkeypatch.setattr(coordseq, "min_poly", lambda eps: wrong)
     rc, out, err = run_cli(argv)
     assert rc == 1
     assert out == ""
-    assert err.startswith("internal invariant violation: row 4 of the step matrix is ")
+    assert err.startswith("internal invariant violation: coordinates of beta*eps^4 are ")
 
 
 @pytest.mark.parametrize("kmax", [2, 3, 6])

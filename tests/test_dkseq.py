@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from normlds import coordseq, dkseq, numberfield
+from normlds.exactlinalg import inverse_unimodular
 from normlds.numberfield import NumberField
 from oracles import companion_first_coordinates
 
@@ -89,6 +90,9 @@ def test_match_dk_basis_through_k_60(poly, alpha):
         k4 = report.basis.field
         x1 = coordseq.generate(k4.one, k4.generator, report.basis, 60).column(1)
         assert x1 == [0] + [d // d1 for d in terms]
+        # vector i is row i of the completion's inverse over the power basis
+        rows = inverse_unimodular(report.completion).entries
+        assert [w.coords for w in report.basis.vectors] == [tuple(row) for row in rows]
 
 
 @settings(max_examples=150, deadline=None)
