@@ -18,8 +18,9 @@ beta*Z[eta], A^-1 applied to the powers of eta for a fixed unimodular A, with
 scale 1.
 
 This is the one module that reads a unit: every reading comes from its
-minimal polynomial. quartic_unit_trace and _quadratic_unit_trace give T, and
-quad_construct takes the norm, the torsion test and T from one min_poly.
+minimal polynomial. quartic_unit_trace and _quadratic_unit_trace give T;
+quad_construct takes the norm and the torsion test from the min_poly whose T
+_quadratic_unit_trace reads.
 
 snf_criterion states the full-module case through the Smith form of B, with a
 canonical witness X, Y; it serves the snf-check report and no construction.
@@ -32,12 +33,10 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exactlinalg import IntMatrix, det, fraction_free_inverse, primitive_reducer, snf
+from .exactlinalg import (
+    IntMatrix, InvariantViolation, det, fraction_free_inverse, primitive_reducer, snf
+)
 from .numberfield import FieldElement, ModuleBasis, NumberField, min_poly
-
-
-class InvariantViolation(RuntimeError):
-    """An internal consistency check failed; indicates a bug, not bad input."""
 
 
 class LdsConstruction(NamedTuple):
@@ -205,11 +204,12 @@ def quad_construct(tbasis: ModuleBasis, beta: FieldElement, eps: FieldElement) -
     # irrational, a nonzero beta makes beta and beta*eps independent
     if tbasis.int_coords(beta)[1] != 1:
         raise ValueError("beta does not lie in the module (fractional coordinates)")
+    # eps keeps a full-rank lattice, so it is integral and T is an integer
+    t = _quadratic_unit_trace(mp)
+    if t is None:
+        raise InvariantViolation("eps keeps the module but its trace is not an integer")
     w, scale = lds_basis(tbasis, beta, eps, (0, 1))
-    t = -mp[1]
-    if t.denominator != 1:
-        raise ValueError("eps is not an algebraic integer")
-    return LdsConstruction(basis=w, scale=scale, t_trace=int(t), source="quadratic")
+    return LdsConstruction(basis=w, scale=scale, t_trace=t, source="quadratic")
 
 
 def quartic_module_construct(beta: FieldElement, eta: FieldElement) -> LdsConstruction:

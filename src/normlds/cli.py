@@ -31,7 +31,8 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, NoReturn, Sequence
 
 from . import basisforge, coordseq, dkseq
-from .basisforge import InvariantViolation, LdsConstruction, SnfCriterion
+from .basisforge import LdsConstruction, SnfCriterion
+from .exactlinalg import InvariantViolation
 from .numberfield import (
     FieldElement,
     ModuleBasis,
@@ -313,6 +314,9 @@ def _sequence_payload(
 ) -> tuple[dict[str, Any], coordseq.SequenceReport, list[str] | None]:
     """Report fields shared by the sequence commands, the certified head, and CSV lines if asked."""
     unit, beta = _unit_beta(config, field)
+    # refused before a basis is built; a parse error in the unit or beta still comes first
+    if config.kmax < 0:
+        raise ValueError("kmax must be nonnegative")
     basis, meta = _resolve_basis(config, field, unit, beta)
     # the report needs kmax >= deg(min_poly(unit)), known before any term is
     # generated; that degree is at most the field's, so min_poly runs only for a small kmax

@@ -16,6 +16,11 @@ head, and generate() is the head with each column extended, as rows. The d_k
 sequences of dkseq are gcds of such columns; verify_recurrence checks a column
 that is not one, such as d_k, term by term.
 
+A head whose row d fails its recurrence raises exactlinalg.InvariantViolation,
+the package's one type for a failed internal check: min_poly or the field
+product is wrong, not the input. Input the sequences cannot take, such as a
+negative kmax or an eps that is not integral, raises ValueError.
+
 decimal_columns() and decimal_rows() render terms in exact decimal
 arithmetic: str() of a large int is quadratic in its digit count, while each
 recurrence step and str() of a Decimal are linear. A column that is +- an
@@ -39,7 +44,7 @@ from decimal import (
 )
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .basisforge import InvariantViolation
+from .exactlinalg import InvariantViolation
 from .numberfield import FieldElement, ModuleBasis, min_poly
 
 # exact integer arithmetic in decimal: any rounding raises instead of happening;

@@ -35,7 +35,6 @@ from .basisforge import _quadratic_unit_trace, lds_basis
 from .coordseq import (
     SequenceReport, int_column, recurrence_values, sequence_head, verify_recurrence
 )
-from .exactlinalg import IntMatrix, complete_primitive
 from .numberfield import (
     FieldElement,
     ModuleBasis,
@@ -163,10 +162,11 @@ def dk_recurrence_check(report: SequenceReport) -> bool:
 class DkMatchReport(NamedTuple):
     """Outcome of matching d_k/d_1 with a first coordinate sequence.
 
-    The construction completes (0, d1, d2, d3)/d1 to a unimodular matrix and
-    reads x1 off the rank-4 quotient ring Z[X]/(X^4 - T X^2 + 1); when that
-    polynomial is irreducible the same basis is returned inside the honest
-    quartic field.
+    x1 is the first coordinate of eta^k in the rank-4 quotient ring
+    Z[X]/(X^4 - T X^2 + 1), over the basis whose change of basis from the
+    power basis completes (0, d1, d2, d3)/d1 (exactlinalg.complete_primitive);
+    when that polynomial is irreducible the basis is returned inside the
+    honest quartic field.
     """
 
     quartic_poly: tuple[int, ...]
@@ -174,7 +174,6 @@ class DkMatchReport(NamedTuple):
     d_head: tuple[int, int, int, int]
     normalized: tuple[int, int, int, int] | None
     applicable: bool
-    completion: IntMatrix | None
     matched_through: int | None
     basis: ModuleBasis | None
 
@@ -205,16 +204,15 @@ def match_dk_basis(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int = 30) 
             d_head=d_head,
             normalized=None,
             applicable=False,
-            completion=None,
             matched_through=None,
             basis=None,
         )
     normalized = tuple(x // d1 for x in d_head)
-    # normalized[1] = 1, so the vector is primitive and the completion exists
-    a = complete_primitive(normalized)
+    # normalized[1] = 1, so the vector is primitive and has the completion
+    # A = complete_primitive(normalized), the change of basis of lds_basis below.
     # x(k) = A^T y(k) where y(k) are power coordinates of eta^k mod X^4 - T X^2 + 1;
-    # y(k) = e_(k+1) for k <= 3, so x1(0..3) is column 0 of A, which complete_primitive
-    # asserts is normalized, and x1 follows the recurrence
+    # y(k) = e_(k+1) for k <= 3, so x1(0..3) is column 0 of A, normalized, and
+    # x1 follows the recurrence
     x1 = list(normalized)
     append = x1.append
     for value in itertools.islice(recurrence_values(poly, x1), max(kmax - 3, 0)):
@@ -234,7 +232,6 @@ def match_dk_basis(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int = 30) 
         d_head=d_head,
         normalized=normalized,
         applicable=True,
-        completion=a,
         matched_through=matched,
         basis=basis,
     )

@@ -4,10 +4,18 @@ Everything here is fraction-free. One Bareiss pass (_bareiss) serves every
 determinant and inverse: det, and through it the norms of numberfield and the
 discriminants of dkseq; and fraction_free_inverse, behind the unimodular
 inverses here and the rational basis inverses of numberfield. Besides it:
-column-style Hermite normal form, Smith normal form with unimodular
-transformation witnesses, and completion of a primitive vector to a basis of Z^n
-(complete_primitive), whose inverse primitive_reducer builds without an inversion.
-Intended for n <= 4 but written for general n.
+completion of a primitive vector to a basis of Z^n (complete_primitive), whose
+inverse primitive_reducer builds without an inversion, and the column Hermite
+and Smith normal forms with their unimodular witnesses. Each form runs on one
+augmented matrix whose border carries the witnesses (Cohen, GTM 138, 2.4):
+hnf_column on b stacked over I, with column operations only, and snf on
+[[b, I], [I, 0]], whose first n rows carry x and first n columns carry y. So
+each row or column operation is written once, and acts on the witness with
+the matrix. Intended for n <= 4 but written for general n.
+
+A failed internal check, here or in any module above, raises
+InvariantViolation: a bug, never bad input. The command line reports it with
+exit code 1.
 
 IntMatrix, like the value classes of numberfield, sets its fields once in
 __init__, compares and hashes by them, and on the Frozen base raises
@@ -128,6 +136,10 @@ class IntMatrix(Frozen):
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
 
 
+class InvariantViolation(RuntimeError):
+    """An internal consistency check failed; indicates a bug, not bad input."""
+
+
 class HnfDecomposition(NamedTuple):
     """Column-style Hermite form: b @ c = h with h lower triangular, c unimodular."""
 
@@ -217,8 +229,19 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
         raise ValueError(f"matrix is not unimodular (det = {det(m)})")
     inv = IntMatrix.from_rows(result[0])
     if (inv @ m) != IntMatrix.identity(m.rows):
-        raise AssertionError("inverse verification failed")
+        raise InvariantViolation("inverse verification failed")
     return inv
+
+
+def _swap_columns(m: list[list[int]], j1: int, j2: int) -> None:
+    for r in m:
+        r[j1], r[j2] = r[j2], r[j1]
+
+
+def _add_column(m: list[list[int]], dst: int, src: int, q: int) -> None:
+    """Column dst of m += q * column src."""
+    for r in m:
+        r[dst] += q * r[src]
 
 
 def hnf_column(b: IntMatrix) -> HnfDecomposition:
@@ -226,60 +249,42 @@ def hnf_column(b: IntMatrix) -> HnfDecomposition:
 
     Returns (h, c) with b @ c = h lower triangular and c unimodular. Pivots are
     positive and entries left of each pivot are reduced into [0, pivot).
-    Requires full row rank.
+    Requires full row rank. Column operations on b stacked over I leave h on
+    top and c below.
     """
     rows, cols = b.rows, b.cols
     if rows > cols:
         raise ValueError("full row rank requires rows <= cols")
-    h = [list(row) for row in b.entries]
-    c = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def swap_cols(j1: int, j2: int) -> None:
-        for r in h:
-            r[j1], r[j2] = r[j2], r[j1]
-        for r in c:
-            r[j1], r[j2] = r[j2], r[j1]
-
-    def addmul_col(dst: int, src: int, q: int) -> None:
-        for r in h:
-            r[dst] += q * r[src]
-        for r in c:
-            r[dst] += q * r[src]
-
-    def negate_col(j: int) -> None:
-        for r in h:
-            r[j] = -r[j]
-        for r in c:
-            r[j] = -r[j]
-
+    m = [list(row) for row in b.entries] + [[int(i == j) for j in range(cols)] for i in range(cols)]
     for i in range(rows):
+        pivot_row = m[i]
         while True:
-            nonzero = [j for j in range(i, cols) if h[i][j] != 0]
+            nonzero = [(abs(pivot_row[j]), j) for j in range(i, cols) if pivot_row[j]]
             if not nonzero:
                 raise ValueError(f"rank-deficient input (row {i})")
-            jmin = min(nonzero, key=lambda j: abs(h[i][j]))
+            _, jmin = min(nonzero)
             if jmin != i:
-                swap_cols(i, jmin)
+                _swap_columns(m, i, jmin)
             done = True
             for j in range(i + 1, cols):
-                if h[i][j] != 0:
-                    q = h[i][j] // h[i][i]
-                    addmul_col(j, i, -q)
-                    if h[i][j] != 0:
+                if pivot_row[j] != 0:
+                    _add_column(m, j, i, -(pivot_row[j] // pivot_row[i]))
+                    if pivot_row[j] != 0:
                         done = False
             if done:
                 break
-        if h[i][i] < 0:
-            negate_col(i)
+        if pivot_row[i] < 0:
+            for r in m:
+                r[i] = -r[i]
         for j in range(i):
-            q = h[i][j] // h[i][i]
+            q = pivot_row[j] // pivot_row[i]
             if q:
-                addmul_col(j, i, -q)
+                _add_column(m, j, i, -q)
 
-    hm = IntMatrix.from_rows(h)
-    cm = IntMatrix.from_rows(c)
+    hm = IntMatrix.from_rows(m[:rows])
+    cm = IntMatrix.from_rows(m[rows:])
     if (b @ cm) != hm:
-        raise AssertionError("Hermite witness verification failed")
+        raise InvariantViolation("Hermite witness verification failed")
     return HnfDecomposition(hm, cm)
 
 
@@ -287,98 +292,66 @@ def snf(b: IntMatrix) -> SnfDecomposition:
     """Smith normal form with witnesses.
 
     Returns (x, d, y) with x @ b @ y = diag(d), x and y unimodular, and the
-    diagonal nonnegative with d[i] | d[i+1] (trailing zeros allowed).
+    diagonal nonnegative with d[i] | d[i+1] (trailing zeros allowed). The
+    elimination runs on the block matrix [[b, I], [I, 0]], pivoting in its
+    leading n x n block: row operations on the first n rows carry x to the
+    top right, and column operations on the first n columns carry y to the
+    bottom left.
     """
     if b.rows != b.cols:
         raise ValueError("Smith form implemented for square matrices")
     n = b.rows
-    a = [list(row) for row in b.entries]
-    x = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    y = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i1: int, i2: int) -> None:
-        a[i1], a[i2] = a[i2], a[i1]
-        x[i1], x[i2] = x[i2], x[i1]
-
-    def swap_cols(j1: int, j2: int) -> None:
-        for r in a:
-            r[j1], r[j2] = r[j2], r[j1]
-        for r in y:
-            r[j1], r[j2] = r[j2], r[j1]
-
-    def addmul_row(dst: int, src: int, q: int) -> None:
-        a[dst] = [p + q * r for p, r in zip(a[dst], a[src])]
-        x[dst] = [p + q * r for p, r in zip(x[dst], x[src])]
-
-    def addmul_col(dst: int, src: int, q: int) -> None:
-        for r in a:
-            r[dst] += q * r[src]
-        for r in y:
-            r[dst] += q * r[src]
-
-    def negate_row(i: int) -> None:
-        a[i] = [-v for v in a[i]]
-        x[i] = [-v for v in x[i]]
-
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(b.entries)]
+    a += [[int(i == j) for j in range(n)] + [0] * n for i in range(n)]
     for s in range(n):
         while True:
-            # locate a nonzero entry of least magnitude in the trailing block
-            pos = None
-            best = 0
-            for i in range(s, n):
-                for j in range(s, n):
-                    v = abs(a[i][j])
-                    if v != 0 and (pos is None or v < best):
-                        pos, best = (i, j), v
-            if pos is None:
+            # a nonzero entry of least magnitude in the trailing block, the first in row order
+            nonzero = [(abs(a[i][j]), i, j) for i in range(s, n) for j in range(s, n) if a[i][j]]
+            if not nonzero:
                 break  # trailing block is zero; remaining diagonal stays 0
-            if pos != (s, s):
-                if pos[0] != s:
-                    swap_rows(s, pos[0])
-                if pos[1] != s:
-                    swap_cols(s, pos[1])
+            _, i, j = min(nonzero)
+            if i != s:
+                a[s], a[i] = a[i], a[s]
+            if j != s:
+                _swap_columns(a, s, j)
             # clear column s and row s by Euclidean steps
+            pivot_row = a[s]
             dirty = False
             for i in range(s + 1, n):
                 if a[i][s] != 0:
-                    q = a[i][s] // a[s][s]
-                    addmul_row(i, s, -q)
+                    q = a[i][s] // pivot_row[s]
+                    a[i] = [p - q * r for p, r in zip(a[i], pivot_row)]
                     if a[i][s] != 0:
                         dirty = True
             for j in range(s + 1, n):
-                if a[s][j] != 0:
-                    q = a[s][j] // a[s][s]
-                    addmul_col(j, s, -q)
-                    if a[s][j] != 0:
+                if pivot_row[j] != 0:
+                    _add_column(a, j, s, -(pivot_row[j] // pivot_row[s]))
+                    if pivot_row[j] != 0:
                         dirty = True
             if dirty:
                 continue
             # enforce the divisibility chain: pivot must divide the whole block
-            offender = None
-            for i in range(s + 1, n):
-                for j in range(s + 1, n):
-                    if a[i][j] % a[s][s] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next(
+                (i for i in range(s + 1, n) for j in range(s + 1, n) if a[i][j] % pivot_row[s]),
+                None,
+            )
             if offender is None:
                 break
-            addmul_row(s, offender, 1)
+            a[s] = [p + r for p, r in zip(pivot_row, a[offender])]
         if a[s][s] < 0:
-            negate_row(s)
+            a[s] = [-v for v in a[s]]
 
     diag = tuple(a[i][i] for i in range(n))
-    xm = IntMatrix.from_rows(x)
-    ym = IntMatrix.from_rows(y)
-    if (xm @ b @ ym) != IntMatrix.diagonal(list(diag)):
-        raise AssertionError("Smith witness verification failed")
+    xm = IntMatrix.from_rows(row[n:] for row in a[:n])
+    ym = IntMatrix.from_rows(row[:n] for row in a[n:])
+    if (xm @ b @ ym) != IntMatrix.diagonal(diag):
+        raise InvariantViolation("Smith witness verification failed")
     for i in range(n - 1):
         if diag[i] == 0:
             if diag[i + 1] != 0:
-                raise AssertionError("zero before nonzero in Smith diagonal")
+                raise InvariantViolation("zero before nonzero in Smith diagonal")
         elif diag[i + 1] % diag[i] != 0:
-            raise AssertionError("Smith divisibility chain broken")
+            raise InvariantViolation("Smith divisibility chain broken")
     return SnfDecomposition(xm, diag, ym)
 
 
@@ -418,7 +391,7 @@ def primitive_reducer(v: Sequence[int]) -> IntMatrix:
         w[0] = 1
     if w[0] != 1:
         # gcd sweep must terminate at 1 for a primitive vector
-        raise AssertionError("primitive completion sweep failed")
+        raise InvariantViolation("primitive completion sweep failed")
     return IntMatrix.from_rows(u)
 
 
@@ -430,5 +403,5 @@ def complete_primitive(v: Sequence[int]) -> IntMatrix:
     """
     result = inverse_unimodular(primitive_reducer(v))
     if result.column(0) != tuple(int(a) for a in v):
-        raise AssertionError("completion does not start with the input vector")
+        raise InvariantViolation("completion does not start with the input vector")
     return result

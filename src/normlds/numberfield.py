@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence, Union
 
-from .exactlinalg import Frozen, IntMatrix, det, fraction_free_inverse
+from .exactlinalg import Frozen, IntMatrix, InvariantViolation, det, fraction_free_inverse
 
 Rational = Union[int, Fraction]
 
@@ -310,11 +310,11 @@ class FieldElement(Frozen):
         coeffs, m_n = _charpoly(_matrix(self))
         c0 = coeffs[0]
         if c0 == 0:
-            raise ArithmeticError("element is a zero divisor; field invariant broken")
+            raise InvariantViolation("element is a zero divisor; field invariant broken")
         sign = -1 if c0 > 0 else 1
         result = _reduced(self.field, [sign * self.den * row[0] for row in m_n], abs(c0))
         if not (result * self).is_one():
-            raise AssertionError("inverse verification failed")
+            raise InvariantViolation("inverse verification failed")
         return result
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":

@@ -6,7 +6,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from normlds import basisforge, cli, coordseq, dkseq, exactlinalg, numberfield
@@ -186,6 +186,27 @@ def test_quad_construct_x1_is_a_scaled_lucas_sequence(n, beta_coords):
     x1 = coordseq.generate(beta, unit, cons.basis, 60).column(1)
     assert x1 == [cons.scale * u for u in lucas_terms(cons.t_trace, 1, 61)]
     assert coordseq.verify_lds(x1, 60).ok
+
+
+@given(
+    st.integers(2, 60).filter(lambda d: math.isqrt(d) ** 2 != d),
+    st.integers(-20, 20).filter(bool),
+    st.integers(1, 20),
+)
+@example(d=3, p=2, q=1)
+@settings(max_examples=80, deadline=None)
+def test_quad_construct_refuses_a_norm_1_eps_with_fractional_coordinates(d, p, q):
+    # eps = a + b t with a = (1 + d s^2)/(1 - d s^2), b = 2s/(1 - d s^2) has
+    # a^2 - d b^2 = 1 for every rational s = p/q, and b != 0; s = 2 over x^2 - 3
+    # gives -13/11 - 4/11 t
+    s = Fraction(p, q)
+    a, b = (1 + d * s * s) / (1 - d * s * s), 2 * s / (1 - d * s * s)
+    assume(a.denominator != 1 or b.denominator != 1)
+    field = NumberField((-d, 0, 1))
+    eps = field.element([a, b])
+    with pytest.raises(ValueError, match="^eps does not multiply the module into itself$"):
+        quad_construct(field.power_basis(), field.one, eps)
+
 
 
 def quartic_unit_trace_reference(eta):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from normlds import basisforge, cli, coordseq, dkseq
+from normlds import basisforge, cli, coordseq, dkseq, exactlinalg
 from normlds.numberfield import NumberField
 from oracles import lucas_terms
 
@@ -535,6 +535,36 @@ def test_family_scan_refuses_kmax_below_3(monkeypatch, kmax):
     monkeypatch.setattr(basisforge, "family_basis", refuse)
     rc, out, err = run_cli(["family-scan", "--m-range", "2..3", f"--kmax={kmax}"])
     assert (rc, out, err) == (2, "", f"error: --kmax {kmax} must be at least 3\n")
+
+
+@pytest.mark.parametrize("command", ["emit-sequence", "verify-lds"])
+@pytest.mark.parametrize("source", [["--basis", "quartic-full"], ["--basis-file", "unread.json"]])
+def test_sequence_commands_refuse_a_negative_kmax_before_a_basis(monkeypatch, command, source):
+    def refuse(*args):
+        raise AssertionError("basis built although kmax is refused")
+
+    monkeypatch.setattr(basisforge, "quartic_full_construct", refuse)
+    monkeypatch.setattr(cli, "_basis_from_file", refuse)
+    argv = [command, "--field", "x^4-10x^2+1", "--unit", "t", "--beta", "2-t+t^3", *source,
+            "--kmax", "-1"]
+    assert run_cli(argv) == (2, "", "error: kmax must be nonnegative\n")
+
+
+def test_a_parse_error_comes_before_a_negative_kmax():
+    argv = ["emit-sequence", "--field", "x^4-10x^2+1", "--unit", "t", "--beta", "2-t+", "--basis",
+            "quartic-full", "--kmax", "-1"]
+    rc, out, err = run_cli(argv)
+    assert (rc, out) == (3, "")
+    assert err.startswith("parse error ")
+
+
+def test_a_failed_smith_witness_check_exits_1(monkeypatch):
+    # a diagonal that is never x @ b @ y makes the check in exactlinalg.snf fail
+    monkeypatch.setattr(exactlinalg.IntMatrix, "diagonal", classmethod(lambda cls, d: cls(((7,),))))
+    argv = ["snf-check", "--field", "x^4-10x^2+1", "--unit", "t", "--beta", "2-t+t^3"]
+    assert run_cli(argv) == (
+        1, "", "internal invariant violation: Smith witness verification failed\n"
+    )
 
 
 def test_family_scan_reports_four_initial_conditions_at_kmax_3():

@@ -149,6 +149,43 @@ class TestSnf:
         assert all(x >= 0 for x in dec.d)
 
 
+class TestPinnedWitnesses:
+    """Exact witnesses: the elimination order fixes h, c, x and y, not only their properties."""
+
+    @pytest.mark.parametrize(
+        "b, h, c",
+        [
+            ([[4, -6, 10, 3], [7, 2, -5, 9]],
+             [[1, 0, 0, 0], [3, 5, 0, 0]],
+             [[0, 0, 0, 1], [-35, -5, 21, 9], [-20, -3, 12, 5], [-3, 0, 2, 0]]),
+            ([[3, -7, 2], [5, 1, -4], [-6, 8, 9]],
+             [[1, 0, 0], [1, 2, 0], [65, 161, 181]],
+             [[5, 12, 13], [4, 10, 11], [7, 17, 19]]),
+        ],
+    )
+    def test_hnf_column(self, b, h, c):
+        assert hnf_column(IntMatrix.from_rows(b)) == (IntMatrix.from_rows(h), IntMatrix.from_rows(c))
+
+    @pytest.mark.parametrize(
+        "b, x, d, y",
+        [
+            # det 26880 = 1 * 2 * 2 * 6720
+            ([[2, 4, 6, -8], [3, -5, 7, 11], [12, 0, -6, 4], [9, 15, 21, 3]],
+             [[-1, 1, 0, 0], [3, -2, 0, 0], [30, -3, 1, -7], [33345, -3357, 1110, -7771]],
+             (1, 2, 2, 6720),
+             [[1, 14, 1089, -3296], [0, 1, 73, -221], [0, -5, -413, 1250], [0, 0, -1, 3]]),
+            # rank 2: row 2 is 3/2 times row 1, and row 4 is row 1 minus row 3
+            ([[6, 4, 10, -2], [9, 6, 15, -3], [4, -8, 12, 14], [2, 12, -2, -16]],
+             [[1, -1, 0, 0], [7, 0, 1, 0], [3, -2, 0, 0], [-1, 0, 1, 1]],
+             (1, 2, 0, 0),
+             [[0, 0, 0, 1], [0, -4, 41, 10], [0, 1, -10, -3], [1, -3, 32, 8]]),
+        ],
+    )
+    def test_snf(self, b, x, d, y):
+        dec = snf(IntMatrix.from_rows(b))
+        assert dec == (IntMatrix.from_rows(x), d, IntMatrix.from_rows(y))
+
+
 class TestCompletePrimitive:
     def test_unit_vector(self):
         assert complete_primitive([1, 0, 0, 0]) == IntMatrix.identity(4)

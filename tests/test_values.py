@@ -158,10 +158,9 @@ RECORDS = [
      dict(terms=[1, 2, 4], t_trace=None)),
     (DkMatchReport,
      lambda: dict(quartic_poly=(1, 0, -4, 0, 1), poly_irreducible=False, d_head=(0, 1, 2, 3),
-                  normalized=(0, 1, 2, 3), applicable=True, completion=I2,
-                  matched_through=30, basis=None),
+                  normalized=(0, 1, 2, 3), applicable=True, matched_through=30, basis=None),
      dict(quartic_poly=(1, 0, -6, 0, 1), poly_irreducible=True, d_head=(0, 2, 4, 6),
-          normalized=None, applicable=False, completion=None, matched_through=None,
+          normalized=None, applicable=False, matched_through=None,
           basis=quartic().power_basis())),
     (SparseScanRow,
      lambda: dict(n=3, y1=0, d_tilde=1, d=None),
