@@ -24,14 +24,15 @@ _quadratic_unit_trace reads.
 
 snf_criterion states the full-module case through the Smith form of B, with a
 canonical witness X, Y; it serves the snf-check report and no construction.
-Both results, LdsConstruction and SnfCriterion, are typing.NamedTuples.
+Both results, LdsConstruction and SnfCriterion, are collections.namedtuple records.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .exactlinalg import (
     IntMatrix, InvariantViolation, det, fraction_free_inverse, primitive_reducer, snf
@@ -39,7 +40,7 @@ from .exactlinalg import (
 from .numberfield import FieldElement, ModuleBasis, NumberField, min_poly
 
 
-class LdsConstruction(NamedTuple):
+class LdsConstruction(namedtuple("LdsConstruction", "basis scale t_trace source")):
     """A basis under which x1 is an LDS, with its scale and trace parameter.
 
     In the quartic constructions x1 has initial conditions
@@ -49,13 +50,16 @@ class LdsConstruction(NamedTuple):
     least positive integer that makes scale * B^-1 v integral.
     """
 
-    basis: ModuleBasis
-    scale: int
-    t_trace: int
-    source: str
+    __slots__ = ()
+    # basis: ModuleBasis
+    # scale: int
+    # t_trace: int
+    # source: str
 
 
-class SnfCriterion(NamedTuple):
+class SnfCriterion(
+    namedtuple("SnfCriterion", "chi deltas t_trace scale lift_column b x y")
+):
     """The full-module criterion in Smith form, as the snf-check report states it.
 
     chi is the Smith-transformed condition vector X . (0, 1, 1, T+1), and
@@ -70,14 +74,13 @@ class SnfCriterion(NamedTuple):
     which makes gcd(chi[3], deltas[3]/deltas[0]) = 1 whenever any such shift does.
     """
 
-    chi: tuple[int, int, int, int]
-    deltas: tuple[int, int, int, int]
-    t_trace: int
-    scale: int
-    lift_column: tuple[int, int, int, int]
-    b: IntMatrix
-    x: IntMatrix
-    y: IntMatrix
+    __slots__ = ()
+    # chi: tuple[int, int, int, int]
+    # deltas: tuple[int, int, int, int]
+    # t_trace: int
+    # scale: int
+    # lift_column: tuple[int, int, int, int]
+    # b, x, y: IntMatrix
 
 
 def quartic_unit_trace(eta: FieldElement) -> int:

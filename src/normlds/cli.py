@@ -10,12 +10,16 @@ Each handler reads the argparse namespace of its subcommand directly. The
 constructions from a unit and a beta are reached through _construct alone, and
 the ring an option names (--module-basis, else the power basis) through _ring.
 
-_json_text writes json.dumps(indent=2, sort_keys=True) byte for byte. The term
-rows of emit-sequence and verify-lds and the d_k column of dk-scan are
-coordseq.DecimalList, vouched for as '-' and digits (rendered through a
-certified or verified recurrence, else by str()): each is copied with one
-join, with no test or escape per item. A report and its final newline are
-written apart, so no step copies a whole report.
+_json_text writes json.dumps(indent=2, sort_keys=True) byte for byte. The terms
+of emit-sequence and verify-lds are the columns of coordseq.decimal_columns,
+wrapped as _Rows, and the d_k column of dk-scan is one coordseq.DecimalList;
+their items are vouched for as '-' and digits (rendered through a certified or
+verified recurrence, else by str()). _interleave writes them, as JSON rows or
+CSV lines, in one C-level pass over the whole columns, with no test, escape or
+copy per item and no row built as a string: a report holds each term string
+once and its text once. The text is joined once, and the sink opens only after
+it is complete; a report and its final newline are written apart, so no step
+copies a whole report.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ import re
 import sys
 from argparse import Namespace
 from fractions import Fraction
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Any, NoReturn, Sequence
+from typing import Any, Iterable, NoReturn, Sequence
 
 from . import basisforge, coordseq, dkseq
 from .basisforge import LdsConstruction, SnfCriterion
@@ -193,26 +198,56 @@ def _resolve_basis(
 _FLOAT_JSON = json.JSONEncoder().encode
 
 
+class _Rows(tuple):
+    """Columns of decimal text (coordseq.decimal_columns), written as the rows they make."""
+
+
+def _interleave(
+    out: list[str], columns: Sequence[Iterable[str]], before: str, between: str, after: str = ""
+) -> None:
+    """Extend out by each row of the columns: before, its items with between in between, after.
+
+    One C-level pass over whole columns, so each item is referenced, not copied,
+    and no Python code runs per row.
+    """
+    parts: list[Iterable[str]] = []
+    for column in columns:
+        parts += (repeat(between), column)
+    parts[0] = repeat(before)
+    if after:
+        parts.append(repeat(after))
+    out.extend(chain.from_iterable(zip(*parts)))
+
+
 def _json_fragments(value: Any, out: list[str], newline: str) -> None:
     """Append the fragments of json.dumps(value, indent=2, sort_keys=True) to out.
 
     newline is the line break and indent of value's own line. Dict keys must be
-    strings. A DecimalList, such as a column of terms, is written with one join
-    and without escaping or testing each item, since its items are decimal by
-    construction: escaping thousand-digit terms is most of what json.dumps
-    spends on a report. Every other list is written item by item.
+    strings. A DecimalList, such as the d_k column, and the _Rows of a term
+    table are written by _interleave, without escaping or testing each item,
+    since their items are decimal by construction: escaping thousand-digit terms
+    is most of what json.dumps spends on a report. Every other list is written
+    item by item.
     """
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif isinstance(value, (list, tuple)):
-        if not value:
+        if not value or isinstance(value, _Rows) and not value[0]:
             out.append("[]")
             return
         inner = newline + "  "
-        if isinstance(value, coordseq.DecimalList):
-            out.append("[" + inner + '"')
-            out.append(('",' + inner + '"').join(value))
-            out.append('"' + newline + "]")
+        if isinstance(value, (_Rows, coordseq.DecimalList)):
+            # each row of _Rows is a list; a DecimalList is one column of bare items
+            if isinstance(value, _Rows):
+                item = inner + "  "
+                columns = value
+                before, between, after = inner + "[" + item + '"', '",' + item + '"', '"' + inner + "]"
+            else:
+                columns, before, between, after = (value,), inner + '"', "", '"'
+            start = len(out)
+            _interleave(out, columns, "," + before, between, after)
+            out[start] = "[" + before
+            out.append(newline + "]")
             return
         sep = "[" + inner
         for item in value:
@@ -253,12 +288,26 @@ def _json_text(payload: Any) -> str:
     return "".join(out)
 
 
-def _emit(config: Namespace, payload: dict[str, Any], csv_lines: list[str] | None = None) -> None:
+def _csv_text(header: str, first: int, columns: Sequence[Sequence[str]]) -> str:
+    """header, then a line per row: its index, counting from first, and its items, comma-joined."""
+    out = [header]
+    indices = map(str, range(first, first + len(columns[0])))
+    _interleave(out, (indices, *columns), "\n", ",")
+    return "".join(out)
+
+
+def _emit(
+    config: Namespace, payload: dict[str, Any], csv: tuple[str, int, Sequence[Sequence[str]]] | None = None
+) -> None:
+    """Write the report in config.fmt; csv holds the arguments of _csv_text.
+
+    The sink opens once the text is complete, so a failure leaves no file.
+    """
     if config.fmt == "json":
         text = _json_text(payload)
     elif config.fmt == "csv":
-        assert csv_lines is not None, "commands without a csv form refuse it first"
-        text = "\n".join(csv_lines)
+        assert csv is not None, "commands without a csv form refuse it first"
+        text = _csv_text(*csv)
     else:
         text = _render_text(payload)
     sink = contextlib.nullcontext(sys.stdout)
@@ -275,8 +324,9 @@ def _render_text(payload: dict[str, Any], indent: int = 0) -> str:
         if isinstance(value, dict):
             lines.append(f"{pad}{key}:")
             lines.append(_render_text(value, indent + 1))
-        elif isinstance(value, list):
-            lines.append(f"{pad}{key}: {json.dumps(value)}")
+        elif isinstance(value, (list, _Rows)):
+            rows = list(zip(*value)) if isinstance(value, _Rows) else value
+            lines.append(f"{pad}{key}: {json.dumps(rows)}")
         else:
             lines.append(f"{pad}{key}: {value}")
     return "\n".join(lines)
@@ -311,8 +361,8 @@ def _cmd_construct_basis(config: Namespace) -> int:
 
 def _sequence_payload(
     config: Namespace, field: NumberField
-) -> tuple[dict[str, Any], coordseq.SequenceReport, list[str] | None]:
-    """Report fields shared by the sequence commands, the certified head, and CSV lines if asked."""
+) -> tuple[dict[str, Any], coordseq.SequenceReport, tuple[str, int, _Rows]]:
+    """Report fields shared by the sequence commands, the certified head, and the CSV table."""
     unit, beta = _unit_beta(config, field)
     # refused before a basis is built; a parse error in the unit or beta still comes first
     if config.kmax < 0:
@@ -323,28 +373,24 @@ def _sequence_payload(
     if 0 <= config.kmax < field.degree and config.kmax < len(min_poly(unit)) - 1:
         raise ValueError("not enough terms to test the recurrence")
     head = coordseq.sequence_head(beta, unit, basis, config.kmax)
-    # sequence_head has certified the recurrence for every term, so rendering
-    # through it from the head gives str(x) for each
-    terms = coordseq.decimal_rows(head, config.kmax)
     payload = _head(field, unit, beta)
     payload.update(meta)
     payload["basis"] = _basis_coords(basis)
     payload["charpoly"] = [str(c) for c in head.charpoly]
-    payload["terms"] = terms
+    # sequence_head has certified the recurrence for every term, so rendering
+    # through it from the head gives str(x) for each
+    terms = payload["terms"] = _Rows(coordseq.decimal_columns(head, config.kmax))
     # a head whose recurrence fails raises InvariantViolation; the key stays for
     # readers of the reports
     payload["recurrence_ok"] = True
-    csv_lines = None
-    if config.fmt == "csv":
-        header = "k," + ",".join(f"x{i}" for i in range(1, head.ncols + 1))
-        csv_lines = [header] + [",".join((str(k), *row)) for k, row in enumerate(terms)]
-    return payload, head, csv_lines
+    header = "k," + ",".join(f"x{i}" for i in range(1, head.ncols + 1))
+    return payload, head, (header, 0, terms)
 
 
 def _cmd_emit_sequence(config: Namespace) -> int:
-    payload, _, csv_lines = _sequence_payload(config, _field_from(config))
+    payload, _, csv = _sequence_payload(config, _field_from(config))
     payload["command"] = "emit-sequence"
-    _emit(config, payload, csv_lines)
+    _emit(config, payload, csv)
     return 0
 
 
@@ -357,7 +403,7 @@ def _cmd_verify_lds(config: Namespace) -> int:
         raise ValueError(f"--nmax {config.nmax} must be at least 1")
     if config.nmax is not None and config.nmax > config.kmax:
         raise ValueError("--nmax cannot exceed --kmax")
-    payload, head, csv_lines = _sequence_payload(config, field)
+    payload, head, csv = _sequence_payload(config, field)
     payload["command"] = "verify-lds"
     nmax = config.kmax if config.nmax is None else config.nmax
     verdicts = []
@@ -374,7 +420,7 @@ def _cmd_verify_lds(config: Namespace) -> int:
         )
     payload["nmax"] = nmax
     payload["lds"] = verdicts
-    _emit(config, payload, csv_lines)
+    _emit(config, payload, csv)
     return 0 if verdicts[config.column - 1]["ok"] else 2
 
 
@@ -418,10 +464,7 @@ def _cmd_dk_scan(config: Namespace) -> int:
                 for r in scan.rows
             ],
         }
-    csv_lines = None
-    if config.fmt == "csv":
-        csv_lines = ["k,dk"] + [f"{k},{x}" for k, x in enumerate(terms, 1)]
-    _emit(config, payload, csv_lines)
+    _emit(config, payload, ("k,dk", 1, (terms,)))
     return 0
 
 
@@ -472,10 +515,9 @@ def _cmd_family_scan(config: Namespace) -> int:
             }
         )
     payload = {"command": "family-scan", "kmax": config.kmax, "rows": rows}
-    csv_lines = ["m,status,lds_ok"] + [
-        f"{r['m']},{r['status']},{r.get('lds_ok', '')}" for r in rows
-    ]
-    _emit(config, payload, csv_lines)
+    # one row per m of the range, in order
+    csv = [[r["status"] for r in rows], [str(r.get("lds_ok", "")) for r in rows]]
+    _emit(config, payload, ("m,status,lds_ok", m_range.start, csv))
     return 2 if any_fail else 0
 
 

@@ -21,16 +21,16 @@ the package's one type for a failed internal check: min_poly or the field
 product is wrong, not the input. Input the sequences cannot take, such as a
 negative kmax or an eps that is not integral, raises ValueError.
 
-decimal_columns() and decimal_rows() render terms in exact decimal
-arithmetic: str() of a large int is quadratic in its digit count, while each
-recurrence step and str() of a Decimal are linear. A column that is +- an
-earlier one shifted down a row copies that column's strings instead. They
-return DecimalList rows and columns, whose items are vouched for as '-' and
-digits by how they were made, so a writer may copy them without testing or
-escaping each one.
+decimal_columns() renders terms in exact decimal arithmetic: str() of a
+large int is quadratic in its digit count, while each recurrence step and
+str() of a Decimal are linear. A column that is +- an earlier one shifted down
+a row copies that column's strings instead. It returns one DecimalList per
+column, whose items are vouched for as '-' and digits by how they were made,
+so a writer may copy them without testing or escaping each one. The CLI
+writes its rows straight from these columns, so no row of strings is built.
 
-SequenceReport and LdsVerdict are typing.NamedTuples: immutable records
-compared field by field.
+SequenceReport and LdsVerdict are collections.namedtuple records: immutable
+and compared field by field.
 """
 
 from __future__ import annotations
@@ -39,10 +39,11 @@ import functools
 import itertools
 import math
 import operator
+from collections import namedtuple
 from decimal import (
     MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, Rounded, localcontext
 )
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .exactlinalg import InvariantViolation
 from .numberfield import FieldElement, ModuleBasis, min_poly
@@ -55,15 +56,16 @@ _EXACT = Context(
 )
 
 
-class SequenceReport(NamedTuple):
+class SequenceReport(namedtuple("SequenceReport", "terms charpoly")):
     """Integer coordinate rows x_i(k) (row k, column i) plus their recurrence.
 
     The rows are all of a sequence's, as generate() gives them, or its first
     ones, as sequence_head() does.
     """
 
-    terms: list[list[int]]
-    charpoly: tuple[int, ...]  # ascending, monic; the recurrence all columns satisfy
+    __slots__ = ()
+    # terms: list[list[int]]
+    # charpoly: tuple[int, ...], ascending, monic; the recurrence all columns satisfy
 
     @property
     def kmax(self) -> int:
@@ -78,9 +80,12 @@ class SequenceReport(NamedTuple):
         return [row[i - 1] for row in self.terms]
 
 
-class LdsVerdict(NamedTuple):
-    ok: bool
-    witness: tuple[int, int] | None = None  # first (n, m) with n | m but b(n) does not divide b(m)
+class LdsVerdict(namedtuple("LdsVerdict", "ok witness", defaults=(None,))):
+    """The verdict of verify_lds, and its first failing pair when it fails."""
+
+    __slots__ = ()
+    # ok: bool
+    # witness: tuple[int, int] | None, the first (n, m) with n | m but b(n) does not divide b(m)
 
 
 def _outside_module(k: int) -> str:
@@ -277,11 +282,6 @@ def decimal_columns(head: SequenceReport, kmax: int) -> list[DecimalList]:
                 text = DecimalList("0" if x == "-0" else x for x in text)
             columns.append(text)
     return columns
-
-
-def decimal_rows(head: SequenceReport, kmax: int) -> list[DecimalList]:
-    """Rows 0..kmax as decimal strings; see decimal_columns."""
-    return list(map(DecimalList, zip(*decimal_columns(head, kmax))))
 
 
 def divides(a: int, b: int) -> bool:

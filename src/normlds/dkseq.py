@@ -22,14 +22,14 @@ basisforge.lds_basis, and the terms through coordseq.recurrence_values. It
 hosts the vanishing scan for lacunary minimal polynomials too, and
 power-basis discriminants, as +-N(f'(alpha)) for the defining polynomial f.
 Their results, DkSequence, DkMatchReport and the sparse scan's rows and
-report, are typing.NamedTuples.
+report, are collections.namedtuple records.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .basisforge import _quadratic_unit_trace, lds_basis
 from .coordseq import (
@@ -48,15 +48,16 @@ class CheckRefused(Exception):
     """The requested check does not apply to this input (refused, not failed)."""
 
 
-class DkSequence(NamedTuple):
+class DkSequence(namedtuple("DkSequence", "terms t_trace")):
     """d_1, d_2, ... for a fixed alpha over a fixed ring basis.
 
     t_trace is filled when alpha is a quadratic unit of norm 1, the case whose
     d_k satisfies d_{k+4} = T d_{k+2} - d_k.
     """
 
-    terms: list[int]  # terms[i] = d_{i+1}
-    t_trace: int | None
+    __slots__ = ()
+    # terms: list[int], terms[i] = d_{i+1}
+    # t_trace: int | None
 
     def dk(self, k: int) -> int:
         if not 1 <= k <= len(self.terms):
@@ -159,7 +160,12 @@ def dk_recurrence_check(report: SequenceReport) -> bool:
     return verify_recurrence(report)
 
 
-class DkMatchReport(NamedTuple):
+class DkMatchReport(
+    namedtuple(
+        "DkMatchReport",
+        "quartic_poly poly_irreducible d_head normalized applicable matched_through basis",
+    )
+):
     """Outcome of matching d_k/d_1 with a first coordinate sequence.
 
     x1 is the first coordinate of eta^k in the rank-4 quotient ring
@@ -169,13 +175,14 @@ class DkMatchReport(NamedTuple):
     honest quartic field.
     """
 
-    quartic_poly: tuple[int, ...]
-    poly_irreducible: bool
-    d_head: tuple[int, int, int, int]
-    normalized: tuple[int, int, int, int] | None
-    applicable: bool
-    matched_through: int | None
-    basis: ModuleBasis | None
+    __slots__ = ()
+    # quartic_poly: tuple[int, ...]
+    # poly_irreducible: bool
+    # d_head: tuple[int, int, int, int]
+    # normalized: tuple[int, int, int, int] | None
+    # applicable: bool
+    # matched_through: int | None
+    # basis: ModuleBasis | None
 
 
 def match_dk_basis(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int = 30) -> DkMatchReport:
@@ -245,18 +252,21 @@ def _quartic_field(coeffs: tuple[int, ...]) -> NumberField | None:
         return None
 
 
-class SparseScanRow(NamedTuple):
-    n: int
-    y1: int
-    d_tilde: int
-    d: int | None  # equals d_tilde under the monogenic assertion, else unknown
+class SparseScanRow(namedtuple("SparseScanRow", "n y1 d_tilde d")):
+    """One n of sparse_minpoly_scan: y1(n), d~_n and, when asserted, d_n."""
+
+    __slots__ = ()
+    # n, y1, d_tilde: int
+    # d: int | None, equal to d_tilde under the monogenic assertion, else unknown
 
 
-class SparseScanReport(NamedTuple):
-    t: int
-    disc: int
-    monogenic_asserted: bool
-    rows: list[SparseScanRow]
+class SparseScanReport(namedtuple("SparseScanReport", "t disc monogenic_asserted rows")):
+    """The rows of sparse_minpoly_scan, with its step t and the discriminant."""
+
+    __slots__ = ()
+    # t, disc: int
+    # monogenic_asserted: bool
+    # rows: list[SparseScanRow]
 
     def all_vanish(self) -> bool:
         return all(r.y1 == 0 for r in self.rows)

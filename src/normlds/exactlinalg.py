@@ -19,13 +19,17 @@ exit code 1.
 
 IntMatrix, like the value classes of numberfield, sets its fields once in
 __init__, compares and hashes by them, and on the Frozen base raises
-AttributeError on assignment. The decompositions are typing.NamedTuples.
+AttributeError on assignment. The decompositions are collections.namedtuple
+records, as are the results of coordseq, basisforge and dkseq: a
+typing.NamedTuple compiles each field's annotation, a string under
+from __future__ import annotations, when the module is imported.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from typing import Iterable, Sequence
 
 # the one way to set a field of a Frozen value, from its __init__
 _set = object.__setattr__
@@ -140,19 +144,19 @@ class InvariantViolation(RuntimeError):
     """An internal consistency check failed; indicates a bug, not bad input."""
 
 
-class HnfDecomposition(NamedTuple):
+class HnfDecomposition(namedtuple("HnfDecomposition", "h c")):
     """Column-style Hermite form: b @ c = h with h lower triangular, c unimodular."""
 
-    h: IntMatrix
-    c: IntMatrix
+    __slots__ = ()
+    # h, c: IntMatrix
 
 
-class SnfDecomposition(NamedTuple):
+class SnfDecomposition(namedtuple("SnfDecomposition", "x d y")):
     """Smith form witnesses: x @ b @ y = diag(d), x and y unimodular, d[0] | d[1] | ..."""
 
-    x: IntMatrix
-    d: tuple[int, ...]
-    y: IntMatrix
+    __slots__ = ()
+    # x, y: IntMatrix
+    # d: tuple[int, ...]
 
 
 def _bareiss(a: list[list[int]]) -> int:

@@ -286,6 +286,19 @@ def traced_peak(argv):
     return peak
 
 
+class TestEmissionMemory:
+    @pytest.mark.parametrize("command", ["emit-sequence", "verify-lds"])
+    @pytest.mark.parametrize("basis", ["quartic-power", "quartic-full"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_peak_is_below_three_times_the_report(self, command, basis, fmt):
+        # the terms once as strings and the report's text once; a row of strings
+        # per row, or a joined copy of each row, would pass 3x
+        argv = [command, *QUARTIC, "--basis", basis, "--kmax", "600", "--format", fmt]
+        peak = traced_peak(argv)
+        _, out, _ = run_cli(argv)
+        assert peak < 3 * len(out)
+
+
 def int_bytes(values):
     return sum(map(sys.getsizeof, values))
 
@@ -299,7 +312,9 @@ class TestVerifyLdsMemory:
         It kept the int rows of the whole report, scanned them with
         verify_recurrence, and still held them while the report was rendered
         and written. Its own decimal rendering also kept a tuple per column,
-        so this peak is at most the one it had.
+        and its terms were a DecimalList per row, built here from the columns
+        as the deleted coordseq.decimal_rows built them, so this peak is at
+        most the one it had.
         """
         k4 = NumberField((1, 0, -10, 0, 1))
         beta, unit = k4.element([2, -1, 0, 1]), k4.generator
@@ -309,7 +324,7 @@ class TestVerifyLdsMemory:
         try:
             report = generate(beta, unit, basis, 600)
             assert verify_recurrence(report)
-            terms = coordseq.decimal_rows(report, 600)
+            terms = list(map(coordseq.DecimalList, zip(*decimal_columns(report, 600))))
             spf = coordseq.smallest_prime_factors(600)
             lds = [coordseq.verify_lds(report.column(i), 600, spf).ok for i in range(1, 5)]
             coords = [list(map(str, v.coords)) for v in basis.vectors]

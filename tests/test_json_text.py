@@ -101,6 +101,46 @@ def test_typed_rows_are_not_tested_or_escaped(monkeypatch):
     assert sorted(escaped) == ["dk", "terms"]
 
 
+@st.composite
+def term_columns(draw):
+    """1-4 columns of 0-6 decimal strings each, all of one length."""
+    rows = draw(st.integers(0, 6))
+    column = st.lists(DECIMAL_TEXT, min_size=rows, max_size=rows)
+    return draw(st.lists(column, min_size=1, max_size=4))
+
+
+@given(term_columns())
+@settings(max_examples=300, deadline=None)
+def test_columns_are_written_as_their_rows(columns):
+    rows = [list(row) for row in zip(*columns)]
+    assert cli._json_text(cli._Rows(columns)) == json.dumps(rows, indent=2, sort_keys=True)
+    payload = {"terms": cli._Rows(columns), "k": "1"}
+    want = json.dumps({"terms": rows, "k": "1"}, indent=2, sort_keys=True)
+    assert cli._json_text(payload) == want
+
+
+@given(term_columns(), st.integers(0, 2))
+@settings(max_examples=300, deadline=None)
+def test_csv_interleave_matches_joined_rows(columns, first):
+    lines = ["k,x"] + [",".join((str(k), *row)) for k, row in enumerate(zip(*columns), first)]
+    assert cli._csv_text("k,x", first, columns) == "\n".join(lines)
+
+
+def test_columns_skip_the_string_escaper(monkeypatch):
+    escaped = []
+
+    def escape(text):
+        escaped.append(text)
+        return json.encoder.encode_basestring_ascii(text)
+
+    monkeypatch.setattr(cli, "encode_basestring_ascii", escape)
+    columns = [DecimalList(["1", "-20"]), DecimalList(["300", "0"])]
+    payload = {"terms": cli._Rows(columns)}
+    want = json.dumps({"terms": [["1", "300"], ["-20", "0"]]}, indent=2, sort_keys=True)
+    assert cli._json_text(payload) == want
+    assert escaped == ["terms"]
+
+
 @pytest.mark.parametrize("scalar", [None, True, False, 0, 1, -1, 10**40, -(10**40), 2.5, float("nan")])
 def test_scalars_in_lists_and_dicts(scalar):
     # bool is tested before int: int.__repr__(True) is '1', json writes 'true'

@@ -19,7 +19,6 @@ from normlds.coordseq import (
     DecimalList,
     SequenceReport,
     decimal_columns,
-    decimal_rows,
     divides,
     generate,
     int_column,
@@ -406,6 +405,11 @@ def str_rows(report):
     return [[str(x) for x in row] for row in report.terms]
 
 
+def rows_of_columns(report):
+    """Rows 0..kmax of decimal_columns, as lists."""
+    return [list(row) for row in zip(*decimal_columns(report, report.kmax))]
+
+
 @st.composite
 def power_reports(draw, min_kmax=0, max_kmax=30):
     """Reports over the power basis of integral beta and eps, zero elements included."""
@@ -443,7 +447,7 @@ class TestDecimalRows:
     @given(power_reports())
     @settings(max_examples=300, deadline=None)
     def test_matches_str_of_every_term(self, report):
-        assert decimal_rows(report, report.kmax) == str_rows(report)
+        assert rows_of_columns(report) == str_rows(report)
 
     def test_zero_columns_and_negative_terms(self):
         k4 = NumberField((1, 0, -10, 0, 1))
@@ -451,9 +455,9 @@ class TestDecimalRows:
         report = generate(k4.one, k4.element([0, 0, -1, 0]), k4.power_basis(), 12)
         assert all(row[1] == row[3] == 0 for row in report.terms)
         assert any(x < 0 for row in report.terms for x in row)
-        assert decimal_rows(report, report.kmax) == str_rows(report)
+        assert rows_of_columns(report) == str_rows(report)
         zero = generate(k4.from_int(0), k4.generator, k4.power_basis(), 8)
-        assert decimal_rows(zero, zero.kmax) == [["0"] * 4] * 9
+        assert rows_of_columns(zero) == [["0"] * 4] * 9
 
     def test_column_past_the_int_digit_limit(self):
         k2 = NumberField((-3, 0, 1))
@@ -465,7 +469,7 @@ class TestDecimalRows:
             want = str_rows(report)
         finally:
             sys.set_int_max_str_digits(limit)
-        got = decimal_rows(report, report.kmax)
+        got = rows_of_columns(report)
         assert len(got[-1][0]) > 4300
         assert got == want
 
@@ -482,7 +486,7 @@ class TestDecimalRows:
             want = str_rows(column)
         finally:
             sys.set_int_max_str_digits(limit)
-        got = decimal_rows(column, column.kmax)
+        got = rows_of_columns(column)
         assert len(got[-1][0]) > 4300
         assert got == want
 
@@ -493,7 +497,7 @@ class TestDecimalRows:
             ctx.prec = 5
             ctx.traps[decimal.Inexact] = False
             before = repr(ctx)
-            assert decimal_rows(report, report.kmax) == want
+            assert rows_of_columns(report) == want
             assert decimal.getcontext() is ctx
             assert repr(ctx) == before
 
@@ -548,18 +552,16 @@ class TestPlusMinusOneSteps:
     @given(plus_minus_reports())
     @settings(max_examples=300, deadline=None)
     def test_decimal_rows_match_str_and_never_print_minus_zero(self, report):
-        rows = decimal_rows(report, report.kmax)
-        assert rows == str_rows(report)
-        assert all(type(row) is DecimalList for row in rows)
-        assert all(x != "-0" for row in rows for x in row)
         columns = decimal_columns(report, report.kmax)
         assert all(type(column) is DecimalList for column in columns)
-        assert [list(row) for row in zip(*columns)] == rows
+        rows = [list(row) for row in zip(*columns)]
+        assert rows == str_rows(report)
+        assert all(x != "-0" for row in rows for x in row)
 
     @pytest.mark.parametrize("charpoly, heads", PLUS_MINUS_CASES)
     def test_named_charpolys(self, charpoly, heads):
         report = recurrence_report(charpoly, heads, 60)
-        rows = decimal_rows(report, report.kmax)
+        rows = rows_of_columns(report)
         assert rows == str_rows(report)
         assert all(x != "-0" for row in rows for x in row)
         assert verify_recurrence(report) is termwise_recurrence(report) is True
@@ -618,7 +620,7 @@ class TestShiftedColumns:
         report = generate(k4.element([2, -1, 0, 1]), k4.generator, cons.basis, 60)
         x2, x3, x4 = report.column(2), report.column(3), report.column(4)
         assert x3[1:] == [-x for x in x2[:-1]] and x4[1:] == x3[:-1]
-        assert decimal_rows(report, report.kmax) == str_rows(report)
+        assert rows_of_columns(report) == str_rows(report)
 
 
 class TestSharedSieve:

@@ -85,3 +85,19 @@ def test_basis_file_of_another_field_is_refused(tmp_path):
     assert written == (0, "", "")
     argv = [*EMIT, "2+t", "--basis-file", str(path)]
     assert run_cli(argv) == (2, "", "error: basis file was produced for a different field\n")
+
+
+# the refusals of commands that write a table of terms, and one of verify-lds
+TERM_REPORT_REFUSALS = [row for row in REFUSALS if row[0][0] in ("emit-sequence", "dk-scan")] + [
+    (["verify-lds", *PELL, "--kmax", "5", "--nmax", "6"], 2, "error: --nmax cannot exceed --kmax\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, error", TERM_REPORT_REFUSALS, ids=[" ".join(a) for a, _, _ in TERM_REPORT_REFUSALS]
+)
+def test_refused_report_creates_no_out_file(tmp_path, argv, code, error):
+    # the sink opens only once the report's text is complete
+    path = tmp_path / "report.json"
+    assert run_cli([*argv, "--out", str(path)]) == (code, "", error)
+    assert not path.exists()
