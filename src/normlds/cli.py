@@ -383,7 +383,7 @@ def _sequence_payload(
     # a head whose recurrence fails raises InvariantViolation; the key stays for
     # readers of the reports
     payload["recurrence_ok"] = True
-    header = "k," + ",".join(f"x{i}" for i in range(1, head.ncols + 1))
+    header = "k," + ",".join(f"x{i}" for i in range(1, len(head.terms) + 1))
     return payload, head, (header, 0, terms)
 
 
@@ -409,7 +409,7 @@ def _cmd_verify_lds(config: Namespace) -> int:
     verdicts = []
     spf = coordseq.smallest_prime_factors(nmax)
     # one int column through nmax at a time, dropped before the next is built
-    for i in range(1, head.ncols + 1):
+    for i in range(1, len(head.terms) + 1):
         verdict = coordseq.verify_lds(coordseq.int_column(head, i, nmax), nmax, spf)
         verdicts.append(
             {

@@ -1,18 +1,20 @@
 """Coordinate sequences of beta * eps^k over a module basis, and their checks.
 
-Every sequence is split in two. sequence_head() takes rows 0..d, d the degree
-of min_poly(eps), from field products (ModuleBasis.power_rows, the one routine
+A sequence is its columns: one list per coordinate x_i, each a linear
+recurrence sequence under c = min_poly(eps), as the paper writes a solution
+sequence. Every sequence is split in two. sequence_head() takes rows 0..d, d
+the degree of c, from field products (ModuleBasis.power_rows, the one routine
 for the coordinates of beta * eps^k), and checks row d against the recurrence
-of min_poly(eps); that one check certifies the recurrence, and the
-integrality, of every later row (the proof is in its docstring). The
-recurrence gives the rest, only as far as a caller reads it.
-recurrence_values() is the one integer sequence kernel: it yields
-sum_j s_j x(k - j) for k = d, d+1, ... as a lazy sum over iterators into x, in
-which s_j = +1 or -1 is an add or a subtract, not a multiply, and a caller
-that hands it a list of the first d terms and appends each value it yields has
-it read its own output and compute every later term. int_column() extends one
-integer column that way, decimal_columns() renders every column from the
-head, and generate() is the head with each column extended, as rows. The d_k
+of c; that one check certifies the recurrence, and the integrality, of every
+later term (the proof is in its docstring). The recurrence gives the rest,
+only as far as a caller reads it. recurrence_values() is the one integer
+sequence kernel: it yields sum_j s_j x(k - j) for k = d, d+1, ... as a lazy
+sum over iterators into x, in which s_j = +1 or -1 is an add or a subtract,
+not a multiply, and extend() is the one loop that appends each value it yields
+to the list it reads, so that the kernel computes every later term from the
+first d. int_column() extends one integer column that way, decimal_columns()
+renders every column from the head, and generate() is the one routine for a
+whole certified sequence: the head with every column extended. The d_k
 sequences of dkseq are gcds of such columns; verify_recurrence checks a column
 that is not one, such as d_k, term by term.
 
@@ -43,7 +45,7 @@ from collections import namedtuple
 from decimal import (
     MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, Rounded, localcontext
 )
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exactlinalg import InvariantViolation
 from .numberfield import FieldElement, ModuleBasis, min_poly
@@ -57,27 +59,19 @@ _EXACT = Context(
 
 
 class SequenceReport(namedtuple("SequenceReport", "terms charpoly")):
-    """Integer coordinate rows x_i(k) (row k, column i) plus their recurrence.
+    """Integer coordinate columns x_i(k) (terms[i - 1][k]) plus their recurrence.
 
-    The rows are all of a sequence's, as generate() gives them, or its first
-    ones, as sequence_head() does.
+    The columns hold every term of a sequence, as generate() gives them, or
+    its first ones, as sequence_head() does.
     """
 
     __slots__ = ()
-    # terms: list[list[int]]
+    # terms: list[list[int]], one column per coordinate, each through kmax
     # charpoly: tuple[int, ...], ascending, monic; the recurrence all columns satisfy
 
     @property
     def kmax(self) -> int:
-        return len(self.terms) - 1
-
-    @property
-    def ncols(self) -> int:
-        return len(self.terms[0])
-
-    def column(self, i: int) -> list[int]:
-        """Column i, 1-indexed to match the x_i naming."""
-        return [row[i - 1] for row in self.terms]
+        return len(self.terms[0]) - 1
 
 
 class LdsVerdict(namedtuple("LdsVerdict", "ok witness", defaults=(None,))):
@@ -99,7 +93,7 @@ def sequence_head(
     kmax: int,
     error: Callable[[int], str] = _outside_module,
 ) -> SequenceReport:
-    """Rows 0..min(kmax, d) of the coordinates of beta * eps^k over w, d = deg min_poly(eps).
+    """Terms 0..min(kmax, d) of each coordinate of beta * eps^k over w, d = deg min_poly(eps).
 
     The rows come from field products (w.power_rows), and every one must come
     out integral: a fractional coordinate means beta is not in the module or
@@ -125,14 +119,15 @@ def sequence_head(
             raise ValueError("eps must be an algebraic integer")
         charpoly.append(int(c))
     d = len(charpoly) - 1
-    rows = list(map(list, w.power_rows(beta, eps, min(kmax, d) + 1, error)))
-    if len(rows) > d:
-        predicted = [next(recurrence_values(charpoly, column)) for column in zip(*rows)]
-        if predicted != rows[d]:
+    columns = list(map(list, zip(*w.power_rows(beta, eps, min(kmax, d) + 1, error))))
+    if kmax >= d:
+        predicted = [next(recurrence_values(charpoly, column)) for column in columns]
+        row = [column[d] for column in columns]
+        if predicted != row:
             raise InvariantViolation(
-                f"coordinates of beta*eps^{d} are {rows[d]}, not {predicted} by the recurrence"
+                f"coordinates of beta*eps^{d} are {row}, not {predicted} by the recurrence"
             )
-    return SequenceReport(terms=rows, charpoly=tuple(charpoly))
+    return SequenceReport(terms=columns, charpoly=tuple(charpoly))
 
 
 def int_column(head: SequenceReport, i: int, kmax: int) -> list[int]:
@@ -143,26 +138,42 @@ def int_column(head: SequenceReport, i: int, kmax: int) -> list[int]:
     The recurrence runs over terms 1, 2, ..., so its first value is term d + 1.
     """
     d = len(head.charpoly) - 1
-    column = head.column(i)
+    column = head.terms[i - 1]
     if kmax <= d:
         return column[: kmax + 1]
-    tail = column[1 : d + 1]
-    append = tail.append
-    for value in itertools.islice(recurrence_values(head.charpoly, tail), kmax - d):
-        append(value)
-    tail.insert(0, column[0])
-    return tail
+    terms = extend(head.charpoly, column[1 : d + 1], kmax - d)
+    terms.insert(0, column[0])
+    return terms
 
 
-def generate(beta: FieldElement, eps: FieldElement, w: ModuleBasis, kmax: int) -> SequenceReport:
-    """Exact coordinates of beta * eps^k over w for k = 0..kmax, by rows.
+def generate(
+    beta: FieldElement,
+    eps: FieldElement,
+    w: ModuleBasis,
+    kmax: int,
+    error: Callable[[int], str] = _outside_module,
+) -> SequenceReport:
+    """Exact coordinates of beta * eps^k over w for k = 0..kmax, one column per coordinate.
 
     The certified head of sequence_head, each column extended by int_column;
-    the errors are those of sequence_head.
+    the errors are those of sequence_head, error included.
     """
-    head = sequence_head(beta, eps, w, kmax)
-    columns = [int_column(head, i, kmax) for i in range(1, head.ncols + 1)]
-    return SequenceReport(terms=list(map(list, zip(*columns))), charpoly=head.charpoly)
+    head = sequence_head(beta, eps, w, kmax, error)
+    columns = [int_column(head, i, kmax) for i in range(1, len(head.terms) + 1)]
+    return SequenceReport(terms=columns, charpoly=head.charpoly)
+
+
+def extend(charpoly: Sequence[int], first: Iterable, count: int) -> list:
+    """The terms x(0..d-1) of first, then the next count terms under charpoly, of degree d.
+
+    The one self-feeding loop: each value recurrence_values yields is appended
+    to the list it reads before the next is asked for. count <= 0 adds none.
+    """
+    terms = list(first)
+    append = terms.append
+    for value in itertools.islice(recurrence_values(charpoly, terms), max(count, 0)):
+        append(value)
+    return terms
 
 
 def recurrence_values(charpoly: Sequence[int], x: Sequence) -> Iterator:
@@ -204,7 +215,7 @@ def verify_recurrence(report: SequenceReport) -> bool:
     d = len(report.charpoly) - 1
     if report.kmax < d:
         raise ValueError("not enough terms to test the recurrence")
-    for column in zip(*report.terms):
+    for column in report.terms:
         # the column first: map stops at its end before asking for another value
         if not all(map(operator.eq, column[d:], recurrence_values(report.charpoly, column))):
             return False
@@ -244,23 +255,25 @@ def _negated(text: str) -> str:
 def decimal_columns(head: SequenceReport, kmax: int) -> list[DecimalList]:
     """Terms 0..kmax of each column as decimal strings, in time linear in their digit count.
 
-    head holds rows 0..min(kmax, d) at least, d the degree of its charpoly,
-    of a sequence whose every column satisfies that recurrence for k >= d:
-    the head of sequence_head, whose checked row d proves it, or a report
-    checked in full by verify_recurrence. Only those rows are read. A column
-    equal to +- an earlier column shifted down one row (see _shift_source)
-    takes every term after its first from that column's strings, negated by
-    a string edit where the sign is -1; x3(k) = -x2(k-1) and x4(k) = x3(k-1)
-    over a quartic-power basis. In every other column the first d terms are
-    converted with str(), and every later term is computed by the recurrence
-    in exact decimal arithmetic. Each string is therefore str() of its term,
-    by induction on k: the recurrence fixes a column from its first d terms.
+    head holds terms 0..min(kmax, d) of each column at least, d the degree of
+    its charpoly, of a sequence whose every column satisfies that recurrence
+    for k >= d: the head of sequence_head, whose checked row d proves it, or a
+    report checked in full by verify_recurrence. Only those terms are read.
+    A column equal to +- an earlier column shifted down one row (see
+    _shift_source) takes every term after its first from that column's
+    strings, negated by a string edit where the sign is -1; x3(k) = -x2(k-1)
+    and x4(k) = x3(k-1) over a quartic-power basis. In every other column the
+    first d terms are converted with str(), and every later term is computed
+    by the recurrence in exact decimal arithmetic. Each string is therefore
+    str() of its term, by induction on k: the recurrence fixes a column from
+    its first d terms.
     """
     d = len(head.charpoly) - 1
-    ints: list[tuple[int, ...]] = []
+    ints: list[list[int]] = []
     columns: list[DecimalList] = []
     with localcontext(_EXACT):
-        for column in zip(*head.terms[: min(kmax, d) + 1]):
+        for column in head.terms:
+            column = column[: min(kmax, d) + 1]
             shift = _shift_source(column, ints)
             ints.append(column)
             if shift is not None:
@@ -270,11 +283,7 @@ def decimal_columns(head: SequenceReport, kmax: int) -> list[DecimalList]:
                 text.extend(rest if sign == 1 else map(_negated, rest))
                 columns.append(text)
                 continue
-            values = list(map(Decimal, column[:d]))
-            append = values.append
-            later = recurrence_values(head.charpoly, values)
-            for value in itertools.islice(later, max(kmax + 1 - d, 0)):
-                append(value)
+            values = extend(head.charpoly, map(Decimal, column[:d]), kmax + 1 - d)
             text = DecimalList(map(str, values))
             # the product of 0 and a negative s_j is -0, the one decimal value
             # whose text is not str() of its int

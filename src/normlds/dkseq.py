@@ -3,10 +3,11 @@
 Over a ring with basis {1, w2, ..., wn} the maximum is a gcd of shifted
 coordinates: d_k = gcd(x1(k) - 1, x2(k), ..., xn(k)), the content of
 x(k) - e1 where x(k) are the coordinates of alpha^k. dk_sequence and
-sparse_minpoly_scan take those coordinates as every sequence of the package
-does: rows 0..d from field products and the certified recurrence after them
-(coordseq.sequence_head and int_column); dk() computes one term from
-alpha**k in the field and serves as the independent check.
+sparse_minpoly_scan take those coordinates, one column per coordinate, from
+coordseq.generate, the routine of every whole sequence of the package: rows
+0..d from field products and the certified recurrence after them; dk()
+computes one term from alpha**k in the field and serves as the independent
+check.
 
 When M, the matrix of y -> alpha*y over the ring, is in GL_n(Z) (alpha keeps
 the ring and N(alpha) = +-1), x(k) - e1 = M^j (x(k - j) - y(j)) with
@@ -18,23 +19,21 @@ dk_sequence takes j = k // 2 and works on coordinates of half the digits.
 The module also hosts the order-4 recurrence check for quadratic norm-1
 units and the change of basis matching d_k/d_1 with a first coordinate
 sequence: T comes from basisforge._quadratic_unit_trace, the basis from
-basisforge.lds_basis, and the terms through coordseq.recurrence_values. It
-hosts the vanishing scan for lacunary minimal polynomials too, and
-power-basis discriminants, as +-N(f'(alpha)) for the defining polynomial f.
+basisforge.lds_basis, and the terms from coordseq.extend; the recurrence
+report of d_k is one column, the d_k list itself. It hosts the vanishing scan
+for lacunary minimal polynomials too, and power-basis discriminants, as
++-N(f'(alpha)) for the defining polynomial f.
 Their results, DkSequence, DkMatchReport and the sparse scan's rows and
 report, are collections.namedtuple records.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 
 from .basisforge import _quadratic_unit_trace, lds_basis
-from .coordseq import (
-    SequenceReport, int_column, recurrence_values, sequence_head, verify_recurrence
-)
+from .coordseq import SequenceReport, extend, generate, verify_recurrence
 from .numberfield import (
     FieldElement,
     ModuleBasis,
@@ -88,16 +87,6 @@ def dk(alpha: FieldElement, ringbasis: ModuleBasis, k: int) -> int:
     return math.gcd(num[0] - 1, *num[1:])
 
 
-def _certified_columns(alpha: FieldElement, ringbasis: ModuleBasis, last: int) -> list[list[int]]:
-    """Columns of the coordinates of an integral alpha^k over the ring basis, k = 0..last.
-
-    The certified head of sequence_head, each column extended by int_column;
-    the first non-integral k, at most deg min_poly(alpha), raises ValueError.
-    """
-    head = sequence_head(ringbasis.field.one, alpha, ringbasis, last, _non_integral)
-    return [int_column(head, i, last) for i in range(1, head.ncols + 1)]
-
-
 def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSequence:
     """d_1 .. d_kmax as gcds of coordinate columns.
 
@@ -119,15 +108,16 @@ def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSeq
         ringbasis.int_coords(alpha * v)[1] == 1 for v in ringbasis.vectors
     )
     half = kmax // 2 if unimodular else 0
+    one = ringbasis.field.one
     if all(c.denominator == 1 for c in mp):
-        xs = _certified_columns(alpha, ringbasis, kmax - half)
+        xs = generate(one, alpha, ringbasis, kmax - half, _non_integral).terms
     else:
         # no integer recurrence: every row comes from field products, so a
         # non-integral row past the degree of mp is still found
-        rows = ringbasis.power_rows(ringbasis.field.one, alpha, kmax + 1, _non_integral)
+        rows = ringbasis.power_rows(one, alpha, kmax + 1, _non_integral)
         xs = list(zip(*rows))
     if unimodular:
-        ys = _certified_columns(alpha.inverse(), ringbasis, half)
+        ys = generate(one, alpha.inverse(), ringbasis, half, _non_integral).terms
     else:
         ys = [[int(i == 0)] for i in range(len(ringbasis.vectors))]
     terms = []
@@ -141,21 +131,22 @@ def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSeq
 def recurrence_report(seq: DkSequence) -> SequenceReport:
     """d_1, d_2, ... as one column under X^4 - T X^2 + 1: d_{k+4} = T d_{k+2} - d_k.
 
-    Only a nontorsion quadratic unit of norm 1 has this recurrence; anything
-    else is refused rather than failed.
+    The column is seq.terms itself, not a copy. Only a nontorsion quadratic
+    unit of norm 1 has this recurrence; anything else is refused rather than
+    failed.
     """
     t = seq.t_trace
     if t is None:
         raise CheckRefused("alpha is not a quadratic unit of norm 1")
     if any(d == 0 for d in seq.terms):
         raise CheckRefused("alpha is torsion")
-    return SequenceReport(terms=[[d] for d in seq.terms], charpoly=(1, 0, -t, 0, 1))
+    return SequenceReport(terms=[seq.terms], charpoly=(1, 0, -t, 0, 1))
 
 
 def dk_recurrence_check(report: SequenceReport) -> bool:
     """Whether every d_{k+4} of a recurrence_report is T d_{k+2} - d_k."""
-    # with kmax <= 4 terms there is no k with k + 4 <= kmax
-    if len(report.terms) <= 4:
+    # with at most 4 terms there is no k with k + 4 <= kmax
+    if report.kmax < 4:
         return True
     return verify_recurrence(report)
 
@@ -220,10 +211,7 @@ def match_dk_basis(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int = 30) 
     # x(k) = A^T y(k) where y(k) are power coordinates of eta^k mod X^4 - T X^2 + 1;
     # y(k) = e_(k+1) for k <= 3, so x1(0..3) is column 0 of A, normalized, and
     # x1 follows the recurrence
-    x1 = list(normalized)
-    append = x1.append
-    for value in itertools.islice(recurrence_values(poly, x1), max(kmax - 3, 0)):
-        append(value)
+    x1 = extend(poly, normalized, kmax - 3)
     matched = next(
         (k - 1 for k in range(kmax + 1) if x1[k] * d1 != (seq.dk(k) if k else 0)), kmax
     )
@@ -280,9 +268,9 @@ def sparse_minpoly_scan(
     Requires f = X^deg - s_1 X^(deg-1) - ... with s_i = 0 for every i outside tZ.
     For such f the power coordinate y1(n) of alpha^n vanishes on 1 + tZ, which
     forces the relative d~_n = gcd(y1-1, y2, ...) to 1; under the monogenic
-    assertion d_n itself is 1. The rows are the coordinates of
-    alpha * (alpha^t)^i: the certified head of sequence_head, then the
-    recurrence of alpha^t.
+    assertion d_n itself is 1. Term i of each column is a coordinate of
+    alpha * (alpha^t)^i, from coordseq.generate under the recurrence of
+    alpha^t.
     """
     deg = field.degree
     if t <= 0 or deg % t != 0:
@@ -295,22 +283,15 @@ def sparse_minpoly_scan(
             )
     disc = discriminant_power_basis(field)
     alpha = field.generator
-    # row i is alpha * (alpha^t)^i = alpha^n for n = 1 + t*i <= nmax
+    # term i is alpha * (alpha^t)^i = alpha^n for n = 1 + t*i <= nmax
     ns = range(1, nmax + 1, t)
     last = max(len(ns) - 1, 0)
-    head = sequence_head(alpha, alpha**t, field.power_basis(), last, _non_integral)
-    columns = [int_column(head, i, last) for i in range(1, deg + 1)]
-    rows = []
-    for n, coords in zip(ns, zip(*columns)):
-        d_tilde = math.gcd(coords[0] - 1, *coords[1:])
-        rows.append(
-            SparseScanRow(
-                n=n,
-                y1=coords[0],
-                d_tilde=d_tilde,
-                d=d_tilde if assert_monogenic else None,
-            )
-        )
+    y1, *rest = generate(alpha, alpha**t, field.power_basis(), last, _non_integral).terms
+    d_tildes = map(math.gcd, [y - 1 for y in y1], *rest)
+    rows = [
+        SparseScanRow(n=n, y1=y, d_tilde=d_tilde, d=d_tilde if assert_monogenic else None)
+        for n, y, d_tilde in zip(ns, y1, d_tildes)
+    ]
     return SparseScanReport(t=t, disc=disc, monogenic_asserted=assert_monogenic, rows=rows)
 
 

@@ -9,7 +9,8 @@ routines against these. lucas_terms is the Lucas sequence u_k(P, Q) by its
 recurrence: in the quadratic case x1 is a scaled Lucas sequence, and the
 quartic-power x1 is built from one. fraction_rows is the coordinate sequence
 of beta * eps^k by one field product and one Fraction coordinate solve per
-term, the reference for every integer sequence the library builds.
+term, the reference for every integer sequence the library builds;
+fraction_columns is the same sequence as columns.
 """
 
 from __future__ import annotations
@@ -134,3 +135,8 @@ def fraction_rows(beta, eps, w, kmax: int, error: Callable[[int], str] = outside
         rows.append([int(c) for c in coords])
         current = current * eps
     return rows
+
+
+def fraction_columns(beta, eps, w, kmax: int, error: Callable[[int], str] = outside_module) -> list[list[int]]:
+    """fraction_rows as columns, one per coordinate, the shape of a SequenceReport's terms."""
+    return [list(column) for column in zip(*fraction_rows(beta, eps, w, kmax, error))]

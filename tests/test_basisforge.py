@@ -158,7 +158,7 @@ VALID_M = [m for m in range(2, 60) if math.isqrt(m) ** 2 != m and math.isqrt(m +
 def test_family_basis_is_an_lds_basis_of_the_closed_form_module(m):
     cons = family_basis(m)
     field = cons.basis.field
-    x1 = coordseq.generate(field.one, field.generator, cons.basis, 120).column(1)
+    x1 = coordseq.generate(field.one, field.generator, cons.basis, 120).terms[0]
     a = cons.scale
     assert x1[:4] == [0, a, a, a * (4 * m + 3)]
     assert coordseq.verify_lds(x1, 120).ok
@@ -183,7 +183,7 @@ def test_quad_construct_x1_is_a_scaled_lucas_sequence(n, beta_coords):
     # the scale is the pivot a22 of the column Hermite form of B
     b = IntMatrix.from_rows([beta.coords, (beta * unit).coords])
     assert cons.scale == hnf_column(b).h.entries[1][1]
-    x1 = coordseq.generate(beta, unit, cons.basis, 60).column(1)
+    x1 = coordseq.generate(beta, unit, cons.basis, 60).terms[0]
     assert x1 == [cons.scale * u for u in lucas_terms(cons.t_trace, 1, 61)]
     assert coordseq.verify_lds(x1, 60).ok
 

@@ -2,7 +2,7 @@
 
 coordseq.sequence_head takes rows 0..d, d the degree of min_poly(eps), from
 ModuleBasis.power_rows and checks row d against the recurrence; generate,
-int_column and decimal_columns build every later term from those rows. These
+int_column and decimal_columns build every later term of each column from it. These
 tests hold them to the Fraction field-product oracle taken all the way, count
 the work each sequence command does, and bound the memory that verify-lds
 holds.
@@ -33,7 +33,7 @@ from normlds.coordseq import (
     verify_recurrence,
 )
 from normlds.numberfield import ModuleBasis, NumberField, min_poly
-from oracles import fraction_rows
+from oracles import fraction_columns, fraction_rows
 from oracles import outside_module as non_integral
 
 
@@ -106,7 +106,7 @@ class TestCertifiedPathEqualsTheStepMatrix:
     @settings(max_examples=300, deadline=None)
     def test_every_term_and_every_error(self, case, kmax):
         beta, eps, basis = case
-        want = outcome(lambda: fraction_rows(beta, eps, basis, kmax))
+        want = outcome(lambda: fraction_columns(beta, eps, basis, kmax))
         assert outcome(lambda: generate(beta, eps, basis, kmax).terms) == want
         head = outcome(lambda: sequence_head(beta, eps, basis, kmax))
         d = len(min_poly(eps)) - 1
@@ -115,9 +115,8 @@ class TestCertifiedPathEqualsTheStepMatrix:
             # rows 0..d integral certify every later row integral
             assert int(re.search(r"k=(\d+)", want[1]).group(1)) <= d
             return
-        rows, head = want[1], head[1]
-        assert len(head.terms) == min(kmax, d) + 1
-        columns = [list(column) for column in zip(*rows)]
+        columns, head = want[1], head[1]
+        assert head.kmax == min(kmax, d)
         for i, column in enumerate(columns, 1):
             assert int_column(head, i, kmax) == column
         assert decimal_columns(head, kmax) == [[str(x) for x in column] for column in columns]
@@ -127,8 +126,8 @@ class TestCertifiedPathEqualsTheStepMatrix:
         k4 = NumberField((1, 0, -10, 0, 1))
         beta, eps = k4.element([2, -1, 0, 1]), k4.generator ** 2
         head = sequence_head(beta, eps, k4.power_basis(), 40)
-        assert head.charpoly == (1, -10, 1) and len(head.terms) == 3
-        want = fraction_rows(beta, eps, k4.power_basis(), 40)
+        assert head.charpoly == (1, -10, 1) and head.kmax == 2
+        want = fraction_columns(beta, eps, k4.power_basis(), 40)
         assert generate(beta, eps, k4.power_basis(), 40).terms == want
 
     @pytest.mark.parametrize("sign", [1, -1])
@@ -136,15 +135,15 @@ class TestCertifiedPathEqualsTheStepMatrix:
         k2 = NumberField((-3, 0, 1))
         beta = k2.element([5, -2])
         head = sequence_head(beta, k2.from_int(sign), k2.power_basis(), 9)
-        assert head.charpoly == (-sign, 1) and len(head.terms) == 2
-        want = [[5 * sign**k, -2 * sign**k] for k in range(10)]
+        assert head.charpoly == (-sign, 1) and head.kmax == 1
+        want = [[5 * sign**k for k in range(10)], [-2 * sign**k for k in range(10)]]
         assert generate(beta, k2.from_int(sign), k2.power_basis(), 9).terms == want
-        assert decimal_columns(head, 9) == [[str(x) for x in c] for c in zip(*want)]
+        assert decimal_columns(head, 9) == [[str(x) for x in c] for c in want]
 
     def test_beta_zero(self):
         k4 = NumberField((1, 0, -10, 0, 1))
         head = sequence_head(k4.from_int(0), k4.generator, k4.power_basis(), 30)
-        assert generate(k4.from_int(0), k4.generator, k4.power_basis(), 30).terms == [[0] * 4] * 31
+        assert generate(k4.from_int(0), k4.generator, k4.power_basis(), 30).terms == [[0] * 31] * 4
         assert decimal_columns(head, 30) == [["0"] * 31] * 4
 
     def test_a_non_integral_row_fails_at_the_same_k(self):
@@ -245,7 +244,7 @@ class TestWorkCount:
         # and floor(kmax/2)
         lasts = []
         monkeypatch.setattr(
-            dkseq, "int_column", lambda head, i, last: lasts.append(last) or int_column(head, i, last)
+            coordseq, "int_column", lambda head, i, last: lasts.append(last) or int_column(head, i, last)
         )
         rc, out, _ = run_cli(["dk-scan", "--field", "x^2-3", "--alpha", "2+t", "--kmax", str(kmax)])
         assert rc == 0 and len(json.loads(out)["terms"]) == kmax
@@ -309,12 +308,13 @@ class TestVerifyLdsMemory:
     def parent_layout_peak(self):
         """The peak of the pipeline that verify-lds replaced.
 
-        It kept the int rows of the whole report, scanned them with
+        It kept the int terms of the whole report, scanned them with
         verify_recurrence, and still held them while the report was rendered
-        and written. Its own decimal rendering also kept a tuple per column,
-        and its terms were a DecimalList per row, built here from the columns
-        as the deleted coordseq.decimal_rows built them, so this peak is at
-        most the one it had.
+        and written. It held them as rows, and here generate gives columns,
+        which take less memory; its own decimal rendering also kept a tuple
+        per column, and its terms were a DecimalList per row, built here from
+        the columns as the deleted coordseq.decimal_rows built them, so this
+        peak is at most the one it had.
         """
         k4 = NumberField((1, 0, -10, 0, 1))
         beta, unit = k4.element([2, -1, 0, 1]), k4.generator
@@ -326,7 +326,7 @@ class TestVerifyLdsMemory:
             assert verify_recurrence(report)
             terms = list(map(coordseq.DecimalList, zip(*decimal_columns(report, 600))))
             spf = coordseq.smallest_prime_factors(600)
-            lds = [coordseq.verify_lds(report.column(i), 600, spf).ok for i in range(1, 5)]
+            lds = [coordseq.verify_lds(column, 600, spf).ok for column in report.terms]
             coords = [list(map(str, v.coords)) for v in basis.vectors]
             payload = {"terms": terms, "lds": lds, "basis": coords}
             out = io.StringIO()
@@ -342,6 +342,6 @@ class TestVerifyLdsMemory:
         assert ours <= parent
         # one layout: beside what emit-sequence holds, at most one int column at a time
         emit = traced_peak(["emit-sequence", *self.ARGS])
-        column = max(int_bytes(report.column(i)) for i in range(1, 5))
+        column = max(map(int_bytes, report.terms))
         sieve = int_bytes(range(601))
         assert ours <= emit + column + sieve < emit + int_bytes(itertools.chain(*report.terms))

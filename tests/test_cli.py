@@ -59,8 +59,34 @@ def test_dk_scan_builds_the_recurrence_report_once(monkeypatch):
     assert rc == 0
     # the report that was checked is the one rendered: built once, never rebuilt
     assert len(reports) == 1 and len(checked) == 1 and checked[0] is reports[0]
-    assert len(reports[0].terms) == 40
+    assert len(reports[0].terms[0]) == 40
     assert json.loads(out)["recurrence_ok"] is True
+
+
+@pytest.mark.parametrize(
+    "field, alpha, vanishing, calls",
+    [
+        # a unit: the x and alpha^-1 streams
+        ("x^2-3", "2+t", [], 2),
+        # 1 + t has norm -2: the x stream alone
+        ("x^2-3", "1+t", [], 1),
+        # the vanishing scan adds one stream, the powers of alpha^t
+        ("x^4-10x^2+1", "t", ["--vanishing-t", "2"], 3),
+        ("x^2-3", "1+t", ["--vanishing-t", "1"], 2),
+    ],
+    ids=["unit", "non-unit", "unit, vanishing scan", "non-unit, vanishing scan"],
+)
+def test_dk_scan_builds_its_sequences_through_generate(monkeypatch, field, alpha, vanishing, calls):
+    built = []
+
+    def counting(*args):
+        built.append(coordseq.generate(*args))
+        return built[-1]
+
+    monkeypatch.setattr(dkseq, "generate", counting)
+    rc, out, _ = run_cli(["dk-scan", "--field", field, "--alpha", alpha, "--kmax", "20", *vanishing])
+    assert rc == 0 and len(json.loads(out)["terms"]) == 20
+    assert len(built) == calls
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])

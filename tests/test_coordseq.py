@@ -29,8 +29,7 @@ class TestGenerate:
     def test_pell_columns(self):
         eps = SQRT2.element([3, 2])
         rep = generate(SQRT2.one, eps, SQRT2.power_basis(), 4)
-        assert rep.column(1) == [1, 3, 17, 99, 577]
-        assert rep.column(2) == [0, 2, 12, 70, 408]
+        assert rep.terms == [[1, 3, 17, 99, 577], [0, 2, 12, 70, 408]]
         assert rep.charpoly == (1, -6, 1)
 
     def test_power_basis_indicators(self):
@@ -47,7 +46,7 @@ class TestGenerate:
         basis = SQRT2.power_basis()
         rep = generate(SQRT2.element([1, 1]), eps, basis, 20)
         value = SQRT2.element([1, 1])
-        for row in rep.terms:
+        for row in zip(*rep.terms):
             assert basis.combine(row) == value
             value = value * eps
 
@@ -72,7 +71,7 @@ class TestVerifyRecurrence:
 
     def test_corrupted_entry_detected(self):
         rep = generate(SQRT2.one, SQRT2.element([3, 2]), SQRT2.power_basis(), 10)
-        rep.terms[7][0] += 1
+        rep.terms[0][7] += 1
         assert not verify_recurrence(rep)
 
 
@@ -101,8 +100,8 @@ class TestMinimalOrder:
             if beta.is_zero():
                 continue
             rep = generate(beta, BIQUAD.generator, basis, 20)
-            for i in range(1, 5):
-                assert minimal_order(rep.column(i)).order <= 4
+            for column in rep.terms:
+                assert minimal_order(column).order <= 4
 
     def test_insufficient_terms(self):
         with pytest.raises(ValueError, match="certif"):
@@ -185,7 +184,7 @@ def test_degenerate_trace_sequence_is_zero():
 def test_minimality_and_verdicts_of_each_column():
     eps = SQRT2.element([3, 2])
     rep = generate(SQRT2.one, eps, SQRT2.power_basis(), 30)
-    columns = [rep.column(i) for i in range(1, rep.ncols + 1)]
+    columns = rep.terms
     assert all(minimal_order(c).order == 2 for c in columns)
     # x1 = 1, 3, 17, ... fails immediately; x2 = 0, 2, 12, 70, ... is 2*u_k
     assert verify_lds(columns[0], 30) == LdsVerdict(False, (1, 2))

@@ -88,11 +88,20 @@ def test_match_dk_basis_through_k_60(poly, alpha):
     if report.basis is not None:
         # x1 of eta^k over the returned basis is d_k / d_1, computed by the sequence kernel
         k4 = report.basis.field
-        x1 = coordseq.generate(k4.one, k4.generator, report.basis, 60).column(1)
+        x1 = coordseq.generate(k4.one, k4.generator, report.basis, 60).terms[0]
         assert x1 == [0] + [d // d1 for d in terms]
         # vector i is row i of the completion's inverse over the power basis
         rows = inverse_unimodular(complete_primitive(report.normalized)).entries
         assert [w.coords for w in report.basis.vectors] == [tuple(row) for row in rows]
+
+
+def test_recurrence_report_holds_the_dk_list_itself():
+    # one column, the d_k list of the sequence: no list is built per term
+    field = NumberField((-3, 0, 1))
+    seq = dkseq.dk_sequence(field.element([2, 1]), field.power_basis(), 30)
+    report = dkseq.recurrence_report(seq)
+    assert report.terms == [seq.terms] and report.terms[0] is seq.terms
+    assert report.kmax == 29 and dkseq.dk_recurrence_check(report)
 
 
 @settings(max_examples=150, deadline=None)

@@ -88,3 +88,34 @@ def test_dk_scan_grows_linearly_with_the_field(case):
         peaks.append(peak)
     for growth in (sizes, peaks):
         assert all(later <= 2.5 * earlier for earlier, later in zip(growth, growth[1:])), growth
+
+
+# one numeric text input of a subcommand each, at n = 3^e digits-doubling steps
+SCALING_CASES = {
+    # m = 2n, so that neither m nor m + 1 is a square
+    "family --m": lambda n: ["construct-basis", "--method", "family", "--m", str(2 * n)],
+    # x2 of the unit n + t is the Lucas sequence U_k(2n, 1), an LDS
+    "quadratic --unit": lambda n: ["verify-lds", "--field", f"x^2-{n * n - 1}", f"--unit={n}+t",
+                                   "--column", "2", "--kmax", "40"],
+    "quadratic --beta": lambda n: ["construct-basis", "--method", "quadratic", "--field", "x^2-3",
+                                   "--unit", "2+t", f"--beta={n}+{2 * n + 1}t"],
+    "dense quartic field": lambda n: ["emit-sequence", "--field", f"x^4+{n}x^3+{n}x^2+{n}x+1",
+                                      "--unit", "t", "--kmax", "40"],
+    # {1, n + t} spans Z[t], and x2 is the b of (2 + t)^k = a + b t, an LDS
+    "--module-basis": lambda n: ["verify-lds", "--field", "x^2-3", "--unit", "2+t",
+                                 "--module-basis", f"1;{n}+t", "--column", "2", "--kmax", "40"],
+}
+
+
+@pytest.mark.parametrize("case", list(SCALING_CASES))
+def test_numeric_input_grows_the_report_linearly(case):
+    # e = 100, 200, 400 is 48, 96 and 191 digits; the quartic's terms carry its
+    # coefficients' digits at every step, so it runs at half those
+    exponents = (50, 100, 200) if case == "dense quartic field" else (100, 200, 400)
+    sizes = []
+    for e in exponents:
+        seconds, rc, out, err = timed_cli(SCALING_CASES[case](3**e))
+        assert (rc, err) == (0, "")
+        assert seconds < 0.5, f"e = {e} took {seconds:.3f} s"
+        sizes.append(len(out))
+    assert all(later <= 2.5 * earlier for earlier, later in zip(sizes, sizes[1:])), sizes

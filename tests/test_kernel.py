@@ -32,7 +32,7 @@ from normlds.dkseq import CheckRefused, dk, dk_recurrence_check, dk_sequence, sp
 from normlds.dkseq import recurrence_report as dk_report
 from normlds.basisforge import quartic_module_construct
 from normlds.numberfield import ModuleBasis, NumberField
-from oracles import fraction_rows, outside_module
+from oracles import fraction_columns, fraction_rows, outside_module
 
 QUADRATICS = [(-2, 0, 1), (-3, 0, 1), (-5, 0, 1), (1, 0, 1), (-1, -1, 1), (-7, 0, 1)]
 QUARTICS = [(1, 0, -10, 0, 1), (1, 0, -4, 0, 1), (-2, 0, 0, 0, 1), (1, 0, 0, 0, 1), (1, 0, -5, 0, 1)]
@@ -100,7 +100,7 @@ class TestCoordinateRows:
     @settings(max_examples=300, deadline=None)
     def test_rows_and_errors_match_fraction_oracle(self, case):
         beta, eps, basis, kmax = case
-        want = outcome(fraction_rows, beta, eps, basis, kmax)
+        want = outcome(fraction_columns, beta, eps, basis, kmax)
         got = outcome(lambda *a: generate(*a).terms, beta, eps, basis, kmax)
         assert got == want
 
@@ -110,14 +110,14 @@ class TestCoordinateRows:
         basis = ModuleBasis(k4, (k4.one, t, (t * t).scale(2), t * t * t))
         with pytest.raises(ValueError, match=r"^non-integral coordinate at k=2: "):
             generate(k4.one, t, basis, 6)
-        assert fraction_rows(k4.one, t, basis, 1) == generate(k4.one, t, basis, 1).terms
+        assert fraction_columns(k4.one, t, basis, 1) == generate(k4.one, t, basis, 1).terms
 
     def test_no_row_past_kmax_is_computed(self):
         # row 2 is not integral, so asking for rows 0..1 must not fail
         k4 = NumberField((1, 0, -10, 0, 1))
         t = k4.generator
         basis = ModuleBasis(k4, (k4.one, t, (t * t).scale(2), t * t * t))
-        assert generate(k4.one, t, basis, 1).terms == [[1, 0, 0, 0], [0, 1, 0, 0]]
+        assert generate(k4.one, t, basis, 1).terms == [[1, 0], [0, 1], [0, 0], [0, 0]]
 
     def test_field_mismatch(self):
         other = NumberField((-3, 0, 1))
@@ -137,17 +137,17 @@ class TestCoordinateRows:
         # a caller may overwrite any row or column it is given
         k4 = NumberField((-2, 0, 0, 0, 1))
         beta, eps = k4.one, k4.element([1, 1, -1, 1])
-        expected = fraction_rows(beta, eps, k4.power_basis(), 11)
-        rows = generate(beta, eps, k4.power_basis(), 11).terms
-        assert rows == expected and len({id(row) for row in rows}) == 12
-        for row in rows:
-            row[:] = [7, 7, 7, 7]
+        expected = fraction_columns(beta, eps, k4.power_basis(), 11)
+        columns = generate(beta, eps, k4.power_basis(), 11).terms
+        assert columns == expected and len({id(column) for column in columns}) == 4
+        for column in columns:
+            column[:] = [7] * 12
         head = sequence_head(beta, eps, k4.power_basis(), 11)
         for kmax in (2, 11):
             column = int_column(head, 1, kmax)
             column[:] = [7] * len(column)
-            assert int_column(head, 1, kmax) == [row[0] for row in expected[: kmax + 1]]
-        assert head.terms == expected[:5]
+            assert int_column(head, 1, kmax) == expected[0][: kmax + 1]
+        assert head.terms == [column[:5] for column in expected]
 
 
 @st.composite
@@ -307,7 +307,7 @@ class TestDkRecurrenceCheck:
     def test_refusals_and_short_sequences(self):
         alpha, ring = DK_SPECIAL[0]
         report = dk_report(dk_sequence(alpha, ring, 40))
-        assert len(report.terms) == 40 and dk_recurrence_check(report)
+        assert len(report.terms[0]) == 40 and dk_recurrence_check(report)
         # no k with k + 4 <= 4: up to four terms pass whatever they are
         for kmax in range(1, 5):
             seq = dk_sequence(alpha, ring, kmax)
@@ -393,21 +393,15 @@ def termwise_recurrence(report):
     if report.kmax < d:
         raise ValueError("not enough terms to test the recurrence")
     s = [-report.charpoly[d - j] for j in range(1, d + 1)]
-    for i in range(1, report.ncols + 1):
-        col = report.column(i)
+    for col in report.terms:
         for k in range(len(col) - d):
             if col[k + d] != sum(s[j - 1] * col[k + d - j] for j in range(1, d + 1)):
                 return False
     return True
 
 
-def str_rows(report):
-    return [[str(x) for x in row] for row in report.terms]
-
-
-def rows_of_columns(report):
-    """Rows 0..kmax of decimal_columns, as lists."""
-    return [list(row) for row in zip(*decimal_columns(report, report.kmax))]
+def str_columns(report):
+    return [[str(x) for x in column] for column in report.terms]
 
 
 @st.composite
@@ -433,10 +427,10 @@ class TestVerifyRecurrence:
     def test_one_mutated_term_fails(self, report, data):
         d = len(report.charpoly) - 1
         k = data.draw(st.integers(d, report.kmax))
-        i = data.draw(st.integers(0, report.ncols - 1))
+        i = data.draw(st.integers(0, len(report.terms) - 1))
         delta = data.draw(st.integers(-3, 3).filter(bool))
-        terms = [list(row) for row in report.terms]
-        terms[k][i] += delta
+        terms = [list(column) for column in report.terms]
+        terms[i][k] += delta
         mutated = SequenceReport(terms=terms, charpoly=report.charpoly)
         assert verify_recurrence(report)
         assert termwise_recurrence(mutated) is False
@@ -447,17 +441,17 @@ class TestDecimalRows:
     @given(power_reports())
     @settings(max_examples=300, deadline=None)
     def test_matches_str_of_every_term(self, report):
-        assert rows_of_columns(report) == str_rows(report)
+        assert decimal_columns(report, report.kmax) == str_columns(report)
 
     def test_zero_columns_and_negative_terms(self):
         k4 = NumberField((1, 0, -10, 0, 1))
         # eps = -t^2 has charpoly x^2 + 10x + 1: columns 2 and 4 stay zero, signs alternate
         report = generate(k4.one, k4.element([0, 0, -1, 0]), k4.power_basis(), 12)
-        assert all(row[1] == row[3] == 0 for row in report.terms)
-        assert any(x < 0 for row in report.terms for x in row)
-        assert rows_of_columns(report) == str_rows(report)
+        assert report.terms[1] == report.terms[3] == [0] * 13
+        assert any(x < 0 for column in report.terms for x in column)
+        assert decimal_columns(report, report.kmax) == str_columns(report)
         zero = generate(k4.from_int(0), k4.generator, k4.power_basis(), 8)
-        assert rows_of_columns(zero) == [["0"] * 4] * 9
+        assert decimal_columns(zero, zero.kmax) == [["0"] * 9] * 4
 
     def test_column_past_the_int_digit_limit(self):
         k2 = NumberField((-3, 0, 1))
@@ -466,11 +460,11 @@ class TestDecimalRows:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            want = str_rows(report)
+            want = str_columns(report)
         finally:
             sys.set_int_max_str_digits(limit)
-        got = rows_of_columns(report)
-        assert len(got[-1][0]) > 4300
+        got = decimal_columns(report, report.kmax)
+        assert len(got[0][-1]) > 4300
         assert got == want
 
     def test_verified_dk_column_past_the_int_digit_limit(self):
@@ -483,21 +477,21 @@ class TestDecimalRows:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            want = str_rows(column)
+            want = str_columns(column)
         finally:
             sys.set_int_max_str_digits(limit)
-        got = rows_of_columns(column)
-        assert len(got[-1][0]) > 4300
+        got = decimal_columns(column, column.kmax)
+        assert len(got[0][-1]) > 4300
         assert got == want
 
     def test_caller_context_is_left_alone(self):
         report = generate(FIELDS[6].one, FIELDS[6].generator, FIELDS[6].power_basis(), 200)
-        want = str_rows(report)
+        want = str_columns(report)
         with decimal.localcontext() as ctx:
             ctx.prec = 5
             ctx.traps[decimal.Inexact] = False
             before = repr(ctx)
-            assert rows_of_columns(report) == want
+            assert decimal_columns(report, report.kmax) == want
             assert decimal.getcontext() is ctx
             assert repr(ctx) == before
 
@@ -513,7 +507,7 @@ def recurrence_column(charpoly, head, kmax):
 
 def recurrence_report(charpoly, heads, kmax):
     columns = [recurrence_column(charpoly, head, kmax) for head in heads]
-    return SequenceReport(terms=[list(row) for row in zip(*columns)], charpoly=tuple(charpoly))
+    return SequenceReport(terms=columns, charpoly=tuple(charpoly))
 
 
 @st.composite
@@ -554,16 +548,15 @@ class TestPlusMinusOneSteps:
     def test_decimal_rows_match_str_and_never_print_minus_zero(self, report):
         columns = decimal_columns(report, report.kmax)
         assert all(type(column) is DecimalList for column in columns)
-        rows = [list(row) for row in zip(*columns)]
-        assert rows == str_rows(report)
-        assert all(x != "-0" for row in rows for x in row)
+        assert columns == str_columns(report)
+        assert all(x != "-0" for column in columns for x in column)
 
     @pytest.mark.parametrize("charpoly, heads", PLUS_MINUS_CASES)
     def test_named_charpolys(self, charpoly, heads):
         report = recurrence_report(charpoly, heads, 60)
-        rows = rows_of_columns(report)
-        assert rows == str_rows(report)
-        assert all(x != "-0" for row in rows for x in row)
+        columns = decimal_columns(report, report.kmax)
+        assert columns == str_columns(report)
+        assert all(x != "-0" for column in columns for x in column)
         assert verify_recurrence(report) is termwise_recurrence(report) is True
 
     @given(plus_minus_reports(), st.data())
@@ -572,9 +565,9 @@ class TestPlusMinusOneSteps:
         assert verify_recurrence(report) is termwise_recurrence(report) is True
         d = len(report.charpoly) - 1
         k = data.draw(st.integers(d, report.kmax))
-        i = data.draw(st.integers(0, report.ncols - 1))
-        terms = [list(row) for row in report.terms]
-        terms[k][i] += data.draw(st.integers(-3, 3).filter(bool))
+        i = data.draw(st.integers(0, len(report.terms) - 1))
+        terms = [list(column) for column in report.terms]
+        terms[i][k] += data.draw(st.integers(-3, 3).filter(bool))
         mutated = SequenceReport(terms=terms, charpoly=report.charpoly)
         assert verify_recurrence(mutated) is termwise_recurrence(mutated) is False
 
@@ -600,7 +593,7 @@ def shifted_reports(draw):
         min_size=1, max_size=5,
     ))
     columns = [[sign * bases[b][k + 3 - s] for k in range(kmax + 1)] for b, s, sign in specs]
-    return SequenceReport(terms=[list(row) for row in zip(*columns)], charpoly=tuple(charpoly))
+    return SequenceReport(terms=columns, charpoly=tuple(charpoly))
 
 
 class TestShiftedColumns:
@@ -610,7 +603,7 @@ class TestShiftedColumns:
         if report.kmax >= len(report.charpoly) - 1:
             assert verify_recurrence(report)
         columns = decimal_columns(report, report.kmax)
-        assert columns == [[str(x) for x in column] for column in zip(*report.terms)]
+        assert columns == str_columns(report)
         assert all(type(column) is DecimalList for column in columns)
 
     def test_quartic_power_columns(self):
@@ -618,9 +611,9 @@ class TestShiftedColumns:
         k4 = NumberField((1, 0, -10, 0, 1))
         cons = quartic_module_construct(k4.element([2, -1, 0, 1]), k4.generator)
         report = generate(k4.element([2, -1, 0, 1]), k4.generator, cons.basis, 60)
-        x2, x3, x4 = report.column(2), report.column(3), report.column(4)
+        _, x2, x3, x4 = report.terms
         assert x3[1:] == [-x for x in x2[:-1]] and x4[1:] == x3[:-1]
-        assert rows_of_columns(report) == str_rows(report)
+        assert decimal_columns(report, report.kmax) == str_columns(report)
 
 
 class TestSharedSieve:
