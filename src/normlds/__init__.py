@@ -1,131 +1,18 @@
 """Exact toolkit for norm-form solution sequences and divisibility bases.
 
-Core pieces: exact integer/rational linear algebra with unimodular witnesses,
-arithmetic in number fields of degree up to 4, basis constructions that make
-the first coordinate sequence of beta * unit^k a linear divisibility sequence,
-brute-force sequence verification, and the congruence sequence d_k(alpha).
+The package is its six modules; import the one that holds a name. Each
+imports only the modules above it in this list:
+
+- exactlinalg: exact integer linear algebra with unimodular witnesses
+  (determinant, inverse, Hermite and Smith forms).
+- numberfield: arithmetic in number fields of degree 2 to 4, their elements
+  and module bases, and parsing and formatting.
+- coordseq: the coordinate sequences of beta * eps^k, certified by their
+  recurrence, and the check that one is a linear divisibility sequence.
+- basisforge: the basis constructions that make the first coordinate sequence
+  a linear divisibility sequence, and the Smith-form criterion.
+- dkseq: the congruence sequence d_k(alpha) and its checks.
+- cli: the batch command line over all of them.
 """
-
-from .exactlinalg import (
-    HnfDecomposition,
-    IntMatrix,
-    InvariantViolation,
-    SnfDecomposition,
-    complete_primitive,
-    det,
-    fraction_free_inverse,
-    hnf_column,
-    inverse_unimodular,
-    primitive_reducer,
-    snf,
-    xgcd,
-)
-from .numberfield import (
-    FieldElement,
-    ModuleBasis,
-    NumberField,
-    ParseError,
-    format_element,
-    format_polynomial,
-    min_poly,
-    norm,
-    parse_element,
-    parse_polynomial,
-    trace,
-)
-from .coordseq import (
-    LdsVerdict,
-    SequenceReport,
-    divides,
-    generate,
-    int_column,
-    sequence_head,
-    verify_lds,
-    verify_recurrence,
-)
-from .basisforge import (
-    LdsConstruction,
-    SnfCriterion,
-    family_basis,
-    family_field,
-    family_surd_basis,
-    lds_basis,
-    quad_construct,
-    quartic_full_construct,
-    quartic_module_construct,
-    quartic_unit_trace,
-    snf_criterion,
-    snf_criterion_matrix,
-)
-from .dkseq import (
-    CheckRefused,
-    DkMatchReport,
-    DkSequence,
-    SparseScanReport,
-    discriminant_power_basis,
-    dk,
-    dk_level_scan,
-    dk_recurrence_check,
-    dk_sequence,
-    match_dk_basis,
-    sparse_minpoly_scan,
-)
-
-__all__ = [
-    "CheckRefused",
-    "DkMatchReport",
-    "DkSequence",
-    "FieldElement",
-    "HnfDecomposition",
-    "IntMatrix",
-    "InvariantViolation",
-    "LdsConstruction",
-    "LdsVerdict",
-    "ModuleBasis",
-    "NumberField",
-    "ParseError",
-    "SequenceReport",
-    "SnfCriterion",
-    "SnfDecomposition",
-    "SparseScanReport",
-    "complete_primitive",
-    "det",
-    "discriminant_power_basis",
-    "divides",
-    "dk",
-    "dk_level_scan",
-    "dk_recurrence_check",
-    "dk_sequence",
-    "family_basis",
-    "family_field",
-    "family_surd_basis",
-    "format_element",
-    "format_polynomial",
-    "fraction_free_inverse",
-    "generate",
-    "hnf_column",
-    "int_column",
-    "inverse_unimodular",
-    "lds_basis",
-    "match_dk_basis",
-    "min_poly",
-    "norm",
-    "parse_element",
-    "parse_polynomial",
-    "primitive_reducer",
-    "quad_construct",
-    "quartic_full_construct",
-    "quartic_module_construct",
-    "quartic_unit_trace",
-    "sequence_head",
-    "snf",
-    "snf_criterion",
-    "snf_criterion_matrix",
-    "sparse_minpoly_scan",
-    "trace",
-    "verify_lds",
-    "verify_recurrence",
-    "xgcd",
-]
 
 __version__ = "0.1.0"

@@ -4,14 +4,15 @@ An element is a vector of integer numerators over one positive denominator,
 num/den, on the power basis {1, t, ..., t^(n-1)} where t is the residue class
 of X, kept in lowest terms: gcd(den, *num) = 1. Sums, products and scalings
 work on the numerators and multiply or combine the denominators, so no
-Fraction is built until a caller reads coordinates. Products reduce by the
-integer rows of t^n, ..., t^(2n-2).
+Fraction is built until a caller reads coordinates.
 
-Norm, trace, minimal polynomial and inverse come from the integer matrix of
-y -> num*y, so no floating point or embeddings appear anywhere: the norm is its
-Bareiss determinant, and one Faddeev-LeVerrier pass gives its characteristic
-polynomial, whose squarefree part is the minimal polynomial, and its adjugate,
-which gives the inverse (Cohen, GTM 138, sections 2.2 and 4.2).
+Products, norm, trace, minimal polynomial and inverse come from the integer
+matrix of y -> num*y, so no floating point or embeddings appear anywhere: a
+product is that matrix applied to the other factor's numerators, the norm is
+its Bareiss determinant, and one Faddeev-LeVerrier pass gives its
+characteristic polynomial, whose squarefree part is the minimal polynomial,
+and its adjugate, which gives the inverse (Cohen, GTM 138, sections 2.2 and
+4.2).
 
 A ModuleBasis clears its matrix of denominators once, A = D*B, and caches the
 integer inverse of A from one fraction-free Gauss-Jordan pass
@@ -189,20 +190,6 @@ class NumberField(Frozen):
     def generator(self) -> "FieldElement":
         return self.element([0, 1] + [0] * (self.degree - 2))
 
-    @cached_property
-    def _reduction_rows(self) -> tuple[tuple[int, ...], ...]:
-        # t^(n+i) over the power basis, for i = 0..n-2, used to reduce products
-        n = self.degree
-        rows = []
-        current = [-c for c in self.coeffs[:-1]]  # t^n
-        rows.append(tuple(current))
-        for _ in range(n - 2):
-            shifted = [0] + current[:-1]
-            overflow = current[-1]
-            current = [s + overflow * r for s, r in zip(shifted, rows[0])]
-            rows.append(tuple(current))
-        return tuple(rows)
-
     def power_basis(self) -> "ModuleBasis":
         vecs = [self.one, self.generator]
         for _ in range(self.degree - 2):
@@ -271,17 +258,7 @@ class FieldElement(Frozen):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        n = self.field.degree
-        prod = [0] * (2 * n - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in enumerate(other.num):
-                    prod[i + j] += a * b
-        out = prod[:n]
-        # t^(n+i) reduces to row i of the field's integer reduction rows
-        for c, row in zip(prod[n:], self.field._reduction_rows):
-            if c:
-                out = [o + c * r for o, r in zip(out, row)]
+        out = [sum(map(operator.mul, row, other.num)) for row in _matrix(self)]
         return _reduced(self.field, out, self.den * other.den)
 
     __rmul__ = __mul__

@@ -158,10 +158,10 @@ def test_verify_lds_nmax_checked_before_any_output(nmax):
 
 
 def test_verify_lds_nmax_above_kmax_is_refused_before_any_work(monkeypatch):
-    def generate(*args):
-        raise AssertionError("coordseq.generate was called")
+    def sequence_head(*args):
+        raise AssertionError("coordseq.sequence_head was called")
 
-    monkeypatch.setattr(coordseq, "generate", generate)
+    monkeypatch.setattr(coordseq, "sequence_head", sequence_head)
     rc, out, err = run_cli(
         ["verify-lds", "--field", "x^4-1060x^2+1", "--unit", "t", "--kmax", "20000", "--nmax", "20001"]
     )
@@ -281,7 +281,7 @@ def test_kmax_below_the_degree_exits_before_generation(monkeypatch, command, fie
     def refuse(*args):
         raise AssertionError("terms generated although kmax is below the degree")
 
-    monkeypatch.setattr(coordseq, "generate", refuse)
+    monkeypatch.setattr(coordseq, "sequence_head", refuse)
     rc, out, err = run_cli([command, "--field", field, "--unit", unit, "--kmax", kmax])
     assert (rc, out) == (2, "")
     assert err == "error: not enough terms to test the recurrence\n"

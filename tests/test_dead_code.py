@@ -2,12 +2,13 @@
 
 The modules of src/normlds are read with ast, not imported. A module-level
 function or class must be referenced by some module of the package (its own
-included) or be one of UNREFERENCED, each kept for the reason it states. A
-name in normlds.__all__ counts for nothing, and the list must match the
-unreferenced definitions exactly, so it cannot go stale. A name a module imports must be
-used in that module, where a string annotation and __all__ count as uses. A
-method or property of a class, dunders aside, must be read as an attribute
-(obj.name) somewhere in the package.
+included), through a bare name, a string annotation or <module>.<name>, or be
+one of UNREFERENCED, each kept for the reason it states. The list must match
+the unreferenced definitions exactly, so it cannot go stale. obj.name with any
+other obj does not count, so a method of the same name hides no dead function.
+A name a module imports must be used in that module, where a string annotation
+counts as a use. A method or property of a class, dunders aside, must be read
+as an attribute (obj.name) somewhere in the package.
 """
 
 import ast
@@ -17,6 +18,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "normlds"
 MODULES = sorted(PACKAGE.glob("*.py"))
+MODULE_NAMES = {path.stem for path in MODULES}
 
 
 def parse(path):
@@ -44,32 +46,27 @@ def annotation_names(tree):
 
 
 def used_names(tree):
-    """Every name read in tree, bare or as an attribute."""
+    """Every name read in tree, bare or as <module>.<name> for a module of the package."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in MODULE_NAMES
+        ):
             names.add(node.attr)
     return names
 
 
-def exported(tree):
-    """The strings of a module-level __all__ list."""
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-        ):
-            return {item.value for item in node.value.elts}
-    return set()
-
-
 # the module-level definitions that no module of the package references
 UNREFERENCED = {
+    "dkseq.dk": "one d_k from alpha**k in the field; the tests' independent oracle for dk_sequence",
     "dkseq.match_dk_basis": "the paper's d_k basis match, a library entry point with no CLI option",
     "exactlinalg.complete_primitive": "traced by perfbench/tracer.py; the tests' oracle for lds_basis",
     "exactlinalg.hnf_column": "traced by perfbench/tracer.py; the tests' oracle for the quadratic scale",
-    "numberfield.trace": "the field trace, exported for callers; no construction needs it",
+    "numberfield.trace": "the field trace, for library callers; no construction needs it",
 }
 
 TREES = {path.stem: parse(path) for path in MODULES}
@@ -121,7 +118,7 @@ READ_ATTRIBUTES = attribute_reads(TREES)
 
 @pytest.mark.parametrize("place", list(definitions()))
 def test_definition_is_referenced_or_exported(place):
-    """Referenced, or kept as one of UNREFERENCED; an export alone does not count."""
+    """Referenced, or kept as one of UNREFERENCED."""
     name = place.split(".")[1]
     assert name in USED or place in UNREFERENCED, f"{place} is never referenced"
 
@@ -136,7 +133,7 @@ def test_the_unreferenced_list_is_exact():
 def test_import_is_used(place):
     module, name = place.split(".")
     tree = TREES[module]
-    assert name in used_names(tree) | annotation_names(tree) | exported(tree), (
+    assert name in used_names(tree) | annotation_names(tree), (
         f"{place} is imported but never used"
     )
 
@@ -150,6 +147,21 @@ def test_the_guard_sees_dead_code():
     tree = ast.parse("import os\nfrom math import gcd\n\ndef orphan():\n    return gcd(4, 6)\n")
     used = used_names(tree)
     assert "gcd" in used and "os" not in used and "orphan" not in used
+
+
+def test_a_method_of_the_same_name_is_no_reference():
+    source = (
+        "def dk():\n"
+        "    return 0\n\n"
+        "class S:\n"
+        "    def dk(self):\n"
+        "        return 1\n\n"
+        "S().dk()\n"
+    )
+    assert "dk" not in used_names(ast.parse(source))
+    assert "dk" in used_names(ast.parse("coordseq.dk()\n"))
+    assert "dk" in used_names(ast.parse("dk()\n"))
+    assert "dk" in annotation_names(ast.parse('def f() -> "dkseq.dk":\n    pass\n'))
 
 
 def test_the_guard_sees_an_orphan_method():

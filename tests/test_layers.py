@@ -3,7 +3,9 @@
 exactlinalg < numberfield < coordseq < basisforge < dkseq < cli: exact integer
 algebra, field arithmetic, coordinate sequences, basis constructions, the
 congruence sequence, the command line. The modules are read with ast, not
-imported. __init__ re-exports them all and is no layer.
+imported. __init__ is no layer: it holds the package docstring and
+__version__, and no import or __all__, so every caller imports the module
+that holds a name.
 """
 
 import ast
@@ -38,6 +40,18 @@ def package_imports(tree):
 def test_every_module_has_a_layer():
     modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
     assert modules == set(LAYERS)
+
+
+def test_init_imports_and_exports_nothing():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    stored = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+    assert imports == []
+    assert "__all__" not in stored
 
 
 @pytest.mark.parametrize("module", LAYERS)

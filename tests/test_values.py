@@ -95,8 +95,6 @@ def test_assignment_raises_attribute_error(name):
 
 
 def test_cached_properties_still_cache():
-    field = quartic()
-    assert field._reduction_rows is field._reduction_rows
     w = basis(sqrt2(), [1, 0], [Fraction(1, 2), Fraction(1, 2)])
     assert w._inverse is w._inverse
     assert w.int_coords(sqrt2().element([0, 1])) == ((-1, 2), 1)
