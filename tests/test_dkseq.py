@@ -49,6 +49,48 @@ def test_dk_sequence_terms_are_maximal(poly, alpha, kmax):
     assert not dk_maximality_oracle(alpha, ring, kmax - 1, 2 * terms[-2])
 
 
+# (field, alpha, ring basis or None for the power basis)
+DK_EDGE_CASES = {
+    # units with M in GL_n(Z): two half-length streams, interleaved
+    "unit 2+t": ((-3, 0, 1), (2, 1), None),
+    "unit sqrt2+sqrt3": ((1, 0, -10, 0, 1), (0, 1, 0, 0), None),
+    # norm -2: one stream against e1
+    "non-unit 1+t": ((-3, 0, 1), (1, 1), None),
+    # alpha^2 = 1: d_k = 0 at every even k
+    "torsion -1": ((-3, 0, 1), (-1, 0), None),
+    # min_poly X^2 - 3/4: alpha = (0, 2) over {1, t/4} is integral, alpha^2 = 3/4 is not
+    "non-integral t/2": ((-3, 0, 1), (0, Fraction(1, 2)), ((1, 0), (0, Fraction(1, 4)))),
+}
+
+
+@pytest.mark.parametrize("kmax", [1, 2, 3, 15, 16, 17])
+@pytest.mark.parametrize("case", list(DK_EDGE_CASES))
+def test_dk_sequence_matches_the_dk_oracle_at_every_k(case, kmax):
+    # an odd kmax ends on the longer of the two streams, where an interleave can
+    # drop or repeat the last term; a non-integral alpha^k raises for its first k
+    poly, alpha, vectors = DK_EDGE_CASES[case]
+    field = NumberField(poly)
+    alpha = field.element(alpha)
+    if vectors is None:
+        ring = field.power_basis()
+    else:
+        ring = numberfield.ModuleBasis(field, tuple(field.element(v) for v in vectors))
+    want, error = [], None
+    for k in range(1, kmax + 1):
+        try:
+            want.append(dkseq.dk(alpha, ring, k))
+        except ValueError as exc:
+            error = str(exc)
+            break
+    if error is None:
+        assert dkseq.dk_sequence(alpha, ring, kmax).terms == want
+    else:
+        assert error == f"alpha^{len(want) + 1} has non-integral coordinates over the ring basis"
+        with pytest.raises(ValueError) as raised:
+            dkseq.dk_sequence(alpha, ring, kmax)
+        assert str(raised.value) == error
+
+
 @pytest.mark.parametrize(
     "alpha, quartic, irreducible",
     [((2, 1), (1, 0, -4, 0, 1), True), ((7, 4), (1, 0, -14, 0, 1), False)],

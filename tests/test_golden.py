@@ -65,6 +65,12 @@ DK_CASES = {
     # the lacunary x^4 - 10x^2 + 1 with its vanishing scan
     "lacunary": ["--field", "x^4-10x^2+1", "--alpha", "t", "--kmax", "30",
                  "--vanishing-t", "2", "--assert-monogenic"],
+    # the same scan unasserted: the d column is null
+    "lacunary-plain": ["--field", "x^4-10x^2+1", "--alpha", "t", "--kmax", "30",
+                       "--vanishing-t", "2"],
+    # t = 1 over a quadratic field: y1 holds multi-digit values of both signs
+    "vanishing-quadratic": ["--field", "x^2+3x-5", "--alpha", "t", "--kmax", "20",
+                            "--vanishing-t", "1", "--assert-monogenic"],
     # norm -2: alpha is not a unit
     "non-unit": ["--field", "x^2-3", "--alpha", "1+t", "--kmax", "30"],
     # alpha^2 = 1: d_k = 0 at every even k
