@@ -12,14 +12,16 @@ the ring an option names (--module-basis, else the power basis) through _ring.
 
 _json_text writes json.dumps(indent=2, sort_keys=True) byte for byte. The terms
 of emit-sequence and verify-lds are the columns of coordseq.decimal_columns,
-wrapped as _Rows, and the d_k column of dk-scan is one coordseq.DecimalList;
-their items are vouched for as '-' and digits (rendered through a certified or
-verified recurrence, else by str()). _interleave writes them, as JSON rows or
-CSV lines, in one C-level pass over the whole columns, with no test, escape or
-copy per item and no row built as a string: a report holds each term string
-once and its text once. The text is joined once, and the sink opens only after
-it is complete; a report and its final newline are written apart, so no step
-copies a whole report.
+wrapped as _Rows, the d_k column of dk-scan is one coordseq.DecimalList, and
+the rows of its vanishing scan are a _Table of named columns: n as a range,
+y1, d_tilde and d as decimal text, or d as None. Their items are vouched for
+as '-' and digits (rendered through a certified or verified recurrence, else
+by str()). _interleave writes them, as JSON rows, text rows or CSV lines, in
+one C-level pass over the whole columns, with one separator per column and no
+test, escape or copy per item and no row built as a string: a report holds
+each term string once and its text once. The text is joined once, and the
+sink opens only after it is complete; a report and its final newline are
+written apart, so no step copies a whole report.
 """
 
 from __future__ import annotations
@@ -202,52 +204,83 @@ class _Rows(tuple):
     """Columns of decimal text (coordseq.decimal_columns), written as the rows they make."""
 
 
-def _interleave(
-    out: list[str], columns: Sequence[Iterable[str]], before: str, between: str, after: str = ""
-) -> None:
-    """Extend out by each row of the columns: before, its items with between in between, after.
+class _Table(tuple):
+    """(key, column) pairs, written as one dict per row; --format text keeps this key order."""
 
-    One C-level pass over whole columns, so each item is referenced, not copied,
-    and no Python code runs per row.
+
+def _interleave(
+    out: list[str], columns: Sequence[Iterable[str]], seps: Sequence[str], after: str = ""
+) -> None:
+    """Extend out by each row of the columns: each item after its own separator, then after.
+
+    seps holds one separator per column, written before that column's item in
+    every row. One C-level pass over whole columns, so each item is referenced,
+    not copied, and no Python code runs per row.
     """
     parts: list[Iterable[str]] = []
-    for column in columns:
-        parts += (repeat(between), column)
-    parts[0] = repeat(before)
+    for sep, column in zip(seps, columns):
+        parts += (repeat(sep), column)
     if after:
         parts.append(repeat(after))
     out.extend(chain.from_iterable(zip(*parts)))
+
+
+def _write_rows(
+    out: list[str], pairs: Iterable[tuple], start: str, between: str, end: str, comma: str, close: str
+) -> None:
+    """Write (key, column) pairs by _interleave as a list of rows: '[', rows joined by comma, close.
+
+    start opens each row, between separates its entries and end closes it. An
+    entry is the item alone when its key is None, else "key": item. A column
+    of None is null in every row, a range is its ints, and any other column is
+    decimal text, whose quotes go into the separators around it. The rows stop
+    at the shortest column; no row at all is written [].
+    """
+    columns: list[Iterable[str]] = []
+    seps: list[str] = []
+    quote = ""
+    for key, column in pairs:
+        sep = quote + (between if seps else start)
+        quote = "" if column is None or isinstance(column, range) else '"'
+        seps.append(sep + ("" if key is None else encode_basestring_ascii(key) + ": ") + quote)
+        columns.append(repeat("null") if column is None else column if quote else map(str, column))
+    first = len(out)
+    _interleave(out, columns, [comma + seps[0], *seps[1:]], quote + end)
+    if len(out) == first:
+        out.append("[]")
+    else:
+        out[first] = "[" + seps[0]
+        out.append(close)
 
 
 def _json_fragments(value: Any, out: list[str], newline: str) -> None:
     """Append the fragments of json.dumps(value, indent=2, sort_keys=True) to out.
 
     newline is the line break and indent of value's own line. Dict keys must be
-    strings. A DecimalList, such as the d_k column, and the _Rows of a term
-    table are written by _interleave, without escaping or testing each item,
-    since their items are decimal by construction: escaping thousand-digit terms
-    is most of what json.dumps spends on a report. Every other list is written
-    item by item.
+    strings. A DecimalList, such as the d_k column, the _Rows of a term table
+    and a _Table of named columns are written by _write_rows, without escaping
+    or testing each item, since their items are decimal text or ints by
+    construction: escaping thousand-digit terms is most of what json.dumps
+    spends on a report. Every other list is written item by item.
     """
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif isinstance(value, (list, tuple)):
-        if not value or isinstance(value, _Rows) and not value[0]:
+        if not value:
             out.append("[]")
             return
         inner = newline + "  "
-        if isinstance(value, (_Rows, coordseq.DecimalList)):
-            # each row of _Rows is a list; a DecimalList is one column of bare items
-            if isinstance(value, _Rows):
-                item = inner + "  "
-                columns = value
-                before, between, after = inner + "[" + item + '"', '",' + item + '"', '"' + inner + "]"
+        if isinstance(value, coordseq.DecimalList):
+            _write_rows(out, [(None, value)], inner, "", "", ",", newline + "]")
+            return
+        if isinstance(value, (_Rows, _Table)):
+            # each row of _Rows is a list, each row of a _Table a dict with sorted keys
+            item = inner + "  "
+            if isinstance(value, _Table):
+                pairs, start, end = sorted(value), inner + "{" + item, inner + "}"
             else:
-                columns, before, between, after = (value,), inner + '"', "", '"'
-            start = len(out)
-            _interleave(out, columns, "," + before, between, after)
-            out[start] = "[" + before
-            out.append(newline + "]")
+                pairs, start, end = zip(repeat(None), value), inner + "[" + item, inner + "]"
+            _write_rows(out, pairs, start, "," + item, end, ",", newline + "]")
             return
         sep = "[" + inner
         for item in value:
@@ -292,7 +325,7 @@ def _csv_text(header: str, first: int, columns: Sequence[Sequence[str]]) -> str:
     """header, then a line per row: its index, counting from first, and its items, comma-joined."""
     out = [header]
     indices = map(str, range(first, first + len(columns[0])))
-    _interleave(out, (indices, *columns), "\n", ",")
+    _interleave(out, (indices, *columns), ["\n"] + [","] * len(columns))
     return "".join(out)
 
 
@@ -324,6 +357,11 @@ def _render_text(payload: dict[str, Any], indent: int = 0) -> str:
         if isinstance(value, dict):
             lines.append(f"{pad}{key}:")
             lines.append(_render_text(value, indent + 1))
+        elif isinstance(value, _Table):
+            # json.dumps of the rows as dicts, keyed in the table's order
+            text: list[str] = []
+            _write_rows(text, value, "{", ", ", "}", ", ", "]")
+            lines.append(f"{pad}{key}: {''.join(text)}")
         elif isinstance(value, (list, _Rows)):
             rows = list(zip(*value)) if isinstance(value, _Rows) else value
             lines.append(f"{pad}{key}: {json.dumps(rows)}")
@@ -406,18 +444,12 @@ def _cmd_verify_lds(config: Namespace) -> int:
     payload, head, csv = _sequence_payload(config, field)
     payload["command"] = "verify-lds"
     nmax = config.kmax if config.nmax is None else config.nmax
-    verdicts = []
     spf = coordseq.smallest_prime_factors(nmax)
-    # one int column through nmax at a time, dropped before the next is built
+    # one int column at a time, built only as far as its verdict reads it
+    verdicts = []
     for i in range(1, len(head.terms) + 1):
-        verdict = coordseq.verify_lds(coordseq.int_column(head, i, nmax), nmax, spf)
-        verdicts.append(
-            {
-                "column": i,
-                "ok": verdict.ok,
-                "witness": list(verdict.witness) if verdict.witness else None,
-            }
-        )
+        v = coordseq.verify_lds(coordseq.column_terms(head, i), nmax, spf)
+        verdicts.append({"column": i, "ok": v.ok, "witness": list(v.witness) if v.witness else None})
     payload["nmax"] = nmax
     payload["lds"] = verdicts
     _emit(config, payload, csv)
@@ -454,15 +486,14 @@ def _cmd_dk_scan(config: Namespace) -> int:
         scan = dkseq.sparse_minpoly_scan(
             field, config.vanishing_t, config.kmax, config.assert_monogenic
         )
+        d_tilde = coordseq.DecimalList(map(str, scan.d_tilde))
+        rows = ("n", scan.n), ("y1", coordseq.DecimalList(map(str, scan.y1))), ("d_tilde", d_tilde)
         payload["vanishing"] = {
             "t": scan.t,
             "disc": str(scan.disc),
             "monogenic_asserted": scan.monogenic_asserted,
             "all_vanish": scan.all_vanish(),
-            "rows": [
-                {"n": r.n, "y1": str(r.y1), "d_tilde": str(r.d_tilde), "d": None if r.d is None else str(r.d)}
-                for r in scan.rows
-            ],
+            "rows": _Table((*rows, ("d", None if scan.d is None else d_tilde))),
         }
     _emit(config, payload, ("k,dk", 1, (terms,)))
     return 0

@@ -42,6 +42,7 @@ import itertools
 import math
 import operator
 from collections import namedtuple
+from collections.abc import Sized
 from decimal import (
     MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, Rounded, localcontext
 )
@@ -144,6 +145,23 @@ def int_column(head: SequenceReport, i: int, kmax: int) -> list[int]:
     terms = extend(head.charpoly, column[1 : d + 1], kmax - d)
     terms.insert(0, column[0])
     return terms
+
+
+def column_terms(head: SequenceReport, i: int) -> Iterator[int]:
+    """Every term of column i (1-indexed) of a head, each built only when it is read.
+
+    Terms 0..d of the head, then the recurrence that its row d certifies,
+    without end, as int_column builds them; a head that stops short of row d,
+    as sequence_head's does for a kmax below d, gives its own terms alone.
+    """
+    d = len(head.charpoly) - 1
+    column = head.terms[i - 1][: d + 1]
+    yield from column
+    if len(column) > d:
+        terms = column[1:]
+        for value in recurrence_values(head.charpoly, terms):
+            terms.append(value)
+            yield value
 
 
 def generate(
@@ -315,30 +333,36 @@ def smallest_prime_factors(nmax: int) -> tuple[int, ...]:
     return tuple(spf)
 
 
-def verify_lds(column: Sequence[int], nmax: int, spf: Sequence[int] | None = None) -> LdsVerdict:
+def verify_lds(column: Iterable[int], nmax: int, spf: Sequence[int] | None = None) -> LdsVerdict:
     """First failing pair n | m with 1 <= n < m <= nmax; the index is the position.
 
-    column[k] is b(k); entries through index nmax must be present. The witness
-    is the pair met first when m runs upward and, for each m, n runs upward
-    over the divisors of m. Divisibility is transitive (0 divides only 0), so
-    while every pair below m holds, m has a failing divisor exactly when some
-    prime step (m/p, m) fails: only prime steps are tested until that m.
-    spf is smallest_prime_factors of nmax or more, built here when not given.
+    column yields b(0), b(1), ... and is read only as far as the verdict
+    needs: through the witness's m, or through nmax when every pair holds. The
+    witness is the pair met first when m runs upward and, for each m, n runs
+    upward over the divisors of m. Divisibility is transitive (0 divides only
+    0), so while every pair below m holds, m has a failing divisor exactly
+    when some prime step (m/p, m) fails: only prime steps are tested until that
+    m. A column that ends before index nmax raises ValueError, a sized one
+    before any pair is tested. spf is smallest_prime_factors of nmax or more,
+    built here when not given.
     """
-    terms = list(column)
-    if len(terms) <= nmax:
-        raise ValueError(f"need terms through index {nmax}, got {len(terms)}")
+    if isinstance(column, Sized) and len(column) <= nmax:
+        raise ValueError(f"need terms through index {nmax}, got {len(column)}")
     if spf is None:
         spf = smallest_prime_factors(max(nmax, 1))
     elif len(spf) <= nmax:
         raise ValueError(f"the prime sieve ends below {nmax}")
-    for m in range(2, nmax + 1):
+    terms: list[int] = []
+    for m, term in enumerate(itertools.islice(column, max(nmax + 1, 0))):
+        terms.append(term)
         rest = m
         while rest > 1:
             p = spf[rest]
-            if not divides(terms[m // p], terms[m]):
-                n = next(n for n in range(1, m) if m % n == 0 and not divides(terms[n], terms[m]))
+            if not divides(terms[m // p], term):
+                n = next(n for n in range(1, m) if m % n == 0 and not divides(terms[n], term))
                 return LdsVerdict(False, (n, m))
             while rest % p == 0:
                 rest //= p
+    if len(terms) <= nmax:
+        raise ValueError(f"need terms through index {nmax}, got {len(terms)}")
     return LdsVerdict(True, None)

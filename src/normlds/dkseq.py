@@ -5,16 +5,18 @@ coordinates: d_k = gcd(x1(k) - 1, x2(k), ..., xn(k)), the content of
 x(k) - e1 where x(k) are the coordinates of alpha^k. dk_sequence and
 sparse_minpoly_scan take those coordinates, one column per coordinate, from
 coordseq.generate, the routine of every whole sequence of the package: rows
-0..d from field products and the certified recurrence after them; dk()
-computes one term from alpha**k in the field and serves as the independent
-check.
+0..d from field products and the certified recurrence after them. Every gcd
+is taken in a C-level stream over whole columns, math.gcd mapped over
+map(operator.sub, ...), so no Python code runs per term. dk() computes one
+term from alpha**k in the field and serves as the independent check.
 
 When M, the matrix of y -> alpha*y over the ring, is in GL_n(Z) (alpha keeps
 the ring and N(alpha) = +-1), x(k) - e1 = M^j (x(k - j) - y(j)) with
 y(j) = M^-j e1, the coordinates of alpha^-j. A matrix in GL_n(Z) keeps
 content: the content of v divides that of M^j v, and the content of M^j v
 divides that of M^-j M^j v = v. So d_k = content(x(k - j) - y(j));
-dk_sequence takes j = k // 2 and works on coordinates of half the digits.
+dk_sequence takes j = k // 2 and works on coordinates of half the digits:
+the odd k and the even k are two streams, interleaved into one list.
 
 The module also hosts the order-4 recurrence check for quadratic norm-1
 units and the change of basis matching d_k/d_1 with a first coordinate
@@ -23,14 +25,17 @@ basisforge.lds_basis, and the terms from coordseq.extend; the recurrence
 report of d_k is one column, the d_k list itself. It hosts the vanishing scan
 for lacunary minimal polynomials too, and power-basis discriminants, as
 +-N(f'(alpha)) for the defining polynomial f.
-Their results, DkSequence, DkMatchReport and the sparse scan's rows and
-report, are collections.namedtuple records.
+Their results, DkSequence, DkMatchReport and the sparse scan's report, are
+collections.namedtuple records; the scan's report holds its rows as columns.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import chain, compress, count, islice, repeat, zip_longest
+from operator import eq, sub
+from typing import Iterable, Iterator, Sequence
 
 from .basisforge import _quadratic_unit_trace, lds_basis
 from .coordseq import SequenceReport, extend, generate, verify_recurrence
@@ -88,15 +93,17 @@ def dk(alpha: FieldElement, ringbasis: ModuleBasis, k: int) -> int:
 
 
 def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSequence:
-    """d_1 .. d_kmax as gcds of coordinate columns.
+    """d_1 .. d_kmax as gcds of coordinate columns, in C-level streams over whole columns.
 
     d_k = content(x(k) - e1) for x(k) the coordinates of alpha^k over the
     ring basis. When the matrix M of alpha is in GL_n(Z), M^-j keeps content,
     so d_k = content(x(k - j) - y(j)) with y(j) the coordinates of alpha^-j;
     taking j = k // 2 runs both columns only to ceil(kmax/2), and every gcd is
-    on numbers of half the digits. Torsion still gives 0, since
-    x(k - j) = y(j) exactly when alpha^k = 1. Otherwise j = 0: y stays e1 and
-    the first non-integral x(k) raises ValueError for its k.
+    on numbers of half the digits. The odd k and the even k are then two
+    streams of math.gcd over map(operator.sub, ...) of the columns, interleaved
+    into the one list of terms. Torsion still gives 0, since x(k - j) = y(j)
+    exactly when alpha^k = 1. Otherwise j = 0: one stream against e1, and the
+    first non-integral x(k) raises ValueError for its k.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
@@ -116,15 +123,21 @@ def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSeq
         # non-integral row past the degree of mp is still found
         rows = ringbasis.power_rows(one, alpha, kmax + 1, _non_integral)
         xs = list(zip(*rows))
+
+    def contents(ys: Sequence[Iterable[int]], shift: int) -> Iterator[int]:
+        # content(x(j + 1) - y(j + shift)) for j = 0, 1, ..., one C-level stream
+        diffs = [map(sub, islice(x, 1, None), islice(y, shift, None)) for x, y in zip(xs, ys)]
+        return map(math.gcd, *diffs)
+
     if unimodular:
         ys = generate(one, alpha.inverse(), ringbasis, half, _non_integral).terms
+        # d_(2j+1) from x(j + 1) - y(j) and d_(2j) from x(j) - y(j); at an odd kmax
+        # the odd stream has the one more term, and the pad of zip_longest is popped
+        terms = list(chain.from_iterable(zip_longest(contents(ys, 0), contents(ys, 1))))
+        if kmax % 2:
+            terms.pop()
     else:
-        ys = [[int(i == 0)] for i in range(len(ringbasis.vectors))]
-    terms = []
-    for k in range(1, kmax + 1):
-        # x(k - j) and y(j) with j = k // 2 when unimodular, else j = 0
-        j = k // 2 if unimodular else 0
-        terms.append(math.gcd(*[x[k - j] - y[j] for x, y in zip(xs, ys)]))
+        terms = list(contents([repeat(int(i == 0)) for i in range(len(xs))], 0))
     return DkSequence(terms=terms, t_trace=_quadratic_unit_trace(mp))
 
 
@@ -240,24 +253,18 @@ def _quartic_field(coeffs: tuple[int, ...]) -> NumberField | None:
         return None
 
 
-class SparseScanRow(namedtuple("SparseScanRow", "n y1 d_tilde d")):
-    """One n of sparse_minpoly_scan: y1(n), d~_n and, when asserted, d_n."""
-
-    __slots__ = ()
-    # n, y1, d_tilde: int
-    # d: int | None, equal to d_tilde under the monogenic assertion, else unknown
-
-
-class SparseScanReport(namedtuple("SparseScanReport", "t disc monogenic_asserted rows")):
-    """The rows of sparse_minpoly_scan, with its step t and the discriminant."""
+class SparseScanReport(namedtuple("SparseScanReport", "t disc monogenic_asserted n y1 d_tilde d")):
+    """The columns of sparse_minpoly_scan, with its step t and the discriminant."""
 
     __slots__ = ()
     # t, disc: int
     # monogenic_asserted: bool
-    # rows: list[SparseScanRow]
+    # n: range, the scanned n = 1, 1 + t, ... <= nmax
+    # y1, d_tilde: list[int], y1(n) and d~_n for each n
+    # d: list[int] | None, d_n: d_tilde itself under the monogenic assertion, else unknown
 
     def all_vanish(self) -> bool:
-        return all(r.y1 == 0 for r in self.rows)
+        return not any(self.y1)
 
 
 def sparse_minpoly_scan(
@@ -270,7 +277,9 @@ def sparse_minpoly_scan(
     forces the relative d~_n = gcd(y1-1, y2, ...) to 1; under the monogenic
     assertion d_n itself is 1. Term i of each column is a coordinate of
     alpha * (alpha^t)^i, from coordseq.generate under the recurrence of
-    alpha^t.
+    alpha^t. The report holds the scan as columns: n is the range of the
+    scanned n, y1 and d_tilde hold one term per n, and d is d_tilde itself
+    under the assertion, else None.
     """
     deg = field.degree
     if t <= 0 or deg % t != 0:
@@ -287,18 +296,16 @@ def sparse_minpoly_scan(
     ns = range(1, nmax + 1, t)
     last = max(len(ns) - 1, 0)
     y1, *rest = generate(alpha, alpha**t, field.power_basis(), last, _non_integral).terms
-    d_tildes = map(math.gcd, [y - 1 for y in y1], *rest)
-    rows = [
-        SparseScanRow(n=n, y1=y, d_tilde=d_tilde, d=d_tilde if assert_monogenic else None)
-        for n, y, d_tilde in zip(ns, y1, d_tildes)
-    ]
-    return SparseScanReport(t=t, disc=disc, monogenic_asserted=assert_monogenic, rows=rows)
+    # an empty ns still generates term 0
+    del y1[len(ns) :]
+    d_tilde = list(map(math.gcd, map(sub, y1, repeat(1)), *rest))
+    d = d_tilde if assert_monogenic else None
+    return SparseScanReport(t, disc, assert_monogenic, ns, y1, d_tilde, d)
 
 
 def dk_level_scan(seq: DkSequence) -> list[int]:
     """The k with d_k = d_1 over every term of an already computed sequence. Exploratory only."""
-    d1 = seq.dk(1)
-    return [k for k, d in enumerate(seq.terms, 1) if d == d1]
+    return list(compress(count(1), map(eq, seq.terms, repeat(seq.dk(1)))))
 
 
 def discriminant_power_basis(field: NumberField) -> int:

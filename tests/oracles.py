@@ -10,12 +10,14 @@ recurrence: in the quadratic case x1 is a scaled Lucas sequence, and the
 quartic-power x1 is built from one. fraction_rows is the coordinate sequence
 of beta * eps^k by one field product and one Fraction coordinate solve per
 term, the reference for every integer sequence the library builds;
-fraction_columns is the same sequence as columns.
+fraction_columns is the same sequence as columns. scan_rows reads the
+columns of a vanishing scan back as its rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
 
@@ -140,3 +142,13 @@ def fraction_rows(beta, eps, w, kmax: int, error: Callable[[int], str] = outside
 def fraction_columns(beta, eps, w, kmax: int, error: Callable[[int], str] = outside_module) -> list[list[int]]:
     """fraction_rows as columns, one per coordinate, the shape of a SequenceReport's terms."""
     return [list(column) for column in zip(*fraction_rows(beta, eps, w, kmax, error))]
+
+
+def scan_rows(scan) -> list[tuple]:
+    """The (n, y1, d_tilde, d) rows of a sparse_minpoly_scan report, from its columns.
+
+    The columns must be of one length, and d must be d_tilde itself or None.
+    """
+    assert len(scan.n) == len(scan.y1) == len(scan.d_tilde)
+    assert scan.d is None or scan.d is scan.d_tilde
+    return list(zip(scan.n, scan.y1, scan.d_tilde, repeat(None) if scan.d is None else scan.d))

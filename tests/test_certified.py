@@ -119,6 +119,7 @@ class TestCertifiedPathEqualsTheStepMatrix:
         assert head.kmax == min(kmax, d)
         for i, column in enumerate(columns, 1):
             assert int_column(head, i, kmax) == column
+            assert list(itertools.islice(coordseq.column_terms(head, i), kmax + 1)) == column
         assert decimal_columns(head, kmax) == [[str(x) for x in column] for column in columns]
 
     def test_eps_in_a_subfield(self):
@@ -231,12 +232,16 @@ class TestWorkCount:
         assert rc == 0
         assert work == {"rows": 3, "ints": 4}
 
-    def test_verify_lds_builds_int_columns_through_nmax(self, work):
+    def test_verify_lds_builds_each_int_column_only_as_far_as_it_reads(self, work):
         rc, out, _ = run_cli(["verify-lds", *QUARTIC, "--basis", "quartic-power", "--kmax", "500",
                               "--nmax", "50"])
-        assert rc == 0 and len(json.loads(out)["terms"]) == 501
-        # the certificate, then terms 5..50 of each of the 4 columns
-        assert work == {"rows": 5, "ints": 4 + 4 * 46}
+        report = json.loads(out)
+        assert rc == 0 and len(report["terms"]) == 501
+        # the certificate, then terms 5..50 of the column that passes, and terms
+        # 5..m of a column whose witness is at m: no term past what verify_lds reads
+        lasts = [50 if v["ok"] else v["witness"][1] for v in report["lds"]]
+        assert lasts[0] == 50 and max(lasts[1:]) < 10
+        assert work == {"rows": 5, "ints": 4 + sum(max(m - 4, 0) for m in lasts)}
 
     @pytest.mark.parametrize("kmax", [1, 2, 5, 40, 41])
     def test_dk_scan_runs_each_stream_to_half_of_kmax(self, work, monkeypatch, kmax):

@@ -149,6 +149,14 @@ class TestVerifyLds:
         with pytest.raises(ValueError, match="through index"):
             verify_lds([1, 2, 3], 5)
 
+    def test_a_short_column_is_refused_as_a_list_or_an_iterator(self):
+        # a list before any pair is tested, even one that fails; an iterator when
+        # it ends before a witness
+        for column in ([0, 1, 2], iter([0, 1, 2]), [0, 2, 3]):
+            with pytest.raises(ValueError) as exc:
+                verify_lds(column, 5)
+            assert str(exc.value) == "need terms through index 5, got 3"
+
 
 class TestQuarticOracle:
     def test_random_parameters_match_closed_form_and_lds(self):

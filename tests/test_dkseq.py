@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from normlds import coordseq, dkseq, numberfield
 from normlds.exactlinalg import complete_primitive, inverse_unimodular
 from normlds.numberfield import NumberField
-from oracles import companion_first_coordinates
+from oracles import companion_first_coordinates, scan_rows
 
 
 def dk_maximality_oracle(alpha, ringbasis, k, value):
@@ -219,7 +219,7 @@ def test_sparse_minpoly_scan_matches_sympy(spec, nmax, monogenic):
         d_tilde = int(sympy.igcd(y[0] - 1, *y[1:]))
         want.append((n, y[0], d_tilde, d_tilde if monogenic else None))
     scan = dkseq.sparse_minpoly_scan(field, t, nmax, monogenic)
-    assert [(r.n, r.y1, r.d_tilde, r.d) for r in scan.rows] == want
+    assert scan_rows(scan) == want
     assert scan.disc == sympy.discriminant(modulus.as_expr(), X)
     # the lacunary theorem: y1 vanishes on 1 + tZ
     assert scan.all_vanish() is all(y1 == 0 for _, y1, _, _ in want) is True

@@ -119,3 +119,28 @@ def test_numeric_input_grows_the_report_linearly(case):
         assert seconds < 0.5, f"e = {e} took {seconds:.3f} s"
         sizes.append(len(out))
     assert all(later <= 2.5 * earlier for earlier, later in zip(sizes, sizes[1:])), sizes
+
+
+@pytest.mark.parametrize("kind", ["integer", "fraction"])
+def test_basis_file_coordinates_grow_the_report_linearly(tmp_path, kind):
+    # n = 3^e: the basis {1, n + t} of Z[sqrt 3] with beta 1, or {1, (n + t)/2}
+    # with beta 2, as construct-basis writes coordinates. Over either, x2 is a
+    # multiple of the b of (2 + t)^k = a + b t, an LDS, and x1 carries n's digits
+    sizes, peaks = [], []
+    for e in (100, 200, 400):
+        n = 3**e
+        second = [str(n), "1"] if kind == "integer" else [f"{n}/2", "1/2"]
+        path = tmp_path / f"basis-{e}.json"
+        path.write_text(json.dumps({"field": "x^2 - 3", "basis": [["1", "0"], second]}))
+        beta = "1" if kind == "integer" else "2"
+        seconds, rc, out, err, peak = traced_cli(
+            ["verify-lds", "--field", "x^2-3", "--unit", "2+t", "--beta", beta,
+             "--basis-file", str(path), "--column", "2", "--kmax", "40"]
+        )
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["basis"][1] == second
+        assert seconds < 0.5, f"e = {e} took {seconds:.3f} s"
+        sizes.append(len(out))
+        peaks.append(peak)
+    for growth in (sizes, peaks):
+        assert all(later <= 2.5 * earlier for earlier, later in zip(growth, growth[1:])), growth

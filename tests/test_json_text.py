@@ -1,6 +1,7 @@
 """The report writer of the CLI against json.dumps(indent=2, sort_keys=True)."""
 
 import json
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
@@ -146,3 +147,57 @@ def test_scalars_in_lists_and_dicts(scalar):
     # bool is tested before int: int.__repr__(True) is '1', json writes 'true'
     for payload in (scalar, [scalar], {"k": scalar}, [scalar, "1", DecimalList(["2"])]):
         assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@st.composite
+def tables(draw):
+    """A _Table of 1-4 named columns of 0-20 rows: ints as a range, decimal text, or null.
+
+    The first column is never null, so the rows end where the columns do.
+    """
+    rows = draw(st.integers(0, 20))
+    keys = draw(st.lists(st.one_of(st.text(max_size=6), st.sampled_from(SPECIAL)),
+                         min_size=1, max_size=4, unique=True))
+    pairs = []
+    for i, key in enumerate(keys):
+        kind = draw(st.sampled_from(["range", "decimal", "null"][: 3 if i else 2]))
+        if kind == "range":
+            start, step = draw(st.integers(-(10**30), 10**30)), draw(st.integers(-7, 7).filter(bool))
+            column = range(start, start + step * rows, step)
+        elif kind == "decimal":
+            column = DecimalList(draw(st.lists(DECIMAL_TEXT, min_size=rows, max_size=rows)))
+        else:
+            column = None
+        pairs.append((key, column))
+    return cli._Table(pairs)
+
+
+def table_rows(table):
+    """The list of dicts a _Table stands for, keyed in its order."""
+    keys = [key for key, _ in table]
+    columns = [repeat(None) if column is None else column for _, column in table]
+    return [dict(zip(keys, row)) for row in zip(*columns)]
+
+
+@given(tables(), st.lists(st.booleans(), max_size=3), st.dictionaries(st.text(max_size=4), SCALARS, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_a_table_is_written_as_its_list_of_dicts(table, levels, others):
+    # depth 0-3: each level is a dict with other keys beside the table, or a list
+    payload, want = table, table_rows(table)
+    for in_dict in levels:
+        if in_dict:
+            payload, want = {**others, "vanishing": payload}, {**others, "vanishing": want}
+        else:
+            payload, want = ["1", payload, None], ["1", want, None]
+    assert cli._json_text(payload) == json.dumps(want, indent=2, sort_keys=True)
+
+
+@given(tables(), st.dictionaries(st.text(max_size=4), STRINGS, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_a_table_renders_as_text_like_its_list_of_dicts(table, others):
+    # --format text writes json.dumps of the rows, with the keys in the table's order
+    rows = table_rows(table)
+    assert cli._render_text({**others, "scan": {"rows": table}}) == cli._render_text(
+        {**others, "scan": {"rows": rows}}
+    )
+    assert cli._render_text({"rows": table}) == f"rows: {json.dumps(rows)}"

@@ -32,7 +32,7 @@ from normlds.dkseq import CheckRefused, dk, dk_recurrence_check, dk_sequence, sp
 from normlds.dkseq import recurrence_report as dk_report
 from normlds.basisforge import quartic_module_construct
 from normlds.numberfield import ModuleBasis, NumberField
-from oracles import fraction_columns, fraction_rows, outside_module
+from oracles import fraction_columns, fraction_rows, outside_module, scan_rows
 
 QUADRATICS = [(-2, 0, 1), (-3, 0, 1), (-5, 0, 1), (1, 0, 1), (-1, -1, 1), (-7, 0, 1)]
 QUARTICS = [(1, 0, -10, 0, 1), (1, 0, -4, 0, 1), (-2, 0, 0, 0, 1), (1, 0, 0, 0, 1), (1, 0, -5, 0, 1)]
@@ -332,8 +332,7 @@ class TestSparseScan:
         coeffs, t = spec
         field = NumberField(coeffs)
         scan = sparse_minpoly_scan(field, t, nmax, monogenic)
-        got = [(r.n, r.y1, r.d_tilde, r.d) for r in scan.rows]
-        assert got == sparse_rows_oracle(field, t, nmax, monogenic)
+        assert scan_rows(scan) == sparse_rows_oracle(field, t, nmax, monogenic)
 
     @pytest.mark.parametrize("coeffs, t", [
         ((1, 0, -10, 0, 1), 1), ((1, 0, -10, 0, 1), 2), ((1, 0, -110, 0, 1), 2),
@@ -343,7 +342,7 @@ class TestSparseScan:
         # the scan steps by alpha^t; the oracle steps by alpha and keeps n = 1 mod t
         field = NumberField(coeffs)
         for nmax in [-1, 0, 1, 2, 3, 4, 5, 199, 200, 201]:
-            got = [(r.n, r.y1, r.d_tilde, r.d) for r in sparse_minpoly_scan(field, t, nmax).rows]
+            got = scan_rows(sparse_minpoly_scan(field, t, nmax))
             assert got == sparse_rows_oracle(field, t, nmax, False)
 
 
@@ -378,6 +377,16 @@ class TestVerifyLdsOracle:
         col, nmax = case
         verdict = verify_lds(col, nmax)
         assert (verdict.ok, verdict.witness) == pairwise_lds(col, nmax)
+
+    @given(lds_columns())
+    @settings(max_examples=300, deadline=None)
+    def test_an_iterator_is_read_only_through_the_witness(self, case):
+        # a column whose witness is at m reads terms 0..m, one that passes 0..nmax
+        col, nmax = case
+        read = []
+        verdict = verify_lds(map(lambda b: read.append(b) or b, col), nmax)
+        assert verdict == verify_lds(col, nmax)
+        assert len(read) == (max(nmax + 1, 0) if verdict.ok else verdict.witness[1] + 1)
 
     def test_late_failure_on_composite_index(self):
         # b(n) = n except b(12) = 18: 2, 3, 6, 9 divide 18 but 4 does not

@@ -21,7 +21,7 @@ import pytest
 import normlds
 from normlds.basisforge import LdsConstruction, SnfCriterion
 from normlds.coordseq import LdsVerdict, SequenceReport
-from normlds.dkseq import DkMatchReport, DkSequence, SparseScanReport, SparseScanRow
+from normlds.dkseq import DkMatchReport, DkSequence, SparseScanReport
 from normlds.exactlinalg import HnfDecomposition, IntMatrix, SnfDecomposition
 from normlds.numberfield import FieldElement, ModuleBasis, NumberField
 
@@ -160,13 +160,11 @@ RECORDS = [
      dict(quartic_poly=(1, 0, -6, 0, 1), poly_irreducible=True, d_head=(0, 2, 4, 6),
           normalized=None, applicable=False, matched_through=None,
           basis=quartic().power_basis())),
-    (SparseScanRow,
-     lambda: dict(n=3, y1=0, d_tilde=1, d=None),
-     dict(n=5, y1=1, d_tilde=2, d=1)),
     (SparseScanReport,
-     lambda: dict(t=2, disc=2304, monogenic_asserted=False,
-                  rows=[SparseScanRow(n=1, y1=0, d_tilde=1, d=None)]),
-     dict(t=3, disc=-23, monogenic_asserted=True, rows=[])),
+     lambda: dict(t=2, disc=2304, monogenic_asserted=False, n=range(1, 4, 2), y1=[0, 0],
+                  d_tilde=[1, 1], d=None),
+     dict(t=3, disc=-23, monogenic_asserted=True, n=range(1, 2), y1=[0, 1], d_tilde=[1, 2],
+          d=[1, 1])),
     (HnfDecomposition,
      lambda: dict(h=IntMatrix(((2, 0), (0, 3))), c=I2),
      dict(h=I2, c=M)),
