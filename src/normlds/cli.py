@@ -13,15 +13,16 @@ the ring an option names (--module-basis, else the power basis) through _ring.
 _json_text writes json.dumps(indent=2, sort_keys=True) byte for byte. The terms
 of emit-sequence and verify-lds are the columns of coordseq.decimal_columns,
 wrapped as _Rows, the d_k column of dk-scan is one coordseq.DecimalList, and
-the rows of its vanishing scan are a _Table of named columns: n as a range,
-y1, d_tilde and d as decimal text, or d as None. Their items are vouched for
-as '-' and digits (rendered through a certified or verified recurrence, else
-by str()). _interleave writes them, as JSON rows, text rows or CSV lines, in
-one C-level pass over the whole columns, with one separator per column and no
-test, escape or copy per item and no row built as a string: a report holds
-each term string once and its text once. The text is joined once, and the
-sink opens only after it is complete; a report and its final newline are
-written apart, so no step copies a whole report.
+the rows of its vanishing scan are a _Table of named columns: n as a range, y1,
+d_tilde and d as decimal text, or d as None. Their items are vouched for as '-'
+and digits (rendered through a certified or verified recurrence, else by
+str()). _write_rows writes them as JSON rows, and the table as text rows too,
+and _csv_text as CSV lines, all through _interleave: one C-level pass over the
+whole columns, with one separator per column and no test, escape or copy per
+item and no row built as a string, so a report holds each term string once and
+its text once. The text is joined once, and the sink opens only after it is
+complete; a report and its final newline are written apart, so no step copies a
+whole report.
 """
 
 from __future__ import annotations
@@ -270,16 +271,16 @@ def _json_fragments(value: Any, out: list[str], newline: str) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        if isinstance(value, coordseq.DecimalList):
-            _write_rows(out, [(None, value)], inner, "", "", ",", newline + "]")
-            return
-        if isinstance(value, (_Rows, _Table)):
-            # each row of _Rows is a list, each row of a _Table a dict with sorted keys
+        if isinstance(value, (_Rows, _Table, coordseq.DecimalList)):
+            # each row of _Rows is a list, each row of a _Table a dict with sorted keys,
+            # and a DecimalList is one column of bare items
             item = inner + "  "
             if isinstance(value, _Table):
                 pairs, start, end = sorted(value), inner + "{" + item, inner + "}"
-            else:
+            elif isinstance(value, _Rows):
                 pairs, start, end = zip(repeat(None), value), inner + "[" + item, inner + "]"
+            else:
+                pairs, start, end = [(None, value)], inner, ""
             _write_rows(out, pairs, start, "," + item, end, ",", newline + "]")
             return
         sep = "[" + inner
@@ -444,12 +445,18 @@ def _cmd_verify_lds(config: Namespace) -> int:
     payload, head, csv = _sequence_payload(config, field)
     payload["command"] = "verify-lds"
     nmax = config.kmax if config.nmax is None else config.nmax
+    verdicts = []
     spf = coordseq.smallest_prime_factors(nmax)
     # one int column at a time, built only as far as its verdict reads it
-    verdicts = []
     for i in range(1, len(head.terms) + 1):
-        v = coordseq.verify_lds(coordseq.column_terms(head, i), nmax, spf)
-        verdicts.append({"column": i, "ok": v.ok, "witness": list(v.witness) if v.witness else None})
+        verdict = coordseq.verify_lds(coordseq.column_terms(head, i), nmax, spf)
+        verdicts.append(
+            {
+                "column": i,
+                "ok": verdict.ok,
+                "witness": list(verdict.witness) if verdict.witness else None,
+            }
+        )
     payload["nmax"] = nmax
     payload["lds"] = verdicts
     _emit(config, payload, csv)
