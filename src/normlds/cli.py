@@ -446,10 +446,9 @@ def _cmd_verify_lds(config: Namespace) -> int:
     payload["command"] = "verify-lds"
     nmax = config.kmax if config.nmax is None else config.nmax
     verdicts = []
-    spf = coordseq.smallest_prime_factors(nmax)
     # one int column at a time, built only as far as its verdict reads it
     for i in range(1, len(head.terms) + 1):
-        verdict = coordseq.verify_lds(coordseq.column_terms(head, i), nmax, spf)
+        verdict = coordseq.verify_lds(coordseq.column_terms(head, i), nmax)
         verdicts.append(
             {
                 "column": i,
@@ -528,7 +527,6 @@ def _cmd_family_scan(config: Namespace) -> int:
         raise ValueError(f"--kmax {config.kmax} must be at least 3")
     rows = []
     any_fail = False
-    spf = coordseq.smallest_prime_factors(config.kmax)
     for m in m_range:
         try:
             cons = basisforge.family_basis(m)
@@ -537,8 +535,7 @@ def _cmd_family_scan(config: Namespace) -> int:
             continue
         field = cons.basis.field
         head = coordseq.sequence_head(field.one, field.generator, cons.basis, config.kmax)
-        x1 = coordseq.int_column(head, 1, config.kmax)
-        verdict = coordseq.verify_lds(x1, config.kmax, spf)
+        verdict = coordseq.verify_lds(coordseq.column_terms(head, 1), config.kmax)
         if not verdict.ok:
             any_fail = True
         rows.append(
@@ -547,7 +544,7 @@ def _cmd_family_scan(config: Namespace) -> int:
                 "status": "ok",
                 "scale": str(cons.scale),
                 "t_trace": str(cons.t_trace),
-                "ics": [str(x) for x in x1[:4]],
+                "ics": [str(x) for x in head.terms[0][:4]],
                 "lds_ok": verdict.ok,
                 "witness": list(verdict.witness) if verdict.witness else None,
             }

@@ -10,13 +10,17 @@ later term (the proof is in its docstring). The recurrence gives the rest,
 only as far as a caller reads it. recurrence_values() is the one integer
 sequence kernel: it yields sum_j s_j x(k - j) for k = d, d+1, ... as a lazy
 sum over iterators into x, in which s_j = +1 or -1 is an add or a subtract,
-not a multiply, and extend() is the one loop that appends each value it yields
-to the list it reads, so that the kernel computes every later term from the
-first d. int_column() extends one integer column that way, decimal_columns()
-renders every column from the head, and generate() is the one routine for a
-whole certified sequence: the head with every column extended. The d_k
-sequences of dkseq are gcds of such columns; verify_recurrence checks a column
-that is not one, such as d_k, term by term.
+not a multiply. recurrence_terms() is the one loop that appends each value
+the kernel yields to the list the kernel reads, so that every later term
+comes from the first d, and it makes each term only when a caller reads it.
+Every column grows through it: column_terms() gives one column of a head
+without end, generate() is the one routine for a whole certified sequence,
+each column read from column_terms through kmax, and decimal_columns()
+renders every column from the head. The d_k sequences of dkseq are gcds of
+such columns; verify_recurrence checks a column that is not one, such as d_k,
+term by term. verify_lds() reads a column only as far as its verdict needs,
+over one prime sieve per bound, kept by smallest_prime_factors() for the next
+call.
 
 A head whose row d fails its recurrence raises exactlinalg.InvariantViolation,
 the package's one type for a failed internal check: min_poly or the field
@@ -131,37 +135,17 @@ def sequence_head(
     return SequenceReport(terms=columns, charpoly=tuple(charpoly))
 
 
-def int_column(head: SequenceReport, i: int, kmax: int) -> list[int]:
-    """Terms 0..kmax of column i (1-indexed) from sequence_head(..., kmax) or a longer head.
-
-    The head's own terms while they last, else its terms 0..d and the
-    recurrence, which the head's row d has certified for every later term.
-    The recurrence runs over terms 1, 2, ..., so its first value is term d + 1.
-    """
-    d = len(head.charpoly) - 1
-    column = head.terms[i - 1]
-    if kmax <= d:
-        return column[: kmax + 1]
-    terms = extend(head.charpoly, column[1 : d + 1], kmax - d)
-    terms.insert(0, column[0])
-    return terms
-
-
 def column_terms(head: SequenceReport, i: int) -> Iterator[int]:
     """Every term of column i (1-indexed) of a head, each built only when it is read.
 
     Terms 0..d of the head, then the recurrence that its row d certifies,
-    without end, as int_column builds them; a head that stops short of row d,
-    as sequence_head's does for a kmax below d, gives its own terms alone.
+    without end; a head that stops short of row d, as sequence_head's does for
+    a kmax below d, gives its own terms alone. The recurrence runs over terms
+    1, 2, ..., so its first value is term d + 1.
     """
     d = len(head.charpoly) - 1
-    column = head.terms[i - 1][: d + 1]
-    yield from column
-    if len(column) > d:
-        terms = column[1:]
-        for value in recurrence_values(head.charpoly, terms):
-            terms.append(value)
-            yield value
+    column = head.terms[i - 1]
+    return itertools.chain(column[:1], recurrence_terms(head.charpoly, column[1 : d + 1]))
 
 
 def generate(
@@ -173,25 +157,31 @@ def generate(
 ) -> SequenceReport:
     """Exact coordinates of beta * eps^k over w for k = 0..kmax, one column per coordinate.
 
-    The certified head of sequence_head, each column extended by int_column;
-    the errors are those of sequence_head, error included.
+    The certified head of sequence_head, each column read through
+    column_terms; the errors are those of sequence_head, error included.
     """
     head = sequence_head(beta, eps, w, kmax, error)
-    columns = [int_column(head, i, kmax) for i in range(1, len(head.terms) + 1)]
+    columns = [
+        list(itertools.islice(column_terms(head, i), kmax + 1))
+        for i in range(1, len(head.terms) + 1)
+    ]
     return SequenceReport(terms=columns, charpoly=head.charpoly)
 
 
-def extend(charpoly: Sequence[int], first: Iterable, count: int) -> list:
-    """The terms x(0..d-1) of first, then the next count terms under charpoly, of degree d.
+def recurrence_terms(charpoly: Sequence[int], first: Iterable) -> Iterator:
+    """The terms x(0..d-1) of first, then every later term under charpoly, of degree d.
 
     The one self-feeding loop: each value recurrence_values yields is appended
-    to the list it reads before the next is asked for. count <= 0 adds none.
+    to the list it reads before the next is asked for, and only when the
+    caller reads it, so reading n terms asks the kernel for max(n - d, 0)
+    values. A first of fewer than d terms gives its own terms alone.
     """
     terms = list(first)
-    append = terms.append
-    for value in itertools.islice(recurrence_values(charpoly, terms), max(count, 0)):
-        append(value)
-    return terms
+    yield from terms
+    if len(terms) >= len(charpoly) - 1:
+        for value in recurrence_values(charpoly, terms):
+            terms.append(value)
+            yield value
 
 
 def recurrence_values(charpoly: Sequence[int], x: Sequence) -> Iterator:
@@ -301,8 +291,8 @@ def decimal_columns(head: SequenceReport, kmax: int) -> list[DecimalList]:
                 text.extend(rest if sign == 1 else map(_negated, rest))
                 columns.append(text)
                 continue
-            values = extend(head.charpoly, map(Decimal, column[:d]), kmax + 1 - d)
-            text = DecimalList(map(str, values))
+            values = recurrence_terms(head.charpoly, map(Decimal, column[:d]))
+            text = DecimalList(map(str, itertools.islice(values, kmax + 1)))
             # the product of 0 and a negative s_j is -0, the one decimal value
             # whose text is not str() of its int
             if "-0" in text:
@@ -318,11 +308,12 @@ def divides(a: int, b: int) -> bool:
     return b % a == 0
 
 
+@functools.lru_cache(maxsize=1)
 def smallest_prime_factors(nmax: int) -> tuple[int, ...]:
     """spf[m] is the least prime factor of m for 2 <= m <= nmax.
 
-    The sieve of verify_lds: a caller that checks several columns to one bound
-    builds it once and passes it to each call.
+    The sieve of verify_lds. The last one built is kept, so the columns of one
+    report, which share one bound, share one sieve.
     """
     spf = list(range(nmax + 1))
     for p in range(2, math.isqrt(nmax) + 1):
@@ -333,7 +324,7 @@ def smallest_prime_factors(nmax: int) -> tuple[int, ...]:
     return tuple(spf)
 
 
-def verify_lds(column: Iterable[int], nmax: int, spf: Sequence[int] | None = None) -> LdsVerdict:
+def verify_lds(column: Iterable[int], nmax: int) -> LdsVerdict:
     """First failing pair n | m with 1 <= n < m <= nmax; the index is the position.
 
     column yields b(0), b(1), ... and is read only as far as the verdict
@@ -343,15 +334,11 @@ def verify_lds(column: Iterable[int], nmax: int, spf: Sequence[int] | None = Non
     0), so while every pair below m holds, m has a failing divisor exactly
     when some prime step (m/p, m) fails: only prime steps are tested until that
     m. A column that ends before index nmax raises ValueError, a sized one
-    before any pair is tested. spf is smallest_prime_factors of nmax or more,
-    built here when not given.
+    before any pair is tested.
     """
     if isinstance(column, Sized) and len(column) <= nmax:
         raise ValueError(f"need terms through index {nmax}, got {len(column)}")
-    if spf is None:
-        spf = smallest_prime_factors(max(nmax, 1))
-    elif len(spf) <= nmax:
-        raise ValueError(f"the prime sieve ends below {nmax}")
+    spf = smallest_prime_factors(max(nmax, 1))
     terms: list[int] = []
     for m, term in enumerate(itertools.islice(column, max(nmax + 1, 0))):
         terms.append(term)

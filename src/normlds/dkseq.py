@@ -21,10 +21,10 @@ the odd k and the even k are two streams, interleaved into one list.
 The module also hosts the order-4 recurrence check for quadratic norm-1
 units and the change of basis matching d_k/d_1 with a first coordinate
 sequence: T comes from basisforge._quadratic_unit_trace, the basis from
-basisforge.lds_basis, and the terms from coordseq.extend; the recurrence
-report of d_k is one column, the d_k list itself. It hosts the vanishing scan
-for lacunary minimal polynomials too, and power-basis discriminants, as
-+-N(f'(alpha)) for the defining polynomial f.
+basisforge.lds_basis, and the terms from coordseq.recurrence_terms; the
+recurrence report of d_k is one column, the d_k list itself. It hosts the
+vanishing scan for lacunary minimal polynomials too, and power-basis
+discriminants, as +-N(f'(alpha)) for the defining polynomial f.
 Their results, DkSequence, DkMatchReport and the sparse scan's report, are
 collections.namedtuple records; the scan's report holds its rows as columns.
 """
@@ -38,7 +38,7 @@ from operator import eq, sub
 from typing import Iterable, Iterator, Sequence
 
 from .basisforge import _quadratic_unit_trace, lds_basis
-from .coordseq import SequenceReport, extend, generate, verify_recurrence
+from .coordseq import SequenceReport, generate, recurrence_terms, verify_recurrence
 from .numberfield import (
     FieldElement,
     ModuleBasis,
@@ -224,10 +224,8 @@ def match_dk_basis(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int = 30) 
     # x(k) = A^T y(k) where y(k) are power coordinates of eta^k mod X^4 - T X^2 + 1;
     # y(k) = e_(k+1) for k <= 3, so x1(0..3) is column 0 of A, normalized, and
     # x1 follows the recurrence
-    x1 = extend(poly, normalized, kmax - 3)
-    matched = next(
-        (k - 1 for k in range(kmax + 1) if x1[k] * d1 != (seq.dk(k) if k else 0)), kmax
-    )
+    x1 = islice(recurrence_terms(poly, normalized), kmax + 1)
+    matched = next((k - 1 for k, x in enumerate(x1) if x * d1 != (seq.dk(k) if k else 0)), kmax)
     basis = None
     k4 = _quartic_field(poly)
     if k4 is not None:

@@ -1,11 +1,13 @@
 """The certified head: rows 0..d from field products, every later term from the recurrence.
 
 coordseq.sequence_head takes rows 0..d, d the degree of min_poly(eps), from
-ModuleBasis.power_rows and checks row d against the recurrence; generate,
-int_column and decimal_columns build every later term of each column from it. These
-tests hold them to the Fraction field-product oracle taken all the way, count
-the work each sequence command does, and bound the memory that verify-lds
-holds.
+ModuleBasis.power_rows and checks row d against the recurrence; every later
+term of each column grows through coordseq.recurrence_terms, read through
+column_terms by generate and verify-lds and through decimal_columns by the
+reports. These tests hold them to the Fraction field-product oracle taken all
+the way, hold recurrence_terms to the termwise sum, count the work each
+sequence command does and the prime sieves each report builds, and bound the
+memory that verify-lds holds.
 """
 
 import contextlib
@@ -18,9 +20,10 @@ import re
 import sys
 import tracemalloc
 from collections import Counter
+from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from normlds import cli, coordseq, dkseq
@@ -28,7 +31,6 @@ from normlds.basisforge import quartic_full_construct, quartic_module_construct
 from normlds.coordseq import (
     decimal_columns,
     generate,
-    int_column,
     sequence_head,
     verify_recurrence,
 )
@@ -118,7 +120,6 @@ class TestCertifiedPathEqualsTheStepMatrix:
         columns, head = want[1], head[1]
         assert head.kmax == min(kmax, d)
         for i, column in enumerate(columns, 1):
-            assert int_column(head, i, kmax) == column
             assert list(itertools.islice(coordseq.column_terms(head, i), kmax + 1)) == column
         assert decimal_columns(head, kmax) == [[str(x) for x in column] for column in columns]
 
@@ -248,13 +249,12 @@ class TestWorkCount:
         # 2 + t is a unit of Z[t], so the x and alpha^-1 streams run to ceil(kmax/2)
         # and floor(kmax/2)
         lasts = []
-        monkeypatch.setattr(
-            coordseq, "int_column", lambda head, i, last: lasts.append(last) or int_column(head, i, last)
-        )
+        generate_ = dkseq.generate
+        monkeypatch.setattr(dkseq, "generate", lambda *args: lasts.append(args[3]) or generate_(*args))
         rc, out, _ = run_cli(["dk-scan", "--field", "x^2-3", "--alpha", "2+t", "--kmax", str(kmax)])
         assert rc == 0 and len(json.loads(out)["terms"]) == kmax
         half = -(-kmax // 2)
-        assert lasts == [half, half, kmax // 2, kmax // 2]
+        assert lasts == [half, kmax // 2]
         # d = 2: per stream, rows 0..min(last, 2), the certificate when row 2 is
         # taken, and terms 3..last of both columns when last > 2; then the check
         # of d_k, which predicts d_5..d_kmax
@@ -265,11 +265,71 @@ class TestWorkCount:
         assert work == Counter({"rows": rows, "ints": ints + (kmax - 4) * (kmax > 4)})
 
     def test_family_scan_builds_x1_alone(self, work):
-        rc, out, _ = run_cli(["family-scan", "--m-range", "2..6", "--kmax", "200"])
-        checked = sum(row["status"] == "ok" for row in json.loads(out)["rows"])
-        assert rc == 0 and checked >= 2
-        # per checked m: 4 rows of B, 5 rows, the certificate, and terms 5..200 of x1
-        assert work == {"basis rows": 4 * checked, "rows": 5 * checked, "ints": checked * (4 + 196)}
+        # per accepted m: 4 rows of B, 5 rows, the certificate's 4 values, and
+        # terms 5..200 of x1, which verify_lds reads through kmax; nothing for a
+        # rejected m
+        accepted = []
+        for m in range(2, 8):
+            before = work.copy()
+            rc, out, _ = run_cli(["family-scan", f"--m-range={m}..{m}", "--kmax", "200"])
+            (row,) = json.loads(out)["rows"]
+            assert rc == 0
+            if row["status"] == "ok":
+                accepted.append(m)
+                assert row["lds_ok"] and row["witness"] is None
+                assert work - before == {"basis rows": 4, "rows": 5, "ints": 4 + 196}
+            else:
+                assert work == before
+        assert accepted == [2, 5, 6, 7]
+
+
+class TestRecurrenceTerms:
+    @given(st.data(), st.booleans())
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_each_term_is_the_termwise_sum_made_only_when_read(self, work, data, as_decimal):
+        # charpolys rich in 0 and +-1; n below, at and past d; the counting
+        # kernel counts int values, so its count is pinned for int heads
+        d = data.draw(st.integers(1, 4))
+        coefficient = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-50, 50))
+        charpoly = [data.draw(coefficient) for _ in range(d)] + [1]
+        first = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=d, max_size=d))
+        n = data.draw(st.one_of(st.integers(0, d), st.integers(d + 1, d + 12)))
+        want = list(first)
+        for k in range(d, n):
+            want.append(sum(-charpoly[d - j] * want[k - j] for j in range(1, d + 1)))
+        before = work["ints"]
+        with localcontext() as context:
+            context.prec = 200
+            terms = coordseq.recurrence_terms(charpoly, map(Decimal, first) if as_decimal else first)
+            got = list(itertools.islice(terms, n))
+        assert got == want[:n]
+        if as_decimal:
+            # with no nonzero s_j the kernel's values are the int 0
+            assert all(type(x) is Decimal for x in got) or not any(charpoly[:-1])
+        else:
+            assert all(type(x) is int for x in got)
+            assert work["ints"] - before == max(n - d, 0)
+
+    def test_a_first_shorter_than_the_degree_gives_its_own_terms(self, work):
+        # x^4 - 3x^2 + 1 reads x(k - 2) and x(k - 4) alone; three terms are not a head
+        assert list(coordseq.recurrence_terms((1, 0, -3, 0, 1), [5, 6, 7])) == [5, 6, 7]
+        assert work["ints"] == 0
+
+
+class TestOneSievePerReport:
+    # verify-lds checks 4 columns; family-scan checks m = 2, 5, 6, 7 and rejects 3 and 4
+    @pytest.mark.parametrize("argv, verdicts", [
+        (["verify-lds", *QUARTIC, "--basis", "quartic-power", "--kmax", "120"], 4),
+        (["family-scan", "--m-range", "2..7", "--kmax", "120"], 4),
+    ], ids=["verify-lds", "family-scan"])
+    def test_every_verdict_of_a_report_reads_one_sieve(self, argv, verdicts):
+        coordseq.smallest_prime_factors.cache_clear()
+        rc, _, _ = run_cli(argv)
+        assert rc == 0
+        info = coordseq.smallest_prime_factors.cache_info()
+        assert (info.misses, info.hits) == (1, verdicts - 1)
 
 
 def traced_peak(argv):
@@ -330,8 +390,7 @@ class TestVerifyLdsMemory:
             report = generate(beta, unit, basis, 600)
             assert verify_recurrence(report)
             terms = list(map(coordseq.DecimalList, zip(*decimal_columns(report, 600))))
-            spf = coordseq.smallest_prime_factors(600)
-            lds = [coordseq.verify_lds(column, 600, spf).ok for column in report.terms]
+            lds = [coordseq.verify_lds(column, 600).ok for column in report.terms]
             coords = [list(map(str, v.coords)) for v in basis.vectors]
             payload = {"terms": terms, "lds": lds, "basis": coords}
             out = io.StringIO()

@@ -147,6 +147,16 @@ def test_terms_beyond_the_int_digit_limit(tmp_path):
         assert rows[4][i] == 110 * rows[2][i] - rows[0][i]
 
 
+def test_an_interpreter_without_the_digit_limit_writes_the_same_report(monkeypatch):
+    # Python before 3.10.7 has neither sys.get_int_max_str_digits nor its setter
+    argv = ["emit-sequence", "--field", "x^4-10x^2+1", "--unit", "t", "--kmax", "30"]
+    want = run_cli(argv)
+    assert want[0] == 0
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    monkeypatch.delattr(sys, "set_int_max_str_digits")
+    assert run_cli(argv) == want
+
+
 @pytest.mark.parametrize("nmax", ["0", "-3"])
 def test_verify_lds_nmax_checked_before_any_output(nmax):
     rc, out, err = run_cli(

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -271,3 +272,53 @@ def test_match_dk_basis_reports_the_first_mismatch(monkeypatch):
 )
 def test_discriminant_pinned(poly, disc):
     assert dkseq.discriminant_power_basis(NumberField(poly)) == disc
+
+
+def least_pell_solution(D):
+    """The least a, b > 0 with a^2 - D b^2 = 1, from the continued fraction of sqrt D."""
+    a0 = math.isqrt(D)
+    m, d, a = 0, 1, a0
+    p0, p1, q0, q1 = 1, a0, 0, 1
+    while p1 * p1 - D * q1 * q1 != 1:
+        m = d * a - m
+        d = (D - m * m) // d
+        a = (a0 + m) // d
+        p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+    return p1, q1
+
+
+def norm_one_quadratic_units():
+    """Nontorsion units of norm 1 over the power basis of a real quadratic field.
+
+    +-a +- b t over x^2 - D for the least Pell solution of each nonsquare D in
+    2..79, and every u + v t of norm u^2 + uv - m v^2 = 1 with |u|, |v| <= 30
+    over x^2 - x - m for m in 1..30 with x^2 - x - m irreducible.
+    """
+    units = []
+    for D in range(2, 80):
+        if math.isqrt(D) ** 2 != D:
+            a, b = least_pell_solution(D)
+            field = NumberField((-D, 0, 1))
+            units += [field.element([sa * a, sb * b]) for sa in (1, -1) for sb in (1, -1)]
+    for m in range(1, 31):
+        if math.isqrt(1 + 4 * m) ** 2 != 1 + 4 * m:
+            field = NumberField((-m, -1, 1))
+            units += [
+                field.element([u, v])
+                for u in range(-30, 31)
+                for v in range(-30, 31)
+                if v and u * u + u * v - m * v * v == 1 and abs(2 * u + v) > 2
+            ]
+    return units
+
+
+def test_d3_is_t_plus_one_in_absolute_value_times_d1():
+    # (T + 1) d_1 fails at every T < 0: -2 + t over x^2 - 3, of T = -4, gives d = 1, 2, 3, 8
+    units = norm_one_quadratic_units()
+    assert len(units) == 348
+    for alpha in units:
+        mp = numberfield.min_poly(alpha)
+        assert mp[0] == 1
+        t = -int(mp[1])
+        seq = dkseq.dk_sequence(alpha, alpha.field.power_basis(), 3)
+        assert seq.dk(3) == abs(t + 1) * seq.dk(1), (alpha, t, seq.terms)

@@ -104,6 +104,15 @@ SCALING_CASES = {
     # {1, n + t} spans Z[t], and x2 is the b of (2 + t)^k = a + b t, an LDS
     "--module-basis": lambda n: ["verify-lds", "--field", "x^2-3", "--unit", "2+t",
                                  "--module-basis", f"1;{n}+t", "--column", "2", "--kmax", "40"],
+    # the unit t of x^4 - n x^2 + 1, n = 3^e with e even, so neither n - 2 nor n + 2 is a square
+    "quartic-power --unit": lambda n: ["construct-basis", "--method", "quartic-power",
+                                       "--field", f"x^4-{n}x^2+1", "--unit", "t"],
+    "quartic-full --unit": lambda n: ["construct-basis", "--method", "quartic-full",
+                                      "--field", f"x^4-{n}x^2+1", "--unit", "t"],
+    "snf-check --unit": lambda n: ["snf-check", "--field", f"x^4-{n}x^2+1", "--unit", "t"],
+    # the power basis's x1 is no LDS, and that report exits 2
+    "verify-lds quartic --unit": lambda n: ["verify-lds", "--field", f"x^4-{n}x^2+1", "--unit", "t",
+                                            "--basis", "quartic-power", "--kmax", "40"],
 }
 
 

@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 from normlds.coordseq import (
     DecimalList,
     SequenceReport,
+    column_terms,
     decimal_columns,
     divides,
     generate,
-    int_column,
     recurrence_values,
     sequence_head,
     smallest_prime_factors,
@@ -144,9 +144,9 @@ class TestCoordinateRows:
             column[:] = [7] * 12
         head = sequence_head(beta, eps, k4.power_basis(), 11)
         for kmax in (2, 11):
-            column = int_column(head, 1, kmax)
+            column = list(itertools.islice(column_terms(head, 1), kmax + 1))
             column[:] = [7] * len(column)
-            assert int_column(head, 1, kmax) == expected[0][: kmax + 1]
+            assert list(itertools.islice(column_terms(head, 1), kmax + 1)) == expected[0][: kmax + 1]
         assert head.terms == [column[:5] for column in expected]
 
 
@@ -626,13 +626,16 @@ class TestShiftedColumns:
 
 
 class TestSharedSieve:
-    @given(lds_columns(), st.integers(0, 20))
+    @given(lds_columns())
     @settings(max_examples=300, deadline=None)
-    def test_a_sieve_built_once_gives_the_same_verdict(self, case, extra):
+    def test_a_sieve_built_once_gives_the_same_verdict(self, case):
+        # the first call builds the sieve of nmax, the second reads it back
         col, nmax = case
-        spf = smallest_prime_factors(max(nmax, 1) + extra)
-        assert verify_lds(col, nmax, spf) == verify_lds(col, nmax)
-        assert (verify_lds(col, nmax, spf).ok, verify_lds(col, nmax, spf).witness) == pairwise_lds(col, nmax)
+        smallest_prime_factors.cache_clear()
+        built = verify_lds(col, nmax)
+        kept = verify_lds(col, nmax)
+        assert smallest_prime_factors.cache_info().misses == 1
+        assert built == kept and (kept.ok, kept.witness) == pairwise_lds(col, nmax)
 
     def test_sieve(self):
         spf = smallest_prime_factors(30)
@@ -640,12 +643,6 @@ class TestSharedSieve:
         assert [spf[m] for m in range(2, 31)] == [
             min(p for p in range(2, m + 1) if m % p == 0) for m in range(2, 31)
         ]
-
-    def test_a_short_sieve_is_refused(self):
-        col = list(range(41))
-        with pytest.raises(ValueError, match="sieve ends below 40"):
-            verify_lds(col, 40, smallest_prime_factors(39))
-        assert verify_lds(col, 40, smallest_prime_factors(40)).ok
 
 
 class TestRecurrenceValues:
