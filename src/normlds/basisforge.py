@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactlinalg import (
-    IntMatrix, InvariantViolation, det, fraction_free_inverse, primitive_reducer, snf
+    InvariantViolation, apply, det, fraction_free_inverse, matmul, primitive_reducer, snf
 )
 from .numberfield import FieldElement, ModuleBasis, NumberField, min_poly
 
@@ -80,7 +80,7 @@ class SnfCriterion(
     # t_trace: int
     # scale: int
     # lift_column: tuple[int, int, int, int]
-    # b, x, y: IntMatrix
+    # b, x, y: tuple[tuple[int, ...], ...]
 
 
 def quartic_unit_trace(eta: FieldElement) -> int:
@@ -128,7 +128,7 @@ def _assert_spans_same_module(tbasis: ModuleBasis, newbasis: ModuleBasis) -> Non
         if den != 1:
             raise InvariantViolation("constructed basis left the module")
         m.append(coords)
-    if det(IntMatrix.from_rows(m)) not in (1, -1):
+    if det(m) not in (1, -1):
         raise InvariantViolation("constructed basis does not span the module")
 
 
@@ -149,8 +149,8 @@ def lds_basis(
     the new basis and scale > 0. Raises ValueError when a beta*eps^i leaves
     the module or B is singular.
     """
-    b = IntMatrix.from_rows(tbasis.power_rows(beta, eps, tbasis.field.degree, _power_outside))
-    inverse = fraction_free_inverse(b.entries)
+    b = tbasis.power_rows(beta, eps, tbasis.field.degree, _power_outside)
+    inverse = fraction_free_inverse(b)
     if inverse is None:
         raise ValueError("coordinate matrix is singular")
     nmat, q = inverse
@@ -165,13 +165,13 @@ def lds_basis(
     c_inv = primitive_reducer(z)
     if det(c_inv) not in (1, -1):
         raise InvariantViolation("change-of-basis matrix is not unimodular")
-    if c_inv.apply(z) != tuple(int(i == 0) for i in range(len(z))):
+    if apply(c_inv, z) != tuple(int(i == 0) for i in range(len(z))):
         raise InvariantViolation(f"change of basis does not have the first column {tuple(z)}")
-    first, expected = b.apply(z), tuple(scale * x for x in v)
+    first, expected = apply(b, z), tuple(scale * x for x in v)
     if first != expected:
         raise InvariantViolation(f"initial conditions {first} != {expected}")
     # vector i of the new basis is row i of C^-1 applied to tbasis
-    w = ModuleBasis(tbasis.field, tuple(map(tbasis.combine, c_inv.entries)))
+    w = ModuleBasis(tbasis.field, tuple(map(tbasis.combine, c_inv)))
     _assert_spans_same_module(tbasis, w)
     return w, scale
 
@@ -244,8 +244,11 @@ def _least_coprime_step(c: int, a: int, g: int) -> int:
 
 
 def _canonicalize_witness(
-    x: IntMatrix, y: IntMatrix, deltas: tuple[int, ...], v: tuple[int, ...]
-) -> tuple[IntMatrix, IntMatrix]:
+    x: tuple[tuple[int, ...], ...],
+    y: tuple[tuple[int, ...], ...],
+    deltas: tuple[int, ...],
+    v: tuple[int, ...],
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Adjust the Smith witness so gcd((X v)[3], deltas[3]/deltas[0]) = 1 if possible.
 
     Adds t_j * a_j to chi_4 = (X v)[3] by adding t_j * (d4/dj) times row j of X to
@@ -269,7 +272,7 @@ def _canonicalize_witness(
     ratio = deltas[3] // deltas[0]
     if ratio == 1:
         return x, y
-    chi = x.apply(v)
+    chi = apply(x, v)
     c = chi[3]
     if math.gcd(c, ratio) == 1:
         return x, y
@@ -286,10 +289,10 @@ def _canonicalize_witness(
     t1 = _least_coprime_step(c, a1, ratio)
     u = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [t1 * steps[0], t2 * steps[1], t3 * steps[2], 1]]
     vmat = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [-t1, -t2, -t3, 1]]
-    return IntMatrix.from_rows(u) @ x, y @ IntMatrix.from_rows(vmat)
+    return matmul(u, x), matmul(y, vmat)
 
 
-def snf_criterion_matrix(b: IntMatrix, t_trace: int) -> SnfCriterion:
+def snf_criterion_matrix(b: tuple[tuple[int, ...], ...], t_trace: int) -> SnfCriterion:
     """Full-module test on the coordinate matrix of (beta, beta*eta, ..., beta*eta^3).
 
     Computes the Smith form X B Y = diag(deltas), the condition vector
@@ -298,7 +301,7 @@ def snf_criterion_matrix(b: IntMatrix, t_trace: int) -> SnfCriterion:
     witness is canonicalized toward gcd(chi4, delta4/delta1) = 1 whenever that
     form is reachable.
     """
-    if b.rows != 4 or b.cols != 4:
+    if len(b) != 4 or len(b[0]) != 4:
         raise ValueError("criterion needs a 4x4 coordinate matrix")
     if det(b) == 0:
         raise ValueError("coordinate matrix is singular")
@@ -306,7 +309,7 @@ def snf_criterion_matrix(b: IntMatrix, t_trace: int) -> SnfCriterion:
     deltas = dec.d
     v = (0, 1, 1, t_trace + 1)
     x, y = _canonicalize_witness(dec.x, dec.y, deltas, v)
-    chi = x.apply(v)
+    chi = apply(x, v)
     # minimal a with deltas[i] | a * chi[i] for all i: lcm of d_i / gcd(d_i, chi_i)
     scale = 1
     for d_i, c_i in zip(deltas, chi):
@@ -330,7 +333,7 @@ def snf_criterion_matrix(b: IntMatrix, t_trace: int) -> SnfCriterion:
 def snf_criterion(tbasis: ModuleBasis, beta: FieldElement, eta: FieldElement) -> SnfCriterion:
     """Full-module test for the module spanned by tbasis; see snf_criterion_matrix."""
     t = quartic_unit_trace(eta)
-    b = IntMatrix.from_rows(tbasis.power_rows(beta, eta, tbasis.field.degree, _power_outside))
+    b = tbasis.power_rows(beta, eta, tbasis.field.degree, _power_outside)
     return snf_criterion_matrix(b, t)
 
 

@@ -74,7 +74,8 @@ def _element(field: NumberField, text: str, what: str) -> FieldElement:
 
 def _unit_beta(config: Namespace, field: NumberField) -> tuple[FieldElement, FieldElement]:
     """The --unit and the --beta (default 1) of a report, parsed once."""
-    return _element(field, config.unit, "unit"), _element(field, config.beta or "1", "beta")
+    beta = "1" if config.beta is None else config.beta
+    return _element(field, config.unit, "unit"), _element(field, beta, "beta")
 
 
 def _head(field: NumberField, unit: FieldElement, beta: FieldElement) -> dict[str, Any]:
@@ -87,7 +88,7 @@ def _head(field: NumberField, unit: FieldElement, beta: FieldElement) -> dict[st
 
 def _ring(config: Namespace, field: NumberField) -> ModuleBasis:
     """The --module-basis basis when one is given, else the power basis."""
-    if not config.module_basis:
+    if config.module_basis is None:
         return field.power_basis()
     parts = [p for p in config.module_basis.split(";") if p.strip()]
     return ModuleBasis(field, tuple(parse_element(field, p) for p in parts))
@@ -185,10 +186,10 @@ def _resolve_basis(
     """Basis for sequence commands, from a named construction, a file, or expressions."""
     if config.basis is not None:
         _refuse_given(config, ("--module-basis", "--basis-file"), "cannot be combined with --basis")
-    if config.basis_file:
+    if config.basis_file is not None:
         _refuse_given(config, ("--module-basis",), "cannot be combined with --basis-file")
         return _basis_from_file(config.basis_file, field, unit, beta), {"basis_source": "file"}
-    if config.module_basis:
+    if config.module_basis is not None:
         return _ring(config, field), {"basis_source": "explicit"}
     if config.basis in (None, "power"):
         return field.power_basis(), {"basis_source": "power"}

@@ -17,22 +17,21 @@ A failed internal check, here or in any module above, raises
 InvariantViolation: a bug, never bad input. The command line reports it with
 exit code 1.
 
-IntMatrix, like the value classes of numberfield, sets its fields once in
-__init__, compares and hashes by them, and on the Frozen base raises
-AttributeError on assignment. The decompositions are collections.namedtuple
-records, as are the results of coordseq, basisforge and dkseq: a
-typing.NamedTuple compiles each field's annotation, a string under
-from __future__ import annotations, when the module is imported.
+A matrix is a sequence of integer rows: every function here takes lists or
+tuples of rows, and every matrix one returns, or a decomposition holds, is a
+tuple of row tuples, which compares and hashes by value. apply, matmul and
+identity serve the witness checks. The decompositions are
+collections.namedtuple records, as are the results of coordseq, basisforge
+and dkseq: a typing.NamedTuple compiles each field's annotation, a string
+under from __future__ import annotations, when the module is imported.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
-from typing import Iterable, Sequence
-
-# the one way to set a field of a Frozen value, from its __init__
-_set = object.__setattr__
+from typing import Sequence
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -50,94 +49,20 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-class Frozen:
-    """Base of the package's immutable values: __init__ sets each field once.
-
-    Assigning to or deleting an attribute afterwards raises AttributeError.
-    A subclass that lists its fields in __slots__ has no instance __dict__;
-    one that caches a property keeps it.
-    """
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+def identity(n: int) -> tuple[tuple[int, ...], ...]:
+    """The n x n identity matrix."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-class IntMatrix(Frozen):
-    """Immutable integer matrix, stored as a tuple of row tuples."""
+def apply(m: Sequence[Sequence[int]], vec: Sequence[int]) -> tuple[int, ...]:
+    """Matrix-vector product m . vec."""
+    return tuple(sum(map(operator.mul, row, vec)) for row in m)
 
-    __slots__ = ("entries",)
 
-    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
-        if not entries or not entries[0]:
-            raise ValueError("matrix must have at least one row and column")
-        width = len(entries[0])
-        for row in entries:
-            if len(row) != width:
-                raise ValueError("rows must all have the same length")
-            for x in row:
-                if not isinstance(x, int):
-                    raise ValueError(f"entries must be exact integers, got {x!r}")
-        _set(self, "entries", entries)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return f"IntMatrix(entries={self.entries!r})"
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def diagonal(cls, diag: Sequence[int]) -> "IntMatrix":
-        n = len(diag)
-        return cls(tuple(tuple(diag[i] if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)))
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        cols = other.transpose().entries
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.entries
-            )
-        )
-
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Matrix-vector product self . vec."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
+def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Matrix product a . b."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
 
 
 class InvariantViolation(RuntimeError):
@@ -145,17 +70,17 @@ class InvariantViolation(RuntimeError):
 
 
 class HnfDecomposition(namedtuple("HnfDecomposition", "h c")):
-    """Column-style Hermite form: b @ c = h with h lower triangular, c unimodular."""
+    """Column-style Hermite form: b . c = h with h lower triangular, c unimodular."""
 
     __slots__ = ()
-    # h, c: IntMatrix
+    # h, c: tuple[tuple[int, ...], ...]
 
 
 class SnfDecomposition(namedtuple("SnfDecomposition", "x d y")):
-    """Smith form witnesses: x @ b @ y = diag(d), x and y unimodular, d[0] | d[1] | ..."""
+    """Smith form witnesses: x . b . y = diag(d), x and y unimodular, d[0] | d[1] | ..."""
 
     __slots__ = ()
-    # x, y: IntMatrix
+    # x, y: tuple[tuple[int, ...], ...]
     # d: tuple[int, ...]
 
 
@@ -200,16 +125,16 @@ def _bareiss(a: list[list[int]]) -> int:
     return sign * prev
 
 
-def det(m: IntMatrix) -> int:
+def det(m: Sequence[Sequence[int]]) -> int:
     """Exact determinant by fraction-free Bareiss elimination."""
-    if m.rows != m.cols:
+    if len(m) != len(m[0]):
         raise ValueError("determinant requires a square matrix")
-    return _bareiss([list(row) for row in m.entries])
+    return _bareiss([list(row) for row in m])
 
 
 def fraction_free_inverse(
     rows: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], int] | None:
+) -> tuple[tuple[tuple[int, ...], ...], int] | None:
     """Inverse of a square integer matrix as (N, q) with A^-1 = N/q, q = |det A| > 0.
 
     The Bareiss pass over [A | I]; None when A is singular. The right block
@@ -221,18 +146,18 @@ def fraction_free_inverse(
         return None
     d = a[n - 1][n - 1]
     sign = 1 if d > 0 else -1
-    return [[sign * x for x in row[n:]] for row in a], abs(d)
+    return tuple(tuple(sign * x for x in row[n:]) for row in a), abs(d)
 
 
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
+def inverse_unimodular(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Exact integer inverse of a matrix with determinant +-1 (fraction_free_inverse)."""
-    if m.rows != m.cols:
+    if len(m) != len(m[0]):
         raise ValueError("inverse requires a square matrix")
-    result = fraction_free_inverse(m.entries)
+    result = fraction_free_inverse(m)
     if result is None or result[1] != 1:
         raise ValueError(f"matrix is not unimodular (det = {det(m)})")
-    inv = IntMatrix.from_rows(result[0])
-    if (inv @ m) != IntMatrix.identity(m.rows):
+    inv = result[0]
+    if matmul(inv, m) != identity(len(m)):
         raise InvariantViolation("inverse verification failed")
     return inv
 
@@ -248,18 +173,18 @@ def _add_column(m: list[list[int]], dst: int, src: int, q: int) -> None:
         r[dst] += q * r[src]
 
 
-def hnf_column(b: IntMatrix) -> HnfDecomposition:
+def hnf_column(b: Sequence[Sequence[int]]) -> HnfDecomposition:
     """Column Hermite normal form.
 
-    Returns (h, c) with b @ c = h lower triangular and c unimodular. Pivots are
+    Returns (h, c) with b . c = h lower triangular and c unimodular. Pivots are
     positive and entries left of each pivot are reduced into [0, pivot).
     Requires full row rank. Column operations on b stacked over I leave h on
     top and c below.
     """
-    rows, cols = b.rows, b.cols
+    rows, cols = len(b), len(b[0])
     if rows > cols:
         raise ValueError("full row rank requires rows <= cols")
-    m = [list(row) for row in b.entries] + [[int(i == j) for j in range(cols)] for i in range(cols)]
+    m = [list(row) for row in b] + [[int(i == j) for j in range(cols)] for i in range(cols)]
     for i in range(rows):
         pivot_row = m[i]
         while True:
@@ -285,27 +210,27 @@ def hnf_column(b: IntMatrix) -> HnfDecomposition:
             if q:
                 _add_column(m, j, i, -q)
 
-    hm = IntMatrix.from_rows(m[:rows])
-    cm = IntMatrix.from_rows(m[rows:])
-    if (b @ cm) != hm:
+    hm = tuple(map(tuple, m[:rows]))
+    cm = tuple(map(tuple, m[rows:]))
+    if matmul(b, cm) != hm:
         raise InvariantViolation("Hermite witness verification failed")
     return HnfDecomposition(hm, cm)
 
 
-def snf(b: IntMatrix) -> SnfDecomposition:
+def snf(b: Sequence[Sequence[int]]) -> SnfDecomposition:
     """Smith normal form with witnesses.
 
-    Returns (x, d, y) with x @ b @ y = diag(d), x and y unimodular, and the
+    Returns (x, d, y) with x . b . y = diag(d), x and y unimodular, and the
     diagonal nonnegative with d[i] | d[i+1] (trailing zeros allowed). The
     elimination runs on the block matrix [[b, I], [I, 0]], pivoting in its
     leading n x n block: row operations on the first n rows carry x to the
     top right, and column operations on the first n columns carry y to the
     bottom left.
     """
-    if b.rows != b.cols:
+    n = len(b)
+    if n != len(b[0]):
         raise ValueError("Smith form implemented for square matrices")
-    n = b.rows
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(b.entries)]
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(b)]
     a += [[int(i == j) for j in range(n)] + [0] * n for i in range(n)]
     for s in range(n):
         while True:
@@ -346,9 +271,10 @@ def snf(b: IntMatrix) -> SnfDecomposition:
             a[s] = [-v for v in a[s]]
 
     diag = tuple(a[i][i] for i in range(n))
-    xm = IntMatrix.from_rows(row[n:] for row in a[:n])
-    ym = IntMatrix.from_rows(row[:n] for row in a[n:])
-    if (xm @ b @ ym) != IntMatrix.diagonal(diag):
+    xm = tuple(tuple(row[n:]) for row in a[:n])
+    ym = tuple(tuple(row[:n]) for row in a[n:])
+    diagonal = tuple(tuple(d * e for e in row) for d, row in zip(diag, identity(n)))
+    if matmul(matmul(xm, b), ym) != diagonal:
         raise InvariantViolation("Smith witness verification failed")
     for i in range(n - 1):
         if diag[i] == 0:
@@ -359,7 +285,7 @@ def snf(b: IntMatrix) -> SnfDecomposition:
     return SnfDecomposition(xm, diag, ym)
 
 
-def primitive_reducer(v: Sequence[int]) -> IntMatrix:
+def primitive_reducer(v: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """A matrix u with det(u) = 1 and u . v = e1, for a primitive integer vector v.
 
     u is the inverse of complete_primitive(v). Deterministic: built from a
@@ -396,16 +322,16 @@ def primitive_reducer(v: Sequence[int]) -> IntMatrix:
     if w[0] != 1:
         # gcd sweep must terminate at 1 for a primitive vector
         raise InvariantViolation("primitive completion sweep failed")
-    return IntMatrix.from_rows(u)
+    return tuple(map(tuple, u))
 
 
-def complete_primitive(v: Sequence[int]) -> IntMatrix:
+def complete_primitive(v: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Complete a primitive integer vector to a unimodular matrix.
 
     Returns the inverse of primitive_reducer(v): det = 1 and first column v.
     Raises ValueError as primitive_reducer does.
     """
     result = inverse_unimodular(primitive_reducer(v))
-    if result.column(0) != tuple(int(a) for a in v):
+    if tuple(row[0] for row in result) != tuple(int(a) for a in v):
         raise InvariantViolation("completion does not start with the input vector")
     return result

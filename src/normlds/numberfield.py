@@ -20,9 +20,9 @@ integer inverse of A from one fraction-free Gauss-Jordan pass
 Coordinates over the basis then take n integer dot products with the
 numerators and one Fraction each.
 
-NumberField, FieldElement and ModuleBasis are immutable values on
-exactlinalg.Frozen: their fields are set in __init__, which also validates
-them, and == and hash compare those fields.
+NumberField, FieldElement and ModuleBasis are immutable values on Frozen,
+which lives here: their fields are set in __init__, which also validates them,
+and == and hash compare those fields.
 """
 
 from __future__ import annotations
@@ -33,12 +33,29 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence, Union
 
-from .exactlinalg import Frozen, IntMatrix, InvariantViolation, det, fraction_free_inverse
+from .exactlinalg import InvariantViolation, det, fraction_free_inverse
 
 Rational = Union[int, Fraction]
 
 # the one way to set a field of a Frozen value, from its __init__
 _set = object.__setattr__
+
+
+class Frozen:
+    """Base of the package's immutable values: __init__ sets each field once.
+
+    Assigning to or deleting an attribute afterwards raises AttributeError.
+    A subclass that lists its fields in __slots__ has no instance __dict__;
+    one that caches a property keeps it.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class ParseError(ValueError):
@@ -366,7 +383,7 @@ def trace(a: FieldElement) -> Fraction:
 
 
 def norm(a: FieldElement) -> Fraction:
-    return Fraction(det(IntMatrix.from_rows(_matrix(a))), a.den ** a.field.degree)
+    return Fraction(det(_matrix(a)), a.den ** a.field.degree)
 
 
 def min_poly(a: FieldElement) -> tuple[Fraction, ...]:
@@ -455,7 +472,7 @@ class ModuleBasis(Frozen):
 
     def power_rows(
         self, beta: FieldElement, eps: FieldElement, count: int, error: Callable[[int], str]
-    ) -> list[tuple[int, ...]]:
+    ) -> tuple[tuple[int, ...], ...]:
         """Integer coordinates of beta * eps^k over this basis for k < count, by field products.
 
         The first k whose coordinates are not all integers raises
@@ -470,7 +487,7 @@ class ModuleBasis(Frozen):
             if den != 1:
                 raise ValueError(error(k))
             rows.append(num)
-        return rows
+        return tuple(rows)
 
     def combine(self, weights: Sequence[Rational]) -> FieldElement:
         """Linear combination sum_i weights[i] * vectors[i], in one pass over integers."""

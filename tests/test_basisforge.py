@@ -20,19 +20,17 @@ from normlds.basisforge import (
     quartic_unit_trace,
     snf_criterion_matrix,
 )
-from normlds.exactlinalg import IntMatrix, det, hnf_column, inverse_unimodular, snf
+from normlds.exactlinalg import apply, det, hnf_column, identity, inverse_unimodular, matmul, snf
 from normlds.numberfield import ModuleBasis, NumberField, min_poly, parse_element
 from oracles import lucas_terms, solve_linear
 
 
-def canonicalize_witness_search(
-    x: IntMatrix, y: IntMatrix, deltas: tuple[int, ...], v: tuple[int, ...]
-) -> tuple[IntMatrix, IntMatrix]:
+def canonicalize_witness_search(x, y, deltas: tuple[int, ...], v: tuple[int, ...]):
     """The search over [0, R)^3 that the closed form replaces, kept as its reference."""
     ratio = deltas[3] // deltas[0]
     if ratio == 1:
         return x, y
-    chi = x.apply(v)
+    chi = apply(x, v)
     if math.gcd(chi[3], ratio) == 1:
         return x, y
     steps = [deltas[3] // deltas[j] for j in range(3)]
@@ -43,14 +41,14 @@ def canonicalize_witness_search(
                 if math.gcd(cand, ratio) == 1:
                     u = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [t1 * steps[0], t2 * steps[1], t3 * steps[2], 1]]
                     vmat = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [-t1, -t2, -t3, 1]]
-                    return IntMatrix.from_rows(u) @ x, y @ IntMatrix.from_rows(vmat)
+                    return matmul(u, x), matmul(y, vmat)
     return x, y
 
 
-def elementary(i: int, j: int, k: int) -> IntMatrix:
+def elementary(i: int, j: int, k: int) -> list[list[int]]:
     rows = [[int(r == c) for c in range(4)] for r in range(4)]
     rows[i][j] += k
-    return IntMatrix.from_rows(rows)
+    return rows
 
 
 unimodular = st.lists(
@@ -60,7 +58,7 @@ unimodular = st.lists(
     max_size=12,
 ).map(
     lambda ops: functools.reduce(
-        operator.matmul, (elementary(*op) for op in ops), IntMatrix.identity(4)
+        matmul, (elementary(*op) for op in ops), identity(4)
     )
 )
 
@@ -78,7 +76,7 @@ def smith_chains(draw):
 @settings(max_examples=300, deadline=None)
 @given(smith_chains(), unimodular, unimodular, st.integers(-50, 50))
 def test_closed_form_witness_matches_the_search(deltas, p, q, t_trace):
-    b = p @ IntMatrix.diagonal(list(deltas)) @ q
+    b = matmul(matmul(p, [[d * e for e in row] for d, row in zip(deltas, identity(4))]), q)
     dec = snf(b)
     assert dec.d == deltas
     v = (0, 1, 1, t_trace + 1)
@@ -91,24 +89,24 @@ def test_witness_of_the_ratio_16028_case():
     field = NumberField((1, 0, -26, 0, 1))
     eta = field.generator
     beta = parse_element(field, "2-t+t^3")
-    b = IntMatrix.from_rows(field.power_basis().power_rows(beta, eta, 4, str))
+    b = field.power_basis().power_rows(beta, eta, 4, str)
     dec = snf(b)
     assert dec.d == (1, 1, 4, 16028)
     x, y = _canonicalize_witness(dec.x, dec.y, dec.d, (0, 1, 1, 27))
     # (t3, t2, t1) = (1, 0, 0): row 3 of X, times d4/d3, added to row 4. Every
     # candidate with t3 = 0 is even, so the search tried all R^2 of them first
-    assert x == elementary(3, 2, 4007) @ dec.x
-    assert y == dec.y @ elementary(3, 2, -1)
+    assert x == matmul(elementary(3, 2, 4007), dec.x)
+    assert y == matmul(dec.y, elementary(3, 2, -1))
 
 
-def cramer_solution(b: IntMatrix, v: tuple[int, ...]) -> list[Fraction]:
+def cramer_solution(b: list[list[int]], v: tuple[int, ...]) -> list[Fraction]:
     """B^-1 v, one determinant per coordinate."""
     d = det(b)
-    cols = [list(b.column(j)) for j in range(4)]
+    cols = [list(col) for col in zip(*b)]
     w = []
     for j in range(4):
         replaced = cols[:j] + [list(v)] + cols[j + 1 :]
-        w.append(Fraction(det(IntMatrix.from_rows(replaced).transpose()), d))
+        w.append(Fraction(det(list(zip(*replaced))), d))
     return w
 
 
@@ -118,7 +116,7 @@ def cramer_solution(b: IntMatrix, v: tuple[int, ...]) -> list[Fraction]:
     st.integers(-(10**6), 10**6),
 )
 def test_lift_is_primitive(entries, t_trace):
-    b = IntMatrix.from_rows([entries[4 * i : 4 * i + 4] for i in range(4)])
+    b = [entries[4 * i : 4 * i + 4] for i in range(4)]
     if det(b) == 0:
         return
     v = (0, 1, 1, t_trace + 1)
@@ -128,7 +126,7 @@ def test_lift_is_primitive(entries, t_trace):
     assert math.gcd(*z) == 1
     crit = snf_criterion_matrix(b, t_trace)
     assert crit.scale == scale
-    assert crit.y.apply(crit.lift_column) == z
+    assert apply(crit.y, crit.lift_column) == z
 
 
 def family_closed_form_vectors(m: int) -> ModuleBasis:
@@ -166,7 +164,7 @@ def test_family_basis_is_an_lds_basis_of_the_closed_form_module(m):
     # basis and the change of basis has det +-1, so both span one module
     rows = [cons.basis.coords(v) for v in family_closed_form_vectors(m).vectors]
     assert all(c.denominator == 1 for row in rows for c in row)
-    assert det(IntMatrix.from_rows([[int(c) for c in row] for row in rows])) in (1, -1)
+    assert det([[int(c) for c in row] for row in rows]) in (1, -1)
 
 
 @given(
@@ -181,8 +179,8 @@ def test_quad_construct_x1_is_a_scaled_lucas_sequence(n, beta_coords):
     cons = quad_construct(field.power_basis(), beta, unit)
     assert cons.t_trace == 2 * n
     # the scale is the pivot a22 of the column Hermite form of B
-    b = IntMatrix.from_rows([beta.coords, (beta * unit).coords])
-    assert cons.scale == hnf_column(b).h.entries[1][1]
+    b = [beta.num, (beta * unit).num]
+    assert cons.scale == hnf_column(b).h[1][1]
     x1 = coordseq.generate(beta, unit, cons.basis, 60).terms[0]
     assert x1 == [cons.scale * u for u in lucas_terms(cons.t_trace, 1, 61)]
     assert coordseq.verify_lds(x1, 60).ok
@@ -324,7 +322,7 @@ def test_lds_basis_starts_x1_at_scale_times_v(case):
     assert first == [scale * x for x in v]
     # the new vectors are an integral unimodular change of the power basis
     assert all(c.denominator == 1 for w in basis.vectors for c in w.coords)
-    assert det(IntMatrix.from_rows([[int(c) for c in w.coords] for w in basis.vectors])) in (1, -1)
+    assert det([[int(c) for c in w.coords] for w in basis.vectors]) in (1, -1)
     # scale is the least that clears B^-1 v
     b_columns = list(zip(*(p.coords for p in powers)))
     assert scale == math.lcm(*(x.denominator for x in solve_linear(b_columns, v)))
@@ -351,11 +349,11 @@ def test_quartic_power_basis_is_the_inverse_of_a_applied_to_the_powers(field, co
     cons = quartic_module_construct(beta, eta)
     t_trace = -field.coeffs[2]
     assert (cons.scale, cons.t_trace) == (1, t_trace)
-    a = IntMatrix.from_rows([[0, 0, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [t_trace + 1, 1, 0, 0]])
+    a = [[0, 0, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [t_trace + 1, 1, 0, 0]]
     powers = [beta, beta * eta, beta * eta * eta, beta * eta * eta * eta]
     expected = tuple(
         functools.reduce(operator.add, (p.scale(c) for c, p in zip(row, powers)))
-        for row in inverse_unimodular(a).entries
+        for row in inverse_unimodular(a)
     )
     assert cons.basis.vectors == expected
 

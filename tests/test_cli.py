@@ -586,6 +586,26 @@ def test_sequence_commands_refuse_a_negative_kmax_before_a_basis(monkeypatch, co
     assert run_cli(argv) == (2, "", "error: kmax must be nonnegative\n")
 
 
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["construct-basis", "--method", "quartic-full", "--field", "x^4-10x^2+1", "--unit", "t",
+          "--beta="],
+         3, "parse error at position 0: empty expression\n"),
+        (["construct-basis", "--method", "quadratic", "--field", "x^2-3", "--unit", "2+t", "--beta",
+          "1", "--module-basis="],
+         2, "error: basis needs 2 vectors, got 0\n"),
+        (["emit-sequence", "--field", "x^2-3", "--unit", "2+t", "--beta", "1", "--basis-file=",
+          "--kmax", "3", "--format", "csv"],
+         2, "error: [Errno 2] No such file or directory: ''\n"),
+    ],
+    ids=["beta", "module-basis", "basis-file"],
+)
+def test_an_empty_option_value_is_read_as_given(argv, code, err):
+    # not as absent: no default beta, power basis or basis file takes its place
+    assert run_cli(argv) == (code, "", err)
+
+
 def test_a_parse_error_comes_before_a_negative_kmax():
     argv = ["emit-sequence", "--field", "x^4-10x^2+1", "--unit", "t", "--beta", "2-t+", "--basis",
             "quartic-full", "--kmax", "-1"]
@@ -595,8 +615,8 @@ def test_a_parse_error_comes_before_a_negative_kmax():
 
 
 def test_a_failed_smith_witness_check_exits_1(monkeypatch):
-    # a diagonal that is never x @ b @ y makes the check in exactlinalg.snf fail
-    monkeypatch.setattr(exactlinalg.IntMatrix, "diagonal", classmethod(lambda cls, d: cls(((7,),))))
+    # a product x . b . y that is never diag(d) makes the check in exactlinalg.snf fail
+    monkeypatch.setattr(exactlinalg, "matmul", lambda a, b: ((7,),))
     argv = ["snf-check", "--field", "x^4-10x^2+1", "--unit", "t", "--beta", "2-t+t^3"]
     assert run_cli(argv) == (
         1, "", "internal invariant violation: Smith witness verification failed\n"

@@ -8,7 +8,10 @@ the unreferenced definitions exactly, so it cannot go stale. obj.name with any
 other obj does not count, so a method of the same name hides no dead function.
 A name a module imports must be used in that module, where a string annotation
 counts as a use. A method or property of a class, dunders aside, must be read
-as an attribute (obj.name) somewhere in the package.
+as an attribute (obj.name) somewhere in the package. A name a module binds at
+module level with =, except the package metadata __version__, must be read:
+in that module's own code, as <module>.<name>, or imported from it; so a
+leftover private name is caught even where another module binds the same one.
 """
 
 import ast
@@ -26,7 +29,7 @@ def parse(path):
 
 
 def annotation_names(tree):
-    """Names in string annotations, such as -> "IntMatrix"."""
+    """Names in string annotations, such as -> "FieldElement"."""
     names = set()
     annotations = []
     for node in ast.walk(tree):
@@ -113,6 +116,40 @@ def methods(trees):
                     yield f"{module}.{cls.name}.{node.name}"
 
 
+def assignments(trees):
+    """module.name of every name bound by = at module level, __version__ aside."""
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and name.id != "__version__":
+                            yield f"{module}.{name.id}"
+
+
+def reads_from(module, trees):
+    """Names of module read in trees: bare in its own code, as <module>.<name>, or imported."""
+    own = trees[module]
+    names = {
+        node.id
+        for node in ast.walk(own)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    names |= annotation_names(own)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == module:
+                names |= {alias.name for alias in node.names}
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == module
+            ):
+                names.add(node.attr)
+    return names
+
+
 READ_ATTRIBUTES = attribute_reads(TREES)
 
 
@@ -141,6 +178,12 @@ def test_import_is_used(place):
 @pytest.mark.parametrize("place", list(methods(TREES)))
 def test_method_is_read_as_an_attribute(place):
     assert place.rsplit(".", 1)[1] in READ_ATTRIBUTES, f"{place} is never read as an attribute"
+
+
+@pytest.mark.parametrize("place", list(assignments(TREES)))
+def test_assignment_is_read(place):
+    module, name = place.split(".")
+    assert name in reads_from(module, TREES), f"{place} is assigned but never read"
 
 
 def test_the_guard_sees_dead_code():
@@ -179,3 +222,17 @@ def test_the_guard_sees_an_orphan_method():
     assert list(methods(trees)) == ["m.A.used", "m.A.orphan"]
     reads = attribute_reads(trees)
     assert "used" in reads and "orphan" not in reads
+
+
+def test_the_guard_sees_an_unread_assignment():
+    trees = {
+        "a": ast.parse("_set = object.__setattr__\n__version__ = '1'\n"),
+        "b": ast.parse("_set = object.__setattr__\nLIMIT: int = 3\n_set(1, 'x', LIMIT)\n"),
+        "c": ast.parse("from .a import _set\n"),
+    }
+    assert list(assignments(trees)) == ["a._set", "b._set", "b.LIMIT"]
+    assert "_set" in reads_from("b", trees) and "LIMIT" in reads_from("b", trees)
+    # a module's leftover _set is not read by another module's own _set
+    assert "_set" not in reads_from("a", {"a": trees["a"], "b": trees["b"]})
+    assert "_set" in reads_from("a", trees)
+    assert "_set" in reads_from("a", {"a": trees["a"], "d": ast.parse("a._set\n")})

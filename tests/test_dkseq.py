@@ -134,7 +134,7 @@ def test_match_dk_basis_through_k_60(poly, alpha):
         x1 = coordseq.generate(k4.one, k4.generator, report.basis, 60).terms[0]
         assert x1 == [0] + [d // d1 for d in terms]
         # vector i is row i of the completion's inverse over the power basis
-        rows = inverse_unimodular(complete_primitive(report.normalized)).entries
+        rows = inverse_unimodular(complete_primitive(report.normalized))
         assert [w.coords for w in report.basis.vectors] == [tuple(row) for row in rows]
 
 
@@ -235,7 +235,8 @@ def test_match_dk_basis_against_the_companion_step(poly, alpha, kmax):
     alpha = field.element(alpha)
     report = dkseq.match_dk_basis(alpha, field.power_basis(), kmax=kmax)
     t = -report.quartic_poly[2]
-    x1 = companion_first_coordinates(complete_primitive(report.normalized).column(0), t, kmax)
+    column = [row[0] for row in complete_primitive(report.normalized)]
+    x1 = companion_first_coordinates(column, t, kmax)
     d = [0] + dkseq.dk_sequence(alpha, field.power_basis(), max(kmax, 4)).terms
     d1 = report.d_head[1]
     want = next((k - 1 for k in range(kmax + 1) if x1[k] * d1 != d[k]), kmax)
@@ -255,7 +256,8 @@ def test_match_dk_basis_reports_the_first_mismatch(monkeypatch):
 
     monkeypatch.setattr(dkseq, "dk_sequence", broken)
     report = dkseq.match_dk_basis(alpha, field.power_basis(), kmax=20)
-    x1 = companion_first_coordinates(complete_primitive(report.normalized).column(0), 4, 20)
+    column = [row[0] for row in complete_primitive(report.normalized)]
+    x1 = companion_first_coordinates(column, 4, 20)
     d = [0] + broken(alpha, field.power_basis(), 20).terms
     d1 = report.d_head[1]
     assert report.matched_through == next(k - 1 for k in range(21) if x1[k] * d1 != d[k]) == 6

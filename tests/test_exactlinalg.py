@@ -3,21 +3,39 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normlds.exactlinalg import (
-    IntMatrix,
+    apply,
     complete_primitive,
     det,
     fraction_free_inverse,
     hnf_column,
+    identity,
     inverse_unimodular,
+    matmul,
     primitive_reducer,
     snf,
     xgcd,
 )
 from oracles import solve_linear
+
+
+def diagonal(d):
+    return tuple(tuple(x if i == j else 0 for j in range(len(d))) for i, x in enumerate(d))
+
+
+def tuples(m):
+    return tuple(map(tuple, m))
+
+
+def is_rows(m):
+    return type(m) is tuple and all(type(row) is tuple for row in m)
+
+
+def first_column(m):
+    return tuple(row[0] for row in m)
 
 
 def test_xgcd_bezout():
@@ -29,22 +47,22 @@ def test_xgcd_bezout():
 
 class TestDet:
     def test_identity(self):
-        assert det(IntMatrix.identity(4)) == 1
+        assert det(identity(4)) == 1
 
     def test_2x2_cofactor(self):
-        assert det(IntMatrix.from_rows([[1, 1], [1, 0]])) == -1
+        assert det([[1, 1], [1, 0]]) == -1
 
     def test_power_module_matrix_is_unimodular(self):
         # the explicit quartic change-of-basis matrix at T = 10
-        a = IntMatrix.from_rows([[0, 0, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [11, 1, 0, 0]])
+        a = [[0, 0, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [11, 1, 0, 0]]
         assert det(a) in (1, -1)
 
     def test_singular(self):
-        assert det(IntMatrix.from_rows([[1, 2], [2, 4]])) == 0
+        assert det([[1, 2], [2, 4]]) == 0
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            det(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+            det([[1, 2, 3], [4, 5, 6]])
 
     def test_matches_permutation_expansion(self):
         rng = random.Random(11)
@@ -65,25 +83,25 @@ class TestDet:
 
         for _ in range(25):
             rows = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
-            assert det(IntMatrix.from_rows(rows)) == brute(rows)
+            assert det(rows) == brute(rows)
 
 
 class TestHnf:
     def test_identity(self):
-        dec = hnf_column(IntMatrix.identity(3))
-        assert dec.h == IntMatrix.identity(3)
-        assert dec.c == IntMatrix.identity(3)
+        dec = hnf_column(identity(3))
+        assert dec.h == identity(3)
+        assert dec.c == identity(3)
 
     def test_simple_2x2(self):
-        b = IntMatrix.from_rows([[2, 1], [0, 3]])
+        b = [[2, 1], [0, 3]]
         dec = hnf_column(b)
-        assert b @ dec.c == dec.h
+        assert matmul(b, dec.c) == dec.h
         assert det(dec.c) in (1, -1)
-        assert dec.h.entries[0][1] == 0
+        assert dec.h[0][1] == 0
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(ValueError, match="rank"):
-            hnf_column(IntMatrix.from_rows([[1, 2], [2, 4]]))
+            hnf_column([[1, 2], [2, 4]])
 
     @given(
         st.lists(
@@ -94,38 +112,38 @@ class TestHnf:
     )
     @settings(max_examples=150, deadline=None)
     def test_witness_properties(self, rows):
-        b = IntMatrix.from_rows(rows)
+        b = rows
         if det(b) == 0:
             return
         dec = hnf_column(b)
-        assert b @ dec.c == dec.h
+        assert matmul(b, dec.c) == dec.h
         assert det(dec.c) in (1, -1)
-        n = dec.h.rows
+        n = len(dec.h)
         for i in range(n):
-            assert dec.h.entries[i][i] > 0
+            assert dec.h[i][i] > 0
             for j in range(i + 1, n):
-                assert dec.h.entries[i][j] == 0
+                assert dec.h[i][j] == 0
             for j in range(i):
-                assert 0 <= dec.h.entries[i][j] < dec.h.entries[i][i]
+                assert 0 <= dec.h[i][j] < dec.h[i][i]
 
 
 class TestSnf:
     def test_family_matrix_m2(self):
-        b = IntMatrix.from_rows([[1, 0, 0, 0], [0, 1, 1, 0], [5, 0, 0, 2], [0, 11, 9, 0]])
+        b = [[1, 0, 0, 0], [0, 1, 1, 0], [5, 0, 0, 2], [0, 11, 9, 0]]
         assert snf(b).d == (1, 1, 2, 2)
 
     def test_identity(self):
-        assert snf(IntMatrix.identity(4)).d == (1, 1, 1, 1)
+        assert snf(identity(4)).d == (1, 1, 1, 1)
 
     def test_diag_4_6(self):
         # oracle: d1 = gcd of entries, d1*d2 = |det|
-        b = IntMatrix.from_rows([[4, 0], [0, 6]])
+        b = [[4, 0], [0, 6]]
         expected_d1 = math.gcd(4, 6)
         expected_d2 = abs(det(b)) // expected_d1
         assert snf(b).d == (expected_d1, expected_d2)
 
     def test_zero_matrix(self):
-        assert snf(IntMatrix.from_rows([[0, 0], [0, 0]])).d == (0, 0)
+        assert snf([[0, 0], [0, 0]]).d == (0, 0)
 
     @given(
         st.lists(
@@ -136,9 +154,9 @@ class TestSnf:
     )
     @settings(max_examples=150, deadline=None)
     def test_witness_properties(self, rows):
-        b = IntMatrix.from_rows(rows)
+        b = rows
         dec = snf(b)
-        assert dec.x @ b @ dec.y == IntMatrix.diagonal(list(dec.d))
+        assert matmul(matmul(dec.x, b), dec.y) == diagonal(dec.d)
         assert det(dec.x) in (1, -1)
         assert det(dec.y) in (1, -1)
         for i in range(3):
@@ -164,7 +182,7 @@ class TestPinnedWitnesses:
         ],
     )
     def test_hnf_column(self, b, h, c):
-        assert hnf_column(IntMatrix.from_rows(b)) == (IntMatrix.from_rows(h), IntMatrix.from_rows(c))
+        assert hnf_column(b) == (tuples(h), tuples(c))
 
     @pytest.mark.parametrize(
         "b, x, d, y",
@@ -182,22 +200,21 @@ class TestPinnedWitnesses:
         ],
     )
     def test_snf(self, b, x, d, y):
-        dec = snf(IntMatrix.from_rows(b))
-        assert dec == (IntMatrix.from_rows(x), d, IntMatrix.from_rows(y))
+        assert snf(b) == (tuples(x), d, tuples(y))
 
 
 class TestCompletePrimitive:
     def test_unit_vector(self):
-        assert complete_primitive([1, 0, 0, 0]) == IntMatrix.identity(4)
+        assert complete_primitive([1, 0, 0, 0]) == identity(4)
 
     def test_3_5(self):
         u = complete_primitive([3, 5])
-        assert u.column(0) == (3, 5)
+        assert first_column(u) == (3, 5)
         assert det(u) in (1, -1)
 
     def test_family_lift_vector(self):
         u = complete_primitive([0, 2, -4, 1])
-        assert u.column(0) == (0, 2, -4, 1)
+        assert first_column(u) == (0, 2, -4, 1)
         assert det(u) in (1, -1)
 
     def test_imprimitive_rejected(self):
@@ -207,7 +224,7 @@ class TestCompletePrimitive:
     @pytest.mark.parametrize("vec", [[-1, 0], [0, -1, 0], [-1, 0, 0, 0]])
     def test_sweep_ending_at_minus_one(self, vec):
         u = complete_primitive(vec)
-        assert u.column(0) == tuple(vec)
+        assert first_column(u) == tuple(vec)
         assert det(u) == 1
 
     def test_minus_one_alone_has_no_completion(self):
@@ -220,49 +237,49 @@ class TestCompletePrimitive:
         if math.gcd(*vec) != 1:
             return
         u = complete_primitive(vec)
-        assert u.column(0) == tuple(vec)
+        assert first_column(u) == tuple(vec)
         assert det(u) in (1, -1)
         # primitive_reducer is its inverse, built without an inversion
         r = primitive_reducer(vec)
-        assert r.apply(vec) == tuple(int(i == 0) for i in range(len(vec)))
-        assert r @ u == IntMatrix.identity(len(vec))
+        assert apply(r, vec) == tuple(int(i == 0) for i in range(len(vec)))
+        assert matmul(r, u) == identity(len(vec))
 
 
 class TestInverseUnimodular:
     def test_identity(self):
-        assert inverse_unimodular(IntMatrix.identity(3)) == IntMatrix.identity(3)
+        assert inverse_unimodular(identity(3)) == identity(3)
 
     def test_2x2(self):
-        m = IntMatrix.from_rows([[1, 1], [1, 0]])
-        assert inverse_unimodular(m) == IntMatrix.from_rows([[0, 1], [1, -1]])
+        m = [[1, 1], [1, 0]]
+        assert inverse_unimodular(m) == ((0, 1), (1, -1))
 
     def test_family_transform_witness(self):
         # the closed-form Smith transform for the m=2 family matrix
-        x = IntMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, -9, 0, 1], [-5, 0, 1, 0]])
+        x = [[1, 0, 0, 0], [0, 1, 0, 0], [0, -9, 0, 1], [-5, 0, 1, 0]]
         inv = inverse_unimodular(x)
-        assert x @ inv == IntMatrix.identity(4)
-        assert inv @ x == IntMatrix.identity(4)
+        assert matmul(x, inv) == identity(4)
+        assert matmul(inv, x) == identity(4)
 
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError, match="unimodular"):
-            inverse_unimodular(IntMatrix.from_rows([[2, 0], [0, 1]]))
+            inverse_unimodular([[2, 0], [0, 1]])
 
     @pytest.mark.parametrize(
         "rows, d", [([[1, 2], [3, 4]], -2), ([[0, 3], [1, 0]], -3), ([[1, 2], [2, 4]], 0)]
     )
     def test_non_unimodular_reports_its_det(self, rows, d):
         with pytest.raises(ValueError, match=rf"not unimodular \(det = {d}\)"):
-            inverse_unimodular(IntMatrix.from_rows(rows))
+            inverse_unimodular(rows)
 
     def test_two_sided(self):
         rng = random.Random(5)
         count = 0
         while count < 20:
-            m = IntMatrix.from_rows([[rng.randint(-6, 6) for _ in range(3)] for _ in range(3)])
+            m = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(3)]
             if det(m) in (1, -1):
                 inv = inverse_unimodular(m)
-                assert m @ inv == IntMatrix.identity(3)
-                assert inv @ m == IntMatrix.identity(3)
+                assert matmul(m, inv) == identity(3)
+                assert matmul(inv, m) == identity(3)
                 count += 1
 
 
@@ -290,7 +307,7 @@ def rational_inverse(rows):
     if result is None:
         return None
     inv, q = result
-    assert q == abs(det(IntMatrix.from_rows(cleared))) > 0
+    assert q == abs(det(cleared)) > 0
     return [[Fraction(d * x, q) for x in row] for row in inv]
 
 
@@ -323,7 +340,7 @@ class TestFractionFreeInverse:
         rows = [[0, 2, 1], [1, 0, 0], [0, 1, 1]]
         inv, q = fraction_free_inverse(rows)
         assert q == 1
-        assert IntMatrix.from_rows(inv) @ IntMatrix.from_rows(rows) == IntMatrix.identity(3)
+        assert matmul(inv, rows) == identity(3)
 
     def test_zero_pivot_after_the_first_step(self):
         # column 1 is zero below the first pivot until rows 1 and 2 are swapped
@@ -335,10 +352,10 @@ class TestFractionFreeInverse:
         rows = [[1, 2], [3, 4]]  # det -2
         inv, q = fraction_free_inverse(rows)
         assert q == 2
-        assert inv == [[-4, 2], [3, -1]]  # 2 * [[-2, 1], [3/2, -1/2]]
+        assert inv == ((-4, 2), (3, -1))  # 2 * [[-2, 1], [3/2, -1/2]]
 
     def test_one_by_one(self):
-        assert fraction_free_inverse([[-3]]) == ([[-1]], 3)
+        assert fraction_free_inverse([[-3]]) == (((-1,),), 3)
         assert fraction_free_inverse([[0]]) is None
 
     def test_halves_and_quarters(self):
@@ -359,9 +376,80 @@ def test_det_and_inverse_with_one_swap_at_the_last_pivot_that_can_swap():
     # Bareiss meets a zero pivot only at step 1 of 0..2 (no row is left below
     # step 2 to swap with); the first pivot is -1, the last pivot +4, and det -4
     rows = [[-1, 2, -2], [0, 0, -1], [3, -2, 2]]
-    a = IntMatrix.from_rows(rows)
-    assert det(a) == -4
+    assert det(rows) == -4
     inv, q = fraction_free_inverse(rows)
     assert q == 4
-    assert IntMatrix.from_rows(inv) @ a == IntMatrix.diagonal([4, 4, 4])
-    assert inv == [[2, 0, 2], [3, -4, 1], [0, -4, 0]]
+    assert matmul(inv, rows) == diagonal([4, 4, 4])
+    assert inv == ((2, 0, 2), (3, -4, 1), (0, -4, 0))
+
+
+def loop_matmul(a, b):
+    """a . b as lists, one written-out sum per entry."""
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            total = 0
+            for k in range(len(b)):
+                total += a[i][k] * b[k][j]
+            row.append(total)
+        out.append(row)
+    return out
+
+
+@st.composite
+def product_cases(draw):
+    """a (n x k), b (k x m) and v (length k), for n, k, m in 1..4."""
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    entries = st.integers(-(10**12), 10**12)
+
+    def matrix(rows, cols):
+        row = st.lists(entries, min_size=cols, max_size=cols)
+        return draw(st.lists(row, min_size=rows, max_size=rows))
+
+    return matrix(n, k), matrix(k, m), draw(st.lists(entries, min_size=k, max_size=k))
+
+
+class TestRowFormat:
+    """Matrices are integer rows in, tuples of row tuples out."""
+
+    @given(product_cases())
+    @example(([[1, 2, 3]], [[4], [5], [6]], [7, 8, 9]))
+    @example(([[4], [5], [6]], [[1, 2, 3]], [7]))
+    @settings(max_examples=200, deadline=None)
+    def test_matmul_and_apply_match_a_written_out_loop(self, case):
+        a, b, v = case
+        assert matmul(a, b) == tuples(loop_matmul(a, b))
+        assert matmul(tuples(a), tuples(b)) == matmul(a, b)
+        assert apply(a, v) == first_column(loop_matmul(a, [[x] for x in v]))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # unimodular: the closed-form Smith transform for the m=2 family matrix
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, -9, 0, 1], [-5, 0, 1, 0]],
+            [[2, 4, 6, -8], [3, -5, 7, 11], [12, 0, -6, 4], [9, 15, 21, 3]],
+            [[3, -7, 2], [5, 1, -4], [-6, 8, 9]],
+            # rank 2
+            [[6, 4, 10, -2], [9, 6, 15, -3], [4, -8, 12, 14], [2, 12, -2, -16]],
+        ],
+    )
+    def test_list_rows_and_tuple_rows_give_one_result(self, rows):
+        same = tuples(rows)
+        d = det(rows)
+        assert det(same) == d
+        dec = snf(rows)
+        assert dec == snf(same) and is_rows(dec.x) and is_rows(dec.y)
+        if d:
+            dec = hnf_column(rows)
+            assert dec == hnf_column(same) and is_rows(dec.h) and is_rows(dec.c)
+        if d in (1, -1):
+            inv = inverse_unimodular(rows)
+            assert inv == inverse_unimodular(same) and is_rows(inv)
+        inverse = fraction_free_inverse(rows)
+        assert inverse == fraction_free_inverse(same)
+        assert inverse is None or is_rows(inverse[0])
+
+    def test_completion_and_reducer_are_tuple_rows(self):
+        assert is_rows(complete_primitive([0, 2, -4, 1]))
+        assert is_rows(primitive_reducer([0, 2, -4, 1]))

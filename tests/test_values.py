@@ -1,12 +1,12 @@
 """The value semantics of the package's types, and what importing it loads.
 
-NumberField, FieldElement, ModuleBasis and IntMatrix are immutable values:
-equal fields mean == and equal hashes, assignment raises AttributeError, and
-their constructors refuse bad input with fixed messages. Result records
-compare equal exactly when every field does. Importing the CLI loads neither
-dataclasses nor inspect: the first generates and compiles code for every
-class it decorates, and pulls in the second, which loads ast, dis and
-tokenize.
+NumberField, FieldElement and ModuleBasis are immutable values: equal fields
+mean == and equal hashes, assignment raises AttributeError, and their
+constructors refuse bad input with fixed messages. Result records compare
+equal exactly when every field does, a matrix field as a tuple of row tuples.
+Importing the CLI loads neither dataclasses nor inspect: the first generates
+and compiles code for every class it decorates, and pulls in the second,
+which loads ast, dis and tokenize.
 """
 
 import os
@@ -22,7 +22,7 @@ import normlds
 from normlds.basisforge import LdsConstruction, SnfCriterion
 from normlds.coordseq import LdsVerdict, SequenceReport
 from normlds.dkseq import DkMatchReport, DkSequence, SparseScanReport
-from normlds.exactlinalg import HnfDecomposition, IntMatrix, SnfDecomposition
+from normlds.exactlinalg import HnfDecomposition, SnfDecomposition
 from normlds.numberfield import FieldElement, ModuleBasis, NumberField
 
 
@@ -43,19 +43,16 @@ VALUES = {
     "NumberField": lambda: NumberField((1, 0, -10, 0, 1)),
     "FieldElement": lambda: sqrt2().element([Fraction(3, 4), Fraction(-1, 2)]),
     "ModuleBasis": lambda: basis(sqrt2(), [1, 0], [Fraction(1, 2), Fraction(1, 2)]),
-    "IntMatrix": lambda: IntMatrix(((1, 2), (3, 4))),
 }
 OTHERS = {
     "NumberField": lambda: NumberField((-2, 0, 1)),
     "FieldElement": lambda: sqrt2().element([Fraction(3, 4), Fraction(1, 2)]),
     "ModuleBasis": lambda: basis(sqrt2(), [1, 0], [0, 1]),
-    "IntMatrix": lambda: IntMatrix(((1, 2), (3, 5))),
 }
 FIELDS = {
     "NumberField": ["coeffs"],
     "FieldElement": ["field", "num", "den"],
     "ModuleBasis": ["field", "vectors"],
-    "IntMatrix": ["entries"],
 }
 
 
@@ -104,17 +101,12 @@ def test_reprs():
     assert repr(sqrt2()) == "NumberField(x^2 - 2)"
     assert repr(sqrt2().element([Fraction(3, 4), -1])) == "<3/4 - t>"
     assert repr(sqrt2().power_basis()) == "ModuleBasis(field=NumberField(x^2 - 2), vectors=(<1>, <t>))"
-    assert repr(IntMatrix(((1, 2), (3, 4)))) == "IntMatrix(entries=((1, 2), (3, 4)))"
     assert repr(LdsVerdict(False, (2, 4))) == "LdsVerdict(ok=False, witness=(2, 4))"
 
 
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: IntMatrix(((1, 2), (3,))), "rows must all have the same length"),
-        (lambda: IntMatrix(((1, 2), (3, 4.0))), "entries must be exact integers, got 4.0"),
-        (lambda: IntMatrix(()), "matrix must have at least one row and column"),
-        (lambda: IntMatrix(((),)), "matrix must have at least one row and column"),
         (lambda: NumberField((-4, 0, 1)), "x^2 - 4 is reducible over Q"),
         (lambda: NumberField((1, 0, -6, 0, 1)), "x^4 - 6*x^2 + 1 is reducible over Q"),
         (lambda: NumberField((-2, 0, 2)), "defining polynomial must be monic"),
@@ -132,8 +124,8 @@ def test_refusals_keep_their_messages(build, message):
         build()
 
 
-M = IntMatrix(((2, 0), (0, 3)))
-I2 = IntMatrix(((1, 0), (0, 1)))
+M = ((2, 0), (0, 3))
+I2 = ((1, 0), (0, 1))
 
 # (record, factory of its fields, a different value for each field)
 RECORDS = [
@@ -142,7 +134,7 @@ RECORDS = [
      dict(basis=basis(sqrt2(), [1, 0], [1, 1]), scale=3, t_trace=7, source="family")),
     (SnfCriterion,
      lambda: dict(chi=(0, 1, 1, 7), deltas=(1, 1, 2, 6), t_trace=6, scale=3,
-                  lift_column=(0, 3, 1, 4), b=IntMatrix(((2, 0), (0, 3))), x=I2, y=I2),
+                  lift_column=(0, 3, 1, 4), b=((2, 0), (0, 3)), x=I2, y=I2),
      dict(chi=(0, 1, 1, 8), deltas=(1, 1, 1, 6), t_trace=5, scale=4,
           lift_column=(1, 3, 1, 4), b=I2, x=M, y=M)),
     (SequenceReport,
@@ -166,10 +158,10 @@ RECORDS = [
      dict(t=3, disc=-23, monogenic_asserted=True, n=range(1, 2), y1=[0, 1], d_tilde=[1, 2],
           d=[1, 1])),
     (HnfDecomposition,
-     lambda: dict(h=IntMatrix(((2, 0), (0, 3))), c=I2),
+     lambda: dict(h=((2, 0), (0, 3)), c=I2),
      dict(h=I2, c=M)),
     (SnfDecomposition,
-     lambda: dict(x=I2, d=(1, 6), y=IntMatrix(((1, 0), (0, 1)))),
+     lambda: dict(x=I2, d=(1, 6), y=((1, 0), (0, 1))),
      dict(x=M, d=(2, 3), y=M)),
 ]
 
