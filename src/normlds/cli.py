@@ -10,19 +10,27 @@ Each handler reads the argparse namespace of its subcommand directly. The
 constructions from a unit and a beta are reached through _construct alone, and
 the ring an option names (--module-basis, else the power basis) through _ring.
 
-_json_text writes json.dumps(indent=2, sort_keys=True) byte for byte. The terms
-of emit-sequence and verify-lds are the columns of coordseq.decimal_columns,
-wrapped as _Rows, the d_k column of dk-scan is one coordseq.DecimalList, and
-the rows of its vanishing scan are a _Table of named columns: n as a range, y1,
-d_tilde and d as decimal text, or d as None. Their items are vouched for as '-'
-and digits (rendered through a certified or verified recurrence, else by
-str()). _write_rows writes them as JSON rows, and the table as text rows too,
-and _csv_text as CSV lines, all through _interleave: one C-level pass over the
-whole columns, with one separator per column and no test, escape or copy per
-item and no row built as a string, so a report holds each term string once and
-its text once. The text is joined once, and the sink opens only after it is
-complete; a report and its final newline are written apart, so no step copies a
-whole report.
+json.dumps(indent=2, sort_keys=True) writes each JSON report, and the
+columns of decimal text are spliced into it. Such columns are held by a
+_Table, the one column type, in one of three row shapes: the term table of
+emit-sequence and verify-lds (the columns of coordseq.decimal_columns) as list
+rows, the d_k column of dk-scan as its bare items, and the rows of its
+vanishing scan as dicts of named columns: n as a range, y1, d_tilde and d as
+decimal text, or d as None. Their items are vouched for as '-' and digits
+(rendered through a certified or verified recurrence, else by str()), so they
+need no escaping, which is most of what json.dumps would spend on a report.
+json.dumps hands each _Table to its default hook, which records it and
+returns a NUL string as its marker; _json_text writes each table in place of
+its marker. json's pure-Python indent encoder keeps that hook in a reference
+cycle until the next collection, so the hook's record releases each table as
+it is written; else every column would outlive the report's text. The tables
+are written by _write_rows as JSON rows and as text rows, and _csv_text
+writes the columns as CSV lines, all through _interleave: one C-level pass
+over the whole columns, with one separator per column and no test, escape or
+copy per item and no row built as a string, so a report holds each term
+string once and its text once. The text is joined once, and the sink opens
+only after it is complete; a report and its final newline are written apart,
+so no step copies a whole report.
 """
 
 from __future__ import annotations
@@ -61,7 +69,7 @@ def _basis_coords(basis: ModuleBasis) -> list[list[str]]:
 
 
 def _field_from(config: Namespace) -> NumberField:
-    if not config.field:
+    if config.field is None:
         raise ValueError("--field is required for this command")
     return NumberField(parse_polynomial(config.field))
 
@@ -198,16 +206,18 @@ def _resolve_basis(
     return cons.basis, meta
 
 
-# a float as json.dumps writes it
-_FLOAT_JSON = json.JSONEncoder().encode
+class _Table:
+    """(key, column) pairs, written as rows of one shape by _write_rows.
 
+    shape is "{}" for dict rows (keys in this order for --format text, sorted
+    in JSON), "[]" for list rows (keys None) or "" for one column's bare items.
+    """
 
-class _Rows(tuple):
-    """Columns of decimal text (coordseq.decimal_columns), written as the rows they make."""
+    __slots__ = ("pairs", "shape")
 
-
-class _Table(tuple):
-    """(key, column) pairs, written as one dict per row; --format text keeps this key order."""
+    def __init__(self, pairs: Sequence[tuple[str | None, Any]], shape: str) -> None:
+        self.pairs = pairs
+        self.shape = shape
 
 
 def _interleave(
@@ -255,71 +265,34 @@ def _write_rows(
         out.append(close)
 
 
-def _json_fragments(value: Any, out: list[str], newline: str) -> None:
-    """Append the fragments of json.dumps(value, indent=2, sort_keys=True) to out.
-
-    newline is the line break and indent of value's own line. Dict keys must be
-    strings. A DecimalList, such as the d_k column, the _Rows of a term table
-    and a _Table of named columns are written by _write_rows, without escaping
-    or testing each item, since their items are decimal text or ints by
-    construction: escaping thousand-digit terms is most of what json.dumps
-    spends on a report. Every other list is written item by item.
-    """
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        if isinstance(value, (_Rows, _Table, coordseq.DecimalList)):
-            # each row of _Rows is a list, each row of a _Table a dict with sorted keys,
-            # and a DecimalList is one column of bare items
-            item = inner + "  "
-            if isinstance(value, _Table):
-                pairs, start, end = sorted(value), inner + "{" + item, inner + "}"
-            elif isinstance(value, _Rows):
-                pairs, start, end = zip(repeat(None), value), inner + "[" + item, inner + "]"
-            else:
-                pairs, start, end = [(None, value)], inner, ""
-            _write_rows(out, pairs, start, "," + item, end, ",", newline + "]")
-            return
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _json_fragments(item, out, inner)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(value):
-            out.append(sep)
-            out.append(encode_basestring_ascii(key))
-            out.append(": ")
-            _json_fragments(value[key], out, inner)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif value is None:
-        out.append("null")
-    # bool before int: int.__repr__(True) is '1'
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    else:
-        out.append(_FLOAT_JSON(value))
+# the marker of a _Table, as json.dumps writes the string its default hook returns
+_MARKER = json.dumps("\0")
 
 
 def _json_text(payload: Any) -> str:
-    """json.dumps(payload, indent=2, sort_keys=True), byte for byte, joined once."""
-    out: list[str] = []
-    _json_fragments(payload, out, "\n")
+    """json.dumps(payload, indent=2, sort_keys=True), each _Table written in place by _write_rows."""
+    tables: list[_Table] = []
+
+    def stub(table: _Table) -> str:
+        tables.append(table)
+        return "\0"
+
+    chunks = json.dumps(payload, indent=2, sort_keys=True, default=stub).split(_MARKER)
+    if len(chunks) != len(tables) + 1:
+        raise InvariantViolation(f"{len(chunks) - 1} table markers for {len(tables)} tables")
+    out = [chunks[0]]
+    for before, after in zip(chunks, chunks[1:]):
+        # the marker's line: its indent, then '"key": ' in a dict
+        line = before[before.rfind("\n") + 1 :]
+        newline = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        # popped as written: json's indent encoder keeps stub alive until the next collection
+        table = tables.pop(0)
+        inner = newline + "  "
+        item = inner + "  "
+        pairs = sorted(table.pairs, key=lambda pair: pair[0]) if table.shape == "{}" else table.pairs
+        opening, end = (table.shape[0] + item, inner + table.shape[1]) if table.shape else ("", "")
+        _write_rows(out, pairs, inner + opening, "," + item, end, ",", newline + "]")
+        out.append(after)
     return "".join(out)
 
 
@@ -346,7 +319,7 @@ def _emit(
     else:
         text = _render_text(payload)
     sink = contextlib.nullcontext(sys.stdout)
-    with open(config.out, "w", encoding="utf-8") if config.out else sink as fh:
+    with open(config.out, "w", encoding="utf-8") if config.out is not None else sink as fh:
         fh.write(text)
         fh.write("\n")
 
@@ -360,13 +333,12 @@ def _render_text(payload: dict[str, Any], indent: int = 0) -> str:
             lines.append(f"{pad}{key}:")
             lines.append(_render_text(value, indent + 1))
         elif isinstance(value, _Table):
-            # json.dumps of the rows as dicts, keyed in the table's order
+            # json.dumps of the rows, a dict row keyed in the table's order
             text: list[str] = []
-            _write_rows(text, value, "{", ", ", "}", ", ", "]")
+            _write_rows(text, value.pairs, value.shape[:1], ", ", value.shape[1:], ", ", "]")
             lines.append(f"{pad}{key}: {''.join(text)}")
-        elif isinstance(value, (list, _Rows)):
-            rows = list(zip(*value)) if isinstance(value, _Rows) else value
-            lines.append(f"{pad}{key}: {json.dumps(rows)}")
+        elif isinstance(value, list):
+            lines.append(f"{pad}{key}: {json.dumps(value)}")
         else:
             lines.append(f"{pad}{key}: {value}")
     return "\n".join(lines)
@@ -401,7 +373,7 @@ def _cmd_construct_basis(config: Namespace) -> int:
 
 def _sequence_payload(
     config: Namespace, field: NumberField
-) -> tuple[dict[str, Any], coordseq.SequenceReport, tuple[str, int, _Rows]]:
+) -> tuple[dict[str, Any], coordseq.SequenceReport, tuple[str, int, list[list[str]]]]:
     """Report fields shared by the sequence commands, the certified head, and the CSV table."""
     unit, beta = _unit_beta(config, field)
     # refused before a basis is built; a parse error in the unit or beta still comes first
@@ -419,7 +391,8 @@ def _sequence_payload(
     payload["charpoly"] = [str(c) for c in head.charpoly]
     # sequence_head has certified the recurrence for every term, so rendering
     # through it from the head gives str(x) for each
-    terms = payload["terms"] = _Rows(coordseq.decimal_columns(head, config.kmax))
+    terms = coordseq.decimal_columns(head, config.kmax)
+    payload["terms"] = _Table(tuple(zip(repeat(None), terms)), "[]")
     # a head whose recurrence fails raises InvariantViolation; the key stays for
     # readers of the reports
     payload["recurrence_ok"] = True
@@ -479,28 +452,28 @@ def _cmd_dk_scan(config: Namespace) -> int:
         # recurrence from str() of d_1..d_4 gives str(d_k) for each k, by induction
         terms = coordseq.decimal_columns(report, report.kmax)[0]
     else:
-        terms = coordseq.DecimalList(map(str, seq.terms))
+        terms = list(map(str, seq.terms))
     payload: dict[str, Any] = {
         "command": "dk-scan",
         "field": format_polynomial(field.coeffs),
         "alpha": format_element(alpha),
         "ring": [format_element(v) for v in ring.vectors],
-        "terms": terms,
+        "terms": _Table(((None, terms),), ""),
         "recurrence_ok": rec_ok,
-        "conj9_hits": coordseq.DecimalList(map(str, hits)),
+        "conj9_hits": list(map(str, hits)),
     }
     if config.vanishing_t is not None:
         scan = dkseq.sparse_minpoly_scan(
             field, config.vanishing_t, config.kmax, config.assert_monogenic
         )
-        d_tilde = coordseq.DecimalList(map(str, scan.d_tilde))
-        rows = ("n", scan.n), ("y1", coordseq.DecimalList(map(str, scan.y1))), ("d_tilde", d_tilde)
+        d_tilde = list(map(str, scan.d_tilde))
+        rows = ("n", scan.n), ("y1", list(map(str, scan.y1))), ("d_tilde", d_tilde)
         payload["vanishing"] = {
             "t": scan.t,
             "disc": str(scan.disc),
             "monogenic_asserted": scan.monogenic_asserted,
             "all_vanish": scan.all_vanish(),
-            "rows": _Table((*rows, ("d", None if scan.d is None else d_tilde))),
+            "rows": _Table((*rows, ("d", None if scan.d is None else d_tilde)), "{}"),
         }
     _emit(config, payload, ("k,dk", 1, (terms,)))
     return 0

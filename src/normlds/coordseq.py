@@ -30,10 +30,7 @@ negative kmax or an eps that is not integral, raises ValueError.
 decimal_columns() renders terms in exact decimal arithmetic: str() of a
 large int is quadratic in its digit count, while each recurrence step and
 str() of a Decimal are linear. A column that is +- an earlier one shifted down
-a row copies that column's strings instead. It returns one DecimalList per
-column, whose items are vouched for as '-' and digits by how they were made,
-so a writer may copy them without testing or escaping each one. The CLI
-writes its rows straight from these columns, so no row of strings is built.
+a row copies that column's strings instead.
 
 SequenceReport and LdsVerdict are collections.namedtuple records: immutable
 and compared field by field.
@@ -230,10 +227,6 @@ def verify_recurrence(report: SequenceReport) -> bool:
     return True
 
 
-class DecimalList(list):
-    """A list of str() of ints: every item is '-' and digits, by how it was made."""
-
-
 def _shift_source(
     column: Sequence[int], earlier: Sequence[Sequence[int]]
 ) -> tuple[int, int] | None:
@@ -260,7 +253,7 @@ def _negated(text: str) -> str:
     return text if text == "0" else "-" + text
 
 
-def decimal_columns(head: SequenceReport, kmax: int) -> list[DecimalList]:
+def decimal_columns(head: SequenceReport, kmax: int) -> list[list[str]]:
     """Terms 0..kmax of each column as decimal strings, in time linear in their digit count.
 
     head holds terms 0..min(kmax, d) of each column at least, d the degree of
@@ -278,7 +271,7 @@ def decimal_columns(head: SequenceReport, kmax: int) -> list[DecimalList]:
     """
     d = len(head.charpoly) - 1
     ints: list[list[int]] = []
-    columns: list[DecimalList] = []
+    columns: list[list[str]] = []
     with localcontext(_EXACT):
         for column in head.terms:
             column = column[: min(kmax, d) + 1]
@@ -286,17 +279,17 @@ def decimal_columns(head: SequenceReport, kmax: int) -> list[DecimalList]:
             ints.append(column)
             if shift is not None:
                 j, sign = shift
-                text = DecimalList([str(column[0])])
+                text = [str(column[0])]
                 rest = columns[j][:-1]
                 text.extend(rest if sign == 1 else map(_negated, rest))
                 columns.append(text)
                 continue
             values = recurrence_terms(head.charpoly, map(Decimal, column[:d]))
-            text = DecimalList(map(str, itertools.islice(values, kmax + 1)))
+            text = list(map(str, itertools.islice(values, kmax + 1)))
             # the product of 0 and a negative s_j is -0, the one decimal value
             # whose text is not str() of its int
             if "-0" in text:
-                text = DecimalList("0" if x == "-0" else x for x in text)
+                text = ["0" if x == "-0" else x for x in text]
             columns.append(text)
     return columns
 

@@ -520,9 +520,10 @@ def _tokenize(text: str, var: str) -> list[tuple[str, object, int]]:
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        # ASCII digits only: int() would also read other scripts' digits, or fail on '²'
+        if "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j
@@ -543,11 +544,10 @@ def _parse_terms(text: str, var: str) -> dict[int, Fraction]:
     powers: dict[int, Fraction] = {}
     i = 0
     sign = 1
-    first = True
     while i < len(tokens):
         kind, val, pos = tokens[i]
         if kind in "+-":
-            if not first and i > 0 and tokens[i - 1][0] in "+-":
+            if i > 0 and tokens[i - 1][0] in "+-":
                 raise ParseError("consecutive signs", pos)
             sign = 1 if kind == "+" else -1
             i += 1
@@ -586,7 +586,6 @@ def _parse_terms(text: str, var: str) -> dict[int, Fraction]:
             raise ParseError(f"expected a term, got {tokens[i][1]!r}", tokens[i][2])
         powers[power] = powers.get(power, Fraction(0)) + sign * coef
         sign = 1
-        first = False
         if i < len(tokens) and tokens[i][0] not in "+-":
             raise ParseError(f"expected '+' or '-', got {tokens[i][1]!r}", tokens[i][2])
     return powers

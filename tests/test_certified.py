@@ -377,9 +377,9 @@ class TestVerifyLdsMemory:
         verify_recurrence, and still held them while the report was rendered
         and written. It held them as rows, and here generate gives columns,
         which take less memory; its own decimal rendering also kept a tuple
-        per column, and its terms were a DecimalList per row, built here from
-        the columns as the deleted coordseq.decimal_rows built them, so this
-        peak is at most the one it had.
+        per column, and its terms were a list per row, built here as a
+        one-column cli._Table from the columns as the deleted
+        coordseq.decimal_rows built them, so this peak is at most the one it had.
         """
         k4 = NumberField((1, 0, -10, 0, 1))
         beta, unit = k4.element([2, -1, 0, 1]), k4.generator
@@ -389,7 +389,7 @@ class TestVerifyLdsMemory:
         try:
             report = generate(beta, unit, basis, 600)
             assert verify_recurrence(report)
-            terms = list(map(coordseq.DecimalList, zip(*decimal_columns(report, 600))))
+            terms = [cli._Table(((None, row),), "") for row in zip(*decimal_columns(report, 600))]
             lds = [coordseq.verify_lds(column, 600).ok for column in report.terms]
             coords = [list(map(str, v.coords)) for v in basis.vectors]
             payload = {"terms": terms, "lds": lds, "basis": coords}

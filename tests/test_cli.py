@@ -598,11 +598,15 @@ def test_sequence_commands_refuse_a_negative_kmax_before_a_basis(monkeypatch, co
         (["emit-sequence", "--field", "x^2-3", "--unit", "2+t", "--beta", "1", "--basis-file=",
           "--kmax", "3", "--format", "csv"],
          2, "error: [Errno 2] No such file or directory: ''\n"),
+        (["snf-check", "--field", "x^4-10x^2+1", "--unit", "t", "--out="],
+         2, "error: [Errno 2] No such file or directory: ''\n"),
+        (["snf-check", "--field=", "--unit", "t"], 3, "parse error at position 0: empty expression\n"),
     ],
-    ids=["beta", "module-basis", "basis-file"],
+    ids=["beta", "module-basis", "basis-file", "out", "field"],
 )
 def test_an_empty_option_value_is_read_as_given(argv, code, err):
-    # not as absent: no default beta, power basis or basis file takes its place
+    # not as absent: no default beta, power basis, basis file or stdout takes its place, and
+    # an empty field is parsed
     assert run_cli(argv) == (code, "", err)
 
 

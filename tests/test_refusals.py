@@ -55,14 +55,23 @@ REFUSALS = [
     (["construct-basis", "--method", "family"], 2,
      "error: --m is required for the family method\n"),
     (["family-scan", "--m-range", "2..x"], 3, "parse error at position 0: bad m range '2..x'\n"),
-    # the expression parser, one row per message
+    # the expression parser, each message at least once
     ([*EMIT, "2++t"], 3, "parse error at position 2: consecutive signs\n"),
+    # a leading double sign is refused too, not read as its last sign
+    (["emit-sequence", "--field", "x^2-3", "--unit=--2-t"], 3,
+     "parse error at position 1: consecutive signs\n"),
+    (["emit-sequence", "--field", "x^2-3", "--unit=-+2-t"], 3,
+     "parse error at position 1: consecutive signs\n"),
     ([*EMIT, "2+"], 3, "parse error at position 1: dangling sign\n"),
     ([*EMIT, "2/0"], 3, "parse error at position 1: expected nonzero integer denominator\n"),
     ([*EMIT, "2*3"], 3, "parse error at position 1: expected 't' after '*'\n"),
     ([*EMIT, "2+t^"], 3, "parse error at position 3: expected integer exponent\n"),
     ([*EMIT, ""], 3, "parse error at position 0: empty expression\n"),
     ([*EMIT, "2+y"], 3, "parse error at position 2: unexpected character 'y'\n"),
+    # digits are ASCII only
+    (["emit-sequence", "--field", "x²-3", "--unit", "t"], 3,
+     "parse error at position 1: unexpected character '²'\n"),
+    ([*EMIT, "١+t"], 3, "parse error at position 0: unexpected character '١'\n"),
     ([*EMIT, "2+t t"], 3, "parse error at position 4: expected '+' or '-', got 't'\n"),
 ]
 
