@@ -14,9 +14,9 @@ json.dumps(indent=2, sort_keys=True) writes each JSON report, and the
 columns of decimal text are spliced into it. Such columns are held by a
 _Table, the one column type, in one of three row shapes: the term table of
 emit-sequence and verify-lds (the columns of coordseq.decimal_columns) as list
-rows, the d_k column of dk-scan as its bare items, and the rows of its
-vanishing scan as dicts of named columns: n as a range, y1, d_tilde and d as
-decimal text, or d as None. Their items are vouched for as '-' and digits
+rows, the d_k column and the conj9 hits of dk-scan as bare items, and the rows
+of its vanishing scan as dicts of named columns: n as a range, y1, d_tilde and
+d as decimal text, or d as None. Their items are vouched for as '-' and digits
 (rendered through a certified or verified recurrence, else by str()), so they
 need no escaping, which is most of what json.dumps would spend on a report.
 json.dumps hands each _Table to its default hook, which records it and
@@ -117,6 +117,9 @@ def _construct(
 
 # a basis coordinate as a report writes it
 _COORDINATE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# an integer option or bound, in ASCII digits as the expression tokenizer reads
+# them: int() alone also takes other scripts' digits, '_', '+' and spaces
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _basis_from_file(
@@ -460,7 +463,7 @@ def _cmd_dk_scan(config: Namespace) -> int:
         "ring": [format_element(v) for v in ring.vectors],
         "terms": _Table(((None, terms),), ""),
         "recurrence_ok": rec_ok,
-        "conj9_hits": list(map(str, hits)),
+        "conj9_hits": _Table(((None, list(map(str, hits))),), ""),
     }
     if config.vanishing_t is not None:
         scan = dkseq.sparse_minpoly_scan(
@@ -483,10 +486,9 @@ def _parse_m_range(spec: str) -> range:
     if ".." not in spec:
         raise ParseError("m range must look like 2..10", 0)
     lo_text, hi_text = spec.split("..", 1)
-    try:
-        lo, hi = int(lo_text), int(hi_text)
-    except ValueError:
-        raise ParseError(f"bad m range {spec!r}", 0) from None
+    if not (_INTEGER.fullmatch(lo_text) and _INTEGER.fullmatch(hi_text)):
+        raise ParseError(f"bad m range {spec!r}", 0)
+    lo, hi = int(lo_text), int(hi_text)
     if lo > hi:
         raise ValueError(f"m range {spec} is empty")
     if lo < 2:
@@ -565,6 +567,13 @@ class _Parser(argparse.ArgumentParser):
         super().error(message)
 
 
+def _integer(text: str) -> int:
+    """The type of every int option: text must match _INTEGER."""
+    if _INTEGER.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="normlds",
@@ -585,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--module-basis", help="semicolon-separated basis elements in t")
         if bounds:
-            p.add_argument("--kmax", type=int, default=200, help="terms to generate")
+            p.add_argument("--kmax", type=_integer, default=200, help="terms to generate")
         p.add_argument("--format", dest="fmt", choices=_FORMATS, default="json")
         p.add_argument("--out", help="write the report to this path instead of stdout")
 
@@ -596,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("quadratic", "quartic-power", "quartic-full", "family"),
         default="quartic-power",
     )
-    p.add_argument("--m", type=int, help="family parameter (method=family)")
+    p.add_argument("--m", type=_integer, help="family parameter (method=family)")
 
     for name, text in (
         ("emit-sequence", "generate coordinate sequences"),
@@ -607,20 +616,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--basis", choices=("power", "quartic-power", "quartic-full"))
         p.add_argument("--basis-file", help="JSON basis report to reuse")
         if name == "verify-lds":
-            p.add_argument("--nmax", type=int, help="divisor pairs bound (default kmax)")
-            p.add_argument("--column", type=int, default=1, help="column deciding the exit code")
+            p.add_argument("--nmax", type=_integer, help="divisor pairs bound (default kmax)")
+            p.add_argument("--column", type=_integer, default=1, help="column deciding the exit code")
 
     p = sub.add_parser("dk-scan", help="congruence sequence d_k and related scans")
     common(p, unit_beta=False)
     p.add_argument(
         "--alpha", help="element whose powers are scanned (in t); a negative one as --alpha=-2-t"
     )
-    p.add_argument("--vanishing-t", type=int, help="lacunary step for the vanishing scan")
+    p.add_argument("--vanishing-t", type=_integer, help="lacunary step for the vanishing scan")
     p.add_argument("--assert-monogenic", action="store_true")
 
     p = sub.add_parser("family-scan", help="scan the sqrt(m), sqrt(m+1) module family")
     p.add_argument("--m-range", required=True, help="inclusive range, e.g. 2..10")
-    p.add_argument("--kmax", type=int, default=200)
+    p.add_argument("--kmax", type=_integer, default=200)
     p.add_argument("--format", dest="fmt", choices=_FORMATS, default="json")
     p.add_argument("--out")
 

@@ -20,7 +20,11 @@ renders every column from the head. The d_k sequences of dkseq are gcds of
 such columns; verify_recurrence checks a column that is not one, such as d_k,
 term by term. verify_lds() reads a column only as far as its verdict needs,
 over one prime sieve per bound, kept by smallest_prime_factors() for the next
-call.
+call. It tests only prime steps (m/p, m) and takes one full remainder per
+index m, that of its least prime p0, keeping the quotient b(m)/b(m/p0); every
+other prime step of m is tested on two such quotients, which carry about
+(1 - 1/p0) of the digits of the terms, and is divided in full only when that
+test does not pass (the proof is in its docstring).
 
 A head whose row d fails its recurrence raises exactlinalg.InvariantViolation,
 the package's one type for a failed internal check: min_poly or the field
@@ -317,6 +321,13 @@ def smallest_prime_factors(nmax: int) -> tuple[int, ...]:
     return tuple(spf)
 
 
+def _first_failing_divisor(terms: Sequence[int], m: int) -> LdsVerdict:
+    """The verdict for the least n | m, 1 <= n < m, for which b(n) does not divide b(m)."""
+    term = terms[m]
+    n = next(n for n in range(1, m) if m % n == 0 and not divides(terms[n], term))
+    return LdsVerdict(False, (n, m))
+
+
 def verify_lds(column: Iterable[int], nmax: int) -> LdsVerdict:
     """First failing pair n | m with 1 <= n < m <= nmax; the index is the position.
 
@@ -328,19 +339,48 @@ def verify_lds(column: Iterable[int], nmax: int) -> LdsVerdict:
     when some prime step (m/p, m) fails: only prime steps are tested until that
     m. A column that ends before index nmax raises ValueError, a sized one
     before any pair is tested.
+
+    Each m takes one full remainder. The step of p0 = spf(m), its least prime,
+    is divided in full, and its quotient Q(m) = b(m)/b(m/p0) is kept; Q(m) = 0
+    when b(m/p0) = 0, which passes only with b(m) = 0, so Q(m) = 0 exactly
+    when b(m) = 0. Every other prime step (m/p, m), p > p0, passes when
+    Q(m/p) != 0 divides Q(m). Proof: let a = m/(p p0). spf(m/p) = p0, so
+    b(m/p) = Q(m/p) b(a), with b(a) != 0 since b(m/p) != 0 and the step
+    (a, m/p) has passed. The step (a, m/p0), of prime p at the index m/p0 < m,
+    has passed too, so b(m/p0) = c b(a) for an integer c, and
+    b(m) = Q(m) c b(a). Q(m) and Q(m/p) carry only the growth of b between
+    indices p0 apart, about (1 - 1/p0) of that of b(m) and b(m/p), so this
+    remainder costs about (1 - 1/p0)^2 of the full one: a quarter at even m.
+    A step whose quotient test does not pass, Q(m/p) = 0 included, is divided
+    in full by divides(), so every verdict and witness is exact for any
+    integer column. Q(n) is read only at m = n p with p > spf(n) >= 2, so
+    only n <= nmax/3 keep theirs.
     """
     if isinstance(column, Sized) and len(column) <= nmax:
         raise ValueError(f"need terms through index {nmax}, got {len(column)}")
     spf = smallest_prime_factors(max(nmax, 1))
     terms: list[int] = []
+    quotients: list[int] = [0, 0]
     for m, term in enumerate(itertools.islice(column, max(nmax + 1, 0))):
         terms.append(term)
+        if m < 2:
+            continue
+        p = spf[m]
+        below = terms[m // p]
+        q, r = divmod(term, below) if below else (0, term)
+        if r:
+            return _first_failing_divisor(terms, m)
+        if 3 * m <= nmax:
+            quotients.append(q)
         rest = m
+        while rest % p == 0:
+            rest //= p
         while rest > 1:
             p = spf[rest]
-            if not divides(terms[m // p], term):
-                n = next(n for n in range(1, m) if m % n == 0 and not divides(terms[n], term))
-                return LdsVerdict(False, (n, m))
+            n = m // p
+            qn = quotients[n]
+            if not (qn and q % qn == 0) and not divides(terms[n], term):
+                return _first_failing_divisor(terms, m)
             while rest % p == 0:
                 rest //= p
     if len(terms) <= nmax:

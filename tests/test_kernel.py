@@ -12,9 +12,10 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, find, given, settings
 from hypothesis import strategies as st
 
+from normlds import coordseq
 from normlds.coordseq import (
     SequenceReport,
     column_terms,
@@ -29,7 +30,7 @@ from normlds.coordseq import (
 )
 from normlds.dkseq import CheckRefused, dk, dk_recurrence_check, dk_sequence, sparse_minpoly_scan
 from normlds.dkseq import recurrence_report as dk_report
-from normlds.basisforge import quartic_module_construct
+from normlds.basisforge import family_basis, quartic_full_construct, quartic_module_construct
 from normlds.numberfield import ModuleBasis, NumberField
 from oracles import fraction_columns, fraction_rows, outside_module, scan_rows
 
@@ -393,6 +394,92 @@ class TestVerifyLdsOracle:
         col[12] = 18
         assert pairwise_lds(col, 39) == (False, (4, 12))
         assert verify_lds(col, 39).witness == (4, 12)
+
+
+@st.composite
+def lcm_columns(draw):
+    """b(n) = +-lcm of c(d) over d | n: a divisibility sequence, sometimes perturbed.
+
+    Small c(d) make the quotients b(m)/b(m/spf(m)) repeat, so a quotient test
+    of verify_lds can fail while its pair divides; a c(d) = 0 zeroes b at every
+    multiple of d, inner indices included.
+    """
+    size = draw(st.integers(2, 70))
+    c = draw(st.lists(st.one_of(st.integers(1, 6), st.integers(-6, 6)), min_size=size, max_size=size))
+    col = [0] + [
+        math.lcm(*(c[d] for d in range(1, n + 1) if n % d == 0)) * (-1 if c[n] < 0 else 1)
+        for n in range(1, size)
+    ]
+    if draw(st.booleans()):
+        col[draw(st.integers(0, size - 1))] = draw(st.integers(-12, 12))
+    return col, draw(st.integers(-2, size - 1))
+
+
+def fallback_calls(monkeypatch):
+    """The (b(n), b(m)) of every call verify_lds makes to coordseq.divides, as a list."""
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return divides(a, b)
+
+    monkeypatch.setattr(coordseq, "divides", counted)
+    return calls
+
+
+class TestQuotientTest:
+    @given(lcm_columns())
+    @settings(max_examples=500, deadline=None)
+    def test_verdict_and_witness_match_pairwise_scan(self, case):
+        col, nmax = case
+        verdict = verify_lds(col, nmax)
+        assert (verdict.ok, verdict.witness) == pairwise_lds(col, nmax)
+
+    def test_the_strategy_reaches_the_full_remainder(self, monkeypatch):
+        # a column on which a quotient test fails while its pair divides, and
+        # one on which a zero b(n) at an inner index sends a step to divides
+        calls = fallback_calls(monkeypatch)
+
+        def falls_back(case, passing):
+            calls.clear()
+            verify_lds(*case)
+            return any(divides(a, b) == passing for a, b in calls)
+
+        col, nmax = find(lcm_columns(), lambda case: falls_back(case, True) and verify_lds(*case).ok)
+        assert pairwise_lds(col, nmax) == (True, None)
+        col, nmax = find(lcm_columns(), lambda case: falls_back(case, True) and 0 in case[0][1:])
+        assert verify_lds(col, nmax) == pairwise_lds(col, nmax)
+
+    def test_a_failed_quotient_test_is_decided_by_the_full_remainder(self, monkeypatch):
+        # Q(2) = b(2)/b(1) = 2 does not divide Q(6) = b(6)/b(3) = 1, yet b(2) divides b(6)
+        calls = fallback_calls(monkeypatch)
+        assert verify_lds([0, 1, 2, 2, 2, 1, 2, 1], 7) == (True, None)
+        assert calls == [(2, 2)]
+        # b(6) = 3: b(3) divides it, b(2) does not
+        assert verify_lds([0, 1, 2, 3, 2, 1, 3, 1], 7) == (False, (2, 6))
+
+    def test_a_zero_quotient_is_decided_by_the_full_remainder(self, monkeypatch):
+        # b(2) = 0, so Q(2) = 0 and the step (2, 6) is divided in full
+        calls = fallback_calls(monkeypatch)
+        assert verify_lds([0, 1, 0, 1, 0, 1, 0], 6) == (True, None)
+        assert calls == [(0, 0)]
+        assert verify_lds([0, 1, 0, 1, 0, 1, 5], 6) == (False, (2, 6))
+
+    @pytest.mark.parametrize("basis", ["lehmer", "family"])
+    def test_a_basis_column_takes_no_full_remainder_past_the_least_prime(self, monkeypatch, basis):
+        # x1 of quartic-full over x^4-10x^2+1 with beta 2-t+t^3, a scaled Lehmer
+        # sequence, and x1 of the family basis at m = 6
+        if basis == "lehmer":
+            k4 = NumberField((1, 0, -10, 0, 1))
+            beta, eps = k4.element([2, -1, 0, 1]), k4.generator
+            cons = quartic_full_construct(k4.power_basis(), beta, eps)
+        else:
+            cons = family_basis(6)
+            beta, eps = cons.basis.field.one, cons.basis.field.generator
+        head = sequence_head(beta, eps, cons.basis, 600)
+        calls = fallback_calls(monkeypatch)
+        assert verify_lds(column_terms(head, 1), 600) == (True, None)
+        assert calls == []
 
 
 def termwise_recurrence(report):

@@ -55,6 +55,14 @@ REFUSALS = [
     (["construct-basis", "--method", "family"], 2,
      "error: --m is required for the family method\n"),
     (["family-scan", "--m-range", "2..x"], 3, "parse error at position 0: bad m range '2..x'\n"),
+    # its bounds are ASCII -?[0-9]+, as the expression parser reads an integer
+    (["family-scan", "--m-range", "٢..٣"], 3, "parse error at position 0: bad m range '٢..٣'\n"),
+    (["family-scan", "--m-range", "1_0..1_1"], 3,
+     "parse error at position 0: bad m range '1_0..1_1'\n"),
+    (["family-scan", "--m-range", "+2..3"], 3, "parse error at position 0: bad m range '+2..3'\n"),
+    (["family-scan", "--m-range", "2.. 3"], 3, "parse error at position 0: bad m range '2.. 3'\n"),
+    (["family-scan", "--m-range=-2..1"], 2,
+     "error: m range -2..1 starts below 2, where the family begins\n"),
     # the expression parser, each message at least once
     ([*EMIT, "2++t"], 3, "parse error at position 2: consecutive signs\n"),
     # a leading double sign is refused too, not read as its last sign
@@ -86,6 +94,29 @@ def run_cli(argv):
 @pytest.mark.parametrize("argv, code, error", REFUSALS, ids=[" ".join(a) for a, _, _ in REFUSALS])
 def test_refusal(argv, code, error):
     assert run_cli(argv) == (code, "", error)
+
+
+# int options, refused by argparse as int() refuses 'x': each takes ASCII -?[0-9]+ alone
+INT_OPTION_REFUSALS = [
+    ["emit-sequence", *PELL, "--kmax", "٥"],
+    ["verify-lds", *PELL, "--kmax", "10", "--nmax", "1_0"],
+    ["verify-lds", *PELL, "--column", "+1"],
+    ["construct-basis", "--method", "family", "--m", "٢"],
+    ["dk-scan", "--field", "x^2-3", "--alpha", "2+t", "--vanishing-t", " 2"],
+    ["family-scan", "--m-range", "2..3", "--kmax", "2_000"],
+]
+
+
+@pytest.mark.parametrize("argv", INT_OPTION_REFUSALS, ids=" ".join)
+def test_int_option_refusal(argv):
+    option, value = argv[-2:]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 2
+    assert err.getvalue().splitlines()[-1] == (
+        f"normlds {argv[0]}: error: argument {option}: invalid int value: {value!r}"
+    )
 
 
 def test_basis_file_of_another_field_is_refused(tmp_path):
