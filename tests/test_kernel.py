@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, find, given, settings
+from hypothesis import Phase, assume, find, given, settings
 from hypothesis import strategies as st
 
 from normlds import coordseq
@@ -436,19 +436,22 @@ class TestQuotientTest:
         assert (verdict.ok, verdict.witness) == pairwise_lds(col, nmax)
 
     def test_the_strategy_reaches_the_full_remainder(self, monkeypatch):
-        # a column on which a quotient test fails while its pair divides, and
-        # one on which a zero b(n) at an inner index sends a step to divides
+        # passing columns, so every divides call is a fallback: one on which a
+        # quotient test fails while its pair divides, and one on which a zero
+        # b(m/p) at an inner index sends its step to divides
         calls = fallback_calls(monkeypatch)
 
-        def falls_back(case, passing):
+        def passes_with(case, fallback):
             calls.clear()
-            verify_lds(*case)
-            return any(divides(a, b) == passing for a, b in calls)
+            return verify_lds(*case).ok and any(map(fallback, calls))
 
-        col, nmax = find(lcm_columns(), lambda case: falls_back(case, True) and verify_lds(*case).ok)
-        assert pairwise_lds(col, nmax) == (True, None)
-        col, nmax = find(lcm_columns(), lambda case: falls_back(case, True) and 0 in case[0][1:])
-        assert verify_lds(col, nmax) == pairwise_lds(col, nmax)
+        for fallback in (lambda pair: pair[0] != 0, lambda pair: pair[0] == 0):
+            col, nmax = find(
+                lcm_columns(),
+                lambda case: passes_with(case, fallback),
+                settings=settings(database=None, phases=[Phase.generate]),
+            )
+            assert pairwise_lds(col, nmax) == (True, None)
 
     def test_a_failed_quotient_test_is_decided_by_the_full_remainder(self, monkeypatch):
         # Q(2) = b(2)/b(1) = 2 does not divide Q(6) = b(6)/b(3) = 1, yet b(2) divides b(6)
