@@ -423,9 +423,10 @@ def _cmd_verify_lds(config: Namespace) -> int:
     payload["command"] = "verify-lds"
     nmax = config.kmax if config.nmax is None else config.nmax
     verdicts = []
-    # one int column at a time, built only as far as its verdict reads it
+    # one int column at a time, decided from the head or built only as far as
+    # its verdict reads it
     for i in range(1, len(head.terms) + 1):
-        verdict = coordseq.verify_lds(coordseq.column_terms(head, i), nmax)
+        verdict = coordseq.column_verdict(head, i, nmax)
         verdicts.append(
             {
                 "column": i,
@@ -511,7 +512,7 @@ def _cmd_family_scan(config: Namespace) -> int:
             continue
         field = cons.basis.field
         head = coordseq.sequence_head(field.one, field.generator, cons.basis, config.kmax)
-        verdict = coordseq.verify_lds(coordseq.column_terms(head, 1), config.kmax)
+        verdict = coordseq.column_verdict(head, 1, config.kmax)
         if not verdict.ok:
             any_fail = True
         rows.append(

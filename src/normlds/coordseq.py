@@ -24,7 +24,12 @@ call. It tests only prime steps (m/p, m) and takes one full remainder per
 index m, that of its least prime p0, keeping the quotient b(m)/b(m/p0); every
 other prime step of m is tested on two such quotients, which carry about
 (1 - 1/p0) of the digits of the terms, and is divided in full only when that
-test does not pass (the proof is in its docstring).
+test does not pass (the proof is in its docstring). column_verdict() is the
+verdict the commands take for one column of a head: a column whose rows 0..d
+are s times those of a Lucas sequence (any quadratic charpoly, head (0, s)) or
+of a Lehmer sequence (charpoly X^4 - T X^2 + 1, head s (0, 1, 1, T +- 1)) is
+an LDS by a theorem, and it reads no term past the head (the proof is in its
+docstring); every other column goes to verify_lds, the one scan.
 
 A head whose row d fails its recurrence raises exactlinalg.InvariantViolation,
 the package's one type for a failed internal check: min_poly or the field
@@ -386,3 +391,66 @@ def verify_lds(column: Iterable[int], nmax: int) -> LdsVerdict:
     if len(terms) <= nmax:
         raise ValueError(f"need terms through index {nmax}, got {len(terms)}")
     return LdsVerdict(True, None)
+
+
+def _lds_targets(charpoly: Sequence[int]) -> list[tuple[int, ...]]:
+    """Rows 0..d of each Lucas or Lehmer sequence under charpoly, of degree d; none for any other."""
+    if len(charpoly) == 3:
+        return [(0, 1, -charpoly[1])]
+    if len(charpoly) == 5 and (charpoly[0], charpoly[1], charpoly[3], charpoly[4]) == (1, 0, 0, 1):
+        t = -charpoly[2]
+        return [(0, 1, 1, t + 1, t), (0, 1, 1, t - 1, t)]
+    return []
+
+
+def column_verdict(head: SequenceReport, i: int, nmax: int) -> LdsVerdict:
+    """verify_lds(column_terms(head, i), nmax), decided from the head when a theorem gives it.
+
+    Column i (1-indexed) is proved, LdsVerdict(True, None) with no term read
+    past the head, when its rows 0..d are s times those of a target v below,
+    for an integer s (0 and negative included). Every other column goes to
+    verify_lds unchanged.
+    - Lucas: charpoly X^2 - P X + Q, any integers P and Q; v = (0, 1, P), the
+      rows of U_n(P, Q).
+    - Lehmer: charpoly exactly X^4 - T X^2 + 1; v = (0, 1, 1, T + 1, T) or
+      (0, 1, 1, T - 1, T), the rows of the Lehmer numbers of (R, Q) =
+      (T + 2, 1) or (T - 2, -1).
+
+    Proof. column_terms gives x(0), then the recurrence run from x(1..d), so
+    rows 0..d equal to s v make the whole column s times the target (on a
+    head of sequence_head, row d is the row its check certified). Take
+    indeterminates P, Q, R and the roots a, b of X^2 - P X + Q, or of
+    X^2 - r X + Q with r^2 = R. U_n = (a^n - b^n)/(a - b), and Lehmer's L_n is
+    (a^n - b^n)/(a - b) for odd n and (a^n - b^n)/(a^2 - b^2) for even n. Let
+    n | m, k = m/n, A = a^n and B = b^n. Then U_m/U_n = G = (A^k - B^k)/(A - B)
+    = sum_{j<k} A^(k-1-j) B^j, and L_m/L_n = G when n and m have one parity.
+    For odd n and even m, L_m/L_n = G/(a + b) is (A^k - B^k)/(A^2 - B^2), a
+    polynomial as k is even, times Lehmer's parity factor
+    (A + B)/(a + b) = sum_{j<n} (-1)^j a^(n-1-j) b^j.
+    Each quotient, and each U_n and L_n, is thus a polynomial with integer
+    coefficients in a and b, symmetric, and for Lehmer unchanged by
+    (a, b) -> (-a, -b), so an integer polynomial in P and Q, or in R = r^2 and
+    Q. So U_n divides U_m, and L_n divides L_m, as polynomials. The
+    recurrences (U_{n+2} = P U_{n+1} - Q U_n, and L_{n+4} = (R - 2Q) L_{n+2}
+    - Q^2 L_n since (X^2 - a^2)(X^2 - b^2) = X^4 - (R - 2Q) X^2 + Q^2) and the
+    rows (0, 1, P) and (0, 1, 1, R - Q, R - 2Q) are polynomial identities too.
+    Every identity survives substituting integers: every P and Q, Q = 0 and
+    P^2 = 4Q included, and R = T + 2, Q = 1 or R = T - 2, Q = -1 for every T.
+    So every target is an LDS, with 0 dividing only 0: U_n = 0 forces
+    U_m = U_n (U_m/U_n) = 0, and L_n likewise; and s times an LDS is one.
+
+    A head shorter than d + 1 rows, as sequence_head gives for a kmax below d
+    (family-scan --kmax 3 over a quartic), certifies no recurrence, and
+    column_terms gives its own terms alone. Its column is proved only when
+    nmax is below its length and its rows are those of s v: verify_lds would
+    read just those rows, a prefix of an LDS. Otherwise verify_lds reads it,
+    and raises ValueError for an nmax at or past its end.
+    """
+    d = len(head.charpoly) - 1
+    rows = head.terms[i - 1][: d + 1]
+    s = rows[1] if len(rows) > 1 else 0
+    if len(rows) > min(nmax, d) and any(
+        rows == [s * v for v in target[: len(rows)]] for target in _lds_targets(head.charpoly)
+    ):
+        return LdsVerdict(True, None)
+    return verify_lds(column_terms(head, i), nmax)

@@ -184,6 +184,10 @@ def run_cli(argv):
 
 
 QUARTIC = ["--field", "x^4-10x^2+1", "--unit", "t", "--beta", "2-t+t^3"]
+# x1 = (0, 1, 1, T + 1) and x2 = (0, 1, 3, T + 1), T = 9: one column proved from
+# its head and one LDS that only the scan passes
+SCANNED = ["--field", "x^4-9x^2+1", "--unit", "t", "--beta", "t+3t^2+t^3",
+           "--basis", "quartic-full"]
 
 
 @pytest.fixture
@@ -234,15 +238,33 @@ class TestWorkCount:
         assert work == {"rows": 3, "ints": 4}
 
     def test_verify_lds_builds_each_int_column_only_as_far_as_it_reads(self, work):
-        rc, out, _ = run_cli(["verify-lds", *QUARTIC, "--basis", "quartic-power", "--kmax", "500",
-                              "--nmax", "50"])
+        rc, out, _ = run_cli(["verify-lds", *SCANNED, "--kmax", "500", "--nmax", "50"])
         report = json.loads(out)
         assert rc == 0 and len(report["terms"]) == 501
-        # the certificate, then terms 5..50 of the column that passes, and terms
-        # 5..m of a column whose witness is at m: no term past what verify_lds reads
-        lasts = [50 if v["ok"] else v["witness"][1] for v in report["lds"]]
-        assert lasts[0] == 50 and max(lasts[1:]) < 10
-        assert work == {"rows": 5, "ints": 4 + sum(max(m - 4, 0) for m in lasts)}
+        # x1 is proved from its head and x2 passes by the scan. The certificate,
+        # then terms 5..50 of x2, and terms 5..m of a column whose witness is at
+        # m: no term past what verify_lds reads; quartic-full takes the 4 rows of B
+        assert [v["ok"] for v in report["lds"]] == [True, True, False, False]
+        lasts = [50] + [v["witness"][1] for v in report["lds"][2:]]
+        assert work == {"rows": 5, "basis rows": 4, "ints": 4 + sum(max(m - 4, 0) for m in lasts)}
+
+    @pytest.mark.parametrize("argv, d, proved", [
+        ([*QUARTIC, "--basis", "quartic-power"], 4, 1),
+        (["--field", "x^2-3", "--unit", "2+t", "--basis", "power"], 2, 2),
+    ], ids=["lehmer", "lucas"])
+    def test_verify_lds_builds_no_int_term_past_the_head_of_a_proved_column(
+        self, work, argv, d, proved
+    ):
+        # x1 = (0, 1, 1, T + 1) over quartic-power, x2 = (0, 1) over the power
+        # basis of Z[sqrt 3]: every other column fails at a small m, and the
+        # proved one builds nothing past the certificate
+        rc, out, _ = run_cli(["verify-lds", *argv, "--kmax", "500", "--nmax", "50", "--column",
+                              str(proved)])
+        report = json.loads(out)
+        assert rc == 0 and report["lds"][proved - 1] == {"column": proved, "ok": True, "witness": None}
+        failed = [v["witness"][1] for v in report["lds"] if not v["ok"]]
+        assert len(failed) == d - 1
+        assert work == {"rows": d + 1, "ints": d + sum(max(m - d, 0) for m in failed)}
 
     @pytest.mark.parametrize("kmax", [1, 2, 5, 40, 41])
     def test_dk_scan_runs_each_stream_to_half_of_kmax(self, work, monkeypatch, kmax):
@@ -264,23 +286,26 @@ class TestWorkCount:
             ints += 2 * (last >= 2) + 2 * (last - 2) * (last > 2)
         assert work == Counter({"rows": rows, "ints": ints + (kmax - 4) * (kmax > 4)})
 
-    def test_family_scan_builds_x1_alone(self, work):
-        # per accepted m: 4 rows of B, 5 rows, the certificate's 4 values, and
-        # terms 5..200 of x1, which verify_lds reads through kmax; nothing for a
-        # rejected m
-        accepted = []
-        for m in range(2, 8):
-            before = work.copy()
-            rc, out, _ = run_cli(["family-scan", f"--m-range={m}..{m}", "--kmax", "200"])
-            (row,) = json.loads(out)["rows"]
-            assert rc == 0
-            if row["status"] == "ok":
-                accepted.append(m)
-                assert row["lds_ok"] and row["witness"] is None
-                assert work - before == {"basis rows": 4, "rows": 5, "ints": 4 + 196}
-            else:
-                assert work == before
-        assert accepted == [2, 5, 6, 7]
+    def test_family_scan_builds_x1_alone(self, work, monkeypatch):
+        # per accepted m: 4 rows of B, 5 rows and the certificate's 4 values.
+        # x1 = 2 (0, 1, 1, T + 1) is proved from its head, so nothing more; with
+        # no target known, terms 5..200 of x1, which verify_lds reads through
+        # kmax. Nothing for a rejected m
+        for targets, scanned in ((coordseq._lds_targets, 0), (lambda charpoly: [], 196)):
+            monkeypatch.setattr(coordseq, "_lds_targets", targets)
+            accepted = []
+            for m in range(2, 8):
+                before = work.copy()
+                rc, out, _ = run_cli(["family-scan", f"--m-range={m}..{m}", "--kmax", "200"])
+                (row,) = json.loads(out)["rows"]
+                assert rc == 0
+                if row["status"] == "ok":
+                    accepted.append(m)
+                    assert row["lds_ok"] and row["witness"] is None
+                    assert work - before == {"basis rows": 4, "rows": 5, "ints": 4 + scanned}
+                else:
+                    assert work == before
+            assert accepted == [2, 5, 6, 7]
 
 
 class TestRecurrenceTerms:
@@ -319,17 +344,28 @@ class TestRecurrenceTerms:
 
 
 class TestOneSievePerReport:
-    # verify-lds checks 4 columns; family-scan checks m = 2, 5, 6, 7 and rejects 3 and 4
-    @pytest.mark.parametrize("argv, verdicts", [
-        (["verify-lds", *QUARTIC, "--basis", "quartic-power", "--kmax", "120"], 4),
+    # verify-lds proves x1 from its head and scans x2, x3 and x4; family-scan
+    # checks m = 2, 5, 6, 7 and rejects 3 and 4, and scans x1 when no target is known
+    @pytest.mark.parametrize("argv, scans", [
+        (["verify-lds", *SCANNED, "--kmax", "120"], 3),
         (["family-scan", "--m-range", "2..7", "--kmax", "120"], 4),
     ], ids=["verify-lds", "family-scan"])
-    def test_every_verdict_of_a_report_reads_one_sieve(self, argv, verdicts):
+    def test_every_verdict_of_a_report_reads_one_sieve(self, monkeypatch, argv, scans):
+        if argv[0] == "family-scan":
+            monkeypatch.setattr(coordseq, "_lds_targets", lambda charpoly: [])
         coordseq.smallest_prime_factors.cache_clear()
         rc, _, _ = run_cli(argv)
         assert rc == 0
         info = coordseq.smallest_prime_factors.cache_info()
-        assert (info.misses, info.hits) == (1, verdicts - 1)
+        assert (info.misses, info.hits) == (1, scans - 1)
+
+    def test_a_report_whose_every_column_is_proved_builds_no_sieve(self):
+        # x1 of every accepted family basis is 2 (0, 1, 1, T + 1)
+        coordseq.smallest_prime_factors.cache_clear()
+        rc, _, _ = run_cli(["family-scan", "--m-range", "2..7", "--kmax", "120"])
+        assert rc == 0
+        info = coordseq.smallest_prime_factors.cache_info()
+        assert (info.misses, info.hits) == (0, 0)
 
 
 def traced_peak(argv):

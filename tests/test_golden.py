@@ -52,6 +52,15 @@ SEQUENCE_CASES = {
     # the basis given as expressions: x1 is not an LDS, so verify-lds exits 2
     "module-basis": [*QUARTIC, "--module-basis", MAXIMAL_ORDER, "--kmax", "30"],
 }
+# verify-lds alone: cases whose columns are decided by the certified head
+VERIFY_CASES = {
+    # x2 is the Lucas sequence U_n(4, 1), checked through nmax 12 of kmax 20
+    "pell-power-nmax": ["--field", "x^2-3", "--unit", "2+t", "--basis", "power",
+                        "--kmax", "20", "--nmax", "12"],
+    # x1 = (0, 1, 1, T + 1) is a Lehmer sequence; x2 = (0, 1, 3, T + 1) passes by the scan
+    "quartic-full-scanned": ["--field", "x^4-9x^2+1", "--unit", "t", "--beta", "t+3t^2+t^3",
+                             "--basis", "quartic-full", "--kmax", "30"],
+}
 DK_CASES = {
     # the Pell unit 2 + sqrt 3: d_{k+4} = 4 d_{k+2} - d_k holds
     "pell": ["--field", "x^2-3", "--alpha", "2+t", "--kmax", "40"],
@@ -104,7 +113,7 @@ FAMILY_CASES = {
 # subcommand -> its case table
 CASES = {
     "emit-sequence": SEQUENCE_CASES,
-    "verify-lds": SEQUENCE_CASES,
+    "verify-lds": {**SEQUENCE_CASES, **VERIFY_CASES},
     "dk-scan": DK_CASES,
     "construct-basis": CONSTRUCT_CASES,
     "snf-check": SNF_CASES,

@@ -12,13 +12,14 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, assume, find, given, settings
+from hypothesis import HealthCheck, Phase, assume, find, given, settings
 from hypothesis import strategies as st
 
 from normlds import coordseq
 from normlds.coordseq import (
     SequenceReport,
     column_terms,
+    column_verdict,
     decimal_columns,
     divides,
     generate,
@@ -483,6 +484,131 @@ class TestQuotientTest:
         calls = fallback_calls(monkeypatch)
         assert verify_lds(column_terms(head, 1), 600) == (True, None)
         assert calls == []
+
+
+LEHMER_T = st.integers(-60, 60)
+SCALES = st.integers(-50, 50)
+
+
+def lehmer(t, sign):
+    return (1, 0, -t, 0, 1), (0, 1, 1, t + sign)
+
+
+@st.composite
+def target_heads(draw):
+    """(charpoly, rows 0..d - 1) of s times a Lucas or a Lehmer sequence, s = 0 included."""
+    s = draw(SCALES)
+    if draw(st.booleans()):
+        charpoly, first = lehmer(draw(LEHMER_T), draw(st.sampled_from([1, -1])))
+    else:
+        p, q = draw(st.integers(-30, 30)), draw(st.one_of(st.just(0), st.integers(-30, 30)))
+        charpoly, first = (q, -p, 1), (0, 1)
+    return charpoly, [s * x for x in first]
+
+
+def is_target_multiple(charpoly, column):
+    """Whether the whole column is s times U_n(P, Q) or a Lehmer sequence of charpoly."""
+    if len(charpoly) == 3:
+        firsts = [(0, 1)]
+    elif len(charpoly) == 5 and charpoly[:2] + charpoly[3:] == (1, 0, 0, 1):
+        firsts = [lehmer(-charpoly[2], sign)[1] for sign in (1, -1)]
+    else:
+        return False
+    kmax = len(column) - 1
+    scaled = ([column[1] * x for x in recurrence_column(charpoly, first, kmax)] for first in firsts)
+    return column in scaled
+
+
+@st.composite
+def missing_heads(draw):
+    """(charpoly, rows 0..d) of heads that are no multiple of a Lucas or a Lehmer target.
+
+    A target's head one entry off, row d included; s (0, 1, b, T +- 1) with
+    b != 1; and heads under other charpolys, certified by their own
+    recurrence: s (0, 1, 1, T +- 1, T) under X^4 - P X^3 - T X^2 + ... with
+    P != 0 and under X^4 - T X^2 + c with c != 1, s (0, 1, P) under a cubic
+    X^3 - P X^2 + ..., and random heads under both degrees.
+    """
+    kind = draw(st.sampled_from(["off", "b", "quartic", "cubic"]))
+    s = draw(SCALES.filter(bool))
+    coefficient = st.integers(-20, 20)
+    if kind == "off":
+        charpoly, first = draw(target_heads())
+        rows = recurrence_column(charpoly, first, len(first))
+        j = draw(st.integers(0, len(rows) - 1))
+        rows[j] += draw(st.integers(-3, 3).filter(bool))
+        return charpoly, rows
+    if kind == "b":
+        charpoly, (_, _, _, c) = lehmer(draw(LEHMER_T), draw(st.sampled_from([1, -1])))
+        first = [0, s, s * draw(coefficient.filter(lambda b: b != 1)), s * c]
+    elif kind == "quartic":
+        t, sign = draw(LEHMER_T), draw(st.sampled_from([1, -1]))
+        if draw(st.booleans()):
+            p = draw(coefficient.filter(bool))
+            charpoly = (draw(coefficient), p * (t + sign), -t, -p, 1)
+        else:
+            charpoly = (draw(coefficient.filter(lambda c: c != 1)), 0, -t, 0, 1)
+        first = [0, s, s, s * (t + sign)]
+    else:
+        charpoly = (draw(coefficient), draw(coefficient), draw(coefficient), 1)
+        first = [0, s, -s * charpoly[2]]
+    if draw(st.booleans()):
+        first = draw(st.lists(coefficient, min_size=len(first), max_size=len(first)))
+    return charpoly, recurrence_column(charpoly, first, len(first))
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The nmax of every call column_verdict makes to verify_lds, as a list."""
+    calls = []
+    scan = coordseq.verify_lds
+    monkeypatch.setattr(
+        coordseq, "verify_lds", lambda column, nmax: calls.append(nmax) or scan(column, nmax)
+    )
+    return calls
+
+
+class TestColumnVerdict:
+    @given(target_heads())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_a_target_multiple_is_proved_and_passes_the_pair_scan(self, scans, case):
+        charpoly, first = case
+        column = recurrence_column(charpoly, first, 200)
+        head = SequenceReport(terms=[column[: len(first) + 1]], charpoly=charpoly)
+        scans.clear()
+        assert column_verdict(head, 1, 200) == pairwise_lds(column, 200) == (True, None)
+        assert scans == []
+
+    @given(missing_heads())
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_a_head_off_every_target_keeps_the_scan(self, scans, case):
+        charpoly, rows = case
+        head = SequenceReport(terms=[rows], charpoly=charpoly)
+        # what verify_lds reads: x(0), then the recurrence run from rows 1..d
+        column = list(itertools.islice(column_terms(head, 1), 201))
+        assume(not is_target_multiple(charpoly, column))
+        scans.clear()
+        verdict = column_verdict(head, 1, 200)
+        assert (verdict.ok, verdict.witness) == pairwise_lds(column, 200)
+        assert scans == [200]
+
+    @pytest.mark.parametrize("charpoly, rows, nmax, proved, want", [
+        # family-scan --kmax 3 over family m = 2: rows 0..3 of a quartic
+        ((1, 0, -10, 0, 1), [0, 2, 2, 22], 3, True, (True, None)),
+        ((1, 0, -10, 0, 1), [0, 2, 2, 18], 3, True, (True, None)),
+        ((1, 0, -10, 0, 1), [0, 2, 2, 21], 3, False, (False, (1, 3))),
+        ((1, 0, -10, 0, 1), [0, 2, 3], 2, False, (False, (1, 2))),
+        ((1, 0, -10, 0, 1), [0, 2, 2, 22], 4, False, "need terms through index 4, got 4"),
+        ((-7, 3, 1), [0, 5], 1, True, (True, None)),
+        ((-7, 3, 1), [0, 5], 2, False, "need terms through index 2, got 2"),
+    ])
+    def test_a_head_short_of_row_d(self, scans, charpoly, rows, nmax, proved, want):
+        head = SequenceReport(terms=[rows], charpoly=charpoly)
+        got = outcome(lambda: tuple(column_verdict(head, 1, nmax)))
+        assert got == (("ok", want) if isinstance(want, tuple) else ("error", want))
+        assert scans == ([] if proved else [nmax])
 
 
 def termwise_recurrence(report):
