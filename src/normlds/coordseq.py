@@ -20,16 +20,14 @@ renders every column from the head. The d_k sequences of dkseq are gcds of
 such columns; verify_recurrence checks a column that is not one, such as d_k,
 term by term. verify_lds() reads a column only as far as its verdict needs,
 over one prime sieve per bound, kept by smallest_prime_factors() for the next
-call. It tests only prime steps (m/p, m) and takes one full remainder per
-index m, that of its least prime p0, keeping the quotient b(m)/b(m/p0); every
-other prime step of m is tested on two such quotients, which carry about
-(1 - 1/p0) of the digits of the terms, and is divided in full only when that
-test does not pass (the proof is in its docstring). column_verdict() is the
-verdict the commands take for one column of a head: a column whose rows 0..d
-are s times those of a Lucas sequence (any quadratic charpoly, head (0, s)) or
-of a Lehmer sequence (charpoly X^4 - T X^2 + 1, head s (0, 1, 1, T +- 1)) is
-an LDS by a theorem, and it reads no term past the head (the proof is in its
-docstring); every other column goes to verify_lds, the one scan.
+call. It tests only prime steps (m/p, m), one remainder b(m) mod b(m/p)
+each (the proof that these suffice is in its docstring). column_verdict() is
+the verdict the commands take for one column of a head: a column whose rows
+0..d are s times those of a Lucas sequence (any quadratic charpoly, head
+(0, s)) or of a member of the Lehmer family (charpoly X^4 - T X^2 + 1, head
+s (0, 1, b, T +- 1) for any integer b) is an LDS by a theorem, and it reads
+no term past the head (the proof is in its docstring); every other column
+goes to verify_lds, the one scan.
 
 A head whose row d fails its recurrence raises exactlinalg.InvariantViolation,
 the package's one type for a failed internal check: min_poly or the field
@@ -326,13 +324,6 @@ def smallest_prime_factors(nmax: int) -> tuple[int, ...]:
     return tuple(spf)
 
 
-def _first_failing_divisor(terms: Sequence[int], m: int) -> LdsVerdict:
-    """The verdict for the least n | m, 1 <= n < m, for which b(n) does not divide b(m)."""
-    term = terms[m]
-    n = next(n for n in range(1, m) if m % n == 0 and not divides(terms[n], term))
-    return LdsVerdict(False, (n, m))
-
-
 def verify_lds(column: Iterable[int], nmax: int) -> LdsVerdict:
     """First failing pair n | m with 1 <= n < m <= nmax; the index is the position.
 
@@ -342,50 +333,22 @@ def verify_lds(column: Iterable[int], nmax: int) -> LdsVerdict:
     upward over the divisors of m. Divisibility is transitive (0 divides only
     0), so while every pair below m holds, m has a failing divisor exactly
     when some prime step (m/p, m) fails: only prime steps are tested until that
-    m. A column that ends before index nmax raises ValueError, a sized one
-    before any pair is tested.
-
-    Each m takes one full remainder. The step of p0 = spf(m), its least prime,
-    is divided in full, and its quotient Q(m) = b(m)/b(m/p0) is kept; Q(m) = 0
-    when b(m/p0) = 0, which passes only with b(m) = 0, so Q(m) = 0 exactly
-    when b(m) = 0. Every other prime step (m/p, m), p > p0, passes when
-    Q(m/p) != 0 divides Q(m). Proof: let a = m/(p p0). spf(m/p) = p0, so
-    b(m/p) = Q(m/p) b(a), with b(a) != 0 since b(m/p) != 0 and the step
-    (a, m/p) has passed. The step (a, m/p0), of prime p at the index m/p0 < m,
-    has passed too, so b(m/p0) = c b(a) for an integer c, and
-    b(m) = Q(m) c b(a). Q(m) and Q(m/p) carry only the growth of b between
-    indices p0 apart, about (1 - 1/p0) of that of b(m) and b(m/p), so this
-    remainder costs about (1 - 1/p0)^2 of the full one: a quarter at even m.
-    A step whose quotient test does not pass, Q(m/p) = 0 included, is divided
-    in full by divides(), so every verdict and witness is exact for any
-    integer column. Q(n) is read only at m = n p with p > spf(n) >= 2, so
-    only n <= nmax/3 keep theirs.
+    m, one remainder b(m) mod b(m/p) each, and then the divisors of m in turn
+    for the witness. A column that ends before index nmax raises ValueError, a
+    sized one before any pair is tested.
     """
     if isinstance(column, Sized) and len(column) <= nmax:
         raise ValueError(f"need terms through index {nmax}, got {len(column)}")
     spf = smallest_prime_factors(max(nmax, 1))
     terms: list[int] = []
-    quotients: list[int] = [0, 0]
     for m, term in enumerate(itertools.islice(column, max(nmax + 1, 0))):
         terms.append(term)
-        if m < 2:
-            continue
-        p = spf[m]
-        below = terms[m // p]
-        q, r = divmod(term, below) if below else (0, term)
-        if r:
-            return _first_failing_divisor(terms, m)
-        if 3 * m <= nmax:
-            quotients.append(q)
         rest = m
-        while rest % p == 0:
-            rest //= p
         while rest > 1:
             p = spf[rest]
-            n = m // p
-            qn = quotients[n]
-            if not (qn and q % qn == 0) and not divides(terms[n], term):
-                return _first_failing_divisor(terms, m)
+            if not divides(terms[m // p], term):
+                n = next(n for n in range(1, m) if m % n == 0 and not divides(terms[n], term))
+                return LdsVerdict(False, (n, m))
             while rest % p == 0:
                 rest //= p
     if len(terms) <= nmax:
@@ -393,13 +356,16 @@ def verify_lds(column: Iterable[int], nmax: int) -> LdsVerdict:
     return LdsVerdict(True, None)
 
 
-def _lds_targets(charpoly: Sequence[int]) -> list[tuple[int, ...]]:
-    """Rows 0..d of each Lucas or Lehmer sequence under charpoly, of degree d; none for any other."""
+def _lds_targets(charpoly: Sequence[int], b: int) -> list[tuple[int, ...]]:
+    """Rows 0..d of each target of column_verdict under charpoly, of degree d; none for any other.
+
+    A Lehmer family target has x(2) = b; a Lucas target does not read b.
+    """
     if len(charpoly) == 3:
         return [(0, 1, -charpoly[1])]
     if len(charpoly) == 5 and (charpoly[0], charpoly[1], charpoly[3], charpoly[4]) == (1, 0, 0, 1):
         t = -charpoly[2]
-        return [(0, 1, 1, t + 1, t), (0, 1, 1, t - 1, t)]
+        return [(0, 1, b, t + 1, t * b), (0, 1, b, t - 1, t * b)]
     return []
 
 
@@ -412,32 +378,44 @@ def column_verdict(head: SequenceReport, i: int, nmax: int) -> LdsVerdict:
     verify_lds unchanged.
     - Lucas: charpoly X^2 - P X + Q, any integers P and Q; v = (0, 1, P), the
       rows of U_n(P, Q).
-    - Lehmer: charpoly exactly X^4 - T X^2 + 1; v = (0, 1, 1, T + 1, T) or
-      (0, 1, 1, T - 1, T), the rows of the Lehmer numbers of (R, Q) =
-      (T + 2, 1) or (T - 2, -1).
+    - Lehmer family: charpoly exactly X^4 - T X^2 + 1; v = (0, 1, b, T + 1, T b)
+      or (0, 1, b, T - 1, T b), any integer b. At b = 1 these are the rows of
+      the Lehmer numbers of (R, Q) = (T + 2, 1) or (T - 2, -1). b is x(2)/s,
+      taken as the floor x(2) // s: when s does not divide x(2), s b is not
+      x(2) and no v matches; s = 0 takes b = 0, and matches only a zero head.
 
     Proof. column_terms gives x(0), then the recurrence run from x(1..d), so
     rows 0..d equal to s v make the whole column s times the target (on a
     head of sequence_head, row d is the row its check certified). Take
-    indeterminates P, Q, R and the roots a, b of X^2 - P X + Q, or of
-    X^2 - r X + Q with r^2 = R. U_n = (a^n - b^n)/(a - b), and Lehmer's L_n is
-    (a^n - b^n)/(a - b) for odd n and (a^n - b^n)/(a^2 - b^2) for even n. Let
-    n | m, k = m/n, A = a^n and B = b^n. Then U_m/U_n = G = (A^k - B^k)/(A - B)
+    indeterminates P, Q, R and the roots y, z of X^2 - P X + Q, or of
+    X^2 - r X + Q with r^2 = R. U_n = (y^n - z^n)/(y - z), and Lehmer's L_n is
+    (y^n - z^n)/(y - z) for odd n and (y^n - z^n)/(y^2 - z^2) for even n. Let
+    n | m, k = m/n, A = y^n and B = z^n. Then U_m/U_n = G = (A^k - B^k)/(A - B)
     = sum_{j<k} A^(k-1-j) B^j, and L_m/L_n = G when n and m have one parity.
-    For odd n and even m, L_m/L_n = G/(a + b) is (A^k - B^k)/(A^2 - B^2), a
+    For odd n and even m, L_m/L_n = G/(y + z) is (A^k - B^k)/(A^2 - B^2), a
     polynomial as k is even, times Lehmer's parity factor
-    (A + B)/(a + b) = sum_{j<n} (-1)^j a^(n-1-j) b^j.
+    (A + B)/(y + z) = sum_{j<n} (-1)^j y^(n-1-j) z^j.
     Each quotient, and each U_n and L_n, is thus a polynomial with integer
-    coefficients in a and b, symmetric, and for Lehmer unchanged by
-    (a, b) -> (-a, -b), so an integer polynomial in P and Q, or in R = r^2 and
+    coefficients in y and z, symmetric, and for Lehmer unchanged by
+    (y, z) -> (-y, -z), so an integer polynomial in P and Q, or in R = r^2 and
     Q. So U_n divides U_m, and L_n divides L_m, as polynomials. The
     recurrences (U_{n+2} = P U_{n+1} - Q U_n, and L_{n+4} = (R - 2Q) L_{n+2}
-    - Q^2 L_n since (X^2 - a^2)(X^2 - b^2) = X^4 - (R - 2Q) X^2 + Q^2) and the
+    - Q^2 L_n since (X^2 - y^2)(X^2 - z^2) = X^4 - (R - 2Q) X^2 + Q^2) and the
     rows (0, 1, P) and (0, 1, 1, R - Q, R - 2Q) are polynomial identities too.
     Every identity survives substituting integers: every P and Q, Q = 0 and
     P^2 = 4Q included, and R = T + 2, Q = 1 or R = T - 2, Q = -1 for every T.
-    So every target is an LDS, with 0 dividing only 0: U_n = 0 forces
-    U_m = U_n (U_m/U_n) = 0, and L_n likewise; and s times an LDS is one.
+    So U and L are LDSs, with 0 dividing only 0: U_n = 0 forces
+    U_m = U_n (U_m/U_n) = 0, and L_n likewise.
+    The recurrence of X^4 - T X^2 + 1, x(n + 4) = T x(n + 2) - x(n), links
+    only terms of one parity, so the target of x(2) = b is x(n) = L_n at odd n
+    and b L_n at even n: its rows 1 and 3 are those of L, and rows 0, 2 and 4
+    are b times them. Let n | m, and c the integer value of the polynomial
+    L_m/L_n, so L_m = c L_n. When n and m have one parity, x(m) = c x(n). When
+    n is odd and m even, x(m) = b c x(n) (the parity-factor case above); an
+    even n has only even multiples. So x(n) divides x(m), 0 dividing only 0:
+    x(n) = 0 forces x(m) = 0, and b = 0, which zeroes the even terms alone,
+    needs no case of its own. So every target is an LDS, and s times an LDS
+    is one.
 
     A head shorter than d + 1 rows, as sequence_head gives for a kmax below d
     (family-scan --kmax 3 over a quartic), certifies no recurrence, and
@@ -449,8 +427,9 @@ def column_verdict(head: SequenceReport, i: int, nmax: int) -> LdsVerdict:
     d = len(head.charpoly) - 1
     rows = head.terms[i - 1][: d + 1]
     s = rows[1] if len(rows) > 1 else 0
+    b = rows[2] // s if s and len(rows) > 2 else 0
     if len(rows) > min(nmax, d) and any(
-        rows == [s * v for v in target[: len(rows)]] for target in _lds_targets(head.charpoly)
+        rows == [s * v for v in target[: len(rows)]] for target in _lds_targets(head.charpoly, b)
     ):
         return LdsVerdict(True, None)
     return verify_lds(column_terms(head, i), nmax)

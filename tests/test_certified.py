@@ -184,8 +184,8 @@ def run_cli(argv):
 
 
 QUARTIC = ["--field", "x^4-10x^2+1", "--unit", "t", "--beta", "2-t+t^3"]
-# x1 = (0, 1, 1, T + 1) and x2 = (0, 1, 3, T + 1), T = 9: one column proved from
-# its head and one LDS that only the scan passes
+# x1 = (0, 1, 1, T + 1) and x2 = (0, 1, 3, T + 1), T = 9, are proved from their
+# heads, a Lehmer sequence and its family member b = 3; x3 and x4 are scanned
 SCANNED = ["--field", "x^4-9x^2+1", "--unit", "t", "--beta", "t+3t^2+t^3",
            "--basis", "quartic-full"]
 
@@ -241,11 +241,11 @@ class TestWorkCount:
         rc, out, _ = run_cli(["verify-lds", *SCANNED, "--kmax", "500", "--nmax", "50"])
         report = json.loads(out)
         assert rc == 0 and len(report["terms"]) == 501
-        # x1 is proved from its head and x2 passes by the scan. The certificate,
-        # then terms 5..50 of x2, and terms 5..m of a column whose witness is at
-        # m: no term past what verify_lds reads; quartic-full takes the 4 rows of B
+        # x1 and x2 are proved from their heads. The certificate, then terms
+        # 5..m of a column whose witness is at m: no term past what verify_lds
+        # reads; quartic-full takes the 4 rows of B
         assert [v["ok"] for v in report["lds"]] == [True, True, False, False]
-        lasts = [50] + [v["witness"][1] for v in report["lds"][2:]]
+        lasts = [v["witness"][1] for v in report["lds"][2:]]
         assert work == {"rows": 5, "basis rows": 4, "ints": 4 + sum(max(m - 4, 0) for m in lasts)}
 
     @pytest.mark.parametrize("argv, d, proved", [
@@ -291,7 +291,7 @@ class TestWorkCount:
         # x1 = 2 (0, 1, 1, T + 1) is proved from its head, so nothing more; with
         # no target known, terms 5..200 of x1, which verify_lds reads through
         # kmax. Nothing for a rejected m
-        for targets, scanned in ((coordseq._lds_targets, 0), (lambda charpoly: [], 196)):
+        for targets, scanned in ((coordseq._lds_targets, 0), (lambda *_: [], 196)):
             monkeypatch.setattr(coordseq, "_lds_targets", targets)
             accepted = []
             for m in range(2, 8):
@@ -344,15 +344,19 @@ class TestRecurrenceTerms:
 
 
 class TestOneSievePerReport:
-    # verify-lds proves x1 from its head and scans x2, x3 and x4; family-scan
-    # checks m = 2, 5, 6, 7 and rejects 3 and 4, and scans x1 when no target is known
+    # verify-lds proves x1 and x2 from their heads and scans x3 and x4, and over
+    # x^4 - 10x^2 + 1 proves x1 and x4 = (0, 1, -2, T - 1) and scans x2 and x3;
+    # family-scan checks m = 2, 5, 6, 7 and rejects 3 and 4, and scans x1 when no
+    # target is known
     @pytest.mark.parametrize("argv, scans", [
-        (["verify-lds", *SCANNED, "--kmax", "120"], 3),
+        (["verify-lds", *SCANNED, "--kmax", "120"], 2),
+        (["verify-lds", "--field", "x^4-10x^2+1", "--unit", "t", "--beta=-1-2t+t^2",
+          "--basis", "quartic-full", "--kmax", "120"], 2),
         (["family-scan", "--m-range", "2..7", "--kmax", "120"], 4),
-    ], ids=["verify-lds", "family-scan"])
+    ], ids=["verify-lds", "t-minus-one", "family-scan"])
     def test_every_verdict_of_a_report_reads_one_sieve(self, monkeypatch, argv, scans):
         if argv[0] == "family-scan":
-            monkeypatch.setattr(coordseq, "_lds_targets", lambda charpoly: [])
+            monkeypatch.setattr(coordseq, "_lds_targets", lambda *_: [])
         coordseq.smallest_prime_factors.cache_clear()
         rc, _, _ = run_cli(argv)
         assert rc == 0

@@ -57,9 +57,13 @@ VERIFY_CASES = {
     # x2 is the Lucas sequence U_n(4, 1), checked through nmax 12 of kmax 20
     "pell-power-nmax": ["--field", "x^2-3", "--unit", "2+t", "--basis", "power",
                         "--kmax", "20", "--nmax", "12"],
-    # x1 = (0, 1, 1, T + 1) is a Lehmer sequence; x2 = (0, 1, 3, T + 1) passes by the scan
+    # x1 = (0, 1, 1, T + 1) is a Lehmer sequence and x2 = (0, 1, 3, T + 1) the member
+    # b = 3 of its family, both proved from the head; x3 and x4 fail at m = 2
     "quartic-full-scanned": ["--field", "x^4-9x^2+1", "--unit", "t", "--beta", "t+3t^2+t^3",
                              "--basis", "quartic-full", "--kmax", "30"],
+    # x4 = (0, 1, -2, T - 1): the family member b = -2 on the T - 1 branch
+    "quartic-full-minus": ["--field", "x^4-10x^2+1", "--unit", "t", "--beta=-1-2t+t^2",
+                           "--basis", "quartic-full", "--kmax", "30"],
 }
 DK_CASES = {
     # the Pell unit 2 + sqrt 3: d_{k+4} = 4 d_{k+2} - d_k holds

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, Phase, assume, find, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from normlds import coordseq
@@ -31,7 +31,7 @@ from normlds.coordseq import (
 )
 from normlds.dkseq import CheckRefused, dk, dk_recurrence_check, dk_sequence, sparse_minpoly_scan
 from normlds.dkseq import recurrence_report as dk_report
-from normlds.basisforge import family_basis, quartic_full_construct, quartic_module_construct
+from normlds.basisforge import quartic_module_construct
 from normlds.numberfield import ModuleBasis, NumberField
 from oracles import fraction_columns, fraction_rows, outside_module, scan_rows
 
@@ -371,10 +371,35 @@ def lds_columns(draw):
     return col, draw(st.integers(-2, size - 1))
 
 
+@st.composite
+def lcm_columns(draw):
+    """b(n) = +-lcm of c(d) over d | n: a divisibility sequence, sometimes perturbed.
+
+    Small c(d) make many pairs divide with equal terms; a c(d) = 0 zeroes b at
+    every multiple of d, inner indices included.
+    """
+    size = draw(st.integers(2, 70))
+    c = draw(st.lists(st.one_of(st.integers(1, 6), st.integers(-6, 6)), min_size=size, max_size=size))
+    col = [0] + [
+        math.lcm(*(c[d] for d in range(1, n + 1) if n % d == 0)) * (-1 if c[n] < 0 else 1)
+        for n in range(1, size)
+    ]
+    if draw(st.booleans()):
+        col[draw(st.integers(0, size - 1))] = draw(st.integers(-12, 12))
+    return col, draw(st.integers(-2, size - 1))
+
+
 class TestVerifyLdsOracle:
     @given(lds_columns())
     @settings(max_examples=500, deadline=None)
     def test_verdict_and_witness_match_pairwise_scan(self, case):
+        col, nmax = case
+        verdict = verify_lds(col, nmax)
+        assert (verdict.ok, verdict.witness) == pairwise_lds(col, nmax)
+
+    @given(lcm_columns())
+    @settings(max_examples=500, deadline=None)
+    def test_an_lcm_column_matches_pairwise_scan(self, case):
         col, nmax = case
         verdict = verify_lds(col, nmax)
         assert (verdict.ok, verdict.witness) == pairwise_lds(col, nmax)
@@ -397,109 +422,27 @@ class TestVerifyLdsOracle:
         assert verify_lds(col, 39).witness == (4, 12)
 
 
-@st.composite
-def lcm_columns(draw):
-    """b(n) = +-lcm of c(d) over d | n: a divisibility sequence, sometimes perturbed.
-
-    Small c(d) make the quotients b(m)/b(m/spf(m)) repeat, so a quotient test
-    of verify_lds can fail while its pair divides; a c(d) = 0 zeroes b at every
-    multiple of d, inner indices included.
-    """
-    size = draw(st.integers(2, 70))
-    c = draw(st.lists(st.one_of(st.integers(1, 6), st.integers(-6, 6)), min_size=size, max_size=size))
-    col = [0] + [
-        math.lcm(*(c[d] for d in range(1, n + 1) if n % d == 0)) * (-1 if c[n] < 0 else 1)
-        for n in range(1, size)
-    ]
-    if draw(st.booleans()):
-        col[draw(st.integers(0, size - 1))] = draw(st.integers(-12, 12))
-    return col, draw(st.integers(-2, size - 1))
-
-
-def fallback_calls(monkeypatch):
-    """The (b(n), b(m)) of every call verify_lds makes to coordseq.divides, as a list."""
-    calls = []
-
-    def counted(a, b):
-        calls.append((a, b))
-        return divides(a, b)
-
-    monkeypatch.setattr(coordseq, "divides", counted)
-    return calls
-
-
-class TestQuotientTest:
-    @given(lcm_columns())
-    @settings(max_examples=500, deadline=None)
-    def test_verdict_and_witness_match_pairwise_scan(self, case):
-        col, nmax = case
-        verdict = verify_lds(col, nmax)
-        assert (verdict.ok, verdict.witness) == pairwise_lds(col, nmax)
-
-    def test_the_strategy_reaches_the_full_remainder(self, monkeypatch):
-        # passing columns, so every divides call is a fallback: one on which a
-        # quotient test fails while its pair divides, and one on which a zero
-        # b(m/p) at an inner index sends its step to divides
-        calls = fallback_calls(monkeypatch)
-
-        def passes_with(case, fallback):
-            calls.clear()
-            return verify_lds(*case).ok and any(map(fallback, calls))
-
-        for fallback in (lambda pair: pair[0] != 0, lambda pair: pair[0] == 0):
-            col, nmax = find(
-                lcm_columns(),
-                lambda case: passes_with(case, fallback),
-                settings=settings(database=None, phases=[Phase.generate]),
-            )
-            assert pairwise_lds(col, nmax) == (True, None)
-
-    def test_a_failed_quotient_test_is_decided_by_the_full_remainder(self, monkeypatch):
-        # Q(2) = b(2)/b(1) = 2 does not divide Q(6) = b(6)/b(3) = 1, yet b(2) divides b(6)
-        calls = fallback_calls(monkeypatch)
-        assert verify_lds([0, 1, 2, 2, 2, 1, 2, 1], 7) == (True, None)
-        assert calls == [(2, 2)]
-        # b(6) = 3: b(3) divides it, b(2) does not
-        assert verify_lds([0, 1, 2, 3, 2, 1, 3, 1], 7) == (False, (2, 6))
-
-    def test_a_zero_quotient_is_decided_by_the_full_remainder(self, monkeypatch):
-        # b(2) = 0, so Q(2) = 0 and the step (2, 6) is divided in full
-        calls = fallback_calls(monkeypatch)
-        assert verify_lds([0, 1, 0, 1, 0, 1, 0], 6) == (True, None)
-        assert calls == [(0, 0)]
-        assert verify_lds([0, 1, 0, 1, 0, 1, 5], 6) == (False, (2, 6))
-
-    @pytest.mark.parametrize("basis", ["lehmer", "family"])
-    def test_a_basis_column_takes_no_full_remainder_past_the_least_prime(self, monkeypatch, basis):
-        # x1 of quartic-full over x^4-10x^2+1 with beta 2-t+t^3, a scaled Lehmer
-        # sequence, and x1 of the family basis at m = 6
-        if basis == "lehmer":
-            k4 = NumberField((1, 0, -10, 0, 1))
-            beta, eps = k4.element([2, -1, 0, 1]), k4.generator
-            cons = quartic_full_construct(k4.power_basis(), beta, eps)
-        else:
-            cons = family_basis(6)
-            beta, eps = cons.basis.field.one, cons.basis.field.generator
-        head = sequence_head(beta, eps, cons.basis, 600)
-        calls = fallback_calls(monkeypatch)
-        assert verify_lds(column_terms(head, 1), 600) == (True, None)
-        assert calls == []
-
-
 LEHMER_T = st.integers(-60, 60)
 SCALES = st.integers(-50, 50)
+# b = x(2)/s of a Lehmer family member: 0, both signs and b = 1 drawn often
+FAMILY_B = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-50, 50))
+SIGNS = st.sampled_from([1, -1])
 
 
-def lehmer(t, sign):
-    return (1, 0, -t, 0, 1), (0, 1, 1, t + sign)
+def lehmer(t, sign, b=1):
+    """X^4 - T X^2 + 1 and rows 0..3 of its Lehmer family member of x(2) = b."""
+    return (1, 0, -t, 0, 1), (0, 1, b, t + sign)
 
 
 @st.composite
 def target_heads(draw):
-    """(charpoly, rows 0..d - 1) of s times a Lucas or a Lehmer sequence, s = 0 included."""
+    """(charpoly, rows 0..d - 1) of s times a Lucas sequence or a Lehmer family member.
+
+    s = 0 included; the family member has any b in -50..50.
+    """
     s = draw(SCALES)
     if draw(st.booleans()):
-        charpoly, first = lehmer(draw(LEHMER_T), draw(st.sampled_from([1, -1])))
+        charpoly, first = lehmer(draw(LEHMER_T), draw(SIGNS), draw(FAMILY_B))
     else:
         p, q = draw(st.integers(-30, 30)), draw(st.one_of(st.just(0), st.integers(-30, 30)))
         charpoly, first = (q, -p, 1), (0, 1)
@@ -507,11 +450,15 @@ def target_heads(draw):
 
 
 def is_target_multiple(charpoly, column):
-    """Whether the whole column is s times U_n(P, Q) or a Lehmer sequence of charpoly."""
+    """Whether the whole column is s times U_n(P, Q) or a Lehmer family member of charpoly."""
     if len(charpoly) == 3:
         firsts = [(0, 1)]
     elif len(charpoly) == 5 and charpoly[:2] + charpoly[3:] == (1, 0, 0, 1):
-        firsts = [lehmer(-charpoly[2], sign)[1] for sign in (1, -1)]
+        # s b = x(2) fixes b when s != 0; s = 0 scales every member to 0
+        b = Fraction(column[2], column[1]) if column[1] else 0
+        if b.denominator != 1:
+            return False
+        firsts = [lehmer(-charpoly[2], sign, int(b))[1] for sign in (1, -1)]
     else:
         return False
     kmax = len(column) - 1
@@ -520,16 +467,43 @@ def is_target_multiple(charpoly, column):
 
 
 @st.composite
-def missing_heads(draw):
-    """(charpoly, rows 0..d) of heads that are no multiple of a Lucas or a Lehmer target.
+def near_misses(draw):
+    """(charpoly, rows 0..4) under X^4 - T X^2 + 1 one condition away from s times a family member.
 
-    A target's head one entry off, row d included; s (0, 1, b, T +- 1) with
-    b != 1; and heads under other charpolys, certified by their own
+    s does not divide x(2); x(0) != 0; row 4 != T x(2), s T in place of s T b
+    included; or s = 0 with x(2) != 0.
+    """
+    t, sign, b = draw(LEHMER_T), draw(SIGNS), draw(FAMILY_B)
+    charpoly, first = lehmer(t, sign, b)
+    s = draw(SCALES.filter(bool))
+    rows = [s * x for x in first] + [s * t * b]
+    kind = draw(st.sampled_from(["s", "x0", "row4", "s0"]))
+    if kind == "s":
+        s = draw(SCALES.filter(lambda s: abs(s) > 1))
+        x2 = draw(st.integers(-100, 100).filter(lambda x: x % s))
+        rows = [0, s, x2, s * (t + sign), t * x2]
+    elif kind == "x0":
+        rows[0] = draw(st.integers(-20, 20).filter(bool))
+    elif kind == "row4":
+        rows[4] = draw(st.one_of(st.just(s * t), st.integers(-10**4, 10**4)))
+        assume(rows[4] != t * rows[2])
+    else:
+        x2 = draw(st.integers(-100, 100).filter(bool))
+        rows = [0, 0, x2, draw(st.integers(-20, 20)), t * x2]
+    return charpoly, rows
+
+
+@st.composite
+def missing_heads(draw):
+    """(charpoly, rows 0..d) of heads that are no multiple of a Lucas or a Lehmer family target.
+
+    A target's head one entry off, row d included; the near misses of a
+    family member; and heads under other charpolys, certified by their own
     recurrence: s (0, 1, 1, T +- 1, T) under X^4 - P X^3 - T X^2 + ... with
     P != 0 and under X^4 - T X^2 + c with c != 1, s (0, 1, P) under a cubic
     X^3 - P X^2 + ..., and random heads under both degrees.
     """
-    kind = draw(st.sampled_from(["off", "b", "quartic", "cubic"]))
+    kind = draw(st.sampled_from(["off", "near", "quartic", "cubic"]))
     s = draw(SCALES.filter(bool))
     coefficient = st.integers(-20, 20)
     if kind == "off":
@@ -538,11 +512,10 @@ def missing_heads(draw):
         j = draw(st.integers(0, len(rows) - 1))
         rows[j] += draw(st.integers(-3, 3).filter(bool))
         return charpoly, rows
-    if kind == "b":
-        charpoly, (_, _, _, c) = lehmer(draw(LEHMER_T), draw(st.sampled_from([1, -1])))
-        first = [0, s, s * draw(coefficient.filter(lambda b: b != 1)), s * c]
-    elif kind == "quartic":
-        t, sign = draw(LEHMER_T), draw(st.sampled_from([1, -1]))
+    if kind == "near":
+        return draw(near_misses())
+    if kind == "quartic":
+        t, sign = draw(LEHMER_T), draw(SIGNS)
         if draw(st.booleans()):
             p = draw(coefficient.filter(bool))
             charpoly = (draw(coefficient), p * (t + sign), -t, -p, 1)
@@ -581,6 +554,12 @@ class TestColumnVerdict:
         assert scans == []
 
     @given(missing_heads())
+    # near misses of s (0, 1, b, T + 1, T b) at T = 10: s = 2 does not divide
+    # x(2) = 3; x(0) != 0; row 4 = T, not T x(2) = 2T; s = 0 with x(2) != 0
+    @example(((1, 0, -10, 0, 1), [0, 2, 3, 2 * 11, 3 * 10]))
+    @example(((1, 0, -10, 0, 1), [1, 1, 2, 11, 2 * 10 - 1]))
+    @example(((1, 0, -10, 0, 1), [0, 1, 2, 11, 10]))
+    @example(((1, 0, -10, 0, 1), [0, 0, 3, 0, 3 * 10]))
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_a_head_off_every_target_keeps_the_scan(self, scans, case):
@@ -603,6 +582,8 @@ class TestColumnVerdict:
         ((1, 0, -10, 0, 1), [0, 2, 2, 22], 4, False, "need terms through index 4, got 4"),
         ((-7, 3, 1), [0, 5], 1, True, (True, None)),
         ((-7, 3, 1), [0, 5], 2, False, "need terms through index 2, got 2"),
+        # 2 (0, 1, 2): rows 0..2 of the family member b = 2
+        ((1, 0, -10, 0, 1), [0, 2, 4], 2, True, (True, None)),
     ])
     def test_a_head_short_of_row_d(self, scans, charpoly, rows, nmax, proved, want):
         head = SequenceReport(terms=[rows], charpoly=charpoly)
