@@ -36,8 +36,12 @@ negative kmax or an eps that is not integral, raises ValueError.
 
 decimal_columns() renders terms in exact decimal arithmetic: str() of a
 large int is quadratic in its digit count, while each recurrence step and
-str() of a Decimal are linear. A column that is +- an earlier one shifted down
-a row copies that column's strings instead.
+str() of a Decimal are linear. It renders each distinct strand once. When
+c(X) = g(X^e), as X^4 - T X^2 + 1 is with e = 2, strand p of a column is its
+terms p, p + e, p + 2e, ..., a sequence of g, of order q = d/e. A strand that
+is +- another one shifted by at most q terms copies that one's strings; the
+first q terms of the two decide it, since two sequences of g that agree on q
+consecutive terms agree on every later one (the proof is in its docstring).
 
 SequenceReport and LdsVerdict are collections.namedtuple records: immutable
 and compared field by field.
@@ -234,23 +238,12 @@ def verify_recurrence(report: SequenceReport) -> bool:
     return True
 
 
-def _shift_source(
-    column: Sequence[int], earlier: Sequence[Sequence[int]]
-) -> tuple[int, int] | None:
-    """(j, s) for the first earlier[j] with column[k] = s * earlier[j][k - 1], k >= 1, s = +-1.
-
-    On the rows 0..d of a certified head this decides the whole columns: both
-    column(k + 1) and s * earlier[j](k) satisfy the recurrence of order d, so
-    when they agree for k = 0..d - 1 they agree for every k.
-    """
-    tail = column[1:]
-    for j, source in enumerate(earlier):
-        head = source[:-1]
-        if tail == head:
-            return j, 1
-        if all(map(operator.eq, tail, map(operator.neg, head))):
-            return j, -1
-    return None
+def _shift(x: Sequence, y: Sequence, q: int) -> tuple[int, int] | None:
+    """The first (o, s), o in 0..q and s = +-1, with x(m) = s * y(m + o) for every m < q."""
+    return next(
+        ((o, s) for o in range(q + 1) for s in (1, -1) if x[:q] == [s * v for v in y[o : o + q]]),
+        None,
+    )
 
 
 def _negated(text: str) -> str:
@@ -264,40 +257,74 @@ def decimal_columns(head: SequenceReport, kmax: int) -> list[list[str]]:
     """Terms 0..kmax of each column as decimal strings, in time linear in their digit count.
 
     head holds terms 0..min(kmax, d) of each column at least, d the degree of
-    its charpoly, of a sequence whose every column satisfies that recurrence
+    its charpoly c, of a sequence whose every column satisfies that recurrence
     for k >= d: the head of sequence_head, whose checked row d proves it, or a
-    report checked in full by verify_recurrence. Only those terms are read.
-    A column equal to +- an earlier column shifted down one row (see
-    _shift_source) takes every term after its first from that column's
-    strings, negated by a string edit where the sign is -1; x3(k) = -x2(k-1)
-    and x4(k) = x3(k-1) over a quartic-power basis. In every other column the
-    first d terms are converted with str(), and every later term is computed
-    by the recurrence in exact decimal arithmetic. Each string is therefore
-    str() of its term, by induction on k: the recurrence fixes a column from
-    its first d terms.
+    report checked in full by verify_recurrence. Only terms 0..d - 1 are read.
+
+    Let e be the largest divisor of d with c(X) = g(X^e), and q = d/e; e = 2
+    for X^4 - T X^2 + 1 and e = 1 for X^2 - P X + Q with P != 0. Strand p < e
+    of a column is its terms p, p + e, p + 2e, ...: the recurrence of c links
+    only terms whose indices differ by a multiple of e, so each strand y(m)
+    satisfies the recurrence of g, of order q, for m >= q. Strands fall into
+    classes, each rendered once from its base:
+    - a strand y whose first q terms are s * z(o..o + q - 1), for the base z
+      of a class, an offset o in 0..q and s = +-1, joins the class and reads
+      the base's strings from offset o;
+    - when instead z(0..q - 1) is s * y(o..o + q - 1), y becomes the base, and
+      each member at offset o' and sign s' moves to o' + o and s' * s;
+    - any other strand is the base of a new class, and so is a strand of
+      fewer than q terms (only when kmax < d - 1), which is never compared.
+    Over a quartic-power basis x1's even strand is x2's odd one. A base's
+    first q terms are taken from the head as Decimals, and every later one,
+    through the furthest term a member reads, comes from the recurrence of g
+    in exact decimal arithmetic; a member with s = -1 negates the strings by
+    a string edit.
+
+    Proof that each string is str() of its term. Two sequences that satisfy
+    the recurrence of g for m >= q and agree for m < q agree for every m, by
+    induction on m. y(m) and s * z(m + o) are two such sequences, and so are
+    the base and its decimal terms, whose str() is that of the int (bar -0,
+    which is mended). The check starts at index 0 of the strand that is
+    ahead, so no step before index 0 of either is needed, and g need not be
+    invertible.
     """
-    d = len(head.charpoly) - 1
-    ints: list[list[int]] = []
-    columns: list[list[str]] = []
+    c = head.charpoly
+    d = len(c) - 1
+    e = max(e for e in range(1, d + 1) if d % e == 0 and not any(c[i] for i in range(d) if i % e))
+    g, q = c[::e], d // e
+    columns = [[""] * (kmax + 1) for _ in head.terms]
+    # (first 2q terms of the base, the generator of its later ones, members (i, p, o, s))
+    classes: list[tuple[list, Iterator, list[tuple[int, int, int, int]]]] = []
     with localcontext(_EXACT):
-        for column in head.terms:
-            column = column[: min(kmax, d) + 1]
-            shift = _shift_source(column, ints)
-            ints.append(column)
-            if shift is not None:
-                j, sign = shift
-                text = [str(column[0])]
-                rest = columns[j][:-1]
-                text.extend(rest if sign == 1 else map(_negated, rest))
-                columns.append(text)
-                continue
-            values = recurrence_terms(head.charpoly, map(Decimal, column[:d]))
-            text = list(map(str, itertools.islice(values, kmax + 1)))
+        for i, column in enumerate(head.terms):
+            for p in range(e):
+                values = recurrence_terms(g, map(Decimal, column[p : min(kmax + 1, d) : e]))
+                strand = list(itertools.islice(values, 2 * q))
+                for j, (base, _, members) in enumerate(classes if len(strand) == 2 * q else ()):
+                    if joined := _shift(strand, base, q):
+                        members.append((i, p, *joined))
+                        break
+                    if rebased := _shift(base, strand, q):
+                        o, s = rebased
+                        moved = [(a, b, o + n, s * t) for a, b, n, t in members]
+                        classes[j] = strand, values, [(i, p, 0, 1), *moved]
+                        break
+                else:
+                    classes.append((strand, values, [(i, p, 0, 1)]))
+        del values
+        while classes:
+            # each base's decimal terms are freed once its strings are written
+            base, rest, members = classes.pop()
+            counts = [len(range(p, kmax + 1, e)) for _, p, _, _ in members]
+            reach = max(o + n for (_, _, o, _), n in zip(members, counts))
+            text = list(map(str, itertools.islice(itertools.chain(base, rest), reach)))
             # the product of 0 and a negative s_j is -0, the one decimal value
             # whose text is not str() of its int
             if "-0" in text:
                 text = ["0" if x == "-0" else x for x in text]
-            columns.append(text)
+            for (i, p, o, s), n in zip(members, counts):
+                part = text[o : o + n]
+                columns[i][p::e] = part if s == 1 else map(_negated, part)
     return columns
 
 

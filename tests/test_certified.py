@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from normlds import cli, coordseq, dkseq
-from normlds.basisforge import quartic_full_construct, quartic_module_construct
+from normlds.basisforge import lds_basis, quartic_full_construct, quartic_module_construct
 from normlds.coordseq import (
     decimal_columns,
     generate,
@@ -188,14 +188,23 @@ QUARTIC = ["--field", "x^4-10x^2+1", "--unit", "t", "--beta", "2-t+t^3"]
 # heads, a Lehmer sequence and its family member b = 3; x3 and x4 are scanned
 SCANNED = ["--field", "x^4-9x^2+1", "--unit", "t", "--beta", "t+3t^2+t^3",
            "--basis", "quartic-full"]
+# Decimal terms that decimal_columns computes for emit-sequence over QUARTIC at
+# kmax 500 (e = 2, q = 2): terms 2..3 of each of the 8 strands, then each class's
+# base through the furthest term a member reads. Rendering whole columns, with
+# a column that is +- another moved down a row copied, took 994 (two columns)
+# and 1491 (three). Over quartic-full the six classes are three columns' worth
+# too: 4 more for terms 2..3 of its two joined strands, and 1 more because four
+# of its bases are even strands, one term longer than the odd ones
+DECIMALS = {"quartic-power": 757, "quartic-full": 1496}
 
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts of power rows and of int terms of the recurrence; verify_recurrence refused.
+    """Counts of power rows and of int and Decimal terms of the recurrence; verify_recurrence refused.
 
     Rows that basisforge takes for a construction's B matrix count as "basis
-    rows", every other power row as "rows".
+    rows", every other power row as "rows". Int terms count as "ints", and
+    the Decimal terms that decimal_columns renders as "decimals".
     """
     counts = Counter()
     power_rows, recurrence_values = ModuleBasis.power_rows, coordseq.recurrence_values
@@ -209,6 +218,8 @@ def work(monkeypatch):
     def counted_recurrence_values(charpoly, x):
         for value in recurrence_values(charpoly, x):
             counts["ints"] += type(value) is int
+            if type(value) is Decimal:
+                counts["decimals"] += 1
             yield value
 
     def refuse(report):
@@ -220,6 +231,11 @@ def work(monkeypatch):
     return counts
 
 
+def int_work(work):
+    """The counts of the work fixture without its decimals."""
+    return Counter({key: n for key, n in work.items() if key != "decimals"})
+
+
 class TestWorkCount:
     @pytest.mark.parametrize("basis, fmt, b_rows", [("quartic-power", "json", 0),
                                                     ("quartic-full", "csv", 4)])
@@ -229,15 +245,16 @@ class TestWorkCount:
         assert rc == 0 and len(out.splitlines()) > 500
         # d + 1 = 5 rows, and the certificate's one value per column at row 4;
         # quartic-full also takes the 4 rows of B
-        assert work == Counter({"rows": 5, "ints": 4, "basis rows": b_rows})
+        assert work == Counter({"rows": 5, "ints": 4, "basis rows": b_rows,
+                                "decimals": DECIMALS[basis]})
 
     def test_emit_sequence_of_a_unit_in_a_subfield(self, work):
         rc, _, _ = run_cli(["emit-sequence", "--field", "x^4-10x^2+1", "--unit", "t^2",
                             "--kmax", "500"])
         assert rc == 0
-        assert work == {"rows": 3, "ints": 4}
+        assert int_work(work) == {"rows": 3, "ints": 4}
 
-    def test_verify_lds_builds_each_int_column_only_as_far_as_it_reads(self, work):
+    def test_verify_lds_builds_each_int_column_only_as_far_as_it_reads(self, work, tmp_path):
         rc, out, _ = run_cli(["verify-lds", *SCANNED, "--kmax", "500", "--nmax", "50"])
         report = json.loads(out)
         assert rc == 0 and len(report["terms"]) == 501
@@ -246,7 +263,27 @@ class TestWorkCount:
         # reads; quartic-full takes the 4 rows of B
         assert [v["ok"] for v in report["lds"]] == [True, True, False, False]
         lasts = [v["witness"][1] for v in report["lds"][2:]]
-        assert work == {"rows": 5, "basis rows": 4, "ints": 4 + sum(max(m - 4, 0) for m in lasts)}
+        assert int_work(work) == {
+            "rows": 5, "basis rows": 4, "ints": 4 + sum(max(m - 4, 0) for m in lasts)
+        }
+        # a Williams-Guy basis, lds_basis(power basis, 1, t, (0, 1, 1, 3)) over
+        # x^4 - x^3 - 3x^2 - x + 1 (P = 1, B = -3, Q = 1): x1 = (0, 1, 1, 3, 7) is no
+        # target of column_verdict, so it passes by a scan through kmax, and x2..x4
+        # fail at (1, 4), (2, 4) and (1, 3)
+        field = "x^4-x^3-3x^2-x+1"
+        rows = [[0, 0, 1, 0], [-1, 0, 0, 0], [0, -1, 1, 0], [0, 0, -3, 1]]
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps({"field": field, "basis": [list(map(str, r)) for r in rows]}))
+        before = work.copy()
+        rc, out, _ = run_cli(["verify-lds", "--field", field, "--unit", "t", "--beta", "1",
+                              "--basis-file", str(path), "--kmax", "200"])
+        report = json.loads(out)
+        assert rc == 0 and [v["witness"] for v in report["lds"]] == [None, [1, 4], [2, 4], [1, 3]]
+        lasts = [200, 4, 4, 3]
+        assert int_work(work - before) == {"rows": 5, "ints": 4 + sum(max(m - 4, 0) for m in lasts)}
+        k4 = NumberField((1, -1, -3, -1, 1))
+        basis, scale = lds_basis(k4.power_basis(), k4.one, k4.generator, (0, 1, 1, 3))
+        assert scale == 1 and [list(v.coords) for v in basis.vectors] == rows
 
     @pytest.mark.parametrize("argv, d, proved", [
         ([*QUARTIC, "--basis", "quartic-power"], 4, 1),
@@ -264,7 +301,7 @@ class TestWorkCount:
         assert rc == 0 and report["lds"][proved - 1] == {"column": proved, "ok": True, "witness": None}
         failed = [v["witness"][1] for v in report["lds"] if not v["ok"]]
         assert len(failed) == d - 1
-        assert work == {"rows": d + 1, "ints": d + sum(max(m - d, 0) for m in failed)}
+        assert int_work(work) == {"rows": d + 1, "ints": d + sum(max(m - d, 0) for m in failed)}
 
     @pytest.mark.parametrize("kmax", [1, 2, 5, 40, 41])
     def test_dk_scan_runs_each_stream_to_half_of_kmax(self, work, monkeypatch, kmax):
@@ -284,7 +321,7 @@ class TestWorkCount:
         for last in (half, kmax // 2):
             rows += min(last, 2) + 1
             ints += 2 * (last >= 2) + 2 * (last - 2) * (last > 2)
-        assert work == Counter({"rows": rows, "ints": ints + (kmax - 4) * (kmax > 4)})
+        assert int_work(work) == Counter({"rows": rows, "ints": ints + (kmax - 4) * (kmax > 4)})
 
     def test_family_scan_builds_x1_alone(self, work, monkeypatch):
         # per accepted m: 4 rows of B, 5 rows and the certificate's 4 values.

@@ -65,6 +65,12 @@ VERIFY_CASES = {
     "quartic-full-minus": ["--field", "x^4-10x^2+1", "--unit", "t", "--beta=-1-2t+t^2",
                            "--basis", "quartic-full", "--kmax", "30"],
 }
+# emit-sequence alone
+EMIT_CASES = {
+    # x3(k) = x4(k - 3): a column that is a later one shifted down three rows
+    "quartic-full-shifted": ["--field", "x^4-1029x^2+1", "--unit", "t", "--beta=-t+32t^2-t^3",
+                             "--basis", "quartic-full", "--kmax", "40"],
+}
 DK_CASES = {
     # the Pell unit 2 + sqrt 3: d_{k+4} = 4 d_{k+2} - d_k holds
     "pell": ["--field", "x^2-3", "--alpha", "2+t", "--kmax", "40"],
@@ -116,7 +122,7 @@ FAMILY_CASES = {
 }
 # subcommand -> its case table
 CASES = {
-    "emit-sequence": SEQUENCE_CASES,
+    "emit-sequence": {**SEQUENCE_CASES, **EMIT_CASES},
     "verify-lds": {**SEQUENCE_CASES, **VERIFY_CASES},
     "dk-scan": DK_CASES,
     "construct-basis": CONSTRUCT_CASES,

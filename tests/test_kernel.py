@@ -819,6 +819,62 @@ class TestShiftedColumns:
         assert decimal_columns(report, report.kmax) == str_columns(report)
 
 
+@st.composite
+def strand_reports(draw):
+    """Columns under g(X^e), e in 1..3, whose strands are +- copies of a few g-sequences.
+
+    Strand p < e of a column is its terms p, p + e, ...; each is 0 or
+    s * y(m + o) for one of up to three solutions y of g, s = +-1 and o in
+    0..q + 1, q = deg g. Strands thus repeat up to sign and shift within and
+    across columns, in either order, and heads of zeros and terms near zero
+    make strands that agree on fewer than q terms; kmax runs from 0 to 40.
+    """
+    e, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    g = [draw(st.integers(-4, 4)) for _ in range(q)] + [1]
+    charpoly = [0] * (e * q + 1)
+    charpoly[::e] = g
+    kmax = draw(st.integers(0, 40))
+    term = st.one_of(st.integers(-2, 2), st.integers(-10**20, 10**20))
+    heads = draw(st.lists(st.lists(term, min_size=q, max_size=q), min_size=1, max_size=3))
+    ys = [recurrence_column(g, head, kmax // e + q + 1) for head in heads]
+    copies = st.tuples(st.integers(0, len(ys) - 1), st.integers(0, q + 1), st.sampled_from([-1, 1]))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        column = [0] * (kmax + 1)
+        for p in range(e):
+            copy = draw(st.one_of(st.none(), copies))
+            if copy is not None:
+                y, o, s = copy
+                column[p::e] = [s * ys[y][m + o] for m in range(len(range(p, kmax + 1, e)))]
+        columns.append(column)
+    return SequenceReport(terms=columns, charpoly=tuple(charpoly))
+
+
+class TestStrands:
+    @given(strand_reports())
+    @settings(max_examples=500, deadline=None)
+    def test_decimal_columns_match_str_and_never_print_minus_zero(self, report):
+        if report.kmax >= len(report.charpoly) - 1:
+            assert verify_recurrence(report)
+        columns = decimal_columns(report, report.kmax)
+        assert columns == str_columns(report)
+        assert all(x != "-0" for column in columns for x in column)
+
+    @pytest.mark.parametrize("charpoly, heads", [
+        # g = X^2 - 5X + 1, y = (0, 1, 5, ...) and z = (1, 4, 19, ...): the strands
+        # are x1 = (y(m + 1), z(m + 1)), x2 = (-z(m), -y(m + 2)) and x3 = (y, z), so
+        # -z and y each take the place of a base that already has members
+        ((1, 0, -5, 0, 1), [[1, 4, 5, 19], [-1, -5, -4, -24], [0, 1, 1, 4]]),
+        # a charpoly with an odd term and an even degree: one strand per column
+        ((1, 1, -3, 0, 1), [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]]),
+        # X^2: every strand is one term and then zeros, which a zero strand reads
+        ((0, 0, 1), [[5, -3], [-3, 0], [0, 5]]),
+    ])
+    def test_named_strands(self, charpoly, heads):
+        report = recurrence_report(charpoly, heads, 30)
+        assert decimal_columns(report, report.kmax) == str_columns(report)
+
+
 class TestSharedSieve:
     @given(lds_columns())
     @settings(max_examples=300, deadline=None)
