@@ -40,7 +40,7 @@ from .exactlinalg import (
 from .numberfield import FieldElement, ModuleBasis, NumberField, min_poly
 
 
-class LdsConstruction(namedtuple("LdsConstruction", "basis scale t_trace source")):
+class LdsConstruction(namedtuple("LdsConstruction", "basis scale t_trace")):
     """A basis under which x1 is an LDS, with its scale and trace parameter.
 
     In the quartic constructions x1 has initial conditions
@@ -54,7 +54,6 @@ class LdsConstruction(namedtuple("LdsConstruction", "basis scale t_trace source"
     # basis: ModuleBasis
     # scale: int
     # t_trace: int
-    # source: str
 
 
 class SnfCriterion(
@@ -212,7 +211,7 @@ def quad_construct(tbasis: ModuleBasis, beta: FieldElement, eps: FieldElement) -
     if t is None:
         raise InvariantViolation("eps keeps the module but its trace is not an integer")
     w, scale = lds_basis(tbasis, beta, eps, (0, 1))
-    return LdsConstruction(basis=w, scale=scale, t_trace=t, source="quadratic")
+    return LdsConstruction(basis=w, scale=scale, t_trace=t)
 
 
 def quartic_module_construct(beta: FieldElement, eta: FieldElement) -> LdsConstruction:
@@ -232,7 +231,7 @@ def quartic_module_construct(beta: FieldElement, eta: FieldElement) -> LdsConstr
     b2 = b1 * eta
     b3 = b2 * eta
     basis = ModuleBasis(beta.field, (b2, b3 - b2 * (t + 1), beta, b1 - b2))
-    return LdsConstruction(basis=basis, scale=1, t_trace=t, source="quartic-power")
+    return LdsConstruction(basis=basis, scale=1, t_trace=t)
 
 
 def _least_coprime_step(c: int, a: int, g: int) -> int:
@@ -347,7 +346,7 @@ def quartic_full_construct(
     """
     t = quartic_unit_trace(eta)
     w, scale = lds_basis(tbasis, beta, eta, (0, 1, 1, t + 1))
-    return LdsConstruction(basis=w, scale=scale, t_trace=t, source="quartic-full")
+    return LdsConstruction(basis=w, scale=scale, t_trace=t)
 
 
 def _is_square(n: int) -> bool:
@@ -381,4 +380,4 @@ def family_surd_basis(m: int) -> ModuleBasis:
 def family_basis(m: int) -> LdsConstruction:
     """LDS basis for Z[sqrt(m), sqrt(m+1)] via the full-module construction."""
     tb = family_surd_basis(m)
-    return quartic_full_construct(tb, tb.field.one, tb.field.generator)._replace(source="family")
+    return quartic_full_construct(tb, tb.field.one, tb.field.generator)

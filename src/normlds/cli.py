@@ -366,7 +366,7 @@ def _cmd_construct_basis(config: Namespace) -> int:
         unit, beta = _unit_beta(config, field)
         payload.update(_head(field, unit, beta))
         cons = _construct(config, config.method, field, unit, beta)
-    payload["source"] = cons.source
+    payload["source"] = config.method
     payload["scale"] = str(cons.scale)
     payload["t_trace"] = str(cons.t_trace)
     payload["basis"] = _basis_coords(cons.basis)
@@ -477,7 +477,7 @@ def _cmd_dk_scan(config: Namespace) -> int:
             "disc": str(scan.disc),
             "monogenic_asserted": scan.monogenic_asserted,
             "all_vanish": scan.all_vanish(),
-            "rows": _Table((*rows, ("d", None if scan.d is None else d_tilde)), "{}"),
+            "rows": _Table((*rows, ("d", d_tilde if scan.monogenic_asserted else None)), "{}"),
         }
     _emit(config, payload, ("k,dk", 1, (terms,)))
     return 0

@@ -19,12 +19,13 @@ each column read from column_terms through kmax, and decimal_columns()
 renders every column from the head. The d_k sequences of dkseq are gcds of
 such columns; verify_recurrence checks a column that is not one, such as d_k,
 term by term. verify_lds() reads a column only as far as its verdict needs,
-over one prime sieve per bound, kept by smallest_prime_factors() for the next
-call. It tests only prime steps (m/p, m), one remainder b(m) mod b(m/p)
-each (the proof that these suffice is in its docstring). column_verdict() is
-the verdict the commands take for one column of a head: a column whose rows
-0..d are s times those of a Lucas sequence (any quadratic charpoly, head
-(0, s)) or of a member of the Lehmer family (charpoly X^4 - T X^2 + 1, head
+and finds the primes of each index as it reads it, so its work and memory
+follow the terms it reads, and it keeps nothing between calls. It tests only
+prime steps (m/p, m), one remainder b(m) mod b(m/p) each (the proof that
+these suffice is in its docstring). column_verdict() is the verdict the
+commands take for one column of a head: a column whose rows 0..d are s times
+those of a Lucas sequence (any quadratic charpoly, head (0, s)) or of a
+member of the Lehmer family (charpoly X^4 - T X^2 + 1, head
 s (0, 1, b, T +- 1) for any integer b) is an LDS by a theorem, and it reads
 no term past the head (the proof is in its docstring); every other column
 goes to verify_lds, the one scan.
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from collections import namedtuple
 from collections.abc import Sized
@@ -335,22 +335,6 @@ def divides(a: int, b: int) -> bool:
     return b % a == 0
 
 
-@functools.lru_cache(maxsize=1)
-def smallest_prime_factors(nmax: int) -> tuple[int, ...]:
-    """spf[m] is the least prime factor of m for 2 <= m <= nmax.
-
-    The sieve of verify_lds. The last one built is kept, so the columns of one
-    report, which share one bound, share one sieve.
-    """
-    spf = list(range(nmax + 1))
-    for p in range(2, math.isqrt(nmax) + 1):
-        if spf[p] == p:
-            for q in range(p * p, nmax + 1, p):
-                if spf[q] == q:
-                    spf[q] = p
-    return tuple(spf)
-
-
 def verify_lds(column: Iterable[int], nmax: int) -> LdsVerdict:
     """First failing pair n | m with 1 <= n < m <= nmax; the index is the position.
 
@@ -361,23 +345,25 @@ def verify_lds(column: Iterable[int], nmax: int) -> LdsVerdict:
     0), so while every pair below m holds, m has a failing divisor exactly
     when some prime step (m/p, m) fails: only prime steps are tested until that
     m, one remainder b(m) mod b(m/p) each, and then the divisors of m in turn
-    for the witness. A column that ends before index nmax raises ValueError, a
-    sized one before any pair is tested.
+    for the witness. The primes of m are found as m is read: each prime met so
+    far waits at its next multiple, so m finds there exactly its distinct
+    primes, and an m > 1 that finds none is prime and waits at 2m. A column
+    that ends before index nmax raises ValueError, a sized one before any pair
+    is tested.
     """
     if isinstance(column, Sized) and len(column) <= nmax:
         raise ValueError(f"need terms through index {nmax}, got {len(column)}")
-    spf = smallest_prime_factors(max(nmax, 1))
     terms: list[int] = []
+    # the primes met so far, each in the list of its next multiple
+    waiting: dict[int, list[int]] = {}
     for m, term in enumerate(itertools.islice(column, max(nmax + 1, 0))):
         terms.append(term)
-        rest = m
-        while rest > 1:
-            p = spf[rest]
+        primes = waiting.pop(m, None) or ([m] if m > 1 else [])
+        for p in primes:
             if not divides(terms[m // p], term):
                 n = next(n for n in range(1, m) if m % n == 0 and not divides(terms[n], term))
                 return LdsVerdict(False, (n, m))
-            while rest % p == 0:
-                rest //= p
+            waiting.setdefault(m + p, []).append(p)
     if len(terms) <= nmax:
         raise ValueError(f"need terms through index {nmax}, got {len(terms)}")
     return LdsVerdict(True, None)

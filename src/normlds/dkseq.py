@@ -251,7 +251,7 @@ def _quartic_field(coeffs: tuple[int, ...]) -> NumberField | None:
         return None
 
 
-class SparseScanReport(namedtuple("SparseScanReport", "t disc monogenic_asserted n y1 d_tilde d")):
+class SparseScanReport(namedtuple("SparseScanReport", "t disc monogenic_asserted n y1 d_tilde")):
     """The columns of sparse_minpoly_scan, with its step t and the discriminant."""
 
     __slots__ = ()
@@ -259,7 +259,6 @@ class SparseScanReport(namedtuple("SparseScanReport", "t disc monogenic_asserted
     # monogenic_asserted: bool
     # n: range, the scanned n = 1, 1 + t, ... <= nmax
     # y1, d_tilde: list[int], y1(n) and d~_n for each n
-    # d: list[int] | None, d_n: d_tilde itself under the monogenic assertion, else unknown
 
     def all_vanish(self) -> bool:
         return not any(self.y1)
@@ -276,8 +275,8 @@ def sparse_minpoly_scan(
     assertion d_n itself is 1. Term i of each column is a coordinate of
     alpha * (alpha^t)^i, from coordseq.generate under the recurrence of
     alpha^t. The report holds the scan as columns: n is the range of the
-    scanned n, y1 and d_tilde hold one term per n, and d is d_tilde itself
-    under the assertion, else None.
+    scanned n, y1 and d_tilde hold one term per n; under the assertion d_n is
+    d_tilde itself.
     """
     deg = field.degree
     if t <= 0 or deg % t != 0:
@@ -297,8 +296,7 @@ def sparse_minpoly_scan(
     # an empty ns still generates term 0
     del y1[len(ns) :]
     d_tilde = list(map(math.gcd, map(sub, y1, repeat(1)), *rest))
-    d = d_tilde if assert_monogenic else None
-    return SparseScanReport(t, disc, assert_monogenic, ns, y1, d_tilde, d)
+    return SparseScanReport(t, disc, assert_monogenic, ns, y1, d_tilde)
 
 
 def dk_level_scan(seq: DkSequence) -> list[int]:

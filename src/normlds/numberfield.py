@@ -6,8 +6,8 @@ of X, kept in lowest terms: gcd(den, *num) = 1. Sums, products and scalings
 work on the numerators and multiply or combine the denominators, so no
 Fraction is built until a caller reads coordinates.
 
-Products, norm, trace, minimal polynomial and inverse come from the integer
-matrix of y -> num*y, so no floating point or embeddings appear anywhere: a
+Products, norm, minimal polynomial and inverse come from the integer matrix
+of y -> num*y, so no floating point or embeddings appear anywhere: a
 product is that matrix applied to the other factor's numerators, the norm is
 its Bareiss determinant, and one Faddeev-LeVerrier pass gives its
 characteristic polynomial, whose squarefree part is the minimal polynomial,
@@ -375,11 +375,6 @@ def _charpoly(m: list[list[int]]) -> tuple[list[int], list[list[int]]]:
             prod[i][i] += c
         m_k = prod
     return coeffs, m_k
-
-
-def trace(a: FieldElement) -> Fraction:
-    m = _matrix(a)
-    return Fraction(sum(m[i][i] for i in range(len(m))), a.den)
 
 
 def norm(a: FieldElement) -> Fraction:

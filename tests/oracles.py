@@ -147,8 +147,9 @@ def fraction_columns(beta, eps, w, kmax: int, error: Callable[[int], str] = outs
 def scan_rows(scan) -> list[tuple]:
     """The (n, y1, d_tilde, d) rows of a sparse_minpoly_scan report, from its columns.
 
-    The columns must be of one length, and d must be d_tilde itself or None.
+    The columns must be of one length; d is d_tilde itself under the monogenic
+    assertion, else None.
     """
     assert len(scan.n) == len(scan.y1) == len(scan.d_tilde)
-    assert scan.d is None or scan.d is scan.d_tilde
-    return list(zip(scan.n, scan.y1, scan.d_tilde, repeat(None) if scan.d is None else scan.d))
+    d = scan.d_tilde if scan.monogenic_asserted else repeat(None)
+    return list(zip(scan.n, scan.y1, scan.d_tilde, d))

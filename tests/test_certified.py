@@ -6,7 +6,7 @@ term of each column grows through coordseq.recurrence_terms, read through
 column_terms by generate and verify-lds and through decimal_columns by the
 reports. These tests hold them to the Fraction field-product oracle taken all
 the way, hold recurrence_terms to the termwise sum, count the work each
-sequence command does and the prime sieves each report builds, and bound the
+sequence command does and the divisor scans each report runs, and bound the
 memory that verify-lds holds.
 """
 
@@ -380,7 +380,7 @@ class TestRecurrenceTerms:
         assert work["ints"] == 0
 
 
-class TestOneSievePerReport:
+class TestScansPerReport:
     # verify-lds proves x1 and x2 from their heads and scans x3 and x4, and over
     # x^4 - 10x^2 + 1 proves x1 and x4 = (0, 1, -2, T - 1) and scans x2 and x3;
     # family-scan checks m = 2, 5, 6, 7 and rejects 3 and 4, and scans x1 when no
@@ -391,22 +391,24 @@ class TestOneSievePerReport:
           "--basis", "quartic-full", "--kmax", "120"], 2),
         (["family-scan", "--m-range", "2..7", "--kmax", "120"], 4),
     ], ids=["verify-lds", "t-minus-one", "family-scan"])
-    def test_every_verdict_of_a_report_reads_one_sieve(self, monkeypatch, argv, scans):
+    def test_a_report_scans_each_unproved_column_once(self, monkeypatch, argv, scans):
         if argv[0] == "family-scan":
             monkeypatch.setattr(coordseq, "_lds_targets", lambda *_: [])
-        coordseq.smallest_prime_factors.cache_clear()
-        rc, _, _ = run_cli(argv)
-        assert rc == 0
-        info = coordseq.smallest_prime_factors.cache_info()
-        assert (info.misses, info.hits) == (1, scans - 1)
+        assert count_scans(monkeypatch, argv) == scans
 
-    def test_a_report_whose_every_column_is_proved_builds_no_sieve(self):
+    def test_a_report_whose_every_column_is_proved_runs_no_scan(self, monkeypatch):
         # x1 of every accepted family basis is 2 (0, 1, 1, T + 1)
-        coordseq.smallest_prime_factors.cache_clear()
-        rc, _, _ = run_cli(["family-scan", "--m-range", "2..7", "--kmax", "120"])
-        assert rc == 0
-        info = coordseq.smallest_prime_factors.cache_info()
-        assert (info.misses, info.hits) == (0, 0)
+        assert count_scans(monkeypatch, ["family-scan", "--m-range", "2..7", "--kmax", "120"]) == 0
+
+
+def count_scans(monkeypatch, argv):
+    """The verify_lds calls of one CLI report, which must exit 0."""
+    scans = []
+    scan = coordseq.verify_lds
+    monkeypatch.setattr(coordseq, "verify_lds", lambda *args: scans.append(args) or scan(*args))
+    rc, _, _ = run_cli(argv)
+    assert rc == 0
+    return len(scans)
 
 
 def traced_peak(argv):
@@ -484,5 +486,4 @@ class TestVerifyLdsMemory:
         # one layout: beside what emit-sequence holds, at most one int column at a time
         emit = traced_peak(["emit-sequence", *self.ARGS])
         column = max(map(int_bytes, report.terms))
-        sieve = int_bytes(range(601))
-        assert ours <= emit + column + sieve < emit + int_bytes(itertools.chain(*report.terms))
+        assert ours <= emit + column < emit + int_bytes(itertools.chain(*report.terms))

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,10 +8,11 @@ from normlds.coordseq import (
     LdsVerdict,
     divides,
     generate,
+    recurrence_terms,
     verify_lds,
     verify_recurrence,
 )
-from normlds.numberfield import ModuleBasis, NumberField, trace
+from normlds.numberfield import ModuleBasis, NumberField
 from oracles import lucas_terms, minimal_order
 
 SQRT2 = NumberField((-2, 0, 1))
@@ -180,11 +182,13 @@ class TestQuarticOracle:
 def test_degenerate_trace_sequence_is_zero():
     # Tr over Q of sqrt5 * eta^k in the tensor product Q(sqrt2, sqrt3) x Q(sqrt5):
     # the trace of a pure tensor is the product of the two traces, and sqrt5
-    # has trace 0, so every term vanishes identically.
-    sqrt5_field = NumberField((-5, 0, 1))
-    tr5 = trace(sqrt5_field.generator)
+    # has trace 0, minus the X coefficient of X^2 - 5, so every term vanishes
+    # identically. Tr(eta^k) is the power sum of the roots of X^4 - 10X^2 + 1,
+    # from (4, 0, 20, 0) under that recurrence.
+    tr5 = -NumberField((-5, 0, 1)).coeffs[1]
     assert tr5 == 0
-    seq = [int(trace(BIQUAD.generator**k) * tr5) for k in range(21)]
+    power_sums = recurrence_terms(BIQUAD.coeffs, [4, 0, 20, 0])
+    seq = [tr5 * x for x in itertools.islice(power_sums, 21)]
     assert seq == [0] * 21
     assert minimal_order(seq).order == 0
 

@@ -12,6 +12,8 @@ as an attribute (obj.name) somewhere in the package. A name a module binds at
 module level with =, except the package metadata __version__, must be read:
 in that module's own code, as <module>.<name>, or imported from it; so a
 leftover private name is caught even where another module binds the same one.
+No function is decorated with functools.lru_cache or functools.cache, so no
+state is kept between reports; the per-instance cached_property is allowed.
 """
 
 import ast
@@ -69,7 +71,6 @@ UNREFERENCED = {
     "dkseq.match_dk_basis": "the paper's d_k basis match, a library entry point with no CLI option",
     "exactlinalg.complete_primitive": "traced by perfbench/tracer.py; the tests' oracle for lds_basis",
     "exactlinalg.hnf_column": "traced by perfbench/tracer.py; the tests' oracle for the quadratic scale",
-    "numberfield.trace": "the field trace, for library callers; no construction needs it",
 }
 
 TREES = {path.stem: parse(path) for path in MODULES}
@@ -148,6 +149,18 @@ def reads_from(module, trees):
             ):
                 names.add(node.attr)
     return names
+
+
+def cache_decorators(trees):
+    """module.name of every function or class decorated with lru_cache or cache, called or bare."""
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    name = getattr(target, "attr", getattr(target, "id", ""))
+                    if name in ("lru_cache", "cache"):
+                        yield f"{module}.{node.name}"
 
 
 READ_ATTRIBUTES = attribute_reads(TREES)
@@ -236,3 +249,28 @@ def test_the_guard_sees_an_unread_assignment():
     assert "_set" not in reads_from("a", {"a": trees["a"], "b": trees["b"]})
     assert "_set" in reads_from("a", trees)
     assert "_set" in reads_from("a", {"a": trees["a"], "d": ast.parse("a._set\n")})
+
+
+def test_no_function_keeps_a_cache_between_calls():
+    assert list(cache_decorators(TREES)) == []
+
+
+def test_the_guard_sees_a_cache_decorator():
+    source = (
+        "import functools\n"
+        "from functools import cache, cached_property\n\n"
+        "@functools.lru_cache(maxsize=1)\n"
+        "def sieve(n):\n"
+        "    return n\n\n"
+        "@cache\n"
+        "def table(n):\n"
+        "    return n\n\n"
+        "class A:\n"
+        "    @functools.cache\n"
+        "    def kept(self):\n"
+        "        return 1\n\n"
+        "    @cached_property\n"
+        "    def own(self):\n"
+        "        return 2\n"
+    )
+    assert list(cache_decorators({"m": ast.parse(source)})) == ["m.sieve", "m.table", "m.kept"]

