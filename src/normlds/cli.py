@@ -467,17 +467,15 @@ def _cmd_dk_scan(config: Namespace) -> int:
         "conj9_hits": _Table(((None, list(map(str, hits))),), ""),
     }
     if config.vanishing_t is not None:
-        scan = dkseq.sparse_minpoly_scan(
-            field, config.vanishing_t, config.kmax, config.assert_monogenic
-        )
+        scan = dkseq.sparse_minpoly_scan(field, config.vanishing_t, config.kmax)
         d_tilde = list(map(str, scan.d_tilde))
         rows = ("n", scan.n), ("y1", list(map(str, scan.y1))), ("d_tilde", d_tilde)
         payload["vanishing"] = {
-            "t": scan.t,
+            "t": config.vanishing_t,
             "disc": str(scan.disc),
-            "monogenic_asserted": scan.monogenic_asserted,
+            "monogenic_asserted": config.assert_monogenic,
             "all_vanish": scan.all_vanish(),
-            "rows": _Table((*rows, ("d", d_tilde if scan.monogenic_asserted else None)), "{}"),
+            "rows": _Table((*rows, ("d", d_tilde if config.assert_monogenic else None)), "{}"),
         }
     _emit(config, payload, ("k,dk", 1, (terms,)))
     return 0

@@ -208,55 +208,33 @@ def match_dk_basis(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int = 30) 
         raise CheckRefused("alpha is torsion")
     d_head = (0, seq.dk(1), seq.dk(2), seq.dk(3))
     d1 = d_head[1]
-    if any(x % d1 != 0 for x in d_head):
-        return DkMatchReport(
-            quartic_poly=poly,
-            poly_irreducible=_quartic_field(poly) is not None,
-            d_head=d_head,
-            normalized=None,
-            applicable=False,
-            matched_through=None,
-            basis=None,
-        )
-    normalized = tuple(x // d1 for x in d_head)
-    # normalized[1] = 1, so the vector is primitive and has the completion
-    # A = complete_primitive(normalized), the change of basis of lds_basis below.
-    # x(k) = A^T y(k) where y(k) are power coordinates of eta^k mod X^4 - T X^2 + 1;
-    # y(k) = e_(k+1) for k <= 3, so x1(0..3) is column 0 of A, normalized, and
-    # x1 follows the recurrence
-    x1 = islice(recurrence_terms(poly, normalized), kmax + 1)
-    matched = next((k - 1 for k, x in enumerate(x1) if x * d1 != (seq.dk(k) if k else 0)), kmax)
-    basis = None
-    k4 = _quartic_field(poly)
-    if k4 is not None:
-        # the powers of eta over the power basis are B = I, so scale is 1 and
-        # the basis is A^-1 applied to the power basis
-        basis, _ = lds_basis(k4.power_basis(), k4.one, k4.generator, normalized)
-    return DkMatchReport(
-        quartic_poly=poly,
-        poly_irreducible=k4 is not None,
-        d_head=d_head,
-        normalized=normalized,
-        applicable=True,
-        matched_through=matched,
-        basis=basis,
-    )
-
-
-def _quartic_field(coeffs: tuple[int, ...]) -> NumberField | None:
-    """Q[X]/(coeffs), or None when coeffs is reducible."""
     try:
-        return NumberField(coeffs)
+        k4: NumberField | None = NumberField(poly)
     except ValueError:
-        return None
+        k4 = None
+    applicable = all(x % d1 == 0 for x in d_head)
+    normalized = matched = basis = None
+    if applicable:
+        normalized = tuple(x // d1 for x in d_head)
+        # normalized[1] = 1, so the vector is primitive and has the completion
+        # A = complete_primitive(normalized), the change of basis of lds_basis below.
+        # x(k) = A^T y(k) where y(k) are power coordinates of eta^k mod X^4 - T X^2 + 1;
+        # y(k) = e_(k+1) for k <= 3, so x1(0..3) is column 0 of A, normalized, and
+        # x1 follows the recurrence
+        x1 = islice(recurrence_terms(poly, normalized), kmax + 1)
+        matched = next((k - 1 for k, x in enumerate(x1) if x * d1 != (seq.dk(k) if k else 0)), kmax)
+        if k4 is not None:
+            # the powers of eta over the power basis are B = I, so scale is 1 and
+            # the basis is A^-1 applied to the power basis
+            basis, _ = lds_basis(k4.power_basis(), k4.one, k4.generator, normalized)
+    return DkMatchReport(poly, k4 is not None, d_head, normalized, applicable, matched, basis)
 
 
-class SparseScanReport(namedtuple("SparseScanReport", "t disc monogenic_asserted n y1 d_tilde")):
-    """The columns of sparse_minpoly_scan, with its step t and the discriminant."""
+class SparseScanReport(namedtuple("SparseScanReport", "disc n y1 d_tilde")):
+    """The columns of sparse_minpoly_scan, with the discriminant."""
 
     __slots__ = ()
-    # t, disc: int
-    # monogenic_asserted: bool
+    # disc: int
     # n: range, the scanned n = 1, 1 + t, ... <= nmax
     # y1, d_tilde: list[int], y1(n) and d~_n for each n
 
@@ -264,19 +242,17 @@ class SparseScanReport(namedtuple("SparseScanReport", "t disc monogenic_asserted
         return not any(self.y1)
 
 
-def sparse_minpoly_scan(
-    field: NumberField, t: int, nmax: int, assert_monogenic: bool = False
-) -> SparseScanReport:
+def sparse_minpoly_scan(field: NumberField, t: int, nmax: int) -> SparseScanReport:
     """Scan n in 1 + tZ up to nmax over Z[alpha] for a t-lacunary minimal polynomial.
 
     Requires f = X^deg - s_1 X^(deg-1) - ... with s_i = 0 for every i outside tZ.
     For such f the power coordinate y1(n) of alpha^n vanishes on 1 + tZ, which
-    forces the relative d~_n = gcd(y1-1, y2, ...) to 1; under the monogenic
-    assertion d_n itself is 1. Term i of each column is a coordinate of
-    alpha * (alpha^t)^i, from coordseq.generate under the recurrence of
-    alpha^t. The report holds the scan as columns: n is the range of the
-    scanned n, y1 and d_tilde hold one term per n; under the assertion d_n is
-    d_tilde itself.
+    forces the relative d~_n = gcd(y1-1, y2, ...) to 1; when Z[alpha] is the
+    whole ring (monogenic, which the caller asserts), d_n is d~_n itself. Term
+    i of each column is a coordinate of alpha * (alpha^t)^i, from
+    coordseq.generate under the recurrence of alpha^t. The report holds the
+    scan as columns: n is the range of the scanned n, y1 and d_tilde hold one
+    term per n.
     """
     deg = field.degree
     if t <= 0 or deg % t != 0:
@@ -296,7 +272,7 @@ def sparse_minpoly_scan(
     # an empty ns still generates term 0
     del y1[len(ns) :]
     d_tilde = list(map(math.gcd, map(sub, y1, repeat(1)), *rest))
-    return SparseScanReport(t, disc, assert_monogenic, ns, y1, d_tilde)
+    return SparseScanReport(disc, ns, y1, d_tilde)
 
 
 def dk_level_scan(seq: DkSequence) -> list[int]:

@@ -3,7 +3,8 @@
 Everything here is fraction-free. One Bareiss pass (_bareiss) serves every
 determinant and inverse: det, and through it the norms of numberfield and the
 discriminants of dkseq; and fraction_free_inverse, behind the unimodular
-inverses here and the rational basis inverses of numberfield. Besides it:
+inverses here, and the rational basis inverses and field element inverses of
+numberfield. Besides it:
 completion of a primitive vector to a basis of Z^n (complete_primitive), whose
 inverse primitive_reducer builds without an inversion, and the column Hermite
 and Smith normal forms with their unimodular witnesses. Each form runs on one
@@ -114,13 +115,9 @@ def _bareiss(a: list[list[int]]) -> int:
                 continue
             row = a[i]
             factor = row[k]
-            if factor:
-                for j in range(k + 1, width):
-                    row[j] = (row[j] * pivot - factor * pivot_row[j]) // prev
-                row[k] = 0
-            else:
-                for j in range(k + 1, width):
-                    row[j] = row[j] * pivot // prev
+            for j in range(k + 1, width):
+                row[j] = (row[j] * pivot - factor * pivot_row[j]) // prev
+            row[k] = 0
         prev = pivot
     return sign * prev
 

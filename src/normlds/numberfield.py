@@ -9,9 +9,9 @@ Fraction is built until a caller reads coordinates.
 Products, norm, minimal polynomial and inverse come from the integer matrix
 of y -> num*y, so no floating point or embeddings appear anywhere: a
 product is that matrix applied to the other factor's numerators, the norm is
-its Bareiss determinant, and one Faddeev-LeVerrier pass gives its
-characteristic polynomial, whose squarefree part is the minimal polynomial,
-and its adjugate, which gives the inverse (Cohen, GTM 138, sections 2.2 and
+its Bareiss determinant, the inverse is column 0 of its Bareiss inverse, and
+one Faddeev-LeVerrier pass gives its characteristic polynomial, whose
+squarefree part is the minimal polynomial (Cohen, GTM 138, sections 2.2 and
 4.2).
 
 A ModuleBasis clears its matrix of denominators once, A = D*B, and caches the
@@ -293,20 +293,19 @@ class FieldElement(Frozen):
         return result
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse from the adjugate of the integer multiplication matrix.
+        """Multiplicative inverse from the Bareiss inverse of the integer multiplication matrix.
 
-        With M the matrix of num and c_0 = charpoly(M)(0) = (-1)^n det M, the
-        inverse of num has coordinates adj(M) e1 / det M = -m_n e1 / c_0 (see
-        _charpoly), and the inverse of num/den is den times that.
+        With M the matrix of num, the inverse of num has coordinates M^-1 e1,
+        column 0 of exactlinalg.fraction_free_inverse(M) = (N, q), over q; the
+        inverse of num/den is den times that.
         """
         if self.is_zero():
             raise ZeroDivisionError("zero has no inverse")
-        coeffs, m_n = _charpoly(_matrix(self))
-        c0 = coeffs[0]
-        if c0 == 0:
+        inverse = fraction_free_inverse(_matrix(self))
+        if inverse is None:
             raise InvariantViolation("element is a zero divisor; field invariant broken")
-        sign = -1 if c0 > 0 else 1
-        result = _reduced(self.field, [sign * self.den * row[0] for row in m_n], abs(c0))
+        inv, q = inverse
+        result = _reduced(self.field, [self.den * row[0] for row in inv], q)
         if not (result * self).is_one():
             raise InvariantViolation("inverse verification failed")
         return result
@@ -353,13 +352,12 @@ def _matrix(a: FieldElement) -> list[list[int]]:
     return [list(row) for row in zip(*cols)]
 
 
-def _charpoly(m: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """(det(X*I - m) ascending and monic, m_n) for an integer matrix m, by Faddeev-LeVerrier.
+def _charpoly(m: list[list[int]]) -> list[int]:
+    """det(X*I - m), ascending and monic, for an integer matrix m, by Faddeev-LeVerrier.
 
     With m_1 = I, step k takes c_(n-k) = -tr(m m_k) / k and then
     m_(k+1) = m m_k + c_(n-k) I. Every c_i is an integer, so each division by k
-    is exact (Newton's identities; Cohen, GTM 138, section 2.2). By
-    Cayley-Hamilton m m_n = -c_0 I, so m_n = (-1)^(n+1) adj(m).
+    is exact (Newton's identities; Cohen, GTM 138, section 2.2).
     """
     n = len(m)
     coeffs = [0] * n + [1]
@@ -374,7 +372,7 @@ def _charpoly(m: list[list[int]]) -> tuple[list[int], list[list[int]]]:
         for i in range(n):
             prod[i][i] += c
         m_k = prod
-    return coeffs, m_k
+    return coeffs
 
 
 def norm(a: FieldElement) -> Fraction:
@@ -394,7 +392,7 @@ def min_poly(a: FieldElement) -> tuple[Fraction, ...]:
     num, den = a.num, a.den
     if not any(num[1:]):
         return (Fraction(-num[0], den), Fraction(1))
-    c = _charpoly(_matrix(a))[0]
+    c = _charpoly(_matrix(a))
     if len(c) == 5:
         # (X^2 + hX + b)^2 = X^4 + 2h X^3 + (h^2 + 2b) X^2 + 2hb X + b^2
         h, odd = divmod(c[3], 2)

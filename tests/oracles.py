@@ -17,7 +17,6 @@ columns of a vanishing scan back as its rows.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
 
@@ -145,11 +144,6 @@ def fraction_columns(beta, eps, w, kmax: int, error: Callable[[int], str] = outs
 
 
 def scan_rows(scan) -> list[tuple]:
-    """The (n, y1, d_tilde, d) rows of a sparse_minpoly_scan report, from its columns.
-
-    The columns must be of one length; d is d_tilde itself under the monogenic
-    assertion, else None.
-    """
+    """The (n, y1, d_tilde) rows of a sparse_minpoly_scan report, from its columns of one length."""
     assert len(scan.n) == len(scan.y1) == len(scan.d_tilde)
-    d = scan.d_tilde if scan.monogenic_asserted else repeat(None)
-    return list(zip(scan.n, scan.y1, scan.d_tilde, d))
+    return list(zip(scan.n, scan.y1, scan.d_tilde))

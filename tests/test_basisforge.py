@@ -149,7 +149,8 @@ def family_closed_form_vectors(m: int) -> ModuleBasis:
 
 
 # m and m + 1 both nonsquare
-VALID_M = [m for m in range(2, 60) if math.isqrt(m) ** 2 != m and math.isqrt(m + 1) ** 2 != m + 1]
+ADMISSIBLE_M = [m for m in range(2, 400) if math.isqrt(m) ** 2 != m and math.isqrt(m + 1) ** 2 != m + 1]
+VALID_M = [m for m in ADMISSIBLE_M if m < 60]
 
 
 @pytest.mark.parametrize("m", VALID_M)
@@ -165,6 +166,45 @@ def test_family_basis_is_an_lds_basis_of_the_closed_form_module(m):
     rows = [cons.basis.coords(v) for v in family_closed_form_vectors(m).vectors]
     assert all(c.denominator == 1 for row in rows for c in row)
     assert det([[int(c) for c in row] for row in rows]) in (1, -1)
+
+
+# every admissible m < 400, and four m of 26 to 201 digits
+UNIFORM_M = ADMISSIBLE_M + [10**k + 2 for k in (25, 50, 100, 200)]
+# the change of basis family_basis solves for: B(m) . (0, 2, 0, 1) = 2 . (0, 1, 1, 4m+3)
+FAMILY_REDUCER = ((0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 2), (0, 0, -1, 0))
+
+
+def test_family_basis_is_one_matrix_over_the_surds():
+    assert len(UNIFORM_M) == 365
+    assert exactlinalg.primitive_reducer((0, 2, 0, 1)) == FAMILY_REDUCER
+    for m in UNIFORM_M:
+        cons = family_basis(m)
+        surds = family_surd_basis(m)
+        assert cons.scale == 2, m
+        assert tuple(surds.int_coords(v) for v in cons.basis.vectors) == tuple(
+            (row, 1) for row in FAMILY_REDUCER
+        ), m
+
+
+def test_family_head_identity_is_polynomial_in_m():
+    sympy = pytest.importorskip("sympy")
+    m, s, r = sympy.symbols("m s r")
+    # s = sqrt(m), r = sqrt(m + 1): eta^k reduced to the surd basis {1, s, r, s r}
+    surd_rules = [s**2 - m, r**2 - m - 1]
+    rows = []
+    for k in range(4):
+        _, rem = sympy.reduced(sympy.expand((s + r) ** k), surd_rules, s, r)
+        poly = sympy.Poly(rem, s, r)
+        rows.append([sympy.expand(poly.coeff_monomial(mono)) for mono in (1, s, r, s * r)])
+    assert rows == [[1, 0, 0, 0], [0, 1, 1, 0], [2 * m + 1, 0, 0, 2], [0, 4 * m + 3, 4 * m + 1, 0]]
+    head = [sympy.expand(sum(c * z for c, z in zip(row, (0, 2, 0, 1)))) for row in rows]
+    assert head == [0, 2, 2, sympy.expand(2 * (4 * m + 3))]
+    # the library's coordinates of eta^k over family_surd_basis(m) are these polynomials
+    for value in (2, 5, 10**25 + 2):
+        surds = family_surd_basis(value)
+        eta = surds.field.generator
+        library = surds.power_rows(surds.field.one, eta, 4, str)
+        assert [list(row) for row in library] == [[int(c.subs(m, value)) for c in row] for row in rows]
 
 
 @given(

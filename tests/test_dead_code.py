@@ -14,6 +14,9 @@ in that module's own code, as <module>.<name>, or imported from it; so a
 leftover private name is caught even where another module binds the same one.
 No function is decorated with functools.lru_cache or functools.cache, so no
 state is kept between reports; the per-instance cached_property is allowed.
+A field of a collections.namedtuple record must be read as an attribute
+somewhere in the package, or be one of UNREAD_FIELDS, each kept for the reason
+it states; that list too must match exactly.
 """
 
 import ast
@@ -71,6 +74,21 @@ UNREFERENCED = {
     "dkseq.match_dk_basis": "the paper's d_k basis match, a library entry point with no CLI option",
     "exactlinalg.complete_primitive": "traced by perfbench/tracer.py; the tests' oracle for lds_basis",
     "exactlinalg.hnf_column": "traced by perfbench/tracer.py; the tests' oracle for the quadratic scale",
+}
+
+# the record fields that no module of the package reads as an attribute
+HNF = "hnf_column is one of UNREFERENCED; the tests read its form and witness"
+MATCH = "match_dk_basis is one of UNREFERENCED; the tests read its report"
+UNREAD_FIELDS = {
+    "basisforge.SnfCriterion.b": "the matrix of the Smith witness x . b . y; no report prints it",
+    "exactlinalg.HnfDecomposition.h": HNF,
+    "exactlinalg.HnfDecomposition.c": HNF,
+    "dkseq.DkMatchReport.quartic_poly": MATCH,
+    "dkseq.DkMatchReport.poly_irreducible": MATCH,
+    "dkseq.DkMatchReport.d_head": MATCH,
+    "dkseq.DkMatchReport.normalized": MATCH,
+    "dkseq.DkMatchReport.applicable": MATCH,
+    "dkseq.DkMatchReport.matched_through": MATCH,
 }
 
 TREES = {path.stem: parse(path) for path in MODULES}
@@ -149,6 +167,22 @@ def reads_from(module, trees):
             ):
                 names.add(node.attr)
     return names
+
+
+def record_fields(trees):
+    """module.Record.field of every field of a class built on a collections.namedtuple call."""
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for base in cls.bases:
+                if isinstance(base, ast.Call) and getattr(base.func, "id", None) == "namedtuple":
+                    # the field names are one string or a list of strings
+                    names = ast.literal_eval(base.args[1])
+                    if isinstance(names, str):
+                        names = names.replace(",", " ").split()
+                    for name in names:
+                        yield f"{module}.{cls.name}.{name}"
 
 
 def cache_decorators(trees):
@@ -249,6 +283,37 @@ def test_the_guard_sees_an_unread_assignment():
     assert "_set" not in reads_from("a", {"a": trees["a"], "b": trees["b"]})
     assert "_set" in reads_from("a", trees)
     assert "_set" in reads_from("a", {"a": trees["a"], "d": ast.parse("a._set\n")})
+
+
+@pytest.mark.parametrize("place", list(record_fields(TREES)))
+def test_record_field_is_read(place):
+    """Read as an attribute, or kept as one of UNREAD_FIELDS."""
+    name = place.rsplit(".", 1)[1]
+    assert name in READ_ATTRIBUTES or place in UNREAD_FIELDS, f"{place} is never read"
+
+
+def test_the_unread_field_list_is_exact():
+    fields = record_fields(TREES)
+    unread = {place for place in fields if place.rsplit(".", 1)[1] not in READ_ATTRIBUTES}
+    assert unread == set(UNREAD_FIELDS)
+
+
+def test_the_guard_sees_an_unread_field():
+    source = (
+        "from collections import namedtuple\n\n"
+        "class R(namedtuple('R', 'kept orphan')):\n"
+        "    __slots__ = ()\n\n"
+        "class S(namedtuple('S', ['only'], defaults=(None,))):\n"
+        "    pass\n\n"
+        "def f(r, s):\n"
+        "    kept, orphan = r\n"
+        "    return r.kept, s.only\n"
+    )
+    trees = {"m": ast.parse(source)}
+    assert list(record_fields(trees)) == ["m.R.kept", "m.R.orphan", "m.S.only"]
+    reads = attribute_reads(trees)
+    # unpacking a record reads no field by name
+    assert "kept" in reads and "only" in reads and "orphan" not in reads
 
 
 def test_no_function_keeps_a_cache_between_calls():

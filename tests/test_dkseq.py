@@ -92,12 +92,13 @@ def test_dk_sequence_matches_the_dk_oracle_at_every_k(case, kmax):
         assert str(raised.value) == error
 
 
-@pytest.mark.parametrize(
-    "alpha, quartic, irreducible",
-    [((2, 1), (1, 0, -4, 0, 1), True), ((7, 4), (1, 0, -14, 0, 1), False)],
-)
-def test_match_dk_basis_tests_irreducibility_once(monkeypatch, alpha, quartic, irreducible):
-    field = NumberField((-3, 0, 1))
+# built before any test counts the irreducibility tests
+SQRT3 = NumberField((-3, 0, 1))
+
+
+@pytest.fixture
+def irreducibility_tests(monkeypatch):
+    """The polynomials numberfield._is_irreducible is asked about, in order."""
     calls = []
     original = numberfield._is_irreducible
 
@@ -106,13 +107,38 @@ def test_match_dk_basis_tests_irreducibility_once(monkeypatch, alpha, quartic, i
         return original(coeffs)
 
     monkeypatch.setattr(numberfield, "_is_irreducible", counting)
-    report = dkseq.match_dk_basis(field.element(alpha), field.power_basis(), kmax=20)
-    assert calls == [quartic]
+    return calls
+
+
+@pytest.mark.parametrize(
+    "alpha, quartic, irreducible",
+    [((2, 1), (1, 0, -4, 0, 1), True), ((7, 4), (1, 0, -14, 0, 1), False)],
+)
+def test_match_dk_basis_tests_irreducibility_once(irreducibility_tests, alpha, quartic, irreducible):
+    report = dkseq.match_dk_basis(SQRT3.element(alpha), SQRT3.power_basis(), kmax=20)
+    assert irreducibility_tests == [quartic]
     assert report.quartic_poly == quartic
     assert report.poly_irreducible is irreducible
     assert (report.basis is not None) is irreducible
     if irreducible:
         assert report.basis.field == NumberField(quartic)
+
+
+def test_match_dk_basis_reports_a_head_that_d1_does_not_divide(monkeypatch, irreducibility_tests):
+    # over a ring that contains alpha, alpha - 1 divides alpha^k - 1, so d_1 divides
+    # every d_k and no real input reaches this branch: d_1..d_4 are set to 2, 3, 4, 5
+    monkeypatch.setattr(dkseq, "dk_sequence", lambda *args: dkseq.DkSequence([2, 3, 4, 5], 4))
+    report = dkseq.match_dk_basis(SQRT3.element((2, 1)), SQRT3.power_basis(), kmax=20)
+    assert report == dkseq.DkMatchReport(
+        quartic_poly=(1, 0, -4, 0, 1),
+        poly_irreducible=True,
+        d_head=(0, 2, 3, 4),
+        normalized=None,
+        applicable=False,
+        matched_through=None,
+        basis=None,
+    )
+    assert irreducibility_tests == [(1, 0, -4, 0, 1)]
 
 
 @pytest.mark.parametrize(
@@ -201,9 +227,8 @@ def test_dk_recurrence_check_matches_sympy_dk(n, kmax, data):
         st.integers(2, 10**6).map(lambda c: ((-c, 0, 1), 2)),  # x^2 - c
     ),
     st.integers(0, 60),
-    st.booleans(),
 )
-def test_sparse_minpoly_scan_matches_sympy(spec, nmax, monogenic):
+def test_sparse_minpoly_scan_matches_sympy(spec, nmax):
     sympy = pytest.importorskip("sympy")
     coeffs, t = spec
     try:
@@ -218,12 +243,12 @@ def test_sparse_minpoly_scan_matches_sympy(spec, nmax, monogenic):
         power = sympy.Poly(X**n, X).rem(modulus)
         y = [int(power.coeff_monomial(X**i)) for i in range(len(coeffs) - 1)]
         d_tilde = int(sympy.igcd(y[0] - 1, *y[1:]))
-        want.append((n, y[0], d_tilde, d_tilde if monogenic else None))
-    scan = dkseq.sparse_minpoly_scan(field, t, nmax, monogenic)
+        want.append((n, y[0], d_tilde))
+    scan = dkseq.sparse_minpoly_scan(field, t, nmax)
     assert scan_rows(scan) == want
     assert scan.disc == sympy.discriminant(modulus.as_expr(), X)
     # the lacunary theorem: y1 vanishes on 1 + tZ
-    assert scan.all_vanish() is all(y1 == 0 for _, y1, _, _ in want) is True
+    assert scan.all_vanish() is all(y1 == 0 for _, y1, _ in want) is True
 
 
 @pytest.mark.parametrize("kmax", [0, 1, 2, 3, 4, 5, 60])

@@ -254,7 +254,7 @@ class TestDkSequence:
             dk_sequence(t, ring, 6)
 
 
-def sparse_rows_oracle(field, t, nmax, assert_monogenic):
+def sparse_rows_oracle(field, t, nmax):
     rows = []
     pb = field.power_basis()
     power = field.generator
@@ -262,7 +262,7 @@ def sparse_rows_oracle(field, t, nmax, assert_monogenic):
         coords = [int(c) for c in pb.coords(power)]
         if n % t == 1 or t == 1:
             d_tilde = math.gcd(coords[0] - 1, *coords[1:])
-            rows.append((n, coords[0], d_tilde, d_tilde if assert_monogenic else None))
+            rows.append((n, coords[0], d_tilde))
         power = power * field.generator
     return rows
 
@@ -327,14 +327,13 @@ class TestSparseScan:
         st.sampled_from([((1, 0, -10, 0, 1), 2), ((1, 0, -5, 0, 1), 2), ((-2, 0, 0, 0, 1), 4),
                          ((-2, 0, 0, 0, 1), 2), ((-5, 0, 1), 2), ((1, 0, -4, 0, 1), 1)]),
         st.integers(0, 40),
-        st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_rows_match_oracle(self, spec, nmax, monogenic):
+    def test_rows_match_oracle(self, spec, nmax):
         coeffs, t = spec
         field = NumberField(coeffs)
-        scan = sparse_minpoly_scan(field, t, nmax, monogenic)
-        assert scan_rows(scan) == sparse_rows_oracle(field, t, nmax, monogenic)
+        scan = sparse_minpoly_scan(field, t, nmax)
+        assert scan_rows(scan) == sparse_rows_oracle(field, t, nmax)
 
     @pytest.mark.parametrize("coeffs, t", [
         ((1, 0, -10, 0, 1), 1), ((1, 0, -10, 0, 1), 2), ((1, 0, -110, 0, 1), 2),
@@ -345,7 +344,7 @@ class TestSparseScan:
         field = NumberField(coeffs)
         for nmax in [-1, 0, 1, 2, 3, 4, 5, 199, 200, 201]:
             got = scan_rows(sparse_minpoly_scan(field, t, nmax))
-            assert got == sparse_rows_oracle(field, t, nmax, False)
+            assert got == sparse_rows_oracle(field, t, nmax)
 
 
 @st.composite

@@ -231,7 +231,7 @@ def trace(a):
     The library keeps no trace function; the Faddeev-LeVerrier pass that gives
     min_poly takes it as its first step.
     """
-    c = _charpoly(_matrix(a))[0]
+    c = _charpoly(_matrix(a))
     return Fraction(-c[-2], a.den)
 
 
@@ -478,10 +478,7 @@ class TestCharpolyDivisions:
             tr = (sm * m_k).trace()
             assert tr % k == 0 and tr == -k * want[n - k]
             m_k = sm * m_k + want[n - k] * sympy.eye(n)
-        coeffs, m_n = _charpoly(m)
-        assert coeffs == want
-        # m_n = (-1)^(n+1) adj(m)
-        assert sympy.Matrix(m_n) * (-1) ** (n + 1) == sm.adjugate()
+        assert _charpoly(m) == want
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(QUADRATIC_SUBFIELDS).flatmap(
@@ -491,7 +488,7 @@ class TestCharpolyDivisions:
         field, s, p, q = case
         assume(q != 0)
         a = field.from_int(p) + field.element(s).scale(q)
-        c = _charpoly(_matrix(a))[0]
+        c = _charpoly(_matrix(a))
         # (X^2 + hX + b)^2 = X^4 + 2h X^3 + (h^2 + 2b) X^2 + 2hb X + b^2
         h, b = c[3] // 2, (c[2] - (c[3] // 2) ** 2) // 2
         assert c[3] == 2 * h and c[2] - h * h == 2 * b

@@ -153,9 +153,8 @@ RECORDS = [
           normalized=None, applicable=False, matched_through=None,
           basis=quartic().power_basis())),
     (SparseScanReport,
-     lambda: dict(t=2, disc=2304, monogenic_asserted=False, n=range(1, 4, 2), y1=[0, 0],
-                  d_tilde=[1, 1]),
-     dict(t=3, disc=-23, monogenic_asserted=True, n=range(1, 2), y1=[0, 1], d_tilde=[1, 2])),
+     lambda: dict(disc=2304, n=range(1, 4, 2), y1=[0, 0], d_tilde=[1, 1]),
+     dict(disc=-23, n=range(1, 2), y1=[0, 1], d_tilde=[1, 2])),
     (HnfDecomposition,
      lambda: dict(h=((2, 0), (0, 3)), c=I2),
      dict(h=I2, c=M)),
