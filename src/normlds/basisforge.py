@@ -57,7 +57,7 @@ class LdsConstruction(namedtuple("LdsConstruction", "basis scale t_trace")):
 
 
 class SnfCriterion(
-    namedtuple("SnfCriterion", "chi deltas t_trace scale lift_column b x y")
+    namedtuple("SnfCriterion", "chi deltas t_trace scale lift_column y")
 ):
     """The full-module criterion in Smith form, as the snf-check report states it.
 
@@ -70,7 +70,8 @@ class SnfCriterion(
     snf_criterion_matrix checks this. lds_basis builds the basis from z = scale . w
     directly, so the Smith witness serves this report only. X, Y is the Smith
     witness with row 4 of X shifted by the closed form of _canonicalize_witness,
-    which makes gcd(chi[3], deltas[3]/deltas[0]) = 1 whenever any such shift does.
+    which makes gcd(chi[3], deltas[3]/deltas[0]) = 1 whenever any such shift does;
+    of the witness the record keeps y = Y, which maps lift_column to scale . w.
     """
 
     __slots__ = ()
@@ -79,7 +80,7 @@ class SnfCriterion(
     # t_trace: int
     # scale: int
     # lift_column: tuple[int, int, int, int]
-    # b, x, y: tuple[tuple[int, ...], ...]
+    # y: tuple[tuple[int, ...], ...]
 
 
 def quartic_unit_trace(eta: FieldElement) -> int:
@@ -323,8 +324,6 @@ def snf_criterion_matrix(b: tuple[tuple[int, ...], ...], t_trace: int) -> SnfCri
         t_trace=t_trace,
         scale=scale,
         lift_column=lift,
-        b=b,
-        x=x,
         y=y,
     )
 

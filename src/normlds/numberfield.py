@@ -4,7 +4,8 @@ An element is a vector of integer numerators over one positive denominator,
 num/den, on the power basis {1, t, ..., t^(n-1)} where t is the residue class
 of X, kept in lowest terms: gcd(den, *num) = 1. Sums, products and scalings
 work on the numerators and multiply or combine the denominators, so no
-Fraction is built until a caller reads coordinates.
+Fraction is built until a caller reads the coordinates of an element that has
+a denominator.
 
 Products, norm, minimal polynomial and inverse come from the integer matrix
 of y -> num*y, so no floating point or embeddings appear anywhere: a
@@ -76,16 +77,36 @@ def _poly_eval_int(coeffs: Sequence[int], x: int) -> int:
 def _root_floors(coeffs: Sequence[int], bound: int) -> set[int]:
     """Integers in [-bound, bound] that include floor(r) for each real root r there.
 
-    coeffs is an integer polynomial, ascending, with a nonzero leading
-    coefficient. The floors of the real roots of its derivative in
+    coeffs is an integer polynomial of positive degree, ascending, with a
+    nonzero leading coefficient; bound is a nonnegative integer. Degrees 1 and
+    2 have closed forms, and a floor outside [-bound, bound] belongs to no root
+    inside it:
+
+    - c0 + c1 X has the one root -c0/c1, whose floor is (-c0) // c1.
+    - c0 + c1 X + c2 X^2 with c2 > 0 (negate it first) and D = c1^2 - 4 c0 c2
+      has no real root when D < 0, and otherwise the roots (-c1 ± sqrt D)/(2 c2).
+      With s = isqrt(D), floor(y / k) = floor(floor(y) / k) for an integer
+      k > 0, and floor(-c1 + sqrt D) = -c1 + s, while floor(-c1 - sqrt D) is
+      -c1 - s when D = s^2 and -c1 - s - 1 when sqrt D is irrational.
+
+    For degrees 3 and 4, the floors of the real roots of the derivative in
     [-bound, bound], each with its successor, cut that range into integer
     intervals. An interval longer than 1 holds no critical point, so the
     polynomial is strictly monotone on it and holds at most one root, found by
     bisection when the signs at its ends differ. A root inside a unit interval
     around a critical point has that critical point's floor, which is kept.
+    The recursion ends at the quadratic derivative, which has a closed form.
     """
-    if len(coeffs) < 2:
-        return set()
+    if len(coeffs) == 2:
+        return {m for m in [(-coeffs[0]) // coeffs[1]] if -bound <= m <= bound}
+    if len(coeffs) == 3:
+        c0, c1, c2 = coeffs if coeffs[2] > 0 else [-c for c in coeffs]
+        disc = c1 * c1 - 4 * c0 * c2
+        if disc < 0:
+            return set()
+        s = math.isqrt(disc)
+        low = -c1 - s - (s * s != disc)
+        return {m for m in (low // (2 * c2), (s - c1) // (2 * c2)) if -bound <= m <= bound}
     crit = _root_floors([i * c for i, c in enumerate(coeffs)][1:], bound)
     points = sorted({-bound, bound} | {m + 1 for m in crit if m < bound} | crit)
     floors = set(crit)
@@ -112,9 +133,17 @@ def _root_floors(coeffs: Sequence[int], bound: int) -> set[int]:
 
 
 def _integer_roots(coeffs: Sequence[int]) -> list[int]:
-    """The integer roots of a monic integer polynomial of positive degree."""
-    # every root of a monic polynomial lies within its Cauchy bound
+    """The integer roots of a monic integer polynomial of positive degree.
+
+    They are searched for inside min(Cauchy bound, |c0|), or the Cauchy bound
+    when c0 = 0. Every root r of a monic polynomial has |r| <= 1 + max |c_i|
+    (i < n), and an integer root m of one with c0 != 0 is nonzero and divides
+    c0 = -m (m^(n-1) + ... + c1), so |m| <= |c0|. For X^4 - T X^2 + 1 the
+    range is [-1, 1].
+    """
     bound = 1 + max(abs(c) for c in coeffs[:-1])
+    if coeffs[0]:
+        bound = min(bound, abs(coeffs[0]))
     return [m for m in _root_floors(coeffs, bound) if _poly_eval_int(coeffs, m) == 0]
 
 
@@ -123,13 +152,14 @@ def _is_irreducible(coeffs: Sequence[int]) -> bool:
 
     A monic integer polynomial has only integer rational roots, and by Gauss's
     lemma a factorization over Q into monic factors is one over Z. Degrees 2
-    and 3 are reducible exactly when an integer root exists; integer roots are
-    found by exact bisection inside the Cauchy bound (see _root_floors). A
-    quartic without one is reducible exactly when it is
-    (X^2+aX+b)(X^2+cX+d) over Z. Then y = b+d is an integer root of the
-    resolvent cubic, b and d are the roots of z^2 - yz + c0, a and c those of
-    z^2 - c3 z + (c2 - y), and ad + bc = c1. The number of integer operations
-    is polynomial in the digit length of the coefficients.
+    and 3 are reducible exactly when an integer root exists. _integer_roots
+    finds them inside min(Cauchy bound, |c0|), since an integer root divides a
+    nonzero c0, by the closed forms of degrees 1 and 2 and by exact bisection
+    above them (see _root_floors). A quartic without one is reducible exactly
+    when it is (X^2+aX+b)(X^2+cX+d) over Z. Then y = b+d is an integer root of
+    the resolvent cubic, b and d are the roots of z^2 - yz + c0, a and c those
+    of z^2 - c3 z + (c2 - y), and ad + bc = c1. The number of integer
+    operations is polynomial in the digit length of the coefficients.
     """
     if _integer_roots(coeffs):
         return False
@@ -243,7 +273,10 @@ class FieldElement(Frozen):
         return hash((self.field, self.num, self.den))
 
     @property
-    def coords(self) -> tuple[Fraction, ...]:
+    def coords(self) -> tuple[Rational, ...]:
+        # the integer numerators themselves when den is 1, so no Fraction is built
+        if self.den == 1:
+            return self.num
         return tuple(Fraction(x, self.den) for x in self.num)
 
     def _check(self, other: "FieldElement") -> None:
@@ -529,12 +562,15 @@ def _tokenize(text: str, var: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
-def _parse_terms(text: str, var: str) -> dict[int, Fraction]:
-    """Parse a sum of terms like '2', '-3*t', 't^2', '5/2*t^3' into {power: coeff}."""
+def _parse_terms(text: str, var: str) -> dict[int, Rational]:
+    """Parse a sum of terms like '2', '-3*t', 't^2', '5/2*t^3' into {power: coeff}.
+
+    A coefficient stays an int unless a '/d' is read, which makes it a Fraction.
+    """
     tokens = _tokenize(text, var)
     if not tokens:
         raise ParseError("empty expression", 0)
-    powers: dict[int, Fraction] = {}
+    powers: dict[int, Rational] = {}
     i = 0
     sign = 1
     while i < len(tokens):
@@ -548,18 +584,18 @@ def _parse_terms(text: str, var: str) -> dict[int, Fraction]:
                 raise ParseError("dangling sign", pos)
             continue
         # term: [coef [/int]] ['*'] [var ['^' int]]; the '*' is optional
-        coef = Fraction(1)
+        coef: Rational = 1
         power = 0
         saw_any = False
         if tokens[i][0] == "int":
-            coef = Fraction(tokens[i][1])
+            coef = tokens[i][1]
             saw_any = True
             i += 1
             if i < len(tokens) and tokens[i][0] == "/":
                 i += 1
                 if i >= len(tokens) or tokens[i][0] != "int" or tokens[i][1] == 0:
                     raise ParseError("expected nonzero integer denominator", tokens[i - 1][2])
-                coef /= tokens[i][1]
+                coef = Fraction(coef, tokens[i][1])
                 i += 1
             if i < len(tokens) and tokens[i][0] == "*":
                 i += 1
@@ -577,7 +613,7 @@ def _parse_terms(text: str, var: str) -> dict[int, Fraction]:
                 i += 1
         if not saw_any:
             raise ParseError(f"expected a term, got {tokens[i][1]!r}", tokens[i][2])
-        powers[power] = powers.get(power, Fraction(0)) + sign * coef
+        powers[power] = powers.get(power, 0) + sign * coef
         sign = 1
         if i < len(tokens) and tokens[i][0] not in "+-":
             raise ParseError(f"expected '+' or '-', got {tokens[i][1]!r}", tokens[i][2])
@@ -602,7 +638,7 @@ def parse_element(field: NumberField, text: str) -> FieldElement:
     n = field.degree
     if powers and max(powers) >= n:
         raise ParseError(f"power {max(powers)} exceeds field degree {n - 1}", 0)
-    coords = [powers.get(p, Fraction(0)) for p in range(n)]
+    coords = [powers.get(p, 0) for p in range(n)]
     return field.element(coords)
 
 

@@ -80,7 +80,6 @@ UNREFERENCED = {
 HNF = "hnf_column is one of UNREFERENCED; the tests read its form and witness"
 MATCH = "match_dk_basis is one of UNREFERENCED; the tests read its report"
 UNREAD_FIELDS = {
-    "basisforge.SnfCriterion.b": "the matrix of the Smith witness x . b . y; no report prints it",
     "exactlinalg.HnfDecomposition.h": HNF,
     "exactlinalg.HnfDecomposition.c": HNF,
     "dkseq.DkMatchReport.quartic_poly": MATCH,

@@ -14,7 +14,7 @@ import tracemalloc
 
 import pytest
 
-from normlds import cli
+from normlds import cli, numberfield
 
 
 def timed_cli(argv):
@@ -88,6 +88,25 @@ def test_dk_scan_grows_linearly_with_the_field(case):
         peaks.append(peak)
     for growth in (sizes, peaks):
         assert all(later <= 2.5 * earlier for earlier, later in zip(growth, growth[1:])), growth
+
+
+def test_quadratic_field_evaluates_its_polynomial_a_fixed_number_of_times(monkeypatch):
+    # x^2 - (10^(2e) - 1) = x^2 - (10^e - 1)(10^e + 1) has no integer root; bisection
+    # across its Cauchy bound took about 6.6 e evaluations, the closed form none
+    calls = []
+    original = numberfield._poly_eval_int
+
+    def counting(coeffs, x):
+        calls.append(x)
+        return original(coeffs, x)
+
+    monkeypatch.setattr(numberfield, "_poly_eval_int", counting)
+    counts = []
+    for e in (10, 100, 1000):
+        calls.clear()
+        numberfield.NumberField((-(10 ** (2 * e) - 1), 0, 1))
+        counts.append(len(calls))
+    assert counts == [2, 2, 2]
 
 
 # one numeric text input of a subcommand each, at n = 3^e digits-doubling steps

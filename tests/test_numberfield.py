@@ -19,7 +19,14 @@ from normlds.numberfield import (
     parse_element,
     parse_polynomial,
 )
-from normlds.numberfield import _charpoly, _is_irreducible, _matrix, _poly_eval_int
+from normlds.numberfield import (
+    _charpoly,
+    _is_irreducible,
+    _matrix,
+    _parse_terms,
+    _poly_eval_int,
+    _root_floors,
+)
 from oracles import solve_linear
 
 SQRT2 = NumberField((-2, 0, 1))          # X^2 - 2
@@ -151,6 +158,90 @@ def monic_polys(coeff):
     )
 
 
+def real_root_floors(coeffs) -> set[int]:
+    """floor(r) for each real root r of a linear or quadratic integer polynomial.
+
+    A quadratic's roots are r = (-c1 + sigma sqrt(D)) / (2 c2) with c2 > 0, and
+    m <= r exactly when u = 2 c2 m + c1 <= sigma sqrt(D), which the signs of u
+    and u^2 - D decide; each floor is the last m for which that holds, found by
+    bisection over a range that holds every root.
+    """
+    if len(coeffs) == 2:
+        return {math.floor(Fraction(-coeffs[0], coeffs[1]))}
+    c0, c1, c2 = coeffs if coeffs[2] > 0 else [-c for c in coeffs]
+    disc = c1 * c1 - 4 * c0 * c2
+    if disc < 0:
+        return set()
+
+    def at_most(m, sigma):
+        u = 2 * c2 * m + c1
+        return (u <= 0 or u * u <= disc) if sigma > 0 else (u <= 0 and u * u >= disc)
+
+    floors = set()
+    for sigma in (1, -1):
+        # every root has |r| <= 1 + max(|c0|, |c1|) / c2 < reach
+        lo, hi = -(abs(c0) + abs(c1) + 2), abs(c0) + abs(c1) + 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if at_most(mid, sigma) else (lo, mid)
+        floors.add(lo)
+    return floors
+
+
+@st.composite
+def low_degree_and_bound(draw):
+    """A linear or quadratic integer polynomial, either sign of its leading
+    coefficient, and a bound that is often one of its integer roots."""
+    nonzero = st.integers(-9, 9).filter(bool)
+    k = draw(nonzero)
+    kind = draw(st.sampled_from(["linear", "random", "large", "roots", "double", "no real root"]))
+    roots = []
+    if kind == "linear":
+        coeffs = (draw(st.integers(-10**6, 10**6)), k * draw(st.integers(1, 40)))
+    elif kind == "random":
+        coeffs = (draw(st.integers(-500, 500)), draw(st.integers(-500, 500)), k)
+    elif kind == "large":
+        big = st.integers(-10**30, 10**30)
+        coeffs = (draw(big), draw(big), k * draw(st.integers(1, 10**15)))
+    elif kind in ("roots", "double"):
+        # k (q X - p)(s X - r): a square discriminant, and a double root when p/q = r/s
+        q, p = draw(st.integers(1, 3)), draw(st.integers(-60, 60))
+        s, r = (q, p) if kind == "double" else (draw(st.integers(1, 3)), draw(st.integers(-60, 60)))
+        coeffs = tuple(k * c for c in poly_mul((-p, q), (-r, s)))
+        roots = [x for x, y in ((p, q), (r, s)) if y == 1]
+    else:
+        # k ((q X + a)^2 + b) with b > 0 has discriminant -4 q^2 b
+        q, a, b = draw(st.integers(1, 5)), draw(st.integers(-60, 60)), draw(st.integers(1, 60))
+        coeffs = tuple(k * c for c in (a * a + b, 2 * a * q, q * q))
+    bound = draw(st.one_of(st.integers(0, 80), st.sampled_from([abs(x) for x in roots] or [0])))
+    return coeffs, bound
+
+
+class TestRootFloors:
+    @given(low_degree_and_bound())
+    @settings(max_examples=2000, deadline=None)
+    def test_closed_forms_give_the_floor_of_each_root_in_range(self, case):
+        coeffs, bound = case
+        want = {m for m in real_root_floors(coeffs) if -bound <= m <= bound}
+        assert _root_floors(coeffs, bound) == want
+
+    @pytest.mark.parametrize(
+        "coeffs, bound, floors",
+        [
+            ((-6, 3), 5, {2}),           # 3X - 6, root 2
+            ((6, -3), 1, set()),         # root 2 outside [-1, 1]
+            ((-7, 2), 3, {3}),           # root 7/2
+            ((-4, 0, 1), 2, {-2, 2}),    # roots at -bound and bound
+            ((4, 0, -1), 2, {-2, 2}),    # the same roots, leading coefficient negative
+            ((-2, 0, 1), 5, {-2, 1}),    # +-sqrt 2: the lower floor is -2
+            ((9, -6, 1), 9, {3}),        # (X - 3)^2, a double root
+            ((1, 0, 1), 9, set()),       # X^2 + 1, negative discriminant
+        ],
+    )
+    def test_closed_form_cases(self, coeffs, bound, floors):
+        assert _root_floors(coeffs, bound) == floors
+
+
 class TestIrreducibility:
     @given(monic_polys(st.integers(-200, 200)))
     @settings(max_examples=1500, deadline=None)
@@ -177,6 +268,30 @@ class TestIrreducibility:
     )
     def test_digit_length_cases(self, coeffs, irreducible):
         assert _is_irreducible(coeffs) == irreducible
+
+    @given(st.sampled_from([-1, 0, 1]), st.lists(st.integers(-30, 30), min_size=1, max_size=3))
+    @settings(max_examples=500, deadline=None)
+    def test_unit_and_zero_constant_terms_match_trial_division(self, c0, middle):
+        # the divisor bound leaves the integer-root search the range [-1, 1]
+        coeffs = (c0, *middle, 1)
+        assert _is_irreducible(coeffs) == trial_division_irreducible(coeffs)
+
+    @pytest.mark.parametrize(
+        "coeffs, irreducible",
+        [
+            ((0, 3, 0, 1), False),         # X^3 + 3X, root 0
+            ((0, -5, 2, 1, 1), False),     # root 0 of a quartic
+            ((-1, -1, 1), True),           # X^2 - X - 1
+            ((1, -2, 1), False),           # (X - 1)^2
+            ((1, -1, -1, 1), False),       # (X - 1)^2 (X + 1)
+            ((1, 0, -3, 0, 1), False),     # (X^2 - X - 1)(X^2 + X - 1), no integer root
+            ((1, 0, -2, 0, 1), False),     # T = 2: (X^2 - 1)^2
+            ((1, 0, 2, 0, 1), False),      # T = -2: (X^2 + 1)^2, no integer root
+            ((1, 0, -4, 0, 1), True),      # T = 4
+        ],
+    )
+    def test_unit_and_zero_constant_term_cases(self, coeffs, irreducible):
+        assert _is_irreducible(coeffs) == irreducible == trial_division_irreducible(coeffs)
 
 
 class TestArithmetic:
@@ -633,6 +748,27 @@ class TestParsing:
     def test_power_beyond_degree_rejected(self):
         with pytest.raises(ParseError):
             parse_element(SQRT2, "t^2")
+
+    def test_coefficients_without_a_denominator_stay_int(self):
+        powers = _parse_terms("2 + 3*t - t^3 + 12t - 7", "t")
+        assert powers == {0: -5, 1: 15, 3: -1}
+        assert all(type(c) is int for c in powers.values())
+
+    def test_a_denominator_makes_a_fraction(self):
+        powers = _parse_terms("1/2*t^2", "t")
+        assert powers == {2: Fraction(1, 2)} and type(powers[2]) is Fraction
+        e = parse_element(BIQUAD, "1/2*t^2")
+        assert (e.num, e.den) == ((0, 0, 1, 0), 2)
+
+    def test_an_integral_fraction_is_an_integer_coefficient(self):
+        coeffs = parse_polynomial("x^2-4/2")
+        assert coeffs == (-2, 0, 1) and all(type(c) is int for c in coeffs)
+
+    def test_integral_coordinates_are_the_numerators(self):
+        e = parse_element(BIQUAD, "2 + 3*t - t^3")
+        assert e.coords is e.num and e.coords == (2, 3, 0, -1)
+        assert format_element(e) == "2 + 3*t - t^3"
+        assert BIQUAD.element([1, Fraction(1, 2), 0, 0]).coords == (1, Fraction(1, 2), 0, 0)
 
     def test_fractional_polynomial_rejected(self):
         with pytest.raises(ParseError):

@@ -134,9 +134,9 @@ RECORDS = [
      dict(basis=basis(sqrt2(), [1, 0], [1, 1]), scale=3, t_trace=7)),
     (SnfCriterion,
      lambda: dict(chi=(0, 1, 1, 7), deltas=(1, 1, 2, 6), t_trace=6, scale=3,
-                  lift_column=(0, 3, 1, 4), b=((2, 0), (0, 3)), x=I2, y=I2),
+                  lift_column=(0, 3, 1, 4), y=I2),
      dict(chi=(0, 1, 1, 8), deltas=(1, 1, 1, 6), t_trace=5, scale=4,
-          lift_column=(1, 3, 1, 4), b=I2, x=M, y=M)),
+          lift_column=(1, 3, 1, 4), y=M)),
     (SequenceReport,
      lambda: dict(terms=[[1, 0], [2, 1]], charpoly=(1, -4, 1)),
      dict(terms=[[1, 0], [2, 2]], charpoly=(1, -6, 1))),
