@@ -8,19 +8,22 @@ ModuleBasis.power_rows, the routine behind every coordinate sequence, and C
 is the unimodular change of basis to W. A target v that starts an LDS of the
 recurrence of eps becomes x1 = scale*v when C's first column is
 z = scale*B^-1.v, which is integral and primitive for the least scale, and
-any unimodular completion of z is a valid C (complete_primitive). The
-quadratic construction takes v = (0, 1), the Lucas sequence of a norm-1 unit;
-the full quartic construction takes v = (0, 1, 1, T+1) for a unit eta with
-minimal polynomial X^4 - T X^2 + 1, Lehmer's sequence of eta; dkseq's match
-of d_k/d_1 takes the power basis of its quartic, so B = I. The one other
-basis is written out: quartic_module_construct's basis of the rank-4 module
-beta*Z[eta], A^-1 applied to the powers of eta for a fixed unimodular A, with
-scale 1.
+any unimodular completion of z is a valid C (complete_primitive). Every
+construction takes its target from coordseq.lds_targets, the one table of
+LDS targets, which column_verdict proves from too: v = entry[:d] of the first
+entry for the charpoly of the unit, at b = 1, and T from the entry's row d.
+So the quadratic construction starts x1 at the Lucas sequence of a norm-1
+unit, and the full quartic construction at Lehmer's sequence of a unit eta
+with minimal polynomial X^4 - T X^2 + 1; dkseq's match of d_k/d_1 takes the
+power basis of its quartic, so B = I. The one other basis is written out:
+quartic_module_construct's basis of the rank-4 module beta*Z[eta], A^-1
+applied to the powers of eta for a unimodular A whose first column is the
+same entry's v, with scale 1.
 
-This is the one module that reads a unit: every reading comes from its
-minimal polynomial. quartic_unit_trace and _quadratic_unit_trace give T;
-quad_construct takes the norm and the torsion test from the min_poly whose T
-_quadratic_unit_trace reads.
+Every unit is read from its minimal polynomial: quartic_unit_trace checks
+that of eta, with one refusal for each shape it rejects, and gives T;
+quad_construct reads the norm, the torsion test and the charpoly it looks up
+in the table off min_poly(eps).
 
 snf_criterion states the full-module case through the Smith form of B, with a
 canonical witness X, Y; it serves the snf-check report and no construction.
@@ -34,6 +37,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence
 
+from .coordseq import lds_targets
 from .exactlinalg import (
     InvariantViolation, apply, det, fraction_free_inverse, matmul, primitive_reducer, snf
 )
@@ -43,11 +47,12 @@ from .numberfield import FieldElement, ModuleBasis, NumberField, min_poly
 class LdsConstruction(namedtuple("LdsConstruction", "basis scale t_trace")):
     """A basis under which x1 is an LDS, with its scale and trace parameter.
 
-    In the quartic constructions x1 has initial conditions
-    (0, scale, scale, scale*(t_trace+1)); in the quadratic one they start
-    (0, scale) and x1(k) = scale * u_k for the Lucas sequence of the unit.
-    Except for quartic-power, basis comes from lds_basis, and scale is the
-    least positive integer that makes scale * B^-1 v integral.
+    x1 starts at scale times v = entry[:d] of the first coordseq.lds_targets
+    entry of the unit's charpoly, at b = 1, and t_trace is that entry's row d:
+    x1(k) is scale times the Lucas sequence of the unit in the quadratic
+    construction, and scale times Lehmer's sequence of eta in the quartic
+    ones. Except for quartic-power, basis comes from lds_basis, and scale is
+    the least positive integer that makes scale * B^-1 v integral.
     """
 
     __slots__ = ()
@@ -61,12 +66,14 @@ class SnfCriterion(
 ):
     """The full-module criterion in Smith form, as the snf-check report states it.
 
-    chi is the Smith-transformed condition vector X . (0, 1, 1, T+1), and
-    lift_column = scale . diag(deltas)^-1 . chi is its minimal integral scaling.
-    The construction exists iff lift_column is primitive, and it always is: with
-    w = B^-1 . (0, 1, 1, T+1), lift_column = Y^-1 . (scale . w), scale is the lcm
-    of the denominators of w, and a prime dividing every entry of scale . w would
-    either make scale/p a smaller scale or divide the primitive (0, 1, 1, T+1).
+    chi is the Smith-transformed condition vector X . v, for v the target of
+    quartic_full_construct (entry[:4] of the first coordseq.lds_targets entry
+    of X^4 - T X^2 + 1), and lift_column = scale . diag(deltas)^-1 . chi is its
+    minimal integral scaling. The construction exists iff lift_column is
+    primitive, and it always is: with w = B^-1 . v, lift_column =
+    Y^-1 . (scale . w), scale is the lcm of the denominators of w, and a prime
+    dividing every entry of scale . w would either make scale/p a smaller scale
+    or divide v, which is primitive as v[1] = 1.
     snf_criterion_matrix checks this. lds_basis builds the basis from z = scale . w
     directly, so the Smith witness serves this report only. X, Y is the Smith
     witness with row 4 of X shifted by the closed form of _canonicalize_witness,
@@ -107,12 +114,9 @@ def quartic_unit_trace(eta: FieldElement) -> int:
     return int(t)
 
 
-def _quadratic_unit_trace(mp: tuple[Fraction, ...]) -> int | None:
-    """T when mp, a minimal polynomial, is x^2 - T*x + 1 with T integral, else None."""
-    if len(mp) - 1 != 2 or mp[0] != 1:
-        return None
-    t = -mp[1]
-    return int(t) if t.denominator == 1 else None
+def _lehmer_target(t_trace: int) -> tuple[int, ...]:
+    """The first coordseq.lds_targets entry of X^4 - T X^2 + 1, at b = 1; its row 4 is T."""
+    return lds_targets((1, 0, -t_trace, 0, 1))[0]
 
 
 def _power_outside(k: int) -> str:
@@ -177,9 +181,11 @@ def lds_basis(
 
 
 def quad_construct(tbasis: ModuleBasis, beta: FieldElement, eps: FieldElement) -> LdsConstruction:
-    """Quadratic-module construction: lds_basis with v = (0, 1), so x1(k) = scale * u_k.
+    """Quadratic-module construction: lds_basis with the Lucas target, so x1(k) = scale * u_k.
 
-    u_k is the Lucas sequence of eps, which starts (0, 1) and satisfies
+    The target is the first coordseq.lds_targets entry of eps's charpoly
+    X^2 - T X + 1: v = entry[:2], and T is its row 2. u_k is the Lucas
+    sequence of eps, which starts at v and satisfies
     u_(k+2) = T u_(k+1) - u_k for the trace T of eps. scale is |det B| over
     the content of beta's coordinates, the Hermite pivot of B. Requires a real
     quadratic field, a nontorsion norm-1 unit eps that multiplies the module
@@ -208,31 +214,32 @@ def quad_construct(tbasis: ModuleBasis, beta: FieldElement, eps: FieldElement) -
     if tbasis.int_coords(beta)[1] != 1:
         raise ValueError("beta does not lie in the module (fractional coordinates)")
     # eps keeps a full-rank lattice, so it is integral and T is an integer
-    t = _quadratic_unit_trace(mp)
-    if t is None:
+    if mp[1].denominator != 1:
         raise InvariantViolation("eps keeps the module but its trace is not an integer")
-    w, scale = lds_basis(tbasis, beta, eps, (0, 1))
-    return LdsConstruction(basis=w, scale=scale, t_trace=t)
+    target = lds_targets([int(c) for c in mp])[0]
+    w, scale = lds_basis(tbasis, beta, eps, target[:2])
+    return LdsConstruction(basis=w, scale=scale, t_trace=target[2])
 
 
 def quartic_module_construct(beta: FieldElement, eta: FieldElement) -> LdsConstruction:
-    """Basis of beta*Z[eta] with x1 initial conditions (0, 1, 1, T+1), written out.
+    """Basis of beta*Z[eta] under which x1 starts at the target v, written out.
 
-    The powers p = (beta, beta*eta, beta*eta^2, beta*eta^3) are a basis of
-    beta*Z[eta]. The basis is A^-1 p for the unimodular
-    A = [[0, 0, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [T+1, 1, 0, 0]]:
-    (beta*eta^2, beta*eta^3 - (T+1)*beta*eta^2, beta, beta*eta - beta*eta^2).
+    v = (0, 1, 1, c) is entry[:4] of the first coordseq.lds_targets entry of
+    eta's charpoly X^4 - T X^2 + 1, at b = 1, and T is its row 4. The powers
+    p = (beta, beta*eta, beta*eta^2, beta*eta^3) are a basis of beta*Z[eta].
+    The basis is A^-1 p for the unimodular
+    A = [[0, 0, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [c, 1, 0, 0]]:
+    (beta*eta^2, beta*eta^3 - c*beta*eta^2, beta, beta*eta - beta*eta^2).
     Row k of A holds the coordinates of beta*eta^k over it, so x1(0..3) is
-    the first column of A, (0, 1, 1, T+1), and scale is 1.
+    the first column of A, v, and scale is 1.
     """
     if beta.is_zero():
         raise ValueError("beta must be nonzero")
-    t = quartic_unit_trace(eta)
+    target = _lehmer_target(quartic_unit_trace(eta))
     b1 = beta * eta
     b2 = b1 * eta
-    b3 = b2 * eta
-    basis = ModuleBasis(beta.field, (b2, b3 - b2 * (t + 1), beta, b1 - b2))
-    return LdsConstruction(basis=basis, scale=1, t_trace=t)
+    basis = ModuleBasis(beta.field, (b2, b2 * eta - b2 * target[3], beta, b1 - b2))
+    return LdsConstruction(basis=basis, scale=1, t_trace=target[4])
 
 
 def _least_coprime_step(c: int, a: int, g: int) -> int:
@@ -296,7 +303,9 @@ def snf_criterion_matrix(b: tuple[tuple[int, ...], ...], t_trace: int) -> SnfCri
     """Full-module test on the coordinate matrix of (beta, beta*eta, ..., beta*eta^3).
 
     Computes the Smith form X B Y = diag(deltas), the condition vector
-    chi = X . (0, 1, 1, T+1) and the minimal integral lift of diag^-1 . chi, and
+    chi = X . v for the target v of quartic_full_construct, entry[:4] of the
+    first coordseq.lds_targets entry of X^4 - T X^2 + 1, and the minimal
+    integral lift of diag^-1 . chi, and
     checks that the lift is primitive, as it is for every nonsingular B. The
     witness is canonicalized toward gcd(chi4, delta4/delta1) = 1 whenever that
     form is reachable.
@@ -307,7 +316,7 @@ def snf_criterion_matrix(b: tuple[tuple[int, ...], ...], t_trace: int) -> SnfCri
         raise ValueError("coordinate matrix is singular")
     dec = snf(b)
     deltas = dec.d
-    v = (0, 1, 1, t_trace + 1)
+    v = _lehmer_target(t_trace)[:4]
     x, y = _canonicalize_witness(dec.x, dec.y, deltas, v)
     chi = apply(x, v)
     # minimal a with deltas[i] | a * chi[i] for all i: lcm of d_i / gcd(d_i, chi_i)
@@ -338,14 +347,16 @@ def snf_criterion(tbasis: ModuleBasis, beta: FieldElement, eta: FieldElement) ->
 def quartic_full_construct(
     tbasis: ModuleBasis, beta: FieldElement, eta: FieldElement
 ) -> LdsConstruction:
-    """lds_basis with v = (0, 1, 1, T+1): x1 starts (0, a, a, a(T+1)) for a = scale.
+    """lds_basis with Lehmer's target: x1(k) = a times Lehmer's sequence of eta, a = scale.
 
-    T is quartic_unit_trace(eta), and x1(k) = a times Lehmer's sequence of eta,
-    the LDS with x(k+4) = T x(k+2) - x(k) and these initial conditions.
+    T is quartic_unit_trace(eta), and the target is the first
+    coordseq.lds_targets entry of X^4 - T X^2 + 1, at b = 1: v = entry[:4],
+    and T is its row 4. Lehmer's sequence is the LDS with
+    x(k+4) = T x(k+2) - x(k) and initial conditions v.
     """
-    t = quartic_unit_trace(eta)
-    w, scale = lds_basis(tbasis, beta, eta, (0, 1, 1, t + 1))
-    return LdsConstruction(basis=w, scale=scale, t_trace=t)
+    target = _lehmer_target(quartic_unit_trace(eta))
+    w, scale = lds_basis(tbasis, beta, eta, target[:4])
+    return LdsConstruction(basis=w, scale=scale, t_trace=target[4])
 
 
 def _is_square(n: int) -> bool:

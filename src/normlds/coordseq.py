@@ -22,12 +22,15 @@ term by term. verify_lds() reads a column only as far as its verdict needs,
 and finds the primes of each index as it reads it, so its work and memory
 follow the terms it reads, and it keeps nothing between calls. It tests only
 prime steps (m/p, m), one remainder b(m) mod b(m/p) each (the proof that
-these suffice is in its docstring). column_verdict() is the verdict the
-commands take for one column of a head: a column whose rows 0..d are s times
-those of a Lucas sequence (any quadratic charpoly, head (0, s)) or of a
+these suffice is in its docstring). lds_targets() is the one table of LDS
+targets: for a charpoly it gives rows 0..d of each target that applies, the
+head of a Lucas sequence (any quadratic charpoly, head (0, 1, P)) or of a
 member of the Lehmer family (charpoly X^4 - T X^2 + 1, head
-s (0, 1, b, T +- 1) for any integer b) is an LDS by a theorem, and it reads
-no term past the head (the proof is in its docstring); every other column
+(0, 1, b, T +- 1, T b) for any integer b). The constructions of basisforge
+build x1 from its first entry at b = 1, and column_verdict() proves from it:
+it is the verdict the commands take for one column of a head, and a column
+whose rows 0..d are s times an entry is an LDS by a theorem, decided with no
+term read past the head (the proof is in its docstring); every other column
 goes to verify_lds, the one scan.
 
 A head whose row d fails its recurrence raises exactlinalg.InvariantViolation,
@@ -369,10 +372,16 @@ def verify_lds(column: Iterable[int], nmax: int) -> LdsVerdict:
     return LdsVerdict(True, None)
 
 
-def _lds_targets(charpoly: Sequence[int], b: int) -> list[tuple[int, ...]]:
-    """Rows 0..d of each target of column_verdict under charpoly, of degree d; none for any other.
+def lds_targets(charpoly: Sequence[int], b: int = 1) -> list[tuple[int, ...]]:
+    """Rows 0..d of each LDS target under charpoly, of degree d; none for any other.
 
-    A Lehmer family target has x(2) = b; a Lucas target does not read b.
+    The one table of targets, read by the prover and the builders alike:
+    column_verdict proves a column whose rows are s times an entry (the
+    targets, and the theorem behind them, are in its docstring), and each
+    construction of basisforge takes v = entry[:d] of the first entry at
+    b = 1, whose row d is T: the trace P of a Lucas target, the T of a
+    Lehmer charpoly. A Lehmer family target has x(2) = b; a Lucas target does
+    not read b.
     """
     if len(charpoly) == 3:
         return [(0, 1, -charpoly[1])]
@@ -387,8 +396,9 @@ def column_verdict(head: SequenceReport, i: int, nmax: int) -> LdsVerdict:
 
     Column i (1-indexed) is proved, LdsVerdict(True, None) with no term read
     past the head, when its rows 0..d are s times those of a target v below,
-    for an integer s (0 and negative included). Every other column goes to
-    verify_lds unchanged.
+    for an integer s (0 and negative included); the targets are the entries
+    of lds_targets, the table the constructions of basisforge build from.
+    Every other column goes to verify_lds unchanged.
     - Lucas: charpoly X^2 - P X + Q, any integers P and Q; v = (0, 1, P), the
       rows of U_n(P, Q).
     - Lehmer family: charpoly exactly X^4 - T X^2 + 1; v = (0, 1, b, T + 1, T b)
@@ -442,7 +452,7 @@ def column_verdict(head: SequenceReport, i: int, nmax: int) -> LdsVerdict:
     s = rows[1] if len(rows) > 1 else 0
     b = rows[2] // s if s and len(rows) > 2 else 0
     if len(rows) > min(nmax, d) and any(
-        rows == [s * v for v in target[: len(rows)]] for target in _lds_targets(head.charpoly, b)
+        rows == [s * v for v in target[: len(rows)]] for target in lds_targets(head.charpoly, b)
     ):
         return LdsVerdict(True, None)
     return verify_lds(column_terms(head, i), nmax)

@@ -20,11 +20,12 @@ the odd k and the even k are two streams, interleaved into one list.
 
 The module also hosts the order-4 recurrence check for quadratic norm-1
 units and the change of basis matching d_k/d_1 with a first coordinate
-sequence: T comes from basisforge._quadratic_unit_trace, the basis from
-basisforge.lds_basis, and the terms from coordseq.recurrence_terms; the
-recurrence report of d_k is one column, the d_k list itself. It hosts the
-vanishing scan for lacunary minimal polynomials too, and power-basis
-discriminants, as +-N(f'(alpha)) for the defining polynomial f.
+sequence: N(alpha) = 1 and T are read off min_poly(alpha) = X^2 - T X + 1,
+the basis comes from basisforge.lds_basis, and the terms from
+coordseq.recurrence_terms; the recurrence report of d_k is one column, the
+d_k list itself. It hosts the vanishing scan for lacunary minimal
+polynomials too, and power-basis discriminants, as +-N(f'(alpha)) for the
+defining polynomial f.
 Their results, DkSequence, DkMatchReport and the sparse scan's report, are
 collections.namedtuple records; the scan's report holds its rows as columns.
 """
@@ -33,11 +34,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from fractions import Fraction
 from itertools import chain, compress, count, islice, repeat, zip_longest
 from operator import eq, sub
 from typing import Iterable, Iterator, Sequence
 
-from .basisforge import _quadratic_unit_trace, lds_basis
+from .basisforge import lds_basis
 from .coordseq import SequenceReport, generate, recurrence_terms, verify_recurrence
 from .numberfield import (
     FieldElement,
@@ -67,6 +69,11 @@ class DkSequence(namedtuple("DkSequence", "terms t_trace")):
         if not 1 <= k <= len(self.terms):
             raise IndexError(f"d_{k} not computed (have 1..{len(self.terms)})")
         return self.terms[k - 1]
+
+
+def _norm_one_trace(mp: Sequence[Fraction]) -> int | None:
+    """T when mp, a minimal polynomial, is X^2 - T X + 1 with T integral, else None."""
+    return -int(mp[1]) if len(mp) == 3 and mp[0] == 1 and mp[1].denominator == 1 else None
 
 
 def _non_integral(k: int) -> str:
@@ -138,7 +145,7 @@ def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSeq
             terms.pop()
     else:
         terms = list(contents([repeat(int(i == 0)) for i in range(len(xs))], 0))
-    return DkSequence(terms=terms, t_trace=_quadratic_unit_trace(mp))
+    return DkSequence(terms=terms, t_trace=_norm_one_trace(mp))
 
 
 def recurrence_report(seq: DkSequence) -> SequenceReport:
@@ -196,7 +203,7 @@ def match_dk_basis(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int = 30) 
     computed over ringbasis (the caller asserts this is the right congruence
     ring). Matching is verified termwise through kmax.
     """
-    t = _quadratic_unit_trace(min_poly(alpha))
+    t = _norm_one_trace(min_poly(alpha))
     if t is None:
         raise CheckRefused("alpha is not a quadratic unit of norm 1")
     _, c1, _ = alpha.field.coeffs

@@ -290,6 +290,8 @@ BIQUAD = NumberField((1, 0, -10, 0, 1))
         (NumberField((-1, 0, -2, 0, 1)), "t", "square of the unit must have relative norm 1, got -1"),
         # -13/5 sqrt 2 - 11/5 sqrt 3: eps has norm 1 and trace 1402/25
         (BIQUAD, "-2/5t-1/5t^3", "unit is not an algebraic integer"),
+        # X^4 + X + 1: only the X coefficient is odd-degree
+        (NumberField((1, 1, 0, 0, 1)), "t", "square of the unit must generate a quadratic subfield"),
     ],
 )
 def test_quartic_unit_trace_refusals(field, eta, message):
@@ -309,22 +311,48 @@ QUARTIC_FIELDS = [
     NumberField((-2, 0, 0, 0, 1)),
     NumberField((1, -1, -3, -1, 1)),
     NumberField((5, 0, -5, 0, 1)),
+    # t = sqrt(1 + sqrt 2), whose square has relative norm -1
+    NumberField((-1, 0, -2, 0, 1)),
 ]
 
 
-@given(
-    st.sampled_from(QUARTIC_FIELDS),
-    st.lists(st.integers(-6, 6), min_size=4, max_size=4),
-    st.sampled_from([1, 2, 3, 5]),
-    st.booleans(),
-)
-@settings(max_examples=300, deadline=None)
-def test_quartic_unit_trace_matches_the_two_minpoly_reading(field, coords, den, odd):
+@st.composite
+def quartic_elements(draw):
+    """An element of one of QUARTIC_FIELDS, with small coordinates over a small denominator."""
+    field = draw(st.sampled_from(QUARTIC_FIELDS))
+    coords = draw(st.lists(st.integers(-6, 6), min_size=4, max_size=4))
+    den = draw(st.sampled_from([1, 2, 3, 5]))
     # odd elements of the lacunary fields square into Q(t^2), the case that passes
-    if odd:
+    if draw(st.booleans()):
         coords[0] = coords[2] = 0
-    eta = field.element([Fraction(c, den) for c in coords])
+    return field.element([Fraction(c, den) for c in coords])
+
+
+@given(quartic_elements())
+@settings(max_examples=300, deadline=None)
+def test_quartic_unit_trace_matches_the_two_minpoly_reading(eta):
     assert outcome(quartic_unit_trace, eta) == outcome(quartic_unit_trace_reference, eta)
+
+
+@given(quartic_elements())
+# a Lehmer unit, a unit whose square has relative norm -1, and a unit of
+# X^4 + X + 1, whose X coefficient alone is odd-degree
+@example(BIQUAD.generator)
+@example(NumberField((-1, 0, -2, 0, 1)).generator)
+@example(NumberField((1, 1, 0, 0, 1)).generator)
+@settings(max_examples=300, deadline=None)
+def test_quartic_unit_trace_accepts_exactly_the_quartic_entries_of_the_table(eta):
+    # the reader keeps its own refusals, so its shape test and the table's are
+    # two; they agree, and on T, which is row 4 of the first entry at b = 1
+    mp = min_poly(eta)
+    integral = all(c.denominator == 1 for c in mp)
+    entries = coordseq.lds_targets([int(c) for c in mp]) if integral else []
+    quartic = [entry for entry in entries if len(entry) == 5]
+    got = outcome(quartic_unit_trace, eta)
+    if quartic:
+        assert got == quartic[0][4]
+    else:
+        assert isinstance(got, str)
 
 
 # x^2 - d and x^4 - T x^2 + 1, each irreducible
@@ -366,6 +394,58 @@ def test_lds_basis_starts_x1_at_scale_times_v(case):
     # scale is the least that clears B^-1 v
     b_columns = list(zip(*(p.coords for p in powers)))
     assert scale == math.lcm(*(x.denominator for x in solve_linear(b_columns, v)))
+
+
+# (D, (a, b)) with a^2 - D b^2 = 1: a + b t is a norm-1 unit of x^2 - D
+PELL_UNITS = [(2, (3, 2)), (3, (2, 1)), (5, (9, 4)), (6, (5, 2)), (7, (8, 3)), (13, (649, 180))]
+
+
+@st.composite
+def table_units(draw):
+    """(beta, eps): eps a norm-1 unit whose charpoly has entries in coordseq.lds_targets.
+
+    Quadratic: +-u^k, k = 1, 2 or -1, for a Pell unit u of x^2 - D. Quartic:
+    +-t^k, k = 1, -1 or 3, in an irreducible x^4 - T x^2 + 1, where every
+    one of full degree has charpoly X^4 - T' X^2 + 1. beta is integral and
+    nonzero.
+    """
+    if draw(st.booleans()):
+        d, unit = draw(st.sampled_from(PELL_UNITS))
+        field = NumberField((-d, 0, 1))
+        eps = field.element(list(unit)) ** draw(st.sampled_from([1, 2, -1]))
+    else:
+        field = draw(st.sampled_from(list(quartic_power_fields())))
+        eps = field.generator ** draw(st.sampled_from([1, -1, 3]))
+        assume(len(min_poly(eps)) == 5)
+    eps = eps * draw(st.sampled_from([1, -1]))
+    n = field.degree
+    beta = field.element(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n).filter(any)))
+    return beta, eps
+
+
+@given(table_units())
+@settings(max_examples=200, deadline=None)
+def test_the_builder_and_the_prover_read_one_table(case):
+    # for each entry, lds_basis with v = entry[:d] starts x1 at scale * entry,
+    # rows 0..d; column_verdict proves that column from its head, with no
+    # verify_lds call, and the pair scan passes it through n = 200
+    beta, eps = case
+    field = beta.field
+    charpoly = [int(c) for c in min_poly(eps)]
+    d = len(charpoly) - 1
+    entries = coordseq.lds_targets(charpoly)
+    assert len(entries) == {2: 1, 4: 2}[d]
+    scan = coordseq.verify_lds
+    for entry in entries:
+        basis, scale = lds_basis(field.power_basis(), beta, eps, entry[:d])
+        head = coordseq.sequence_head(beta, eps, basis, d)
+        assert head.terms[0] == [scale * x for x in entry]
+        scans = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(coordseq, "verify_lds", lambda *args: scans.append(args) or scan(*args))
+            assert coordseq.column_verdict(head, 1, 200) == (True, None)
+        assert scans == []
+        assert scan(coordseq.column_terms(head, 1), 200) == (True, None)
 
 
 def quartic_power_fields():

@@ -328,8 +328,10 @@ class TestWorkCount:
         # x1 = 2 (0, 1, 1, T + 1) is proved from its head, so nothing more; with
         # no target known, terms 5..200 of x1, which verify_lds reads through
         # kmax. Nothing for a rejected m
-        for targets, scanned in ((coordseq._lds_targets, 0), (lambda *_: [], 196)):
-            monkeypatch.setattr(coordseq, "_lds_targets", targets)
+        for targets, scanned in ((coordseq.lds_targets, 0), (lambda *_: [], 196)):
+            # the prover's view alone: basisforge holds the table by name, so
+            # the construction still builds from it
+            monkeypatch.setattr(coordseq, "lds_targets", targets)
             accepted = []
             for m in range(2, 8):
                 before = work.copy()
@@ -393,7 +395,7 @@ class TestScansPerReport:
     ], ids=["verify-lds", "t-minus-one", "family-scan"])
     def test_a_report_scans_each_unproved_column_once(self, monkeypatch, argv, scans):
         if argv[0] == "family-scan":
-            monkeypatch.setattr(coordseq, "_lds_targets", lambda *_: [])
+            monkeypatch.setattr(coordseq, "lds_targets", lambda *_: [])
         assert count_scans(monkeypatch, argv) == scans
 
     def test_a_report_whose_every_column_is_proved_runs_no_scan(self, monkeypatch):

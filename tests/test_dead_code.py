@@ -14,6 +14,9 @@ in that module's own code, as <module>.<name>, or imported from it; so a
 leftover private name is caught even where another module binds the same one.
 No function is decorated with functools.lru_cache or functools.cache, so no
 state is kept between reports; the per-instance cached_property is allowed.
+No module takes a private name, one with a leading underscore, from another
+module of the package, by import or as <module>._name: what two modules share
+is public.
 A field of a collections.namedtuple record must be read as an attribute
 somewhere in the package, or be one of UNREAD_FIELDS, each kept for the reason
 it states; that list too must match exactly.
@@ -196,6 +199,31 @@ def cache_decorators(trees):
                         yield f"{module}.{node.name}"
 
 
+def private_imports(trees):
+    """module.name of every underscore name a module takes from another module of the package.
+
+    Imported by name (from .m import _x, from normlds.m import _x) or read as
+    m._x for another module m of the package; dunders aside.
+    """
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "normlds"
+            ):
+                names = [alias.name for alias in node.names]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in MODULE_NAMES - {module}
+            ):
+                names = [node.attr]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.endswith("__"):
+                    yield f"{module}.{name}"
+
+
 READ_ATTRIBUTES = attribute_reads(TREES)
 
 
@@ -338,3 +366,25 @@ def test_the_guard_sees_a_cache_decorator():
         "        return 2\n"
     )
     assert list(cache_decorators({"m": ast.parse(source)})) == ["m.sieve", "m.table", "m.kept"]
+
+
+def test_no_module_takes_a_private_name_from_another():
+    assert list(private_imports(TREES)) == []
+
+
+def test_the_guard_sees_a_private_import():
+    source = (
+        "from __future__ import annotations\n"
+        "from math import _private\n"
+        "from . import coordseq\n"
+        "from .basisforge import _quadratic_unit_trace, lds_basis\n"
+        "from normlds.coordseq import _shift as shift\n"
+        "from normlds import __version__\n\n"
+        "def f(m):\n"
+        "    return coordseq._lds_targets(m), m._own, coordseq.__doc__\n"
+    )
+    assert list(private_imports({"m": ast.parse(source)})) == [
+        "m._quadratic_unit_trace", "m._shift", "m._lds_targets"
+    ]
+    # a module reads its own private names freely
+    assert list(private_imports({"coordseq": ast.parse("coordseq._shift\n")})) == []
