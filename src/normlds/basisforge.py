@@ -8,7 +8,8 @@ ModuleBasis.power_rows, the routine behind every coordinate sequence, and C
 is the unimodular change of basis to W. A target v that starts an LDS of the
 recurrence of eps becomes x1 = scale*v when C's first column is
 z = scale*B^-1.v, which is integral and primitive for the least scale, and
-any unimodular completion of z is a valid C (complete_primitive). Every
+any unimodular completion of z is a valid C; lds_basis takes its inverse
+from exactlinalg.primitive_reducer, the Hermite sweep of z as one row. Every
 construction takes its target from coordseq.lds_targets, the one table of
 LDS targets, which column_verdict proves from too: v = entry[:d] of the first
 entry for the charpoly of the unit, at b = 1, and T from the entry's row d.
@@ -149,7 +150,8 @@ def lds_basis(
     B^-1.v. z is primitive when v is: a prime dividing every entry of z would
     either divide scale, and then scale/p would clear the denominators, or
     divide B.z = scale*v, hence v. C is complete_primitive(z), whose inverse
-    primitive_reducer(z) gives the new basis without an inversion. Returns
+    primitive_reducer(z), the hnf_column witness of the one row z transposed,
+    gives the new basis without an inversion. Returns
     the new basis and scale > 0. Raises ValueError when a beta*eps^i leaves
     the module or B is singular.
     """

@@ -126,7 +126,10 @@ def _basis_from_file(
     path: str, field: NumberField, unit: FieldElement, beta: FieldElement
 ) -> ModuleBasis:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"basis file {path} nests too deeply to read") from None
     for key in ("field", "basis"):
         if not isinstance(doc, dict) or key not in doc:
             raise ValueError(

@@ -4,15 +4,16 @@ Everything here is fraction-free. One Bareiss pass (_bareiss) serves every
 determinant and inverse: det, and through it the norms of numberfield and the
 discriminants of dkseq; and fraction_free_inverse, behind the unimodular
 inverses here, and the rational basis inverses and field element inverses of
-numberfield. Besides it:
-completion of a primitive vector to a basis of Z^n (complete_primitive), whose
-inverse primitive_reducer builds without an inversion, and the column Hermite
-and Smith normal forms with their unimodular witnesses. Each form runs on one
-augmented matrix whose border carries the witnesses (Cohen, GTM 138, 2.4):
-hnf_column on b stacked over I, with column operations only, and snf on
-[[b, I], [I, 0]], whose first n rows carry x and first n columns carry y. So
-each row or column operation is written once, and acts on the witness with
-the matrix. Intended for n <= 4 but written for general n.
+numberfield. Besides it, the column Hermite and Smith normal forms with their
+unimodular witnesses. Each form runs on one augmented matrix whose border
+carries the witnesses (Cohen, GTM 138, 2.4): hnf_column on b stacked over I,
+with column operations only, and snf on [[b, I], [I, 0]], whose first n rows
+carry x and first n columns carry y. So each row or column operation is
+written once, and acts on the witness with the matrix. hnf_column clears each
+row by one bottom-up extended-gcd sweep, and that sweep also completes a
+primitive vector v to a basis of Z^n: primitive_reducer(v) is hnf_column of
+the one row v, its witness transposed, and complete_primitive(v) is its
+inverse. Intended for n <= 4 but written for general n.
 
 A failed internal check, here or in any module above, raises
 InvariantViolation: a bug, never bad input. The command line reports it with
@@ -176,7 +177,11 @@ def hnf_column(b: Sequence[Sequence[int]]) -> HnfDecomposition:
     Returns (h, c) with b . c = h lower triangular and c unimodular. Pivots are
     positive and entries left of each pivot are reduced into [0, pivot).
     Requires full row rank. Column operations on b stacked over I leave h on
-    top and c below.
+    top and c below. Row i is cleared by a bottom-up extended-gcd sweep: for
+    j from the last column down to i+1, columns j-1 and j take the
+    determinant-1 step [[s, -e/g], [t, a/g]], where (a, e) are their entries
+    in row i and s*a + t*e = g = gcd(a, e). primitive_reducer runs it on one
+    row.
     """
     rows, cols = len(b), len(b[0])
     if rows > cols:
@@ -184,21 +189,16 @@ def hnf_column(b: Sequence[Sequence[int]]) -> HnfDecomposition:
     m = [list(row) for row in b] + [[int(i == j) for j in range(cols)] for i in range(cols)]
     for i in range(rows):
         pivot_row = m[i]
-        while True:
-            nonzero = [(abs(pivot_row[j]), j) for j in range(i, cols) if pivot_row[j]]
-            if not nonzero:
-                raise ValueError(f"rank-deficient input (row {i})")
-            _, jmin = min(nonzero)
-            if jmin != i:
-                _swap_columns(m, i, jmin)
-            done = True
-            for j in range(i + 1, cols):
-                if pivot_row[j] != 0:
-                    _add_column(m, j, i, -(pivot_row[j] // pivot_row[i]))
-                    if pivot_row[j] != 0:
-                        done = False
-            if done:
-                break
+        for j in range(cols - 1, i, -1):
+            a, e = pivot_row[j - 1], pivot_row[j]
+            if e == 0:
+                continue
+            g, s, t = xgcd(a, e)
+            p, q = -e // g, a // g
+            for r in m:
+                r[j - 1], r[j] = s * r[j - 1] + t * r[j], p * r[j - 1] + q * r[j]
+        if pivot_row[i] == 0:
+            raise ValueError(f"rank-deficient input (row {i})")
         if pivot_row[i] < 0:
             for r in m:
                 r[i] = -r[i]
@@ -285,48 +285,31 @@ def snf(b: Sequence[Sequence[int]]) -> SnfDecomposition:
 def primitive_reducer(v: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """A matrix u with det(u) = 1 and u . v = e1, for a primitive integer vector v.
 
-    u is the inverse of complete_primitive(v). Deterministic: built from a
-    fixed bottom-up sweep of extended-gcd row operations. Raises ValueError
+    u is the inverse of complete_primitive(v): the witness c of hnf_column([v]),
+    transposed, so one extended-gcd sweep serves both. Raises ValueError
     unless gcd(v) = 1, and for v = (-1,), the one primitive vector whose only
     1x1 completion [-1] has determinant -1.
     """
     vec = [int(a) for a in v]
-    n = len(vec)
-    if n == 0:
+    if not vec:
         raise ValueError("empty vector")
     if math.gcd(*vec) != 1:
         raise ValueError(f"vector {tuple(vec)} is not primitive")
-    # build u with u . v = e1 as a product of 2x2 extended-gcd blocks
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    w = list(vec)
-    for i in range(n - 1, 0, -1):
-        a, b = w[i - 1], w[i]
-        if b == 0:
-            continue
-        g, s, t = xgcd(a, b)
-        # rows i-1 and i: [[s, t], [-b/g, a/g]] has determinant 1
-        ri, rj = u[i - 1], u[i]
-        u[i - 1] = [s * p + t * q for p, q in zip(ri, rj)]
-        u[i] = [(-b // g) * p + (a // g) * q for p, q in zip(ri, rj)]
-        w[i - 1], w[i] = g, 0
-    if w[0] == -1:
-        # only v = (-1, 0, ..., 0) ends here; negating two rows keeps det(u) = 1
-        if n == 1:
-            raise ValueError("(-1,) has no completion with determinant 1")
-        u[0] = [-x for x in u[0]]
-        u[1] = [-x for x in u[1]]
-        w[0] = 1
-    if w[0] != 1:
-        # gcd sweep must terminate at 1 for a primitive vector
-        raise InvariantViolation("primitive completion sweep failed")
-    return tuple(map(tuple, u))
+    if vec == [-1]:
+        raise ValueError("(-1,) has no completion with determinant 1")
+    u = list(zip(*hnf_column([vec]).c))
+    if vec[0] == -1 and not any(vec[1:]):
+        # the one v whose pivot the Hermite form negates; negating row 1 too keeps det(u) = 1
+        u[1] = tuple(-x for x in u[1])
+    return tuple(u)
 
 
 def complete_primitive(v: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Complete a primitive integer vector to a unimodular matrix.
 
-    Returns the inverse of primitive_reducer(v): det = 1 and first column v.
-    Raises ValueError as primitive_reducer does.
+    Returns the inverse of primitive_reducer(v), the transposed hnf_column
+    witness of the one row v: det = 1 and first column v. Raises ValueError as
+    primitive_reducer does.
     """
     result = inverse_unimodular(primitive_reducer(v))
     if tuple(row[0] for row in result) != tuple(int(a) for a in v):

@@ -15,9 +15,10 @@ one Faddeev-LeVerrier pass gives its characteristic polynomial, whose
 squarefree part is the minimal polynomial (Cohen, GTM 138, sections 2.2 and
 4.2).
 
-A ModuleBasis clears its matrix of denominators once, A = D*B, and caches the
-integer inverse of A from one fraction-free Gauss-Jordan pass
-(exactlinalg.fraction_free_inverse) as (D*N, q), so that B^-1 = D*N/q.
+A ModuleBasis clears its matrix of denominators once, A = D*B, and its
+__init__ stores the integer inverse of A from one fraction-free Gauss-Jordan
+pass (exactlinalg.fraction_free_inverse) as (D*N, q), so that B^-1 = D*N/q;
+the same pass refuses a dependent basis.
 Coordinates over the basis then take n integer dot products with the
 numerators and one Fraction each.
 
@@ -31,7 +32,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterable, Sequence, Union
 
 from .exactlinalg import InvariantViolation, det, fraction_free_inverse
@@ -46,8 +46,7 @@ class Frozen:
     """Base of the package's immutable values: __init__ sets each field once.
 
     Assigning to or deleting an attribute afterwards raises AttributeError.
-    A subclass that lists its fields in __slots__ has no instance __dict__;
-    one that caches a property keeps it.
+    A subclass that lists its fields in __slots__ has no instance __dict__.
     """
 
     __slots__ = ()
@@ -439,6 +438,8 @@ def min_poly(a: FieldElement) -> tuple[Fraction, ...]:
 class ModuleBasis(Frozen):
     """A Q-basis of K given as n field elements (rows of a nonsingular matrix)."""
 
+    __slots__ = ("field", "vectors", "_inverse")
+
     def __init__(self, field: NumberField, vectors: tuple[FieldElement, ...]) -> None:
         n = field.degree
         if len(vectors) != n:
@@ -448,8 +449,15 @@ class ModuleBasis(Frozen):
                 raise ValueError("basis vector from a different field")
         _set(self, "field", field)
         _set(self, "vectors", vectors)
-        if self._inverse is None:
+        # (D*N, q) with N/q the inverse of A = D*B, where B has the basis vectors'
+        # coordinates as its columns, so B^-1 = D*N/q
+        d = math.lcm(*(v.den for v in vectors))
+        # row i of A holds coordinate i of every basis vector
+        result = fraction_free_inverse([[v.num[i] * (d // v.den) for v in vectors] for i in range(n)])
+        if result is None:
             raise ValueError("basis vectors are linearly dependent")
+        inv, q = result
+        _set(self, "_inverse", (tuple(tuple(d * x for x in row) for row in inv), q))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -462,20 +470,6 @@ class ModuleBasis(Frozen):
     def __repr__(self) -> str:
         return f"ModuleBasis(field={self.field!r}, vectors={self.vectors!r})"
 
-    @cached_property
-    def _inverse(self) -> tuple[tuple[tuple[int, ...], ...], int] | None:
-        # (D*N, q) with N/q the inverse of A = D*B, where B has the basis vectors'
-        # coordinates as its columns, so B^-1 = D*N/q; None when B is singular
-        d = math.lcm(*(v.den for v in self.vectors))
-        # row i of A holds coordinate i of every basis vector
-        result = fraction_free_inverse(
-            [[v.num[i] * (d // v.den) for v in self.vectors] for i in range(self.field.degree)]
-        )
-        if result is None:
-            return None
-        inv, q = result
-        return tuple(tuple(d * x for x in row) for row in inv), q
-
     def int_coords(self, a: FieldElement) -> tuple[tuple[int, ...], int]:
         """Exact coordinates of a over this basis as (numerators, least common denominator).
 
@@ -483,9 +477,7 @@ class ModuleBasis(Frozen):
         """
         if a.field != self.field:
             raise ValueError("element from a different field")
-        inverse = self._inverse
-        assert inverse is not None
-        inv, q = inverse
+        inv, q = self._inverse
         den = q * a.den  # positive: q and a.den are
         num = [sum(map(operator.mul, row, a.num)) for row in inv]
         g = math.gcd(den, *num)

@@ -76,15 +76,12 @@ UNREFERENCED = {
     "dkseq.dk": "one d_k from alpha**k in the field; the tests' independent oracle for dk_sequence",
     "dkseq.match_dk_basis": "the paper's d_k basis match, a library entry point with no CLI option",
     "exactlinalg.complete_primitive": "traced by perfbench/tracer.py; the tests' oracle for lds_basis",
-    "exactlinalg.hnf_column": "traced by perfbench/tracer.py; the tests' oracle for the quadratic scale",
 }
 
 # the record fields that no module of the package reads as an attribute
-HNF = "hnf_column is one of UNREFERENCED; the tests read its form and witness"
 MATCH = "match_dk_basis is one of UNREFERENCED; the tests read its report"
 UNREAD_FIELDS = {
-    "exactlinalg.HnfDecomposition.h": HNF,
-    "exactlinalg.HnfDecomposition.c": HNF,
+    "exactlinalg.HnfDecomposition.h": "primitive_reducer reads the witness c; only the tests read the form",
     "dkseq.DkMatchReport.quartic_poly": MATCH,
     "dkseq.DkMatchReport.poly_irreducible": MATCH,
     "dkseq.DkMatchReport.d_head": MATCH,

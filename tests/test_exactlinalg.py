@@ -1,9 +1,10 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from normlds.exactlinalg import (
@@ -126,6 +127,26 @@ class TestHnf:
             for j in range(i):
                 assert 0 <= dec.h[i][j] < dec.h[i][i]
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_non_square_witness_properties(self, data):
+        r, n = data.draw(st.sampled_from([(2, 3), (2, 4), (3, 4)]))
+        row = st.lists(st.integers(-50, 50), min_size=n, max_size=n)
+        b = data.draw(st.lists(row, min_size=r, max_size=r))
+        assume(any(det([[x[j] for j in cols] for x in b]) for cols in combinations(range(n), r)))
+        dec = hnf_column(b)
+        assert matmul(b, dec.c) == dec.h
+        assert det(dec.c) in (1, -1)
+        # h = [H | 0]: H lower triangular, positive pivots, entries left of them reduced
+        for i, h_row in enumerate(dec.h):
+            assert h_row[i] > 0
+            assert not any(h_row[i + 1 :])
+            assert all(0 <= x < h_row[i] for x in h_row[:i])
+        # the form of the column lattice is unique, whatever basis of it b holds
+        v = data.draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n))
+        assume(math.gcd(*v) == 1)
+        assert hnf_column(matmul(b, complete_primitive(v))).h == dec.h
+
 
 class TestSnf:
     def test_family_matrix_m2(self):
@@ -173,9 +194,10 @@ class TestPinnedWitnesses:
     @pytest.mark.parametrize(
         "b, h, c",
         [
+            # rank 2 with four columns: h is unique, c is one witness of many
             ([[4, -6, 10, 3], [7, 2, -5, 9]],
              [[1, 0, 0, 0], [3, 5, 0, 0]],
-             [[0, 0, 0, 1], [-35, -5, 21, 9], [-20, -3, 12, 5], [-3, 0, 2, 0]]),
+             [[0, 0, 1, 0], [-35, -5, 135, 21], [-20, -3, 77, 12], [-3, 0, 12, 2]]),
             ([[3, -7, 2], [5, 1, -4], [-6, 8, 9]],
              [[1, 0, 0], [1, 2, 0], [65, 161, 181]],
              [[5, 12, 13], [4, 10, 11], [7, 17, 19]]),
@@ -243,6 +265,39 @@ class TestCompletePrimitive:
         r = primitive_reducer(vec)
         assert apply(r, vec) == tuple(int(i == 0) for i in range(len(vec)))
         assert matmul(r, u) == identity(len(vec))
+
+
+class TestPrimitiveReducer:
+    @pytest.mark.parametrize(
+        "vec, u",
+        [
+            ((3, 5), [[2, -1], [-5, 3]]),
+            ((0, 2, -4, 1), [[0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 2], [0, 0, -1, -4]]),
+            ((6, 10, 15), [[1, 1, -1], [-5, -6, 6], [0, -3, 2]]),
+            ((5, -7, 11, 2),
+             [[0, 0, 1, -5], [-1, 0, 5, -25], [0, -1, -7, 35], [0, 0, -2, 11]]),
+            ((-1, 0, 0), [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]),
+            ((0, -1, 0), [[0, -1, 0], [1, 0, 0], [0, 0, 1]]),
+            ((1, 0, 0, 0), identity(4)),
+        ],
+    )
+    def test_pinned(self, vec, u):
+        assert primitive_reducer(vec) == tuples(u)
+
+    @given(st.lists(st.integers(-30, 30), min_size=1, max_size=5))
+    @example([-1, 0, 0])
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_hermite_witness_of_one_row_transposed(self, vec):
+        assume(math.gcd(*vec) == 1 and vec != [-1])
+        u = primitive_reducer(vec)
+        assert det(u) == 1
+        assert apply(u, vec) == tuple(int(i == 0) for i in range(len(vec)))
+        transposed = tuple(zip(*hnf_column([vec]).c))
+        if vec[0] == -1 and not any(vec[1:]):
+            # the Hermite form negates the pivot; the reducer negates row 1 too
+            assert u == (transposed[0], tuple(-x for x in transposed[1]), *transposed[2:])
+        else:
+            assert u == transposed
 
 
 class TestInverseUnimodular:

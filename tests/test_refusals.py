@@ -127,6 +127,14 @@ def test_basis_file_of_another_field_is_refused(tmp_path):
     assert run_cli(argv) == (2, "", "error: basis file was produced for a different field\n")
 
 
+def test_basis_file_nested_too_deeply_is_refused(tmp_path):
+    # json.load recurses once per level and meets the recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    argv = [*EMIT, "2+t", "--basis-file", str(path)]
+    assert run_cli(argv) == (2, "", f"error: basis file {path} nests too deeply to read\n")
+
+
 # the refusals of commands that write a table of terms, and one of verify-lds
 TERM_REPORT_REFUSALS = [row for row in REFUSALS if row[0][0] in ("emit-sequence", "dk-scan")] + [
     (["verify-lds", *PELL, "--kmax", "5", "--nmax", "6"], 2, "error: --nmax cannot exceed --kmax\n"),
