@@ -1,19 +1,20 @@
 """Exact integer linear algebra on small dense matrices.
 
 Everything here is fraction-free. One Bareiss pass (_bareiss) serves every
-determinant and inverse: det, and through it the norms of numberfield and the
-discriminants of dkseq; and fraction_free_inverse, behind the unimodular
-inverses here, and the rational basis inverses and field element inverses of
-numberfield. Besides it, the column Hermite and Smith normal forms with their
-unimodular witnesses. Each form runs on one augmented matrix whose border
-carries the witnesses (Cohen, GTM 138, 2.4): hnf_column on b stacked over I,
-with column operations only, and snf on [[b, I], [I, 0]], whose first n rows
-carry x and first n columns carry y. So each row or column operation is
-written once, and acts on the witness with the matrix. hnf_column clears each
-row by one bottom-up extended-gcd sweep, and that sweep also completes a
-primitive vector v to a basis of Z^n: primitive_reducer(v) is hnf_column of
-the one row v, its witness transposed, and complete_primitive(v) is its
-inverse. Intended for n <= 4 but written for general n.
+determinant, inverse and minimal polynomial: det, and through it the norms of
+numberfield and the discriminants of dkseq; and fraction_free_inverse, behind
+the unimodular inverses here, and the rational basis inverses, field element
+inverses and minimal polynomials of numberfield. Besides it, the column
+Hermite and Smith normal forms with their unimodular witnesses. Each form runs
+on one augmented matrix whose border carries the witnesses (Cohen, GTM 138,
+2.4): hnf_column on b stacked over I, with column operations only, and snf on
+[[b, I], [I, 0]], whose first n rows carry x and first n columns carry y. So
+each row or column operation is written once, and acts on the witness with the
+matrix. hnf_column clears each row by one bottom-up extended-gcd sweep, and
+that sweep also completes a primitive vector v to a basis of Z^n:
+primitive_reducer(v) is hnf_column of the one row v, its witness transposed,
+and complete_primitive(v) is its inverse. Intended for n <= 4 but written for
+general n.
 
 A failed internal check, here or in any module above, raises
 InvariantViolation: a bug, never bad input. The command line reports it with

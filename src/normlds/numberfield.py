@@ -8,12 +8,12 @@ Fraction is built until a caller reads the coordinates of an element that has
 a denominator.
 
 Products, norm, minimal polynomial and inverse come from the integer matrix
-of y -> num*y, so no floating point or embeddings appear anywhere: a
-product is that matrix applied to the other factor's numerators, the norm is
-its Bareiss determinant, the inverse is column 0 of its Bareiss inverse, and
-one Faddeev-LeVerrier pass gives its characteristic polynomial, whose
-squarefree part is the minimal polynomial (Cohen, GTM 138, sections 2.2 and
-4.2).
+M of y -> num*y, so no floating point or embeddings appear anywhere: a
+product is M applied to the other factor's numerators, the norm is the
+Bareiss determinant of M, the inverse is column 0 of its Bareiss inverse, and
+the minimal polynomial is the first power of num that depends on the lower
+ones, found by the Bareiss inverse of the matrix of those powers (Cohen,
+GTM 138, sections 2.2 and 4.2).
 
 A ModuleBasis clears its matrix of denominators once, A = D*B, and its
 __init__ stores the integer inverse of A from one fraction-free Gauss-Jordan
@@ -34,7 +34,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
-from .exactlinalg import InvariantViolation, det, fraction_free_inverse
+from .exactlinalg import InvariantViolation, apply, det, fraction_free_inverse
 
 Rational = Union[int, Fraction]
 
@@ -384,29 +384,6 @@ def _matrix(a: FieldElement) -> list[list[int]]:
     return [list(row) for row in zip(*cols)]
 
 
-def _charpoly(m: list[list[int]]) -> list[int]:
-    """det(X*I - m), ascending and monic, for an integer matrix m, by Faddeev-LeVerrier.
-
-    With m_1 = I, step k takes c_(n-k) = -tr(m m_k) / k and then
-    m_(k+1) = m m_k + c_(n-k) I. Every c_i is an integer, so each division by k
-    is exact (Newton's identities; Cohen, GTM 138, section 2.2).
-    """
-    n = len(m)
-    coeffs = [0] * n + [1]
-    m_k = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        cols = list(zip(*m_k))
-        prod = [[sum(map(operator.mul, row, col)) for col in cols] for row in m]
-        c = -sum(prod[i][i] for i in range(n)) // k
-        coeffs[n - k] = c
-        if k == n:
-            break
-        for i in range(n):
-            prod[i][i] += c
-        m_k = prod
-    return coeffs
-
-
 def norm(a: FieldElement) -> Fraction:
     return Fraction(det(_matrix(a)), a.den ** a.field.degree)
 
@@ -414,23 +391,42 @@ def norm(a: FieldElement) -> Fraction:
 def min_poly(a: FieldElement) -> tuple[Fraction, ...]:
     """Monic minimal polynomial of a, ascending coefficients with leading 1.
 
-    For a = num/den, f irreducible makes the integer charpoly of num equal to
-    minpoly(num)^(n/d), d = [Q(num) : Q], and d divides n. So d = 1 exactly when
-    num[1:] vanishes; for n = 4, d = 2 exactly when the charpoly is the square
-    of X^2 + hX + b, where h and b are read off its two top coefficients; and
-    otherwise the minpoly is the charpoly. The coefficient of X^i is then
-    divided by den^(d-i).
+    For a = num/den, d = [Q(num) : Q] divides n, and the minimal polynomial
+    of num is monic with integer coefficients, since num is integral. Let
+    v_0 = e1 and v_(k+1) = M v_k with M = _matrix(a), so that v_k holds the
+    coordinates of num^k, and let K = [v_0 ... v_(n-1)]:
+
+    - d = 1 exactly when num[1:] vanishes.
+    - K is nonsingular exactly when d = n, as its columns are independent
+      exactly when no polynomial of degree below n vanishes at num. Then
+      num^n = sum_k c_k num^k for the one c = K^-1 v_n, and with
+      fraction_free_inverse(K) = (N, q), c = N v_n / q. The minimal
+      polynomial is X^n - sum_k c_k X^k; its coefficients are integers, so
+      each division by q is exact.
+    - Otherwise 1 < d < n and d divides n, so n = 4 and d = 2:
+      num^2 = s num + r for integers s and r. At a coordinate i >= 1 where
+      num[i] != 0, e1 contributes nothing, so s = v_2[i] / num[i] exactly,
+      and r = v_2[0] - s num[0]; the minimal polynomial is X^2 - sX - r. For
+      n = 2 the same reading holds, and no inverse is taken.
+
+    The coefficient of X^i is then divided by den^(d-i).
     """
     num, den = a.num, a.den
     if not any(num[1:]):
         return (Fraction(-num[0], den), Fraction(1))
-    c = _charpoly(_matrix(a))
-    if len(c) == 5:
-        # (X^2 + hX + b)^2 = X^4 + 2h X^3 + (h^2 + 2b) X^2 + 2hb X + b^2
-        h, odd = divmod(c[3], 2)
-        b, odd2 = divmod(c[2] - h * h, 2)
-        if not odd and not odd2 and c[1] == 2 * h * b and c[0] == b * b:
-            c = [b, h, 1]
+    m = _matrix(a)
+    n = len(num)
+    powers = [(1,) + (0,) * (n - 1)]
+    for _ in range(n):
+        powers.append(apply(m, powers[-1]))
+    solved = None if n == 2 else fraction_free_inverse(list(zip(*powers[:n])))
+    if solved is None:
+        i = next(i for i in range(1, n) if num[i])
+        s = powers[2][i] // num[i]
+        c = [s * num[0] - powers[2][0], -s, 1]
+    else:
+        inv, q = solved
+        c = [-x // q for x in apply(inv, powers[n])] + [1]
     d = len(c) - 1
     return tuple(Fraction(x, den ** (d - i)) for i, x in enumerate(c))
 
@@ -617,7 +613,8 @@ def parse_polynomial(text: str) -> tuple[int, ...]:
     powers = _parse_terms(text, "x")
     if any(c.denominator != 1 for c in powers.values()):
         raise ParseError("polynomial coefficients must be integers", 0)
-    deg = max(powers)
+    # the highest power with a nonzero coefficient, so 0*x^9 and x^3-x^3 add none
+    deg = max((p for p, c in powers.items() if c), default=0)
     # NumberField takes no other degree; refused here, x^1000000 builds no list
     if deg > 4:
         raise ValueError("defining polynomial must have degree 2, 3 or 4")

@@ -11,11 +11,15 @@ quartic-power x1 is built from one. fraction_rows is the coordinate sequence
 of beta * eps^k by one field product and one Fraction coordinate solve per
 term, the reference for every integer sequence the library builds;
 fraction_columns is the same sequence as columns. scan_rows reads the
-columns of a vanishing scan back as its rows.
+columns of a vanishing scan back as its rows. faddeev_leverrier is the
+characteristic polynomial of an integer matrix, and reference_min_poly takes
+the minimal polynomial of a field element from it: the reference for the
+library's min_poly, which solves for the first dependent power instead.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -147,3 +151,48 @@ def scan_rows(scan) -> list[tuple]:
     """The (n, y1, d_tilde) rows of a sparse_minpoly_scan report, from its columns of one length."""
     assert len(scan.n) == len(scan.y1) == len(scan.d_tilde)
     return list(zip(scan.n, scan.y1, scan.d_tilde))
+
+
+def faddeev_leverrier(m: Sequence[Sequence[int]]) -> list[int]:
+    """det(X*I - m), ascending and monic, for an integer matrix m, by Faddeev-LeVerrier.
+
+    With m_1 = I, step k takes c_(n-k) = -tr(m m_k) / k and then
+    m_(k+1) = m m_k + c_(n-k) I. Every c_i is an integer, so each division by k
+    is exact (Newton's identities; Cohen, GTM 138, section 2.2).
+    """
+    n = len(m)
+    coeffs = [0] * n + [1]
+    m_k = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        cols = list(zip(*m_k))
+        prod = [[sum(map(operator.mul, row, col)) for col in cols] for row in m]
+        c = -sum(prod[i][i] for i in range(n)) // k
+        coeffs[n - k] = c
+        for i in range(n):
+            prod[i][i] += c
+        m_k = prod
+    return coeffs
+
+
+def reference_min_poly(m: Sequence[Sequence[int]], den: int) -> tuple[Fraction, ...]:
+    """The minimal polynomial of num/den, for m the integer matrix of y -> num*y.
+
+    f irreducible makes the charpoly of num equal to minpoly(num)^(n/d),
+    d = [Q(num) : Q], and d divides n. So d = 1 exactly when num, column 0 of
+    m, vanishes past its first coordinate; for n = 4, d = 2 exactly when the
+    charpoly is the square of X^2 + hX + b, where h and b are read off its two
+    top coefficients; and otherwise the minpoly is the charpoly. The
+    coefficient of X^i is then divided by den^(d-i).
+    """
+    num = [row[0] for row in m]
+    if not any(num[1:]):
+        return (Fraction(-num[0], den), Fraction(1))
+    c = faddeev_leverrier(m)
+    if len(c) == 5:
+        # (X^2 + hX + b)^2 = X^4 + 2h X^3 + (h^2 + 2b) X^2 + 2hb X + b^2
+        h, odd = divmod(c[3], 2)
+        b, odd2 = divmod(c[2] - h * h, 2)
+        if not odd and not odd2 and c[1] == 2 * h * b and c[0] == b * b:
+            c = [b, h, 1]
+    d = len(c) - 1
+    return tuple(Fraction(x, den ** (d - i)) for i, x in enumerate(c))

@@ -19,15 +19,15 @@ from normlds.numberfield import (
     parse_element,
     parse_polynomial,
 )
+from normlds.exactlinalg import apply, fraction_free_inverse
 from normlds.numberfield import (
-    _charpoly,
     _is_irreducible,
     _matrix,
     _parse_terms,
     _poly_eval_int,
     _root_floors,
 )
-from oracles import solve_linear
+from oracles import faddeev_leverrier, reference_min_poly, solve_linear
 
 SQRT2 = NumberField((-2, 0, 1))          # X^2 - 2
 GOLDEN = NumberField((-1, -1, 1))        # X^2 - X - 1
@@ -341,13 +341,12 @@ class TestArithmetic:
 
 
 def trace(a):
-    """The field trace of a: minus the X^(n-1) coefficient of its characteristic polynomial.
+    """The field trace of a: the trace of its multiplication matrix, read off _matrix(a) over den.
 
-    The library keeps no trace function; the Faddeev-LeVerrier pass that gives
-    min_poly takes it as its first step.
+    The library keeps no trace function.
     """
-    c = _charpoly(_matrix(a))
-    return Fraction(-c[-2], a.den)
+    m = _matrix(a)
+    return Fraction(sum(m[i][i] for i in range(len(m))), a.den)
 
 
 class TestNormTrace:
@@ -576,24 +575,60 @@ class TestMinPolyAgainstSympy:
         assert min_poly(a) == sympy_minimal_polynomial(sympy, a)
 
 
+class TestMinPolyAgainstTheCharpoly:
+    """min_poly against reference_min_poly: the Faddeev-LeVerrier charpoly and its square test."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(field_and_coords(1))
+    def test_representation_field_elements(self, case):
+        field, (x,) = case
+        a = field.element(x)
+        assert min_poly(a) == reference_min_poly(_matrix(a), a.den)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(QUADRATIC_SUBFIELDS).flatmap(
+        lambda spec: st.tuples(st.just(spec[0]), st.sampled_from(spec[1]), rational_coords(2))))
+    def test_quadratic_subfield_elements(self, case):
+        field, s, (p, q) = case
+        a = field.from_int(p) + field.element(s).scale(q)
+        mp = min_poly(a)
+        assert len(mp) == (3 if q else 2)
+        assert mp == reference_min_poly(_matrix(a), a.den)
+
+
+def powers_of(a):
+    """v_0 = e1, v_1 = num, ..., v_n: the coordinates of num^k, by the field product."""
+    n = a.field.degree
+    num = a.field.element(a.num)
+    vs, power = [], a.field.one
+    for _ in range(n + 1):
+        vs.append(power.num)
+        power = power * num
+    return vs
+
+
 class TestCharpolyDivisions:
-    """The two exact divisions the integer charpoly relies on."""
+    """The exact divisions the minimal polynomial relies on."""
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
-        st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n), min_size=n, max_size=n)))
-    def test_faddeev_leverrier_divides_each_trace_by_k(self, m):
-        sympy = pytest.importorskip("sympy")
-        n = len(m)
-        sm = sympy.Matrix(m)
-        want = [int(c) for c in reversed(sm.charpoly().all_coeffs())]
-        # with m_1 = I and m_(k+1) = m m_k + c_(n-k) I, tr(m m_k) = -k c_(n-k) exactly
-        m_k = sympy.eye(n)
-        for k in range(1, n + 1):
-            tr = (sm * m_k).trace()
-            assert tr % k == 0 and tr == -k * want[n - k]
-            m_k = sm * m_k + want[n - k] * sympy.eye(n)
-        assert _charpoly(m) == want
+    @given(field_and_coords(1))
+    def test_the_power_solve_divides_by_q_exactly(self, case):
+        field, (x,) = case
+        a = field.element(x)
+        n = field.degree
+        vs = powers_of(a)
+        solved = fraction_free_inverse(list(zip(*vs[:n])))
+        # the powers 1, num, ..., num^(n-1) are independent exactly when d = n
+        assert (solved is None) == (len(reference_min_poly(_matrix(a), a.den)) - 1 < n)
+        if solved is None:
+            return
+        inv, q = solved
+        # N v_n = q c for the integer c with num^n = sum_k c_k num^k
+        nv = apply(inv, vs[n])
+        assert all(y % q == 0 for y in nv)
+        charpoly = [-y // q for y in nv] + [1]
+        assert charpoly == faddeev_leverrier(_matrix(a))
+        assert min_poly(a) == tuple(Fraction(y, a.den ** (n - i)) for i, y in enumerate(charpoly))
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(QUADRATIC_SUBFIELDS).flatmap(
@@ -603,7 +638,7 @@ class TestCharpolyDivisions:
         field, s, p, q = case
         assume(q != 0)
         a = field.from_int(p) + field.element(s).scale(q)
-        c = _charpoly(_matrix(a))
+        c = faddeev_leverrier(_matrix(a))
         # (X^2 + hX + b)^2 = X^4 + 2h X^3 + (h^2 + 2b) X^2 + 2hb X + b^2
         h, b = c[3] // 2, (c[2] - (c[3] // 2) ** 2) // 2
         assert c[3] == 2 * h and c[2] - h * h == 2 * b
@@ -748,6 +783,19 @@ class TestParsing:
     def test_power_beyond_degree_rejected(self):
         with pytest.raises(ParseError):
             parse_element(SQRT2, "t^2")
+        # a written power is refused even when its coefficient cancels
+        with pytest.raises(ParseError, match="power 2 exceeds field degree 1"):
+            parse_element(SQRT2, "t^2 - t^2 + 1")
+
+    def test_a_cancelled_large_power_builds_no_coefficient_list(self):
+        # the degree is the highest power with a nonzero coefficient
+        tracemalloc.start()
+        try:
+            assert parse_polynomial("x^1000000-x^1000000+x^2-3") == (-3, 0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_coefficients_without_a_denominator_stay_int(self):
         powers = _parse_terms("2 + 3*t - t^3 + 12t - 7", "t")

@@ -41,6 +41,11 @@ REFUSALS = [
     (["snf-check", *QUARTIC, "--beta", "0"], 2, "error: coordinate matrix is singular\n"),
     (["construct-basis", "--method", "quartic-full", *QUARTIC, "--module-basis", "1;2t;t^2;t^3"],
      2, "error: a power beta*eta^i does not lie in the module (fractional coordinates)\n"),
+    # a polynomial whose every coefficient cancels has no degree 2, 3 or 4
+    (["emit-sequence", "--field", "x-x", "--unit", "t"], 2,
+     "error: defining polynomial must have degree 2, 3 or 4\n"),
+    (["emit-sequence", "--field", "0", "--unit", "t"], 2,
+     "error: defining polynomial must have degree 2, 3 or 4\n"),
     # the sequence commands
     ([*EMIT, "1/2+t"], 2, "error: eps must be an algebraic integer\n"),
     ([*EMIT, "2+t", "--kmax", "-1"], 2, "error: kmax must be nonnegative\n"),
@@ -117,6 +122,14 @@ def test_int_option_refusal(argv):
     assert err.getvalue().splitlines()[-1] == (
         f"normlds {argv[0]}: error: argument {option}: invalid int value: {value!r}"
     )
+
+
+@pytest.mark.parametrize("field", ["x^2-3+x^3-x^3", "0*x^3+x^2-3", "x^2-3+0*x^9"])
+def test_a_term_with_a_zero_coefficient_raises_no_degree(field):
+    # the degree is the highest power with a nonzero coefficient, so each is x^2 - 3
+    argv = ["emit-sequence", "--unit", "2+t", "--kmax", "5"]
+    want = run_cli([*argv, "--field", "x^2-3"])
+    assert want[0] == 0 and run_cli([*argv, "--field", field]) == want
 
 
 def test_basis_file_of_another_field_is_refused(tmp_path):
