@@ -17,8 +17,10 @@ emit-sequence and verify-lds (the columns of coordseq.decimal_columns) as list
 rows, the d_k column and the conj9 hits of dk-scan as bare items, and the rows
 of its vanishing scan as dicts of named columns: n as a range, y1, d_tilde and
 d as decimal text, or d as None. Their items are vouched for as '-' and digits
-(rendered through a certified or verified recurrence, else by str()), so they
-need no escaping, which is most of what json.dumps would spend on a report.
+(rendered through a certified or verified recurrence, else by str(); the d_k
+of a unit of minimal polynomial X^4 - T X^2 + 1 are "1" at odd k and the even
+ones through their verified recurrence), so they need no escaping, which is
+most of what json.dumps would spend on a report.
 json.dumps hands each _Table to its default hook, which records it and
 returns a NUL string as its marker; _json_text writes each table in place of
 its marker. json's pure-Python indent encoder keeps that hook in a reference
@@ -458,6 +460,11 @@ def _cmd_dk_scan(config: Namespace) -> int:
         # every term satisfies d_{k+4} = T d_{k+2} - d_k, so rendering through that
         # recurrence from str() of d_1..d_4 gives str(d_k) for each k, by induction
         terms = coordseq.decimal_columns(report, report.kmax)[0]
+    elif (even := dkseq.even_report(alpha, seq)) and dkseq.dk_recurrence_check(even):
+        # every odd d_k is 1 and every even one satisfies the recurrence of
+        # mp(alpha), so the even ones render through it as above
+        terms = ["1"] * config.kmax
+        terms[1::2] = coordseq.decimal_columns(even, even.kmax)[0]
     else:
         terms = list(map(str, seq.terms))
     payload: dict[str, Any] = {

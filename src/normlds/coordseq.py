@@ -272,11 +272,14 @@ def decimal_columns(head: SequenceReport, kmax: int) -> list[list[str]]:
     classes, each rendered once from its base:
     - a strand y whose first q terms are s * z(o..o + q - 1), for the base z
       of a class, an offset o in 0..q and s = +-1, joins the class and reads
-      the base's strings from offset o;
-    - when instead z(0..q - 1) is s * y(o..o + q - 1), y becomes the base, and
-      each member at offset o' and sign s' moves to o' + o and s' * s;
-    - any other strand is the base of a new class, and so is a strand of
-      fewer than q terms (only when kmax < d - 1), which is never compared.
+      the base's strings from offset o; the joins are tried first, on the q
+      head terms of y alone;
+    - when y joins no class but z(0..q - 1) is s * y(o..o + q - 1) for some
+      class, y is taken on to 2q terms and becomes the base, and each member
+      at offset o' and sign s' moves to o' + o and s' * s;
+    - any other strand is taken on to 2q terms as the base of a new class,
+      and so is a strand of fewer than q terms (only when kmax < d - 1), which
+      is never compared.
     Over a quartic-power basis x1's even strand is x2's odd one. A base's
     first q terms are taken from the head as Decimals, and every later one,
     through the furthest term a member reads, comes from the recurrence of g
@@ -302,18 +305,21 @@ def decimal_columns(head: SequenceReport, kmax: int) -> list[list[str]]:
         for i, column in enumerate(head.terms):
             for p in range(e):
                 values = recurrence_terms(g, map(Decimal, column[p : min(kmax + 1, d) : e]))
-                strand = list(itertools.islice(values, 2 * q))
-                for j, (base, _, members) in enumerate(classes if len(strand) == 2 * q else ()):
+                strand = list(itertools.islice(values, q))
+                for base, _, members in classes if len(strand) == q else ():
                     if joined := _shift(strand, base, q):
                         members.append((i, p, *joined))
                         break
-                    if rebased := _shift(base, strand, q):
-                        o, s = rebased
-                        moved = [(a, b, o + n, s * t) for a, b, n, t in members]
-                        classes[j] = strand, values, [(i, p, 0, 1), *moved]
-                        break
                 else:
-                    classes.append((strand, values, [(i, p, 0, 1)]))
+                    strand += itertools.islice(values, q)
+                    for j, (base, _, members) in enumerate(classes if len(strand) == 2 * q else ()):
+                        if rebased := _shift(base, strand, q):
+                            o, s = rebased
+                            moved = [(a, b, o + n, s * t) for a, b, n, t in members]
+                            classes[j] = strand, values, [(i, p, 0, 1), *moved]
+                            break
+                    else:
+                        classes.append((strand, values, [(i, p, 0, 1)]))
         del values
         while classes:
             # each base's decimal terms are freed once its strings are written

@@ -18,14 +18,26 @@ divides that of M^-j M^j v = v. So d_k = content(x(k - j) - y(j));
 dk_sequence takes j = k // 2 and works on coordinates of half the digits:
 the odd k and the even k are two streams, interleaved into one list.
 
+Vanishing lemma. Let mp(alpha) = g(X^t) for some t >= 2, of degree d = tq,
+and x1(k) the first coordinate of alpha^k over any ring basis. x1 satisfies
+the recurrence of mp, which links only indices congruent mod t, so for each
+r the terms u(m) = x1(r + tm) satisfy the recurrence of g for m >= q. If
+u(0), ..., u(q - 1) are 0, then u is 0 by induction on m: x1 vanishes on
+r + tZ, and there x(k) - e1 has the entry -1, so d_k = 1. Over the power basis
+of alpha the head is 0 for every r outside tZ, since reducing by g(X^t) keeps
+each power of alpha on the powers congruent to it mod t. dk_sequence reads
+the head of x1 at t = 2 and r = 1 over its ring basis, and
+sparse_minpoly_scan scans r = 1 over the power basis.
+
 The module also hosts the order-4 recurrence check for quadratic norm-1
 units and the change of basis matching d_k/d_1 with a first coordinate
 sequence: N(alpha) = 1 and T are read off min_poly(alpha) = X^2 - T X + 1,
 the basis comes from basisforge.lds_basis, and the terms from
 coordseq.recurrence_terms; the recurrence report of d_k is one column, the
-d_k list itself. It hosts the vanishing scan for lacunary minimal
-polynomials too, and power-basis discriminants, as +-N(f'(alpha)) for the
-defining polynomial f.
+d_k list itself. even_report is its like for a unit of minimal polynomial
+X^4 - T X^2 + 1: the even d_k as one column under that polynomial. It hosts
+the vanishing scan for lacunary minimal polynomials too, and power-basis
+discriminants, as +-N(f'(alpha)) for the defining polynomial f.
 Their results, DkSequence, DkMatchReport and the sparse scan's report, are
 collections.namedtuple records; the scan's report holds its rows as columns.
 """
@@ -111,6 +123,13 @@ def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSeq
     into the one list of terms. Torsion still gives 0, since x(k - j) = y(j)
     exactly when alpha^k = 1. Otherwise j = 0: one stream against e1, and the
     first non-integral x(k) raises ValueError for its k.
+
+    With M in GL_n(Z) and mp(alpha) = g(X^2), no gcd is taken at odd k when
+    x1(1), x1(3), ..., x1(d - 1) are 0, d = deg mp, rows the x stream holds
+    once it reaches row d - 1: by the vanishing lemma of the module docstring,
+    d_k = 1 at every odd k, and the odd stream is that many 1s. Over the power
+    basis of alpha those rows are always 0. When the stream is shorter, or one
+    of them is not 0, the odd stream takes its gcds.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
@@ -140,7 +159,10 @@ def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSeq
         ys = generate(one, alpha.inverse(), ringbasis, half, _non_integral).terms
         # d_(2j+1) from x(j + 1) - y(j) and d_(2j) from x(j) - y(j); at an odd kmax
         # the odd stream has the one more term, and the pad of zip_longest is popped
-        terms = list(chain.from_iterable(zip_longest(contents(ys, 0), contents(ys, 1))))
+        d, x1 = len(mp) - 1, xs[0]
+        vanish = not any(mp[1::2]) and len(x1) >= d and not any(x1[1:d:2])
+        odd = repeat(1, min(len(x1) - 1, len(ys[0]))) if vanish else contents(ys, 0)
+        terms = list(chain.from_iterable(zip_longest(odd, contents(ys, 1))))
         if kmax % 2:
             terms.pop()
     else:
@@ -163,8 +185,32 @@ def recurrence_report(seq: DkSequence) -> SequenceReport:
     return SequenceReport(terms=[seq.terms], charpoly=(1, 0, -t, 0, 1))
 
 
+def even_report(alpha: FieldElement, seq: DkSequence) -> SequenceReport | None:
+    """d_2, d_4, ... as one column under mp(alpha) = X^4 - T X^2 + 1, when every odd d_k is 1.
+
+    Over the power basis of such a unit t, t^(2j) = a + b t^2 lies in Z[t^2],
+    whose basis is {1, t^2}, so d_2j(t) = gcd(a - 1, b) = d_j(t^2) over
+    Z[t^2]. t^2 is a quadratic unit of norm 1 and trace T, whose d_j satisfy
+    d_(j+4) = T d_(j+2) - d_j, the recurrence of recurrence_report; its
+    charpoly X^4 - T X^2 + 1 is mp(t) itself. Over another ring, or for a
+    torsion t, the column may fail it, so dk_recurrence_check decides, in
+    time linear in the terms. The report is None for any alpha outside this
+    case, and for a seq with an odd d_k other than 1.
+    """
+    mp = min_poly(alpha)
+    # mp[::2] = X^2 - T X + 1 leaves mp of degree 4, or of degree 5, whose
+    # leading 1 is an odd coefficient: with no odd coefficient, mp = X^4 - T X^2 + 1
+    if any(mp[1::2]) or _norm_one_trace(mp[::2]) is None or set(seq.terms[::2]) - {1}:
+        return None
+    return SequenceReport(terms=[seq.terms[1::2]], charpoly=tuple(map(int, mp)))
+
+
 def dk_recurrence_check(report: SequenceReport) -> bool:
-    """Whether every d_{k+4} of a recurrence_report is T d_{k+2} - d_k."""
+    """Whether every d_{k+4} of a recurrence_report is T d_{k+2} - d_k.
+
+    The same test holds the column e_j = d_2j of an even_report to
+    e_(j+4) = T e_(j+2) - e_j.
+    """
     # with at most 4 terms there is no k with k + 4 <= kmax
     if report.kmax < 4:
         return True
@@ -252,14 +298,16 @@ class SparseScanReport(namedtuple("SparseScanReport", "disc n y1 d_tilde")):
 def sparse_minpoly_scan(field: NumberField, t: int, nmax: int) -> SparseScanReport:
     """Scan n in 1 + tZ up to nmax over Z[alpha] for a t-lacunary minimal polynomial.
 
-    Requires f = X^deg - s_1 X^(deg-1) - ... with s_i = 0 for every i outside tZ.
-    For such f the power coordinate y1(n) of alpha^n vanishes on 1 + tZ, which
-    forces the relative d~_n = gcd(y1-1, y2, ...) to 1; when Z[alpha] is the
-    whole ring (monogenic, which the caller asserts), d_n is d~_n itself. Term
-    i of each column is a coordinate of alpha * (alpha^t)^i, from
-    coordseq.generate under the recurrence of alpha^t. The report holds the
-    scan as columns: n is the range of the scanned n, y1 and d_tilde hold one
-    term per n.
+    Requires f = X^deg - s_1 X^(deg-1) - ... with s_i = 0 for every i outside tZ,
+    that is f = g(X^t). For such f and t >= 2 the power coordinate y1(n) of
+    alpha^n vanishes on 1 + tZ, by the vanishing lemma of the module
+    docstring, which forces the relative d~_n = gcd(y1-1, y2, ...) to 1; at
+    t = 1 the lemma says nothing, and over x^4 - 10x^2 + 1 y1(4) is -1. When
+    Z[alpha] is the whole ring (monogenic, which the caller asserts), d_n is
+    d~_n itself. Term i of each column is a coordinate of alpha * (alpha^t)^i,
+    from coordseq.generate under the recurrence of alpha^t. The report holds
+    the scan as columns: n is the range of the scanned n, y1 and d_tilde hold
+    one term per n.
     """
     deg = field.degree
     if t <= 0 or deg % t != 0:

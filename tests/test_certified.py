@@ -19,6 +19,7 @@ import math
 import re
 import sys
 import tracemalloc
+import types
 from collections import Counter
 from decimal import Decimal, localcontext
 
@@ -189,13 +190,15 @@ QUARTIC = ["--field", "x^4-10x^2+1", "--unit", "t", "--beta", "2-t+t^3"]
 SCANNED = ["--field", "x^4-9x^2+1", "--unit", "t", "--beta", "t+3t^2+t^3",
            "--basis", "quartic-full"]
 # Decimal terms that decimal_columns computes for emit-sequence over QUARTIC at
-# kmax 500 (e = 2, q = 2): terms 2..3 of each of the 8 strands, then each class's
-# base through the furthest term a member reads. Rendering whole columns, with
-# a column that is +- another moved down a row copied, took 994 (two columns)
-# and 1491 (three). Over quartic-full the six classes are three columns' worth
-# too: 4 more for terms 2..3 of its two joined strands, and 1 more because four
-# of its bases are even strands, one term longer than the odd ones
-DECIMALS = {"quartic-power": 757, "quartic-full": 1496}
+# kmax 500 (e = 2, q = 2): each class's base through the furthest term a member
+# reads, and terms 2..3 of a base that a later strand rebases; a strand that
+# joins a class is compared on its head terms 0..1 alone. Rendering whole
+# columns, with a column that is +- another moved down a row copied, took 994
+# (two columns) and 1491 (three, 497 terms each). Over quartic-full the six
+# classes hold 249 + 248 + 249 + 249 + 249 + 248 = 1492 terms, as four of the
+# bases are even strands, one term longer than the odd ones, and one base was
+# rebased after its terms 2..3 were made
+DECIMALS = {"quartic-power": 749, "quartic-full": 1494}
 
 
 @pytest.fixture
@@ -322,6 +325,55 @@ class TestWorkCount:
             rows += min(last, 2) + 1
             ints += 2 * (last >= 2) + 2 * (last - 2) * (last > 2)
         assert int_work(work) == Counter({"rows": rows, "ints": ints + (kmax - 4) * (kmax > 4)})
+
+    @pytest.mark.parametrize("kmax", [1, 2, 5, 40, 41])
+    @pytest.mark.parametrize("field, alpha, gcds", [
+        # x1 of t is 0 at every odd k, so d_k = 1 there: the even stream alone,
+        # once the x stream, rows 0..ceil(kmax/2), holds x1(3); both below kmax 5
+        ("x^4-10x^2+1", "t", lambda kmax: kmax // 2 if kmax >= 5 else kmax),
+        ("x^2-3", "2+t", lambda kmax: kmax),
+    ], ids=["lacunary", "pell"])
+    def test_dk_scan_takes_gcds_on_the_even_stream_alone_for_a_lacunary_unit(
+        self, monkeypatch, kmax, field, alpha, gcds
+    ):
+        calls = []
+
+        def gcd(*args):
+            calls.append(args)
+            return math.gcd(*args)
+
+        monkeypatch.setattr(dkseq, "math", types.SimpleNamespace(gcd=gcd))
+        rc, out, _ = run_cli(["dk-scan", "--field", field, "--alpha", alpha, "--kmax", str(kmax)])
+        assert rc == 0 and len(json.loads(out)["terms"]) == kmax
+        assert len(calls) == gcds(kmax)
+
+    @pytest.mark.parametrize("kmax", [1, 2, 5, 40, 41])
+    def test_dk_scan_renders_a_lacunary_unit_with_no_str_of_a_d_k(self, monkeypatch, kmax):
+        class Unprintable(int):
+            def __str__(self):
+                raise AssertionError("str() of a d_k")
+
+            __repr__ = __str__
+
+        sequence, render = dkseq.dk_sequence, coordseq.decimal_columns
+        renders, plain = [], []
+
+        def unprintable(*args):
+            seq = sequence(*args)
+            plain.extend(seq.terms)
+            return seq._replace(terms=list(map(Unprintable, seq.terms)))
+
+        monkeypatch.setattr(dkseq, "dk_sequence", unprintable)
+        monkeypatch.setattr(coordseq, "decimal_columns",
+                            lambda *args: renders.append(args) or render(*args))
+        argv = ["dk-scan", "--field", "x^4-10x^2+1", "--alpha", "t", "--kmax", str(kmax)]
+        rc, out, _ = run_cli(argv)
+        report = json.loads(out)
+        # one render, of the even d_k under mp(t) = X^4 - 10 X^2 + 1
+        assert rc == 0 and report["recurrence_ok"] is None and len(renders) == 1
+        (even,) = renders[0][0].terms
+        assert renders[0][0].charpoly == (1, 0, -10, 0, 1) and len(even) == kmax // 2
+        assert report["terms"] == list(map(str, plain))
 
     def test_family_scan_builds_x1_alone(self, work, monkeypatch):
         # per accepted m: 4 rows of B, 5 rows and the certificate's 4 values.

@@ -1,11 +1,14 @@
+import contextlib
+import io
+import json
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from normlds import coordseq, dkseq, numberfield
+from normlds import cli, coordseq, dkseq, numberfield
 from normlds.exactlinalg import complete_primitive, inverse_unimodular
 from normlds.numberfield import NumberField
 from oracles import companion_first_coordinates, scan_rows
@@ -61,6 +64,20 @@ DK_EDGE_CASES = {
     "torsion -1": ((-3, 0, 1), (-1, 0), None),
     # min_poly X^2 - 3/4: alpha = (0, 2) over {1, t/4} is integral, alpha^2 = 3/4 is not
     "non-integral t/2": ((-3, 0, 1), (0, Fraction(1, 2)), ((1, 0), (0, Fraction(1, 4)))),
+    # mp(alpha) = g(X^2): every odd d_k is 1 by the vanishing lemma. t in x^4 + 1
+    # is torsion of order 8, so d_8 = 0
+    "torsion t of x^4+1": ((1, 0, 0, 0, 1), (0, 1, 0, 0), None),
+    "unit t^3": ((1, 0, -10, 0, 1), (0, 0, 0, 1), None),
+    # x1(1) = -1 over {1, 1+t, t^2, t^3}, so the odd stream takes its gcds
+    "unit t over 1, 1+t": ((1, 0, -10, 0, 1), (0, 1, 0, 0), ((1, 0, 0, 0), (1, 1, 0, 0),
+                                                               (0, 0, 1, 0), (0, 0, 0, 1))),
+    # the Z[t]-module Z[t] + Z[t] (1+t)/2, over which t^k - 1 lies in 2Z[t] + (1+t)Z[t],
+    # so every d_k, odd k included, is even; x1(1) = -1 here too
+    "unit t over 1, (1+t)/2": ((1, 0, -10, 0, 1), (0, 1, 0, 0), (
+        (1, 0, 0, 0), (Fraction(1, 2), Fraction(1, 2), 0, 0),
+        (0, Fraction(1, 2), Fraction(1, 2), 0), (0, 0, Fraction(1, 2), Fraction(1, 2)))),
+    # norm 16: one stream against e1
+    "non-unit 2t": ((1, 0, -10, 0, 1), (0, 2, 0, 0), None),
 }
 
 
@@ -90,6 +107,63 @@ def test_dk_sequence_matches_the_dk_oracle_at_every_k(case, kmax):
         with pytest.raises(ValueError) as raised:
             dkseq.dk_sequence(alpha, ring, kmax)
         assert str(raised.value) == error
+
+
+def test_odd_d_k_are_two_over_a_module_whose_x1_head_is_not_zero():
+    # the case that a guard without the head test x1(1) = x1(3) = 0 gets wrong
+    poly, alpha, vectors = DK_EDGE_CASES["unit t over 1, (1+t)/2"]
+    field = NumberField(poly)
+    ring = numberfield.ModuleBasis(field, tuple(field.element(v) for v in vectors))
+    alpha = field.element(alpha)
+    assert ring.int_coords(alpha) == ((-1, 2, 0, 0), 1)
+    assert dkseq.dk_sequence(alpha, ring, 5).terms[::2] == [2, 2, 2]
+
+
+def run_dk_scan(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(["dk-scan", *argv])
+    return rc, json.loads(out.getvalue())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-40, 200), st.sampled_from(["t", "-t", "t^3", "2t", "1+t", "t^2"]),
+       st.integers(1, 60))
+# t of x^4 + 1 is torsion, whose even d_k fail the recurrence, so they take str()
+@example(0, "t", 17)
+def test_lacunary_quartic_dk_scan_matches_the_dk_oracle(t, alpha, kmax):
+    # X^4 - T X^2 + 1 for every irreducible one drawn; t and t^3 are units
+    # with a lacunary mp, quartic but for t^3 = i at T = 1; 2t is no unit,
+    # 1 + t has no lacunary mp, and t^2 is a quadratic unit of norm 1
+    try:
+        field = NumberField((1, 0, -t, 0, 1))
+    except ValueError:
+        assume(False)
+    element = numberfield.parse_element(field, alpha)
+    ring = field.power_basis()
+    want = [dkseq.dk(element, ring, k) for k in range(1, kmax + 1)]
+    seq = dkseq.dk_sequence(element, ring, kmax)
+    assert seq.terms == want
+    if alpha in ("t", "-t", "t^3"):
+        assert want[::2] == [1] * len(want[::2])
+    even = dkseq.even_report(element, seq)
+    quartic = len(numberfield.min_poly(element)) == 5
+    if alpha in ("t", "-t", "t^3") and quartic:
+        assert even is not None and even.terms == [want[1::2]]
+    else:
+        assert even is None
+    argv = ["--field", f"x^4{-t:+}x^2+1", f"--alpha={alpha}", "--kmax", str(kmax)]
+    rc, report = run_dk_scan(argv)
+    assert rc == 0 and report["terms"] == list(map(str, want))
+    # the recurrence check is for quadratic units of norm 1 alone
+    assert report["recurrence_ok"] is None or not quartic
+
+
+def test_the_vanishing_scan_at_t_1_does_not_vanish():
+    # f = g(X^1) for every f: the vanishing lemma needs t >= 2
+    field = NumberField((1, 0, -10, 0, 1))
+    assert dkseq.sparse_minpoly_scan(field, 1, 6).y1 == [0, 0, 0, -1, 0, -10]
+    assert dkseq.sparse_minpoly_scan(field, 2, 9).all_vanish()
 
 
 # built before any test counts the irreducibility tests
