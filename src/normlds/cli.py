@@ -18,8 +18,8 @@ rows, the d_k column and the conj9 hits of dk-scan as bare items, and the rows
 of its vanishing scan as dicts of named columns: n as a range, y1, d_tilde and
 d as decimal text, or d as None. Their items are vouched for as '-' and digits
 (rendered through a certified or verified recurrence, else by str(); the d_k
-of a unit of minimal polynomial X^4 - T X^2 + 1 are "1" at odd k and the even
-ones through their verified recurrence), so they need no escaping, which is
+that dkseq's half-index lemma gives are rendered through its recurrence, and
+"1" at the k it skips), so they need no escaping, which is
 most of what json.dumps would spend on a report.
 json.dumps hands each _Table to its default hook, which records it and
 returns a NUL string as its marker; _json_text writes each table in place of
@@ -450,23 +450,21 @@ def _cmd_dk_scan(config: Namespace) -> int:
     alpha = _element(field, config.alpha, "alpha")
     ring = _ring(config, field)
     seq = dkseq.dk_sequence(alpha, ring, config.kmax)
-    try:
-        report = dkseq.recurrence_report(seq)
-        rec_ok: bool | None = dkseq.dk_recurrence_check(report)
-    except dkseq.CheckRefused:
-        rec_ok = None
-    hits = dkseq.dk_level_scan(seq)
-    if rec_ok:
-        # every term satisfies d_{k+4} = T d_{k+2} - d_k, so rendering through that
-        # recurrence from str() of d_1..d_4 gives str(d_k) for each k, by induction
-        terms = coordseq.decimal_columns(report, report.kmax)[0]
-    elif (even := dkseq.even_report(alpha, seq)) and dkseq.dk_recurrence_check(even):
-        # every odd d_k is 1 and every even one satisfies the recurrence of
-        # mp(alpha), so the even ones render through it as above
-        terms = ["1"] * config.kmax
-        terms[1::2] = coordseq.decimal_columns(even, even.kmax)[0]
+    rec_ok: bool | None = None
+    if seq.head is not None:
+        # the half-index lemma: d_(step j) follow the head's recurrence, so rendering
+        # through it gives str() of each, by induction; every other d_k is 1, and
+        # T's recurrence holds exactly when T > 0 or no k has k + 4 <= kmax
+        rec_ok = None if seq.t_trace is None else (seq.t_trace > 0 or config.kmax <= 4)
+        step, terms = seq.step, ["1"] * config.kmax
+        terms[step - 1 :: step] = coordseq.decimal_columns(seq.head, config.kmax // step)[0][1:]
     else:
-        terms = list(map(str, seq.terms))
+        with contextlib.suppress(dkseq.CheckRefused):
+            report = dkseq.recurrence_report(seq)
+            rec_ok = dkseq.dk_recurrence_check(report)
+        # a checked recurrence renders the terms as above
+        terms = (coordseq.decimal_columns(report, report.kmax)[0] if rec_ok
+                 else list(map(str, seq.terms)))
     payload: dict[str, Any] = {
         "command": "dk-scan",
         "field": format_polynomial(field.coeffs),
@@ -474,7 +472,7 @@ def _cmd_dk_scan(config: Namespace) -> int:
         "ring": [format_element(v) for v in ring.vectors],
         "terms": _Table(((None, terms),), ""),
         "recurrence_ok": rec_ok,
-        "conj9_hits": _Table(((None, list(map(str, hits))),), ""),
+        "conj9_hits": _Table(((None, list(map(str, dkseq.dk_level_scan(seq)))),), ""),
     }
     if config.vanishing_t is not None:
         scan = dkseq.sparse_minpoly_scan(field, config.vanishing_t, config.kmax)

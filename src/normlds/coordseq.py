@@ -108,6 +108,7 @@ def sequence_head(
     w: ModuleBasis,
     kmax: int,
     error: Callable[[int], str] = _outside_module,
+    charpoly: Sequence[int] | None = None,
 ) -> SequenceReport:
     """Terms 0..min(kmax, d) of each coordinate of beta * eps^k over w, d = deg min_poly(eps).
 
@@ -123,17 +124,18 @@ def sequence_head(
     is 0 for every k >= d (for beta = 0 every row is 0). Each later row is then
     an integral combination of earlier ones, since c is monic and integral, so
     it is integral too. A failed check raises InvariantViolation: it means
-    min_poly or the field product is wrong, not the input.
+    min_poly or the field product is wrong, not the input. A caller that has
+    min_poly(eps) already passes it as charpoly, in ints; the check certifies
+    any monic integral c, so no min_poly is taken again.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     if beta.field != w.field or eps.field != w.field:
         raise ValueError("beta, eps and basis must share one field")
-    charpoly = []
-    for c in min_poly(eps):
-        if c.denominator != 1:
-            raise ValueError("eps must be an algebraic integer")
-        charpoly.append(int(c))
+    mp = min_poly(eps) if charpoly is None else charpoly
+    if any(c.denominator != 1 for c in mp):
+        raise ValueError("eps must be an algebraic integer")
+    charpoly = tuple(map(int, mp))
     d = len(charpoly) - 1
     columns = list(map(list, zip(*w.power_rows(beta, eps, min(kmax, d) + 1, error))))
     if kmax >= d:
@@ -165,13 +167,14 @@ def generate(
     w: ModuleBasis,
     kmax: int,
     error: Callable[[int], str] = _outside_module,
+    charpoly: Sequence[int] | None = None,
 ) -> SequenceReport:
     """Exact coordinates of beta * eps^k over w for k = 0..kmax, one column per coordinate.
 
     The certified head of sequence_head, each column read through
     column_terms; the errors are those of sequence_head, error included.
     """
-    head = sequence_head(beta, eps, w, kmax, error)
+    head = sequence_head(beta, eps, w, kmax, error, charpoly)
     columns = [
         list(itertools.islice(column_terms(head, i), kmax + 1))
         for i in range(1, len(head.terms) + 1)
@@ -259,10 +262,12 @@ def _negated(text: str) -> str:
 def decimal_columns(head: SequenceReport, kmax: int) -> list[list[str]]:
     """Terms 0..kmax of each column as decimal strings, in time linear in their digit count.
 
-    head holds terms 0..min(kmax, d) of each column at least, d the degree of
+    head holds terms 0..min(kmax, d - 1) of each column at least, d the degree of
     its charpoly c, of a sequence whose every column satisfies that recurrence
-    for k >= d: the head of sequence_head, whose checked row d proves it, or a
-    report checked in full by verify_recurrence. Only terms 0..d - 1 are read.
+    for k >= d: the head of sequence_head, whose checked row d proves it, a
+    report checked in full by verify_recurrence, or a head whose recurrence a
+    lemma proves, as dkseq's half-index lemma does. Only terms 0..d - 1 are
+    read.
 
     Let e be the largest divisor of d with c(X) = g(X^e), and q = d/e; e = 2
     for X^4 - T X^2 + 1 and e = 1 for X^2 - P X + Q with P != 0. Strand p < e

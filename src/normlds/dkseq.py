@@ -2,13 +2,15 @@
 
 Over a ring with basis {1, w2, ..., wn} the maximum is a gcd of shifted
 coordinates: d_k = gcd(x1(k) - 1, x2(k), ..., xn(k)), the content of
-x(k) - e1 where x(k) are the coordinates of alpha^k. dk_sequence and
-sparse_minpoly_scan take those coordinates, one column per coordinate, from
-coordseq.generate, the routine of every whole sequence of the package: rows
-0..d from field products and the certified recurrence after them. Every gcd
-is taken in a C-level stream over whole columns, math.gcd mapped over
-map(operator.sub, ...), so no Python code runs per term. dk() computes one
-term from alpha**k in the field and serves as the independent check.
+x(k) - e1 where x(k) are the coordinates of alpha^k. Outside the cases of
+the two lemmas below, dk_sequence and sparse_minpoly_scan take those
+coordinates, one column per coordinate, from coordseq.generate, the routine
+of every whole sequence of the package: rows 0..d from field products and
+the certified recurrence after them. Every gcd is taken in a C-level stream
+over whole columns, math.gcd mapped over map(operator.sub, ...), so no
+Python code runs per term. dk() computes one term from alpha**k in the field:
+it gives the two terms the half-index lemma starts from, and the tests check
+every other term against it.
 
 When M, the matrix of y -> alpha*y over the ring, is in GL_n(Z) (alpha keeps
 the ring and N(alpha) = +-1), x(k) - e1 = M^j (x(k - j) - y(j)) with
@@ -27,16 +29,39 @@ r + tZ, and there x(k) - e1 has the entry -1, so d_k = 1. Over the power basis
 of alpha the head is 0 for every r outside tZ, since reducing by g(X^t) keeps
 each power of alpha on the powers congruent to it mod t. dk_sequence reads
 the head of x1 at t = 2 and r = 1 over its ring basis, and
-sparse_minpoly_scan scans r = 1 over the power basis.
+sparse_minpoly_scan, at t >= 2, reads it off with no power taken.
 
-The module also hosts the order-4 recurrence check for quadratic norm-1
-units and the change of basis matching d_k/d_1 with a first coordinate
-sequence: N(alpha) = 1 and T are read off min_poly(alpha) = X^2 - T X + 1,
-the basis comes from basisforge.lds_basis, and the terms from
-coordseq.recurrence_terms; the recurrence report of d_k is one column, the
-d_k list itself. even_report is its like for a unit of minimal polynomial
-X^4 - T X^2 + 1: the even d_k as one column under that polynomial. It hosts
-the vanishing scan for lacunary minimal polynomials too, and power-basis
+Half-index lemma. Let beta^2 - T beta + 1 = 0 with |T| > 2, so beta is no
+root of unity, and let M be a lattice with 1 in M and beta M = M, which is
+dk_sequence's unimodular test; d_k is the content of beta^k - 1 over M. Let
+U = (0, 1, |T|, ...) and m = (1, |T + 1|, ...), both under
+s(j + 2) = |T| s(j + 1) - s(j). Then d_2j = U(j) d_2 and d_(2j+1) = m(j) d_1.
+Proof. Let U'(j) and m'(j) follow s(j + 2) = T s(j + 1) - s(j) from (0, 1) and
+(1, T + 1). beta and 1/beta are the roots of X^2 - T X + 1, so in j each of
+beta^j - beta^-j and z(j) = beta^(j+1) - beta^-j follows that recurrence; they
+agree with U'(j) (beta - 1/beta) and m'(j) (beta - 1) at j = 0 and 1, since
+z(1) = beta^2 - 1/beta = (T beta - 1) - (T - beta) = (T + 1)(beta - 1), and so
+at every j. Hence beta^2j - 1 = beta^(j-1) U'(j) (beta^2 - 1) and
+beta^(2j+1) - 1 = beta^j m'(j) (beta - 1). Multiplying by beta^i keeps
+content, since its matrix over M is in GL(M), and content(n y) = |n| content(y)
+for an integer n. At T > 2, U' = U and m' = m. At T < -2, U'(j) = (-1)^(j+1) U(j)
+and m'(j) = (-1)^j m(j), both sides following the same recurrence from the same
+two terms. Every U(j) and m(j) is nonnegative: with |T| > 2 each sequence
+increases from its first term. So the column (0, d_1, d_2, ...) follows
+X^4 - |T| X^2 + 1 from the head (0, d_1, d_2, |T + 1| d_1), and T's own
+recurrence d_(k+4) = T d_(k+2) - d_k holds through kmax exactly when T > 0 or
+kmax <= 4: at T < 0 it gives d_5 = T d_3 - d_1 < 0.
+dk_sequence applies it to beta = alpha when mp(alpha) = X^2 - T X + 1, and to
+beta = alpha^2 when mp(alpha) = X^4 - T X^2 + 1 with x1(1) = x1(3) = 0: then
+the odd d_k are 1 by the vanishing lemma, and d_2j(alpha) = d_j(alpha^2). Both
+take two gcds and no coordinate stream.
+
+The module also hosts the order-4 recurrence check of d_k that no lemma gave,
+and the change of basis matching d_k/d_1 with a first coordinate sequence:
+N(alpha) = 1 and T are read off min_poly(alpha) = X^2 - T X + 1, the basis
+comes from basisforge.lds_basis, and the terms from coordseq.recurrence_terms;
+the recurrence report of d_k is one column, the d_k list itself. It hosts the
+vanishing scan for lacunary minimal polynomials too, and power-basis
 discriminants, as +-N(f'(alpha)) for the defining polynomial f.
 Their results, DkSequence, DkMatchReport and the sparse scan's report, are
 collections.namedtuple records; the scan's report holds its rows as columns.
@@ -53,29 +78,27 @@ from typing import Iterable, Iterator, Sequence
 
 from .basisforge import lds_basis
 from .coordseq import SequenceReport, generate, recurrence_terms, verify_recurrence
-from .numberfield import (
-    FieldElement,
-    ModuleBasis,
-    NumberField,
-    min_poly,
-    norm,
-)
+from .numberfield import FieldElement, ModuleBasis, NumberField, min_poly, norm
 
 
 class CheckRefused(Exception):
     """The requested check does not apply to this input (refused, not failed)."""
 
 
-class DkSequence(namedtuple("DkSequence", "terms t_trace")):
+class DkSequence(namedtuple("DkSequence", "terms t_trace head step", defaults=(None, 1))):
     """d_1, d_2, ... for a fixed alpha over a fixed ring basis.
 
     t_trace is filled when alpha is a quadratic unit of norm 1, the case whose
-    d_k satisfies d_{k+4} = T d_{k+2} - d_k.
+    d_k satisfies d_{k+4} = T d_{k+2} - d_k. head is filled when the half-index
+    lemma gave the terms: its one column, from (0, d_s, d_2s, d_3s) for s = step,
+    is d_(s j) under its charpoly X^4 - |T| X^2 + 1, and every other d_k is 1.
     """
 
     __slots__ = ()
     # terms: list[int], terms[i] = d_{i+1}
     # t_trace: int | None
+    # head: SequenceReport | None, four terms of one column
+    # step: int, 1 or 2
 
     def dk(self, k: int) -> int:
         if not 1 <= k <= len(self.terms):
@@ -111,25 +134,55 @@ def dk(alpha: FieldElement, ringbasis: ModuleBasis, k: int) -> int:
     return math.gcd(num[0] - 1, *num[1:])
 
 
+def _half_index(
+    alpha: FieldElement, ringbasis: ModuleBasis, mp: Sequence[Fraction], kmax: int
+) -> DkSequence | None:
+    """d_1 .. d_kmax by the half-index lemma, for an alpha that keeps the ring; None outside it.
+
+    Step s = 1 for mp = X^2 - T X + 1, and s = 2 for mp = X^4 - T X^2 + 1 whose
+    x1(1) and x1(3) are 0 over the ring basis, so that the odd d_k are 1. The
+    lemma is applied to beta = alpha^s, whose d_1 and d_2 are one dk() each.
+    None for any other mp, and for |T| <= 2, where alpha is torsion.
+    """
+    step = 2 if len(mp) == 5 and not any(mp[1::2]) else 1
+    t = _norm_one_trace(mp[::step])
+    if t is None or abs(t) <= 2 or step == 2 and any(
+        ringbasis.int_coords(alpha**k)[0][0] for k in (1, 3)
+    ):
+        return None
+    beta = alpha**step
+    d1, d2 = dk(beta, ringbasis, 1), dk(beta, ringbasis, 2)
+    column, charpoly = [0, d1, d2, abs(t + 1) * d1], (1, 0, -abs(t), 0, 1)
+    terms = [1] * kmax
+    terms[step - 1 :: step] = islice(recurrence_terms(charpoly, column), 1, kmax // step + 1)
+    return DkSequence(terms, _norm_one_trace(mp), SequenceReport([column], charpoly), step)
+
+
 def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSequence:
-    """d_1 .. d_kmax as gcds of coordinate columns, in C-level streams over whole columns.
+    """d_1 .. d_kmax, from the half-index lemma's head or as gcds of coordinate columns.
 
     d_k = content(x(k) - e1) for x(k) the coordinates of alpha^k over the
-    ring basis. When the matrix M of alpha is in GL_n(Z), M^-j keeps content,
-    so d_k = content(x(k - j) - y(j)) with y(j) the coordinates of alpha^-j;
+    ring basis. When the matrix M of alpha is in GL_n(Z) and mp(alpha) is
+    X^2 - T X + 1, or X^4 - T X^2 + 1 with x1(1) = x1(3) = 0, and |T| > 2, the
+    half-index lemma of the module docstring gives every term as an int of
+    coordseq.recurrence_terms from a head of two gcds, and every odd d_k of
+    the quartic is 1 by the vanishing lemma.
+
+    Otherwise, with M in GL_n(Z), M^-j keeps content, so
+    d_k = content(x(k - j) - y(j)) with y(j) the coordinates of alpha^-j;
     taking j = k // 2 runs both columns only to ceil(kmax/2), and every gcd is
     on numbers of half the digits. The odd k and the even k are then two
     streams of math.gcd over map(operator.sub, ...) of the columns, interleaved
     into the one list of terms. Torsion still gives 0, since x(k - j) = y(j)
     exactly when alpha^k = 1. Otherwise j = 0: one stream against e1, and the
-    first non-integral x(k) raises ValueError for its k.
+    first non-integral x(k) raises ValueError for its k. Both columns come from
+    coordseq.generate under mp(alpha) and its reverse, so min_poly runs once.
 
     With M in GL_n(Z) and mp(alpha) = g(X^2), no gcd is taken at odd k when
     x1(1), x1(3), ..., x1(d - 1) are 0, d = deg mp, rows the x stream holds
     once it reaches row d - 1: by the vanishing lemma of the module docstring,
-    d_k = 1 at every odd k, and the odd stream is that many 1s. Over the power
-    basis of alpha those rows are always 0. When the stream is shorter, or one
-    of them is not 0, the odd stream takes its gcds.
+    d_k = 1 at every odd k, and the odd stream is that many 1s. When the
+    stream is shorter, or one of them is not 0, the odd stream takes its gcds.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
@@ -140,10 +193,12 @@ def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSeq
     unimodular = abs(mp[0]) == 1 and all(
         ringbasis.int_coords(alpha * v)[1] == 1 for v in ringbasis.vectors
     )
+    if unimodular and (seq := _half_index(alpha, ringbasis, mp, kmax)):
+        return seq
     half = kmax // 2 if unimodular else 0
     one = ringbasis.field.one
     if all(c.denominator == 1 for c in mp):
-        xs = generate(one, alpha, ringbasis, kmax - half, _non_integral).terms
+        xs = generate(one, alpha, ringbasis, kmax - half, _non_integral, tuple(map(int, mp))).terms
     else:
         # no integer recurrence: every row comes from field products, so a
         # non-integral row past the degree of mp is still found
@@ -156,7 +211,9 @@ def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSeq
         return map(math.gcd, *diffs)
 
     if unimodular:
-        ys = generate(one, alpha.inverse(), ringbasis, half, _non_integral).terms
+        # alpha^-1 is a root of X^d mp(1/X) / mp[0], and mp[0] = +-1
+        reverse = tuple(int(c * mp[0]) for c in reversed(mp))
+        ys = generate(one, alpha.inverse(), ringbasis, half, _non_integral, reverse).terms
         # d_(2j+1) from x(j + 1) - y(j) and d_(2j) from x(j) - y(j); at an odd kmax
         # the odd stream has the one more term, and the pad of zip_longest is popped
         d, x1 = len(mp) - 1, xs[0]
@@ -180,37 +237,13 @@ def recurrence_report(seq: DkSequence) -> SequenceReport:
     t = seq.t_trace
     if t is None:
         raise CheckRefused("alpha is not a quadratic unit of norm 1")
-    if any(d == 0 for d in seq.terms):
+    if 0 in seq.terms:
         raise CheckRefused("alpha is torsion")
     return SequenceReport(terms=[seq.terms], charpoly=(1, 0, -t, 0, 1))
 
 
-def even_report(alpha: FieldElement, seq: DkSequence) -> SequenceReport | None:
-    """d_2, d_4, ... as one column under mp(alpha) = X^4 - T X^2 + 1, when every odd d_k is 1.
-
-    Over the power basis of such a unit t, t^(2j) = a + b t^2 lies in Z[t^2],
-    whose basis is {1, t^2}, so d_2j(t) = gcd(a - 1, b) = d_j(t^2) over
-    Z[t^2]. t^2 is a quadratic unit of norm 1 and trace T, whose d_j satisfy
-    d_(j+4) = T d_(j+2) - d_j, the recurrence of recurrence_report; its
-    charpoly X^4 - T X^2 + 1 is mp(t) itself. Over another ring, or for a
-    torsion t, the column may fail it, so dk_recurrence_check decides, in
-    time linear in the terms. The report is None for any alpha outside this
-    case, and for a seq with an odd d_k other than 1.
-    """
-    mp = min_poly(alpha)
-    # mp[::2] = X^2 - T X + 1 leaves mp of degree 4, or of degree 5, whose
-    # leading 1 is an odd coefficient: with no odd coefficient, mp = X^4 - T X^2 + 1
-    if any(mp[1::2]) or _norm_one_trace(mp[::2]) is None or set(seq.terms[::2]) - {1}:
-        return None
-    return SequenceReport(terms=[seq.terms[1::2]], charpoly=tuple(map(int, mp)))
-
-
 def dk_recurrence_check(report: SequenceReport) -> bool:
-    """Whether every d_{k+4} of a recurrence_report is T d_{k+2} - d_k.
-
-    The same test holds the column e_j = d_2j of an even_report to
-    e_(j+4) = T e_(j+2) - e_j.
-    """
+    """Whether every d_{k+4} of a recurrence_report is T d_{k+2} - d_k."""
     # with at most 4 terms there is no k with k + 4 <= kmax
     if report.kmax < 4:
         return True
@@ -304,10 +337,11 @@ def sparse_minpoly_scan(field: NumberField, t: int, nmax: int) -> SparseScanRepo
     docstring, which forces the relative d~_n = gcd(y1-1, y2, ...) to 1; at
     t = 1 the lemma says nothing, and over x^4 - 10x^2 + 1 y1(4) is -1. When
     Z[alpha] is the whole ring (monogenic, which the caller asserts), d_n is
-    d~_n itself. Term i of each column is a coordinate of alpha * (alpha^t)^i,
-    from coordseq.generate under the recurrence of alpha^t. The report holds
-    the scan as columns: n is the range of the scanned n, y1 and d_tilde hold
-    one term per n.
+    d~_n itself. So at t >= 2 the columns are 0s and 1s, with no power of
+    alpha taken. At t = 1 term n - 1 of each column is a coordinate of
+    alpha * alpha^(n-1), from coordseq.generate under f. The report holds the
+    scan as columns: n is the range of the scanned n, y1 and d_tilde hold one
+    term per n.
     """
     deg = field.degree
     if t <= 0 or deg % t != 0:
@@ -319,13 +353,13 @@ def sparse_minpoly_scan(field: NumberField, t: int, nmax: int) -> SparseScanRepo
                 f"coefficient pattern violated: s_{i} = {-field.coeffs[deg - i]} is nonzero"
             )
     disc = discriminant_power_basis(field)
-    alpha = field.generator
-    # term i is alpha * (alpha^t)^i = alpha^n for n = 1 + t*i <= nmax
     ns = range(1, nmax + 1, t)
-    last = max(len(ns) - 1, 0)
-    y1, *rest = generate(alpha, alpha**t, field.power_basis(), last, _non_integral).terms
+    if t > 1:
+        return SparseScanReport(disc, ns, [0] * len(ns), [1] * len(ns))
+    alpha, last = field.generator, max(nmax - 1, 0)
+    y1, *rest = generate(alpha, alpha, field.power_basis(), last, _non_integral, field.coeffs).terms
     # an empty ns still generates term 0
-    del y1[len(ns) :]
+    del y1[nmax:]
     d_tilde = list(map(math.gcd, map(sub, y1, repeat(1)), *rest))
     return SparseScanReport(disc, ns, y1, d_tilde)
 

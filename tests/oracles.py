@@ -23,6 +23,10 @@ import operator
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
+# the maximal order {1, sqrt 2, sqrt 3, (sqrt 2 + sqrt 6)/2} of Q(sqrt 2, sqrt 3), over
+# the power basis of a root t of x^4 - 10x^2 + 1, as a --module-basis
+MAXIMAL_ORDER = "1;-9/2t+1/2t^3;11/2t-1/2t^3;-5/4-9/4t+1/4t^2+1/4t^3"
+
 
 def solve_linear(columns: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
     """Solve sum_j x_j * columns[j] = rhs exactly; None if inconsistent.

@@ -308,44 +308,54 @@ class TestWorkCount:
 
     @pytest.mark.parametrize("kmax", [1, 2, 5, 40, 41])
     def test_dk_scan_runs_each_stream_to_half_of_kmax(self, work, monkeypatch, kmax):
-        # 2 + t is a unit of Z[t], so the x and alpha^-1 streams run to ceil(kmax/2)
-        # and floor(kmax/2)
+        # 1 + t has norm -1, so no half-index lemma: it is a unit of Z[t], and the x
+        # and alpha^-1 streams run to ceil(kmax/2) and floor(kmax/2)
         lasts = []
         generate_ = dkseq.generate
         monkeypatch.setattr(dkseq, "generate", lambda *args: lasts.append(args[3]) or generate_(*args))
-        rc, out, _ = run_cli(["dk-scan", "--field", "x^2-3", "--alpha", "2+t", "--kmax", str(kmax)])
+        rc, out, _ = run_cli(["dk-scan", "--field", "x^2-2", "--alpha", "1+t", "--kmax", str(kmax)])
         assert rc == 0 and len(json.loads(out)["terms"]) == kmax
         half = -(-kmax // 2)
         assert lasts == [half, kmax // 2]
         # d = 2: per stream, rows 0..min(last, 2), the certificate when row 2 is
-        # taken, and terms 3..last of both columns when last > 2; then the check
-        # of d_k, which predicts d_5..d_kmax
+        # taken, and terms 3..last of both columns when last > 2; a unit of norm -1
+        # is refused the check of d_k, so it predicts nothing
         rows = ints = 0
         for last in (half, kmax // 2):
             rows += min(last, 2) + 1
             ints += 2 * (last >= 2) + 2 * (last - 2) * (last > 2)
-        assert int_work(work) == Counter({"rows": rows, "ints": ints + (kmax - 4) * (kmax > 4)})
+        assert int_work(work) == Counter({"rows": rows, "ints": ints})
 
     @pytest.mark.parametrize("kmax", [1, 2, 5, 40, 41])
-    @pytest.mark.parametrize("field, alpha, gcds", [
-        # x1 of t is 0 at every odd k, so d_k = 1 there: the even stream alone,
-        # once the x stream, rows 0..ceil(kmax/2), holds x1(3); both below kmax 5
-        ("x^4-10x^2+1", "t", lambda kmax: kmax // 2 if kmax >= 5 else kmax),
-        ("x^2-3", "2+t", lambda kmax: kmax),
-    ], ids=["lacunary", "pell"])
+    @pytest.mark.parametrize("field, alpha, ring, gcds, streams", [
+        # the half-index lemma: a gcd for each of d_1 and d_2 of t^2, or of 2 + t,
+        # and no coordinate stream
+        ("x^4-10x^2+1", "t", [], lambda kmax: 2, 0),
+        ("x^2-3", "2+t", [], lambda kmax: 2, 0),
+        # t of norm -1 has no lemma, but x1 of t is 0 at every odd k, so d_k = 1
+        # there: the even stream alone, once the x stream, rows 0..ceil(kmax/2),
+        # holds x1(3); both below kmax 5
+        ("x^4-3x^2-1", "t", [], lambda kmax: kmax // 2 if kmax >= 5 else kmax, 2),
+        # x1(1) = -1 over {1, 1+t, t^2, t^3}: both streams take their gcds
+        ("x^4-10x^2+1", "t", ["--module-basis", "1;1+t;t^2;t^3"], lambda kmax: kmax, 2),
+        ("x^2-2", "1+t", [], lambda kmax: kmax, 2),
+    ], ids=["lacunary", "pell", "lacunary norm -1", "unit t over 1, 1+t", "norm -1"])
     def test_dk_scan_takes_gcds_on_the_even_stream_alone_for_a_lacunary_unit(
-        self, monkeypatch, kmax, field, alpha, gcds
+        self, monkeypatch, kmax, field, alpha, ring, gcds, streams
     ):
-        calls = []
+        calls, built = [], []
 
         def gcd(*args):
             calls.append(args)
             return math.gcd(*args)
 
+        generate_ = dkseq.generate
         monkeypatch.setattr(dkseq, "math", types.SimpleNamespace(gcd=gcd))
-        rc, out, _ = run_cli(["dk-scan", "--field", field, "--alpha", alpha, "--kmax", str(kmax)])
+        monkeypatch.setattr(dkseq, "generate", lambda *args: built.append(args) or generate_(*args))
+        argv = ["dk-scan", "--field", field, "--alpha", alpha, *ring, "--kmax", str(kmax)]
+        rc, out, _ = run_cli(argv)
         assert rc == 0 and len(json.loads(out)["terms"]) == kmax
-        assert len(calls) == gcds(kmax)
+        assert len(calls) == gcds(kmax) and len(built) == streams
 
     @pytest.mark.parametrize("kmax", [1, 2, 5, 40, 41])
     def test_dk_scan_renders_a_lacunary_unit_with_no_str_of_a_d_k(self, monkeypatch, kmax):
@@ -369,10 +379,12 @@ class TestWorkCount:
         argv = ["dk-scan", "--field", "x^4-10x^2+1", "--alpha", "t", "--kmax", str(kmax)]
         rc, out, _ = run_cli(argv)
         report = json.loads(out)
-        # one render, of the even d_k under mp(t) = X^4 - 10 X^2 + 1
+        # one render, of the even d_k from the half-index lemma's head
+        # (d_0, d_2, d_4, d_6) under X^4 - 10 X^2 + 1
         assert rc == 0 and report["recurrence_ok"] is None and len(renders) == 1
-        (even,) = renders[0][0].terms
-        assert renders[0][0].charpoly == (1, 0, -10, 0, 1) and len(even) == kmax // 2
+        (head, last), = renders
+        assert head.terms == [[0, 1, 2, 11]] and head.charpoly == (1, 0, -10, 0, 1)
+        assert last == kmax // 2
         assert report["terms"] == list(map(str, plain))
 
     def test_family_scan_builds_x1_alone(self, work, monkeypatch):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from normlds import basisforge, cli, coordseq, dkseq, exactlinalg
+from normlds import basisforge, cli, coordseq, dkseq, exactlinalg, numberfield
 from normlds.numberfield import NumberField
 from oracles import lucas_terms
 
@@ -38,6 +38,11 @@ def test_dk_scan_computes_the_sequence_once(monkeypatch):
     assert doc["conj9_hits"] == [str(k) for k, d in enumerate(doc["terms"], 1) if d == d1]
 
 
+# 2 + t is a unit of Z[t] and keeps it, but not the module Z + Z (2 + t)/5, over
+# which its d_k come from gcds and still follow d_{k+4} = 4 d_{k+2} - d_k through k = 40
+UNKEPT_MODULE = ["--field", "x^2-3", "--alpha", "2+t", "--module-basis", "1;2/5+1/5t"]
+
+
 def test_dk_scan_builds_the_recurrence_report_once(monkeypatch):
     reports = []
     original = dkseq.recurrence_report
@@ -55,7 +60,7 @@ def test_dk_scan_builds_the_recurrence_report_once(monkeypatch):
 
     monkeypatch.setattr(dkseq, "recurrence_report", counting)
     monkeypatch.setattr(dkseq, "dk_recurrence_check", recording)
-    rc, out, _ = run_cli(["dk-scan", "--field", "x^2-3", "--alpha", "2+t", "--kmax", "40"])
+    rc, out, _ = run_cli(["dk-scan", *UNKEPT_MODULE, "--kmax", "40"])
     assert rc == 0
     # the report that was checked is the one rendered: built once, never rebuilt
     assert len(reports) == 1 and len(checked) == 1 and checked[0] is reports[0]
@@ -63,18 +68,33 @@ def test_dk_scan_builds_the_recurrence_report_once(monkeypatch):
     assert json.loads(out)["recurrence_ok"] is True
 
 
+@pytest.mark.parametrize("alpha, kmax, ok", [("2+t", 40, True), ("-2-t", 40, False), ("-2-t", 4, True)])
+def test_dk_scan_checks_no_term_the_half_index_lemma_gave(monkeypatch, alpha, kmax, ok):
+    # the d_k follow X^4 - |T| X^2 + 1, so T's recurrence holds exactly when T > 0
+    # or kmax <= 4; neither the report nor the check is built
+    def refuse(*args):
+        raise AssertionError("the terms of the half-index lemma were checked")
+
+    monkeypatch.setattr(dkseq, "recurrence_report", refuse)
+    monkeypatch.setattr(dkseq, "dk_recurrence_check", refuse)
+    rc, out, _ = run_cli(["dk-scan", "--field", "x^2-3", f"--alpha={alpha}", "--kmax", str(kmax)])
+    assert rc == 0 and json.loads(out)["recurrence_ok"] is ok
+
+
 @pytest.mark.parametrize(
     "field, alpha, vanishing, calls",
     [
-        # a unit: the x and alpha^-1 streams
-        ("x^2-3", "2+t", [], 2),
+        # a unit of norm 1: the half-index lemma, and no stream
+        ("x^2-3", "2+t", [], 0),
+        # a unit of norm -1: the x and alpha^-1 streams
+        ("x^2-2", "1+t", [], 2),
         # 1 + t has norm -2: the x stream alone
         ("x^2-3", "1+t", [], 1),
-        # the vanishing scan adds one stream, the powers of alpha^t
-        ("x^4-10x^2+1", "t", ["--vanishing-t", "2"], 3),
+        # the vanishing scan adds one stream, the powers of alpha, at t = 1 alone
+        ("x^4-10x^2+1", "t", ["--vanishing-t", "2"], 0),
         ("x^2-3", "1+t", ["--vanishing-t", "1"], 2),
     ],
-    ids=["unit", "non-unit", "unit, vanishing scan", "non-unit, vanishing scan"],
+    ids=["unit", "norm -1", "non-unit", "unit, vanishing scan", "non-unit, vanishing scan"],
 )
 def test_dk_scan_builds_its_sequences_through_generate(monkeypatch, field, alpha, vanishing, calls):
     built = []
@@ -87,6 +107,37 @@ def test_dk_scan_builds_its_sequences_through_generate(monkeypatch, field, alpha
     rc, out, _ = run_cli(["dk-scan", "--field", field, "--alpha", alpha, "--kmax", "20", *vanishing])
     assert rc == 0 and len(json.loads(out)["terms"]) == 20
     assert len(built) == calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--field", "x^2-3", "--alpha", "2+t"],
+        ["--field", "x^2-3", "--alpha=-2-t"],
+        ["--field", "x^4-10x^2+1", "--alpha", "t", "--vanishing-t", "2"],
+        ["--field", "x^4-10x^2+1", "--alpha", "t^2"],
+        ["--field", "x^2+3x-5", "--alpha", "t", "--vanishing-t", "1"],
+        ["--field", "x^2-2", "--alpha", "1+t"],
+        ["--field", "x^2-3", "--alpha", "1+t"],
+        ["--field", "x^2-3", "--alpha=-1"],
+        UNKEPT_MODULE,
+    ],
+    ids=["pell", "negative trace", "lacunary", "quadratic in quartic", "vanishing at t 1",
+         "norm -1", "non-unit", "torsion", "gcds"],
+)
+def test_dk_scan_takes_min_poly_once_per_report(monkeypatch, argv):
+    calls = []
+    original = numberfield.min_poly
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    for module in (numberfield, coordseq, dkseq, basisforge, cli):
+        if hasattr(module, "min_poly"):
+            monkeypatch.setattr(module, "min_poly", counting)
+    rc, _, _ = run_cli(["dk-scan", *argv, "--kmax", "30"])
+    assert rc == 0 and len(calls) == 1
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
@@ -264,7 +315,7 @@ def test_dk_scan_of_an_alpha_that_is_not_integral(kmax):
 
 
 def test_dk_terms_fall_back_to_str_without_a_verified_recurrence(monkeypatch):
-    argv = ["dk-scan", "--field", "x^2-3", "--alpha", "2+t", "--kmax", "40"]
+    argv = ["dk-scan", *UNKEPT_MODULE, "--kmax", "40"]
     _, out, _ = run_cli(argv)
     rendered = json.loads(out)
     assert rendered["recurrence_ok"] is True

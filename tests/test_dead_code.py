@@ -73,7 +73,6 @@ def used_names(tree):
 
 # the module-level definitions that no module of the package references
 UNREFERENCED = {
-    "dkseq.dk": "one d_k from alpha**k in the field; the tests' independent oracle for dk_sequence",
     "dkseq.match_dk_basis": "the paper's d_k basis match, a library entry point with no CLI option",
     "exactlinalg.complete_primitive": "traced by perfbench/tracer.py; the tests' oracle for lds_basis",
 }

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import types
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from normlds import cli, coordseq, dkseq, numberfield
 from normlds.exactlinalg import complete_primitive, inverse_unimodular
 from normlds.numberfield import NumberField
-from oracles import companion_first_coordinates, scan_rows
+from oracles import MAXIMAL_ORDER, companion_first_coordinates, scan_rows
 
 
 def dk_maximality_oracle(alpha, ringbasis, k, value):
@@ -146,12 +147,12 @@ def test_lacunary_quartic_dk_scan_matches_the_dk_oracle(t, alpha, kmax):
     assert seq.terms == want
     if alpha in ("t", "-t", "t^3"):
         assert want[::2] == [1] * len(want[::2])
-    even = dkseq.even_report(element, seq)
     quartic = len(numberfield.min_poly(element)) == 5
-    if alpha in ("t", "-t", "t^3") and quartic:
-        assert even is not None and even.terms == [want[1::2]]
-    else:
-        assert even is None
+    # the half-index lemma takes the nontorsion units: t^2 as beta itself, and
+    # t, -t and t^3, whose odd d_k are 1, through beta = alpha^2
+    assert (seq.head is not None) is (alpha in ("t", "-t", "t^3", "t^2") and abs(t) > 2)
+    if seq.head is not None:
+        assert seq.step == (2 if quartic else 1)
     argv = ["--field", f"x^4{-t:+}x^2+1", f"--alpha={alpha}", "--kmax", str(kmax)]
     rc, report = run_dk_scan(argv)
     assert rc == 0 and report["terms"] == list(map(str, want))
@@ -421,5 +422,79 @@ def test_d3_is_t_plus_one_in_absolute_value_times_d1():
         mp = numberfield.min_poly(alpha)
         assert mp[0] == 1
         t = -int(mp[1])
-        seq = dkseq.dk_sequence(alpha, alpha.field.power_basis(), 3)
-        assert seq.dk(3) == abs(t + 1) * seq.dk(1), (alpha, t, seq.terms)
+        ring = alpha.field.power_basis()
+        assert dkseq.dk(alpha, ring, 3) == abs(t + 1) * dkseq.dk(alpha, ring, 1), (alpha, t)
+
+
+def ring_of(field, basis):
+    """The ModuleBasis that a --module-basis text names."""
+    return numberfield.ModuleBasis(
+        field, tuple(numberfield.parse_element(field, p) for p in basis.split(";"))
+    )
+
+
+@st.composite
+def half_index_cases(draw):
+    """(alpha, ring) that the half-index lemma covers, with alpha a nontorsion unit.
+
+    Quadratic: a power of the Pell unit of x^2 - D, over Z[f t] for f in {1, 2, 3},
+    the least power that lies in it; or over O_K = Z[(1 + t)/2] for D = 1 mod 4,
+    a half-integral unit (u + v t)/2 where one exists, squared when of norm -1.
+    Quartic: t, t^3 and 1/t of a lacunary x^4 - T x^2 + 1 over its power basis,
+    or over the maximal order at T = 10. Each unit is then raised to a power,
+    and maybe inverted and negated; negation flips the sign of a quadratic
+    unit's trace.
+    """
+    if draw(st.booleans()):
+        D = draw(st.integers(2, 80).filter(lambda n: math.isqrt(n) ** 2 != n))
+        field = NumberField((-D, 0, 1))
+        a, b = least_pell_solution(D)
+        unit = field.element([a, b])
+        order = draw(st.sampled_from(["O_K", 1, 2, 3] if D % 4 == 1 else [1, 2, 3]))
+        if order == "O_K":
+            ring = ring_of(field, "1;1/2+1/2t")
+            # the least odd v with D v^2 + s = u^2, s = +-4: (u + v t)/2 has norm -s/4
+            found = next(((math.isqrt(D * v * v + s), v) for v in range(1, 400, 2) for s in (4, -4)
+                          if math.isqrt(D * v * v + s) ** 2 == D * v * v + s), None)
+            if found:
+                half = field.element([Fraction(found[0], 2), Fraction(found[1], 2)])
+                unit = half if numberfield.norm(half) == 1 else half * half
+        else:
+            ring = ring_of(field, f"1;{order}t")
+            while ring.int_coords(unit)[1] != 1:
+                unit = unit * field.element([a, b])
+    else:
+        T = draw(st.one_of(st.just(10), st.sampled_from([*range(3, 40), *range(-40, -2)])))
+        try:
+            field = NumberField((1, 0, -T, 0, 1))
+        except ValueError:
+            assume(False)
+        t = field.generator
+        ring = ring_of(field, MAXIMAL_ORDER) if T == 10 and draw(st.booleans()) else field.power_basis()
+        unit = draw(st.sampled_from([t, t * t * t, t.inverse()]))
+    alpha = unit ** draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        alpha = alpha.inverse()
+    if draw(st.booleans()):
+        alpha = -alpha
+    return alpha, ring
+
+
+@settings(max_examples=80, deadline=None)
+@given(half_index_cases())
+def test_half_index_lemma_matches_the_dk_oracle_through_k_120(case):
+    alpha, ring = case
+    want = [dkseq.dk(alpha, ring, k) for k in range(1, 121)]
+    seq = dkseq.dk_sequence(alpha, ring, 120)
+    assert seq.head is not None and seq.terms == want
+    # a d_2 one off, the second of the lemma's two gcds, changes the terms
+    calls = []
+
+    def gcd(*args):
+        calls.append(args)
+        return math.gcd(*args) + (len(calls) == 2)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dkseq, "math", types.SimpleNamespace(gcd=gcd))
+        assert dkseq.dk_sequence(alpha, ring, 120).terms != want
+    assert len(calls) == 2

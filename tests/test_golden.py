@@ -18,12 +18,11 @@ from pathlib import Path
 import pytest
 
 from normlds import cli
+from oracles import MAXIMAL_ORDER
 
 GOLDEN = Path(__file__).parent / "golden"
 
 QUARTIC = ["--field", "x^4-10x^2+1", "--unit", "t", "--beta", "2-t+t^3"]
-# the maximal order {1, sqrt 2, sqrt 3, (sqrt 2 + sqrt 6)/2} of Q(sqrt 2, sqrt 3)
-MAXIMAL_ORDER = "1;-9/2t+1/2t^3;11/2t-1/2t^3;-5/4-9/4t+1/4t^2+1/4t^3"
 # name -> arguments after the subcommand
 SEQUENCE_CASES = {
     # power basis of Z[sqrt 3]: zero entries in the first rows
@@ -95,6 +94,13 @@ DK_CASES = {
     # alpha^2 = 1: d_k = 0 at every even k
     "torsion": ["--field", "x^2-3", "--alpha=-1", "--kmax", "12"],
     "kmax-zero": ["--field", "x^2-3", "--alpha", "2+t", "--kmax", "0"],
+    # trace T = -4: d_k follow X^4 - |T| X^2 + 1, so the check of T fails
+    "pell-negative-trace": ["--field", "x^2-3", "--alpha=-2-t", "--kmax", "12"],
+    # the lacunary t over O_K: d = 1, 2, 1, 4, 1, 22, ..., twice the power-basis even d_k
+    "lacunary-maximal-order": ["--field", "x^4-10x^2+1", "--module-basis", MAXIMAL_ORDER,
+                               "--alpha", "t", "--kmax", "30"],
+    # t^2 is a norm-1 quadratic unit of trace 10 inside a quartic field
+    "quadratic-in-quartic": ["--field", "x^4-10x^2+1", "--alpha", "t^2", "--kmax", "30"],
 }
 CONSTRUCT_CASES = {
     # the Pell unit 2 + sqrt 3 with beta 3 + sqrt 3
