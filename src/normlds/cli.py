@@ -517,7 +517,10 @@ def _cmd_family_scan(config: Namespace) -> int:
             rows.append({"m": m, "status": "rejected", "reason": str(exc)})
             continue
         field = cons.basis.field
-        head = coordseq.sequence_head(field.one, field.generator, cons.basis, config.kmax)
+        # the generator's minimal polynomial is the field polynomial
+        head = coordseq.sequence_head(
+            field.one, field.generator, cons.basis, config.kmax, charpoly=field.coeffs
+        )
         verdict = coordseq.column_verdict(head, 1, config.kmax)
         if not verdict.ok:
             any_fail = True

@@ -3,10 +3,10 @@
 Over a ring with basis {1, w2, ..., wn} the maximum is a gcd of shifted
 coordinates: d_k = gcd(x1(k) - 1, x2(k), ..., xn(k)), the content of
 x(k) - e1 where x(k) are the coordinates of alpha^k. Outside the cases of
-the two lemmas below, dk_sequence and sparse_minpoly_scan take those
-coordinates, one column per coordinate, from coordseq.generate, the routine
-of every whole sequence of the package: rows 0..d from field products and
-the certified recurrence after them. Every gcd is taken in a C-level stream
+the vanishing and half-index lemmas below, dk_sequence and
+sparse_minpoly_scan take those coordinates, one column per coordinate, from
+coordseq.generate, the routine of every whole sequence of the package: rows
+0..d from field products and the certified recurrence after them. Every gcd is taken in a C-level stream
 over whole columns, math.gcd mapped over map(operator.sub, ...), so no
 Python code runs per term. dk() computes one term from alpha**k in the field:
 it gives the two terms the half-index lemma starts from, and the tests check
@@ -27,9 +27,26 @@ r the terms u(m) = x1(r + tm) satisfy the recurrence of g for m >= q. If
 u(0), ..., u(q - 1) are 0, then u is 0 by induction on m: x1 vanishes on
 r + tZ, and there x(k) - e1 has the entry -1, so d_k = 1. Over the power basis
 of alpha the head is 0 for every r outside tZ, since reducing by g(X^t) keeps
-each power of alpha on the powers congruent to it mod t. dk_sequence reads
-the head of x1 at t = 2 and r = 1 over its ring basis, and
-sparse_minpoly_scan, at t >= 2, reads it off with no power taken.
+each power of alpha on the powers congruent to it mod t. dk_sequence tests
+the head of x1 at t = 2 and r = 1 over its ring basis once, from the powers
+alpha, alpha^3, ..., alpha^(d-1), and sparse_minpoly_scan, at t >= 2, reads
+it off with no power taken.
+
+Strong divisibility. Let M be a lattice with 1 in M and alpha M in M, and d_k
+the content of alpha^k - 1 over M, so d_k = 0 exactly when alpha^k = 1. Then
+gcd(d_m, d_n) = d_gcd(m,n) for all m, n >= 1, where 0 divides only 0.
+Proof. Fix d >= 1; d divides d_k exactly when alpha^k - 1 lies in dM. Let S
+be the k >= 0 with alpha^k - 1 in dM, so 0 is in S. As 1 is in M, Z[alpha]
+lies in M and keeps it. For a, b in S, alpha^(a+b) - 1 =
+alpha^a (alpha^b - 1) + (alpha^a - 1) is in dM. For a >= b in S, let
+y = alpha^(a-b) - 1, in Z[alpha]; alpha^a - 1 = alpha^b y + (alpha^b - 1) puts
+alpha^b y in dM, and alpha^b y - y = y (alpha^b - 1) is y times an element of
+dM, so y is in dM and a - b is in S. So S is r N for r its least positive
+element, or r = 0 when S = {0}, and d | d_k exactly when r | k. Then d
+divides both d_m and d_n exactly when r divides m and n, that is gcd(m, n),
+that is when d | d_gcd(m,n); two nonnegative integers with the same divisors
+are equal. In particular d_1 divides every d_k, the floor that
+dk_level_scan's levels d_k = d_1 sit on.
 
 Half-index lemma. Let beta^2 - T beta + 1 = 0 with |T| > 2, so beta is no
 root of unity, and let M be a lattice with 1 in M and beta M = M, which is
@@ -58,11 +75,12 @@ take two gcds and no coordinate stream.
 
 The module also hosts the order-4 recurrence check of d_k that no lemma gave,
 and the change of basis matching d_k/d_1 with a first coordinate sequence:
-N(alpha) = 1 and T are read off min_poly(alpha) = X^2 - T X + 1, the basis
-comes from basisforge.lds_basis, and the terms from coordseq.recurrence_terms;
-the recurrence report of d_k is one column, the d_k list itself. It hosts the
-vanishing scan for lacunary minimal polynomials too, and power-basis
-discriminants, as +-N(f'(alpha)) for the defining polynomial f.
+match_dk_basis reads the half-index lemma's head, d_1 times the
+coordseq.lds_targets entry of X^4 - |T| X^2 + 1 at b = d_2/d_1, and the basis
+comes from basisforge.lds_basis of that entry, so the lemma proves the match
+at every k. The recurrence report of d_k is one column, the d_k list itself.
+It hosts the vanishing scan for lacunary minimal polynomials too, and
+power-basis discriminants, as +-N(f'(alpha)) for the defining polynomial f.
 Their results, DkSequence, DkMatchReport and the sparse scan's report, are
 collections.namedtuple records; the scan's report holds its rows as columns.
 """
@@ -89,9 +107,11 @@ class DkSequence(namedtuple("DkSequence", "terms t_trace head step", defaults=(N
     """d_1, d_2, ... for a fixed alpha over a fixed ring basis.
 
     t_trace is filled when alpha is a quadratic unit of norm 1, the case whose
-    d_k satisfies d_{k+4} = T d_{k+2} - d_k. head is filled when the half-index
-    lemma gave the terms: its one column, from (0, d_s, d_2s, d_3s) for s = step,
-    is d_(s j) under its charpoly X^4 - |T| X^2 + 1, and every other d_k is 1.
+    d_k satisfies d_{k+4} = T d_{k+2} - d_k at T > 0. head is filled when the
+    half-index lemma gave the terms: its one column, from (0, d_s, d_2s, d_3s)
+    for s = step, is d_(s j) under its charpoly X^4 - |T| X^2 + 1, and every
+    other d_k is 1. At step 1 the column is d_1 times a coordseq.lds_targets
+    entry of that charpoly, the head match_dk_basis reads.
     """
 
     __slots__ = ()
@@ -135,20 +155,17 @@ def dk(alpha: FieldElement, ringbasis: ModuleBasis, k: int) -> int:
 
 
 def _half_index(
-    alpha: FieldElement, ringbasis: ModuleBasis, mp: Sequence[Fraction], kmax: int
+    alpha: FieldElement, ringbasis: ModuleBasis, mp: Sequence[Fraction], kmax: int, step: int
 ) -> DkSequence | None:
     """d_1 .. d_kmax by the half-index lemma, for an alpha that keeps the ring; None outside it.
 
     Step s = 1 for mp = X^2 - T X + 1, and s = 2 for mp = X^4 - T X^2 + 1 whose
-    x1(1) and x1(3) are 0 over the ring basis, so that the odd d_k are 1. The
-    lemma is applied to beta = alpha^s, whose d_1 and d_2 are one dk() each.
-    None for any other mp, and for |T| <= 2, where alpha is torsion.
+    vanishing head x1(1) = x1(3) = 0 the caller has read, so that the odd d_k
+    are 1. The lemma is applied to beta = alpha^s, whose d_1 and d_2 are one
+    dk() each. None for any other mp, and for |T| <= 2, where alpha is torsion.
     """
-    step = 2 if len(mp) == 5 and not any(mp[1::2]) else 1
     t = _norm_one_trace(mp[::step])
-    if t is None or abs(t) <= 2 or step == 2 and any(
-        ringbasis.int_coords(alpha**k)[0][0] for k in (1, 3)
-    ):
+    if t is None or abs(t) <= 2:
         return None
     beta = alpha**step
     d1, d2 = dk(beta, ringbasis, 1), dk(beta, ringbasis, 2)
@@ -163,7 +180,7 @@ def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSeq
 
     d_k = content(x(k) - e1) for x(k) the coordinates of alpha^k over the
     ring basis. When the matrix M of alpha is in GL_n(Z) and mp(alpha) is
-    X^2 - T X + 1, or X^4 - T X^2 + 1 with x1(1) = x1(3) = 0, and |T| > 2, the
+    X^2 - T X + 1, or X^4 - T X^2 + 1 with a vanishing head, and |T| > 2, the
     half-index lemma of the module docstring gives every term as an int of
     coordseq.recurrence_terms from a head of two gcds, and every odd d_k of
     the quartic is 1 by the vanishing lemma.
@@ -178,11 +195,12 @@ def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSeq
     first non-integral x(k) raises ValueError for its k. Both columns come from
     coordseq.generate under mp(alpha) and its reverse, so min_poly runs once.
 
-    With M in GL_n(Z) and mp(alpha) = g(X^2), no gcd is taken at odd k when
-    x1(1), x1(3), ..., x1(d - 1) are 0, d = deg mp, rows the x stream holds
-    once it reaches row d - 1: by the vanishing lemma of the module docstring,
-    d_k = 1 at every odd k, and the odd stream is that many 1s. When the
-    stream is shorter, or one of them is not 0, the odd stream takes its gcds.
+    The vanishing lemma's head is tested once, before either path: with M in
+    GL_n(Z) and mp(alpha) = g(X^2), x1(1), x1(3), ..., x1(d - 1), d = deg mp,
+    are read off those powers of alpha in the field. When they are all 0,
+    d_k = 1 at every odd k: the half-index lemma runs at step 2, and the gcd
+    path's odd stream is that many 1s, with no gcd. Otherwise the half-index
+    lemma runs at step 1 and the odd stream takes its gcds.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
@@ -193,7 +211,11 @@ def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSeq
     unimodular = abs(mp[0]) == 1 and all(
         ringbasis.int_coords(alpha * v)[1] == 1 for v in ringbasis.vectors
     )
-    if unimodular and (seq := _half_index(alpha, ringbasis, mp, kmax)):
+    # the vanishing lemma's head, for mp = g(X^2): x1(1), x1(3), ..., x1(deg mp - 1) are 0
+    vanish = unimodular and not any(mp[1::2]) and not any(
+        ringbasis.int_coords(alpha**k)[0][0] for k in range(1, len(mp) - 1, 2)
+    )
+    if unimodular and (seq := _half_index(alpha, ringbasis, mp, kmax, 2 if vanish else 1)):
         return seq
     half = kmax // 2 if unimodular else 0
     one = ringbasis.field.one
@@ -216,9 +238,7 @@ def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSeq
         ys = generate(one, alpha.inverse(), ringbasis, half, _non_integral, reverse).terms
         # d_(2j+1) from x(j + 1) - y(j) and d_(2j) from x(j) - y(j); at an odd kmax
         # the odd stream has the one more term, and the pad of zip_longest is popped
-        d, x1 = len(mp) - 1, xs[0]
-        vanish = not any(mp[1::2]) and len(x1) >= d and not any(x1[1:d:2])
-        odd = repeat(1, min(len(x1) - 1, len(ys[0]))) if vanish else contents(ys, 0)
+        odd = repeat(1, min(len(xs[0]) - 1, len(ys[0]))) if vanish else contents(ys, 0)
         terms = list(chain.from_iterable(zip_longest(odd, contents(ys, 1))))
         if kmax % 2:
             terms.pop()
@@ -250,70 +270,46 @@ def dk_recurrence_check(report: SequenceReport) -> bool:
     return verify_recurrence(report)
 
 
-class DkMatchReport(
-    namedtuple(
-        "DkMatchReport",
-        "quartic_poly poly_irreducible d_head normalized applicable matched_through basis",
-    )
-):
-    """Outcome of matching d_k/d_1 with a first coordinate sequence.
+class DkMatchReport(namedtuple("DkMatchReport", "head basis")):
+    """The half-index lemma's head of d_k, and the basis whose x1 is d_k/d_1.
 
-    x1 is the first coordinate of eta^k in the rank-4 quotient ring
-    Z[X]/(X^4 - T X^2 + 1), over the basis whose change of basis from the
-    power basis completes (0, d1, d2, d3)/d1 (exactlinalg.complete_primitive);
-    when that polynomial is irreducible the basis is returned inside the
-    honest quartic field.
+    head is the DkSequence head: one column (0, d_1, d_2, |T + 1| d_1) under
+    its charpoly X^4 - |T| X^2 + 1. basis spans Z[eta] = Z[X]/(X^4 - |T| X^2 + 1)
+    in the quartic field of that polynomial, and the first coordinate of
+    eta^k over it is d_k/d_1 at every k >= 0; it is None when the polynomial
+    is reducible and there is no such field.
     """
 
     __slots__ = ()
-    # quartic_poly: tuple[int, ...]
-    # poly_irreducible: bool
-    # d_head: tuple[int, int, int, int]
-    # normalized: tuple[int, int, int, int] | None
-    # applicable: bool
-    # matched_through: int | None
+    # head: SequenceReport, four terms of one column
     # basis: ModuleBasis | None
 
 
-def match_dk_basis(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int = 30) -> DkMatchReport:
-    """Basis whose first coordinate sequence reproduces d_k(alpha)/d_1(alpha).
+def match_dk_basis(alpha: FieldElement, ringbasis: ModuleBasis) -> DkMatchReport:
+    """The basis whose first coordinate sequence is d_k(alpha)/d_1(alpha) at every k.
 
-    alpha must be a nontorsion quadratic unit of norm 1 in a real field. d_k is
-    computed over ringbasis (the caller asserts this is the right congruence
-    ring). Matching is verified termwise through kmax.
+    d_k is taken over ringbasis (the caller asserts this is the right
+    congruence ring). Refused unless dk_sequence gives d_k by the half-index
+    lemma at step 1, that is, unless alpha is a nontorsion quadratic unit of
+    norm 1 that keeps the ring. d_1 divides the head: d_1 | d_2, as
+    alpha = 1 mod d_1, and d_3 = |T + 1| d_1. So head/d_1 is
+    (0, 1, b, |T + 1|), the coordseq.lds_targets entry of X^4 - |T| X^2 + 1 at
+    b = d_2/d_1. Over the power basis of Z[eta] the powers eta^0..eta^3 have
+    the identity for coordinates, so basisforge.lds_basis gives scale 1 and x1
+    equal to head/d_1 in rows 0..3; after them x1 and the d_k column follow
+    the same recurrence, so x1(k) d_1 = d_k at every k, with no term compared.
     """
-    t = _norm_one_trace(min_poly(alpha))
-    if t is None:
-        raise CheckRefused("alpha is not a quadratic unit of norm 1")
-    _, c1, _ = alpha.field.coeffs
-    if c1 * c1 - 4 * alpha.field.coeffs[0] < 0:
-        raise CheckRefused("alpha must live in a real quadratic field")
-    poly = (1, 0, -t, 0, 1)
-    seq = dk_sequence(alpha, ringbasis, max(kmax, 4))
-    if any(x == 0 for x in seq.terms[:4]):
-        raise CheckRefused("alpha is torsion")
-    d_head = (0, seq.dk(1), seq.dk(2), seq.dk(3))
-    d1 = d_head[1]
+    seq = dk_sequence(alpha, ringbasis, 1)
+    if seq.head is None or seq.step != 1:
+        raise CheckRefused("alpha is not a nontorsion quadratic unit of norm 1 that keeps the ring")
+    column = seq.head.terms[0]
     try:
-        k4: NumberField | None = NumberField(poly)
+        k4 = NumberField(seq.head.charpoly)
     except ValueError:
-        k4 = None
-    applicable = all(x % d1 == 0 for x in d_head)
-    normalized = matched = basis = None
-    if applicable:
-        normalized = tuple(x // d1 for x in d_head)
-        # normalized[1] = 1, so the vector is primitive and has the completion
-        # A = complete_primitive(normalized), the change of basis of lds_basis below.
-        # x(k) = A^T y(k) where y(k) are power coordinates of eta^k mod X^4 - T X^2 + 1;
-        # y(k) = e_(k+1) for k <= 3, so x1(0..3) is column 0 of A, normalized, and
-        # x1 follows the recurrence
-        x1 = islice(recurrence_terms(poly, normalized), kmax + 1)
-        matched = next((k - 1 for k, x in enumerate(x1) if x * d1 != (seq.dk(k) if k else 0)), kmax)
-        if k4 is not None:
-            # the powers of eta over the power basis are B = I, so scale is 1 and
-            # the basis is A^-1 applied to the power basis
-            basis, _ = lds_basis(k4.power_basis(), k4.one, k4.generator, normalized)
-    return DkMatchReport(poly, k4 is not None, d_head, normalized, applicable, matched, basis)
+        return DkMatchReport(seq.head, None)
+    target = [x // column[1] for x in column]
+    basis, _ = lds_basis(k4.power_basis(), k4.one, k4.generator, target)
+    return DkMatchReport(seq.head, basis)
 
 
 class SparseScanReport(namedtuple("SparseScanReport", "disc n y1 d_tilde")):

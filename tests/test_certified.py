@@ -333,9 +333,9 @@ class TestWorkCount:
         ("x^4-10x^2+1", "t", [], lambda kmax: 2, 0),
         ("x^2-3", "2+t", [], lambda kmax: 2, 0),
         # t of norm -1 has no lemma, but x1 of t is 0 at every odd k, so d_k = 1
-        # there: the even stream alone, once the x stream, rows 0..ceil(kmax/2),
-        # holds x1(3); both below kmax 5
-        ("x^4-3x^2-1", "t", [], lambda kmax: kmax // 2 if kmax >= 5 else kmax, 2),
+        # there: the even stream alone, at every kmax, as the head x1(1), x1(3)
+        # is read off t and t^3 before any stream is built
+        ("x^4-3x^2-1", "t", [], lambda kmax: kmax // 2, 2),
         # x1(1) = -1 over {1, 1+t, t^2, t^3}: both streams take their gcds
         ("x^4-10x^2+1", "t", ["--module-basis", "1;1+t;t^2;t^3"], lambda kmax: kmax, 2),
         ("x^2-2", "1+t", [], lambda kmax: kmax, 2),

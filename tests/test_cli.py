@@ -140,6 +140,24 @@ def test_dk_scan_takes_min_poly_once_per_report(monkeypatch, argv):
     assert rc == 0 and len(calls) == 1
 
 
+def test_family_scan_takes_min_poly_once_per_admissible_m(monkeypatch):
+    # quartic_unit_trace takes it; sequence_head gets the field polynomial, the
+    # generator's minimal polynomial, and takes none
+    calls = []
+    original = numberfield.min_poly
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    for module in (numberfield, coordseq, dkseq, basisforge, cli):
+        if hasattr(module, "min_poly"):
+            monkeypatch.setattr(module, "min_poly", counting)
+    rc, out, _ = run_cli(["family-scan", "--m-range", "2..10", "--kmax", "30"])
+    statuses = [row["status"] for row in json.loads(out)["rows"]]
+    assert rc == 0 and "rejected" in statuses and len(calls) == statuses.count("ok") == 5
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_dk_scan_formats_agree(fmt):
     rc, out, _ = run_cli(

@@ -78,15 +78,8 @@ UNREFERENCED = {
 }
 
 # the record fields that no module of the package reads as an attribute
-MATCH = "match_dk_basis is one of UNREFERENCED; the tests read its report"
 UNREAD_FIELDS = {
     "exactlinalg.HnfDecomposition.h": "primitive_reducer reads the witness c; only the tests read the form",
-    "dkseq.DkMatchReport.quartic_poly": MATCH,
-    "dkseq.DkMatchReport.poly_irreducible": MATCH,
-    "dkseq.DkMatchReport.d_head": MATCH,
-    "dkseq.DkMatchReport.normalized": MATCH,
-    "dkseq.DkMatchReport.applicable": MATCH,
-    "dkseq.DkMatchReport.matched_through": MATCH,
 }
 
 TREES = {path.stem: parse(path) for path in MODULES}

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import types
+from itertools import islice
 from fractions import Fraction
 
 import pytest
@@ -190,30 +191,12 @@ def irreducibility_tests(monkeypatch):
     [((2, 1), (1, 0, -4, 0, 1), True), ((7, 4), (1, 0, -14, 0, 1), False)],
 )
 def test_match_dk_basis_tests_irreducibility_once(irreducibility_tests, alpha, quartic, irreducible):
-    report = dkseq.match_dk_basis(SQRT3.element(alpha), SQRT3.power_basis(), kmax=20)
+    report = dkseq.match_dk_basis(SQRT3.element(alpha), SQRT3.power_basis())
     assert irreducibility_tests == [quartic]
-    assert report.quartic_poly == quartic
-    assert report.poly_irreducible is irreducible
+    assert report.head.charpoly == quartic
     assert (report.basis is not None) is irreducible
     if irreducible:
         assert report.basis.field == NumberField(quartic)
-
-
-def test_match_dk_basis_reports_a_head_that_d1_does_not_divide(monkeypatch, irreducibility_tests):
-    # over a ring that contains alpha, alpha - 1 divides alpha^k - 1, so d_1 divides
-    # every d_k and no real input reaches this branch: d_1..d_4 are set to 2, 3, 4, 5
-    monkeypatch.setattr(dkseq, "dk_sequence", lambda *args: dkseq.DkSequence([2, 3, 4, 5], 4))
-    report = dkseq.match_dk_basis(SQRT3.element((2, 1)), SQRT3.power_basis(), kmax=20)
-    assert report == dkseq.DkMatchReport(
-        quartic_poly=(1, 0, -4, 0, 1),
-        poly_irreducible=True,
-        d_head=(0, 2, 3, 4),
-        normalized=None,
-        applicable=False,
-        matched_through=None,
-        basis=None,
-    )
-    assert irreducibility_tests == [(1, 0, -4, 0, 1)]
 
 
 @pytest.mark.parametrize(
@@ -223,20 +206,66 @@ def test_match_dk_basis_reports_a_head_that_d1_does_not_divide(monkeypatch, irre
 def test_match_dk_basis_through_k_60(poly, alpha):
     field = NumberField(poly)
     alpha = field.element(alpha)
-    report = dkseq.match_dk_basis(alpha, field.power_basis(), kmax=60)
-    assert report.applicable
-    assert report.matched_through == 60
+    report = dkseq.match_dk_basis(alpha, field.power_basis())
     terms = dkseq.dk_sequence(alpha, field.power_basis(), 60).terms
     d1 = terms[0]
-    assert report.d_head == (0, *terms[:3])
+    assert report.head.terms == [[0, *terms[:3]]]
     if report.basis is not None:
         # x1 of eta^k over the returned basis is d_k / d_1, computed by the sequence kernel
         k4 = report.basis.field
         x1 = coordseq.generate(k4.one, k4.generator, report.basis, 60).terms[0]
         assert x1 == [0] + [d // d1 for d in terms]
         # vector i is row i of the completion's inverse over the power basis
-        rows = inverse_unimodular(complete_primitive(report.normalized))
+        rows = inverse_unimodular(complete_primitive([x // d1 for x in report.head.terms[0]]))
         assert [w.coords for w in report.basis.vectors] == [tuple(row) for row in rows]
+
+
+# (field, ring basis, alpha): both signs of T, a quadratic unit inside a quartic
+# field, and a half-integral unit over O_K
+MATCHED = {
+    "2+t": ("x^2-3", "1;t", "2+t"),
+    "-2-t": ("x^2-3", "1;t", "-2-t"),
+    "-2+t": ("x^2-3", "1;t", "-2+t"),
+    "t^2 in a quartic": ("x^4-10x^2+1", "1;t;t^2;t^3", "t^2"),
+    "(5+t)/2": ("x^2-21", "1;1/2+1/2t", "5/2+1/2t"),
+    "-(5+t)/2": ("x^2-21", "1;1/2+1/2t", "-5/2-1/2t"),
+    "reducible quartic": ("x^2-3", "1;t", "7+4t"),
+}
+
+
+@pytest.mark.parametrize("case", list(MATCHED))
+def test_match_dk_basis_x1_times_d1_is_dk_through_k_60(case):
+    poly, basis, text = MATCHED[case]
+    field = NumberField(numberfield.parse_polynomial(poly))
+    ring, alpha = ring_of(field, basis), numberfield.parse_element(field, text)
+    report = dkseq.match_dk_basis(alpha, ring)
+    (column,) = report.head.terms
+    t = -int(numberfield.min_poly(alpha)[1])
+    # the head is d_1 times the lds_targets entry of X^4 - |T| X^2 + 1 at b = d_2/d_1
+    assert report.head.charpoly == (1, 0, -abs(t), 0, 1)
+    d1 = column[1]
+    entries = coordseq.lds_targets(report.head.charpoly, column[2] // d1)
+    assert [d1 * x for x in entries[t < 0][:4]] == column
+    dks = [dkseq.dk(alpha, ring, k) for k in range(61)]
+    if case == "reducible quartic":
+        # X^4 - 14 X^2 + 1 = (X^2 - 4 X + 1)(X^2 + 4 X + 1)
+        assert report.basis is None and column == dks[:4]
+        return
+    k4 = report.basis.field
+    head = coordseq.sequence_head(k4.one, k4.generator, report.basis, 60)
+    x1 = list(islice(coordseq.column_terms(head, 1), 61))
+    assert [d1 * x for x in x1] == dks
+
+
+@pytest.mark.parametrize(
+    "poly, alpha",
+    [("x^2-2", "1+t"), ("x^4-10x^2+1", "t"), ("x^2-3", "1+t")],
+    ids=["norm -1", "lacunary", "non-unit"],
+)
+def test_match_dk_basis_refuses_what_the_lemma_does_not_cover(poly, alpha):
+    field = NumberField(numberfield.parse_polynomial(poly))
+    with pytest.raises(dkseq.CheckRefused):
+        dkseq.match_dk_basis(numberfield.parse_element(field, alpha), field.power_basis())
 
 
 def test_recurrence_report_holds_the_dk_list_itself():
@@ -333,34 +362,28 @@ def test_match_dk_basis_against_the_companion_step(poly, alpha, kmax):
     # recurrence: kmax below 4 takes none of them, and kmax 4 and 5 the first ones
     field = NumberField(poly)
     alpha = field.element(alpha)
-    report = dkseq.match_dk_basis(alpha, field.power_basis(), kmax=kmax)
-    t = -report.quartic_poly[2]
-    column = [row[0] for row in complete_primitive(report.normalized)]
+    report = dkseq.match_dk_basis(alpha, field.power_basis())
+    t = -report.head.charpoly[2]
+    d1 = report.head.terms[0][1]
+    column = [row[0] for row in complete_primitive([x // d1 for x in report.head.terms[0]])]
     x1 = companion_first_coordinates(column, t, kmax)
     d = [0] + dkseq.dk_sequence(alpha, field.power_basis(), max(kmax, 4)).terms
-    d1 = report.d_head[1]
-    want = next((k - 1 for k in range(kmax + 1) if x1[k] * d1 != d[k]), kmax)
-    assert report.matched_through == want == kmax
+    assert [x * d1 for x in x1] == d[: kmax + 1]
 
 
-def test_match_dk_basis_reports_the_first_mismatch(monkeypatch):
-    # a d_k sequence that leaves x1 at k = 7 is matched through 6, as by the companion step
+def test_match_dk_basis_reads_the_head_alone(monkeypatch):
+    # the lemma proves the match from the head: wrong terms past it change nothing
     field = NumberField((-3, 0, 1))
     alpha = field.element((2, 1))
+    want = dkseq.match_dk_basis(alpha, field.power_basis())
     original = dkseq.dk_sequence
 
     def broken(*args):
         seq = original(*args)
-        seq.terms[6] += seq.terms[0]
-        return seq
+        return seq._replace(terms=[0] * len(seq.terms))
 
     monkeypatch.setattr(dkseq, "dk_sequence", broken)
-    report = dkseq.match_dk_basis(alpha, field.power_basis(), kmax=20)
-    column = [row[0] for row in complete_primitive(report.normalized)]
-    x1 = companion_first_coordinates(column, 4, 20)
-    d = [0] + broken(alpha, field.power_basis(), 20).terms
-    d1 = report.d_head[1]
-    assert report.matched_through == next(k - 1 for k in range(21) if x1[k] * d1 != d[k]) == 6
+    assert dkseq.match_dk_basis(alpha, field.power_basis()) == want
 
 
 @pytest.mark.parametrize(
@@ -498,3 +521,60 @@ def test_half_index_lemma_matches_the_dk_oracle_through_k_120(case):
         patch.setattr(dkseq, "math", types.SimpleNamespace(gcd=gcd))
         assert dkseq.dk_sequence(alpha, ring, 120).terms != want
     assert len(calls) == 2
+
+
+# (field polynomial, units of the field to draw from): norm 1, norm -1 and torsion
+SDS_FIELDS = {
+    (-3, 0, 1): ["2+t", "-1"],
+    (-2, 0, 1): ["1+t", "3+2t"],
+    (-2, 0, 0, 1): ["-1+t"],
+    (1, 0, -10, 0, 1): ["t", "3-9t+t^3"],
+    (1, 0, 0, 0, 1): ["t"],
+}
+
+
+@st.composite
+def ring_elements(draw):
+    """(alpha, ring): a ring basis, and alpha in the ring, so that alpha keeps it.
+
+    The ring is the power basis, Z[f t] for f in {2, 3}, or O_K of
+    x^4 - 10x^2 + 1. alpha is a ring element with coordinates in -3..3, mostly
+    no unit; or a power of a unit or root of unity of the field, the least
+    multiple of the drawn power that lies in the ring, maybe negated.
+    """
+    poly = draw(st.sampled_from(list(SDS_FIELDS)))
+    field = NumberField(poly)
+    rings = ["power", 2, 3] + (["O_K"] if poly == (1, 0, -10, 0, 1) else [])
+    kind = draw(st.sampled_from(rings))
+    if kind == "power":
+        ring = field.power_basis()
+    elif kind == "O_K":
+        ring = ring_of(field, MAXIMAL_ORDER)
+    else:
+        powers = tuple((field.generator * kind) ** i for i in range(field.degree))
+        ring = numberfield.ModuleBasis(field, powers)
+    if draw(st.booleans()):
+        coords = draw(st.lists(st.integers(-3, 3), min_size=field.degree, max_size=field.degree))
+        alpha = field.element([0] * field.degree)
+        for c, v in zip(coords, ring.vectors):
+            alpha = alpha + v * c
+        return alpha, ring
+    base = numberfield.parse_element(field, draw(st.sampled_from(SDS_FIELDS[poly]))) ** draw(
+        st.integers(1, 3)
+    )
+    alpha = base
+    while ring.int_coords(alpha)[1] != 1:
+        alpha = alpha * base
+    return (-alpha if draw(st.booleans()) else alpha), ring
+
+
+@settings(max_examples=80, deadline=None)
+@given(ring_elements())
+def test_dk_is_a_strong_divisibility_sequence(case):
+    # gcd(d_m, d_n) = d_gcd(m,n), the proof in the module docstring; math.gcd(0, x) = x
+    # is the convention that 0 divides only 0, so torsion meets the identity too
+    alpha, ring = case
+    d = [None] + dkseq.dk_sequence(alpha, ring, 40).terms
+    for m in range(1, 41):
+        for n in range(m, 41):
+            assert math.gcd(d[m], d[n]) == d[math.gcd(m, n)], (m, n)

@@ -147,11 +147,8 @@ RECORDS = [
      lambda: dict(terms=[1, 2, 3], t_trace=4),
      dict(terms=[1, 2, 4], t_trace=None)),
     (DkMatchReport,
-     lambda: dict(quartic_poly=(1, 0, -4, 0, 1), poly_irreducible=False, d_head=(0, 1, 2, 3),
-                  normalized=(0, 1, 2, 3), applicable=True, matched_through=30, basis=None),
-     dict(quartic_poly=(1, 0, -6, 0, 1), poly_irreducible=True, d_head=(0, 2, 4, 6),
-          normalized=None, applicable=False, matched_through=None,
-          basis=quartic().power_basis())),
+     lambda: dict(head=SequenceReport([[0, 1, 2, 5]], (1, 0, -4, 0, 1)), basis=None),
+     dict(head=SequenceReport([[0, 2, 4, 14]], (1, 0, -6, 0, 1)), basis=quartic().power_basis())),
     (SparseScanReport,
      lambda: dict(disc=2304, n=range(1, 4, 2), y1=[0, 0], d_tilde=[1, 1]),
      dict(disc=-23, n=range(1, 2), y1=[0, 1], d_tilde=[1, 2])),
