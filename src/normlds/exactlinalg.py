@@ -24,9 +24,10 @@ A matrix is a sequence of integer rows: every function here takes lists or
 tuples of rows, and every matrix one returns, or a decomposition holds, is a
 tuple of row tuples, which compares and hashes by value. apply, matmul and
 identity serve the witness checks. The decompositions are
-collections.namedtuple records, as are the results of coordseq, basisforge
-and dkseq: a typing.NamedTuple compiles each field's annotation, a string
-under from __future__ import annotations, when the module is imported.
+collections.namedtuple records, as are the values of numberfield and the
+results of coordseq, basisforge and dkseq: a typing.NamedTuple compiles each
+field's annotation, a string under from __future__ import annotations, when
+the module is imported.
 """
 
 from __future__ import annotations

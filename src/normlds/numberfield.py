@@ -16,47 +16,29 @@ ones, found by the Bareiss inverse of the matrix of those powers (Cohen,
 GTM 138, sections 2.2 and 4.2).
 
 A ModuleBasis clears its matrix of denominators once, A = D*B, and its
-__init__ stores the integer inverse of A from one fraction-free Gauss-Jordan
-pass (exactlinalg.fraction_free_inverse) as (D*N, q), so that B^-1 = D*N/q;
-the same pass refuses a dependent basis.
+__new__ stores the integer inverse of A from one fraction-free Gauss-Jordan
+pass (exactlinalg.fraction_free_inverse) as its field inverse = (D*N, q), so
+that B^-1 = D*N/q; the same pass refuses a dependent basis.
 Coordinates over the basis then take n integer dot products with the
 numerators and one Fraction each.
 
-NumberField, FieldElement and ModuleBasis are immutable values on Frozen,
-which lives here: their fields are set in __init__, which also validates them,
-and == and hash compare those fields.
+NumberField, FieldElement and ModuleBasis are collections.namedtuple records,
+as are the package's results: == and hash are tuple's, over their fields, and
+assigning a field raises AttributeError. NumberField refuses bad coefficients
+in __init__, and ModuleBasis refuses bad vectors in __new__.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
 from .exactlinalg import InvariantViolation, apply, det, fraction_free_inverse
 
 Rational = Union[int, Fraction]
-
-# the one way to set a field of a Frozen value, from its __init__
-_set = object.__setattr__
-
-
-class Frozen:
-    """Base of the package's immutable values: __init__ sets each field once.
-
-    Assigning to or deleting an attribute afterwards raises AttributeError.
-    A subclass that lists its fields in __slots__ has no instance __dict__.
-    """
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
 
 class ParseError(ValueError):
     """Raised on malformed polynomial or element expressions; carries a position."""
@@ -183,13 +165,16 @@ def _is_irreducible(coeffs: Sequence[int]) -> bool:
     return True
 
 
-class NumberField(Frozen):
+class NumberField(namedtuple("NumberField", "coeffs")):
     """The field Q[X]/(f) for a monic irreducible integer polynomial f.
 
     coeffs holds f in ascending order including the leading 1, so
     f = coeffs[0] + coeffs[1] X + ... + X^n. Two fields are == exactly when
-    their coeffs are.
+    their coeffs are. A field is the tuple (coeffs,): it iterates over that
+    one field and is == to a plain tuple of it.
     """
+
+    __slots__ = ()
 
     def __init__(self, coeffs: tuple[int, ...]) -> None:
         if len(coeffs) < 3 or len(coeffs) > 5:
@@ -202,15 +187,6 @@ class NumberField(Frozen):
             raise ValueError(
                 f"{format_polynomial(coeffs)} is reducible over Q"
             )
-        _set(self, "coeffs", coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     @property
     def degree(self) -> int:
@@ -218,7 +194,7 @@ class NumberField(Frozen):
 
     def element(self, coords: Iterable[Rational]) -> "FieldElement":
         # ints and Fractions carry their lowest-terms numerator and denominator
-        vec = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coords]
+        vec = list(coords)
         if len(vec) != self.degree:
             raise ValueError(f"expected {self.degree} coordinates, got {len(vec)}")
         # over the least common denominator, numerators and denominator are coprime
@@ -246,30 +222,19 @@ class NumberField(Frozen):
         return f"NumberField({format_polynomial(self.coeffs)})"
 
 
-class FieldElement(Frozen):
+class FieldElement(namedtuple("FieldElement", "field num den", defaults=(1,))):
     """An element of a NumberField as integer numerators over one denominator.
 
     The value is (num[0] + num[1] t + ... + num[n-1] t^(n-1)) / den with
     den > 0 and gcd(den, *num) = 1, so two elements compare == and hash alike
     exactly when their values are equal. NumberField.element and the
     arithmetic below keep that form; coords reads the value back as rational
-    coordinates over 1, t, ..., t^(n-1).
+    coordinates over 1, t, ..., t^(n-1). An element is the tuple
+    (field, num, den): it iterates over those fields and is == to a plain tuple
+    of them, while +, -, * and ** are field arithmetic, never tuple operations.
     """
 
-    __slots__ = ("field", "num", "den")
-
-    def __init__(self, field: NumberField, num: tuple[int, ...], den: int = 1) -> None:
-        _set(self, "field", field)
-        _set(self, "num", num)
-        _set(self, "den", den)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.num, self.den) == (other.field, other.num, other.den)
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.num, self.den))
+    __slots__ = ()
 
     @property
     def coords(self) -> tuple[Rational, ...]:
@@ -299,15 +264,14 @@ class FieldElement(Frozen):
         return FieldElement(self.field, tuple(-a for a in self.num), self.den)
 
     def scale(self, c: Rational) -> "FieldElement":
-        if not isinstance(c, (int, Fraction)):
-            c = Fraction(c)
         return _reduced(self.field, [c.numerator * a for a in self.num], c.denominator * self.den)
 
     def __mul__(self, other: Union["FieldElement", Rational]) -> "FieldElement":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        out = [sum(map(operator.mul, row, other.num)) for row in _matrix(self)]
+        num = other.num
+        out = [sum(map(operator.mul, row, num)) for row in _matrix(self)]
         return _reduced(self.field, out, self.den * other.den)
 
     __rmul__ = __mul__
@@ -431,20 +395,23 @@ def min_poly(a: FieldElement) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, den ** (d - i)) for i, x in enumerate(c))
 
 
-class ModuleBasis(Frozen):
-    """A Q-basis of K given as n field elements (rows of a nonsingular matrix)."""
+class ModuleBasis(namedtuple("ModuleBasis", "field vectors inverse")):
+    """A Q-basis of K given as n field elements (rows of a nonsingular matrix).
 
-    __slots__ = ("field", "vectors", "_inverse")
+    ModuleBasis(field, vectors) computes inverse itself, and equal field and
+    vectors give an equal inverse. A basis is the tuple (field, vectors,
+    inverse): it iterates over those fields and is == to a plain tuple of them.
+    """
 
-    def __init__(self, field: NumberField, vectors: tuple[FieldElement, ...]) -> None:
+    __slots__ = ()
+
+    def __new__(cls, field: NumberField, vectors: tuple[FieldElement, ...]) -> "ModuleBasis":
         n = field.degree
         if len(vectors) != n:
             raise ValueError(f"basis needs {n} vectors, got {len(vectors)}")
         for v in vectors:
             if v.field != field:
                 raise ValueError("basis vector from a different field")
-        _set(self, "field", field)
-        _set(self, "vectors", vectors)
         # (D*N, q) with N/q the inverse of A = D*B, where B has the basis vectors'
         # coordinates as its columns, so B^-1 = D*N/q
         d = math.lcm(*(v.den for v in vectors))
@@ -453,15 +420,7 @@ class ModuleBasis(Frozen):
         if result is None:
             raise ValueError("basis vectors are linearly dependent")
         inv, q = result
-        _set(self, "_inverse", (tuple(tuple(d * x for x in row) for row in inv), q))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.vectors) == (other.field, other.vectors)
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.vectors))
+        return super().__new__(cls, field, vectors, (tuple(tuple(d * x for x in row) for row in inv), q))
 
     def __repr__(self) -> str:
         return f"ModuleBasis(field={self.field!r}, vectors={self.vectors!r})"
@@ -473,7 +432,7 @@ class ModuleBasis(Frozen):
         """
         if a.field != self.field:
             raise ValueError("element from a different field")
-        inv, q = self._inverse
+        inv, q = self.inverse
         den = q * a.den  # positive: q and a.den are
         num = [sum(map(operator.mul, row, a.num)) for row in inv]
         g = math.gcd(den, *num)
@@ -505,10 +464,7 @@ class ModuleBasis(Frozen):
 
     def combine(self, weights: Sequence[Rational]) -> FieldElement:
         """Linear combination sum_i weights[i] * vectors[i], in one pass over integers."""
-        terms = [
-            (w if isinstance(w, (int, Fraction)) else Fraction(w), v)
-            for w, v in zip(weights, self.vectors)
-        ]
+        terms = list(zip(weights, self.vectors))
         den = math.lcm(*(w.denominator * v.den for w, v in terms))
         num = [0] * self.field.degree
         for w, v in terms:

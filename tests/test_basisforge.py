@@ -482,7 +482,7 @@ def test_quartic_power_basis_is_the_inverse_of_a_applied_to_the_powers(field, co
 def count_calls(monkeypatch, name):
     """The callers of exactlinalg.<name> from every normlds module that holds it, one per call.
 
-    A caller is named by its qualified name, such as "ModuleBasis.__init__".
+    A caller is named by its qualified name, such as "ModuleBasis.__new__".
     """
     calls = []
     original = getattr(exactlinalg, name)
@@ -506,5 +506,5 @@ def test_quartic_power_inverts_one_matrix(monkeypatch):
         assert cli.main(argv) == 0
     # one basis matrix: the ModuleBasis of the written-out vectors, which checks their
     # independence; besides it only min_poly(eta), which solves for the power eta^4
-    assert sorted(inverses) == ["ModuleBasis.__init__", "min_poly"]
+    assert sorted(inverses) == ["ModuleBasis.__new__", "min_poly"]
     assert unimodular == []

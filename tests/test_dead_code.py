@@ -20,6 +20,8 @@ is public.
 A field of a collections.namedtuple record must be read as an attribute
 somewhere in the package, or be one of UNREAD_FIELDS, each kept for the reason
 it states; that list too must match exactly.
+No class defines __eq__, __hash__, __setattr__ or __delattr__, by def or by
+assignment: value semantics come from collections.namedtuple alone.
 """
 
 import ast
@@ -186,6 +188,27 @@ def cache_decorators(trees):
                     name = getattr(target, "attr", getattr(target, "id", ""))
                     if name in ("lru_cache", "cache"):
                         yield f"{module}.{node.name}"
+
+
+VALUE_DUNDERS = {"__eq__", "__hash__", "__setattr__", "__delattr__"}
+
+
+def value_dunders(trees):
+    """module.Class.name of every one of VALUE_DUNDERS a class defines, by def or by =."""
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):
+                    names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+                else:
+                    continue
+                for name in names:
+                    if name in VALUE_DUNDERS:
+                        yield f"{module}.{cls.name}.{name}"
 
 
 def private_imports(trees):
@@ -355,6 +378,31 @@ def test_the_guard_sees_a_cache_decorator():
         "        return 2\n"
     )
     assert list(cache_decorators({"m": ast.parse(source)})) == ["m.sieve", "m.table", "m.kept"]
+
+
+def test_no_class_writes_its_own_value_semantics():
+    assert list(value_dunders(TREES)) == []
+
+
+def test_the_guard_sees_hand_written_value_semantics():
+    source = (
+        "from collections import namedtuple\n\n"
+        "class Frozen:\n"
+        "    def __setattr__(self, name, value):\n"
+        "        raise AttributeError(name)\n\n"
+        "    __delattr__ = __setattr__\n\n"
+        "class V(Frozen):\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n\n"
+        "    __hash__ = object.__hash__\n\n"
+        "class R(namedtuple('R', 'a')):\n"
+        "    __slots__ = ()\n\n"
+        "    def __repr__(self):\n"
+        "        return 'R'\n"
+    )
+    assert list(value_dunders({"m": ast.parse(source)})) == [
+        "m.Frozen.__setattr__", "m.Frozen.__delattr__", "m.V.__eq__", "m.V.__hash__"
+    ]
 
 
 def test_no_module_takes_a_private_name_from_another():

@@ -1,9 +1,12 @@
 """The value semantics of the package's types, and what importing it loads.
 
-NumberField, FieldElement and ModuleBasis are immutable values: equal fields
-mean == and equal hashes, assignment raises AttributeError, and their
-constructors refuse bad input with fixed messages. Result records compare
-equal exactly when every field does, a matrix field as a tuple of row tuples.
+NumberField, FieldElement and ModuleBasis are collections.namedtuple records,
+as the results are: equal fields mean == and equal hashes, a value is == to
+the plain tuple of its fields, assignment raises AttributeError, and their
+constructors refuse bad input with fixed messages. Arithmetic on a
+FieldElement stays field arithmetic and never reaches tuple repetition or
+concatenation. Result records compare equal exactly when every field does, a
+matrix field as a tuple of row tuples.
 Importing the CLI loads neither dataclasses nor inspect: the first generates
 and compiles code for every class it decorates, and pulls in the second,
 which loads ast, dis and tokenize.
@@ -52,7 +55,7 @@ OTHERS = {
 FIELDS = {
     "NumberField": ["coeffs"],
     "FieldElement": ["field", "num", "den"],
-    "ModuleBasis": ["field", "vectors"],
+    "ModuleBasis": ["field", "vectors", "inverse"],
 }
 
 
@@ -66,6 +69,7 @@ def test_equal_values_are_equal_and_hash_alike(name):
     other = OTHERS[name]()
     assert a != other and not a == other
     assert a != "x" and a is not None
+    assert a == tuple(getattr(a, field) for field in FIELDS[name])
 
 
 def test_a_field_element_equals_the_same_value_however_built():
@@ -91,9 +95,28 @@ def test_assignment_raises_attribute_error(name):
     assert value == VALUES[name]()
 
 
-def test_cached_properties_still_cache():
+def test_arithmetic_stays_field_arithmetic():
+    field = sqrt2()
+    a = field.element([Fraction(3, 4), -1])
+    results = [
+        (2 * a, a.scale(2)),
+        (a * 2, a.scale(2)),
+        (a * Fraction(1, 2), a.scale(Fraction(1, 2))),
+        (a + a, a.scale(2)),
+        (a - a, field.from_int(0)),
+        (-a, a.scale(-1)),
+    ]
+    for value, expected in results:
+        # a repeated or concatenated tuple is a plain tuple, of another length
+        assert type(value) is FieldElement and value == expected
+    assert (a + a).coords == (Fraction(3, 2), -2)
+    assert FieldElement(field, (1, 0)).den == 1
+    assert FieldElement(field, (1, 0)) == field.one
+
+
+def test_the_stored_inverse_is_one_object_and_solves_coordinates():
     w = basis(sqrt2(), [1, 0], [Fraction(1, 2), Fraction(1, 2)])
-    assert w._inverse is w._inverse
+    assert w.inverse is w.inverse
     assert w.int_coords(sqrt2().element([0, 1])) == ((-1, 2), 1)
 
 
