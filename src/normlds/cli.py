@@ -17,9 +17,9 @@ emit-sequence and verify-lds (the columns of coordseq.decimal_columns) as list
 rows, the d_k column and the conj9 hits of dk-scan as bare items, and the rows
 of its vanishing scan as dicts of named columns: n as a range, y1, d_tilde and
 d as decimal text, or d as None. Their items are vouched for as '-' and digits
-(rendered through a certified or verified recurrence, else by str(); the d_k
-that dkseq's half-index lemma gives are rendered through its recurrence, and
-"1" at the k it skips), so they need no escaping, which is
+(rendered through a certified recurrence, else by str(); the d_k that dkseq's
+half-index lemma gives are rendered through its recurrence, and "1" at the k
+it skips, and every other d_k by str()), so they need no escaping, which is
 most of what json.dumps would spend on a report.
 json.dumps hands each _Table to its default hook, which records it and
 returns a NUL string as its marker; _json_text writes each table in place of
@@ -450,28 +450,20 @@ def _cmd_dk_scan(config: Namespace) -> int:
     alpha = _element(field, config.alpha, "alpha")
     ring = _ring(config, field)
     seq = dkseq.dk_sequence(alpha, ring, config.kmax)
-    rec_ok: bool | None = None
-    if seq.head is not None:
+    if seq.head is None:
+        terms = list(map(str, seq.terms))
+    else:
         # the half-index lemma: d_(step j) follow the head's recurrence, so rendering
-        # through it gives str() of each, by induction; every other d_k is 1, and
-        # T's recurrence holds exactly when T > 0 or no k has k + 4 <= kmax
-        rec_ok = None if seq.t_trace is None else (seq.t_trace > 0 or config.kmax <= 4)
+        # through it gives str() of each, by induction; every other d_k is 1
         step, terms = seq.step, ["1"] * config.kmax
         terms[step - 1 :: step] = coordseq.decimal_columns(seq.head, config.kmax // step)[0][1:]
-    else:
-        with contextlib.suppress(dkseq.CheckRefused):
-            report = dkseq.recurrence_report(seq)
-            rec_ok = dkseq.dk_recurrence_check(report)
-        # a checked recurrence renders the terms as above
-        terms = (coordseq.decimal_columns(report, report.kmax)[0] if rec_ok
-                 else list(map(str, seq.terms)))
     payload: dict[str, Any] = {
         "command": "dk-scan",
         "field": format_polynomial(field.coeffs),
         "alpha": format_element(alpha),
         "ring": [format_element(v) for v in ring.vectors],
         "terms": _Table(((None, terms),), ""),
-        "recurrence_ok": rec_ok,
+        "recurrence_ok": seq.recurrence_ok,
         "conj9_hits": _Table(((None, list(map(str, dkseq.dk_level_scan(seq)))),), ""),
     }
     if config.vanishing_t is not None:

@@ -73,16 +73,18 @@ beta = alpha^2 when mp(alpha) = X^4 - T X^2 + 1 with x1(1) = x1(3) = 0: then
 the odd d_k are 1 by the vanishing lemma, and d_2j(alpha) = d_j(alpha^2). Both
 take two gcds and no coordinate stream.
 
-The module also hosts the order-4 recurrence check of d_k that no lemma gave,
-and the change of basis matching d_k/d_1 with a first coordinate sequence:
-match_dk_basis reads the half-index lemma's head, d_1 times the
+dk_sequence also gives the verdict on T's own recurrence for a quadratic
+unit of norm 1: from the lemma when the lemma gave the terms, and else from
+dk_recurrence_check on the gcds, so no caller restates either. The module
+hosts the change of basis matching d_k/d_1 with a first coordinate sequence
+too: match_dk_basis reads the half-index lemma's head, d_1 times the
 coordseq.lds_targets entry of X^4 - |T| X^2 + 1 at b = d_2/d_1, and the basis
 comes from basisforge.lds_basis of that entry, so the lemma proves the match
-at every k. The recurrence report of d_k is one column, the d_k list itself.
-It hosts the vanishing scan for lacunary minimal polynomials too, and
-power-basis discriminants, as +-N(f'(alpha)) for the defining polynomial f.
-Their results, DkSequence, DkMatchReport and the sparse scan's report, are
-collections.namedtuple records; the scan's report holds its rows as columns.
+at every k. It hosts the vanishing scan for lacunary minimal polynomials
+too, and power-basis discriminants, as +-N(f'(alpha)) for the defining
+polynomial f. Their results, DkSequence, DkMatchReport and the sparse
+scan's report, are collections.namedtuple records; the scan's report holds
+its rows as columns.
 """
 
 from __future__ import annotations
@@ -99,24 +101,21 @@ from .coordseq import SequenceReport, generate, recurrence_terms, verify_recurre
 from .numberfield import FieldElement, ModuleBasis, NumberField, min_poly, norm
 
 
-class CheckRefused(Exception):
-    """The requested check does not apply to this input (refused, not failed)."""
-
-
-class DkSequence(namedtuple("DkSequence", "terms t_trace head step", defaults=(None, 1))):
+class DkSequence(namedtuple("DkSequence", "terms recurrence_ok head step", defaults=(None, 1))):
     """d_1, d_2, ... for a fixed alpha over a fixed ring basis.
 
-    t_trace is filled when alpha is a quadratic unit of norm 1, the case whose
-    d_k satisfies d_{k+4} = T d_{k+2} - d_k at T > 0. head is filled when the
-    half-index lemma gave the terms: its one column, from (0, d_s, d_2s, d_3s)
-    for s = step, is d_(s j) under its charpoly X^4 - |T| X^2 + 1, and every
-    other d_k is 1. At step 1 the column is d_1 times a coordseq.lds_targets
-    entry of that charpoly, the head match_dk_basis reads.
+    recurrence_ok is whether d_{k+4} = T d_{k+2} - d_k holds through kmax when
+    alpha is a nontorsion quadratic unit of norm 1 and trace T, and None for
+    any other alpha. head is filled when the half-index lemma gave the terms:
+    its one column, from (0, d_s, d_2s, d_3s) for s = step, is d_(s j) under
+    its charpoly X^4 - |T| X^2 + 1, and every other d_k is 1. At step 1 the
+    column is d_1 times a coordseq.lds_targets entry of that charpoly, the
+    head match_dk_basis reads.
     """
 
     __slots__ = ()
     # terms: list[int], terms[i] = d_{i+1}
-    # t_trace: int | None
+    # recurrence_ok: bool | None
     # head: SequenceReport | None, four terms of one column
     # step: int, 1 or 2
 
@@ -172,7 +171,9 @@ def _half_index(
     column, charpoly = [0, d1, d2, abs(t + 1) * d1], (1, 0, -abs(t), 0, 1)
     terms = [1] * kmax
     terms[step - 1 :: step] = islice(recurrence_terms(charpoly, column), 1, kmax // step + 1)
-    return DkSequence(terms, _norm_one_trace(mp), SequenceReport([column], charpoly), step)
+    # at step 1 T's own recurrence holds exactly when T > 0 or no k has k + 4 <= kmax
+    ok = None if step == 2 else (t > 0 or kmax <= 4)
+    return DkSequence(terms, ok, SequenceReport([column], charpoly), step)
 
 
 def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSequence:
@@ -201,6 +202,9 @@ def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSeq
     d_k = 1 at every odd k: the half-index lemma runs at step 2, and the gcd
     path's odd stream is that many 1s, with no gcd. Otherwise the half-index
     lemma runs at step 1 and the odd stream takes its gcds.
+
+    recurrence_ok comes from the half-index lemma on its path, and from
+    dk_recurrence_check on the gcds otherwise.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
@@ -244,30 +248,19 @@ def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSeq
             terms.pop()
     else:
         terms = list(contents([repeat(int(i == 0)) for i in range(len(xs))], 0))
-    return DkSequence(terms=terms, t_trace=_norm_one_trace(mp))
+    t = _norm_one_trace(mp)
+    # a d_k of 0 is torsion, which has no such recurrence
+    ok = None if t is None or 0 in terms else dk_recurrence_check(terms, t)
+    return DkSequence(terms, ok)
 
 
-def recurrence_report(seq: DkSequence) -> SequenceReport:
-    """d_1, d_2, ... as one column under X^4 - T X^2 + 1: d_{k+4} = T d_{k+2} - d_k.
+def dk_recurrence_check(terms: list[int], t: int) -> bool:
+    """Whether every d_{k+4} of terms (terms[i] = d_{i+1}) is T d_{k+2} - d_k.
 
-    The column is seq.terms itself, not a copy. Only a nontorsion quadratic
-    unit of norm 1 has this recurrence; anything else is refused rather than
-    failed.
+    The terms are checked as one column under X^4 - T X^2 + 1, the list itself.
     """
-    t = seq.t_trace
-    if t is None:
-        raise CheckRefused("alpha is not a quadratic unit of norm 1")
-    if 0 in seq.terms:
-        raise CheckRefused("alpha is torsion")
-    return SequenceReport(terms=[seq.terms], charpoly=(1, 0, -t, 0, 1))
-
-
-def dk_recurrence_check(report: SequenceReport) -> bool:
-    """Whether every d_{k+4} of a recurrence_report is T d_{k+2} - d_k."""
     # with at most 4 terms there is no k with k + 4 <= kmax
-    if report.kmax < 4:
-        return True
-    return verify_recurrence(report)
+    return len(terms) <= 4 or verify_recurrence(SequenceReport([terms], (1, 0, -t, 0, 1)))
 
 
 class DkMatchReport(namedtuple("DkMatchReport", "head basis")):
@@ -289,10 +282,10 @@ def match_dk_basis(alpha: FieldElement, ringbasis: ModuleBasis) -> DkMatchReport
     """The basis whose first coordinate sequence is d_k(alpha)/d_1(alpha) at every k.
 
     d_k is taken over ringbasis (the caller asserts this is the right
-    congruence ring). Refused unless dk_sequence gives d_k by the half-index
-    lemma at step 1, that is, unless alpha is a nontorsion quadratic unit of
-    norm 1 that keeps the ring. d_1 divides the head: d_1 | d_2, as
-    alpha = 1 mod d_1, and d_3 = |T + 1| d_1. So head/d_1 is
+    congruence ring). Refused with ValueError unless dk_sequence gives d_k by
+    the half-index lemma at step 1, that is, unless alpha is a nontorsion
+    quadratic unit of norm 1 that keeps the ring. d_1 divides the head:
+    d_1 | d_2, as alpha = 1 mod d_1, and d_3 = |T + 1| d_1. So head/d_1 is
     (0, 1, b, |T + 1|), the coordseq.lds_targets entry of X^4 - |T| X^2 + 1 at
     b = d_2/d_1. Over the power basis of Z[eta] the powers eta^0..eta^3 have
     the identity for coordinates, so basisforge.lds_basis gives scale 1 and x1
@@ -301,7 +294,7 @@ def match_dk_basis(alpha: FieldElement, ringbasis: ModuleBasis) -> DkMatchReport
     """
     seq = dk_sequence(alpha, ringbasis, 1)
     if seq.head is None or seq.step != 1:
-        raise CheckRefused("alpha is not a nontorsion quadratic unit of norm 1 that keeps the ring")
+        raise ValueError("alpha is not a nontorsion quadratic unit of norm 1 that keeps the ring")
     column = seq.head.terms[0]
     try:
         k4 = NumberField(seq.head.charpoly)

@@ -25,7 +25,8 @@ numerators and one Fraction each.
 NumberField, FieldElement and ModuleBasis are collections.namedtuple records,
 as are the package's results: == and hash are tuple's, over their fields, and
 assigning a field raises AttributeError. NumberField refuses bad coefficients
-in __init__, and ModuleBasis refuses bad vectors in __new__.
+in __init__, and ModuleBasis refuses bad vectors in __new__; their _make, and
+so _replace, build through those constructors.
 """
 
 from __future__ import annotations
@@ -175,6 +176,8 @@ class NumberField(namedtuple("NumberField", "coeffs")):
     """
 
     __slots__ = ()
+    # namedtuple's _make, which _replace calls too, would skip __init__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __init__(self, coeffs: tuple[int, ...]) -> None:
         if len(coeffs) < 3 or len(coeffs) > 5:
@@ -404,6 +407,9 @@ class ModuleBasis(namedtuple("ModuleBasis", "field vectors inverse")):
     """
 
     __slots__ = ()
+    # namedtuple's _make, which _replace calls too, would skip __new__ and keep
+    # a stale inverse; this one computes it from field and vectors
+    _make = classmethod(lambda cls, fields: cls(*tuple(fields)[:2]))
 
     def __new__(cls, field: NumberField, vectors: tuple[FieldElement, ...]) -> "ModuleBasis":
         n = field.degree

@@ -43,39 +43,29 @@ def test_dk_scan_computes_the_sequence_once(monkeypatch):
 UNKEPT_MODULE = ["--field", "x^2-3", "--alpha", "2+t", "--module-basis", "1;2/5+1/5t"]
 
 
-def test_dk_scan_builds_the_recurrence_report_once(monkeypatch):
-    reports = []
-    original = dkseq.recurrence_report
-
-    def counting(seq):
-        reports.append(original(seq))
-        return reports[-1]
-
+def test_dk_scan_checks_the_gcds_once(monkeypatch):
     checked = []
     check = dkseq.dk_recurrence_check
 
-    def recording(report):
-        checked.append(report)
-        return check(report)
+    def recording(terms, t):
+        checked.append((terms, t))
+        return check(terms, t)
 
-    monkeypatch.setattr(dkseq, "recurrence_report", counting)
     monkeypatch.setattr(dkseq, "dk_recurrence_check", recording)
     rc, out, _ = run_cli(["dk-scan", *UNKEPT_MODULE, "--kmax", "40"])
     assert rc == 0
-    # the report that was checked is the one rendered: built once, never rebuilt
-    assert len(reports) == 1 and len(checked) == 1 and checked[0] is reports[0]
-    assert len(reports[0].terms[0]) == 40
+    # one check, of the 40 terms under T = 4
+    assert len(checked) == 1 and len(checked[0][0]) == 40 and checked[0][1] == 4
     assert json.loads(out)["recurrence_ok"] is True
 
 
 @pytest.mark.parametrize("alpha, kmax, ok", [("2+t", 40, True), ("-2-t", 40, False), ("-2-t", 4, True)])
 def test_dk_scan_checks_no_term_the_half_index_lemma_gave(monkeypatch, alpha, kmax, ok):
     # the d_k follow X^4 - |T| X^2 + 1, so T's recurrence holds exactly when T > 0
-    # or kmax <= 4; neither the report nor the check is built
+    # or kmax <= 4; no check runs
     def refuse(*args):
         raise AssertionError("the terms of the half-index lemma were checked")
 
-    monkeypatch.setattr(dkseq, "recurrence_report", refuse)
     monkeypatch.setattr(dkseq, "dk_recurrence_check", refuse)
     rc, out, _ = run_cli(["dk-scan", "--field", "x^2-3", f"--alpha={alpha}", "--kmax", str(kmax)])
     assert rc == 0 and json.loads(out)["recurrence_ok"] is ok
@@ -332,22 +322,20 @@ def test_dk_scan_of_an_alpha_that_is_not_integral(kmax):
         assert err == "error: alpha^3 has non-integral coordinates over the ring basis\n"
 
 
-def test_dk_terms_fall_back_to_str_without_a_verified_recurrence(monkeypatch):
-    argv = ["dk-scan", *UNKEPT_MODULE, "--kmax", "40"]
-    _, out, _ = run_cli(argv)
-    rendered = json.loads(out)
-    assert rendered["recurrence_ok"] is True
+@pytest.mark.parametrize("verdict", [True, False])
+def test_dk_terms_of_gcds_are_written_by_str_whatever_the_verdict(monkeypatch, verdict):
+    def refuse(*args):
+        raise AssertionError("d_k of gcds rendered through a recurrence")
 
-    def refuse(report):
-        raise AssertionError("rendered through an unverified recurrence")
-
-    monkeypatch.setattr(dkseq, "dk_recurrence_check", lambda report: False)
+    monkeypatch.setattr(dkseq, "dk_recurrence_check", lambda terms, t: verdict)
     monkeypatch.setattr(coordseq, "decimal_columns", refuse)
-    rc, out, _ = run_cli(argv)
-    fallback = json.loads(out)
-    assert rc == 0
-    assert fallback["recurrence_ok"] is False
-    assert fallback["terms"] == rendered["terms"]
+    rc, out, _ = run_cli(["dk-scan", *UNKEPT_MODULE, "--kmax", "40"])
+    report = json.loads(out)
+    assert rc == 0 and report["recurrence_ok"] is verdict
+    field = NumberField((-3, 0, 1))
+    ring = numberfield.ModuleBasis(field, (field.one, field.element([Fraction(2, 5), Fraction(1, 5)])))
+    want = [str(dkseq.dk(field.element([2, 1]), ring, k)) for k in range(1, 41)]
+    assert report["terms"] == want
 
 
 @pytest.mark.parametrize("command", ["emit-sequence", "verify-lds"])

@@ -264,17 +264,9 @@ def test_match_dk_basis_x1_times_d1_is_dk_through_k_60(case):
 )
 def test_match_dk_basis_refuses_what_the_lemma_does_not_cover(poly, alpha):
     field = NumberField(numberfield.parse_polynomial(poly))
-    with pytest.raises(dkseq.CheckRefused):
+    message = "alpha is not a nontorsion quadratic unit of norm 1 that keeps the ring"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         dkseq.match_dk_basis(numberfield.parse_element(field, alpha), field.power_basis())
-
-
-def test_recurrence_report_holds_the_dk_list_itself():
-    # one column, the d_k list of the sequence: no list is built per term
-    field = NumberField((-3, 0, 1))
-    seq = dkseq.dk_sequence(field.element([2, 1]), field.power_basis(), 30)
-    report = dkseq.recurrence_report(seq)
-    assert report.terms == [seq.terms] and report.terms[0] is seq.terms
-    assert report.kmax == 29 and dkseq.dk_recurrence_check(report)
 
 
 @settings(max_examples=150, deadline=None)
@@ -313,13 +305,13 @@ def test_dk_recurrence_check_matches_sympy_dk(n, kmax, data):
         want.append(int(sympy.igcd(a - 1, b)))
     seq = dkseq.dk_sequence(field.element([n, 1]), field.power_basis(), kmax)
     assert seq.terms == want
-    check = dkseq.dk_recurrence_check(dkseq.recurrence_report(seq))
-    assert check is recurrence_holds(want, 2 * n) is True
+    check = dkseq.dk_recurrence_check(seq.terms, 2 * n)
+    assert check is seq.recurrence_ok is recurrence_holds(want, 2 * n) is True
     # one raised term: the verdict still follows sympy's terms through kmax
     i = data.draw(st.integers(0, kmax - 1))
     seq.terms[i] += 1
     want[i] += 1
-    assert dkseq.dk_recurrence_check(dkseq.recurrence_report(seq)) is recurrence_holds(want, 2 * n)
+    assert dkseq.dk_recurrence_check(seq.terms, 2 * n) is recurrence_holds(want, 2 * n)
 
 
 @settings(max_examples=40, deadline=None)

@@ -30,10 +30,9 @@ from normlds.coordseq import (
     verify_lds,
     verify_recurrence,
 )
-from normlds.dkseq import CheckRefused, dk, dk_recurrence_check, dk_sequence, sparse_minpoly_scan
-from normlds.dkseq import recurrence_report as dk_report
+from normlds.dkseq import dk, dk_recurrence_check, dk_sequence, sparse_minpoly_scan
 from normlds.basisforge import quartic_module_construct
-from normlds.numberfield import ModuleBasis, NumberField
+from normlds.numberfield import ModuleBasis, NumberField, min_poly
 from oracles import fraction_columns, fraction_rows, outside_module, scan_rows
 
 QUADRATICS = [(-2, 0, 1), (-3, 0, 1), (-5, 0, 1), (1, 0, 1), (-1, -1, 1), (-7, 0, 1)]
@@ -267,12 +266,17 @@ def sparse_rows_oracle(field, t, nmax):
     return rows
 
 
-def termwise_dk_recurrence(seq):
-    """d_{k+4} = T d_{k+2} - d_k through seq.dk(): the loop dk_recurrence_check replaced."""
-    for k in range(1, len(seq.terms) - 3):
-        if seq.dk(k + 4) != seq.t_trace * seq.dk(k + 2) - seq.dk(k):
+def termwise_dk_recurrence(terms, t):
+    """d_{k+4} = T d_{k+2} - d_k for terms[i] = d_{i+1}: the loop dk_recurrence_check replaced."""
+    for k in range(1, len(terms) - 3):
+        if terms[k + 3] != t * terms[k + 1] - terms[k - 1]:
             return False
     return True
+
+
+def trace(alpha):
+    """T of a quadratic alpha, mp(alpha) = X^2 - T X + N(alpha)."""
+    return -int(min_poly(alpha)[1])
 
 
 # nontorsion quadratic units of norm 1, so that the recurrence check applies
@@ -286,40 +290,70 @@ class TestDkRecurrenceCheck:
     def test_verdict_matches_termwise_loop(self, case, e, negate, kmax, data):
         alpha, ring = case
         power = -(alpha**e) if negate else alpha**e
-        seq = dk_sequence(power, ring, kmax)
-        holds = termwise_dk_recurrence(seq)
-        assert dk_recurrence_check(dk_report(seq)) is holds
+        t, terms = trace(power), dk_sequence(power, ring, kmax).terms
+        holds = termwise_dk_recurrence(terms, t)
+        assert dk_recurrence_check(terms, t) is holds
         # one term raised (a gcd stays positive, so no term becomes 0 and reads as
         # torsion): from kmax = 6 on, every term is read
         i = data.draw(st.integers(0, kmax - 1))
-        seq.terms[i] += data.draw(st.integers(1, 3))
-        want = termwise_dk_recurrence(seq)
+        terms[i] += data.draw(st.integers(1, 3))
+        want = termwise_dk_recurrence(terms, t)
         if holds and kmax >= 6:
             assert want is False
-        assert dk_recurrence_check(dk_report(seq)) is want
+        assert dk_recurrence_check(terms, t) is want
 
     @pytest.mark.parametrize("kmax", [6, 7, 40])
     def test_every_raised_term_through_kmax_fails(self, kmax):
         alpha, ring = DK_SPECIAL[0]
         for i in range(kmax):
-            seq = dk_sequence(alpha, ring, kmax)
-            seq.terms[i] += 1
-            assert dk_recurrence_check(dk_report(seq)) is termwise_dk_recurrence(seq) is False
+            terms = dk_sequence(alpha, ring, kmax).terms
+            terms[i] += 1
+            assert dk_recurrence_check(terms, 4) is termwise_dk_recurrence(terms, 4) is False
 
-    def test_refusals_and_short_sequences(self):
+    def test_short_sequences_and_alphas_with_no_verdict(self):
         alpha, ring = DK_SPECIAL[0]
-        report = dk_report(dk_sequence(alpha, ring, 40))
-        assert len(report.terms[0]) == 40 and dk_recurrence_check(report)
+        terms = dk_sequence(alpha, ring, 40).terms
+        assert len(terms) == 40 and dk_recurrence_check(terms, 4)
         # no k with k + 4 <= 4: up to four terms pass whatever they are
         for kmax in range(1, 5):
-            seq = dk_sequence(alpha, ring, kmax)
-            seq.terms[0] += 1
-            assert dk_recurrence_check(dk_report(seq))
+            terms = dk_sequence(alpha, ring, kmax).terms
+            terms[0] += 1
+            assert dk_recurrence_check(terms, 4)
         # norm -1, and i: X^2 + 1 has T = 0 and d_4 = 0
-        for bad, reason in [(DK_SPECIAL[2], "not a quadratic unit of norm 1"),
-                            (DK_SPECIAL[13], "torsion")]:
-            with pytest.raises(CheckRefused, match=reason):
-                dk_report(dk_sequence(*bad, 6))
+        for bad in (DK_SPECIAL[2], DK_SPECIAL[13]):
+            assert dk_sequence(*bad, 6).recurrence_ok is None
+
+
+# norm-1 quadratic units over rings they keep, whose d_k the half-index lemma
+# gives, and 2 + t over the module Z + Z (2 + t)/5 it does not keep, whose d_k
+# are gcds
+VERDICT_UNITS = {
+    "2+t": (K2_3.element([2, 1]), K2_3.power_basis()),
+    "5+2t": (K2_6.element([5, 2]), K2_6.power_basis()),
+    "7+4t over Z[2t]": DK_SPECIAL[7],
+    "2+t unkept": (K2_3.element([2, 1]), _ring(K2_3, [1, 0], [Fraction(2, 5), Fraction(1, 5)])),
+}
+
+
+@pytest.mark.parametrize("kmax", [*range(1, 13), 40])
+@pytest.mark.parametrize("sign", [1, -1], ids=["T>0", "T<0"])
+@pytest.mark.parametrize("name", VERDICT_UNITS)
+def test_recurrence_ok_is_the_termwise_verdict(name, sign, kmax):
+    alpha, ring = VERDICT_UNITS[name]
+    alpha = alpha if sign == 1 else -alpha
+    seq = dk_sequence(alpha, ring, kmax)
+    assert (seq.head is None) is name.endswith("unkept")
+    t = trace(alpha)
+    assert seq.recurrence_ok is termwise_dk_recurrence(seq.terms, t)
+    # the lemma's rule, which the gcds follow too: T > 0 or no k with k + 4 <= kmax
+    assert seq.recurrence_ok is (t > 0 or kmax <= 4)
+
+
+@pytest.mark.parametrize("kmax", [*range(1, 13), 40])
+@pytest.mark.parametrize("sign, e", [(1, 1), (-1, 1), (1, 3)], ids=["t", "-t", "t^3"])
+def test_a_lacunary_quartic_unit_has_no_recurrence_verdict(sign, e, kmax):
+    seq = dk_sequence(sign * K4_10.generator**e, K4_10.power_basis(), kmax)
+    assert seq.recurrence_ok is None
 
 
 class TestSparseScan:
@@ -686,8 +720,8 @@ class TestDecimalRows:
         # 4,300 digits near k = 4,730
         k2 = NumberField((-1088, 0, 1))
         seq = dk_sequence(k2.element([33, 1]), k2.power_basis(), 4800)
-        column = dk_report(seq)
-        assert column.charpoly == (1, 0, -66, 0, 1) and dk_recurrence_check(column)
+        assert dk_recurrence_check(seq.terms, 66)
+        column = SequenceReport([seq.terms], (1, 0, -66, 0, 1))
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:

@@ -3,7 +3,8 @@
 NumberField, FieldElement and ModuleBasis are collections.namedtuple records,
 as the results are: equal fields mean == and equal hashes, a value is == to
 the plain tuple of its fields, assignment raises AttributeError, and their
-constructors refuse bad input with fixed messages. Arithmetic on a
+constructors refuse bad input with fixed messages, also when _make or
+_replace builds the value. Arithmetic on a
 FieldElement stays field arithmetic and never reaches tuple repetition or
 concatenation. Result records compare equal exactly when every field does, a
 matrix field as a tuple of row tuples.
@@ -120,6 +121,21 @@ def test_the_stored_inverse_is_one_object_and_solves_coordinates():
     assert w.int_coords(sqrt2().element([0, 1])) == ((-1, 2), 1)
 
 
+def test_replace_and_make_build_through_the_constructor():
+    field = sqrt2()
+    t = field.generator
+    # the inverse is that of the new vectors: t = 1/2 (2t), not 1 (2t)
+    w = field.power_basis()._replace(vectors=(field.one, t + t))
+    assert w == basis(field, [1, 0], [0, 2])
+    assert w.int_coords(t) == ((0, 1), 2)
+    assert ModuleBasis._make(tuple(w)) == w
+    assert NumberField._make([(-3, 0, 1)]) == NumberField((-3, 0, 1))
+    with pytest.raises(ValueError, match=r"^x\^2 - 4 is reducible over Q$"):
+        NumberField._make([(-4, 0, 1)])
+    with pytest.raises(ValueError, match=r"^x\^2 - 4 is reducible over Q$"):
+        field._replace(coeffs=(-4, 0, 1))
+
+
 def test_reprs():
     assert repr(sqrt2()) == "NumberField(x^2 - 2)"
     assert repr(sqrt2().element([Fraction(3, 4), -1])) == "<3/4 - t>"
@@ -167,8 +183,10 @@ RECORDS = [
      lambda: dict(ok=False, witness=(2, 4)),
      dict(ok=True, witness=(2, 6))),
     (DkSequence,
-     lambda: dict(terms=[1, 2, 3], t_trace=4),
-     dict(terms=[1, 2, 4], t_trace=None)),
+     lambda: dict(terms=[1, 2, 3], recurrence_ok=True,
+                  head=SequenceReport([[0, 1, 2, 5]], (1, 0, -4, 0, 1)), step=1),
+     dict(terms=[1, 2, 4], recurrence_ok=None,
+          head=SequenceReport([[0, 1, 1, 11]], (1, 0, -10, 0, 1)), step=2)),
     (DkMatchReport,
      lambda: dict(head=SequenceReport([[0, 1, 2, 5]], (1, 0, -4, 0, 1)), basis=None),
      dict(head=SequenceReport([[0, 2, 4, 14]], (1, 0, -6, 0, 1)), basis=quartic().power_basis())),
