@@ -18,9 +18,11 @@ rows, the d_k column and the conj9 hits of dk-scan as bare items, and the rows
 of its vanishing scan as dicts of named columns: n as a range, y1, d_tilde and
 d as decimal text, or d as None. Their items are vouched for as '-' and digits
 (rendered through a certified recurrence, else by str(); the d_k that dkseq's
-half-index lemma gives are rendered through its recurrence, and "1" at the k
-it skips, and every other d_k by str()), so they need no escaping, which is
-most of what json.dumps would spend on a report.
+half-index lemma gives are rendered through its recurrence from the lemma's
+head, the one form in which dkseq keeps them, and "1" at the k it skips, and
+every other d_k by str()), so they need no escaping, which is most of what
+json.dumps would spend on a report. dkseq.dk_level_scan reads the conj9 hits
+off that head too.
 json.dumps hands each _Table to its default hook, which records it and
 returns a NUL string as its marker; _json_text writes each table in place of
 its marker. json's pure-Python indent encoder keeps that hook in a reference

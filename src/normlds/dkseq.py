@@ -10,7 +10,8 @@ coordseq.generate, the routine of every whole sequence of the package: rows
 over whole columns, math.gcd mapped over map(operator.sub, ...), so no
 Python code runs per term. dk() computes one term from alpha**k in the field:
 it gives the two terms the half-index lemma starts from, and the tests check
-every other term against it.
+every other term against it, expanding the half-index lemma's head through
+coordseq.column_terms.
 
 When M, the matrix of y -> alpha*y over the ring, is in GL_n(Z) (alpha keeps
 the ring and N(alpha) = +-1), x(k) - e1 = M^j (x(k - j) - y(j)) with
@@ -71,7 +72,9 @@ kmax <= 4: at T < 0 it gives d_5 = T d_3 - d_1 < 0.
 dk_sequence applies it to beta = alpha when mp(alpha) = X^2 - T X + 1, and to
 beta = alpha^2 when mp(alpha) = X^4 - T X^2 + 1 with x1(1) = x1(3) = 0: then
 the odd d_k are 1 by the vanishing lemma, and d_2j(alpha) = d_j(alpha^2). Both
-take two gcds and no coordinate stream.
+take two gcds and no coordinate stream, and keep the head, the step and kmax:
+no d_k past the head is built as an int. dk-scan renders the column through
+its recurrence, and dk_level_scan reads its hits d_k = d_1 off the head.
 
 dk_sequence also gives the verdict on T's own recurrence for a quadratic
 unit of norm 1: from the lemma when the lemma gave the terms, and else from
@@ -97,32 +100,31 @@ from operator import eq, sub
 from typing import Iterable, Iterator, Sequence
 
 from .basisforge import lds_basis
-from .coordseq import SequenceReport, generate, recurrence_terms, verify_recurrence
+from .coordseq import SequenceReport, generate, verify_recurrence
 from .numberfield import FieldElement, ModuleBasis, NumberField, min_poly, norm
 
 
-class DkSequence(namedtuple("DkSequence", "terms recurrence_ok head step", defaults=(None, 1))):
-    """d_1, d_2, ... for a fixed alpha over a fixed ring basis.
+class DkSequence(namedtuple("DkSequence", "kmax terms recurrence_ok head step", defaults=(None, 1))):
+    """d_1 .. d_kmax for a fixed alpha over a fixed ring basis.
 
+    When the half-index lemma gave the terms, head holds them and terms is
+    None: its one column, from (0, d_s, d_2s, d_3s) for s = step, is d_(s j)
+    under its charpoly X^4 - |T| X^2 + 1, and every other d_k is 1, so no d_k
+    is built as an int; coordseq.column_terms expands the column and
+    coordseq.decimal_columns renders it. At step 1 the column is d_1 times a
+    coordseq.lds_targets entry of that charpoly, the head match_dk_basis
+    reads. Otherwise head is None and terms holds every d_k as an int.
     recurrence_ok is whether d_{k+4} = T d_{k+2} - d_k holds through kmax when
     alpha is a nontorsion quadratic unit of norm 1 and trace T, and None for
-    any other alpha. head is filled when the half-index lemma gave the terms:
-    its one column, from (0, d_s, d_2s, d_3s) for s = step, is d_(s j) under
-    its charpoly X^4 - |T| X^2 + 1, and every other d_k is 1. At step 1 the
-    column is d_1 times a coordseq.lds_targets entry of that charpoly, the
-    head match_dk_basis reads.
+    any other alpha.
     """
 
     __slots__ = ()
-    # terms: list[int], terms[i] = d_{i+1}
+    # kmax: int, the last k
+    # terms: list[int] | None, terms[i] = d_{i+1}
     # recurrence_ok: bool | None
     # head: SequenceReport | None, four terms of one column
     # step: int, 1 or 2
-
-    def dk(self, k: int) -> int:
-        if not 1 <= k <= len(self.terms):
-            raise IndexError(f"d_{k} not computed (have 1..{len(self.terms)})")
-        return self.terms[k - 1]
 
 
 def _norm_one_trace(mp: Sequence[Fraction]) -> int | None:
@@ -156,12 +158,13 @@ def dk(alpha: FieldElement, ringbasis: ModuleBasis, k: int) -> int:
 def _half_index(
     alpha: FieldElement, ringbasis: ModuleBasis, mp: Sequence[Fraction], kmax: int, step: int
 ) -> DkSequence | None:
-    """d_1 .. d_kmax by the half-index lemma, for an alpha that keeps the ring; None outside it.
+    """The half-index lemma's head of d_k, for an alpha that keeps the ring; None outside it.
 
     Step s = 1 for mp = X^2 - T X + 1, and s = 2 for mp = X^4 - T X^2 + 1 whose
     vanishing head x1(1) = x1(3) = 0 the caller has read, so that the odd d_k
     are 1. The lemma is applied to beta = alpha^s, whose d_1 and d_2 are one
-    dk() each. None for any other mp, and for |T| <= 2, where alpha is torsion.
+    dk() each, and no other d_k is built. None for any other mp, and for
+    |T| <= 2, where alpha is torsion.
     """
     t = _norm_one_trace(mp[::step])
     if t is None or abs(t) <= 2:
@@ -169,11 +172,9 @@ def _half_index(
     beta = alpha**step
     d1, d2 = dk(beta, ringbasis, 1), dk(beta, ringbasis, 2)
     column, charpoly = [0, d1, d2, abs(t + 1) * d1], (1, 0, -abs(t), 0, 1)
-    terms = [1] * kmax
-    terms[step - 1 :: step] = islice(recurrence_terms(charpoly, column), 1, kmax // step + 1)
     # at step 1 T's own recurrence holds exactly when T > 0 or no k has k + 4 <= kmax
     ok = None if step == 2 else (t > 0 or kmax <= 4)
-    return DkSequence(terms, ok, SequenceReport([column], charpoly), step)
+    return DkSequence(kmax, None, ok, SequenceReport([column], charpoly), step)
 
 
 def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSequence:
@@ -182,9 +183,9 @@ def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSeq
     d_k = content(x(k) - e1) for x(k) the coordinates of alpha^k over the
     ring basis. When the matrix M of alpha is in GL_n(Z) and mp(alpha) is
     X^2 - T X + 1, or X^4 - T X^2 + 1 with a vanishing head, and |T| > 2, the
-    half-index lemma of the module docstring gives every term as an int of
-    coordseq.recurrence_terms from a head of two gcds, and every odd d_k of
-    the quartic is 1 by the vanishing lemma.
+    half-index lemma of the module docstring gives every term from a head of
+    two gcds, and every odd d_k of the quartic is 1 by the vanishing lemma;
+    the record holds that head, the step and kmax, and no term as an int.
 
     Otherwise, with M in GL_n(Z), M^-j keeps content, so
     d_k = content(x(k - j) - y(j)) with y(j) the coordinates of alpha^-j;
@@ -251,7 +252,7 @@ def dk_sequence(alpha: FieldElement, ringbasis: ModuleBasis, kmax: int) -> DkSeq
     t = _norm_one_trace(mp)
     # a d_k of 0 is torsion, which has no such recurrence
     ok = None if t is None or 0 in terms else dk_recurrence_check(terms, t)
-    return DkSequence(terms, ok)
+    return DkSequence(kmax, terms, ok)
 
 
 def dk_recurrence_check(terms: list[int], t: int) -> bool:
@@ -354,8 +355,27 @@ def sparse_minpoly_scan(field: NumberField, t: int, nmax: int) -> SparseScanRepo
 
 
 def dk_level_scan(seq: DkSequence) -> list[int]:
-    """The k with d_k = d_1 over every term of an already computed sequence. Exploratory only."""
-    return list(compress(count(1), map(eq, seq.terms, repeat(seq.dk(1)))))
+    """The k <= kmax with d_k = d_1, in increasing order. Exploratory only.
+
+    Over gcd terms it scans them. From the half-index lemma's head it reads
+    the hits off d_1 and d_2 of beta = alpha^s, s the step. No d_k of beta is
+    0, as beta is no root of unity, and d_1 divides every d_k by strong
+    divisibility, so d_2 >= d_1 >= 1. By the lemma d_2i = U(i) d_2 and
+    d_(2i+1) = m(i) d_1, and U and m increase for |T| > 2, so U(i) >= U(2) = |T|
+    >= 3 for i >= 2 and m(i) >= m(1) = |T + 1| >= 2 for i >= 1: every d_j of
+    beta with j >= 3 is at least 2 d_1 > d_1. So at step 1 the hits are k = 1,
+    and k = 2 when d_2 = d_1. At step 2, d_1(alpha) and every odd d_k(alpha)
+    are 1, and d_2j(alpha) = d_j(beta) > 1 for j >= 3: the hits are every odd
+    k, k = 2 when d_1(beta) = 1, and k = 4 when d_2(beta) = 1, as at T = 5, 9,
+    109 and 111, where they start 1, 2, 3, 4, 5, 7. Every hit is cut at kmax.
+    """
+    if seq.head is None:
+        return list(compress(count(1), map(eq, seq.terms, repeat(seq.terms[0]))))
+    s, (_, d1, d2, _) = seq.step, seq.head.terms[0]
+    # d_1(alpha) is d_1(beta) at step 1, and 1 at step 2, as is every odd d_k(alpha)
+    level, odd = (d1, ()) if s == 1 else (1, range(1, seq.kmax + 1, 2))
+    head_hits = [k for k in compress((s, 2 * s), (d1 == level, d2 == level)) if k <= seq.kmax]
+    return sorted([*odd, *head_hits])
 
 
 def discriminant_power_basis(field: NumberField) -> int:

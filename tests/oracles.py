@@ -11,17 +11,22 @@ quartic-power x1 is built from one. fraction_rows is the coordinate sequence
 of beta * eps^k by one field product and one Fraction coordinate solve per
 term, the reference for every integer sequence the library builds;
 fraction_columns is the same sequence as columns. scan_rows reads the
-columns of a vanishing scan back as its rows. faddeev_leverrier is the
-characteristic polynomial of an integer matrix, and reference_min_poly takes
-the minimal polynomial of a field element from it: the reference for the
-library's min_poly, which solves for the first dependent power instead.
+columns of a vanishing scan back as its rows, and dk_ints reads the d_k of
+a dkseq record as ints, expanding the half-index lemma's head when the record
+holds one. faddeev_leverrier is the characteristic polynomial of an integer
+matrix, and reference_min_poly takes the minimal polynomial of a field
+element from it: the reference for the library's min_poly, which solves for
+the first dependent power instead.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, NamedTuple, Sequence
+
+from normlds.coordseq import column_terms
 
 # the maximal order {1, sqrt 2, sqrt 3, (sqrt 2 + sqrt 6)/2} of Q(sqrt 2, sqrt 3), over
 # the power basis of a root t of x^4 - 10x^2 + 1, as a --module-basis
@@ -155,6 +160,23 @@ def scan_rows(scan) -> list[tuple]:
     """The (n, y1, d_tilde) rows of a sparse_minpoly_scan report, from its columns of one length."""
     assert len(scan.n) == len(scan.y1) == len(scan.d_tilde)
     return list(zip(scan.n, scan.y1, scan.d_tilde))
+
+
+def dk_ints(seq) -> list[int]:
+    """d_1 .. d_kmax of a dkseq.DkSequence as ints.
+
+    The gcd path's terms as they are. From the half-index lemma's head
+    (0, d_1, d_2, d_3) of beta = alpha^s, s the step, d_(s j) is term j of its
+    column and every other d_k is 1. coordseq.column_terms reads rows 0..d of a
+    head, d = 4, and the lemma gives row 4 as d_4 = U(2) d_2 = |T| d_2.
+    """
+    if seq.head is None:
+        return seq.terms
+    (column,) = seq.head.terms
+    head = seq.head._replace(terms=[[*column, -seq.head.charpoly[2] * column[2]]])
+    terms = [1] * seq.kmax
+    terms[seq.step - 1 :: seq.step] = islice(column_terms(head, 1), 1, seq.kmax // seq.step + 1)
+    return terms
 
 
 def faddeev_leverrier(m: Sequence[Sequence[int]]) -> list[int]:

@@ -36,7 +36,7 @@ from normlds.coordseq import (
     verify_recurrence,
 )
 from normlds.numberfield import ModuleBasis, NumberField, min_poly
-from oracles import fraction_columns, fraction_rows
+from oracles import dk_ints, fraction_columns, fraction_rows
 from oracles import outside_module as non_integral
 
 
@@ -358,6 +358,34 @@ class TestWorkCount:
         assert len(calls) == gcds(kmax) and len(built) == streams
 
     @pytest.mark.parametrize("kmax", [1, 2, 5, 40, 41])
+    @pytest.mark.parametrize("field, alpha", [("x^2-3", "2+t"), ("x^4-10x^2+1", "t")],
+                             ids=["pell", "lacunary"])
+    def test_dk_scan_runs_the_recurrence_only_to_render(self, work, monkeypatch, kmax, field,
+                                                         alpha):
+        # the half-index lemma's d_k are rendered from its head by decimal_columns,
+        # and dkseq builds none of them as an int, nor takes a power row
+        rendering, outside = [], []
+        render, values = coordseq.decimal_columns, coordseq.recurrence_values
+
+        def rendered(*args):
+            rendering.append(args)
+            try:
+                return render(*args)
+            finally:
+                rendering.pop()
+
+        def recurrence_values(*args):
+            if not rendering:
+                outside.append(args)
+            return values(*args)
+
+        monkeypatch.setattr(coordseq, "decimal_columns", rendered)
+        monkeypatch.setattr(coordseq, "recurrence_values", recurrence_values)
+        rc, out, _ = run_cli(["dk-scan", "--field", field, "--alpha", alpha, "--kmax", str(kmax)])
+        assert rc == 0 and len(json.loads(out)["terms"]) == kmax
+        assert outside == [] and int_work(work) == Counter()
+
+    @pytest.mark.parametrize("kmax", [1, 2, 5, 40, 41])
     def test_dk_scan_renders_a_lacunary_unit_with_no_str_of_a_d_k(self, monkeypatch, kmax):
         class Unprintable(int):
             def __str__(self):
@@ -369,9 +397,11 @@ class TestWorkCount:
         renders, plain = [], []
 
         def unprintable(*args):
+            # the lemma's record holds no int d_k: the head's column is all it has
             seq = sequence(*args)
-            plain.extend(seq.terms)
-            return seq._replace(terms=list(map(Unprintable, seq.terms)))
+            plain.extend(dk_ints(seq))
+            column = list(map(Unprintable, seq.head.terms[0]))
+            return seq._replace(head=seq.head._replace(terms=[column]))
 
         monkeypatch.setattr(dkseq, "dk_sequence", unprintable)
         monkeypatch.setattr(coordseq, "decimal_columns",

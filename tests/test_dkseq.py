@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from normlds import cli, coordseq, dkseq, numberfield
 from normlds.exactlinalg import complete_primitive, inverse_unimodular
 from normlds.numberfield import NumberField
-from oracles import MAXIMAL_ORDER, companion_first_coordinates, scan_rows
+from oracles import MAXIMAL_ORDER, companion_first_coordinates, dk_ints, scan_rows
 
 
 def dk_maximality_oracle(alpha, ringbasis, k, value):
@@ -47,7 +47,7 @@ def test_dk_sequence_terms_are_maximal(poly, alpha, kmax):
     field = NumberField(poly)
     alpha = field.element(alpha)
     ring = field.power_basis()
-    terms = dkseq.dk_sequence(alpha, ring, kmax).terms
+    terms = dk_ints(dkseq.dk_sequence(alpha, ring, kmax))
     assert len(terms) == kmax
     for k, value in enumerate(terms, 1):
         assert dk_maximality_oracle(alpha, ring, k, value)
@@ -103,7 +103,7 @@ def test_dk_sequence_matches_the_dk_oracle_at_every_k(case, kmax):
             error = str(exc)
             break
     if error is None:
-        assert dkseq.dk_sequence(alpha, ring, kmax).terms == want
+        assert dk_ints(dkseq.dk_sequence(alpha, ring, kmax)) == want
     else:
         assert error == f"alpha^{len(want) + 1} has non-integral coordinates over the ring basis"
         with pytest.raises(ValueError) as raised:
@@ -118,7 +118,7 @@ def test_odd_d_k_are_two_over_a_module_whose_x1_head_is_not_zero():
     ring = numberfield.ModuleBasis(field, tuple(field.element(v) for v in vectors))
     alpha = field.element(alpha)
     assert ring.int_coords(alpha) == ((-1, 2, 0, 0), 1)
-    assert dkseq.dk_sequence(alpha, ring, 5).terms[::2] == [2, 2, 2]
+    assert dk_ints(dkseq.dk_sequence(alpha, ring, 5))[::2] == [2, 2, 2]
 
 
 def run_dk_scan(argv):
@@ -145,7 +145,7 @@ def test_lacunary_quartic_dk_scan_matches_the_dk_oracle(t, alpha, kmax):
     ring = field.power_basis()
     want = [dkseq.dk(element, ring, k) for k in range(1, kmax + 1)]
     seq = dkseq.dk_sequence(element, ring, kmax)
-    assert seq.terms == want
+    assert dk_ints(seq) == want
     if alpha in ("t", "-t", "t^3"):
         assert want[::2] == [1] * len(want[::2])
     quartic = len(numberfield.min_poly(element)) == 5
@@ -207,7 +207,7 @@ def test_match_dk_basis_through_k_60(poly, alpha):
     field = NumberField(poly)
     alpha = field.element(alpha)
     report = dkseq.match_dk_basis(alpha, field.power_basis())
-    terms = dkseq.dk_sequence(alpha, field.power_basis(), 60).terms
+    terms = dk_ints(dkseq.dk_sequence(alpha, field.power_basis(), 60))
     d1 = terms[0]
     assert report.head.terms == [[0, *terms[:3]]]
     if report.basis is not None:
@@ -304,14 +304,15 @@ def test_dk_recurrence_check_matches_sympy_dk(n, kmax, data):
         a, b = power.coeff_monomial(1), power.coeff_monomial(X)
         want.append(int(sympy.igcd(a - 1, b)))
     seq = dkseq.dk_sequence(field.element([n, 1]), field.power_basis(), kmax)
-    assert seq.terms == want
-    check = dkseq.dk_recurrence_check(seq.terms, 2 * n)
+    terms = dk_ints(seq)
+    assert terms == want
+    check = dkseq.dk_recurrence_check(terms, 2 * n)
     assert check is seq.recurrence_ok is recurrence_holds(want, 2 * n) is True
     # one raised term: the verdict still follows sympy's terms through kmax
     i = data.draw(st.integers(0, kmax - 1))
-    seq.terms[i] += 1
+    terms[i] += 1
     want[i] += 1
-    assert dkseq.dk_recurrence_check(seq.terms, 2 * n) is recurrence_holds(want, 2 * n)
+    assert dkseq.dk_recurrence_check(terms, 2 * n) is recurrence_holds(want, 2 * n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -359,7 +360,7 @@ def test_match_dk_basis_against_the_companion_step(poly, alpha, kmax):
     d1 = report.head.terms[0][1]
     column = [row[0] for row in complete_primitive([x // d1 for x in report.head.terms[0]])]
     x1 = companion_first_coordinates(column, t, kmax)
-    d = [0] + dkseq.dk_sequence(alpha, field.power_basis(), max(kmax, 4)).terms
+    d = [0] + dk_ints(dkseq.dk_sequence(alpha, field.power_basis(), max(kmax, 4)))
     assert [x * d1 for x in x1] == d[: kmax + 1]
 
 
@@ -371,8 +372,10 @@ def test_match_dk_basis_reads_the_head_alone(monkeypatch):
     original = dkseq.dk_sequence
 
     def broken(*args):
+        # the lemma's record holds no term past the head: break its kmax, its
+        # terms and its verdict instead
         seq = original(*args)
-        return seq._replace(terms=[0] * len(seq.terms))
+        return seq._replace(kmax=0, terms=[0] * 3, recurrence_ok=not seq.recurrence_ok)
 
     monkeypatch.setattr(dkseq, "dk_sequence", broken)
     assert dkseq.match_dk_basis(alpha, field.power_basis()) == want
@@ -501,7 +504,7 @@ def test_half_index_lemma_matches_the_dk_oracle_through_k_120(case):
     alpha, ring = case
     want = [dkseq.dk(alpha, ring, k) for k in range(1, 121)]
     seq = dkseq.dk_sequence(alpha, ring, 120)
-    assert seq.head is not None and seq.terms == want
+    assert seq.head is not None and dk_ints(seq) == want
     # a d_2 one off, the second of the lemma's two gcds, changes the terms
     calls = []
 
@@ -511,8 +514,52 @@ def test_half_index_lemma_matches_the_dk_oracle_through_k_120(case):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dkseq, "math", types.SimpleNamespace(gcd=gcd))
-        assert dkseq.dk_sequence(alpha, ring, 120).terms != want
+        assert dk_ints(dkseq.dk_sequence(alpha, ring, 120)) != want
     assert len(calls) == 2
+
+
+# t, -t and t^3 as (power, sign)
+LACUNARY = [(1, 1), (1, -1), (3, 1)]
+
+
+def level_scan_box():
+    """(field, ring basis, unit, power, sign) for the closed-form level scan's box.
+
+    Pell units of x^2 - D and their squares, at both signs of T; the norm-1
+    half-integral units over Z[(1+t)/2] of x^2 - 5, x^2 - 13 and x^2 - 21, and
+    their squares, at both signs; t, -t and t^3 of x^4 - T x^2 + 1 at odd, even
+    and negative T, over the power basis, and t, -t, t^3 and t^2 over the
+    maximal order at T = 10.
+    """
+    cases = []
+    for D in (2, 3, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15, 17, 19, 61):
+        a, b = least_pell_solution(D)
+        cases += [(f"x^2-{D}", "1;t", f"{a}+{b}t", e, sign) for e in (1, 2) for sign in (1, -1)]
+    for D, unit in ((5, "3/2+1/2t"), (13, "11/2+3/2t"), (21, "5/2+1/2t")):
+        cases += [(f"x^2-{D}", "1;1/2+1/2t", unit, e, sign) for e in (1, 2) for sign in (1, -1)]
+    for T in (4, 5, 8, 9, 10, 12, 13, 109, 111, -3, -4, -5, -6, -9):
+        cases += [(f"x^4{-T:+}x^2+1", "1;t;t^2;t^3", "t", e, sign) for e, sign in LACUNARY]
+    cases += [("x^4-10x^2+1", MAXIMAL_ORDER, "t", e, sign) for e, sign in [*LACUNARY, (2, 1)]]
+    return cases
+
+
+@pytest.mark.parametrize("poly, basis, unit, e, sign", level_scan_box())
+def test_closed_form_level_hits_are_the_scan_of_the_dk_oracle(poly, basis, unit, e, sign):
+    # the hits d_k = d_1 that dk_level_scan reads off the half-index lemma's head,
+    # against a scan of dkseq.dk at every k, and the head's expansion against dk
+    field = NumberField(numberfield.parse_polynomial(poly))
+    ring = ring_of(field, basis)
+    alpha = numberfield.parse_element(field, unit) ** e * field.from_int(sign)
+    dks = [dkseq.dk(alpha, ring, k) for k in range(1, 41)]
+    for kmax in [*range(1, 13), 40]:
+        seq = dkseq.dk_sequence(alpha, ring, kmax)
+        assert seq.head is not None and seq.terms is None and seq.kmax == kmax
+        assert dk_ints(seq) == dks[:kmax]
+        hits = [k for k, d in enumerate(dks[:kmax], 1) if d == dks[0]]
+        assert dkseq.dk_level_scan(seq) == hits, kmax
+    if e == 1 and poly in ("x^4-5x^2+1", "x^4-9x^2+1", "x^4-109x^2+1", "x^4-111x^2+1"):
+        # d_4(+-t) = d_2(t^2) = 1: k = 4 is a hit as well as k = 2
+        assert seq.step == 2 and hits[:6] == [1, 2, 3, 4, 5, 7]
 
 
 # (field polynomial, units of the field to draw from): norm 1, norm -1 and torsion
@@ -566,7 +613,7 @@ def test_dk_is_a_strong_divisibility_sequence(case):
     # gcd(d_m, d_n) = d_gcd(m,n), the proof in the module docstring; math.gcd(0, x) = x
     # is the convention that 0 divides only 0, so torsion meets the identity too
     alpha, ring = case
-    d = [None] + dkseq.dk_sequence(alpha, ring, 40).terms
+    d = [None] + dk_ints(dkseq.dk_sequence(alpha, ring, 40))
     for m in range(1, 41):
         for n in range(m, 41):
             assert math.gcd(d[m], d[n]) == d[math.gcd(m, n)], (m, n)

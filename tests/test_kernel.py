@@ -33,7 +33,7 @@ from normlds.coordseq import (
 from normlds.dkseq import dk, dk_recurrence_check, dk_sequence, sparse_minpoly_scan
 from normlds.basisforge import quartic_module_construct
 from normlds.numberfield import ModuleBasis, NumberField, min_poly
-from oracles import fraction_columns, fraction_rows, outside_module, scan_rows
+from oracles import dk_ints, fraction_columns, fraction_rows, outside_module, scan_rows
 
 QUADRATICS = [(-2, 0, 1), (-3, 0, 1), (-5, 0, 1), (1, 0, 1), (-1, -1, 1), (-7, 0, 1)]
 QUARTICS = [(1, 0, -10, 0, 1), (1, 0, -4, 0, 1), (-2, 0, 0, 0, 1), (1, 0, 0, 0, 1), (1, 0, -5, 0, 1)]
@@ -227,7 +227,7 @@ class TestDkSequence:
     def test_terms_and_errors_match_single_term_dk(self, case):
         alpha, ring, kmax = case
         want = outcome(dk_terms, alpha, ring, kmax)
-        got = outcome(lambda *a: dk_sequence(*a).terms, alpha, ring, kmax)
+        got = outcome(lambda *a: dk_ints(dk_sequence(*a)), alpha, ring, kmax)
         assert got == want
 
     @given(st.one_of(dk_special_cases(), dk_cases()))
@@ -235,14 +235,14 @@ class TestDkSequence:
     def test_terms_and_errors_match_full_length_gcd(self, case):
         alpha, ring, kmax = case
         want = outcome(full_length_dk, alpha, ring, kmax)
-        got = outcome(lambda *a: dk_sequence(*a).terms, alpha, ring, kmax)
+        got = outcome(lambda *a: dk_ints(dk_sequence(*a)), alpha, ring, kmax)
         assert got == want
 
     @pytest.mark.parametrize("alpha, ring", DK_SPECIAL)
     def test_special_cases_at_every_short_kmax(self, alpha, ring):
         # a short kmax is where an error past the half-way row must still be raised
         for kmax in [*range(1, 13), 60]:
-            got = outcome(lambda *a: dk_sequence(*a).terms, alpha, ring, kmax)
+            got = outcome(lambda *a: dk_ints(dk_sequence(*a)), alpha, ring, kmax)
             assert got == outcome(full_length_dk, alpha, ring, kmax)
 
     def test_error_index(self):
@@ -290,7 +290,7 @@ class TestDkRecurrenceCheck:
     def test_verdict_matches_termwise_loop(self, case, e, negate, kmax, data):
         alpha, ring = case
         power = -(alpha**e) if negate else alpha**e
-        t, terms = trace(power), dk_sequence(power, ring, kmax).terms
+        t, terms = trace(power), dk_ints(dk_sequence(power, ring, kmax))
         holds = termwise_dk_recurrence(terms, t)
         assert dk_recurrence_check(terms, t) is holds
         # one term raised (a gcd stays positive, so no term becomes 0 and reads as
@@ -306,17 +306,17 @@ class TestDkRecurrenceCheck:
     def test_every_raised_term_through_kmax_fails(self, kmax):
         alpha, ring = DK_SPECIAL[0]
         for i in range(kmax):
-            terms = dk_sequence(alpha, ring, kmax).terms
+            terms = dk_ints(dk_sequence(alpha, ring, kmax))
             terms[i] += 1
             assert dk_recurrence_check(terms, 4) is termwise_dk_recurrence(terms, 4) is False
 
     def test_short_sequences_and_alphas_with_no_verdict(self):
         alpha, ring = DK_SPECIAL[0]
-        terms = dk_sequence(alpha, ring, 40).terms
+        terms = dk_ints(dk_sequence(alpha, ring, 40))
         assert len(terms) == 40 and dk_recurrence_check(terms, 4)
         # no k with k + 4 <= 4: up to four terms pass whatever they are
         for kmax in range(1, 5):
-            terms = dk_sequence(alpha, ring, kmax).terms
+            terms = dk_ints(dk_sequence(alpha, ring, kmax))
             terms[0] += 1
             assert dk_recurrence_check(terms, 4)
         # norm -1, and i: X^2 + 1 has T = 0 and d_4 = 0
@@ -344,7 +344,7 @@ def test_recurrence_ok_is_the_termwise_verdict(name, sign, kmax):
     seq = dk_sequence(alpha, ring, kmax)
     assert (seq.head is None) is name.endswith("unkept")
     t = trace(alpha)
-    assert seq.recurrence_ok is termwise_dk_recurrence(seq.terms, t)
+    assert seq.recurrence_ok is termwise_dk_recurrence(dk_ints(seq), t)
     # the lemma's rule, which the gcds follow too: T > 0 or no k with k + 4 <= kmax
     assert seq.recurrence_ok is (t > 0 or kmax <= 4)
 
@@ -720,8 +720,9 @@ class TestDecimalRows:
         # 4,300 digits near k = 4,730
         k2 = NumberField((-1088, 0, 1))
         seq = dk_sequence(k2.element([33, 1]), k2.power_basis(), 4800)
-        assert dk_recurrence_check(seq.terms, 66)
-        column = SequenceReport([seq.terms], (1, 0, -66, 0, 1))
+        terms = dk_ints(seq)
+        assert dk_recurrence_check(terms, 66)
+        column = SequenceReport([terms], (1, 0, -66, 0, 1))
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:

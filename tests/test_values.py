@@ -183,9 +183,9 @@ RECORDS = [
      lambda: dict(ok=False, witness=(2, 4)),
      dict(ok=True, witness=(2, 6))),
     (DkSequence,
-     lambda: dict(terms=[1, 2, 3], recurrence_ok=True,
+     lambda: dict(kmax=3, terms=[1, 2, 3], recurrence_ok=True,
                   head=SequenceReport([[0, 1, 2, 5]], (1, 0, -4, 0, 1)), step=1),
-     dict(terms=[1, 2, 4], recurrence_ok=None,
+     dict(kmax=4, terms=[1, 2, 4], recurrence_ok=None,
           head=SequenceReport([[0, 1, 1, 11]], (1, 0, -10, 0, 1)), step=2)),
     (DkMatchReport,
      lambda: dict(head=SequenceReport([[0, 1, 2, 5]], (1, 0, -4, 0, 1)), basis=None),
